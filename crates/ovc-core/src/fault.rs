@@ -47,8 +47,10 @@ pub enum FaultPoint {
     /// feeder) is starting — firing panics the worker, exercising panic
     /// containment and poison-frame propagation.
     WorkerPanic,
-    /// An exchange consumer is about to receive — firing sleeps the
-    /// consumer briefly, exercising bounded-channel backpressure.
+    /// An exchange consumer — or, under a `QueryCtx`, any operator
+    /// boundary of the executor — is about to receive a batch: firing
+    /// sleeps the consumer briefly, exercising bounded-channel
+    /// backpressure and letting tests cross a deadline mid-plan.
     SlowConsumer,
 }
 

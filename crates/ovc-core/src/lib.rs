@@ -36,8 +36,8 @@
 //!   [`batch::Batcher`] / [`batch::BatchRows`] converting to and from
 //!   row streams and seam-aware validation;
 //! * [`stats`] — comparison and spill accounting for the paper's `N × K`
-//!   bound and the Figure 6 spill claims, single-threaded (`Stats`) and
-//!   sendable ([`stats::AtomicStats`], per-thread snapshot merging);
+//!   bound and the Figure 6 spill claims (one sendable [`stats::Stats`],
+//!   merged across threads by snapshot);
 //! * [`metrics`] — per-operator runtime profiling (`EXPLAIN ANALYZE`):
 //!   the [`metrics::ProfileNode`] accumulator tree executors stamp
 //!   measurements into, and the [`metrics::ChannelGauge`] wait/occupancy
@@ -89,5 +89,5 @@ pub use metrics::{
 pub use ovc::Ovc;
 pub use row::{Row, SortKey, Value};
 pub use spec::{Direction, SortSpec};
-pub use stats::{AtomicStats, CostWeights, Stats, StatsSnapshot};
+pub use stats::{CostWeights, Stats, StatsSnapshot};
 pub use stream::{CodedBatch, OvcRow, OvcStream, SendOvcStream, VecStream};

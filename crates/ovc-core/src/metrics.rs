@@ -7,10 +7,10 @@
 //! pipeline in aggregate; this module adds the per-node view:
 //!
 //! * [`ProfileNode`] — a live, thread-safe accumulator tree mirroring a
-//!   physical plan's shape.  Instrumented stream adapters (in
-//!   `ovc-plan::exec`) stamp wall time, row counts, and
+//!   physical plan's shape.  The executor's operator-boundary adapter
+//!   (in `ovc-plan`) stamps wall time, row and batch counts, and
 //!   [`StatsSnapshot`] deltas into their node; worker threads report
-//!   through the node's embedded [`AtomicStats`] so per-thread counters
+//!   through the node's embedded [`Stats`] so per-thread counters
 //!   land on the operator that spawned them.
 //! * [`ChannelGauge`] / [`ExchangeGauges`] — per-partition counters for
 //!   the threaded exchange: how long producers blocked sending, how long
@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::stats::{AtomicStats, StatsSnapshot};
+use crate::stats::{Stats, StatsSnapshot};
 
 /// Frozen per-operator measurements from one profiled run.
 ///
@@ -82,7 +82,7 @@ pub struct ProfileNode {
     rows_out: AtomicU64,
     batches: AtomicU64,
     wall_ns: AtomicU64,
-    stats: AtomicStats,
+    stats: Stats,
     gauges: Option<ExchangeGauges>,
     /// Child nodes, in the plan node's child order.
     pub children: Vec<Arc<ProfileNode>>,
@@ -101,7 +101,7 @@ impl ProfileNode {
             rows_out: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             wall_ns: AtomicU64::new(0),
-            stats: AtomicStats::default(),
+            stats: Stats::default(),
             gauges: None,
             children,
         }
@@ -184,9 +184,8 @@ pub struct ChannelGauge {
     /// batch carries, so `rows` always means rows crossed, never
     /// messages.
     rows_sent: AtomicU64,
-    /// Messages enqueued (monotonic — one per send: a row in a
-    /// row-at-a-time exchange, a whole batch in a batched one).
-    /// Occupancy is `msgs_sent - msgs_received`, which cannot drift the
+    /// Messages enqueued (monotonic — one per send, i.e. one per
+    /// batch).  Occupancy is `msgs_sent - msgs_received`, which cannot drift the
     /// way a single racing up/down counter can.
     msgs_sent: AtomicU64,
     /// Messages dequeued (monotonic).
@@ -195,13 +194,6 @@ pub struct ChannelGauge {
 }
 
 impl ChannelGauge {
-    /// Record one enqueued row and the time spent blocked in `send`,
-    /// raising the occupancy high-water mark if needed.  Call *after*
-    /// the send returns (the row is then in the channel).
-    pub fn note_send(&self, wait: Duration) {
-        self.note_send_rows(wait, 1);
-    }
-
     /// Record one enqueued **batch** carrying `rows` rows: the row
     /// counter grows by `rows` (gauges account rows crossed, not
     /// messages), occupancy grows by one message — a `sync_channel`
@@ -220,12 +212,6 @@ impl ChannelGauge {
         // statistics, not synchronization).
         self.peak_depth
             .fetch_max(sent.saturating_sub(received), Ordering::Relaxed);
-    }
-
-    /// Record time spent blocked in `recv`, and the dequeue itself.
-    /// `got_row` distinguishes a delivered row from a closed channel.
-    pub fn note_recv(&self, wait: Duration, got_row: bool) {
-        self.note_recv_rows(wait, got_row.then_some(1));
     }
 
     /// Record a batched dequeue: `rows` is the delivered batch's row
@@ -256,13 +242,13 @@ pub struct ChannelGaugeSnapshot {
     pub send_wait: Duration,
     /// Total consumer time blocked receiving from this channel.
     pub recv_wait: Duration,
-    /// Rows that crossed the channel (every row of every batch, for a
-    /// batched exchange — never a message count).
+    /// Rows that crossed the channel (every row of every batch — never
+    /// a message count).
     pub rows: u64,
-    /// Peak queue occupancy observed, in **messages** (single rows for a
-    /// row-at-a-time exchange, whole batches for a batched one — the
-    /// unit a `sync_channel` capacity bounds; may read one above the
-    /// channel bound for the message in flight on the consumer side).
+    /// Peak queue occupancy observed, in **messages** (whole batches —
+    /// the unit a `sync_channel` capacity bounds; may read one above
+    /// the channel bound for the message in flight on the consumer
+    /// side).
     pub peak_depth: u64,
 }
 
@@ -438,13 +424,13 @@ mod tests {
         assert_eq!(g.len(), 2);
         assert!(!g.is_empty());
         let c0 = g.channel(0);
-        c0.note_send(Duration::from_micros(5));
-        c0.note_send(Duration::from_micros(5));
+        c0.note_send_rows(Duration::from_micros(5), 1);
+        c0.note_send_rows(Duration::from_micros(5), 1);
         // Two rows enqueued, none dequeued yet: peak depth 2.
-        c0.note_recv(Duration::from_micros(1), true);
-        c0.note_recv(Duration::from_micros(1), true);
+        c0.note_recv_rows(Duration::from_micros(1), Some(1));
+        c0.note_recv_rows(Duration::from_micros(1), Some(1));
         // A recv on the closed/empty channel counts wait, not depth.
-        c0.note_recv(Duration::from_micros(1), false);
+        c0.note_recv_rows(Duration::from_micros(1), None);
         let snap = g.snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].rows, 2);
@@ -465,6 +451,9 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::sync_channel::<u64>(capacity);
         let g = ExchangeGauges::new(1);
         let c = g.channel(0);
+        // The consumer holds off until the first send has been noted, so
+        // the gauge observes a queued message whatever the scheduling.
+        let (noted_tx, noted_rx) = std::sync::mpsc::sync_channel::<()>(1);
         let producer = {
             let c = g.channel(0);
             std::thread::spawn(move || {
@@ -472,9 +461,11 @@ mod tests {
                     let t0 = std::time::Instant::now();
                     tx.send(batch_rows).unwrap();
                     c.note_send_rows(t0.elapsed(), batch_rows);
+                    let _ = noted_tx.try_send(());
                 }
             })
         };
+        noted_rx.recv().unwrap();
         let mut total = 0u64;
         loop {
             let t0 = std::time::Instant::now();
@@ -506,7 +497,7 @@ mod tests {
         let c = g.channel(0);
         std::thread::spawn(move || {
             for _ in 0..100 {
-                c.note_send(Duration::from_nanos(10));
+                c.note_send_rows(Duration::from_nanos(10), 1);
             }
         })
         .join()

@@ -22,13 +22,31 @@ use std::sync::Arc;
 /// * **per-thread `Stats`** — each worker creates its own `Stats`, and the
 ///   coordinator merges [`StatsSnapshot`]s with [`Stats::absorb`] after
 ///   joining (zero contention; the default choice);
-/// * **shared `Arc<Stats>`/[`AtomicStats`]** — one accumulator shared
-///   across workers when they must publish counters while still running.
+/// * **shared `Arc<Stats>`** — one accumulator shared across workers
+///   when they must publish counters while still running.
 ///
 /// Both merge paths preserve the accounting exactly — every worker's
 /// counts land in the coordinator's totals, nothing lost or
 /// double-counted.  Relaxed ordering is sufficient: counters are
 /// statistics, not synchronization.
+///
+/// ```
+/// use std::sync::Arc;
+/// use ovc_core::Stats;
+///
+/// // Shared path: a worker publishes into the coordinator's handle.
+/// let shared = Stats::new_shared();
+/// let worker = Arc::clone(&shared);
+/// std::thread::spawn(move || worker.count_col_cmps(3)).join().unwrap();
+///
+/// // Per-thread path: a worker's own counters, merged by snapshot.
+/// let local = Stats::default();
+/// local.count_ovc_cmp();
+/// shared.absorb(&local.snapshot());
+///
+/// assert_eq!(shared.col_value_cmps(), 3);
+/// assert_eq!(shared.ovc_cmps(), 1);
+/// ```
 #[derive(Default)]
 pub struct Stats {
     col_value_cmps: AtomicU64,
@@ -157,98 +175,6 @@ impl Stats {
 }
 
 impl fmt::Debug for Stats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.snapshot().fmt(f)
-    }
-}
-
-/// `Send + Sync` counters for cross-thread accounting (`AtomicU64`,
-/// relaxed ordering — counters are statistics, not synchronization).
-///
-/// Worker threads that share one accumulator wrap it in an `Arc`; the
-/// coordinator reads a [`StatsSnapshot`] after joining them and folds it
-/// into its pipeline-local [`Stats`] with [`Stats::absorb`].
-///
-/// ```
-/// use std::sync::Arc;
-/// use ovc_core::{AtomicStats, Stats};
-///
-/// let shared = Arc::new(AtomicStats::default());
-/// let worker = Arc::clone(&shared);
-/// std::thread::spawn(move || worker.count_col_cmps(3)).join().unwrap();
-///
-/// let main = Stats::default();
-/// main.absorb(&shared.snapshot());
-/// assert_eq!(main.col_value_cmps(), 3);
-/// ```
-#[derive(Default)]
-pub struct AtomicStats {
-    col_value_cmps: AtomicU64,
-    ovc_cmps: AtomicU64,
-    row_cmps: AtomicU64,
-    rows_spilled: AtomicU64,
-    bytes_spilled: AtomicU64,
-    rows_read_back: AtomicU64,
-    bytes_read_back: AtomicU64,
-}
-
-impl AtomicStats {
-    /// Count `n` column-value comparisons.
-    #[inline]
-    pub fn count_col_cmps(&self, n: u64) {
-        self.col_value_cmps.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Count one offset-value-code comparison.
-    #[inline]
-    pub fn count_ovc_cmp(&self) {
-        self.ovc_cmps.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Count one full row comparison.
-    #[inline]
-    pub fn count_row_cmp(&self) {
-        self.row_cmps.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Account rows and bytes written to spill storage.
-    #[inline]
-    pub fn count_spill(&self, rows: u64, bytes: u64) {
-        self.rows_spilled.fetch_add(rows, Ordering::Relaxed);
-        self.bytes_spilled.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Account rows and bytes read back from spill storage.
-    #[inline]
-    pub fn count_read_back(&self, rows: u64, bytes: u64) {
-        self.rows_read_back.fetch_add(rows, Ordering::Relaxed);
-        self.bytes_read_back.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Fold a finished worker's per-thread counters in.
-    pub fn absorb(&self, s: &StatsSnapshot) {
-        self.count_col_cmps(s.col_value_cmps);
-        self.ovc_cmps.fetch_add(s.ovc_cmps, Ordering::Relaxed);
-        self.row_cmps.fetch_add(s.row_cmps, Ordering::Relaxed);
-        self.count_spill(s.rows_spilled, s.bytes_spilled);
-        self.count_read_back(s.rows_read_back, s.bytes_read_back);
-    }
-
-    /// Capture the current counter values.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            col_value_cmps: self.col_value_cmps.load(Ordering::Relaxed),
-            ovc_cmps: self.ovc_cmps.load(Ordering::Relaxed),
-            row_cmps: self.row_cmps.load(Ordering::Relaxed),
-            rows_spilled: self.rows_spilled.load(Ordering::Relaxed),
-            bytes_spilled: self.bytes_spilled.load(Ordering::Relaxed),
-            rows_read_back: self.rows_read_back.load(Ordering::Relaxed),
-            bytes_read_back: self.bytes_read_back.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl fmt::Debug for AtomicStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.snapshot().fmt(f)
     }
@@ -412,9 +338,8 @@ mod tests {
     }
 
     #[test]
-    fn atomic_stats_accumulate_across_threads() {
-        use std::sync::Arc;
-        let shared = Arc::new(AtomicStats::default());
+    fn shared_stats_accumulate_across_threads() {
+        let shared = Stats::new_shared();
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let s = Arc::clone(&shared);
@@ -437,11 +362,6 @@ mod tests {
         let local = Stats::default();
         local.absorb(&snap);
         assert_eq!(local.col_value_cmps(), 40);
-        // And the atomic absorb hook mirrors Stats::absorb.
-        let other = AtomicStats::default();
-        other.count_row_cmp();
-        shared.absorb(&other.snapshot());
-        assert_eq!(shared.snapshot().row_cmps, 1);
     }
 
     #[test]

@@ -61,10 +61,9 @@ pub use hash_join_op::{HashJoinOp, HashTable};
 pub use merge_join::{JoinType, MergeJoin, NULL_VALUE};
 pub use nlj::{BTreeInner, InnerSource, LookupJoin, PredicateInner};
 pub use parallel::{
-    count_distinct_partitions_partial, group_partitions, group_partitions_partial,
-    merge_join_partitions, merge_threaded, merge_threaded_spec, merge_threaded_spec_gauged,
-    repartition_threaded, set_op_partitions, split_threaded, split_threaded_gauged, ChannelStream,
-    MergeThreaded, SplitThreads, DEFAULT_CHANNEL_CAPACITY,
+    count_distinct_partitions_partial, group_partitions_partial, merge_threaded,
+    merge_threaded_spec, repartition_threaded, split_threaded, ChannelStream, MergeThreaded,
+    SplitThreads, DEFAULT_CHANNEL_CAPACITY,
 };
 pub use pivot::{Pivot, PivotSpec};
 pub use project::{ClampKey, Project};

@@ -16,29 +16,23 @@
 //! * [`repartition_threaded`] — many-to-many: N splitter threads and P
 //!   merger threads all live at once, bounded channels throughout — the
 //!   shape of F1 Query's exchange-parallel plans.
-//! * [`merge_join_partitions`], [`group_partitions`], and
-//!   [`set_op_partitions`] — partition-wise operator workers between a
-//!   splitting and a gathering shuffle: one thread per partition (pair),
-//!   each running the ordinary serial operator, correct because the
-//!   split hashes the operator's whole key (join key, group key, or
-//!   full row) so every key group is local to one worker.
 //! * [`group_partitions_partial`] / [`count_distinct_partitions_partial`]
-//!   — the partial-aggregate side of the split-group decomposition for
-//!   exchanges hashed on a sort-key prefix longer than the group key;
-//!   a `GroupFinal` above the gathering merge recombines the partials.
+//!   — partition-wise workers for the partial-aggregate side of the
+//!   split-group decomposition (exchanges hashed on a sort-key prefix
+//!   longer than the group key); a `GroupFinal` above the gathering
+//!   merge recombines the partials.
+//!
+//! The query executor (`ovc-plan`) runs its own exchange over flat
+//! batches ([`crate::batch`]); of this module it lowers only
+//! [`repartition_threaded`].  The row-at-a-time shuffles here are the
+//! operator-level form of §4.10 that the property tests and benches
+//! drive directly.
 //!
 //! Code exactness survives every hand-off because codes are a function of
 //! the row sequence within a partition stream, and each thread sees its
 //! partition in order.  Comparison counters from worker threads are kept
 //! in per-thread [`Stats`] and merged into the caller's by snapshot
 //! (`ovc_core::stats`), so accounting is identical to the serial exchange.
-//!
-//! **Channel gauges** ([`split_threaded_gauged`],
-//! [`merge_threaded_spec_gauged`]): profiled runs attach one
-//! [`ChannelGauge`] per partition, recording producer send waits,
-//! consumer receive waits, and peak queue occupancy — the per-channel
-//! evidence behind the "exchange sandwich" costs of EXPERIMENTS.md §5.
-//! Ungauged calls add no clock reads to the exchange hot path.
 //!
 //! **Fault model** (DESIGN.md §14): every worker thread runs under
 //! `ovc_core::ctx::contain`.  A panicking producer sends one **poison
@@ -54,18 +48,14 @@
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle, ScopedJoinHandle};
-use std::time::Instant;
 
 use ovc_core::ctx::{self, ExecError};
 use ovc_core::fault;
-use ovc_core::metrics::{ChannelGauge, ExchangeGauges};
 use ovc_core::theorem::OvcAccumulator;
 use ovc_core::{CodedBatch, OvcRow, OvcStream, Row, SortSpec, Stats};
 use ovc_sort::TreeOfLosers;
 
-use crate::group::{Aggregate, GroupAggregate, GroupCountDistinctPartial, GroupPartial};
-use crate::merge_join::{JoinType, MergeJoin};
-use crate::set_ops::{SetOp, SetOperation};
+use crate::group::{Aggregate, GroupCountDistinctPartial, GroupPartial};
 
 /// Default bound of every exchange channel, in rows.  Small enough for
 /// backpressure to keep memory flat, large enough to amortize wakeups.
@@ -114,25 +104,13 @@ fn reap<'scope, T>(
 pub struct ChannelStream {
     rx: Receiver<Frame>,
     spec: SortSpec,
-    /// Wait/occupancy gauge for this channel (profiled exchanges only —
-    /// `None` keeps the unprofiled hot path free of clock reads).
-    gauge: Option<Arc<ChannelGauge>>,
 }
 
 impl Iterator for ChannelStream {
     type Item = OvcRow;
     fn next(&mut self) -> Option<OvcRow> {
         fault::maybe_slow_consumer();
-        let frame = match &self.gauge {
-            None => self.rx.recv().ok(),
-            Some(g) => {
-                let t0 = Instant::now();
-                let frame = self.rx.recv().ok();
-                g.note_recv(t0.elapsed(), matches!(frame, Some(Frame::Row(_))));
-                frame
-            }
-        };
-        match frame {
+        match self.rx.recv().ok() {
             Some(Frame::Row(row)) => Some(row),
             Some(Frame::Poison(err)) => ctx::propagate(err),
             None => None,
@@ -203,50 +181,16 @@ pub fn split_threaded<P>(input: CodedBatch, parts: usize, part: P, capacity: usi
 where
     P: FnMut(&Row) -> usize + Send + 'static,
 {
-    split_threaded_gauged(input, parts, part, capacity, None)
-}
-
-/// [`split_threaded`] with per-partition [`ChannelGauge`]s: the producer
-/// times every `send` (blocked time = backpressure from that partition's
-/// consumer) and each partition's consumer times every `recv`, so a
-/// profiled run can read skew and stalls per channel.  `None` gauges are
-/// the ungauged fast path — not a single clock read is added.
-pub fn split_threaded_gauged<P>(
-    input: CodedBatch,
-    parts: usize,
-    part: P,
-    capacity: usize,
-    gauges: Option<&ExchangeGauges>,
-) -> SplitThreads
-where
-    P: FnMut(&Row) -> usize + Send + 'static,
-{
     assert!(parts > 0, "split needs at least one partition");
     let spec = input.sort_spec().clone();
     let capacity = capacity.max(1);
     let (txs, rxs): (Vec<SyncSender<Frame>>, Vec<Receiver<Frame>>) =
         (0..parts).map(|_| sync_channel(capacity)).unzip();
-    let send_gauges: Vec<Option<Arc<ChannelGauge>>> = match gauges {
-        Some(g) => (0..parts).map(|p| Some(g.channel(p))).collect(),
-        None => vec![None; parts],
-    };
-    let recv_gauges: Vec<Option<Arc<ChannelGauge>>> = match gauges {
-        Some(g) => (0..parts).map(|p| Some(g.channel(p))).collect(),
-        None => vec![None; parts],
-    };
     let producer = thread::spawn(move || {
         let result = ctx::contain(|| {
             fault::maybe_panic();
-            route_coded_rows(input, parts, part, |p, row| match &send_gauges[p] {
-                None => txs[p].send(Frame::Row(row)).is_ok(),
-                Some(g) => {
-                    let t0 = Instant::now();
-                    let ok = txs[p].send(Frame::Row(row)).is_ok();
-                    if ok {
-                        g.note_send(t0.elapsed());
-                    }
-                    ok
-                }
+            route_coded_rows(input, parts, part, |p, row| {
+                txs[p].send(Frame::Row(row)).is_ok()
             });
         });
         if let Err(err) = result {
@@ -262,11 +206,9 @@ where
     SplitThreads {
         partitions: rxs
             .into_iter()
-            .zip(recv_gauges)
-            .map(|(rx, gauge)| ChannelStream {
+            .map(|rx| ChannelStream {
                 rx,
                 spec: spec.clone(),
-                gauge,
             })
             .collect(),
         producer,
@@ -364,46 +306,18 @@ pub fn merge_threaded_spec(
     capacity: usize,
     stats: &Arc<Stats>,
 ) -> MergeThreaded {
-    merge_threaded_spec_gauged(inputs, spec, capacity, stats, None)
-}
-
-/// [`merge_threaded_spec`] with per-input [`ChannelGauge`]s: feeder `i`
-/// times its sends into channel `i` (blocked time = the merge consuming
-/// other inputs) and the merging thread times its receives, so a
-/// profiled run can see which partition starved the gather.  `None` is
-/// the ungauged fast path.
-pub fn merge_threaded_spec_gauged(
-    inputs: Vec<CodedBatch>,
-    spec: SortSpec,
-    capacity: usize,
-    stats: &Arc<Stats>,
-    gauges: Option<&ExchangeGauges>,
-) -> MergeThreaded {
     debug_assert!(inputs.iter().all(|b| b.sort_spec() == &spec));
     let capacity = capacity.max(1);
     let mut streams = Vec::with_capacity(inputs.len());
     let mut feeders = Vec::with_capacity(inputs.len());
-    for (i, batch) in inputs.into_iter().enumerate() {
+    for batch in inputs {
         let (tx, rx) = sync_channel::<Frame>(capacity);
-        let gauge = gauges.map(|g| g.channel(i));
-        let feeder_gauge = gauge.clone();
         feeders.push(thread::spawn(move || {
             let result = ctx::contain(|| {
                 fault::maybe_panic();
                 for row in batch.into_stream() {
-                    match &feeder_gauge {
-                        None => {
-                            if tx.send(Frame::Row(row)).is_err() {
-                                break; // consumer gone: stop feeding
-                            }
-                        }
-                        Some(g) => {
-                            let t0 = Instant::now();
-                            if tx.send(Frame::Row(row)).is_err() {
-                                break;
-                            }
-                            g.note_send(t0.elapsed());
-                        }
+                    if tx.send(Frame::Row(row)).is_err() {
+                        break; // consumer gone: stop feeding
                     }
                 }
             });
@@ -416,7 +330,6 @@ pub fn merge_threaded_spec_gauged(
         streams.push(ChannelStream {
             rx,
             spec: spec.clone(),
-            gauge,
         });
     }
     MergeThreaded {
@@ -555,72 +468,6 @@ where
     outs
 }
 
-/// Partition-parallel merge join: one worker thread per partition pair,
-/// each running the ordinary [`MergeJoin`] over its co-partitioned
-/// inputs with a per-thread [`Stats`] (merged into the caller's by
-/// snapshot, as everywhere in this module).
-///
-/// Correctness rests on co-partitioning: rows with equal join keys must
-/// sit in the same partition index on both sides (hash the *whole* join
-/// key — [`crate::exchange::partition::by_key_hash`]), so every join
-/// group is local to one worker, and merging the sorted per-partition
-/// outputs ([`merge_threaded`]) reproduces the serial join's row
-/// sequence — and therefore, codes being a function of the row sequence,
-/// its exact codes — byte for byte.
-pub fn merge_join_partitions(
-    left: Vec<CodedBatch>,
-    right: Vec<CodedBatch>,
-    join_len: usize,
-    join_type: JoinType,
-    left_width: usize,
-    right_width: usize,
-    stats: &Arc<Stats>,
-) -> Vec<CodedBatch> {
-    assert_eq!(
-        left.len(),
-        right.len(),
-        "partitioned merge join requires co-partitioned inputs"
-    );
-    let (joined, failure) = thread::scope(|scope| {
-        let workers: Vec<_> = left
-            .into_iter()
-            .zip(right)
-            .map(|(l, r)| {
-                scope.spawn(move || {
-                    ctx::contain(|| {
-                        fault::maybe_panic();
-                        let local = Stats::new_shared();
-                        let join = MergeJoin::new(
-                            l.into_stream(),
-                            r.into_stream(),
-                            join_len,
-                            join_type,
-                            left_width,
-                            right_width,
-                            Arc::clone(&local),
-                        );
-                        let spec = join.sort_spec();
-                        let rows: Vec<OvcRow> = join.collect();
-                        (rows, spec, local.snapshot())
-                    })
-                })
-            })
-            .collect();
-        reap(workers)
-    });
-    let outs: Vec<CodedBatch> = joined
-        .into_iter()
-        .map(|(rows, spec, snapshot)| {
-            stats.absorb(&snapshot);
-            CodedBatch::from_coded_spec(rows, spec)
-        })
-        .collect();
-    if let Some(err) = failure {
-        ctx::propagate(err);
-    }
-    outs
-}
-
 /// Shared worker harness of the partition operators: one thread per
 /// partition item (a batch, or a co-partitioned batch pair), each with
 /// its own [`Stats`] merged into the caller's by snapshot after the
@@ -660,36 +507,6 @@ where
     batches
 }
 
-/// Partition-parallel grouping: one worker thread per partition, each
-/// running the ordinary [`GroupAggregate`] over its partition with a
-/// per-thread [`Stats`] (snapshot-merged into the caller's).
-///
-/// Correctness rests on group co-location: the partitioning must hash
-/// the full group key (or any subset of its columns —
-/// [`crate::exchange::partition::by_key_hash`] over `group_len`), so
-/// rows of one group agree on the hashed columns and land in the same
-/// partition.  Every group is then completed by exactly one worker, and
-/// the gathering merge ([`merge_threaded`]) reproduces the serial
-/// grouping's row sequence — and, codes being a function of the row
-/// sequence, its exact codes — byte for byte.
-///
-/// When the exchange must hash on a sort-key prefix *longer* than the
-/// group key (groups split across partitions), use
-/// [`group_partitions_partial`] plus a [`crate::group::GroupFinal`]
-/// above the gather instead.
-pub fn group_partitions(
-    parts: Vec<CodedBatch>,
-    group_len: usize,
-    aggs: Vec<Aggregate>,
-    stats: &Arc<Stats>,
-) -> Vec<CodedBatch> {
-    partition_workers(parts, stats, move |batch, local| {
-        let rows: Vec<OvcRow> =
-            GroupAggregate::new(batch.into_stream(), group_len, aggs.clone(), local).collect();
-        CodedBatch::from_coded(rows, group_len)
-    })
-}
-
 /// Partial half of the split-group decomposition: one
 /// [`crate::group::GroupPartial`] worker per partition, for exchanges
 /// hashed on a sort-key prefix longer than the group key.  The returned
@@ -725,35 +542,6 @@ pub fn count_distinct_partitions_partial(
         let key_len = batch.key_len();
         let rows: Vec<OvcRow> =
             GroupCountDistinctPartial::new(batch.into_stream(), group_len, local).collect();
-        CodedBatch::from_coded(rows, key_len)
-    })
-}
-
-/// Partition-parallel set operation: one worker thread per partition
-/// pair, each running the ordinary [`SetOperation`] over its
-/// co-partitioned inputs with a per-thread [`Stats`] (snapshot-merged).
-///
-/// Correctness rests on co-partitioning on the **full row** (set
-/// semantics compare entire rows — hash all `key_len` columns on both
-/// sides): equal rows co-locate whichever input they come from, so
-/// every key group is local to one worker and the gathering merge
-/// reproduces the serial operation's rows and codes byte for byte.
-pub fn set_op_partitions(
-    left: Vec<CodedBatch>,
-    right: Vec<CodedBatch>,
-    op: SetOp,
-    stats: &Arc<Stats>,
-) -> Vec<CodedBatch> {
-    assert_eq!(
-        left.len(),
-        right.len(),
-        "partitioned set operation requires co-partitioned inputs"
-    );
-    let pairs: Vec<(CodedBatch, CodedBatch)> = left.into_iter().zip(right).collect();
-    partition_workers(pairs, stats, move |(l, r), local| {
-        let key_len = l.key_len();
-        let rows: Vec<OvcRow> =
-            SetOperation::new(l.into_stream(), r.into_stream(), op, local).collect();
         CodedBatch::from_coded(rows, key_len)
     })
 }
@@ -938,162 +726,6 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_merge_join_matches_serial_join() {
-        use ovc_core::derive::assert_codes_exact;
-        let mut rng = StdRng::seed_from_u64(91);
-        let mk = |seed: u64| -> Vec<Row> {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut rows: Vec<Row> = (0..300)
-                .map(|_| Row::new(vec![rng.gen_range(0..20u64), rng.gen_range(0..20u64)]))
-                .collect();
-            rows.sort();
-            rows
-        };
-        let _ = rng.gen_range(0..2u64);
-        for join_type in [JoinType::Inner, JoinType::LeftOuter, JoinType::LeftSemi] {
-            let (l, r) = (mk(1), mk(2));
-            // Serial reference.
-            let serial_stats = Stats::new_shared();
-            let serial: Vec<OvcRow> = MergeJoin::new(
-                VecStream::from_sorted_rows(l.clone(), 2),
-                VecStream::from_sorted_rows(r.clone(), 2),
-                1,
-                join_type,
-                2,
-                2,
-                Arc::clone(&serial_stats),
-            )
-            .collect();
-
-            // Partition both sides on the whole join key, join per
-            // partition on worker threads, gather with the merging
-            // exchange.
-            let parts = 3;
-            let stats = Stats::new_shared();
-            let lp = split_threaded(
-                CodedBatch::from_sorted_rows(l, 2),
-                parts,
-                partition::by_key_hash(1, parts),
-                16,
-            )
-            .collect_all();
-            let rp = split_threaded(
-                CodedBatch::from_sorted_rows(r, 2),
-                parts,
-                partition::by_key_hash(1, parts),
-                16,
-            )
-            .collect_all();
-            let joined = merge_join_partitions(lp, rp, 1, join_type, 2, 2, &stats);
-            let out_key = joined.first().map(|b| b.key_len()).unwrap_or(1);
-            let gathered: Vec<OvcRow> = merge_threaded(joined, out_key, 16, &stats).collect();
-            assert_eq!(gathered, serial, "{join_type:?}: rows and codes");
-            let pairs: Vec<(Row, Ovc)> = gathered.into_iter().map(|r| (r.row, r.code)).collect();
-            assert_codes_exact(&pairs, out_key);
-        }
-    }
-
-    #[test]
-    fn partitioned_group_by_matches_serial_grouping() {
-        use crate::group::GroupAggregate;
-        let mut rows: Vec<Row> = {
-            let mut rng = StdRng::seed_from_u64(55);
-            (0..400)
-                .map(|_| Row::new(vec![rng.gen_range(0..12u64), rng.gen_range(0..40u64)]))
-                .collect()
-        };
-        rows.sort();
-        let aggs = vec![
-            crate::group::Aggregate::Count,
-            crate::group::Aggregate::Sum(1),
-            crate::group::Aggregate::Min(1),
-            crate::group::Aggregate::Max(1),
-            crate::group::Aggregate::First(1),
-            crate::group::Aggregate::Last(1),
-        ];
-        let serial: Vec<OvcRow> = GroupAggregate::new(
-            VecStream::from_sorted_rows(rows.clone(), 2),
-            1,
-            aggs.clone(),
-            Stats::new_shared(),
-        )
-        .collect();
-
-        // Split on the full group key (groups co-locate), group each
-        // partition on a worker, gather with the merging exchange.
-        let parts = 3;
-        let stats = Stats::new_shared();
-        let split = split_threaded(
-            CodedBatch::from_sorted_rows(rows, 2),
-            parts,
-            partition::by_key_hash(1, parts),
-            16,
-        )
-        .collect_all();
-        let grouped = group_partitions(split, 1, aggs, &stats);
-        let gathered: Vec<OvcRow> = merge_threaded(grouped, 1, 16, &stats).collect();
-        assert_eq!(gathered, serial, "rows and codes");
-        let pairs: Vec<(Row, Ovc)> = gathered.into_iter().map(|r| (r.row, r.code)).collect();
-        assert_codes_exact(&pairs, 1);
-        // Worker-side boundary tests were snapshot-merged into the
-        // caller's counters (one per input row plus gather work).
-        assert!(stats.ovc_cmps() >= 400);
-    }
-
-    #[test]
-    fn partitioned_set_ops_match_serial_for_all_six_ops() {
-        use crate::set_ops::{SetOp, SetOperation};
-        let mk = |seed: u64, n: usize| -> Vec<Row> {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut rows: Vec<Row> = (0..n)
-                .map(|_| Row::new(vec![rng.gen_range(0..8u64), rng.gen_range(0..4u64)]))
-                .collect();
-            rows.sort();
-            rows
-        };
-        for op in [
-            SetOp::Union,
-            SetOp::UnionAll,
-            SetOp::Intersect,
-            SetOp::IntersectAll,
-            SetOp::Except,
-            SetOp::ExceptAll,
-        ] {
-            let (l, r) = (mk(61, 250), mk(62, 200));
-            let serial: Vec<OvcRow> = SetOperation::new(
-                VecStream::from_sorted_rows(l.clone(), 2),
-                VecStream::from_sorted_rows(r.clone(), 2),
-                op,
-                Stats::new_shared(),
-            )
-            .collect();
-
-            // Hash both sides on the full row: equal rows co-locate.
-            let parts = 3;
-            let stats = Stats::new_shared();
-            let lp = split_threaded(
-                CodedBatch::from_sorted_rows(l, 2),
-                parts,
-                partition::by_key_hash(2, parts),
-                16,
-            )
-            .collect_all();
-            let rp = split_threaded(
-                CodedBatch::from_sorted_rows(r, 2),
-                parts,
-                partition::by_key_hash(2, parts),
-                16,
-            )
-            .collect_all();
-            let outs = set_op_partitions(lp, rp, op, &stats);
-            let gathered: Vec<OvcRow> = merge_threaded(outs, 2, 16, &stats).collect();
-            assert_eq!(gathered, serial, "{op:?}: rows and codes");
-            let pairs: Vec<(Row, Ovc)> = gathered.into_iter().map(|r| (r.row, r.code)).collect();
-            assert_codes_exact(&pairs, 2);
-        }
-    }
-
-    #[test]
     fn prefix_hashed_partial_aggregation_matches_serial() {
         use crate::group::{Aggregate, GroupAggregate, GroupFinal};
         // Hash on the FULL sort key while grouping on a 1-column prefix:
@@ -1175,34 +807,6 @@ mod tests {
                 GroupFinal::new(gathered, 1, vec![Aggregate::Count], Arc::clone(&stats)).collect();
             assert_eq!(out, serial, "parts={parts}: rows and codes");
         }
-    }
-
-    #[test]
-    fn gauged_exchange_counts_rows_and_occupancy_without_perturbing_codes() {
-        let (input, rows) = batch(400, 11);
-        let split_gauges = ExchangeGauges::new(4);
-        let merge_gauges = ExchangeGauges::new(4);
-        let stats = Stats::new_shared();
-        let parts =
-            split_threaded_gauged(input, 4, partition::by_hash(0, 4), 8, Some(&split_gauges))
-                .collect_all();
-        // Every row crossed exactly one split channel; waits accrued and
-        // occupancy never exceeded the channel bound (+1 for the row in
-        // flight on the consumer side — see ChannelGauge::note_send).
-        let snap = split_gauges.snapshot();
-        assert_eq!(snap.iter().map(|g| g.rows).sum::<u64>(), rows.len() as u64);
-        assert!(snap.iter().all(|g| g.peak_depth <= 8 + 1), "{snap:?}");
-
-        // Gauged gather: rows and codes identical to the ungauged merge.
-        let reference: Vec<OvcRow> =
-            merge_threaded(parts.clone(), 2, 8, &Stats::new_shared()).collect();
-        let merged: Vec<OvcRow> =
-            merge_threaded_spec_gauged(parts, SortSpec::asc(2), 8, &stats, Some(&merge_gauges))
-                .collect();
-        assert_eq!(merged, reference, "gauges must not perturb rows or codes");
-        let snap = merge_gauges.snapshot();
-        assert_eq!(snap.iter().map(|g| g.rows).sum::<u64>(), rows.len() as u64);
-        assert!(snap.iter().any(|g| g.peak_depth >= 1));
     }
 
     #[test]

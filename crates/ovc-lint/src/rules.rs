@@ -54,7 +54,7 @@ pub const SUPPRESSION_HYGIENE: &str = "suppression-hygiene";
 pub const RULES: &[(&str, &str)] = &[
     (
         NO_VACUOUS_STATS,
-        "assert on a Stats/AtomicStats handle that was never threaded into an operator (vacuously true; PR 5/6 bug class)",
+        "assert on a Stats handle that was never threaded into an operator (vacuously true; PR 5/6 bug class)",
     ),
     (
         BOUNDED_CHANNELS_ONLY,
@@ -242,12 +242,7 @@ fn parse_suppression(body: &str) -> Result<(Vec<String>, String), String> {
 // Rule 1: no-vacuous-stats
 // ---------------------------------------------------------------------
 
-const STATS_CTORS: &[&str] = &[
-    "Stats::default()",
-    "Stats::new_shared()",
-    "Stats::new()",
-    "AtomicStats::default()",
-];
+const STATS_CTORS: &[&str] = &["Stats::default()", "Stats::new_shared()", "Stats::new()"];
 
 /// Applies everywhere, tests included — the bug class lives in tests.
 fn rule_vacuous_stats(path: &str, lines: &[LexLine], raw: &[&str], out: &mut Vec<Finding>) {

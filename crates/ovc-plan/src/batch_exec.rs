@@ -1,50 +1,57 @@
-//! The batched executor: physical plans lowered onto morsel-style
+//! The executor's one lowering: physical plans onto morsel-style
 //! flat-batch pipelines ([`ovc_core::batch::BatchStream`]).
 //!
-//! [`execute_batched`] is the batch-at-a-time counterpart of
-//! [`crate::exec::execute`], selected by [`ExecOptions::batch_size`].
-//! Operators hand each other [`FlatRows`] batches instead of boxed rows,
-//! and — the point of the exercise — **exchanges forward batches through
-//! their channels instead of materializing whole inputs** at the
-//! split/merge boundaries (EXPERIMENTS.md §5 measured that sandwich at
-//! up to 2.7× the serial runtime; §6 re-measures it batched):
+//! [`run`] is what all four `execute*` entry points of [`crate::exec`]
+//! call.  Operators hand each other [`FlatRows`] batches of
+//! [`ExecOptions::batch_size`] rows (default
+//! [`DEFAULT_BATCH_ROWS`]), scans of sorted tables slice-copy batches
+//! out of the table's flat coded buffer (Section 4.11: data access is a
+//! source of codes), and **exchanges forward batches through their
+//! channels instead of materializing whole inputs** at the split/merge
+//! boundaries:
 //!
 //! * A splitting [`PhysOp::Exchange`] spawns one producer thread that
 //!   lowers and drains its child *on that thread*, routing rows with
 //!   [`ovc_exec::route_batches`] (one [`OvcAccumulator`] per partition —
-//!   exactly `split_threaded`'s code repair) and sending each filled
-//!   batch down an **unbounded** per-partition channel.  Unbounded is
+//!   the filter corollary's code repair) and sending each filled batch
+//!   down an **unbounded** per-partition channel.  Unbounded is
 //!   deliberate: the split edge's consumers (partitioned join/group/set
 //!   workers) start immediately but may drain unevenly; the memory bound
-//!   is the input size, which is precisely what the row executor's full
-//!   materialization at this same boundary already cost (DESIGN.md §12).
+//!   is the input size (DESIGN.md §12).
 //! * Partitioned [`PhysOp::MergeJoinOvc`] / [`PhysOp::GroupOvc`] /
 //!   [`PhysOp::SetOpMerge`] run one worker per partition (pair); each
 //!   worker streams batches in from the split edge, applies the ordinary
 //!   row kernel between [`BatchRows`] and [`Batcher`], and sends output
 //!   batches down a **bounded** channel (capacity
 //!   `DEFAULT_CHANNEL_CAPACITY / batch` messages, so the in-flight *row*
-//!   budget matches the row executor's).
+//!   budget is independent of the batch size).
 //! * The gathering [`PhysOp::Exchange`] merges the partition batch
 //!   streams on the calling thread with the order-preserving
 //!   tree-of-losers, under the partitions' actual ordering contract.
 //!
-//! Rows, codes, and [`Stats`] totals are byte-identical to the row
-//! executor — `tests/batch_pipeline_properties.rs` holds serial-row,
-//! batched-serial, and batched-parallel runs to that, code for code.
-//! The seam rule makes this cheap: cutting a coded stream into batches
-//! needs no code repair at all, so every serial operator is the row
-//! kernel with batch adapters at its ports, and only the exchange edges
-//! (where partitions *are* lifted out of their stream) repair codes,
-//! with the same accumulators the row executor uses.
+//! Rows, codes, and [`Stats`] totals are identical for every batch size
+//! and equal to the `ovc-baseline` reference at every degree of
+//! parallelism — `tests/batch_pipeline_properties.rs` holds 200 seeded
+//! plans to that, code for code.  The seam rule makes this cheap:
+//! cutting a coded stream into batches needs no code repair at all, so
+//! the join/group/set-operation kernels are the row kernels with batch
+//! adapters at their ports, and only the exchange edges (where
+//! partitions *are* lifted out of their stream) repair codes.
+//!
+//! Under a [`QueryCtx`] every operator boundary, every exchange producer
+//! and every partition worker checks the context once per batch, sort
+//! spills run through [`CtxStorage`] (budget + cancellation at run
+//! boundaries), and a spill-device fault in a serial sort is recovered
+//! by re-lowering the sort's input subtree — the plan is borrowed and
+//! the table is the retained source — and sorting resident (DESIGN.md
+//! §14).
 //!
 //! Worker threads account into per-thread [`Stats`] merged through one
-//! [`AtomicStats`]; totals land in the caller's `stats` when the plan's
+//! shared [`Stats`]; totals land in the caller's `stats` when the plan's
 //! thread scope ends.  Under profiling, each worker also attributes its
 //! counters to its operator's [`ProfileNode`] directly, so *that node's*
 //! figures are exact while ancestors' inclusive figures cover only
-//! calling-thread work (same caveat as the row executor's threaded
-//! helpers; the plan-wide totals agree either way).
+//! calling-thread work (the plan-wide totals agree either way).
 //!
 //! [`OvcAccumulator`]: ovc_core::theorem::OvcAccumulator
 //! [`DEFAULT_CHANNEL_CAPACITY`]: ovc_exec::DEFAULT_CHANNEL_CAPACITY
@@ -55,13 +62,13 @@ use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 use ovc_core::batch::{assert_batches_exact_spec, BatchRows, Batcher, VecBatchStream};
-use ovc_core::ctx::{self, ExecError};
+use ovc_core::ctx::{self, ExecError, QueryCtx};
 use ovc_core::derive::derive_codes_spec_counted;
 use ovc_core::fault;
 use ovc_core::metrics::{ChannelGauge, ExchangeGauges, ProfileNode};
 use ovc_core::{
-    AtomicStats, BatchStream, CodedBatch, FlatRows, OvcRow, OvcStream, Row, SortSpec, Stats,
-    StatsSnapshot, Value, VecStream,
+    BatchStream, CodedBatch, FlatRows, OvcRow, OvcStream, Row, SortSpec, Stats, StatsSnapshot,
+    Value, VecStream,
 };
 use ovc_exec::exchange::partition;
 use ovc_exec::plans::in_sort_distinct;
@@ -69,39 +76,40 @@ use ovc_exec::{
     route_batches, BatchChannelStream, BatchDedup, BatchFilter, BatchFrame, BatchProject,
     BatchTake, GroupAggregate, MergeJoin, SetOperation, DEFAULT_CHANNEL_CAPACITY,
 };
-use ovc_sort::{external_sort, external_sort_spec, MemoryRunStorage, SortConfig};
+use ovc_sort::{try_external_sort_spec, MemoryRunStorage, Run, RunStorage, SortConfig};
 
 use crate::catalog::Catalog;
-use crate::exec::{ExecOptions, Output};
+use crate::exec::{ExecOptions, Output, DEFAULT_BATCH_ROWS};
 use crate::physical::{Partitioning, PhysOp, PhysicalPlan};
 
 /// A partition's batch stream as it crosses threads.
 type PartStream = Box<dyn BatchStream + Send>;
 
-/// Run `plan` batch-at-a-time with `options.batch_size` rows per batch
-/// (which must be set), accounting into `stats`; with `prof`, fill the
-/// profile tree exactly as [`crate::exec::execute_profiled`] does.
+/// Run `plan` batch-at-a-time, accounting into `stats`: with `qctx`,
+/// under its cancellation, deadline and spill budget (failures unwind
+/// as typed payloads — callers wrap this in [`ctx::contain`]); with
+/// `prof`, filling the profile tree that mirrors the plan.
 ///
-/// The returned [`Output`] is shaped like the row executor's: ordered
-/// roots come back as a coded stream (materialized — the pipeline's
-/// threads are joined before returning), hash-side roots as rows,
-/// partitioned roots as coded batches.
-pub fn execute_batched(
+/// Ordered roots come back as a materialized coded stream (the
+/// pipeline's threads are joined before returning), hash-side roots as
+/// rows, partitioned roots as coded batches.
+pub(crate) fn run(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     stats: &Arc<Stats>,
     options: &ExecOptions,
+    qctx: Option<&QueryCtx>,
     prof: Option<&Arc<ProfileNode>>,
 ) -> Output {
-    let batch = options
-        .batch_size
-        .expect("batched executor requires ExecOptions::batch_size");
-    let shared = Arc::new(AtomicStats::default());
+    let batch = options.batch_size.unwrap_or(DEFAULT_BATCH_ROWS);
+    assert!(batch > 0, "batch size must be positive");
+    let shared = Stats::new_shared();
     let out = std::thread::scope(|scope| {
         let cx = BCx {
             catalog,
             options,
             batch,
+            ctx: qctx.cloned(),
             scope,
             shared: Arc::clone(&shared),
         };
@@ -143,9 +151,9 @@ pub fn execute_batched(
     out
 }
 
-/// What a (sub)plan produced, batched: the analogue of [`Output`] with
-/// streams delivered batch-at-a-time and partitions delivered as *live*
-/// per-partition batch streams instead of materialized batches.
+/// What a (sub)plan produced while lowering: the analogue of [`Output`]
+/// with streams delivered batch-at-a-time and partitions delivered as
+/// *live* per-partition batch streams instead of materialized batches.
 enum BOut {
     /// Sorted batch stream carrying exact offset-value codes.
     Batches(Box<dyn BatchStream>),
@@ -188,8 +196,8 @@ impl BOut {
 
 /// Join every scoped handle, collecting successes and the **first**
 /// failure (a contained [`ExecError`] or a raw panic payload) — the
-/// batched executor's copy of the exchange fault rule: all peers join
-/// before any error propagates, so no thread outlives a failing query.
+/// exchange fault rule: all peers join before any error propagates, so
+/// no thread outlives a failing query.
 fn reap_scoped<'scope, T>(
     handles: Vec<std::thread::ScopedJoinHandle<'scope, Result<T, ExecError>>>,
 ) -> (Vec<T>, Option<ExecError>) {
@@ -220,19 +228,22 @@ fn gauge_for(gauges: Option<&ExchangeGauges>, p: usize) -> Option<Arc<ChannelGau
     gauges.filter(|g| p < g.len()).map(|g| g.channel(p))
 }
 
-/// Batched lowering context: one per [`execute_batched`] call, cloned
-/// into every producer/worker thread it spawns (all threads live inside
-/// one [`std::thread::scope`], so plan and catalog borrows cross freely).
+/// Lowering context: one per [`run`] call, cloned into every
+/// producer/worker thread it spawns (all threads live inside one
+/// [`std::thread::scope`], so plan and catalog borrows cross freely).
 struct BCx<'scope, 'env> {
     catalog: &'env Catalog,
     options: &'env ExecOptions,
     /// Rows per batch for every operator that re-batches, unless an
     /// exchange edge carries its own stamped size.
     batch: usize,
+    /// Present under `execute_ctx`: checked once per batch at every
+    /// operator boundary and thread loop; spills charge its budget.
+    ctx: Option<QueryCtx>,
     scope: &'scope Scope<'scope, 'env>,
     /// Meeting point for worker-thread counters; absorbed into the
     /// caller's [`Stats`] after the scope joins.
-    shared: Arc<AtomicStats>,
+    shared: Arc<Stats>,
 }
 
 impl Clone for BCx<'_, '_> {
@@ -241,6 +252,7 @@ impl Clone for BCx<'_, '_> {
             catalog: self.catalog,
             options: self.options,
             batch: self.batch,
+            ctx: self.ctx.clone(),
             scope: self.scope,
             shared: Arc::clone(&self.shared),
         }
@@ -259,11 +271,33 @@ impl<'env> BCx<'_, 'env> {
         BOut::Batches(Box::new(Batcher::new(s, self.batch)))
     }
 
-    /// Lower and (when profiled) instrument one plan node — the batched
-    /// mirror of `Cx::run`: the eager window times lowering on the
-    /// calling thread, batch outputs are metered per `next_batch` by a
-    /// [`ProfiledBatchStream`], and thread-spawning arms attribute their
-    /// workers' counters to the node from the worker side.
+    /// The per-batch cancellation point of every thread loop: raise the
+    /// context's typed error, if it has tripped.
+    fn check(&self) {
+        if let Some(ctx) = &self.ctx {
+            ctx.check_or_propagate();
+        }
+    }
+
+    /// A fresh spill device for one sort, charging this query's context.
+    fn spill_device(&self, stats: &Arc<Stats>) -> CtxStorage {
+        CtxStorage {
+            inner: MemoryRunStorage::new(Arc::clone(stats)),
+            ctx: self.ctx.clone(),
+        }
+    }
+
+    /// Lower one plan node and put the operator boundary around it.
+    ///
+    /// When profiled, a node has two windows, disjoint in time: the
+    /// *eager* window times [`BCx::lower`] on the calling thread
+    /// (materializing sorts, spawning exchanges, …), and batch outputs
+    /// are then metered per `next_batch` by the [`Boundary`]; a node's
+    /// total is eager work + streamed work, inclusive of its subtree.
+    /// Thread-spawning arms attribute their workers' counters to the
+    /// node from the worker side.  Under a context the boundary is also
+    /// a cancellation point, once after lowering and once per batch.
+    /// With neither, nothing is wrapped and no clock is read.
     ///
     /// `gather` carries the consuming exchange's channel gauges down one
     /// edge: an `Exchange` to single hands its own gauges to its child so
@@ -276,35 +310,37 @@ impl<'env> BCx<'_, 'env> {
         prof: Option<&Arc<ProfileNode>>,
         gather: Option<&ExchangeGauges>,
     ) -> BOut {
-        let Some(node) = prof else {
-            return self.lower(plan, stats, None, gather);
-        };
-        let before = stats.snapshot();
-        let start = Instant::now();
+        let window = prof.map(|node| (node, stats.snapshot(), Instant::now()));
         let out = self.lower(plan, stats, prof, gather);
-        node.add_wall(start.elapsed());
-        node.absorb_stats(&stats.snapshot().since(&before));
+        if let Some((node, before, start)) = window {
+            node.add_wall(start.elapsed());
+            node.absorb_stats(&stats.snapshot().since(&before));
+        }
+        self.check();
         match out {
-            BOut::Batches(inner) => {
-                let spec = inner.sort_spec();
-                BOut::Batches(Box::new(ProfiledBatchStream {
+            BOut::Batches(inner) if prof.is_some() || self.ctx.is_some() => {
+                BOut::Batches(Box::new(Boundary {
                     inner,
-                    spec,
-                    node: Arc::clone(node),
-                    stats: Arc::clone(stats),
-                    rows: 0,
-                    batches: 0,
-                    wall: Duration::ZERO,
-                    delta: StatsSnapshot::default(),
+                    ctx: self.ctx.clone(),
+                    meter: prof.map(|node| Meter {
+                        node: Arc::clone(node),
+                        stats: Arc::clone(stats),
+                        rows: 0,
+                        batches: 0,
+                        wall: Duration::ZERO,
+                        delta: StatsSnapshot::default(),
+                    }),
                 }))
             }
             BOut::Rows(rows) => {
-                node.add_rows_out(rows.len() as u64);
+                if let Some(node) = prof {
+                    node.add_rows_out(rows.len() as u64);
+                }
                 BOut::Rows(rows)
             }
             // Partition rows/batches are counted at the producing side
             // (the spawning arms), where they are actually observed.
-            parts => parts,
+            other => other,
         }
     }
 
@@ -316,15 +352,12 @@ impl<'env> BCx<'_, 'env> {
         gather: Option<&ExchangeGauges>,
     ) -> BOut {
         match &plan.op {
-            PhysOp::ScanRows { table } => BOut::Rows(self.table(table).rows().to_vec()),
-            PhysOp::ScanCoded { table } => {
-                let t = self.table(table);
-                let coded = t
-                    .coded()
-                    .unwrap_or_else(|| panic!("table {table} is not stored sorted"))
-                    .to_vec();
-                self.batched(VecStream::from_coded_spec(coded, t.sort_spec().clone()))
-            }
+            PhysOp::ScanRows { table } => BOut::Rows(self.table(table).to_rows()),
+            PhysOp::ScanCoded { table } => BOut::Batches(Box::new(
+                self.table(table)
+                    .scan_coded(self.batch)
+                    .unwrap_or_else(|| panic!("table {table} is not stored sorted")),
+            )),
             PhysOp::SortOvc {
                 input,
                 spec,
@@ -354,22 +387,39 @@ impl<'env> BCx<'_, 'env> {
                             stats,
                         ))
                     }
-                } else if spec.is_asc_prefix() && !spec.normalized() {
-                    let mut storage = MemoryRunStorage::new(Arc::clone(stats));
-                    let cfg = SortConfig::new(spec.len(), *memory_rows).with_fan_in(*fan_in);
-                    self.batched(external_sort(rows, cfg, &mut storage, stats))
                 } else {
-                    let mut storage = MemoryRunStorage::new(Arc::clone(stats));
                     let cfg = SortConfig::new(spec.len(), *memory_rows).with_fan_in(*fan_in);
-                    self.batched(external_sort_spec(rows, cfg, spec, &mut storage, stats))
+                    let mut storage = self.spill_device(stats);
+                    let sorted = try_external_sort_spec(rows, cfg, spec, &mut storage, stats)
+                        .or_else(|err| {
+                            if !err.is_spill_fault() {
+                                return Err(err);
+                            }
+                            // Only the spilled copy is bad; the input
+                            // still exists upstream.  Re-lower it rather
+                            // than having retained a copy of every sort
+                            // input, and sort resident so the faulty
+                            // device is never touched again.  Codes are a
+                            // function of the output sequence alone, so
+                            // the recovered stream is byte-identical.
+                            let rows = self.run(input, stats, child(prof, 0), None).into_rows();
+                            let resident = SortConfig {
+                                memory_rows: rows.len().max(1),
+                                ..cfg
+                            };
+                            try_external_sort_spec(rows, resident, spec, &mut storage, stats)
+                        })
+                        .unwrap_or_else(|err| ctx::propagate(err));
+                    self.batched(sorted)
                 }
             }
             PhysOp::TrustSorted { input, spec } => {
                 let mut stream = self.run(input, stats, child(prof, 0), None).into_batches();
                 if self.options.verify_trusted {
                     // Audit the elision batch-wise, seams included: the
-                    // batched contract is the row contract, so this is
-                    // exactly the row executor's audit.
+                    // stream the planner trusted must carry exact codes
+                    // under its own spec (which implies the required
+                    // prefix ordering).
                     let stream_spec = stream.sort_spec();
                     debug_assert!(stream_spec.satisfies(spec));
                     let mut batches = Vec::new();
@@ -415,7 +465,7 @@ impl<'env> BCx<'_, 'env> {
                         stats,
                     ))
                 } else {
-                    let mut storage = MemoryRunStorage::new(Arc::clone(stats));
+                    let mut storage = self.spill_device(stats);
                     self.batched(in_sort_distinct(
                         rows,
                         key_len,
@@ -613,7 +663,7 @@ impl<'env> BCx<'_, 'env> {
                     let mut txs = Vec::with_capacity(parts);
                     let mut streams: Vec<PartStream> = Vec::with_capacity(parts);
                     for p in 0..parts {
-                        // ovc-lint: allow(bounded-channels-only) -- deliberate unbounded split→worker edge: in-flight data is bounded by the producer's input, matching the row executor's materialization bound (DESIGN.md §12); a sync_channel here can deadlock the single splitter against uneven partition drain (§4.10)
+                        // ovc-lint: allow(bounded-channels-only) -- deliberate unbounded split→worker edge: in-flight data is bounded by the producer's input (DESIGN.md §12); a sync_channel here can deadlock the single splitter against uneven partition drain (§4.10)
                         let (tx, rx) = mpsc::channel::<BatchFrame>();
                         txs.push(tx);
                         streams.push(Box::new(BatchChannelStream::new(
@@ -644,6 +694,7 @@ impl<'env> BCx<'_, 'env> {
                                 partition::by_cols_hash_slice(cols, parts),
                                 b,
                                 |p, fb| {
+                                    cx.check();
                                     let n = fb.len() as u64;
                                     rows += n;
                                     nbatches += 1;
@@ -766,8 +817,7 @@ impl<'env> BCx<'_, 'env> {
             let recv_gauge = gauge_for(gather, p);
             let build = Arc::clone(&build);
             let node = prof.cloned();
-            let shared = Arc::clone(&self.shared);
-            let batch = self.batch;
+            let cx = self.clone();
             self.scope.spawn(move || {
                 let mut rows = 0u64;
                 let mut nbatches = 0u64;
@@ -775,8 +825,9 @@ impl<'env> BCx<'_, 'env> {
                 let result = ctx::contain(|| {
                     fault::maybe_panic();
                     let op = build(streams, Arc::clone(&local));
-                    let mut out = Batcher::new(op, batch);
+                    let mut out = Batcher::new(op, cx.batch);
                     while let Some(fb) = out.next_batch() {
+                        cx.check();
                         let n = fb.len() as u64;
                         rows += n;
                         nbatches += 1;
@@ -808,7 +859,7 @@ impl<'env> BCx<'_, 'env> {
                     n.add_batches(nbatches);
                     n.absorb_stats(&snap);
                 }
-                shared.absorb(&snap);
+                cx.shared.absorb(&snap);
             });
             outs.push(Box::new(BatchChannelStream::new(
                 rx,
@@ -820,13 +871,28 @@ impl<'env> BCx<'_, 'env> {
     }
 }
 
-/// Metering adapter around one operator's batch output: the batched
-/// [`ProfiledStream`](crate::exec) — times every `next_batch`, counts
-/// rows and batches, attributes the calling thread's [`Stats`] delta,
-/// and flushes once on drop (covering early termination).
-struct ProfiledBatchStream {
+/// The operator boundary: the one adapter the executor puts around a
+/// lowered operator's batch output, present only when there is a
+/// [`QueryCtx`] to check or a [`ProfileNode`] to fill.
+///
+/// Under a context each `next_batch` is a cancellation point (and a
+/// [`fault::FaultPoint::SlowConsumer`] probe, so tests can cross a
+/// deadline mid-plan deterministically).  Under profiling the call is
+/// timed and the calling thread's [`Stats`] delta across it attributed
+/// to the node ([`Meter`]).  Rows and codes pass through untouched and
+/// the shared [`Stats`] is only *read*, so neither perturbs the output.
+struct Boundary {
     inner: Box<dyn BatchStream>,
-    spec: SortSpec,
+    ctx: Option<QueryCtx>,
+    meter: Option<Meter>,
+}
+
+/// One operator's streamed-window tallies: accumulated in plain fields
+/// and flushed to the node's atomics on drop — one flush per stream,
+/// covering early termination (`TopK` abandoning its input) as well as
+/// full drains.  Nested boundaries nest their windows, which is exactly
+/// the inclusive accounting convention of `EXPLAIN ANALYZE`.
+struct Meter {
     node: Arc<ProfileNode>,
     stats: Arc<Stats>,
     rows: u64,
@@ -835,29 +901,67 @@ struct ProfiledBatchStream {
     delta: StatsSnapshot,
 }
 
-impl BatchStream for ProfiledBatchStream {
+impl BatchStream for Boundary {
     fn next_batch(&mut self) -> Option<FlatRows> {
-        let before = self.stats.snapshot();
+        if let Some(ctx) = &self.ctx {
+            fault::maybe_slow_consumer();
+            ctx.check_or_propagate();
+        }
+        let Some(m) = &mut self.meter else {
+            return self.inner.next_batch();
+        };
+        let before = m.stats.snapshot();
         let start = Instant::now();
         let item = self.inner.next_batch();
-        self.wall += start.elapsed();
-        self.delta.add(&self.stats.snapshot().since(&before));
+        m.wall += start.elapsed();
+        m.delta.add(&m.stats.snapshot().since(&before));
         if let Some(b) = &item {
-            self.rows += b.len() as u64;
-            self.batches += 1;
+            m.rows += b.len() as u64;
+            m.batches += 1;
         }
         item
     }
     fn sort_spec(&self) -> SortSpec {
-        self.spec.clone()
+        self.inner.sort_spec()
     }
 }
 
-impl Drop for ProfiledBatchStream {
+impl Drop for Meter {
     fn drop(&mut self) {
         self.node.add_rows_out(self.rows);
         self.node.add_batches(self.batches);
         self.node.add_wall(self.wall);
         self.node.absorb_stats(&self.delta);
+    }
+}
+
+/// Spill device wrapper that routes every run transfer through the
+/// query context, when there is one: cancellation and deadline are
+/// re-checked at each run boundary (runs are the natural quantum of sort
+/// I/O) and written bytes charge the context's spill budget before
+/// touching the device.
+struct CtxStorage {
+    inner: MemoryRunStorage,
+    ctx: Option<QueryCtx>,
+}
+
+impl RunStorage for CtxStorage {
+    fn write_run(&mut self, run: Run) -> Result<usize, ExecError> {
+        if let Some(ctx) = &self.ctx {
+            ctx.check()?;
+            ctx.charge_spill(run.spill_bytes())?;
+        }
+        self.inner.write_run(run)
+    }
+
+    fn read_run(&mut self, handle: usize) -> Result<Run, ExecError> {
+        if let Some(ctx) = &self.ctx {
+            ctx.check()?;
+        }
+        self.inner.read_run(handle)
+    }
+
+    fn stored_runs(&self) -> usize {
+        self.inner.stored_runs()
     }
 }

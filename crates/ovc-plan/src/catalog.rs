@@ -3,27 +3,37 @@
 //! Section 4.11 of the paper: "Data access is a source of offset-value
 //! codes as important as sorting."  A [`Table`] registered as *sorted*
 //! derives its codes **once** (the storage-layer effort the paper says
-//! scans should preserve) and every scan of it streams those codes for
-//! free; an unsorted table only offers raw rows, and any interesting
-//! ordering above it must be earned with a sort.
+//! scans should preserve) and stores rows and codes together in one flat
+//! buffer; every scan of it ([`Table::scan_coded`]) slice-copies batches
+//! out of that buffer, codes included, for free.  An unsorted table only
+//! offers raw rows, and any interesting ordering above it must be earned
+//! with a sort.
 
 use std::collections::BTreeMap;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 use ovc_core::derive::{derive_codes_spec, is_sorted_spec};
-use ovc_core::{OvcRow, Row, SortSpec};
+use ovc_core::{BatchStream, FlatRows, Row, SortSpec};
 
 /// A base table plus the cheap exact statistics the cost model feeds on.
 #[derive(Clone, Debug)]
 pub struct Table {
-    rows: Vec<Row>,
-    /// Codes of `rows`, derived once at registration (sorted tables only).
-    coded: Option<Vec<OvcRow>>,
+    stored: Stored,
     width: usize,
     /// Ordering contract the stored rows follow (empty = heap table).
     spec: SortSpec,
     /// Exact count of distinct full rows (one hash pass at registration).
     distinct_rows: usize,
+}
+
+/// A table's one stored form: heap rows, or — for a sorted table — the
+/// rows and their codes (derived once at registration) in one flat
+/// buffer shared with every scan.
+#[derive(Clone, Debug)]
+enum Stored {
+    Heap(Vec<Row>),
+    Coded(Arc<FlatRows>),
 }
 
 impl Table {
@@ -32,8 +42,7 @@ impl Table {
         let width = rows.first().map(Row::width).unwrap_or(1);
         let distinct_rows = count_distinct(&rows);
         Table {
-            rows,
-            coded: None,
+            stored: Stored::Heap(rows),
             width,
             spec: SortSpec::none(),
             distinct_rows,
@@ -65,15 +74,12 @@ impl Table {
         assert!(spec.len() <= width, "sort key cannot exceed the row width");
         let distinct_rows = count_distinct(&rows);
         let codes = derive_codes_spec(&rows, &spec);
-        let coded = rows
-            .iter()
-            .cloned()
-            .zip(codes)
-            .map(|(row, code)| OvcRow::new(row, code))
-            .collect();
+        let mut flat = FlatRows::with_capacity(width, rows.len());
+        for (row, code) in rows.iter().zip(codes) {
+            flat.push(row.cols(), code);
+        }
         Table {
-            rows,
-            coded: Some(coded),
+            stored: Stored::Coded(Arc::new(flat)),
             width,
             spec,
             distinct_rows,
@@ -88,14 +94,39 @@ impl Table {
         Table::sorted(rows, width)
     }
 
-    /// The stored rows.
-    pub fn rows(&self) -> &[Row] {
-        &self.rows
+    /// The stored rows, materialized (one boxed row each — what an
+    /// unordered scan hands to the hash-side operators).
+    pub fn to_rows(&self) -> Vec<Row> {
+        match &self.stored {
+            Stored::Heap(rows) => rows.clone(),
+            Stored::Coded(flat) => flat.iter().map(|(cols, _)| Row::from_slice(cols)).collect(),
+        }
     }
 
-    /// Pre-coded rows, when the table is stored sorted.
-    pub fn coded(&self) -> Option<&[OvcRow]> {
-        self.coded.as_deref()
+    /// Rows and pre-derived codes in flat layout, when the table is
+    /// stored sorted.
+    pub fn coded(&self) -> Option<&FlatRows> {
+        match &self.stored {
+            Stored::Heap(_) => None,
+            Stored::Coded(flat) => Some(flat),
+        }
+    }
+
+    /// The Section 4.11 coded scan: stream the stored rows and codes in
+    /// batches of at most `batch` rows, each a slice copy of the flat
+    /// buffer (no per-row allocation, no comparison).  `None` for a heap
+    /// table.  Panics if `batch` is zero.
+    pub fn scan_coded(&self, batch: usize) -> Option<CodedScan> {
+        assert!(batch > 0, "batch size must be positive");
+        match &self.stored {
+            Stored::Heap(_) => None,
+            Stored::Coded(flat) => Some(CodedScan {
+                table: Arc::clone(flat),
+                spec: self.spec.clone(),
+                pos: 0,
+                batch,
+            }),
+        }
     }
 
     /// Number of columns per row.
@@ -115,17 +146,51 @@ impl Table {
 
     /// Row count.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        match &self.stored {
+            Stored::Heap(rows) => rows.len(),
+            Stored::Coded(flat) => flat.len(),
+        }
     }
 
     /// Is the table empty?
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
     /// Exact number of distinct full rows.
     pub fn distinct_rows(&self) -> usize {
         self.distinct_rows
+    }
+}
+
+/// A coded scan over a sorted table's flat buffer ([`Table::scan_coded`]).
+/// A stored table is one coded stream, so cutting it into batches needs
+/// no code repair (the seam rule, DESIGN.md §12).
+pub struct CodedScan {
+    table: Arc<FlatRows>,
+    spec: SortSpec,
+    pos: usize,
+    batch: usize,
+}
+
+impl BatchStream for CodedScan {
+    fn next_batch(&mut self) -> Option<FlatRows> {
+        let t = &self.table;
+        if self.pos >= t.len() {
+            return None;
+        }
+        let end = (self.pos + self.batch).min(t.len());
+        let w = t.width();
+        let out = FlatRows::from_parts(
+            w,
+            t.values()[self.pos * w..end * w].to_vec(),
+            t.codes()[self.pos..end].to_vec(),
+        );
+        self.pos = end;
+        Some(out)
+    }
+    fn sort_spec(&self) -> SortSpec {
+        self.spec.clone()
     }
 }
 
@@ -179,7 +244,7 @@ mod tests {
             .coded()
             .expect("sorted table is coded")
             .iter()
-            .map(|r| (r.row.clone(), r.code))
+            .map(|(cols, code)| (Row::from_slice(cols), code))
             .collect();
         assert_codes_exact(&pairs, 4);
     }
@@ -215,9 +280,48 @@ mod tests {
             .coded()
             .expect("spec-sorted table is coded")
             .iter()
-            .map(|r| (r.row.clone(), r.code))
+            .map(|(cols, code)| (Row::from_slice(cols), code))
             .collect();
         assert_codes_exact_spec(&pairs, &spec);
+    }
+
+    /// The flat coded scan at every seam shape — one row per batch, an
+    /// odd size, exactly the table, larger than the table — over
+    /// ascending, descending and empty tables: the concatenated batches
+    /// are the table's rows and codes exactly, seams included.
+    #[test]
+    fn coded_scan_replays_rows_and_codes_at_every_batch_size() {
+        use ovc_core::batch::assert_batches_exact_spec;
+        let asc: Vec<Row> = (0..23u64).map(|k| Row::new(vec![k / 4, k % 3])).collect();
+        let mut desc = asc.clone();
+        desc.reverse();
+        for (rows, spec) in [
+            (asc, SortSpec::asc(1)),
+            (desc, SortSpec::desc(1)),
+            (Vec::new(), SortSpec::asc(2)),
+        ] {
+            let t = Table::sorted_by(rows.clone(), spec.clone());
+            assert_eq!(t.to_rows(), rows);
+            let stored = t.coded().expect("sorted table is coded");
+            for batch in [1, 7, rows.len().max(1), rows.len() + 5] {
+                let mut scan = t.scan_coded(batch).expect("sorted table scans coded");
+                assert_eq!(scan.sort_spec(), spec);
+                let mut batches = Vec::new();
+                while let Some(b) = scan.next_batch() {
+                    assert!(!b.is_empty() && b.len() <= batch);
+                    batches.push(b);
+                }
+                assert_eq!(batches.len(), rows.len().div_ceil(batch), "batch={batch}");
+                assert_batches_exact_spec(&batches, &spec);
+                let values: Vec<u64> = batches.iter().flat_map(|b| b.values().to_vec()).collect();
+                let codes: Vec<Ovc> = batches.iter().flat_map(|b| b.codes().to_vec()).collect();
+                assert_eq!(values, stored.values(), "batch={batch} under {spec}");
+                assert_eq!(codes, stored.codes(), "batch={batch} under {spec}");
+            }
+        }
+        assert!(Table::unsorted(vec![Row::new(vec![1])])
+            .scan_coded(8)
+            .is_none());
     }
 
     #[test]

@@ -180,31 +180,17 @@ pub fn streaming(rows: f64) -> Cost {
 }
 
 /// Order-preserving exchange around a `parts`-way parallel operator
-/// (Section 4.10): every row pays one accumulator `max` on the splitting
-/// side and `log2(parts)` code comparisons in the merging tree-of-losers.
+/// (Section 4.10), moving flat batches of `batch` rows
+/// ([`crate::PhysOp::Exchange`]): every row pays `log2(parts)` code
+/// comparisons in the merging tree-of-losers, and every `batch`-row
+/// message one channel crossing.
 ///
-/// This prices the *threaded exchange operators* of
-/// `ovc_exec::parallel` (used when plans place explicit exchanges —
-/// ROADMAP).  The parallel sorts run no exchange, so
-/// [`sort_ovc_parallel`] / [`in_sort_distinct_parallel`] deliberately do
-/// **not** include this term: estimates describe the chosen lowering.
-pub fn exchange(rows: f64, parts: usize) -> Cost {
-    if parts <= 1 {
-        return Cost::zero();
-    }
-    Cost {
-        ovc_cmps: rows * (1.0 + log2(parts as f64)),
-        ..Cost::zero()
-    }
-}
-
-/// Flat-batch exchange ([`crate::PhysOp::Exchange`] with a stamped batch
-/// size): the accumulator/merge comparator work is the same `rows ×
-/// log2(parts)` as [`exchange`], but the per-row channel crossing — the
-/// `+1` term above — collapses to one crossing per `batch`-row message.
-/// Cheaper than the row exchange for any `batch > 1`, equal at
-/// `batch == 1`.
-pub fn exchange_batched(rows: f64, parts: usize, batch: usize) -> Cost {
+/// This prices the explicit exchange nodes plans place around merge
+/// joins, groupings and set operations.  The parallel sorts run no
+/// exchange, so [`sort_ovc_parallel`] / [`in_sort_distinct_parallel`]
+/// deliberately do **not** include this term: estimates describe the
+/// chosen lowering.
+pub fn exchange(rows: f64, parts: usize, batch: usize) -> Cost {
     if parts <= 1 {
         return Cost::zero();
     }
@@ -226,8 +212,8 @@ pub fn reverse(rows: f64, key_len: usize) -> Cost {
     }
 }
 
-/// Partition-parallel in-stream grouping
-/// (`ovc_exec::parallel::group_partitions` behind an exchange sandwich):
+/// Partition-parallel in-stream grouping (one `GroupAggregate` worker
+/// per partition behind an exchange sandwich):
 /// each of the `rows` input rows pays its one code-inspection boundary
 /// test in exactly one partition, so the counted work is dop-invariant
 /// and equals the serial [`streaming`] estimate.  The surrounding
@@ -239,9 +225,9 @@ pub fn group_parallel(rows: f64, _dop: usize) -> Cost {
     streaming(rows)
 }
 
-/// Partition-parallel merge set operation
-/// (`ovc_exec::parallel::set_op_partitions` behind an exchange
-/// sandwich): every row flows through exactly one partition's two-way
+/// Partition-parallel merge set operation (one `SetOperation` worker
+/// per partition pair behind an exchange sandwich): every row flows
+/// through exactly one partition's two-way
 /// merge, so comparison totals match the serial [`merge_streaming`]
 /// estimate — the exchanges around it are priced separately on their
 /// own plan nodes, mirroring the partitioned merge join.
@@ -374,8 +360,12 @@ mod tests {
 
     #[test]
     fn exchange_overhead_is_small_and_serial_free() {
-        assert_eq!(exchange(10_000.0, 1), Cost::zero());
-        let c = exchange(10_000.0, 4);
+        assert_eq!(exchange(10_000.0, 1, 1024), Cost::zero());
+        let c = exchange(10_000.0, 4, 1024);
+        assert!(
+            c.ovc_cmps < exchange(10_000.0, 4, 1).ovc_cmps,
+            "batching amortizes crossings"
+        );
         assert_eq!(c.spill_rows, 0.0, "exchanges never spill");
         assert_eq!(c.col_cmps, 0.0, "exchanges never touch column values");
         // The overhead stays a sliver of the sort it parallelizes.
@@ -419,9 +409,9 @@ mod tests {
         // A bracketed operator plus its two splits and gather stays far
         // below what a spilling blocking operator would cost.
         let bracketed = s
-            .plus(&exchange(9_000.0, 4))
-            .plus(&exchange(9_000.0, 4))
-            .plus(&exchange(9_000.0, 4));
+            .plus(&exchange(9_000.0, 4, 1024))
+            .plus(&exchange(9_000.0, 4, 1024))
+            .plus(&exchange(9_000.0, 4, 1024));
         let sort = sort_ovc(9_000.0, 2, 500, 8);
         assert!(bracketed.total(&W) < sort.total(&W));
     }

@@ -1,52 +1,40 @@
-//! Lowering physical plans onto the operator library and running them.
+//! Running physical plans: the executor's options, its output shape,
+//! and its four entry points.
 //!
-//! The executor walks a [`PhysicalPlan`] bottom-up, building real
-//! operator pipelines: coded paths become [`OvcStream`] stacks over
-//! `ovc-exec`/`ovc-sort` operators, hash paths call the `ovc-baseline`
+//! There is one executor.  [`execute`], [`execute_ctx`],
+//! [`execute_profiled`] and [`execute_ctx_profiled`] are thin wrappers
+//! over the single batch-at-a-time lowering in `batch_exec`: coded paths
+//! become [`ovc_core::BatchStream`] pipelines over `ovc-exec`/`ovc-sort`
+//! operators fed by flat coded scans, hash paths call the `ovc-baseline`
 //! algorithms on materialized rows, and **exchange sandwiches** run on
-//! real threads — [`PhysOp::Exchange`] to a hash layout lowers onto the
-//! threaded splitting shuffle (`split_threaded`); a partitioned
-//! [`PhysOp::MergeJoinOvc`] joins partition pairs on worker threads
-//! (`merge_join_partitions`), a partitioned [`PhysOp::GroupOvc`] groups
-//! partition-wise (`group_partitions`, hash on the full group key), a
-//! partitioned [`PhysOp::SetOpMerge`] runs one set-operation worker per
-//! partition pair (`set_op_partitions`, hash on the whole row); and the
-//! gathering exchange merges the partition streams back with the
-//! threaded tree-of-losers (`merge_threaded`).  The boundaries between the three worlds
-//! (stream / rows / partitions) are explicit in the plan, so the
-//! executor never guesses.
+//! real threads with flat batches crossing their channels.  The
+//! boundaries between the three worlds (stream / rows / partitions) are
+//! explicit in the plan, so the executor never guesses.
 //!
 //! [`ExecOptions::verify_trusted`] turns every [`PhysOp::TrustSorted`]
 //! marker — an *elided sort* — into a checked assertion: the stream the
-//! planner trusted is drained and audited with
-//! [`ovc_core::derive::assert_codes_exact_spec`] against the stream's
-//! own [`SortSpec`] before flowing on.  The planner property tests run
-//! with this enabled, which is what "every elided sort is justified"
-//! means operationally.
+//! planner trusted is drained and audited, seams included, with
+//! [`ovc_core::batch::assert_batches_exact_spec`] against the stream's
+//! own [`ovc_core::SortSpec`] before flowing on.  The planner property
+//! tests run with this enabled, which is what "every elided sort is
+//! justified" means operationally.
+//!
+//! [`PhysOp::TrustSorted`]: crate::physical::PhysOp::TrustSorted
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use ovc_core::ctx::{self, ExecError, QueryCtx};
-use ovc_core::derive::{assert_codes_exact_spec, derive_codes_spec_counted};
 use ovc_core::metrics::ProfileNode;
-use ovc_core::{
-    CodedBatch, Ovc, OvcRow, OvcStream, Row, SortSpec, Stats, StatsSnapshot, VecStream,
-};
-use ovc_exec::exchange::partition;
-use ovc_exec::plans::in_sort_distinct;
-use ovc_exec::{
-    group_partitions, merge_join_partitions, merge_threaded_spec_gauged, set_op_partitions,
-    split_threaded_gauged, Dedup, Filter as FilterOp, GroupAggregate, MergeJoin,
-    Project as ProjectOp, SetOperation, DEFAULT_CHANNEL_CAPACITY,
-};
-use ovc_sort::{
-    external_sort, external_sort_spec, external_sort_spec_resilient, MemoryRunStorage, Run,
-    RunStorage, SortConfig,
-};
+use ovc_core::{CodedBatch, OvcRow, OvcStream, Row, Stats};
 
+use crate::batch_exec::run;
 use crate::catalog::Catalog;
-use crate::physical::{Partitioning, PhysOp, PhysicalPlan};
+use crate::physical::PhysicalPlan;
+
+/// Rows per [`ovc_core::FlatRows`] batch when
+/// [`ExecOptions::batch_size`] is `None` — the one engine default, and
+/// the value every deployed caller (server binary, benches) sets anyway.
+pub const DEFAULT_BATCH_ROWS: usize = 1024;
 
 /// Executor knobs.
 #[derive(Clone, Copy, Debug, Default)]
@@ -55,28 +43,27 @@ pub struct ExecOptions {
     /// unless its codes are exact under its spec (test harness for the
     /// planner).
     pub verify_trusted: bool,
-    /// Run the plan on the batched executor
-    /// ([`crate::batch_exec`]) with this many rows per [`ovc_core::FlatRows`]
-    /// batch: operators pass flat batches instead of boxed rows, and
-    /// exchanges forward batches through their channels instead of
-    /// materializing whole inputs at split/merge boundaries.  A plan
-    /// node's own stamped batch size ([`PhysOp::Exchange`]) takes
-    /// precedence on its exchange edges.  `None` runs the row-at-a-time
-    /// executor.  Rows, codes, and [`Stats`] totals are byte-identical
-    /// either way (`tests/batch_pipeline_properties.rs`).
+    /// Rows per flat batch flowing between operators and through
+    /// exchange channels; `None` means [`DEFAULT_BATCH_ROWS`].  A plan
+    /// node's own stamped batch size
+    /// ([`crate::physical::PhysOp::Exchange`]) takes precedence on its
+    /// exchange edges.  The value tunes granularity only: rows, codes,
+    /// and [`Stats`] totals are identical for every batch size
+    /// (`tests/batch_pipeline_properties.rs`; the one exception is early
+    /// termination under `TopK`, DESIGN.md §12).
     pub batch_size: Option<usize>,
 }
 
-/// What a (sub)plan produced: a coded sorted stream, bare rows, or — in
-/// the middle of an exchange sandwich — hash partitions of a coded
-/// stream.
+/// What a plan produced: a coded sorted stream, bare rows, or — for a
+/// plan cut off below its gathering exchange — hash partitions of a
+/// coded stream.
 pub enum Output {
     /// Sorted stream carrying exact offset-value codes.
     Stream(Box<dyn OvcStream + Send>),
     /// Materialized rows in arbitrary order (hash-side operators).
     Rows(Vec<Row>),
     /// Hash-partitioned coded batches (between a splitting
-    /// [`PhysOp::Exchange`] and the gathering one); each batch is sorted
+    /// [`crate::physical::PhysOp::Exchange`] and the gathering one); each batch is sorted
     /// and exactly coded on its own.
     Partitions(Vec<CodedBatch>),
 }
@@ -104,34 +91,13 @@ impl Output {
             }
         }
     }
-
-    /// The coded stream; panics if this output is unordered.
-    pub fn into_stream(self) -> Box<dyn OvcStream + Send> {
-        match self {
-            Output::Stream(s) => s,
-            Output::Rows(_) => panic!("plan output is unordered; not a coded stream"),
-            Output::Partitions(_) => {
-                panic!("plan output is partitioned; gather it with an Exchange to single")
-            }
-        }
-    }
-
-    /// The hash partitions; panics unless this output sits between a
-    /// splitting and a gathering exchange.
-    pub fn into_partitions(self) -> Vec<CodedBatch> {
-        match self {
-            Output::Partitions(p) => p,
-            _ => panic!("plan output is not partitioned"),
-        }
-    }
-
-    /// Is this a coded stream?
-    pub fn is_stream(&self) -> bool {
-        matches!(self, Output::Stream(_))
-    }
 }
 
 /// Run a physical plan against a catalog, accounting into `stats`.
+///
+/// Ordered roots come back as a coded stream that is already
+/// materialized (the pipeline's threads are joined before returning),
+/// hash-side roots as rows, partitioned roots as coded batches.
 ///
 /// Panics if the plan references tables missing from `catalog` or if its
 /// structure violates operator contracts — both are planner bugs, not
@@ -142,29 +108,20 @@ pub fn execute(
     stats: &Arc<Stats>,
     options: &ExecOptions,
 ) -> Output {
-    if options.batch_size.is_some() {
-        return crate::batch_exec::execute_batched(plan, catalog, stats, options, None);
-    }
-    let cx = Cx {
-        catalog,
-        stats,
-        options,
-        ctx: None,
-    };
-    cx.run(plan, None)
+    run(plan, catalog, stats, options, None, None)
 }
 
 /// As [`execute`], but fault-tolerant: run the plan under a
 /// [`QueryCtx`] and return a typed [`ExecError`] instead of unwinding.
 ///
-/// The context is checked at every operator boundary (each lowered
-/// stream re-checks every 256 rows), spills charge the context's
-/// budget, serial sorts take the re-sort-from-source retry path on
-/// spill faults, and the root is drained *inside* the containment
-/// boundary so worker panics, poisoned exchange channels, cancellation,
-/// deadline expiry, and spill corruption all surface here as `Err`.
-/// On success the output is fully materialized — rows, codes, and
-/// [`Stats`] totals byte-identical to [`execute`] of the same plan.
+/// The context is checked once per batch at every operator boundary and
+/// in every exchange producer and worker loop, spills charge the
+/// context's budget, and the whole run — root drain included — happens
+/// *inside* the containment boundary, so worker panics, poisoned
+/// exchange channels, cancellation, deadline expiry, and spill
+/// corruption all surface here as `Err`.  Rows, codes, and [`Stats`]
+/// totals of a successful run are identical to [`execute`] of the same
+/// plan.
 pub fn execute_ctx(
     plan: &PhysicalPlan,
     catalog: &Catalog,
@@ -173,26 +130,30 @@ pub fn execute_ctx(
     qctx: &QueryCtx,
 ) -> Result<Output, ExecError> {
     qctx.check()?;
-    ctx::contain(|| {
-        let out = if options.batch_size.is_some() {
-            crate::batch_exec::execute_batched(plan, catalog, stats, options, None)
-        } else {
-            let cx = Cx {
-                catalog,
-                stats,
-                options,
-                ctx: Some(qctx),
-            };
-            cx.run(plan, None)
-        };
-        materialize_checked(out, qctx)
-    })
+    ctx::contain(|| run(plan, catalog, stats, options, Some(qctx), None))
+}
+
+/// As [`execute`], but with per-operator profiling: every lowered
+/// operator reports rows, batches, wall time, and counter deltas into a
+/// [`ProfileNode`] tree mirroring the plan's shape, and threaded
+/// exchanges report per-channel wait/occupancy gauges.
+///
+/// The output is materialized when this returns, so
+/// [`ProfileNode::snapshot`] is immediately meaningful.  Profiling only
+/// observes: rows, codes, and the [`Stats`] totals are identical to an
+/// unprofiled [`execute`] of the same plan.
+pub fn execute_profiled(
+    plan: &PhysicalPlan,
+    catalog: &Catalog,
+    stats: &Arc<Stats>,
+    options: &ExecOptions,
+) -> (Output, Arc<ProfileNode>) {
+    let root = crate::profile::build_profile(plan);
+    let out = run(plan, catalog, stats, options, None, Some(&root));
+    (out, root)
 }
 
 /// As [`execute_profiled`], but fault-tolerant (see [`execute_ctx`]).
-/// The profile tree is returned even though the output is already
-/// materialized: streaming adapters have flushed by the time this
-/// returns, so [`ProfileNode::snapshot`] is immediately meaningful.
 pub fn execute_ctx_profiled(
     plan: &PhysicalPlan,
     catalog: &Catalog,
@@ -202,682 +163,51 @@ pub fn execute_ctx_profiled(
 ) -> Result<(Output, Arc<ProfileNode>), ExecError> {
     qctx.check()?;
     let root = crate::profile::build_profile(plan);
-    let out = ctx::contain(|| {
-        let out = if options.batch_size.is_some() {
-            crate::batch_exec::execute_batched(plan, catalog, stats, options, Some(&root))
-        } else {
-            let cx = Cx {
-                catalog,
-                stats,
-                options,
-                ctx: Some(qctx),
-            };
-            cx.run(plan, Some(&root))
-        };
-        materialize_checked(out, qctx)
-    })?;
+    let out = ctx::contain(|| run(plan, catalog, stats, options, Some(qctx), Some(&root)))?;
     Ok((out, root))
 }
 
-/// Drain a root stream eagerly under periodic context checks so that
-/// every late failure (a poison frame deep in an exchange, a deadline
-/// crossed mid-drain) is raised while still inside [`ctx::contain`].
-/// Already-materialized outputs get a single closing check.
-fn materialize_checked(out: Output, qctx: &QueryCtx) -> Output {
-    match out {
-        Output::Stream(mut s) => {
-            let spec = s.sort_spec();
-            let mut coded = Vec::new();
-            loop {
-                qctx.check_or_propagate();
-                let mut chunk = 0;
-                for row in s.by_ref() {
-                    coded.push(row);
-                    chunk += 1;
-                    if chunk == CHECK_INTERVAL {
-                        break;
-                    }
-                }
-                if chunk < CHECK_INTERVAL {
-                    break;
-                }
-            }
-            drop(s);
-            Output::Stream(Box::new(VecStream::from_coded_spec(coded, spec)))
-        }
-        other => {
-            qctx.check_or_propagate();
-            other
-        }
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{LogicalPlan, Planner, PlannerConfig, Table};
 
-/// As [`execute`], but with per-operator profiling: every lowered
-/// operator reports rows, wall time, and counter deltas into a
-/// [`ProfileNode`] tree mirroring the plan's shape, and threaded
-/// exchanges report per-channel wait/occupancy gauges.
-///
-/// The returned stream (when the root is ordered) is lazily profiled:
-/// drain it fully, then take [`ProfileNode::snapshot`] — streaming
-/// adapters flush their tallies when dropped.  Profiling only observes:
-/// rows, codes, and the [`Stats`] totals are byte-identical to an
-/// unprofiled [`execute`] of the same plan.
-pub fn execute_profiled(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    stats: &Arc<Stats>,
-    options: &ExecOptions,
-) -> (Output, Arc<ProfileNode>) {
-    let root = crate::profile::build_profile(plan);
-    if options.batch_size.is_some() {
-        let out = crate::batch_exec::execute_batched(plan, catalog, stats, options, Some(&root));
-        return (out, root);
-    }
-    let cx = Cx {
-        catalog,
-        stats,
-        options,
-        ctx: None,
-    };
-    let out = cx.run(plan, Some(&root));
-    (out, root)
-}
+    /// `batch_size` tunes granularity and nothing else: `None` *is*
+    /// [`DEFAULT_BATCH_ROWS`] (the profile counts exactly that many
+    /// batches), and it returns the rows, codes and `Stats` of every
+    /// explicit size.
+    #[test]
+    fn batch_size_none_is_the_default_constant_and_selects_no_code_path() {
+        let n = 2 * DEFAULT_BATCH_ROWS + 10;
+        let rows: Vec<Row> = (0..n as u64)
+            .map(|k| Row::new(vec![k / 3, k % 7]))
+            .collect();
+        let mut catalog = Catalog::new();
+        catalog.register("t", Table::sorted(rows, 1));
+        let query = LogicalPlan::scan("t").filter(crate::Predicate::ColLt(1, 5));
+        let plan = Planner::new(&catalog, PlannerConfig::default())
+            .plan(&query.sort(1))
+            .expect("plans");
 
-/// As [`execute`], but demand a coded stream (the plan root must be
-/// ordered; the planner's `Sort`/`TopK` roots and all merge-side plans
-/// are).
-pub fn execute_stream(
-    plan: &PhysicalPlan,
-    catalog: &Catalog,
-    stats: &Arc<Stats>,
-    options: &ExecOptions,
-) -> Box<dyn OvcStream + Send> {
-    execute(plan, catalog, stats, options).into_stream()
-}
-
-/// Rows drained between two context checks on a guarded stream.
-const CHECK_INTERVAL: usize = 256;
-
-struct Cx<'a> {
-    catalog: &'a Catalog,
-    stats: &'a Arc<Stats>,
-    options: &'a ExecOptions,
-    /// Present only under [`execute_ctx`]: operators check it at their
-    /// boundaries and spills charge its budget.  `None` costs nothing.
-    ctx: Option<&'a QueryCtx>,
-}
-
-/// The profile node for child `i` of a profiled node (the profile tree
-/// mirrors the plan tree child-for-child, by construction).
-fn child(prof: Option<&Arc<ProfileNode>>, i: usize) -> Option<&Arc<ProfileNode>> {
-    prof.map(|n| &n.children[i])
-}
-
-impl Cx<'_> {
-    fn table(&self, name: &str) -> &crate::catalog::Table {
-        self.catalog
-            .get(name)
-            .unwrap_or_else(|| panic!("plan references unknown table {name}"))
-    }
-
-    /// Lower and (when profiled) instrument one plan node.
-    ///
-    /// With `prof == None` this is exactly the unprofiled executor: no
-    /// clock reads, no snapshots, no adapters.  With a node, the eager
-    /// part of lowering (materializing sorts, threaded exchanges, …) is
-    /// timed around [`Cx::lower`], and stream outputs are wrapped in a
-    /// [`ProfiledStream`] that meters every subsequent `next()`.  Both
-    /// windows are disjoint in time, so a node's total is eager work +
-    /// streamed work, inclusive of its subtree (children run inside one
-    /// window or the other).
-    fn run(&self, plan: &PhysicalPlan, prof: Option<&Arc<ProfileNode>>) -> Output {
-        let Some(node) = prof else {
-            return self.guard(self.lower(plan, None));
+        let run = |batch_size: Option<usize>| {
+            let stats = Stats::new_shared();
+            let options = ExecOptions {
+                batch_size,
+                ..ExecOptions::default()
+            };
+            let (out, prof) = execute_profiled(&plan, &catalog, &stats, &options);
+            let scan = prof
+                .snapshot()
+                .find("ScanCoded")
+                .expect("coded scan")
+                .metrics;
+            (out.into_coded(), stats.snapshot(), scan.batches)
         };
-        let before = self.stats.snapshot();
-        let start = Instant::now();
-        let out = self.lower(plan, prof);
-        node.add_wall(start.elapsed());
-        node.absorb_stats(&self.stats.snapshot().since(&before));
-        let out = match out {
-            Output::Stream(inner) => {
-                let spec = inner.sort_spec();
-                Output::Stream(Box::new(ProfiledStream {
-                    inner,
-                    spec,
-                    node: Arc::clone(node),
-                    stats: Arc::clone(self.stats),
-                    rows: 0,
-                    wall: Duration::ZERO,
-                    delta: StatsSnapshot::default(),
-                }))
-            }
-            Output::Rows(rows) => {
-                node.add_rows_out(rows.len() as u64);
-                Output::Rows(rows)
-            }
-            Output::Partitions(parts) => {
-                node.add_batches(parts.len() as u64);
-                node.add_rows_out(parts.iter().map(|b| b.len() as u64).sum());
-                Output::Partitions(parts)
-            }
-        };
-        self.guard(out)
-    }
-
-    /// Under a [`QueryCtx`], every operator boundary is a cancellation
-    /// point: materialized outputs get one check, stream outputs are
-    /// wrapped so the check repeats every [`CHECK_INTERVAL`] rows of the
-    /// drain.  Without a context this is the identity — no wrapper, no
-    /// atomic loads, byte-identical profiling windows.
-    fn guard(&self, out: Output) -> Output {
-        let Some(qctx) = self.ctx else { return out };
-        qctx.check_or_propagate();
-        match out {
-            Output::Stream(inner) => {
-                let spec = inner.sort_spec();
-                Output::Stream(Box::new(CheckStream {
-                    inner,
-                    spec,
-                    ctx: qctx.clone(),
-                    tick: 0,
-                }))
-            }
-            other => other,
-        }
-    }
-
-    fn lower(&self, plan: &PhysicalPlan, prof: Option<&Arc<ProfileNode>>) -> Output {
-        match &plan.op {
-            PhysOp::ScanRows { table } => Output::Rows(self.table(table).rows().to_vec()),
-            PhysOp::ScanCoded { table } => {
-                let t = self.table(table);
-                let coded = t
-                    .coded()
-                    .unwrap_or_else(|| panic!("table {table} is not stored sorted"))
-                    .to_vec();
-                Output::Stream(Box::new(VecStream::from_coded_spec(
-                    coded,
-                    t.sort_spec().clone(),
-                )))
-            }
-            PhysOp::SortOvc {
-                input,
-                spec,
-                memory_rows,
-                fan_in,
-                dop,
-            } => {
-                let rows = self.run(input, child(prof, 0)).into_rows();
-                if *dop > 1 {
-                    // Parallel run generation over row-range slices: rows
-                    // and codes are byte-identical to the serial sort
-                    // (tests/parallel_properties.rs holds it to that).
-                    // The planner stamps dop > 1 onto leading-prefix,
-                    // non-normalized specs; mixed directions take the
-                    // spec-aware lowering.
-                    debug_assert!(spec.is_prefix() && !spec.normalized());
-                    if spec.is_asc_prefix() {
-                        Output::Stream(Box::new(ovc_sort::parallel::parallel_sort(
-                            rows,
-                            spec.len(),
-                            *dop,
-                            *memory_rows,
-                            *fan_in,
-                            self.stats,
-                        )))
-                    } else {
-                        Output::Stream(Box::new(ovc_sort::parallel_sort_spec(
-                            rows,
-                            spec,
-                            *dop,
-                            *memory_rows,
-                            *fan_in,
-                            self.stats,
-                        )))
-                    }
-                } else if let Some(qctx) = self.ctx {
-                    // Fault-tolerant serial sort: spills run through the
-                    // context (budget + cancellation at run boundaries)
-                    // and a spill fault triggers the re-sort-from-source
-                    // retry — rows and codes are byte-identical to the
-                    // plain arms below because codes are a function of
-                    // the output sequence alone (§3).
-                    let mut storage = CtxStorage {
-                        inner: MemoryRunStorage::new(Arc::clone(self.stats)),
-                        ctx: qctx.clone(),
-                    };
-                    let cfg = SortConfig::new(spec.len(), *memory_rows).with_fan_in(*fan_in);
-                    match external_sort_spec_resilient(rows, cfg, spec, &mut storage, self.stats) {
-                        Ok(out) => Output::Stream(Box::new(out)),
-                        Err(err) => ctx::propagate(err),
-                    }
-                } else if spec.is_asc_prefix() && !spec.normalized() {
-                    let mut storage = MemoryRunStorage::new(Arc::clone(self.stats));
-                    let cfg = SortConfig::new(spec.len(), *memory_rows).with_fan_in(*fan_in);
-                    Output::Stream(Box::new(external_sort(rows, cfg, &mut storage, self.stats)))
-                } else {
-                    // Direction-aware (and/or normalized-key) external
-                    // sort: same cascade, spec-driven comparisons.
-                    let mut storage = MemoryRunStorage::new(Arc::clone(self.stats));
-                    let cfg = SortConfig::new(spec.len(), *memory_rows).with_fan_in(*fan_in);
-                    Output::Stream(Box::new(external_sort_spec(
-                        rows,
-                        cfg,
-                        spec,
-                        &mut storage,
-                        self.stats,
-                    )))
-                }
-            }
-            PhysOp::TrustSorted { input, spec } => {
-                let stream = self.run(input, child(prof, 0)).into_stream();
-                if self.options.verify_trusted {
-                    // Audit the elision: the stream the planner trusted
-                    // must carry exact codes under its own spec (which
-                    // implies the required prefix ordering).
-                    let stream_spec = stream.sort_spec();
-                    debug_assert!(stream_spec.satisfies(spec));
-                    let coded: Vec<OvcRow> = stream.collect();
-                    let pairs: Vec<(Row, Ovc)> =
-                        coded.iter().map(|r| (r.row.clone(), r.code)).collect();
-                    assert_codes_exact_spec(&pairs, &stream_spec);
-                    Output::Stream(Box::new(VecStream::from_coded_spec(coded, stream_spec)))
-                } else {
-                    Output::Stream(stream)
-                }
-            }
-            PhysOp::Reverse { input, spec } => {
-                // Opposite-direction reuse: materialize, reverse, and
-                // re-prime codes in one linear pass (priced by
-                // cost::reverse).  The input is sorted on spec.reversed(),
-                // so the reversed row sequence satisfies `spec` — only
-                // the codes need re-deriving.
-                let stream = self.run(input, child(prof, 0)).into_stream();
-                debug_assert!(stream.sort_spec().satisfies(&spec.reversed()));
-                let mut rows: Vec<Row> = stream.map(|r| r.row).collect();
-                rows.reverse();
-                let codes = derive_codes_spec_counted(&rows, spec, self.stats);
-                let coded: Vec<OvcRow> = rows
-                    .into_iter()
-                    .zip(codes)
-                    .map(|(row, code)| OvcRow::new(row, code))
-                    .collect();
-                Output::Stream(Box::new(VecStream::from_coded_spec(coded, spec.clone())))
-            }
-            PhysOp::InSortDistinct {
-                input,
-                spec,
-                memory_rows,
-                fan_in,
-                dop,
-            } => {
-                // The planner only requests ascending full-width specs
-                // for distinct semantics.
-                debug_assert!(spec.is_asc_prefix());
-                let key_len = spec.len();
-                let rows = self.run(input, child(prof, 0)).into_rows();
-                if *dop > 1 {
-                    Output::Stream(Box::new(ovc_sort::parallel::parallel_sort_distinct(
-                        rows,
-                        key_len,
-                        *dop,
-                        *memory_rows,
-                        *fan_in,
-                        self.stats,
-                    )))
-                } else if let Some(qctx) = self.ctx {
-                    // Context-checked spills (budget + cancellation at
-                    // run boundaries); device faults surface as typed
-                    // errors through the containment boundary.
-                    let mut storage = CtxStorage {
-                        inner: MemoryRunStorage::new(Arc::clone(self.stats)),
-                        ctx: qctx.clone(),
-                    };
-                    Output::Stream(Box::new(in_sort_distinct(
-                        rows,
-                        key_len,
-                        *memory_rows,
-                        *fan_in,
-                        &mut storage,
-                        self.stats,
-                    )))
-                } else {
-                    let mut storage = MemoryRunStorage::new(Arc::clone(self.stats));
-                    Output::Stream(Box::new(in_sort_distinct(
-                        rows,
-                        key_len,
-                        *memory_rows,
-                        *fan_in,
-                        &mut storage,
-                        self.stats,
-                    )))
-                }
-            }
-            PhysOp::DedupCodes { input } => {
-                let stream = self.run(input, child(prof, 0)).into_stream();
-                Output::Stream(Box::new(Dedup::new(stream)))
-            }
-            PhysOp::HashDistinct { input, memory_rows } => {
-                let rows = self.run(input, child(prof, 0)).into_rows();
-                Output::Rows(ovc_baseline::hash_aggregate_distinct(
-                    rows,
-                    *memory_rows,
-                    self.stats,
-                ))
-            }
-            PhysOp::Filter { input, pred } => match self.run(input, child(prof, 0)) {
-                Output::Stream(s) => {
-                    let p = pred.clone();
-                    Output::Stream(Box::new(FilterOp::new(
-                        s,
-                        move |row: &Row| p.eval(row),
-                        Arc::clone(self.stats),
-                    )))
-                }
-                Output::Rows(rows) => {
-                    Output::Rows(rows.into_iter().filter(|r| pred.eval(r)).collect())
-                }
-                Output::Partitions(_) => panic!("filter over partitions is not planned"),
-            },
-            PhysOp::Project {
-                input,
-                cols,
-                surviving_key,
-            } => match self.run(input, child(prof, 0)) {
-                Output::Stream(s) => {
-                    let cols = cols.clone();
-                    Output::Stream(Box::new(ProjectOp::new(
-                        s,
-                        *surviving_key,
-                        move |row: &Row| row.project(&cols),
-                    )))
-                }
-                Output::Rows(rows) => Output::Rows(rows.iter().map(|r| r.project(cols)).collect()),
-                Output::Partitions(_) => panic!("projection over partitions is not planned"),
-            },
-            PhysOp::GroupOvc {
-                input,
-                group_len,
-                aggs,
-            } => match self.run(input, child(prof, 0)) {
-                // Partition-parallel: the input arrives hash-partitioned
-                // on the full group key from an explicit Exchange child;
-                // every group is local to one partition, so each worker
-                // completes its groups and the gathering exchange above
-                // reproduces the serial rows and codes.
-                Output::Partitions(parts) => Output::Partitions(group_partitions(
-                    parts,
-                    *group_len,
-                    aggs.clone(),
-                    self.stats,
-                )),
-                other => Output::Stream(Box::new(GroupAggregate::new(
-                    other.into_stream(),
-                    *group_len,
-                    aggs.clone(),
-                    Arc::clone(self.stats),
-                ))),
-            },
-            PhysOp::MergeJoinOvc {
-                left,
-                right,
-                join_len,
-                join_type,
-            } => {
-                let (lw, rw) = (left.props.width, right.props.width);
-                match (
-                    self.run(left, child(prof, 0)),
-                    self.run(right, child(prof, 1)),
-                ) {
-                    // Partition-parallel: both inputs arrive hash-co-
-                    // partitioned from explicit Exchange children; join
-                    // each partition pair on its own worker thread.
-                    (Output::Partitions(lp), Output::Partitions(rp)) => Output::Partitions(
-                        merge_join_partitions(lp, rp, *join_len, *join_type, lw, rw, self.stats),
-                    ),
-                    (Output::Stream(l), Output::Stream(r)) => Output::Stream(Box::new(
-                        MergeJoin::new(l, r, *join_len, *join_type, lw, rw, Arc::clone(self.stats)),
-                    )),
-                    _ => panic!("merge join inputs must both be streams or both partitioned"),
-                }
-            }
-            PhysOp::GraceHashJoin {
-                left,
-                right,
-                join_len,
-                memory_rows,
-            } => {
-                let l = self.run(left, child(prof, 0)).into_rows();
-                let r = self.run(right, child(prof, 1)).into_rows();
-                Output::Rows(ovc_baseline::grace_hash_join(
-                    l,
-                    r,
-                    *join_len,
-                    *memory_rows,
-                    self.stats,
-                ))
-            }
-            PhysOp::SetOpMerge { left, right, op } => {
-                match (
-                    self.run(left, child(prof, 0)),
-                    self.run(right, child(prof, 1)),
-                ) {
-                    // Partition-parallel: both inputs hash-co-partitioned
-                    // on the full row by explicit Exchange children; run
-                    // one set-operation worker per partition pair.
-                    (Output::Partitions(lp), Output::Partitions(rp)) => {
-                        Output::Partitions(set_op_partitions(lp, rp, *op, self.stats))
-                    }
-                    (Output::Stream(l), Output::Stream(r)) => Output::Stream(Box::new(
-                        SetOperation::new(l, r, *op, Arc::clone(self.stats)),
-                    )),
-                    _ => panic!("set operation inputs must both be streams or both partitioned"),
-                }
-            }
-            PhysOp::TopK { input, k } => {
-                let stream = self.run(input, child(prof, 0)).into_stream();
-                Output::Stream(Box::new(TakeStream {
-                    spec: stream.sort_spec(),
-                    inner: stream,
-                    left: *k,
-                }))
-            }
-            PhysOp::Exchange { input, to, .. } => match to {
-                // Splitting shuffle: one producer thread routes rows by
-                // hash of the partitioning columns, repairing codes with
-                // one accumulator per partition; consumers drain
-                // concurrently (collect_all fans out — sequential
-                // draining against bounded channels deadlocks, §4.10).
-                Partitioning::Hash { cols, parts } => {
-                    let stream = self.run(input, child(prof, 0)).into_stream();
-                    // Flat-backed batch: the materialized stream lands in
-                    // one contiguous buffer and crosses the producer
-                    // thread without per-row pointer chasing.
-                    let batch = CodedBatch::from_stream_flat(stream);
-                    let split = split_threaded_gauged(
-                        batch,
-                        *parts,
-                        partition::by_cols_hash(cols.clone(), *parts),
-                        DEFAULT_CHANNEL_CAPACITY,
-                        prof.and_then(|n| n.gauges()),
-                    );
-                    Output::Partitions(split.collect_all())
-                }
-                // Gathering shuffle: feeder threads push each partition
-                // into a bounded channel; the calling thread consumes
-                // the order-preserving tree-of-losers merge under the
-                // partitions' actual ordering contract.
-                Partitioning::Single => {
-                    let parts = self.run(input, child(prof, 0)).into_partitions();
-                    let spec = parts
-                        .first()
-                        .map(|b| b.sort_spec().clone())
-                        .unwrap_or_else(|| input.props.order.clone());
-                    Output::Stream(Box::new(merge_threaded_spec_gauged(
-                        parts,
-                        spec,
-                        DEFAULT_CHANNEL_CAPACITY,
-                        self.stats,
-                        prof.and_then(|n| n.gauges()),
-                    )))
-                }
-                Partitioning::Any => panic!("Exchange to `any` is not a layout"),
-            },
-            PhysOp::Repartition { input, cols, parts } => {
-                let batches = self.run(input, child(prof, 0)).into_partitions();
-                let key_len = batches
-                    .first()
-                    .map(|b| b.key_len())
-                    .unwrap_or_else(|| input.props.order.len());
-                let cols = cols.clone();
-                Output::Partitions(ovc_exec::parallel::repartition_threaded(
-                    batches,
-                    key_len,
-                    *parts,
-                    || partition::by_cols_hash(cols.clone(), *parts),
-                    DEFAULT_CHANNEL_CAPACITY,
-                    self.stats,
-                ))
-            }
-        }
-    }
-}
-
-/// Spill device wrapper that routes every run transfer through the
-/// query context: cancellation and deadline are re-checked at each run
-/// boundary (runs are the natural quantum of sort I/O) and written
-/// bytes charge the context's spill budget before touching the device.
-struct CtxStorage<S: RunStorage> {
-    inner: S,
-    ctx: QueryCtx,
-}
-
-impl<S: RunStorage> RunStorage for CtxStorage<S> {
-    fn write_run(&mut self, run: Run) -> Result<usize, ExecError> {
-        self.ctx.check()?;
-        self.ctx.charge_spill(run.spill_bytes())?;
-        self.inner.write_run(run)
-    }
-
-    fn read_run(&mut self, handle: usize) -> Result<Run, ExecError> {
-        self.ctx.check()?;
-        self.inner.read_run(handle)
-    }
-
-    fn stored_runs(&self) -> usize {
-        self.inner.stored_runs()
-    }
-}
-
-/// Cancellation-point adapter: re-checks the query context every
-/// [`CHECK_INTERVAL`] rows so a long pipelined drain notices
-/// cancellation or a crossed deadline without per-row overhead.  Rows
-/// and codes pass through untouched.
-struct CheckStream {
-    inner: Box<dyn OvcStream + Send>,
-    spec: SortSpec,
-    ctx: QueryCtx,
-    tick: usize,
-}
-
-impl Iterator for CheckStream {
-    type Item = OvcRow;
-    fn next(&mut self) -> Option<OvcRow> {
-        self.tick += 1;
-        if self.tick >= CHECK_INTERVAL {
-            self.tick = 0;
-            self.ctx.check_or_propagate();
-        }
-        self.inner.next()
-    }
-}
-
-impl OvcStream for CheckStream {
-    fn key_len(&self) -> usize {
-        self.spec.len()
-    }
-    fn sort_spec(&self) -> SortSpec {
-        self.spec.clone()
-    }
-}
-
-/// First-`k` adapter: a prefix of a coded stream stays exactly coded.
-struct TakeStream {
-    inner: Box<dyn OvcStream + Send>,
-    spec: SortSpec,
-    left: usize,
-}
-
-impl Iterator for TakeStream {
-    type Item = OvcRow;
-    fn next(&mut self) -> Option<OvcRow> {
-        if self.left == 0 {
-            return None;
-        }
-        self.left -= 1;
-        self.inner.next()
-    }
-}
-
-impl OvcStream for TakeStream {
-    fn key_len(&self) -> usize {
-        self.spec.len()
-    }
-    fn sort_spec(&self) -> SortSpec {
-        self.spec.clone()
-    }
-}
-
-/// Metering adapter around one operator's output stream: times every
-/// `next()` and attributes the [`Stats`] counter delta observed across
-/// it to the operator's [`ProfileNode`].
-///
-/// Rows and codes pass through untouched, and the shared [`Stats`] is
-/// only *read* (two snapshots per `next()`), so profiled output is
-/// byte-identical to unprofiled.  Tallies accumulate in plain fields and
-/// flush to the node's atomics on drop — one flush per stream, covering
-/// early termination (`TopK` abandoning its input) as well as full
-/// drains.  Nested adapters nest their windows, which is exactly the
-/// inclusive accounting convention of `EXPLAIN ANALYZE`.
-struct ProfiledStream {
-    inner: Box<dyn OvcStream + Send>,
-    spec: SortSpec,
-    node: Arc<ProfileNode>,
-    stats: Arc<Stats>,
-    rows: u64,
-    wall: Duration,
-    delta: StatsSnapshot,
-}
-
-impl Iterator for ProfiledStream {
-    type Item = OvcRow;
-    fn next(&mut self) -> Option<OvcRow> {
-        let before = self.stats.snapshot();
-        let start = Instant::now();
-        let item = self.inner.next();
-        self.wall += start.elapsed();
-        self.delta.add(&self.stats.snapshot().since(&before));
-        if item.is_some() {
-            self.rows += 1;
-        }
-        item
-    }
-}
-
-impl OvcStream for ProfiledStream {
-    fn key_len(&self) -> usize {
-        self.spec.len()
-    }
-    fn sort_spec(&self) -> SortSpec {
-        self.spec.clone()
-    }
-}
-
-impl Drop for ProfiledStream {
-    fn drop(&mut self) {
-        self.node.add_rows_out(self.rows);
-        self.node.add_wall(self.wall);
-        self.node.absorb_stats(&self.delta);
+        let (rows, stats, batches) = run(None);
+        assert_eq!(batches, 3, "{n} rows in batches of {DEFAULT_BATCH_ROWS}");
+        assert_eq!(run(Some(DEFAULT_BATCH_ROWS)), (rows.clone(), stats, 3));
+        let (small_rows, small_stats, small_batches) = run(Some(100));
+        assert_eq!(small_batches, n.div_ceil(100) as u64);
+        assert_eq!((small_rows, small_stats), (rows, stats));
     }
 }

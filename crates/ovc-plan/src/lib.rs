@@ -10,8 +10,9 @@
 //!   `Join`, `GroupBy`, `Distinct`, `SetOperation`, `Sort`, `TopK`) with a
 //!   fluent [`logical::LogicalPlan`] builder;
 //! * [`catalog`] — named base tables; tables stored sorted derive their
-//!   offset-value codes once at registration (Section 4.11: scans are a
-//!   source of codes as important as sorting);
+//!   offset-value codes once at registration and keep rows and codes in
+//!   one flat buffer that scans slice batches out of (Section 4.11:
+//!   scans are a source of codes as important as sorting);
 //! * [`physical`] — physical plans annotated with inferred
 //!   [`physical::PhysicalProps`]: sort order *and* code availability,
 //!   propagated through each operator by the `ovc_core::theorem` rules;
@@ -23,7 +24,8 @@
 //!   **elides redundant sorts** (recorded as auditable
 //!   [`physical::PhysOp::TrustSorted`] markers) whenever a required
 //!   ordering is already carried by a coded stream;
-//! * [`exec`] — the executor lowering chosen plans onto
+//! * [`exec`] — the executor: four entry points over one
+//!   batch-at-a-time lowering of chosen plans onto
 //!   `ovc-exec`/`ovc-sort`/`ovc-baseline` operators, returning a coded
 //!   [`ovc_core::OvcStream`] for ordered plans;
 //! * [`profile`] — `EXPLAIN ANALYZE`: [`exec::execute_profiled`] meters
@@ -61,7 +63,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod batch_exec;
+mod batch_exec;
 pub mod catalog;
 pub mod cost;
 pub mod exec;
@@ -71,12 +73,11 @@ pub mod physical;
 pub mod planner;
 pub mod profile;
 
-pub use batch_exec::execute_batched;
 pub use catalog::{Catalog, Table};
 pub use cost::Cost;
 pub use exec::{
-    execute, execute_ctx, execute_ctx_profiled, execute_profiled, execute_stream, ExecOptions,
-    Output,
+    execute, execute_ctx, execute_ctx_profiled, execute_profiled, ExecOptions, Output,
+    DEFAULT_BATCH_ROWS,
 };
 pub use logical::{Aggregate, JoinType, LogicalPlan, Predicate, SetOp};
 pub use physical::{Partitioning, PhysOp, PhysicalPlan, PhysicalProps};

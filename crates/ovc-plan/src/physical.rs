@@ -233,8 +233,8 @@ pub enum PhysOp {
     },
     /// Merge join consuming and producing codes (Section 4.7).  When its
     /// inputs are hash-co-partitioned on the join key (explicit
-    /// [`PhysOp::Exchange`] children), the join runs one worker per
-    /// partition pair (`ovc_exec::parallel::merge_join_partitions`).
+    /// [`PhysOp::Exchange`] children), the join runs one worker thread
+    /// per partition pair.
     MergeJoinOvc {
         /// Left input.
         left: Box<PhysicalPlan>,
@@ -274,20 +274,19 @@ pub enum PhysOp {
     },
     /// Order-preserving exchange (Section 4.10): moves the input into
     /// the target [`Partitioning`].  `Single → Hash` lowers onto the
-    /// threaded splitting shuffle (`split_threaded`, one filter-theorem
-    /// accumulator per partition), `Hash → Single` onto the threaded
-    /// merging shuffle (`merge_threaded`, a tree-of-losers over the
-    /// partition streams).  Codes stay exact across both.
+    /// splitting shuffle (`ovc_exec::route_batches` on a producer
+    /// thread, one filter-theorem accumulator per partition),
+    /// `Hash → Single` onto the merging shuffle (a tree-of-losers over
+    /// the live partition batch streams).  Codes stay exact across both.
     Exchange {
         /// Input plan.
         input: Box<PhysicalPlan>,
         /// Target layout.
         to: Partitioning,
-        /// Rows per [`ovc_core::FlatRows`] batch crossing the exchange
-        /// channels when the plan runs on the batched executor (`None` =
-        /// row-at-a-time).  Stamped by
-        /// [`crate::planner::PlannerConfig::with_batch_size`] and shown
-        /// by `EXPLAIN`.
+        /// Rows per [`ovc_core::FlatRows`] batch crossing this exchange's
+        /// channels (`None` = the executor's own batch size).  Stamped
+        /// by [`crate::planner::PlannerConfig::with_batch_size`] and
+        /// shown by `EXPLAIN`.
         batch: Option<usize>,
     },
     /// Hash-to-hash repartitioning: N splitters × P mergers, all

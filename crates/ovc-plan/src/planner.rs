@@ -38,6 +38,7 @@ use ovc_core::{CostWeights, SortSpec};
 
 use crate::catalog::Catalog;
 use crate::cost::{self, Cost};
+use crate::exec::DEFAULT_BATCH_ROWS;
 use crate::logical::{JoinType, Logical, LogicalPlan, SetOp};
 use crate::physical::{Partitioning, PhysOp, PhysicalPlan, PhysicalProps};
 
@@ -76,12 +77,12 @@ pub struct PlannerConfig {
     /// uncounted wall-clock effect, hence a floor rather than a cost
     /// term).
     pub parallel_threshold_rows: usize,
-    /// Rows per flat batch crossing exchange channels (`None` = the
-    /// row-at-a-time exchange).  Stamped onto every [`PhysOp::Exchange`]
-    /// the planner emits, priced with [`cost::exchange_batched`], and
-    /// shown by `EXPLAIN`; pair it with
-    /// [`crate::ExecOptions::batch_size`] to actually run the plan on
-    /// the batched executor.
+    /// Rows per flat batch crossing exchange channels (`None` = whatever
+    /// the executor runs with, [`crate::DEFAULT_BATCH_ROWS`] unless
+    /// [`crate::ExecOptions::batch_size`] says otherwise).  A `Some` is
+    /// stamped onto every [`PhysOp::Exchange`] the planner emits — where
+    /// it overrides the executor's size — and shown by `EXPLAIN`; either
+    /// way the exchange is priced with [`cost::exchange`].
     pub batch_size: Option<usize>,
 }
 
@@ -584,10 +585,8 @@ impl<'a> Planner<'a> {
     /// [`cost::exchange`].
     fn exchange_to(&self, input: PhysicalPlan, to: Partitioning) -> PhysicalPlan {
         let parts = to.parts().max(input.props.partitioning.parts());
-        let local = match self.config.batch_size {
-            Some(b) => cost::exchange_batched(input.props.rows, parts, b),
-            None => cost::exchange(input.props.rows, parts),
-        };
+        let batch = self.config.batch_size.unwrap_or(DEFAULT_BATCH_ROWS);
+        let local = cost::exchange(input.props.rows, parts, batch);
         let props = PhysicalProps {
             partitioning: to.clone(),
             dop: input.props.dop.max(to.parts()),

@@ -5,7 +5,10 @@
 //! (children in plan child order, so profile and plan walk in lockstep);
 //! [`PhysOp::Exchange`] nodes get per-partition [`ChannelGauge`]s sized
 //! from the plan's partitioning.  The executor
-//! ([`crate::exec::execute_profiled`]) fills the tree in;
+//! ([`crate::exec::execute_profiled`]) fills the tree in through the one
+//! operator-boundary adapter of its lowering — per node, an eager window
+//! around lowering plus a streamed window over every `next_batch`,
+//! disjoint in time and both inclusive of the subtree (DESIGN.md §11);
 //! [`PhysicalPlan::explain_analyze`] runs the plan to completion and
 //! renders each operator as
 //!
@@ -28,7 +31,7 @@ use ovc_core::metrics::{PlanProfile, ProfileNode};
 use ovc_core::Stats;
 
 use crate::catalog::Catalog;
-use crate::exec::{execute_profiled, ExecOptions, Output};
+use crate::exec::{execute_profiled, ExecOptions};
 use crate::physical::{Partitioning, PhysOp, PhysicalPlan};
 
 /// Build the live accumulator tree for one profiled run of `plan`:
@@ -111,16 +114,12 @@ impl PhysicalPlan {
     /// `EXPLAIN ANALYZE` of this planner.
     ///
     /// A fresh [`Stats`] is used for the run, so the rendered counters
-    /// are exactly this execution's.  Ordered roots are drained; the
-    /// output rows are discarded (run [`execute_profiled`] directly to
-    /// keep them alongside the profile).
+    /// are exactly this execution's.  The output rows are discarded (run
+    /// [`execute_profiled`] directly to keep them alongside the
+    /// profile).
     pub fn explain_analyze(&self, catalog: &Catalog, options: &ExecOptions) -> String {
         let stats = Stats::new_shared();
-        let (out, root) = execute_profiled(self, catalog, &stats, options);
-        match out {
-            Output::Stream(s) => for _ in s {},
-            Output::Rows(_) | Output::Partitions(_) => {}
-        }
+        let (_, root) = execute_profiled(self, catalog, &stats, options);
         render_analyze(self, &root.snapshot())
     }
 }

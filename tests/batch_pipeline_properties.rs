@@ -1,12 +1,28 @@
-//! The batched-execution differential harness (DESIGN.md §12): the
-//! batched executor is the row executor, batched.  For any plan, any
-//! batch size, and any degree of parallelism, running with
-//! [`ExecOptions::batch_size`] set must produce **byte-identical rows,
-//! byte-identical exact offset-value codes, and identical [`Stats`]
-//! totals** versus the row-at-a-time executor on the *same physical
-//! plan* — equal-dop runs share a plan, so their counter totals are
-//! comparable (cross-dop runs only owe row/code identity: parallel
-//! plans legitimately do different amounts of comparison work).
+//! The batch-size × parallelism differential harness (DESIGN.md §12).
+//! There is one executor; [`ExecOptions::batch_size`] and the planner's
+//! dop tune granularity and threading, never results.  For any plan,
+//! every point of `batch_size ∈ {None, 1, a small odd size, ≥ the input}`
+//! × `dop ∈ {1, 2, 4}` must produce
+//!
+//! * **rows equal to an independent reference** — the logical plan
+//!   interpreted over the `ovc-baseline` operators (plain sort, hash
+//!   distinct, Grace hash join, full-compare grouping) and naive
+//!   multiset arithmetic where the baseline has no operator;
+//! * **exact offset-value codes**, re-derived from the rows by
+//!   [`assert_codes_exact_spec`] under the plan's own output spec, and
+//!   byte-identical rows and codes across *all* twelve points;
+//! * **identical [`Stats`] totals across the batch sizes of one plan**
+//!   (one dop).  Cross-dop runs execute different physical trees, which
+//!   legitimately do different amounts of comparison work and owe only
+//!   row/code identity.  The one exception inside a plan is early
+//!   termination: under a `TopK`, operators finish the batch in flight
+//!   before the limit is observed, so counters may grow with the batch
+//!   size (never the results).
+//!
+//! Until the row-at-a-time executor was deleted this harness proved
+//! row ≡ batched on the same corpus; that proof is what licensed the
+//! delete, and the reference interpreter now stands where the row
+//! executor stood.
 //!
 //! Plans are generated by a seeded recursive generator over tables
 //! chosen adversarially for batching: duplicate-heavy (long runs of
@@ -15,11 +31,14 @@
 //! empty.  Set `RANDOM_SEED` to explore a fresh corner of the space
 //! (CI pins one job to the run id); the default seed is fixed.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use ovc_core::derive::assert_codes_exact_spec;
-use ovc_core::{Ovc, Row, SortSpec, Stats, StatsSnapshot};
+use ovc_core::{Ovc, OvcRow, Row, SortSpec, Stats, StatsSnapshot};
+use ovc_exec::NULL_VALUE;
 use ovc_plan::exec::{execute, ExecOptions, Output};
+use ovc_plan::logical::Logical;
 use ovc_plan::{
     Aggregate, Catalog, JoinType, LogicalPlan, Planner, PlannerConfig, Predicate, Preference,
     SetOp, Table,
@@ -27,10 +46,12 @@ use ovc_plan::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Batch sizes the harness sweeps: the degenerate row-at-a-time batch,
-/// small odd sizes that put seams everywhere, and production-ish sizes
-/// larger than many inputs (a single batch per stream).
-const BATCH_SIZES: [usize; 5] = [1, 3, 7, 64, 1024];
+/// Small batch sizes that put seams everywhere.
+const SMALL_BATCHES: [usize; 4] = [2, 3, 7, 64];
+/// Batch sizes no smaller than any stream in the corpus (tables hold
+/// < 250 rows; the widest join output stays far below): one batch per
+/// stream.
+const WHOLE_INPUT_BATCHES: [usize; 2] = [1 << 16, 1 << 20];
 
 fn table(rng: &mut StdRng, profile: usize, n: usize) -> Vec<Row> {
     (0..n)
@@ -123,9 +144,9 @@ fn random_plan(rng: &mut StdRng) -> LogicalPlan {
     }
 }
 
-/// Execute `plan` on one executor (row-at-a-time for `batch == None`,
-/// batched otherwise), with every elided sort audited, and return the
-/// coded output plus the run's counter totals.
+/// Execute `plan` with `batch` rows per batch (`None` = the engine
+/// default), every elided sort audited, and return the coded output
+/// plus the run's counter totals.
 fn run(
     plan: &ovc_plan::PhysicalPlan,
     catalog: &Catalog,
@@ -150,61 +171,214 @@ fn run(
     (pairs, stats.snapshot())
 }
 
-/// The differential property for one logical plan: batched ≡ row-wise
-/// on the shared serial plan (rows, codes, and Stats, per batch size),
-/// batched ≡ row-wise on each shared dop-2/dop-4 plan likewise, and
-/// every run's codes are exact under the plan's own output spec.
+// ---------------------------------------------------------------------
+// The reference: the logical plan interpreted without a single
+// order-based operator of the engine under test.
+// ---------------------------------------------------------------------
+
+fn counted(rows: Vec<Row>) -> BTreeMap<Row, usize> {
+    let mut m = BTreeMap::new();
+    for r in rows {
+        *m.entry(r).or_insert(0) += 1;
+    }
+    m
+}
+
+fn reference_join(l: Vec<Row>, r: Vec<Row>, j: usize, jt: JoinType) -> Vec<Row> {
+    let stats = Stats::new_shared();
+    let (lw, rw) = (2, 2); // every harness table is two columns wide
+    let matched = |a: &Row, b: &Row| a.key(j) == b.key(j);
+    let pad_right = |a: &Row| {
+        let mut c = a.cols().to_vec();
+        c.resize(lw + rw - j, NULL_VALUE);
+        Row::new(c)
+    };
+    let pad_left = |b: &Row| {
+        let mut c = b.cols()[..j].to_vec();
+        c.resize(lw, NULL_VALUE);
+        c.extend_from_slice(&b.cols()[j..]);
+        Row::new(c)
+    };
+    let unmatched_left = || l.iter().filter(|a| !r.iter().any(|b| matched(a, b)));
+    let unmatched_right = || r.iter().filter(|b| !l.iter().any(|a| matched(a, b)));
+    let inner = || ovc_baseline::grace_hash_join(l.clone(), r.clone(), j, usize::MAX, &stats);
+    match jt {
+        JoinType::Inner => inner(),
+        JoinType::LeftOuter => inner()
+            .into_iter()
+            .chain(unmatched_left().map(pad_right))
+            .collect(),
+        JoinType::RightOuter => inner()
+            .into_iter()
+            .chain(unmatched_right().map(pad_left))
+            .collect(),
+        JoinType::FullOuter => inner()
+            .into_iter()
+            .chain(unmatched_left().map(pad_right))
+            .chain(unmatched_right().map(pad_left))
+            .collect(),
+        JoinType::LeftSemi => l
+            .iter()
+            .filter(|a| r.iter().any(|b| matched(a, b)))
+            .cloned()
+            .collect(),
+        JoinType::LeftAnti => unmatched_left().cloned().collect(),
+    }
+}
+
+fn reference_set_op(l: Vec<Row>, r: Vec<Row>, op: SetOp) -> Vec<Row> {
+    let (lc, rc) = (counted(l), counted(r));
+    let rows: BTreeSet<&Row> = lc.keys().chain(rc.keys()).collect();
+    let mut out = Vec::new();
+    for row in rows {
+        let (a, b) = (
+            lc.get(row).copied().unwrap_or(0),
+            rc.get(row).copied().unwrap_or(0),
+        );
+        let copies = match op {
+            SetOp::Union => 1,
+            SetOp::UnionAll => a + b,
+            SetOp::Intersect => usize::from(a > 0 && b > 0),
+            SetOp::IntersectAll => a.min(b),
+            SetOp::Except => usize::from(a > 0 && b == 0),
+            SetOp::ExceptAll => a.saturating_sub(b),
+        };
+        out.extend(std::iter::repeat_n(row.clone(), copies));
+    }
+    out
+}
+
+/// The rows `node` denotes, in arbitrary order.  `TopK` is not handled
+/// here — which tied rows make the cut is the plan's choice — the
+/// harness checks it against its input's reference instead.
+fn reference(node: &Logical, catalog: &Catalog) -> Vec<Row> {
+    let stats = Stats::new_shared();
+    match node {
+        Logical::Scan { table } => catalog.get(table).expect("table").to_rows(),
+        Logical::Filter { input, pred } => reference(input, catalog)
+            .into_iter()
+            .filter(|r| pred.eval(r))
+            .collect(),
+        Logical::Join {
+            left,
+            right,
+            join_len,
+            join_type,
+        } => reference_join(
+            reference(left, catalog),
+            reference(right, catalog),
+            *join_len,
+            *join_type,
+        ),
+        Logical::SetOperation { left, right, op } => {
+            reference_set_op(reference(left, catalog), reference(right, catalog), *op)
+        }
+        Logical::GroupBy {
+            input,
+            group_len,
+            aggs,
+        } => {
+            let sorted =
+                ovc_baseline::sort_rows_plain(reference(input, catalog), *group_len, &stats);
+            let stream = sorted.into_iter().map(|r| OvcRow::new(r, Ovc::duplicate()));
+            ovc_baseline::GroupFullCompare::new(
+                stream,
+                *group_len,
+                aggs.clone(),
+                Arc::clone(&stats),
+            )
+            .collect()
+        }
+        Logical::Distinct { input } => {
+            ovc_baseline::hash_aggregate_distinct(reference(input, catalog), usize::MAX, &stats)
+        }
+        Logical::Sort { input, .. } => reference(input, catalog),
+        other => panic!("the harness generator never emits {other:?}"),
+    }
+}
+
+/// Hold the engine's rows to the reference: equal as multisets, or —
+/// under a `TopK` root, where ties are the plan's to break — the right
+/// count, the `k` smallest keys in order, every row drawn from the
+/// input's reference.
+fn assert_matches_reference(q: &LogicalPlan, catalog: &Catalog, got: &[(Row, Ovc)]) {
+    let mut rows: Vec<Row> = got.iter().map(|(r, _)| r.clone()).collect();
+    if let Logical::TopK { input, key_len, k } = &q.root {
+        let mut pool = reference(input, catalog);
+        pool.sort();
+        assert_eq!(rows.len(), pool.len().min(*k), "TopK row count");
+        let want: Vec<&[u64]> = pool.iter().take(*k).map(|r| r.key(*key_len)).collect();
+        let keys: Vec<&[u64]> = rows.iter().map(|r| r.key(*key_len)).collect();
+        assert_eq!(keys, want, "TopK keys");
+        let pool = counted(pool);
+        for (row, n) in counted(rows) {
+            assert!(
+                pool.get(&row).copied().unwrap_or(0) >= n,
+                "TopK row {row:?}"
+            );
+        }
+        return;
+    }
+    let mut want = reference(&q.root, catalog);
+    rows.sort();
+    want.sort();
+    assert_eq!(rows, want, "engine rows vs the ovc-baseline reference");
+}
+
+/// The differential property for one logical plan (see the module
+/// docs): every batch-size × dop point returns the same rows and codes,
+/// those rows are the reference's, the codes re-derive exactly, and one
+/// plan's counters do not depend on the batch size.
 fn assert_batching_is_invisible(q: &LogicalPlan, catalog: &Catalog, rng: &mut StdRng) {
     let base = PlannerConfig::default()
         .with_memory_rows(48)
         .with_fan_in(8)
         .with_preference(Preference::ForceSortBased);
+    // Four draws per case, as ever: the default seed still generates the
+    // corpus the row ≡ batched proof ran on.
+    let batches = [
+        None,
+        Some(1),
+        Some(SMALL_BATCHES[rng.gen_range(0..SMALL_BATCHES.len())]),
+        Some(WHOLE_INPUT_BATCHES[rng.gen_range(0..WHOLE_INPUT_BATCHES.len())]),
+    ];
 
-    let serial_plan = Planner::new(catalog, base).plan(q).expect("plans");
-    let spec: SortSpec = serial_plan.props.order.clone();
-    let (reference, serial_stats) = run(&serial_plan, catalog, None);
-    assert_codes_exact_spec(&reference, &spec);
-
-    // Early termination quantizes to batch granularity: under a TopK
-    // root, streaming operators below the limit may process up to one
-    // batch of input beyond the cutoff, so their counters legitimately
-    // exceed the row executor's (DESIGN.md §12).  Rows and codes are
-    // still held byte-identical.
-    let stats_comparable = serial_plan.count_op("TopK") == 0;
-
-    // Batched-serial: same plan, same totals, for a sweep of sizes.
-    let swept: Vec<usize> = {
-        let mut s = vec![BATCH_SIZES[rng.gen_range(0..BATCH_SIZES.len())]];
-        s.push(BATCH_SIZES[rng.gen_range(0..BATCH_SIZES.len())]);
-        s
-    };
-    for &b in &swept {
-        let (batched, batched_stats) = run(&serial_plan, catalog, Some(b));
-        assert_eq!(batched, reference, "batch={b} vs serial rows/codes");
-        if stats_comparable {
-            assert_eq!(batched_stats, serial_stats, "batch={b} vs serial Stats");
-        }
-    }
-
-    // Batched-parallel: per dop, one plan (with batch-stamped exchange
-    // edges) executed by both executors — identical rows, codes, and
-    // totals between the pair, identical rows and codes to serial.
-    for dop in [2usize, 4] {
-        let b = BATCH_SIZES[rng.gen_range(0..BATCH_SIZES.len())];
-        let cfg = base
-            .with_dop(dop)
-            .with_parallel_threshold(1)
-            .with_batch_size(b);
+    let mut reference_run: Option<Vec<(Row, Ovc)>> = None;
+    for dop in [1usize, 2, 4] {
+        let cfg = if dop == 1 {
+            base
+        } else {
+            // Half the parallel plans stamp their own batch size onto the
+            // exchange edges (it wins there over ExecOptions), half leave
+            // every edge to the option under test.
+            let cfg = base.with_dop(dop).with_parallel_threshold(1);
+            match rng.gen_range(0..2 * SMALL_BATCHES.len()) {
+                i if i < SMALL_BATCHES.len() => cfg.with_batch_size(SMALL_BATCHES[i]),
+                _ => cfg,
+            }
+        };
         let plan = Planner::new(catalog, cfg).plan(q).expect("plans");
-        let (row_par, row_stats) = run(&plan, catalog, None);
-        assert_eq!(row_par, reference, "dop={dop} row-wise vs serial");
-        let (bat_par, bat_stats) = run(&plan, catalog, Some(b));
-        assert_eq!(bat_par, reference, "dop={dop} batch={b} vs serial");
-        if stats_comparable {
-            assert_eq!(
-                bat_stats, row_stats,
-                "dop={dop} batch={b}: batched Stats vs row-wise Stats on the same plan"
-            );
+        let spec: SortSpec = plan.props.order.clone();
+        // Early termination quantizes to batch granularity (§12).
+        let stats_comparable = plan.count_op("TopK") == 0;
+        let mut plan_stats: Option<StatsSnapshot> = None;
+        for batch in batches {
+            let (got, stats) = run(&plan, catalog, batch);
+            assert_codes_exact_spec(&got, &spec);
+            match &reference_run {
+                None => {
+                    assert_matches_reference(q, catalog, &got);
+                    reference_run = Some(got);
+                }
+                Some(first) => assert_eq!(&got, first, "dop={dop} batch={batch:?} rows/codes"),
+            }
+            if stats_comparable {
+                let first = *plan_stats.get_or_insert(stats);
+                assert_eq!(
+                    stats, first,
+                    "dop={dop} batch={batch:?} Stats vs batch=None"
+                );
+            }
         }
     }
 }
@@ -213,7 +387,7 @@ fn assert_batching_is_invisible(q: &LogicalPlan, catalog: &Catalog, rng: &mut St
 /// distributions).  `RANDOM_SEED` reseeds the whole corpus; CI runs the
 /// fixed default on every push and a run-id seed on one extra job.
 #[test]
-fn random_plans_execute_identically_batched_and_rowwise() {
+fn random_plans_execute_identically_at_every_batch_size_and_dop() {
     let seed: u64 = std::env::var("RANDOM_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
@@ -226,14 +400,14 @@ fn random_plans_execute_identically_batched_and_rowwise() {
             assert_batching_is_invisible(&q, &catalog, &mut rng);
         }));
         if let Err(e) = result {
-            panic!("case {case} (seed {seed:#x}) failed: {e:?}");
+            panic!("case {case} (seed {seed:#x}) failed on {q}: {e:?}");
         }
     }
 }
 
-/// The multiset sanity check behind the differential: batching must not
-/// change query *semantics* either (guards against a bug that breaks
-/// both executors identically at the exchange boundary).
+/// A hand-computed answer beside the interpreted reference: batching
+/// must not change query *semantics* either (guards against a bug that
+/// breaks every axis point identically at the exchange boundary).
 #[test]
 fn batched_group_by_matches_reference_semantics() {
     let mut rng = StdRng::seed_from_u64(0x6B0B);
@@ -275,11 +449,12 @@ fn seam_run(q: &LogicalPlan, catalog: &Catalog, b: usize) -> Vec<(Row, Ovc)> {
     let cfg = PlannerConfig::default().with_preference(Preference::ForceSortBased);
     let plan = Planner::new(catalog, cfg).plan(q).expect("plans");
     let spec = plan.props.order.clone();
-    let (reference, ref_stats) = run(&plan, catalog, None);
+    let (whole, whole_stats) = run(&plan, catalog, None);
     let (batched, batched_stats) = run(&plan, catalog, Some(b));
-    assert_eq!(batched, reference, "batch={b}");
-    assert_eq!(batched_stats, ref_stats, "batch={b} Stats");
+    assert_eq!(batched, whole, "batch={b} vs one batch per stream");
+    assert_eq!(batched_stats, whole_stats, "batch={b} Stats");
     assert_codes_exact_spec(&batched, &spec);
+    assert_matches_reference(q, catalog, &batched);
     batched
 }
 
@@ -314,7 +489,7 @@ fn group_spanning_three_seams_aggregates_once() {
 }
 
 #[test]
-fn join_key_run_straddling_a_seam_matches_rowwise() {
+fn join_key_run_straddling_a_seam_matches_the_reference() {
     // Left has a run of 6 rows with key 4 (straddles every odd batch
     // size), right matches it 3 times: the 18-row cross-group must come
     // out identically coded however the batches cut the run.

@@ -23,7 +23,7 @@ use ovc_repro::core::fault::{self, FaultConfig, FaultPoint};
 use ovc_repro::core::{QueryCtx, Row, SortSpec, Stats};
 use ovc_repro::plan::{
     execute, execute_ctx, execute_ctx_profiled, execute_profiled, Aggregate, Catalog, ExecOptions,
-    LogicalPlan, Planner, PlannerConfig, SetOp, Table,
+    JoinType, LogicalPlan, Planner, PlannerConfig, Preference, SetOp, Table,
 };
 use ovc_repro::sort::{
     external_sort_spec_resilient, try_external_sort_spec, MemoryRunStorage, SortConfig,
@@ -111,6 +111,79 @@ fn parallel_config() -> PlannerConfig {
         .with_dop(4)
         .with_parallel_threshold(512)
         .with_batch_size(256)
+}
+
+/// The batched-context fixture: a merge join over two heap tables whose
+/// input sorts spill through the serial arm at dop 1 *and* at dop 4.
+/// Each table (600 rows) stays under the parallel threshold, so its
+/// sort is stamped serial and spills through a 64-row budget; the
+/// join's combined input (1 200 rows) clears the threshold, so at dop 4
+/// it is bracketed by exchanges and each sort — spill device included —
+/// runs on a splitting exchange's producer thread.
+fn spilling_join_catalog(seed: u64) -> Catalog {
+    let mut cat = Catalog::new();
+    cat.register("a", Table::unsorted(random_rows(600, seed ^ 0xA)));
+    cat.register("b", Table::unsorted(random_rows(600, seed ^ 0xB)));
+    cat
+}
+
+fn spilling_join_query() -> LogicalPlan {
+    LogicalPlan::scan("a").join(LogicalPlan::scan("b"), 1, JoinType::Inner)
+}
+
+fn spilling_join_configs() -> [(usize, PlannerConfig); 2] {
+    let base = PlannerConfig::default()
+        .with_preference(Preference::ForceSortBased)
+        .with_memory_rows(64)
+        .with_fan_in(4)
+        .with_parallel_threshold(1_000)
+        .with_batch_size(4);
+    [(1, base), (4, base.with_dop(4))]
+}
+
+/// The fixture is what its doc says: serial spilling sorts under (at
+/// dop 4) one gathering and two splitting exchanges.
+fn assert_spilling_join_shape(cat: &Catalog, dop: usize, config: PlannerConfig) {
+    let plan = Planner::new(cat, config)
+        .plan(&spilling_join_query())
+        .expect("plans");
+    assert_eq!(plan.count_op("SortOvc"), 2, "{plan}");
+    assert_eq!(
+        plan.count_op("Exchange"),
+        if dop == 1 { 0 } else { 3 },
+        "{plan}"
+    );
+    for node in plan.nodes() {
+        if node.op_name() == "SortOvc" {
+            assert_eq!(node.props.dop, 1, "sorts must take the serial arm:\n{plan}");
+        }
+    }
+}
+
+/// The spilling-join fixture planned under `config`, with the options
+/// that run it and the hard floor on its completion time once
+/// `SlowConsumer` always fires: every context-checked operator boundary
+/// and every exchange receive then sleeps 1 ms per batch, so the root's
+/// batch count alone (read off a clean profiled run) is a lower bound
+/// in milliseconds.
+fn slowed_spilling_join(
+    cat: &Catalog,
+    config: PlannerConfig,
+) -> (ovc_repro::plan::PhysicalPlan, ExecOptions, Duration) {
+    let plan = Planner::new(cat, config)
+        .plan(&spilling_join_query())
+        .expect("plans");
+    let options = ExecOptions {
+        batch_size: config.batch_size,
+        ..ExecOptions::default()
+    };
+    let (_, prof) = execute_profiled(&plan, cat, &Stats::new_shared(), &options);
+    let floor = Duration::from_millis(prof.snapshot().metrics.batches);
+    assert!(
+        floor >= Duration::from_secs(1),
+        "fixture too small: {floor:?}"
+    );
+    (plan, options, floor)
 }
 
 /// (rows, codes) of a coded output, for byte-identity assertions.
@@ -247,15 +320,32 @@ fn plan_level_spill_fault_recovers_to_identical_output() {
     let config = spilling_sort_config();
     let (rows, codes, _) = run_plain(&cat, &query, config);
 
-    // The executor's ctx mode routes serial sorts through the resilient
-    // path: the injected device failure is absorbed by the re-sort-
-    // from-source retry and the query still answers byte-identically.
+    // The executor recovers serial sorts from spill-device faults: the
+    // injected failure is absorbed by re-running the sort's input and
+    // sorting resident, and the query still answers byte-identically.
     let _guard = fault::install(FaultConfig::new(seed).once(FaultPoint::SpillWrite));
     let qctx = QueryCtx::new();
     let (f_rows, f_codes, _) =
         run_ctx(&cat, &query, config, &qctx).expect("ctx executor recovers the spill fault");
     assert_eq!(f_rows, rows, "recovered rows differ");
     assert_eq!(f_codes, codes, "recovered codes differ");
+    drop(_guard);
+
+    // The same on `with_batch_size` plans, serial and through exchanges
+    // (where the failing sort runs on a producer thread): the sort's
+    // input subtree is re-lowered and re-sorted resident, and the join
+    // above answers byte-identically.
+    let cat = spilling_join_catalog(seed);
+    for (dop, config) in spilling_join_configs() {
+        assert_spilling_join_shape(&cat, dop, config);
+        let (rows, codes, clean) = run_plain(&cat, &spilling_join_query(), config);
+        assert!(clean.rows_spilled > 0, "dop={dop}: the fixture must spill");
+        let _guard = fault::install(FaultConfig::new(seed).once(FaultPoint::SpillWrite));
+        let (f_rows, f_codes, _) = run_ctx(&cat, &spilling_join_query(), config, &QueryCtx::new())
+            .unwrap_or_else(|err| panic!("dop={dop}: spill fault must be recovered, got {err}"));
+        assert_eq!(f_rows, rows, "dop={dop}: recovered rows differ");
+        assert_eq!(f_codes, codes, "dop={dop}: recovered codes differ");
+    }
 }
 
 #[test]
@@ -372,6 +462,130 @@ fn deadline_cancellation_and_budget_fail_typed() {
     let starved = QueryCtx::build(None, Some(1));
     let err = run_ctx(&cat, &query, config, &starved).expect_err("starved spill budget");
     assert_eq!(err.reason(), "spill_budget");
+
+    // Likewise on `with_batch_size` plans at dop 1 and dop 4 — at dop 4
+    // the refusal is raised on an exchange producer thread and reaches
+    // the caller as the same typed error through the poison protocol.
+    let cat = spilling_join_catalog(seed);
+    for (dop, config) in spilling_join_configs() {
+        let starved = QueryCtx::build(None, Some(1));
+        let err = run_ctx(&cat, &spilling_join_query(), config, &starved)
+            .expect_err("starved spill budget");
+        assert_eq!(err.reason(), "spill_budget", "dop={dop}: got {err}");
+        assert!(
+            starved.spilled_bytes() > 1,
+            "dop={dop}: the spill was charged"
+        );
+    }
+}
+
+/// A deadline crossed *mid-plan* fails the query then, not after the
+/// plan has run to completion.  Made deterministic with the
+/// `SlowConsumer` fault (see [`slowed_spilling_join`]): a deadline far
+/// below the plan's floor must return `timeout` in well under it.
+#[test]
+fn deadline_crossed_mid_plan_stops_the_plan() {
+    let _l = locked();
+    fault::clear();
+    let seed = suite_seed();
+    let cat = spilling_join_catalog(seed);
+    for (dop, config) in spilling_join_configs() {
+        let (plan, options, floor) = slowed_spilling_join(&cat, config);
+        let _guard = fault::install(FaultConfig::new(seed).always(FaultPoint::SlowConsumer));
+        let qctx = QueryCtx::with_timeout(floor / 20);
+        let started = std::time::Instant::now();
+        let err = execute_ctx(&plan, &cat, &Stats::new_shared(), &options, &qctx)
+            .map(|_| ())
+            .expect_err("the deadline is far below the plan's floor");
+        let elapsed = started.elapsed();
+        assert_eq!(err.reason(), "timeout", "dop={dop}: got {err}");
+        assert!(
+            elapsed < floor / 2,
+            "dop={dop}: timeout surfaced after {elapsed:?}; the plan cannot complete \
+             in under {floor:?}, so it was not stopped mid-plan"
+        );
+    }
+}
+
+/// Recovery re-runs the sort's input instead of having retained a copy
+/// of it: after one recovered spill fault the profile shows exactly one
+/// scan run twice (its rows counted twice), the other once, and the
+/// join's output unchanged.
+#[test]
+fn recovered_sort_reruns_its_input_subtree() {
+    let _l = locked();
+    let seed = suite_seed();
+    let cat = spilling_join_catalog(seed);
+    let (dop, config) = spilling_join_configs()[0];
+    assert_eq!(dop, 1);
+    let plan = Planner::new(&cat, config)
+        .plan(&spilling_join_query())
+        .expect("plans");
+    let options = ExecOptions {
+        batch_size: config.batch_size,
+        ..ExecOptions::default()
+    };
+    let (clean, _) = execute_profiled(&plan, &cat, &Stats::new_shared(), &options);
+    let clean = coded_pairs(clean);
+
+    let _guard = fault::install(FaultConfig::new(seed).once(FaultPoint::SpillWrite));
+    let (out, prof) = execute_ctx_profiled(
+        &plan,
+        &cat,
+        &Stats::new_shared(),
+        &options,
+        &QueryCtx::new(),
+    )
+    .expect("the spill fault is recovered");
+    assert_eq!(coded_pairs(out), clean, "recovered output differs");
+    let profile = prof.snapshot();
+    let mut scanned: Vec<u64> = profile
+        .nodes()
+        .iter()
+        .filter(|n| n.name == "ScanRows")
+        .map(|n| n.metrics.rows_out)
+        .collect();
+    scanned.sort();
+    assert_eq!(scanned, [600, 1_200], "one input re-lowered, once");
+}
+
+/// Cancellation from another thread stops a running plan at the next
+/// batch, serial or parallel.  `SlowConsumer` (always firing) puts the
+/// same hard floor under the plan's completion time as in the deadline
+/// test, and the canceller waits for the query thread's go-ahead, so
+/// "cancelled, well under the floor" can only mean "stopped mid-plan".
+#[test]
+fn cancellation_mid_plan_stops_the_plan() {
+    let _l = locked();
+    fault::clear();
+    let seed = suite_seed();
+    let cat = spilling_join_catalog(seed);
+    for (dop, config) in spilling_join_configs() {
+        let (plan, options, floor) = slowed_spilling_join(&cat, config);
+        let _guard = fault::install(FaultConfig::new(seed).always(FaultPoint::SlowConsumer));
+        let qctx = QueryCtx::new();
+        let (go_tx, go_rx) = std::sync::mpsc::sync_channel::<()>(1);
+        let canceller = {
+            let qctx = qctx.clone();
+            std::thread::spawn(move || {
+                go_rx.recv().expect("query thread signals its start");
+                std::thread::sleep(Duration::from_millis(20));
+                qctx.cancel();
+            })
+        };
+        let started = std::time::Instant::now();
+        go_tx.send(()).expect("canceller is waiting");
+        let err = execute_ctx(&plan, &cat, &Stats::new_shared(), &options, &qctx)
+            .map(|_| ())
+            .expect_err("a cancelled query cannot succeed");
+        let elapsed = started.elapsed();
+        canceller.join().expect("canceller");
+        assert_eq!(err.reason(), "cancelled", "dop={dop}: got {err}");
+        assert!(
+            elapsed < floor / 2,
+            "dop={dop}: cancelled after {elapsed:?} of a plan that needs {floor:?}"
+        );
+    }
 }
 
 #[test]
@@ -382,8 +596,8 @@ fn disabled_registry_is_differentially_identical() {
     let seed = suite_seed();
     let cat = catalog(1_500, seed ^ 6);
 
-    // Row executor (serial spilling sort), batched parallel executor,
-    // and both profiled variants: the fault-tolerant entry points must
+    // A serial spilling sort, parallel exchange plans, and the profiled
+    // variants of each: the fault-tolerant entry points must
     // reproduce rows, codes, and Stats byte-for-byte when no fault is
     // armed — fault tolerance is free until a fault actually fires.
     let cases = [

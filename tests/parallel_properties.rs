@@ -152,15 +152,17 @@ proptest! {
         }
     }
 
-    /// Partition-parallel grouping ≡ serial grouping, rows and codes,
-    /// for arbitrary inputs (few distinct keys leave partitions empty;
-    /// the hash on the group key may park everything on one worker).
+    /// Planned partition-parallel grouping ≡ the serial operator, rows
+    /// and codes, for arbitrary inputs (few distinct keys leave
+    /// partitions empty; the hash on the group key may park everything
+    /// on one worker; the empty table runs every worker dry).
     #[test]
     fn partitioned_group_by_equals_serial(
         rows in rows_strategy(2, 300),
         parts in 2usize..5,
     ) {
-        use ovc_exec::{group_partitions, Aggregate, GroupAggregate};
+        use ovc_exec::GroupAggregate;
+        use ovc_plan::{Aggregate, Catalog, LogicalPlan, Planner, Table};
         let mut rows = rows;
         rows.sort();
         let aggs = vec![Aggregate::Count, Aggregate::Sum(1), Aggregate::Last(1)];
@@ -171,16 +173,22 @@ proptest! {
             Stats::new_shared(),
         )
         .collect();
-        let stats = Stats::new_shared();
-        let split = split_threaded(
-            CodedBatch::from_sorted_rows(rows, 2),
-            parts,
-            partition::by_key_hash(1, parts),
-            8,
+        let mut catalog = Catalog::new();
+        catalog.register("t", Table::sorted(rows, 2));
+        let q = LogicalPlan::scan("t").group_by(1, aggs);
+        let cfg = PlannerConfig::default()
+            .with_preference(Preference::ForceSortBased)
+            .with_dop(parts)
+            .with_parallel_threshold(0);
+        let plan = Planner::new(&catalog, cfg).plan(&q).expect("plans");
+        prop_assert_eq!(plan.count_op("Exchange"), 2, "split + gather:\n{}", plan);
+        let gathered = execute(
+            &plan,
+            &catalog,
+            &Stats::new_shared(),
+            &ExecOptions { verify_trusted: true, ..Default::default() },
         )
-        .collect_all();
-        let grouped = group_partitions(split, 1, aggs, &stats);
-        let gathered: Vec<OvcRow> = merge_threaded(grouped, 1, 8, &stats).collect();
+        .into_coded();
         prop_assert_eq!(gathered, serial, "parts={}", parts);
     }
 
@@ -217,8 +225,9 @@ proptest! {
         prop_assert_eq!(out, serial, "parts={}", parts);
     }
 
-    /// Partition-parallel set operations ≡ serial, rows and codes, for
-    /// all six operations over arbitrary (including empty) inputs.
+    /// Planned partition-parallel set operations ≡ the serial operator,
+    /// rows and codes, for all six operations over arbitrary (including
+    /// empty) inputs.
     #[test]
     fn partitioned_set_ops_equal_serial(
         l in rows_strategy(2, 200),
@@ -226,8 +235,8 @@ proptest! {
         op_sel in 0usize..6,
         parts in 2usize..4,
     ) {
-        use ovc_exec::parallel::set_op_partitions;
-        use ovc_exec::{SetOp, SetOperation};
+        use ovc_exec::SetOperation;
+        use ovc_plan::{Catalog, LogicalPlan, Planner, SetOp, Table};
         let op = [
             SetOp::Union,
             SetOp::UnionAll,
@@ -246,23 +255,23 @@ proptest! {
             Stats::new_shared(),
         )
         .collect();
-        let stats = Stats::new_shared();
-        let lp = split_threaded(
-            CodedBatch::from_sorted_rows(l, 2),
-            parts,
-            partition::by_key_hash(2, parts),
-            8,
+        let mut catalog = Catalog::new();
+        catalog.register("l", Table::sorted(l, 2));
+        catalog.register("r", Table::sorted(r, 2));
+        let q = LogicalPlan::scan("l").set_op(LogicalPlan::scan("r"), op);
+        let cfg = PlannerConfig::default()
+            .with_preference(Preference::ForceSortBased)
+            .with_dop(parts)
+            .with_parallel_threshold(0);
+        let plan = Planner::new(&catalog, cfg).plan(&q).expect("plans");
+        prop_assert_eq!(plan.count_op("Exchange"), 3, "two splits + gather:\n{}", plan);
+        let gathered = execute(
+            &plan,
+            &catalog,
+            &Stats::new_shared(),
+            &ExecOptions { verify_trusted: true, ..Default::default() },
         )
-        .collect_all();
-        let rp = split_threaded(
-            CodedBatch::from_sorted_rows(r, 2),
-            parts,
-            partition::by_key_hash(2, parts),
-            8,
-        )
-        .collect_all();
-        let outs = set_op_partitions(lp, rp, op, &stats);
-        let gathered: Vec<OvcRow> = merge_threaded(outs, 2, 8, &stats).collect();
+        .into_coded();
         prop_assert_eq!(gathered, serial, "{:?} parts={}", op, parts);
     }
 
