@@ -71,10 +71,10 @@ impl<S: Iterator<Item = OvcRow>> Iterator for GroupFullCompare<S> {
                         let aggs = &self.aggregates;
                         let (_, accs) = self.pending.as_mut().expect("pending");
                         for (acc, agg) in accs.iter_mut().zip(aggs) {
-                            *acc = agg.fold(*acc, &row);
+                            *acc = agg.fold(*acc, row.cols());
                         }
                     } else {
-                        let accs = self.aggregates.iter().map(|a| a.init(&row)).collect();
+                        let accs = self.aggregates.iter().map(|a| a.init(row.cols())).collect();
                         if let Some(done) = self.pending.replace((row, accs)) {
                             return Some(self.finish(done));
                         }
@@ -88,8 +88,10 @@ impl<S: Iterator<Item = OvcRow>> Iterator for GroupFullCompare<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ovc_core::batch::collect_batch_pairs;
     use ovc_core::VecStream;
     use ovc_exec::GroupAggregate;
+    use ovc_sort::Run;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -115,10 +117,11 @@ mod tests {
             Arc::clone(&stats),
         )
         .collect();
-        let ovc: Vec<Row> =
-            GroupAggregate::new(VecStream::from_sorted_rows(rows, 3), 2, aggs, stats)
-                .map(|r| r.row)
-                .collect();
+        let input = Run::from_sorted_rows(rows, 3).batches(64);
+        let ovc: Vec<Row> = collect_batch_pairs(GroupAggregate::new(input, 2, aggs, 64, stats))
+            .into_iter()
+            .map(|(row, _)| row)
+            .collect();
         assert_eq!(baseline, ovc);
     }
 

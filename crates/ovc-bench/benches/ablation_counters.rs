@@ -9,10 +9,20 @@ use std::sync::Arc;
 
 use ovc_baseline::{external_sort_plain, hash_intersect_distinct};
 use ovc_bench::workload::{grouped_sorted_table, intersect_tables, table, TableSpec};
-use ovc_core::{Stats, VecStream};
+use ovc_core::{BatchStream, Stats, VecStream};
 use ovc_exec::plans::{sort_intersect_distinct, IntersectConfig};
-use ovc_exec::{Aggregate, Dedup, GroupAggregate, JoinType, MergeJoin};
-use ovc_sort::{external_sort_collect, sort_rows_ovc, MemoryRunStorage, SortConfig};
+use ovc_exec::{Aggregate, BatchDedup, GroupAggregate, JoinType, MergeJoin};
+use ovc_sort::{external_sort_collect, sort_rows_ovc, MemoryRunStorage, Run, SortConfig};
+
+/// The engine's default batch size.
+const BATCH: usize = 1024;
+
+/// Drain a batch stream, counting its rows.
+fn count_rows(mut stream: impl BatchStream) -> usize {
+    std::iter::from_fn(|| stream.next_batch())
+        .map(|b| b.len())
+        .sum()
+}
 
 fn main() {
     println!("# Ablation: comparison counters (the claims behind the figures)\n");
@@ -75,8 +85,14 @@ fn main() {
     println!("\n## In-stream aggregation boundary tests (Figure 4's mechanism, N = 1M)\n");
     let rows = grouped_sorted_table(1_000_000, 4, 10, 3);
     let s = Stats::new_shared();
-    let input = VecStream::from_sorted_rows(rows.clone(), 4);
-    let _ = GroupAggregate::new(input, 2, vec![Aggregate::Count], Arc::clone(&s)).count();
+    let input = Run::from_sorted_rows(rows.clone(), 4).batches(BATCH);
+    let _ = count_rows(GroupAggregate::new(
+        input,
+        2,
+        vec![Aggregate::Count],
+        BATCH,
+        Arc::clone(&s),
+    ));
     println!(
         "{:<28} col-cmps {:>12}",
         "ovc offset test",
@@ -110,10 +126,10 @@ fn main() {
     l.sort();
     r.sort();
     let s = Stats::new_shared();
-    let ls = VecStream::from_sorted_rows(l, 2);
-    let rs = VecStream::from_sorted_rows(r, 2);
-    let join = MergeJoin::new(ls, rs, 2, JoinType::Inner, 3, 3, Arc::clone(&s));
-    let n_out = Dedup::new(join).count();
+    let ls = Run::from_sorted_rows(l, 2).batches(BATCH);
+    let rs = Run::from_sorted_rows(r, 2).batches(BATCH);
+    let join = MergeJoin::new(ls, rs, 2, JoinType::Inner, 3, 3, BATCH, Arc::clone(&s));
+    let n_out = count_rows(BatchDedup::new(join));
     println!(
         "join+dedup output rows {n_out}; col-cmps {} (bound 2*N*K = {})",
         s.col_value_cmps(),

@@ -8,13 +8,16 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ovc_baseline::GroupFullCompare;
 use ovc_bench::workload::grouped_sorted_table;
-use ovc_core::{Stats, VecStream};
+use ovc_core::{BatchStream, Stats, VecStream};
 use ovc_exec::{Aggregate, GroupAggregate};
+use ovc_sort::Run;
 use std::sync::Arc;
 
 const ROWS: usize = 1_000_000;
 const KEY_COLS: usize = 8;
 const GROUP_LEN: usize = 6;
+/// The engine's default batch size.
+const BATCH: usize = 1024;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig4_grouping");
@@ -29,14 +32,17 @@ fn bench(c: &mut Criterion) {
             &rows,
             |b, rows| {
                 b.iter(|| {
-                    let input = VecStream::from_sorted_rows(rows.clone(), KEY_COLS);
-                    GroupAggregate::new(
+                    let input = Run::from_sorted_rows(rows.clone(), KEY_COLS).batches(BATCH);
+                    let mut groups = GroupAggregate::new(
                         input,
                         GROUP_LEN,
                         vec![Aggregate::Count],
+                        BATCH,
                         Stats::new_shared(),
-                    )
-                    .count()
+                    );
+                    std::iter::from_fn(|| groups.next_batch())
+                        .map(|b| b.len())
+                        .sum::<usize>()
                 })
             },
         );

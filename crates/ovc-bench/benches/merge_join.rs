@@ -7,13 +7,16 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ovc_bench::workload::{table, TableSpec};
 use ovc_core::compare::{compare_keys_counted, derive_code};
-use ovc_core::{Ovc, Row, Stats, VecStream};
+use ovc_core::{BatchStream, Ovc, Row, Stats};
 use ovc_exec::{JoinType, MergeJoin};
+use ovc_sort::Run;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
 const ROWS: usize = 200_000;
 const KEY_COLS: usize = 3;
+/// The engine's default batch size.
+const BATCH: usize = 1024;
 
 /// The pre-OVC method: plain merge join on sorted rows, with output codes
 /// re-derived against each output's predecessor.
@@ -87,18 +90,21 @@ fn bench(c: &mut Criterion) {
         |b, (l, r)| {
             b.iter(|| {
                 let stats = Stats::new_shared();
-                let ls = VecStream::from_sorted_rows(l.clone(), KEY_COLS);
-                let rs = VecStream::from_sorted_rows(r.clone(), KEY_COLS);
-                MergeJoin::new(
+                let ls = Run::from_sorted_rows(l.clone(), KEY_COLS).batches(BATCH);
+                let rs = Run::from_sorted_rows(r.clone(), KEY_COLS).batches(BATCH);
+                let mut join = MergeJoin::new(
                     ls,
                     rs,
                     KEY_COLS,
                     JoinType::Inner,
                     KEY_COLS + 1,
                     KEY_COLS + 1,
+                    BATCH,
                     stats,
-                )
-                .count()
+                );
+                std::iter::from_fn(|| join.next_batch())
+                    .map(|b| b.len())
+                    .sum::<usize>()
             })
         },
     );

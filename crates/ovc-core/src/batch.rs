@@ -16,8 +16,9 @@
 //! row of batch `k`; only the very first code of the whole stream is
 //! relative to "−∞".  Cutting a coded stream into batches therefore
 //! requires **no code repair at all** (codes are a function of the row
-//! sequence, which batching does not change), and splicing batches back
-//! into a row stream ([`BatchRows`]) is equally free.  Repair is only
+//! sequence, which batching does not change — [`FlatRows::slice`]), and
+//! concatenating batches back ([`FlatRows::extend_from`]) is equally
+//! free.  Repair is only
 //! needed when a batch is *lifted out* of its stream and treated as a
 //! standalone sorted unit — [`repair_head`] re-bases its first code to
 //! "−∞", and every later code stays exact because it never looks past
@@ -27,11 +28,12 @@
 //! [`find_code_violation_batches`] / [`assert_batches_exact_spec`] audit
 //! a batch sequence *including its seams*.
 
+use std::borrow::Borrow;
+
 use crate::derive::find_code_violation_slices;
 use crate::flat::FlatRows;
 use crate::row::Row;
 use crate::spec::SortSpec;
-use crate::stream::{OvcRow, OvcStream};
 
 /// A sorted stream of coded rows delivered batch-at-a-time.
 ///
@@ -68,92 +70,43 @@ impl<B: BatchStream + ?Sized> BatchStream for Box<B> {
     }
 }
 
-/// Cut a row stream into fixed-size batches.
-///
-/// Codes pass through untouched: the stream contract already makes every
-/// code exact relative to the previous row, and batching does not change
-/// the row sequence, so the seam rule holds by construction.
-pub struct Batcher<S: OvcStream> {
-    input: S,
+/// A coded flat buffer handed over batch-at-a-time: the one slicer behind
+/// every resident batch source (a sorted table's scan, a run, a
+/// repartitioned partition).  Each batch is a [`FlatRows::slice`] of at
+/// most `batch_size` rows (the last may be short), codes exact across the
+/// seams.  `F` owns the buffer (`FlatRows`) or shares it
+/// (`Arc<FlatRows>`).
+pub struct FlatBatches<F = FlatRows> {
+    flat: F,
     spec: SortSpec,
+    pos: usize,
     batch_size: usize,
 }
 
-impl<S: OvcStream> Batcher<S> {
-    /// Batch `input` into chunks of at most `batch_size` rows.  Panics if
-    /// `batch_size` is zero.
-    pub fn new(input: S, batch_size: usize) -> Self {
+impl<F: Borrow<FlatRows>> FlatBatches<F> {
+    /// Cut `flat`, one coded stream under `spec`, every `batch_size`
+    /// rows.  Panics if `batch_size` is zero.
+    pub fn new(flat: F, spec: SortSpec, batch_size: usize) -> Self {
         assert!(batch_size > 0, "batch size must be positive");
-        let spec = input.sort_spec();
-        Batcher {
-            input,
+        FlatBatches {
+            flat,
             spec,
+            pos: 0,
             batch_size,
         }
     }
 }
 
-impl<S: OvcStream> BatchStream for Batcher<S> {
+impl<F: Borrow<FlatRows>> BatchStream for FlatBatches<F> {
     fn next_batch(&mut self) -> Option<FlatRows> {
-        let OvcRow { row, code } = self.input.next()?;
-        let mut flat = FlatRows::with_capacity(row.width(), self.batch_size);
-        flat.push(row.cols(), code);
-        while flat.len() < self.batch_size {
-            match self.input.next() {
-                Some(OvcRow { row, code }) => flat.push(row.cols(), code),
-                None => break,
-            }
+        let flat = self.flat.borrow();
+        if self.pos >= flat.len() {
+            return None;
         }
-        Some(flat)
-    }
-    fn sort_spec(&self) -> SortSpec {
-        self.spec.clone()
-    }
-}
-
-/// Splice a batch stream back into a row stream (the inverse of
-/// [`Batcher`]): rows materialize lazily, one boxed [`OvcRow`] per
-/// `next()`, straight from the current batch's contiguous buffer.
-pub struct BatchRows<B: BatchStream> {
-    input: B,
-    spec: SortSpec,
-    cur: Option<FlatRows>,
-    pos: usize,
-}
-
-impl<B: BatchStream> BatchRows<B> {
-    /// Stream the rows of `input` one at a time.
-    pub fn new(input: B) -> Self {
-        let spec = input.sort_spec();
-        BatchRows {
-            input,
-            spec,
-            cur: None,
-            pos: 0,
-        }
-    }
-}
-
-impl<B: BatchStream> Iterator for BatchRows<B> {
-    type Item = OvcRow;
-    fn next(&mut self) -> Option<OvcRow> {
-        loop {
-            if let Some(cur) = &self.cur {
-                if self.pos < cur.len() {
-                    let r = OvcRow::new(Row::from_slice(cur.row(self.pos)), cur.code(self.pos));
-                    self.pos += 1;
-                    return Some(r);
-                }
-            }
-            self.cur = Some(self.input.next_batch()?);
-            self.pos = 0;
-        }
-    }
-}
-
-impl<B: BatchStream> OvcStream for BatchRows<B> {
-    fn key_len(&self) -> usize {
-        self.spec.len()
+        let end = (self.pos + self.batch_size).min(flat.len());
+        let out = flat.slice(self.pos..end);
+        self.pos = end;
+        Some(out)
     }
     fn sort_spec(&self) -> SortSpec {
         self.spec.clone()
@@ -230,8 +183,16 @@ pub fn repair_head(flat: &mut FlatRows, spec: &SortSpec) {
 }
 
 /// Drain a batch stream into `(Row, Ovc)` pairs (test convenience).
-pub fn collect_batch_pairs<B: BatchStream>(stream: B) -> Vec<(Row, crate::Ovc)> {
-    BatchRows::new(stream).map(|r| (r.row, r.code)).collect()
+pub fn collect_batch_pairs<B: BatchStream>(mut stream: B) -> Vec<(Row, crate::Ovc)> {
+    let mut pairs = Vec::new();
+    while let Some(batch) = stream.next_batch() {
+        pairs.extend(
+            batch
+                .iter()
+                .map(|(cols, code)| (Row::from_slice(cols), code)),
+        );
+    }
+    pairs
 }
 
 #[cfg(test)]
@@ -240,35 +201,43 @@ mod tests {
     use crate::stream::{collect_pairs, VecStream};
     use crate::Ovc;
 
+    /// Cut a coded row stream into batches of at most `batch_size` rows.
+    fn cut(stream: VecStream, batch_size: usize) -> FlatBatches {
+        use crate::stream::OvcStream;
+        let spec = stream.sort_spec();
+        let flat = FlatRows::from_ovc_rows(stream.collect(), spec.len());
+        FlatBatches::new(flat, spec, batch_size)
+    }
+
+    fn drain(mut stream: impl BatchStream) -> Vec<FlatRows> {
+        std::iter::from_fn(|| stream.next_batch()).collect()
+    }
+
     fn table1_stream() -> VecStream {
         VecStream::from_sorted_rows(crate::table1::rows(), 4)
     }
 
     #[test]
-    fn batcher_round_trips_for_every_batch_size() {
+    fn flat_batches_round_trip_for_every_batch_size() {
         let reference = collect_pairs(table1_stream());
         for batch_size in [1usize, 2, 3, 7, 64] {
-            let mut batcher = Batcher::new(table1_stream(), batch_size);
-            assert_eq!(batcher.sort_spec(), SortSpec::asc(4));
-            assert_eq!(batcher.key_len(), 4);
-            let mut batches = Vec::new();
-            while let Some(b) = batcher.next_batch() {
+            let stream = cut(table1_stream(), batch_size);
+            assert_eq!(stream.sort_spec(), SortSpec::asc(4));
+            assert_eq!(stream.key_len(), 4);
+            let batches = drain(stream);
+            for b in &batches {
                 assert!(!b.is_empty());
                 assert!(b.len() <= batch_size);
-                batches.push(b);
             }
             assert_batches_exact_spec(&batches, &SortSpec::asc(4));
-            let spliced = collect_pairs(BatchRows::new(VecBatchStream::new(
-                batches,
-                SortSpec::asc(4),
-            )));
+            let spliced = collect_batch_pairs(VecBatchStream::new(batches, SortSpec::asc(4)));
             assert_eq!(spliced, reference, "batch_size={batch_size}");
         }
     }
 
     #[test]
     fn boxed_batch_streams_forward_the_contract() {
-        let mut boxed: Box<dyn BatchStream> = Box::new(Batcher::new(table1_stream(), 3));
+        let mut boxed: Box<dyn BatchStream> = Box::new(cut(table1_stream(), 3));
         assert_eq!(boxed.key_len(), 4);
         let first = boxed.next_batch().expect("first batch");
         assert_eq!(first.len(), 3);
@@ -276,21 +245,16 @@ mod tests {
 
     #[test]
     fn empty_stream_yields_no_batches() {
-        let mut b = Batcher::new(VecStream::from_sorted_rows(vec![], 2), 8);
+        let mut b = cut(VecStream::from_sorted_rows(vec![], 2), 8);
         assert!(b.next_batch().is_none());
-        assert_eq!(
-            collect_batch_pairs(Batcher::new(VecStream::from_sorted_rows(vec![], 2), 8)).len(),
-            0
-        );
+        // Empty batches handed to the wrapper are dropped, not yielded.
+        let hollow = VecBatchStream::new(vec![FlatRows::new(2)], SortSpec::asc(2));
+        assert_eq!(collect_batch_pairs(hollow).len(), 0);
     }
 
     #[test]
     fn seam_validation_catches_a_bad_head_code() {
-        let mut batcher = Batcher::new(table1_stream(), 3);
-        let mut batches = Vec::new();
-        while let Some(b) = batcher.next_batch() {
-            batches.push(b);
-        }
+        let mut batches = drain(cut(table1_stream(), 3));
         // Corrupt the second batch's head: pretend it starts a stream.
         repair_head(&mut batches[1], &SortSpec::asc(4));
         let i = find_code_violation_batches(&batches, &SortSpec::asc(4));
@@ -299,9 +263,9 @@ mod tests {
 
     #[test]
     fn repair_head_makes_a_mid_stream_batch_standalone() {
-        let mut batcher = Batcher::new(table1_stream(), 3);
-        let _ = batcher.next_batch();
-        let mut mid = batcher.next_batch().expect("second batch");
+        let mut stream = cut(table1_stream(), 3);
+        let _ = stream.next_batch();
+        let mut mid = stream.next_batch().expect("second batch");
         repair_head(&mut mid, &SortSpec::asc(4));
         // The standalone contract (first code relative to −∞) now holds.
         let _ = crate::CodedBatch::from_flat(mid, SortSpec::asc(4));
@@ -315,19 +279,16 @@ mod tests {
             .iter()
             .map(|c| Row::new(c.to_vec()))
             .collect();
-        let mut b = Batcher::new(VecStream::from_sorted_rows_spec(rows, spec.clone()), 2);
+        let b = cut(VecStream::from_sorted_rows_spec(rows, spec.clone()), 2);
         assert_eq!(b.sort_spec(), spec);
-        let mut batches = Vec::new();
-        while let Some(batch) = b.next_batch() {
-            batches.push(batch);
-        }
+        let batches = drain(b);
         assert_eq!(batches.len(), 2);
         assert_batches_exact_spec(&batches, &spec);
     }
 
     #[test]
     fn zero_batch_size_is_rejected() {
-        let r = std::panic::catch_unwind(|| Batcher::new(table1_stream(), 0));
+        let r = std::panic::catch_unwind(|| cut(table1_stream(), 0));
         assert!(r.is_err());
     }
 
@@ -340,7 +301,7 @@ mod tests {
             Row::new(vec![1]),
             Row::new(vec![2]),
         ];
-        let mut b = Batcher::new(VecStream::from_sorted_rows(rows, 1), 2);
+        let mut b = cut(VecStream::from_sorted_rows(rows, 1), 2);
         let first = b.next_batch().unwrap();
         let second = b.next_batch().unwrap();
         assert!(first.code(1).is_duplicate());

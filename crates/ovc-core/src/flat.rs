@@ -10,9 +10,11 @@
 //! [`FlatRows`] stores a batch of coded rows as two parallel vectors: one
 //! contiguous `Vec<u64>` of column values (fixed row width, row `i` at
 //! `values[i * width ..]`) and one `Vec<Ovc>` of codes.  Sorting permutes
-//! indices over the buffer, merging copies winner rows slice-to-slice, and
-//! spilling writes the words straight out — no per-row `Box<[u64]>` until a
-//! true operator boundary materializes [`OvcRow`]s (DESIGN.md §10).
+//! indices over the buffer, merging copies winner rows slice-to-slice,
+//! spilling writes the words straight out, and the join / group / set
+//! kernels, the gathering exchange and the server's frame encoder read the
+//! same slices — no per-row `Box<[u64]>` until a caller asks the engine's
+//! output for [`OvcRow`]s (DESIGN.md §10).
 
 use crate::ovc::Ovc;
 use crate::row::{Row, Value};
@@ -168,6 +170,27 @@ impl FlatRows {
         self.codes.push(code);
     }
 
+    /// Copy rows `range` out as a batch of their own (two slice copies —
+    /// the one cut every batch source over a flat buffer makes: coded
+    /// scans, run batches, partition drains).  Codes are copied as they
+    /// are; by the seam rule that is exact for a cut of a coded stream.
+    pub fn slice(&self, range: std::ops::Range<usize>) -> FlatRows {
+        FlatRows {
+            width: self.width,
+            values: self.values[range.start * self.width..range.end * self.width].to_vec(),
+            codes: self.codes[range].to_vec(),
+        }
+    }
+
+    /// Append every row of `other` (the inverse of [`FlatRows::slice`]:
+    /// concatenating a stream's batches in order restores the stream).
+    /// Panics unless widths match.
+    pub fn extend_from(&mut self, other: &FlatRows) {
+        assert_eq!(other.width, self.width, "flat rows require uniform width");
+        self.values.extend_from_slice(&other.values);
+        self.codes.extend_from_slice(&other.codes);
+    }
+
     /// Iterate `(columns, code)` pairs without materializing rows.
     pub fn iter(&self) -> impl Iterator<Item = (&[Value], Ovc)> + '_ {
         (0..self.len()).map(|i| (self.row(i), self.code(i)))
@@ -285,6 +308,21 @@ mod tests {
         assert_eq!(f.len(), 2);
         assert_eq!(f.row(1), &[] as &[u64]);
         assert_eq!(f.iter().count(), 2);
+    }
+
+    #[test]
+    fn slice_and_extend_from_are_inverses() {
+        let mut f = sample();
+        f.push(&[4, 0, 0], Ovc::new(0, 4, 2));
+        let (head, tail) = (f.slice(0..1), f.slice(1..3));
+        assert_eq!((head.len(), tail.len()), (1, 2));
+        assert_eq!(tail.row(0), f.row(1));
+        assert_eq!(tail.code(1), f.code(2));
+        assert!(f.slice(2..2).is_empty());
+        let mut back = FlatRows::new(3);
+        back.extend_from(&head);
+        back.extend_from(&tail);
+        assert_eq!(back, f);
     }
 
     #[test]

@@ -32,9 +32,10 @@
 //!   that let coded streams cross thread boundaries;
 //! * [`batch`] — the [`batch::BatchStream`] contract for morsel-style
 //!   batch-at-a-time pipelines: fixed-size [`flat::FlatRows`] batches
-//!   whose codes stay exact across batch seams, with
-//!   [`batch::Batcher`] / [`batch::BatchRows`] converting to and from
-//!   row streams and seam-aware validation;
+//!   whose codes stay exact across batch seams (cut with
+//!   [`flat::FlatRows::slice`], rejoined with
+//!   [`flat::FlatRows::extend_from`], no repair either way), with
+//!   seam-aware validation;
 //! * [`stats`] — comparison and spill accounting for the paper's `N × K`
 //!   bound and the Figure 6 spill claims (one sendable [`stats::Stats`],
 //!   merged across threads by snapshot);
@@ -80,7 +81,7 @@ pub mod stream;
 pub mod table1;
 pub mod theorem;
 
-pub use batch::{BatchRows, BatchStream, Batcher, VecBatchStream};
+pub use batch::{BatchStream, FlatBatches, VecBatchStream};
 pub use ctx::{ExecError, QueryCtx};
 pub use flat::FlatRows;
 pub use metrics::{

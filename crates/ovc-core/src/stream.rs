@@ -176,7 +176,7 @@ pub trait SendOvcStream: OvcStream + Send {}
 impl<S: OvcStream + Send> SendOvcStream for S {}
 
 /// An owned, sendable batch of coded rows — the hand-off unit between
-/// pipeline threads.
+/// pipeline threads, and the shape of an executor's materialized output.
 ///
 /// Where a single-threaded pipeline passes an [`OvcStream`] by value, the
 /// parallel operators (`ovc-exec`'s threaded exchange, `ovc-sort`'s
@@ -184,46 +184,23 @@ impl<S: OvcStream + Send> SendOvcStream for S {}
 /// thread or channel, and resume streaming on the other side with
 /// [`CodedBatch::into_stream`].  The batch carries the same contract as
 /// the stream it came from: rows sorted on the leading `key_len` columns,
-/// every code exact relative to its predecessor.
+/// every code exact relative to its predecessor.  Rows live in one flat
+/// contiguous buffer ([`FlatRows`]); [`OvcRow`]s are boxed only on the
+/// way out.
 #[derive(Clone, Debug)]
 pub struct CodedBatch {
-    repr: BatchRepr,
+    flat: FlatRows,
     spec: SortSpec,
-}
-
-/// Either layout of a batch's rows: boxed (one allocation per row, the
-/// historical layout) or flat columnar (one contiguous buffer).
-#[derive(Clone, Debug)]
-enum BatchRepr {
-    Boxed(Vec<OvcRow>),
-    Flat(FlatRows),
 }
 
 impl CodedBatch {
     /// Materialize a coded stream into a sendable batch, carrying the
-    /// stream's ordering contract along.
+    /// stream's ordering contract along.  Requires the stream's rows to
+    /// share one width (operator outputs are homogeneous).
     pub fn from_stream<S: OvcStream>(stream: S) -> Self {
         let spec = stream.sort_spec();
         CodedBatch {
-            repr: BatchRepr::Boxed(stream.collect()),
-            spec,
-        }
-    }
-
-    /// Materialize a coded stream into a **flat-backed** batch: rows are
-    /// copied into one contiguous buffer as they arrive, so the batch
-    /// crosses threads (and later re-streams) without per-row pointer
-    /// chasing.  Requires the stream's rows to share one width (operator
-    /// outputs are homogeneous).
-    pub fn from_stream_flat<S: OvcStream>(stream: S) -> Self {
-        let spec = stream.sort_spec();
-        let mut flat: Option<FlatRows> = None;
-        for OvcRow { row, code } in stream {
-            flat.get_or_insert_with(|| FlatRows::new(row.width()))
-                .push(row.cols(), code);
-        }
-        CodedBatch {
-            repr: BatchRepr::Flat(flat.unwrap_or_else(|| FlatRows::new(spec.len()))),
+            flat: FlatRows::from_ovc_rows(stream.collect(), spec.len()),
             spec,
         }
     }
@@ -234,21 +211,9 @@ impl CodedBatch {
     }
 
     /// Wrap rows coded under an explicit [`SortSpec`].  Debug builds
-    /// verify the spec's stream contract (in place — no row clones).
+    /// verify the spec's stream contract.
     pub fn from_coded_spec(rows: Vec<OvcRow>, spec: SortSpec) -> Self {
-        #[cfg(debug_assertions)]
-        {
-            if let Some(i) = crate::derive::find_code_violation_slices(
-                rows.iter().map(|r| (r.row.cols(), r.code)),
-                &spec,
-            ) {
-                panic!("CodedBatch::from_coded: code violation at row {i} under {spec}");
-            }
-        }
-        CodedBatch {
-            repr: BatchRepr::Boxed(rows),
-            spec,
-        }
+        Self::from_flat(FlatRows::from_ovc_rows(rows, spec.len()), spec)
     }
 
     /// Wrap a flat buffer coded under `spec`.  Debug builds verify the
@@ -260,10 +225,7 @@ impl CodedBatch {
                 panic!("CodedBatch::from_flat: code violation at row {i} under {spec}");
             }
         }
-        CodedBatch {
-            repr: BatchRepr::Flat(flat),
-            spec,
-        }
+        CodedBatch { flat, spec }
     }
 
     /// Derive codes for sorted rows and wrap them.  Panics if unsorted.
@@ -272,53 +234,39 @@ impl CodedBatch {
     }
 
     /// Resume streaming (typically on a different thread than the one
-    /// that materialized the batch).  A flat batch materializes each
-    /// [`OvcRow`] lazily, straight from the contiguous buffer.
+    /// that materialized the batch): each [`OvcRow`] materializes lazily,
+    /// straight from the contiguous buffer.
     pub fn into_stream(self) -> CodedBatchIter {
-        match self.repr {
-            BatchRepr::Boxed(rows) => CodedBatchIter {
-                inner: CodedBatchIterRepr::Boxed(rows.into_iter()),
-                spec: self.spec,
-            },
-            BatchRepr::Flat(flat) => CodedBatchIter {
-                inner: CodedBatchIterRepr::Flat { flat, pos: 0 },
-                spec: self.spec,
-            },
+        CodedBatchIter {
+            flat: self.flat,
+            pos: 0,
+            spec: self.spec,
         }
     }
 
-    /// Consume into boxed coded rows (materializing if flat).
+    /// Consume into boxed coded rows (one allocation per row).
     pub fn into_rows(self) -> Vec<OvcRow> {
-        match self.repr {
-            BatchRepr::Boxed(rows) => rows,
-            BatchRepr::Flat(flat) => flat.to_ovc_rows(),
-        }
+        self.flat.to_ovc_rows()
+    }
+
+    /// Consume into the flat buffer.
+    pub fn into_flat(self) -> FlatRows {
+        self.flat
     }
 
     /// Materialize the coded rows without consuming the batch.
     pub fn to_ovc_rows(&self) -> Vec<OvcRow> {
-        match &self.repr {
-            BatchRepr::Boxed(rows) => rows.clone(),
-            BatchRepr::Flat(flat) => flat.to_ovc_rows(),
-        }
-    }
-
-    /// Is this batch flat-backed?
-    pub fn is_flat(&self) -> bool {
-        matches!(self.repr, BatchRepr::Flat(_))
+        self.flat.to_ovc_rows()
     }
 
     /// Number of rows in the batch.
     pub fn len(&self) -> usize {
-        match &self.repr {
-            BatchRepr::Boxed(rows) => rows.len(),
-            BatchRepr::Flat(flat) => flat.len(),
-        }
+        self.flat.len()
     }
 
     /// Is the batch empty?
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.flat.is_empty()
     }
 
     /// Sort-key arity of the batch's codes.
@@ -332,41 +280,30 @@ impl CodedBatch {
     }
 }
 
-/// The stream a [`CodedBatch`] reopens into: boxed rows pass through,
-/// flat rows materialize lazily from the contiguous buffer.
+/// The stream a [`CodedBatch`] reopens into: rows materialize lazily
+/// from the contiguous buffer.
 pub struct CodedBatchIter {
-    inner: CodedBatchIterRepr,
+    flat: FlatRows,
+    pos: usize,
     spec: SortSpec,
-}
-
-enum CodedBatchIterRepr {
-    Boxed(std::vec::IntoIter<OvcRow>),
-    Flat { flat: FlatRows, pos: usize },
 }
 
 impl Iterator for CodedBatchIter {
     type Item = OvcRow;
     fn next(&mut self) -> Option<OvcRow> {
-        match &mut self.inner {
-            CodedBatchIterRepr::Boxed(iter) => iter.next(),
-            CodedBatchIterRepr::Flat { flat, pos } => {
-                if *pos >= flat.len() {
-                    return None;
-                }
-                let r = OvcRow::new(Row::from_slice(flat.row(*pos)), flat.code(*pos));
-                *pos += 1;
-                Some(r)
-            }
+        if self.pos >= self.flat.len() {
+            return None;
         }
+        let r = OvcRow::new(
+            Row::from_slice(self.flat.row(self.pos)),
+            self.flat.code(self.pos),
+        );
+        self.pos += 1;
+        Some(r)
     }
     fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.inner {
-            CodedBatchIterRepr::Boxed(iter) => iter.size_hint(),
-            CodedBatchIterRepr::Flat { flat, pos } => {
-                let left = flat.len() - pos;
-                (left, Some(left))
-            }
-        }
+        let left = self.flat.len() - self.pos;
+        (left, Some(left))
     }
 }
 
@@ -492,31 +429,26 @@ mod tests {
 
     #[test]
     fn flat_batch_round_trips_and_matches_boxed() {
-        let boxed = CodedBatch::from_sorted_rows(crate::table1::rows(), 4);
-        let flat =
-            CodedBatch::from_stream_flat(VecStream::from_sorted_rows(crate::table1::rows(), 4));
-        assert!(flat.is_flat() && !boxed.is_flat());
-        assert_eq!(flat.len(), boxed.len());
-        assert_eq!(flat.to_ovc_rows(), boxed.to_ovc_rows());
-        // Reopened streams agree item for item, and the flat batch can be
-        // rebuilt from its parts.
-        let pairs_flat = collect_pairs(flat.into_stream());
-        let pairs_boxed = collect_pairs(boxed.into_stream());
-        assert_eq!(pairs_flat, pairs_boxed);
-        let direct = CodedBatch::from_flat(
-            crate::flat::FlatRows::from_ovc_rows(
-                VecStream::from_sorted_rows(crate::table1::rows(), 4).collect(),
-                4,
-            ),
-            SortSpec::asc(4),
+        let boxed: Vec<OvcRow> = VecStream::from_sorted_rows(crate::table1::rows(), 4).collect();
+        let batch = CodedBatch::from_coded(boxed.clone(), 4);
+        assert_eq!(batch.len(), boxed.len());
+        assert_eq!(batch.to_ovc_rows(), boxed);
+        // Built from rows or from the flat buffer itself, the batch holds
+        // the same buffer and reopens into the same stream.
+        let flat = FlatRows::from_ovc_rows(boxed, 4);
+        let direct = CodedBatch::from_flat(flat.clone(), SortSpec::asc(4));
+        assert_eq!(batch.clone().into_flat(), flat);
+        assert_eq!(
+            collect_pairs(direct.into_stream()),
+            collect_pairs(batch.into_stream())
         );
-        assert_eq!(collect_pairs(direct.into_stream()), pairs_boxed);
     }
 
     #[test]
     fn empty_flat_batch() {
-        let flat = CodedBatch::from_stream_flat(VecStream::from_sorted_rows(vec![], 2));
-        assert!(flat.is_empty() && flat.is_flat());
+        let flat = CodedBatch::from_stream(VecStream::from_sorted_rows(vec![], 2));
+        assert!(flat.is_empty());
+        assert_eq!(flat.clone().into_flat(), FlatRows::new(2));
         assert_eq!(flat.into_stream().count(), 0);
     }
 }

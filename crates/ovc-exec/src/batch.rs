@@ -371,7 +371,9 @@ mod tests {
     use ovc_core::batch::collect_batch_pairs;
     use ovc_core::derive::assert_codes_exact_spec;
     use ovc_core::stream::collect_pairs;
-    use ovc_core::{Batcher, Ovc, VecStream};
+    use ovc_core::FlatBatches;
+    use ovc_core::{Ovc, VecStream};
+    use ovc_sort::Run;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -384,8 +386,8 @@ mod tests {
         rows
     }
 
-    fn batched(rows: Vec<Row>, key_len: usize, batch_size: usize) -> Batcher<VecStream> {
-        Batcher::new(VecStream::from_sorted_rows(rows, key_len), batch_size)
+    fn batched(rows: Vec<Row>, key_len: usize, batch_size: usize) -> FlatBatches {
+        Run::from_sorted_rows(rows, key_len).batches(batch_size)
     }
 
     #[test]
@@ -577,7 +579,7 @@ mod tests {
         let mut rows = sorted_rows(200, 19, 2, 6);
         rows.reverse();
         let spec = SortSpec::desc(2);
-        let input = Batcher::new(VecStream::from_sorted_rows_spec(rows, spec.clone()), 5);
+        let input = Run::from_sorted_rows_spec(rows, spec.clone()).batches(5);
         let op = BatchFilter::new(input, |r: &[Value]| r[0] != 3, Stats::new_shared());
         assert_eq!(op.sort_spec(), spec);
         let pairs = collect_batch_pairs(op);

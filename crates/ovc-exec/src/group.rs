@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use ovc_core::theorem::clamp_to_prefix;
-use ovc_core::{Ovc, OvcRow, OvcStream, Row, Stats, Value};
+use ovc_core::{BatchStream, FlatRows, Ovc, OvcRow, OvcStream, Row, SortSpec, Stats, Value};
 
 /// An aggregate function over a group of rows.
 ///
@@ -39,28 +39,28 @@ pub enum Aggregate {
 }
 
 impl Aggregate {
-    /// Initialize the accumulator from a group's first row.
-    pub fn init(&self, row: &Row) -> Value {
+    /// Initialize the accumulator from the columns of a group's first row.
+    pub fn init(&self, row: &[Value]) -> Value {
         match *self {
             Aggregate::Count => 1,
             Aggregate::Sum(c)
             | Aggregate::Min(c)
             | Aggregate::Max(c)
             | Aggregate::First(c)
-            | Aggregate::Last(c) => row.cols()[c],
+            | Aggregate::Last(c) => row[c],
         }
     }
 
-    /// Fold one more row into the accumulator (wrapping, see the enum
-    /// docs).
-    pub fn fold(&self, acc: Value, row: &Row) -> Value {
+    /// Fold one more row's columns into the accumulator (wrapping, see
+    /// the enum docs).
+    pub fn fold(&self, acc: Value, row: &[Value]) -> Value {
         match *self {
             Aggregate::Count => acc.wrapping_add(1),
-            Aggregate::Sum(c) => acc.wrapping_add(row.cols()[c]),
-            Aggregate::Min(c) => acc.min(row.cols()[c]),
-            Aggregate::Max(c) => acc.max(row.cols()[c]),
+            Aggregate::Sum(c) => acc.wrapping_add(row[c]),
+            Aggregate::Min(c) => acc.min(row[c]),
+            Aggregate::Max(c) => acc.max(row[c]),
             Aggregate::First(_) => acc,
-            Aggregate::Last(c) => row.cols()[c],
+            Aggregate::Last(c) => row[c],
         }
     }
 
@@ -87,93 +87,116 @@ impl Aggregate {
 /// `group_len` columns.  Output rows are the group key followed by one
 /// column per aggregate; output codes have arity `group_len` and are the
 /// (clamped) code of each group's first input row.
-pub struct GroupAggregate<S> {
-    input: S,
+///
+/// The kernel walks the input batches' code slices: one integer test per
+/// row decides group membership, whatever the key's sort directions, and
+/// a group that straddles a batch seam just keeps accumulating (its first
+/// code after the seam is relative to the row before it).  Finished
+/// groups go straight into an output batch of at most `batch_size` rows.
+pub struct GroupAggregate<B> {
+    input: B,
+    /// The current input batch and the next row to read in it.
+    batch: FlatRows,
+    pos: usize,
     in_key_len: usize,
     group_len: usize,
     aggregates: Vec<Aggregate>,
-    /// First row of the group currently being accumulated.
-    pending: Option<(Row, Ovc, Vec<Value>)>,
+    spec: SortSpec,
+    batch_size: usize,
+    /// The first input code of the group being accumulated, whose output
+    /// row (group key, then one accumulator per aggregate) is `row`.
+    pending: Option<Ovc>,
+    row: Vec<Value>,
     /// Shared counters: the per-row boundary test is one integer (code)
     /// comparison, accounted here so the zero-column-comparison claim is
     /// measured on a live handle rather than asserted vacuously.
     stats: Arc<Stats>,
 }
 
-impl<S: OvcStream> GroupAggregate<S> {
-    /// Build the operator.  Panics unless `group_len <= input.key_len()`.
-    pub fn new(input: S, group_len: usize, aggregates: Vec<Aggregate>, stats: Arc<Stats>) -> Self {
-        let in_key_len = input.key_len();
+impl<B: BatchStream> GroupAggregate<B> {
+    /// Build the operator, emitting batches of at most `batch_size` rows.
+    /// Panics unless `group_len <= input.key_len()` and `batch_size > 0`.
+    pub fn new(
+        input: B,
+        group_len: usize,
+        aggregates: Vec<Aggregate>,
+        batch_size: usize,
+        stats: Arc<Stats>,
+    ) -> Self {
+        let in_spec = input.sort_spec();
         assert!(
-            group_len <= in_key_len,
+            group_len <= in_spec.len(),
             "group key must be a sort-key prefix"
         );
+        assert!(batch_size > 0, "batch size must be positive");
         GroupAggregate {
             input,
-            in_key_len,
+            batch: FlatRows::new(0),
+            pos: 0,
+            in_key_len: in_spec.len(),
             group_len,
+            row: vec![0; group_len + aggregates.len()],
             aggregates,
+            spec: in_spec.prefix(group_len),
+            batch_size,
             pending: None,
             stats,
         }
     }
-
-    fn finish(&self, (row, code, accs): (Row, Ovc, Vec<Value>)) -> OvcRow {
-        let mut cols = Vec::with_capacity(self.group_len + accs.len());
-        cols.extend_from_slice(row.key(self.group_len));
-        cols.extend_from_slice(&accs);
-        OvcRow::new(
-            Row::new(cols),
-            clamp_to_prefix(code, self.in_key_len, self.group_len),
-        )
-    }
 }
 
-impl<S: OvcStream> Iterator for GroupAggregate<S> {
-    type Item = OvcRow;
-
-    fn next(&mut self) -> Option<OvcRow> {
+impl<B: BatchStream> BatchStream for GroupAggregate<B> {
+    fn next_batch(&mut self) -> Option<FlatRows> {
+        let (g, in_key_len, batch_size) = (self.group_len, self.in_key_len, self.batch_size);
+        let mut out: Option<FlatRows> = None;
+        // Append a finished group; true once the output batch is full.
+        let finish = |out: &mut Option<FlatRows>, row: &[Value], code: Ovc| {
+            let out = out.get_or_insert_with(|| FlatRows::with_capacity(row.len(), batch_size));
+            out.push(row, clamp_to_prefix(code, in_key_len, g));
+            out.len() >= batch_size
+        };
         loop {
-            match self.input.next() {
-                None => {
+            if self.pos >= self.batch.len() {
+                let Some(batch) = self.input.next_batch() else {
                     // Input exhausted: flush the final group, if any.
-                    return self.pending.take().map(|g| self.finish(g));
-                }
-                Some(OvcRow { row, code }) => {
-                    // Group membership by code inspection alone: an offset
-                    // of at least `group_len` means the entire group key is
-                    // shared with the predecessor.  One integer comparison
-                    // per row, counted as such.
-                    self.stats.count_ovc_cmp();
-                    let same_group =
-                        code.is_valid() && code.offset(self.in_key_len) >= self.group_len;
-                    match (&mut self.pending, same_group) {
-                        (Some((_, _, accs)), true) => {
-                            for (acc, agg) in accs.iter_mut().zip(&self.aggregates) {
-                                *acc = agg.fold(*acc, &row);
-                            }
-                        }
-                        (pending @ None, _) => {
-                            let accs = self.aggregates.iter().map(|a| a.init(&row)).collect();
-                            *pending = Some((row, code, accs));
-                        }
-                        (pending @ Some(_), false) => {
-                            // Boundary: emit the finished group, start anew.
-                            let accs: Vec<Value> =
-                                self.aggregates.iter().map(|a| a.init(&row)).collect();
-                            let done = pending.replace((row, code, accs)).expect("pending group");
-                            return Some(self.finish(done));
-                        }
+                    if let Some(code) = self.pending.take() {
+                        finish(&mut out, &self.row, code);
                     }
+                    return out;
+                };
+                self.batch = batch;
+                self.pos = 0;
+            }
+            let (cols, code) = (self.batch.row(self.pos), self.batch.code(self.pos));
+            self.pos += 1;
+            // Group membership by code inspection alone: an offset of at
+            // least `group_len` means the entire group key is shared with
+            // the predecessor.  One integer comparison per row, counted
+            // as such.
+            self.stats.count_ovc_cmp();
+            if self.pending.is_some() && code.is_valid() && code.offset(in_key_len) >= g {
+                for (acc, agg) in self.row[g..].iter_mut().zip(&self.aggregates) {
+                    *acc = agg.fold(*acc, cols);
                 }
+                continue;
+            }
+            // Boundary: emit the finished group, start anew.
+            let full = match self.pending.replace(code) {
+                Some(done) => finish(&mut out, &self.row, done),
+                None => false,
+            };
+            self.row[..g].copy_from_slice(&cols[..g]);
+            for (acc, agg) in self.row[g..].iter_mut().zip(&self.aggregates) {
+                *acc = agg.init(cols);
+            }
+            if full {
+                return out;
             }
         }
     }
-}
 
-impl<S: OvcStream> OvcStream for GroupAggregate<S> {
-    fn key_len(&self) -> usize {
-        self.group_len
+    fn sort_spec(&self) -> SortSpec {
+        self.spec.clone()
     }
 }
 
@@ -338,7 +361,7 @@ impl<S: OvcStream> Iterator for GroupPartial<S> {
                     match (&mut self.pending, same_group) {
                         (Some((_, _, accs, last_key)), true) => {
                             for (acc, agg) in accs.iter_mut().zip(&self.aggregates) {
-                                *acc = agg.fold(*acc, &row);
+                                *acc = agg.fold(*acc, row.cols());
                             }
                             if self.carry_last_key {
                                 last_key.copy_from_slice(row.key(self.in_key_len));
@@ -346,7 +369,7 @@ impl<S: OvcStream> Iterator for GroupPartial<S> {
                         }
                         (pending @ None, _) => {
                             let accs: Vec<Value> =
-                                self.aggregates.iter().map(|a| a.init(&row)).collect();
+                                self.aggregates.iter().map(|a| a.init(row.cols())).collect();
                             let last = if self.carry_last_key {
                                 row.key(self.in_key_len).to_vec()
                             } else {
@@ -356,7 +379,7 @@ impl<S: OvcStream> Iterator for GroupPartial<S> {
                         }
                         (pending @ Some(_), false) => {
                             let accs: Vec<Value> =
-                                self.aggregates.iter().map(|a| a.init(&row)).collect();
+                                self.aggregates.iter().map(|a| a.init(row.cols())).collect();
                             let last = if self.carry_last_key {
                                 row.key(self.in_key_len).to_vec()
                             } else {
@@ -596,9 +619,17 @@ impl<S: OvcStream> OvcStream for GroupFinal<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit;
+    use ovc_core::batch::{assert_batches_exact_spec, collect_batch_pairs};
     use ovc_core::derive::assert_codes_exact;
     use ovc_core::stream::collect_pairs;
-    use ovc_core::VecStream;
+    use ovc_core::{Direction, FlatBatches, StatsSnapshot, VecStream};
+
+    /// `rows` (sorted ascending on `key_len` columns), coded, in batches
+    /// of 3.
+    fn batches(rows: &[Row], key_len: usize) -> FlatBatches {
+        ovc_sort::Run::from_sorted_rows(rows.to_vec(), key_len).batches(3)
+    }
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::BTreeMap;
@@ -608,9 +639,9 @@ mod tests {
         // "grouping on the first two columns can use offset-value codes
         // similarly to segmentation" — Table 1 has groups (5,7), (5,8),
         // (5,9) of sizes 2, 1, 4.
-        let input = VecStream::from_sorted_rows(ovc_core::table1::rows(), 4);
-        let group = GroupAggregate::new(input, 2, vec![Aggregate::Count], Stats::new_shared());
-        let pairs = collect_pairs(group);
+        let input = batches(&ovc_core::table1::rows(), 4);
+        let group = GroupAggregate::new(input, 2, vec![Aggregate::Count], 2, Stats::new_shared());
+        let pairs = collect_batch_pairs(group);
         let got: Vec<(Vec<u64>, u64)> = pairs
             .iter()
             .map(|(r, _)| (r.key(2).to_vec(), r.cols()[2]))
@@ -632,9 +663,8 @@ mod tests {
             Row::new(vec![1, 20]),
             Row::new(vec![2, 5]),
         ];
-        let input = VecStream::from_unsorted_rows(rows, 1);
         let group = GroupAggregate::new(
-            input,
+            batches(&rows, 1),
             1,
             vec![
                 Aggregate::Count,
@@ -644,10 +674,14 @@ mod tests {
                 Aggregate::First(1),
                 Aggregate::Last(1),
             ],
+            8,
             Stats::new_shared(),
         );
-        let out: Vec<Row> = group.map(|r| r.row).collect();
-        // Stable sort keeps group-1 payloads in arrival order 10, 30, 20.
+        let out: Vec<Row> = collect_batch_pairs(group)
+            .into_iter()
+            .map(|(r, _)| r)
+            .collect();
+        // Group-1 payloads arrive in the order 10, 30, 20.
         assert_eq!(out[0], Row::new(vec![1, 3, 60, 10, 30, 10, 20]));
         assert_eq!(out[1], Row::new(vec![2, 1, 5, 5, 5, 5, 5]));
     }
@@ -671,14 +705,14 @@ mod tests {
             e.0 += 1;
             e.1 += r.cols()[2];
         }
-        let input = VecStream::from_sorted_rows(rows, 3);
         let group = GroupAggregate::new(
-            input,
+            batches(&rows, 3),
             2,
             vec![Aggregate::Count, Aggregate::Sum(2)],
+            5,
             Stats::new_shared(),
         );
-        let pairs = collect_pairs(group);
+        let pairs = collect_batch_pairs(group);
         assert_codes_exact(&pairs, 2);
         let got: Vec<(Vec<u64>, (u64, u64))> = pairs
             .iter()
@@ -690,9 +724,9 @@ mod tests {
 
     #[test]
     fn group_by_full_key_is_dedup_with_count() {
-        let input = VecStream::from_sorted_rows(ovc_core::table1::rows(), 4);
-        let group = GroupAggregate::new(input, 4, vec![Aggregate::Count], Stats::new_shared());
-        let pairs = collect_pairs(group);
+        let input = batches(&ovc_core::table1::rows(), 4);
+        let group = GroupAggregate::new(input, 4, vec![Aggregate::Count], 4, Stats::new_shared());
+        let pairs = collect_batch_pairs(group);
         assert_eq!(pairs.len(), 6);
         let counts: Vec<u64> = pairs.iter().map(|(r, _)| r.cols()[4]).collect();
         assert_eq!(counts, vec![1, 1, 1, 2, 1, 1]);
@@ -701,17 +735,22 @@ mod tests {
 
     #[test]
     fn group_by_empty_key_aggregates_everything() {
-        let input = VecStream::from_sorted_rows(ovc_core::table1::rows(), 4);
-        let group = GroupAggregate::new(input, 0, vec![Aggregate::Count], Stats::new_shared());
-        let out: Vec<Row> = group.map(|r| r.row).collect();
-        assert_eq!(out, vec![Row::new(vec![7])]);
+        let input = batches(&ovc_core::table1::rows(), 4);
+        let group = GroupAggregate::new(input, 0, vec![Aggregate::Count], 4, Stats::new_shared());
+        let out = collect_batch_pairs(group);
+        assert_eq!(out, vec![(Row::new(vec![7]), Ovc::duplicate())]);
     }
 
     #[test]
     fn empty_input() {
-        let input = VecStream::from_sorted_rows(vec![], 2);
-        let mut group = GroupAggregate::new(input, 1, vec![Aggregate::Count], Stats::new_shared());
-        assert!(group.next().is_none());
+        let mut group = GroupAggregate::new(
+            batches(&[], 2),
+            1,
+            vec![Aggregate::Count],
+            4,
+            Stats::new_shared(),
+        );
+        assert!(group.next_batch().is_none());
     }
 
     #[test]
@@ -780,10 +819,15 @@ mod tests {
     fn boundary_detection_uses_no_column_comparisons() {
         let rows = ovc_core::table1::rows();
         let n_rows = rows.len() as u64;
-        let input = VecStream::from_sorted_rows(rows, 4);
         let stats = Stats::new_shared();
-        let group = GroupAggregate::new(input, 2, vec![Aggregate::Count], Arc::clone(&stats));
-        let _ = collect_pairs(group);
+        let group = GroupAggregate::new(
+            batches(&rows, 4),
+            2,
+            vec![Aggregate::Count],
+            4,
+            Arc::clone(&stats),
+        );
+        let _ = collect_batch_pairs(group);
         assert_eq!(stats.col_value_cmps(), 0);
         // One counted integer test per input row proves the handle is the
         // one the operator accounts into.
@@ -794,9 +838,9 @@ mod tests {
     fn count_accumulator_wraps_instead_of_panicking() {
         // A pre-saturated Count accumulator must wrap in every build
         // profile (the documented uniform overflow discipline).
-        assert_eq!(Aggregate::Count.fold(u64::MAX, &Row::new(vec![1])), 0);
+        assert_eq!(Aggregate::Count.fold(u64::MAX, &[1]), 0);
         assert_eq!(
-            Aggregate::Sum(0).fold(u64::MAX, &Row::new(vec![2])),
+            Aggregate::Sum(0).fold(u64::MAX, &[2]),
             1,
             "Sum wraps identically"
         );
@@ -808,10 +852,7 @@ mod tests {
         // fold(whole group) == merge(fold(front), fold(back)) for every
         // aggregate whose merge is order-trusting (First/Last orientation
         // is established by GroupFinal; here the split is in order).
-        let rows: Vec<Row> = [[1u64, 10], [1, 30], [1, 20], [1, 5]]
-            .iter()
-            .map(|c| Row::new(c.to_vec()))
-            .collect();
+        let rows = [[1u64, 10], [1, 30], [1, 20], [1, 5]];
         for agg in [
             Aggregate::Count,
             Aggregate::Sum(1),
@@ -856,10 +897,11 @@ mod tests {
             Aggregate::First(2),
             Aggregate::Last(2),
         ];
-        let serial = collect_pairs(GroupAggregate::new(
-            VecStream::from_sorted_rows(rows.clone(), 3),
+        let serial = collect_batch_pairs(GroupAggregate::new(
+            batches(&rows, 3),
             1,
             aggs.clone(),
+            16,
             Stats::new_shared(),
         ));
         let stats = Stats::new_shared();
@@ -900,5 +942,115 @@ mod tests {
         let final_pairs =
             collect_pairs(GroupFinal::new(gathered, 1, vec![Aggregate::Count], stats));
         assert_eq!(final_pairs, serial);
+    }
+
+    const AGGS: [Aggregate; 6] = [
+        Aggregate::Count,
+        Aggregate::Sum(2),
+        Aggregate::Min(2),
+        Aggregate::Max(2),
+        Aggregate::First(2),
+        Aggregate::Last(2),
+    ];
+
+    /// The old ≡ new proof, carried across the delete.  At commit 4f110c3
+    /// the row-at-a-time `GroupAggregate` over a `VecStream` of these
+    /// seeded inputs (key length 2, all six aggregates over column 2)
+    /// produced exactly these row counts, row/code digests and comparison
+    /// counts (columns, codes); the batch kernel must too, at every input
+    /// and output batch size.
+    #[test]
+    fn row_kernel_constants_hold() {
+        // (label, seed, rows, column domains, skewed, group_len) ->
+        // (groups, digest, column comparisons, code comparisons)
+        type Case = (&'static str, u64, usize, [u64; 3], bool, usize);
+        #[rustfmt::skip]
+        const CASES: [(Case, (usize, u64, u64, u64)); 5] = [
+            (("dup_heavy", 21, 200, [3, 3, 100], false, 1), (3, 0x2a4876bde2dc38c8, 0, 200)),
+            (("skewed", 22, 300, [20, 4, 100], true, 1), (18, 0xcc8ab0dd75af61a4, 0, 300)),
+            (("empty", 23, 0, [3, 3, 100], false, 1), (0, 0xcbf29ce484222325, 0, 0)),
+            (("group_len0", 24, 50, [3, 3, 100], false, 0), (1, 0x12f7aacb6845ad76, 0, 50)),
+            (("full_key", 25, 120, [3, 3, 100], false, 2), (9, 0xad862022f5e120a3, 0, 120)),
+        ];
+        for ((label, seed, n, domains, skew, g), (groups, digest, col_cmps, ovc_cmps)) in CASES {
+            let input = testkit::rows(seed, n, &domains, skew);
+            for (in_batch, out_batch) in [(1, 1), (7, 2), (1024, 1024)] {
+                let stats = Stats::new_shared();
+                let group = GroupAggregate::new(
+                    testkit::cut(&input, &SortSpec::asc(2), in_batch),
+                    g,
+                    AGGS.to_vec(),
+                    out_batch,
+                    Arc::clone(&stats),
+                );
+                let out = testkit::drain(group, out_batch);
+                let case = format!("{label} in={in_batch} out={out_batch}");
+                assert_eq!(testkit::digest(&out), (groups, digest), "{case}");
+                let counted = StatsSnapshot {
+                    col_value_cmps: col_cmps,
+                    ovc_cmps,
+                    ..StatsSnapshot::default()
+                };
+                assert_eq!(stats.snapshot(), counted, "{case}");
+            }
+        }
+    }
+
+    /// A group that straddles a batch seam keeps accumulating: rows,
+    /// codes and counters are the same whether the 90-row input (three
+    /// ~30-row groups, so every group crosses seams at sizes 1, 2 and 7)
+    /// arrives in batches of 1, 2, 7, all at once, or "more than all".
+    #[test]
+    fn input_seams_move_neither_rows_nor_codes_nor_stats() {
+        let input = testkit::rows(31, 90, &[3, 4, 100], false);
+        let run = |batch: usize| {
+            let stats = Stats::new_shared();
+            let group = GroupAggregate::new(
+                testkit::cut(&input, &SortSpec::asc(2), batch),
+                1,
+                AGGS.to_vec(),
+                2,
+                Arc::clone(&stats),
+            );
+            let out = testkit::drain(group, 2);
+            assert_batches_exact_spec(&out, &SortSpec::asc(1));
+            (testkit::digest(&out), stats.snapshot())
+        };
+        let whole = run(input.len());
+        assert_eq!(whole.0 .0, 3);
+        for batch in [1, 2, 7, 1000] {
+            assert_eq!(run(batch), whole, "batch={batch}");
+        }
+    }
+
+    /// Grouping by code inspection is direction-agnostic, and the kernel
+    /// says so: over descending and mixed-direction inputs it reports the
+    /// input's own spec cut to the group key — not "ascending" — and the
+    /// output audits exact under that label.
+    #[test]
+    fn descending_and_mixed_inputs_keep_their_label() {
+        for spec in [
+            SortSpec::desc(2),
+            SortSpec::with_dirs(&[Direction::Desc, Direction::Asc]),
+            SortSpec::with_dirs(&[Direction::Asc, Direction::Desc]),
+        ] {
+            let mut input = testkit::rows(33, 80, &[5, 4, 100], false);
+            input.sort_by(|a, b| spec.cmp_keys(&a[..2], &b[..2]));
+            for g in [1, 2] {
+                let group = GroupAggregate::new(
+                    testkit::cut(&input, &spec, 6),
+                    g,
+                    vec![Aggregate::Count, Aggregate::Sum(2)],
+                    4,
+                    Stats::new_shared(),
+                );
+                let reported = group.sort_spec();
+                assert_eq!(reported, spec.prefix(g), "group_len={g} under {spec}");
+                let out = testkit::drain(group, 4);
+                assert_batches_exact_spec(&out, &reported);
+                let total: u64 = out.iter().flat_map(|b| b.iter()).map(|(r, _)| r[g]).sum();
+                assert_eq!(total, 80, "every input row is counted once");
+            }
+        }
     }
 }

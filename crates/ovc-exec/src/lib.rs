@@ -8,11 +8,14 @@
 //! * [`filter`] — predicate filter via the filter theorem (§4.1, Table 3);
 //! * [`project`] — projection and sort-key clamping (§4.2);
 //! * [`dedup`] — duplicate removal by code inspection (§4.4);
-//! * [`group`] — in-stream grouping/aggregation, Figure 4's operator (§4.5);
+//! * [`group`] — in-stream grouping/aggregation, Figure 4's operator
+//!   (§4.5): a batch kernel, plus the row-at-a-time partial/final and
+//!   count-distinct forms;
 //! * [`pivot`] — pivoting as grouping (§4.6);
 //! * [`merge_join`] — inner/semi/anti/outer merge joins whose merge logic
-//!   itself compares codes (§4.7);
-//! * [`set_ops`] — union/intersect/except and multiset variants (§4.7);
+//!   itself compares codes (§4.7), a batch kernel;
+//! * [`set_ops`] — union/intersect/except and multiset variants (§4.7),
+//!   a batch kernel over the same grouped merge;
 //! * [`nlj`] — nested-loops and b-tree lookup joins (§4.8);
 //! * [`hash_join_op`] — order-preserving in-memory hash join (§4.9);
 //! * [`window`] — analytic (window) functions over coded streams (§5);
@@ -25,9 +28,14 @@
 //!   with bounded channels (the exchange-parallel regime of F1 Query);
 //! * [`plans`] — the sort-based "intersect distinct" plan of Figure 5.
 //!
-//! Every operator upholds the [`ovc_core::stream::OvcStream`] contract:
-//! output codes are exact, so operators compose into arbitrarily deep
-//! pipelines carrying codes end to end.
+//! Every operator upholds the coded-stream contract — row-at-a-time
+//! ([`ovc_core::stream::OvcStream`]) or batch-at-a-time
+//! ([`ovc_core::batch::BatchStream`], seams included): output codes are
+//! exact, so operators compose into arbitrarily deep pipelines carrying
+//! codes end to end.  The batch kernels (merge join, set operations,
+//! group-by, and the [`batch`] operators) are what the planner's executor
+//! lowers onto; they read their inputs' key and code slices in place and
+//! box no row.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -69,3 +77,74 @@ pub use pivot::{Pivot, PivotSpec};
 pub use project::{ClampKey, Project};
 pub use set_ops::{SetOp, SetOperation};
 pub use window::{Window, WindowFunc};
+
+#[cfg(test)]
+/// Shared fixtures of the batch kernels' unit tests: seeded inputs cut
+/// into batch streams, and the row/code digest the
+/// old ≡ new constants were recorded with (the row kernels these
+/// replaced, at commit 4f110c3, produced the same digests and counters).
+pub(crate) mod testkit {
+    use ovc_core::{BatchStream, FlatBatches, FlatRows, Row, SortSpec};
+    use ovc_sort::Run;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// `n` seeded rows, column `c` uniform over `0..domains[c]` (or skewed
+    /// towards small values), sorted ascending on all columns.
+    pub(crate) fn rows(seed: u64, n: usize, domains: &[u64], skew: bool) -> Vec<Vec<u64>> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rows: Vec<Vec<u64>> = (0..n)
+            .map(|_| {
+                domains
+                    .iter()
+                    .map(|&d| {
+                        let v = rng.gen_range(0..d);
+                        if skew {
+                            v * rng.gen_range(0..d) / d
+                        } else {
+                            v
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        rows.sort();
+        rows
+    }
+
+    /// Code `rows` (already ordered under `spec`) and cut them into
+    /// batches of at most `batch` rows.
+    pub(crate) fn cut(rows: &[Vec<u64>], spec: &SortSpec, batch: usize) -> FlatBatches {
+        let rows = rows.iter().cloned().map(Row::new).collect();
+        Run::from_sorted_rows_spec(rows, spec.clone()).batches(batch)
+    }
+
+    /// Drain a stream, checking every batch is non-empty and at most
+    /// `max` rows.
+    pub(crate) fn drain(mut stream: impl BatchStream, max: usize) -> Vec<FlatRows> {
+        let mut batches = Vec::new();
+        while let Some(b) = stream.next_batch() {
+            assert!(!b.is_empty() && b.len() <= max, "batch of {} rows", b.len());
+            batches.push(b);
+        }
+        batches
+    }
+
+    /// `(rows, FNV-1a over every column value and raw code)`.
+    pub(crate) fn digest(batches: &[FlatRows]) -> (usize, u64) {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut mix = |w: u64| {
+            for b in w.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let mut n = 0;
+        for (cols, code) in batches.iter().flat_map(FlatRows::iter) {
+            cols.iter().for_each(|&c| mix(c));
+            mix(code.raw());
+            n += 1;
+        }
+        (n, h)
+    }
+}

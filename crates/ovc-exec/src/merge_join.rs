@@ -8,8 +8,9 @@
 //!
 //! Structure:
 //!
-//! * a `GroupedMerge` runs a two-way merge of the two inputs with their
-//!   codes clamped to the join-key arity.  Exactly like a tree-of-losers
+//! * a `GroupedMerge` runs a two-way merge of the two inputs — one
+//!   cursor per input over the current batch's key and code slices — with
+//!   their codes clamped to the join-key arity.  Exactly like a tree-of-losers
 //!   with two leaves, every comparison is a same-base code comparison: the
 //!   current row of each side is coded relative to the row most recently
 //!   consumed from *either* side, so codes decide most comparisons and
@@ -25,12 +26,11 @@
 //!   from Table 1" (Section 4.7).
 
 use std::cmp::Ordering;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use ovc_core::compare::compare_same_base_spec;
 use ovc_core::theorem::{clamp_to_prefix, OvcAccumulator};
-use ovc_core::{Ovc, OvcRow, OvcStream, Row, SortSpec, Stats, Value};
+use ovc_core::{BatchStream, FlatRows, Ovc, SortSpec, Stats, Value};
 
 /// The "null" padding value for outer-join non-matches.  Rows are plain
 /// `u64` columns, so a sentinel stands in for SQL NULL (DESIGN.md §3.6).
@@ -53,186 +53,191 @@ pub enum JoinType {
     LeftAnti,
 }
 
-/// A buffered input row inside a join group: the row plus its code at the
-/// side's original arity (used by semi/anti joins).
-#[derive(Clone, Debug)]
-pub(crate) struct Item {
-    pub row: Row,
-    pub orig_code: Ovc,
-}
-
-/// One join-key group from the merged chain.
-pub(crate) struct JoinGroup {
-    /// Exact merged-chain code of the group's first row, at join arity.
-    pub code: Ovc,
-    pub left: Vec<Item>,
-    pub right: Vec<Item>,
-}
-
-/// Which side a merged item came from.
+/// Which side a merged row came from.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Side {
     Left,
     Right,
 }
 
-/// The current head of one side: comparison code (join arity, relative to
-/// the last row consumed from either side) plus the original code.
-struct Head {
-    row: Row,
-    cmp_code: Ovc,
-    orig_code: Ovc,
+/// One input of the merge: a cursor over its current batch — the head row
+/// and its code are read in place from the batch's slices — plus this
+/// side's share of the join-key group being gathered.
+pub(crate) struct Input<B> {
+    stream: B,
+    batch: FlatRows,
+    pos: usize,
+    key_len: usize,
+    /// Comparison code of the head row: join arity, relative to the row
+    /// most recently consumed from either side.
+    cmp: Ovc,
+    /// This side's rows of the current group, with their codes at the
+    /// side's original arity (used by semi/anti joins).
+    pub(crate) group: FlatRows,
+}
+
+impl<B: BatchStream> Input<B> {
+    /// Position on the first row of `stream`; `width` shapes the buffers
+    /// of an input that turns out to be empty.
+    fn new(mut stream: B, width: usize, join_len: usize) -> Self {
+        let batch = stream.next_batch().unwrap_or_else(|| FlatRows::new(width));
+        let mut input = Input {
+            key_len: stream.key_len(),
+            stream,
+            group: FlatRows::new(batch.width()),
+            batch,
+            pos: 0,
+            cmp: Ovc::LATE_FENCE,
+        };
+        input.settle(join_len);
+        input
+    }
+
+    fn done(&self) -> bool {
+        self.pos >= self.batch.len()
+    }
+
+    /// Bring a head row under the cursor: when the current batch is spent,
+    /// pull the next one (by the seam rule its first code is relative to
+    /// the row just consumed), then clamp the head's code to the join
+    /// arity.
+    fn settle(&mut self, join_len: usize) {
+        if self.done() {
+            if let Some(batch) = self.stream.next_batch() {
+                self.batch = batch;
+                self.pos = 0;
+            }
+        }
+        if !self.done() {
+            self.cmp = clamp_to_prefix(self.batch.code(self.pos), self.key_len, join_len);
+        }
+    }
+
+    /// Move the head row into the current group.
+    fn take(&mut self, join_len: usize) {
+        let code = self.batch.code(self.pos);
+        self.group.push_from(&self.batch, self.pos, code);
+        self.pos += 1;
+        self.settle(join_len);
+    }
 }
 
 /// Two-way merge of the join inputs, grouped by join key.
-pub(crate) struct GroupedMerge<L: OvcStream, R: OvcStream> {
-    left: L,
-    right: R,
+pub(crate) struct GroupedMerge<L, R> {
+    pub(crate) left: Input<L>,
+    pub(crate) right: Input<R>,
     join_len: usize,
     /// Ordering contract of the join-key prefix (shared by both inputs);
     /// drives every merge comparison, so mixed asc/desc join keys work.
-    join_spec: SortSpec,
-    left_key_len: usize,
-    right_key_len: usize,
-    cur_l: Option<Head>,
-    cur_r: Option<Head>,
-    /// Lookahead: the first item of the next group, if already popped.
-    carry: Option<(Side, Item, Ovc)>,
+    pub(crate) join_spec: SortSpec,
+    /// Lookahead: side and merged-chain code of the next group's first
+    /// row — compared already, still at the head of its input.
+    decided: Option<(Side, Ovc)>,
     stats: Arc<Stats>,
     started: bool,
 }
 
-impl<L: OvcStream, R: OvcStream> GroupedMerge<L, R> {
-    pub fn new(mut left: L, mut right: R, join_len: usize, stats: Arc<Stats>) -> Self {
-        let left_key_len = left.key_len();
-        let right_key_len = right.key_len();
+impl<L: BatchStream, R: BatchStream> GroupedMerge<L, R> {
+    /// Merge `left` and `right` (rows `left_width` / `right_width` columns
+    /// wide) on their first `join_len` columns.
+    pub(crate) fn new(
+        left: L,
+        right: R,
+        (left_width, right_width): (usize, usize),
+        join_len: usize,
+        stats: Arc<Stats>,
+    ) -> Self {
+        let (left_spec, right_spec) = (left.sort_spec(), right.sort_spec());
         assert!(
-            join_len <= left_key_len && join_len <= right_key_len,
+            join_len <= left_spec.len() && join_len <= right_spec.len(),
             "join key must be a sort-key prefix of both inputs"
         );
-        let join_spec = left.sort_spec().prefix(join_len).with_normalized(false);
+        let join_spec = left_spec.prefix(join_len).with_normalized(false);
         assert_eq!(
             join_spec.keys(),
-            right.sort_spec().prefix(join_len).keys(),
+            right_spec.prefix(join_len).keys(),
             "join inputs must agree on the join-key ordering contract"
         );
-        let cur_l = Self::load(&mut left, left_key_len, join_len);
-        let cur_r = Self::load(&mut right, right_key_len, join_len);
         GroupedMerge {
-            left,
-            right,
+            left: Input::new(left, left_width, join_len),
+            right: Input::new(right, right_width, join_len),
             join_len,
             join_spec,
-            left_key_len,
-            right_key_len,
-            cur_l,
-            cur_r,
-            carry: None,
+            decided: None,
             stats,
             started: false,
         }
     }
 
-    fn load<S: OvcStream>(input: &mut S, key_len: usize, join_len: usize) -> Option<Head> {
-        input.next().map(|OvcRow { row, code }| Head {
-            cmp_code: clamp_to_prefix(code, key_len, join_len),
-            orig_code: code,
-            row,
-        })
-    }
-
-    /// Pop the next item of the merged chain; its code is exact relative
-    /// to the previously popped item.
-    fn pop(&mut self) -> Option<(Side, Item, Ovc)> {
-        let side = match (&mut self.cur_l, &mut self.cur_r) {
-            (None, None) => return None,
-            (Some(_), None) => Side::Left,
-            (None, Some(_)) => Side::Right,
-            (Some(l), Some(r)) => {
+    /// Decide which head comes next in the merged chain; its code is
+    /// exact relative to the previously taken row.
+    fn decide(&mut self) -> Option<(Side, Ovc)> {
+        let (l, r) = (&mut self.left, &mut self.right);
+        match (l.done(), r.done()) {
+            (true, true) => None,
+            (false, true) => Some((Side::Left, l.cmp)),
+            (true, false) => Some((Side::Right, r.cmp)),
+            (false, false) => {
                 let ord = compare_same_base_spec(
-                    l.row.key(self.join_len),
-                    r.row.key(self.join_len),
-                    &mut l.cmp_code,
-                    &mut r.cmp_code,
+                    l.batch.key(l.pos, self.join_len),
+                    r.batch.key(r.pos, self.join_len),
+                    &mut l.cmp,
+                    &mut r.cmp,
                     &self.join_spec,
                     &self.stats,
                 );
-                match ord {
-                    Ordering::Less => Side::Left,
-                    Ordering::Greater => Side::Right,
+                Some(match ord {
+                    Ordering::Less => (Side::Left, l.cmp),
+                    Ordering::Greater => (Side::Right, r.cmp),
                     Ordering::Equal => {
                         // Equal join keys: take the left first (stability);
                         // the right head becomes a duplicate of it.
-                        r.cmp_code = Ovc::duplicate();
-                        Side::Left
+                        r.cmp = Ovc::duplicate();
+                        (Side::Left, l.cmp)
                     }
-                }
+                })
             }
-        };
-        let head = match side {
-            Side::Left => {
-                let head = self.cur_l.take().expect("left head");
-                self.cur_l = Self::load(&mut self.left, self.left_key_len, self.join_len);
-                head
-            }
-            Side::Right => {
-                let head = self.cur_r.take().expect("right head");
-                self.cur_r = Self::load(&mut self.right, self.right_key_len, self.join_len);
-                head
-            }
-        };
-        Some((
-            side,
-            Item {
-                row: head.row,
-                orig_code: head.orig_code,
-            },
-            head.cmp_code,
-        ))
+        }
     }
-}
 
-impl<L: OvcStream, R: OvcStream> Iterator for GroupedMerge<L, R> {
-    type Item = JoinGroup;
+    fn take(&mut self, side: Side) {
+        match side {
+            Side::Left => self.left.take(self.join_len),
+            Side::Right => self.right.take(self.join_len),
+        }
+    }
 
-    fn next(&mut self) -> Option<JoinGroup> {
-        let (side, item, code) = match self.carry.take() {
-            Some(c) => c,
-            None => self.pop()?,
+    /// Gather the next join-key group into the inputs' `group` buffers
+    /// (replacing the previous group) and return the exact merged-chain
+    /// code of its first row, at join arity.
+    pub(crate) fn next_group(&mut self) -> Option<Ovc> {
+        let (side, group_code) = match self.decided.take() {
+            Some(d) => d,
+            None => self.decide()?,
         };
         debug_assert!(
-            !self.started || !code.is_duplicate() || self.join_len == 0,
+            !self.started || !group_code.is_duplicate() || self.join_len == 0,
             "group must start at a boundary"
         );
         self.started = true;
-        let mut group = JoinGroup {
-            code,
-            left: Vec::new(),
-            right: Vec::new(),
-        };
-        match side {
-            Side::Left => group.left.push(item),
-            Side::Right => group.right.push(item),
-        }
-        // Absorb the rest of the group: items whose merged-chain code is a
+        self.left.group.truncate(0);
+        self.right.group.truncate(0);
+        self.take(side);
+        // Absorb the rest of the group: rows whose merged-chain code is a
         // duplicate at join arity (free detection; with an empty join key
         // everything is one group).
-        while let Some((side, item, code)) = self.pop() {
-            if code.is_duplicate() {
-                match side {
-                    Side::Left => group.left.push(item),
-                    Side::Right => group.right.push(item),
-                }
-            } else {
-                self.carry = Some((side, item, code));
+        while let Some((side, code)) = self.decide() {
+            if !code.is_duplicate() {
+                self.decided = Some((side, code));
                 break;
             }
+            self.take(side);
         }
-        Some(group)
+        Some(group_code)
     }
 }
 
-/// Merge join over two coded streams.
+/// Merge join over two coded batch streams.
 ///
 /// The join key is the first `join_len` columns of both inputs.  Output
 /// rows are `left columns ++ right columns past the join key` (matching
@@ -240,25 +245,40 @@ impl<L: OvcStream, R: OvcStream> Iterator for GroupedMerge<L, R> {
 /// [`NULL_VALUE`].  Output codes have arity `join_len`, except for semi
 /// and anti joins whose outputs are unmodified left rows with codes at the
 /// left input's full arity.
-pub struct MergeJoin<L: OvcStream, R: OvcStream> {
+///
+/// Both inputs are read in place: one cursor per side over the current
+/// batch's key and code slices, a join-key group held as flat rows, and
+/// the group's output rows written straight into an output batch of at
+/// most `batch_size` rows (a many-to-many group larger than that carries
+/// over into the following batches).
+pub struct MergeJoin<L, R> {
     groups: GroupedMerge<L, R>,
     join_type: JoinType,
     join_len: usize,
-    left_key_len: usize,
-    /// The left input's full ordering contract (semi/anti output spec).
-    left_spec: SortSpec,
     left_width: usize,
-    right_width: usize,
+    /// Column count and ordering contract of the output: the left input's
+    /// for semi/anti joins, combined rows under the join-key spec else.
+    out_width: usize,
+    out_spec: SortSpec,
+    batch_size: usize,
     /// Filter-theorem accumulator over the merged chain (join arity).
     acc: OvcAccumulator,
     /// Filter-theorem accumulator over the left chain (semi/anti).
     left_acc: OvcAccumulator,
-    queue: VecDeque<OvcRow>,
+    /// Output rows `next..total` of the current group are still to be
+    /// written; row 0 carries `head_code`.
+    next: usize,
+    total: usize,
+    head_code: Ovc,
+    /// Scratch for one combined or padded output row.
+    row: Vec<Value>,
 }
 
-impl<L: OvcStream, R: OvcStream> MergeJoin<L, R> {
-    /// Build a merge join.  `left_width`/`right_width` are the inputs'
-    /// column counts (needed to pad outer-join non-matches).
+impl<L: BatchStream, R: BatchStream> MergeJoin<L, R> {
+    /// Build a merge join emitting batches of at most `batch_size` rows.
+    /// `left_width`/`right_width` are the inputs' column counts (needed
+    /// to pad outer-join non-matches).
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         left: L,
         right: R,
@@ -266,162 +286,155 @@ impl<L: OvcStream, R: OvcStream> MergeJoin<L, R> {
         join_type: JoinType,
         left_width: usize,
         right_width: usize,
+        batch_size: usize,
         stats: Arc<Stats>,
     ) -> Self {
-        let left_key_len = left.key_len();
         let left_spec = left.sort_spec();
         assert!(join_len <= right_width && join_len <= left_width);
+        assert!(batch_size > 0, "batch size must be positive");
+        let groups = GroupedMerge::new(left, right, (left_width, right_width), join_len, stats);
+        let (out_width, out_spec) = match join_type {
+            JoinType::LeftSemi | JoinType::LeftAnti => (left_width, left_spec),
+            _ => (
+                left_width + right_width - join_len,
+                groups.join_spec.clone(),
+            ),
+        };
         MergeJoin {
-            groups: GroupedMerge::new(left, right, join_len, stats),
+            groups,
             join_type,
             join_len,
-            left_key_len,
-            left_spec,
             left_width,
-            right_width,
+            out_width,
+            out_spec,
+            batch_size,
             acc: OvcAccumulator::new(),
             left_acc: OvcAccumulator::new(),
-            queue: VecDeque::new(),
+            next: 0,
+            total: 0,
+            head_code: Ovc::duplicate(),
+            row: Vec::with_capacity(out_width),
         }
     }
 
-    fn combine(&self, l: &Row, r: &Row) -> Row {
-        let mut cols = Vec::with_capacity(self.left_width + self.right_width - self.join_len);
-        cols.extend_from_slice(l.cols());
-        cols.extend_from_slice(&r.cols()[self.join_len..]);
-        Row::new(cols)
+    fn keeps_left_rows(&self) -> bool {
+        matches!(self.join_type, JoinType::LeftSemi | JoinType::LeftAnti)
     }
 
-    fn pad_right(&self, l: &Row) -> Row {
-        let mut cols = Vec::with_capacity(self.left_width + self.right_width - self.join_len);
-        cols.extend_from_slice(l.cols());
-        cols.resize(
-            self.left_width + self.right_width - self.join_len,
-            NULL_VALUE,
-        );
-        Row::new(cols)
-    }
-
-    fn pad_left(&self, r: &Row) -> Row {
-        let mut cols = Vec::with_capacity(self.left_width + self.right_width - self.join_len);
-        cols.extend_from_slice(&r.cols()[..self.join_len]);
-        cols.resize(self.left_width, NULL_VALUE);
-        cols.extend_from_slice(&r.cols()[self.join_len..]);
-        Row::new(cols)
-    }
-
-    /// Emit a group's combined rows into the queue, coding the first with
-    /// the accumulated merged-chain code and the rest as duplicates.
-    fn emit_combined(&mut self, group_code: Ovc, rows: Vec<Row>) {
-        let mut first = true;
-        for row in rows {
-            let code = if first {
-                first = false;
-                self.acc.emit(group_code)
+    /// A new group is in the merge's buffers: decide how many rows it
+    /// emits and code the first of them, or absorb the group's codes.
+    fn start_group(&mut self, code: Ovc) {
+        let (left, right) = (&self.groups.left.group, &self.groups.right.group);
+        let (nl, nr) = (left.len(), right.len());
+        self.next = 0;
+        if self.keeps_left_rows() {
+            let emit = (self.join_type == JoinType::LeftSemi) == (nr > 0);
+            self.total = if emit { nl } else { 0 };
+            // Output codes follow the filter theorem over the left input
+            // at its full arity (Section 4.7: "the rule for setting
+            // offset-value codes in the output is the same as given in
+            // the 'filter theorem'").
+            if self.total > 0 {
+                self.head_code = self.left_acc.emit(left.code(0));
             } else {
-                Ovc::duplicate()
-            };
-            self.queue.push_back(OvcRow::new(row, code));
+                for &code in left.codes() {
+                    self.left_acc.absorb(code);
+                }
+            }
+            return;
+        }
+        let pads_right = matches!(self.join_type, JoinType::LeftOuter | JoinType::FullOuter);
+        let pads_left = matches!(self.join_type, JoinType::RightOuter | JoinType::FullOuter);
+        self.total = match (nl, nr) {
+            (_, 0) if pads_right => nl,
+            (0, _) if pads_left => nr,
+            _ => nl * nr,
+        };
+        // The first output of an emitted group carries the accumulated
+        // merged-chain code; every further one is a duplicate at join
+        // arity.
+        if self.total > 0 {
+            self.head_code = self.acc.emit(code);
+        } else {
+            self.acc.absorb(code);
         }
     }
 
-    fn process_group(&mut self, group: JoinGroup) {
-        let JoinGroup { code, left, right } = group;
-        match self.join_type {
-            JoinType::Inner | JoinType::LeftOuter | JoinType::RightOuter | JoinType::FullOuter => {
-                let matched = !left.is_empty() && !right.is_empty();
-                let rows: Vec<Row> = if matched {
-                    left.iter()
-                        .flat_map(|l| right.iter().map(|r| self.combine(&l.row, &r.row)))
-                        .collect()
-                } else if right.is_empty()
-                    && matches!(self.join_type, JoinType::LeftOuter | JoinType::FullOuter)
-                {
-                    left.iter().map(|l| self.pad_right(&l.row)).collect()
-                } else if left.is_empty()
-                    && matches!(self.join_type, JoinType::RightOuter | JoinType::FullOuter)
-                {
-                    right.iter().map(|r| self.pad_left(&r.row)).collect()
-                } else {
-                    Vec::new()
-                };
-                if rows.is_empty() {
-                    self.acc.absorb(code);
-                } else {
-                    self.emit_combined(code, rows);
-                }
-            }
-            JoinType::LeftSemi | JoinType::LeftAnti => {
-                let emit = match self.join_type {
-                    JoinType::LeftSemi => !right.is_empty(),
-                    _ => right.is_empty(),
-                } && !left.is_empty();
-                if emit {
-                    // Output codes follow the filter theorem over the left
-                    // input at its full arity (Section 4.7: "the rule for
-                    // setting offset-value codes in the output is the same
-                    // as given in the 'filter theorem'").  Rows move out of
-                    // the group buffer — no clone.
-                    let mut first = true;
-                    for item in left {
-                        let code = if first {
-                            first = false;
-                            self.left_acc.emit(item.orig_code)
-                        } else {
-                            item.orig_code
-                        };
-                        self.queue.push_back(OvcRow::new(item.row, code));
-                    }
-                } else {
-                    for item in &left {
-                        self.left_acc.absorb(item.orig_code);
-                    }
-                }
-            }
+    /// Write output row `self.next` of the current group into `out`.
+    fn emit_row(&mut self, out: &mut FlatRows) {
+        let (left, right) = (&self.groups.left.group, &self.groups.right.group);
+        let k = self.next;
+        self.next += 1;
+        if self.keeps_left_rows() {
+            let code = if k == 0 { self.head_code } else { left.code(k) };
+            return out.push_from(left, k, code);
         }
+        let j = self.join_len;
+        self.row.clear();
+        if right.is_empty() {
+            self.row.extend_from_slice(left.row(k));
+            self.row.resize(out.width(), NULL_VALUE);
+        } else if left.is_empty() {
+            self.row.extend_from_slice(&right.row(k)[..j]);
+            self.row.resize(self.left_width, NULL_VALUE);
+            self.row.extend_from_slice(&right.row(k)[j..]);
+        } else {
+            self.row.extend_from_slice(left.row(k / right.len()));
+            self.row.extend_from_slice(&right.row(k % right.len())[j..]);
+        }
+        let code = if k == 0 {
+            self.head_code
+        } else {
+            Ovc::duplicate()
+        };
+        out.push(&self.row, code);
     }
 }
 
-impl<L: OvcStream, R: OvcStream> Iterator for MergeJoin<L, R> {
-    type Item = OvcRow;
-    fn next(&mut self) -> Option<OvcRow> {
+impl<L: BatchStream, R: BatchStream> BatchStream for MergeJoin<L, R> {
+    fn next_batch(&mut self) -> Option<FlatRows> {
+        let mut out: Option<FlatRows> = None;
         loop {
-            if let Some(r) = self.queue.pop_front() {
-                return Some(r);
+            if self.next < self.total {
+                let out = out.get_or_insert_with(|| {
+                    FlatRows::with_capacity(self.out_width, self.batch_size)
+                });
+                while self.next < self.total && out.len() < self.batch_size {
+                    self.emit_row(out);
+                }
+                if out.len() >= self.batch_size {
+                    break;
+                }
             }
-            let group = self.groups.next()?;
-            self.process_group(group);
+            match self.groups.next_group() {
+                Some(code) => self.start_group(code),
+                None => break,
+            }
         }
+        out
     }
-}
 
-impl<L: OvcStream, R: OvcStream> OvcStream for MergeJoin<L, R> {
-    fn key_len(&self) -> usize {
-        match self.join_type {
-            JoinType::LeftSemi | JoinType::LeftAnti => self.left_key_len,
-            _ => self.join_len,
-        }
-    }
     fn sort_spec(&self) -> SortSpec {
-        match self.join_type {
-            JoinType::LeftSemi | JoinType::LeftAnti => self.left_spec.clone(),
-            _ => self.groups.join_spec.clone(),
-        }
+        self.out_spec.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit;
+    use ovc_core::batch::{assert_batches_exact_spec, collect_batch_pairs};
     use ovc_core::derive::assert_codes_exact;
-    use ovc_core::stream::collect_pairs;
-    use ovc_core::VecStream;
+    use ovc_core::{Direction, FlatBatches, Row, StatsSnapshot};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::BTreeMap;
 
-    fn stream(rows: Vec<Vec<u64>>, key_len: usize) -> VecStream {
-        VecStream::from_unsorted_rows(rows.into_iter().map(Row::new).collect(), key_len)
+    /// Sort `rows` on their first `key_len` columns (stably) and hand them
+    /// over coded, in batches of 7.
+    fn stream(mut rows: Vec<Vec<u64>>, key_len: usize) -> FlatBatches {
+        rows.sort_by(|a, b| a[..key_len].cmp(&b[..key_len]));
+        testkit::cut(&rows, &SortSpec::asc(key_len), 7)
     }
 
     /// Reference join on the first `j` columns, for all types.
@@ -536,9 +549,9 @@ mod tests {
         rw: usize,
     ) -> Vec<(Row, Ovc)> {
         let stats = Stats::new_shared();
-        let join = MergeJoin::new(stream(l, lkl), stream(r, rkl), j, jt, lw, rw, stats);
+        let join = MergeJoin::new(stream(l, lkl), stream(r, rkl), j, jt, lw, rw, 16, stats);
         let arity = join.key_len();
-        let pairs = collect_pairs(join);
+        let pairs = collect_batch_pairs(join);
         assert_codes_exact(&pairs, arity);
         pairs
     }
@@ -618,11 +631,11 @@ mod tests {
     fn semi_join_preserves_left_codes_at_full_arity() {
         // Table 3 analogue: semi join selecting first and last Table 1 rows.
         let l = ovc_core::table1::rows();
-        let left = VecStream::from_sorted_rows(l, 4);
+        let left = stream(l.iter().map(|r| r.cols().to_vec()).collect(), 4);
         let right = stream(vec![vec![5, 7, 3, 9], vec![5, 9, 3, 7]], 4);
         let stats = Stats::new_shared();
-        let join = MergeJoin::new(left, right, 4, JoinType::LeftSemi, 4, 4, stats);
-        let pairs = collect_pairs(join);
+        let join = MergeJoin::new(left, right, 4, JoinType::LeftSemi, 4, 4, 16, stats);
+        let pairs = collect_batch_pairs(join);
         assert_eq!(pairs.len(), 2);
         assert_eq!(pairs[0].1.paper_decimal(), 405);
         assert_eq!(pairs[1].1.paper_decimal(), 309);
@@ -662,9 +675,10 @@ mod tests {
             JoinType::Inner,
             3,
             3,
+            1024,
             Arc::clone(&stats),
         );
-        let _ = join.count();
+        let _ = collect_batch_pairs(join);
         assert!(
             stats.col_value_cmps() <= 1000 * 2,
             "join merge logic exceeded the N*K bound: {}",
@@ -675,48 +689,32 @@ mod tests {
     #[test]
     fn mixed_direction_join_keys_match_reference() {
         use ovc_core::derive::assert_codes_exact_spec;
-        use ovc_core::{Direction, SortSpec};
         let spec = SortSpec::with_dirs(&[Direction::Desc, Direction::Asc]);
         let mut rng = StdRng::seed_from_u64(77);
-        let mut l: Vec<Row> = (0..80)
-            .map(|_| {
-                Row::new(vec![
-                    rng.gen_range(0..6u64),
-                    rng.gen_range(0..4u64),
-                    rng.gen(),
-                ])
-            })
-            .collect();
-        let mut r: Vec<Row> = (0..80)
-            .map(|_| {
-                Row::new(vec![
-                    rng.gen_range(0..6u64),
-                    rng.gen_range(0..4u64),
-                    rng.gen(),
-                ])
-            })
-            .collect();
-        let jspec = spec.clone();
-        l.sort_by(|a, b| jspec.cmp_keys(a.key(2), b.key(2)));
-        r.sort_by(|a, b| jspec.cmp_keys(a.key(2), b.key(2)));
-        let stats = Stats::new_shared();
+        let mut side = || {
+            let mut rows: Vec<Vec<u64>> = (0..80)
+                .map(|_| vec![rng.gen_range(0..6u64), rng.gen_range(0..4u64), rng.gen()])
+                .collect();
+            rows.sort_by(|a, b| spec.cmp_keys(&a[..2], &b[..2]));
+            rows
+        };
+        let (l, r) = (side(), side());
         let join = MergeJoin::new(
-            VecStream::from_sorted_rows_spec(l.clone(), spec.clone()),
-            VecStream::from_sorted_rows_spec(r.clone(), spec.clone()),
+            testkit::cut(&l, &spec, 9),
+            testkit::cut(&r, &spec, 5),
             2,
             JoinType::Inner,
             3,
             3,
-            stats,
+            16,
+            Stats::new_shared(),
         );
         assert_eq!(join.sort_spec().keys(), spec.keys());
-        let pairs = collect_pairs(join);
+        let pairs = collect_batch_pairs(join);
         assert_codes_exact_spec(&pairs, &spec);
         // Same multiset as the direction-agnostic reference join.
-        let lv: Vec<Vec<u64>> = l.iter().map(|x| x.cols().to_vec()).collect();
-        let rv: Vec<Vec<u64>> = r.iter().map(|x| x.cols().to_vec()).collect();
         let mut got = rows_of(&pairs);
-        let mut expect = reference_join(&lv, &rv, 2, JoinType::Inner, 3, 3);
+        let mut expect = reference_join(&l, &r, 2, JoinType::Inner, 3, 3);
         got.sort();
         expect.sort();
         assert_eq!(got, expect);
@@ -730,5 +728,176 @@ mod tests {
         let rows = rows_of(&pairs);
         assert_eq!(rows[0], vec![1, 10, NULL_VALUE]);
         assert_eq!(rows[1], vec![2, NULL_VALUE, 20]);
+    }
+
+    const ALL_JOIN_TYPES: [JoinType; 6] = [
+        JoinType::Inner,
+        JoinType::LeftOuter,
+        JoinType::RightOuter,
+        JoinType::FullOuter,
+        JoinType::LeftSemi,
+        JoinType::LeftAnti,
+    ];
+
+    /// The old ≡ new proof, carried across the delete.  At commit 4f110c3
+    /// the row-at-a-time `MergeJoin` over `VecStream`s of these seeded
+    /// inputs produced exactly these row counts, row/code digests and
+    /// comparison counts (columns, codes); the batch kernel must too, at
+    /// every input and output batch size.
+    #[test]
+    fn row_kernel_constants_hold() {
+        // (label, seed, left rows, right rows, column domains, skewed, join_len)
+        type Scenario = (&'static str, u64, usize, usize, [u64; 3], bool, usize);
+        const SCENARIOS: [Scenario; 5] = [
+            ("dup_heavy", 1, 60, 50, [4, 3, 1000], false, 2),
+            ("skewed", 2, 80, 70, [16, 4, 1000], true, 2),
+            ("empty_left", 3, 0, 30, [4, 3, 1000], false, 2),
+            ("empty_right", 4, 30, 0, [4, 3, 1000], false, 2),
+            ("join_len0", 5, 12, 9, [4, 3, 1000], false, 0),
+        ];
+        #[rustfmt::skip]
+        const EXPECT: [(JoinType, &str, usize, u64, u64, u64); 30] = [
+            (JoinType::Inner, "dup_heavy", 258, 0x4cb640319ac32cc6, 4, 109),
+            (JoinType::Inner, "skewed", 444, 0xfa3b9f71815eea35, 14, 149),
+            (JoinType::Inner, "empty_left", 0, 0xcbf29ce484222325, 0, 0),
+            (JoinType::Inner, "empty_right", 0, 0xcbf29ce484222325, 0, 0),
+            (JoinType::Inner, "join_len0", 108, 0x8d446b76bcda8572, 0, 12),
+            (JoinType::LeftOuter, "dup_heavy", 258, 0x4cb640319ac32cc6, 4, 109),
+            (JoinType::LeftOuter, "skewed", 453, 0x8b978e978e134114, 14, 149),
+            (JoinType::LeftOuter, "empty_left", 0, 0xcbf29ce484222325, 0, 0),
+            (JoinType::LeftOuter, "empty_right", 30, 0x22dd451b43797c2f, 0, 0),
+            (JoinType::LeftOuter, "join_len0", 108, 0x8d446b76bcda8572, 0, 12),
+            (JoinType::RightOuter, "dup_heavy", 258, 0x4cb640319ac32cc6, 4, 109),
+            (JoinType::RightOuter, "skewed", 454, 0xba4e535e1441394e, 14, 149),
+            (JoinType::RightOuter, "empty_left", 30, 0x1f91e0960c9ced58, 0, 0),
+            (JoinType::RightOuter, "empty_right", 0, 0xcbf29ce484222325, 0, 0),
+            (JoinType::RightOuter, "join_len0", 108, 0x8d446b76bcda8572, 0, 12),
+            (JoinType::FullOuter, "dup_heavy", 258, 0x4cb640319ac32cc6, 4, 109),
+            (JoinType::FullOuter, "skewed", 463, 0xd04d2962952acf82, 14, 149),
+            (JoinType::FullOuter, "empty_left", 30, 0x1f91e0960c9ced58, 0, 0),
+            (JoinType::FullOuter, "empty_right", 30, 0x22dd451b43797c2f, 0, 0),
+            (JoinType::FullOuter, "join_len0", 108, 0x8d446b76bcda8572, 0, 12),
+            (JoinType::LeftSemi, "dup_heavy", 60, 0x47775708844e9bb6, 4, 109),
+            (JoinType::LeftSemi, "skewed", 71, 0x1ea790edb2520468, 14, 149),
+            (JoinType::LeftSemi, "empty_left", 0, 0xcbf29ce484222325, 0, 0),
+            (JoinType::LeftSemi, "empty_right", 0, 0xcbf29ce484222325, 0, 0),
+            (JoinType::LeftSemi, "join_len0", 12, 0xbc0afbdad2775bce, 0, 12),
+            (JoinType::LeftAnti, "dup_heavy", 0, 0xcbf29ce484222325, 4, 109),
+            (JoinType::LeftAnti, "skewed", 9, 0xbae556b0b7b7e37f, 14, 149),
+            (JoinType::LeftAnti, "empty_left", 0, 0xcbf29ce484222325, 0, 0),
+            (JoinType::LeftAnti, "empty_right", 30, 0xceb9fa8060bdefbf, 0, 0),
+            (JoinType::LeftAnti, "join_len0", 0, 0xcbf29ce484222325, 0, 12),
+        ];
+        let mut expect = EXPECT.iter();
+        for jt in ALL_JOIN_TYPES {
+            for (label, seed, nl, nr, domains, skew, j) in SCENARIOS {
+                let l = testkit::rows(seed, nl, &domains, skew);
+                let r = testkit::rows(seed + 100, nr, &domains, skew);
+                let &(e_jt, e_label, rows, digest, col_cmps, ovc_cmps) =
+                    expect.next().expect("one constant per case");
+                assert_eq!((e_jt, e_label), (jt, label));
+                for (in_batch, out_batch) in [(1, 1), (7, 3), (1024, 1024)] {
+                    let stats = Stats::new_shared();
+                    let spec = SortSpec::asc(2);
+                    let join = MergeJoin::new(
+                        testkit::cut(&l, &spec, in_batch),
+                        testkit::cut(&r, &spec, in_batch),
+                        j,
+                        jt,
+                        3,
+                        3,
+                        out_batch,
+                        Arc::clone(&stats),
+                    );
+                    let out = testkit::drain(join, out_batch);
+                    let case = format!("{jt:?}/{label} in={in_batch} out={out_batch}");
+                    assert_eq!(testkit::digest(&out), (rows, digest), "{case}");
+                    let counted = StatsSnapshot {
+                        col_value_cmps: col_cmps,
+                        ovc_cmps,
+                        ..StatsSnapshot::default()
+                    };
+                    assert_eq!(stats.snapshot(), counted, "{case}");
+                }
+            }
+        }
+    }
+
+    /// Seams are invisible: with join-key groups that span at least three
+    /// input batches on *both* sides, every input batch size — 1, 2, 7,
+    /// the whole input, more than the input — gives the same rows, codes
+    /// and counters, for every join type.
+    #[test]
+    fn input_seams_move_neither_rows_nor_codes_nor_stats() {
+        let spec = SortSpec::asc(2);
+        // Join key = column 0 over 3 values: ~20 rows per key per side, so
+        // at batch sizes 1, 2 and 7 each group crosses >= 3 batches.
+        let l = testkit::rows(41, 60, &[3, 5, 1000], false);
+        let r = testkit::rows(42, 55, &[3, 4, 1000], false);
+        for jt in ALL_JOIN_TYPES {
+            let run = |lb: usize, rb: usize| {
+                let stats = Stats::new_shared();
+                let join = MergeJoin::new(
+                    testkit::cut(&l, &spec, lb),
+                    testkit::cut(&r, &spec, rb),
+                    1,
+                    jt,
+                    3,
+                    3,
+                    64,
+                    Arc::clone(&stats),
+                );
+                let out_spec = join.sort_spec();
+                let out = testkit::drain(join, 64);
+                assert_batches_exact_spec(&out, &out_spec);
+                (testkit::digest(&out), stats.snapshot())
+            };
+            let whole = run(l.len(), r.len());
+            assert!(whole.0 .0 > 0 || jt == JoinType::LeftAnti, "{jt:?}");
+            for (lb, rb) in [(1, 1), (2, 2), (7, 7), (1, 7), (7, 2), (1000, 1000)] {
+                assert_eq!(run(lb, rb), whole, "{jt:?} left={lb} right={rb}");
+            }
+        }
+    }
+
+    /// The kernel labels its output with the order it actually has: over
+    /// descending and mixed-direction inputs the reported spec is the
+    /// inputs' own (join prefix, or the left spec for semi/anti), and the
+    /// output audits exact under it.
+    #[test]
+    fn descending_and_mixed_inputs_keep_their_label() {
+        for spec in [
+            SortSpec::desc(2),
+            SortSpec::with_dirs(&[Direction::Asc, Direction::Desc]),
+        ] {
+            let order = |seed, keys| {
+                let mut rows = testkit::rows(seed, 70, &[keys, 4, 1000], false);
+                rows.sort_by(|a, b| spec.cmp_keys(&a[..2], &b[..2]));
+                rows
+            };
+            // Left keys 3 and 4 find no match, so the anti join emits too.
+            let (l, r) = (order(51, 5), order(52, 3));
+            for jt in ALL_JOIN_TYPES {
+                let join = MergeJoin::new(
+                    testkit::cut(&l, &spec, 6),
+                    testkit::cut(&r, &spec, 11),
+                    1,
+                    jt,
+                    3,
+                    3,
+                    8,
+                    Stats::new_shared(),
+                );
+                let reported = join.sort_spec();
+                let expect = match jt {
+                    JoinType::LeftSemi | JoinType::LeftAnti => spec.clone(),
+                    _ => spec.prefix(1),
+                };
+                assert_eq!(reported, expect, "{jt:?} under {spec}");
+                let out = testkit::drain(join, 8);
+                assert!(!out.is_empty(), "{jt:?} under {spec}");
+                assert_batches_exact_spec(&out, &reported);
+            }
+        }
     }
 }

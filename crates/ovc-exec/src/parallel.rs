@@ -52,7 +52,7 @@ use std::thread::{self, JoinHandle, ScopedJoinHandle};
 use ovc_core::ctx::{self, ExecError};
 use ovc_core::fault;
 use ovc_core::theorem::OvcAccumulator;
-use ovc_core::{CodedBatch, OvcRow, OvcStream, Row, SortSpec, Stats};
+use ovc_core::{CodedBatch, OvcRow, OvcStream, Row, SortSpec, Stats, VecStream};
 use ovc_sort::TreeOfLosers;
 
 use crate::group::{Aggregate, GroupCountDistinctPartial, GroupPartial};
@@ -444,7 +444,7 @@ where
                     let local = Stats::new_shared();
                     let streams: Vec<_> = bufs
                         .into_iter()
-                        .map(|rows| CodedBatch::from_coded(rows, key_len).into_stream())
+                        .map(|rows| VecStream::from_coded(rows, key_len))
                         .collect();
                     let rows: Vec<OvcRow> =
                         TreeOfLosers::new(streams, key_len, Arc::clone(&local)).collect();
@@ -752,13 +752,16 @@ mod tests {
             Aggregate::First(2),
             Aggregate::Last(2),
         ];
-        let serial: Vec<OvcRow> = GroupAggregate::new(
-            VecStream::from_sorted_rows(rows.clone(), 3),
+        use ovc_core::{BatchStream, SortSpec, VecBatchStream};
+        let input = CodedBatch::from_sorted_rows(rows.clone(), 3).into_flat();
+        let mut group = GroupAggregate::new(
+            VecBatchStream::new(vec![input], SortSpec::asc(3)),
             1,
             aggs.clone(),
+            rows.len(),
             Stats::new_shared(),
-        )
-        .collect();
+        );
+        let serial = group.next_batch().expect("groups").to_ovc_rows();
         for parts in [1usize, 2, 4] {
             let stats = Stats::new_shared();
             let split = split_threaded(

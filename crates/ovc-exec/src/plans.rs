@@ -21,15 +21,15 @@
 
 use std::sync::Arc;
 
-use ovc_core::{OvcRow, OvcStream, Row, Stats};
+use ovc_core::{BatchStream, OvcRow, Row, Stats};
 use ovc_sort::{generate_runs, merge_runs, Run, RunGenStrategy, RunStorage, SortOutput};
 
-use crate::dedup::Dedup;
 use crate::set_ops::{SetOp, SetOperation};
 
 /// External sort with in-sort duplicate removal: duplicates vanish inside
-/// run generation (before spilling) and inside every merge, all detected
-/// by offset-value codes alone.
+/// run generation (before spilling) and inside every merge — the final
+/// one included, as its winners stream out — all detected by offset-value
+/// codes alone.
 pub fn in_sort_distinct<I, S>(
     input: I,
     key_len: usize,
@@ -37,7 +37,7 @@ pub fn in_sort_distinct<I, S>(
     fan_in: usize,
     storage: &mut S,
     stats: &Arc<Stats>,
-) -> impl OvcStream
+) -> SortOutput
 where
     I: IntoIterator<Item = Row>,
     S: RunStorage,
@@ -60,7 +60,7 @@ where
             .into_iter()
             .next()
             .unwrap_or_else(|| Run::empty(key_len));
-        return DistinctSortOutput(Dedup::new(SortOutput::Memory(run.cursor())));
+        return SortOutput::Memory(run.cursor());
     }
 
     // Spill once; merge with dedup folded into every merge step.  The
@@ -94,25 +94,7 @@ where
         .into_iter()
         .map(|h| unspill(storage.read_run(h)))
         .collect();
-    DistinctSortOutput(Dedup::new(SortOutput::Merge(merge_runs(
-        final_runs, key_len, stats,
-    ))))
-}
-
-/// Newtype so the function can return a concrete `impl OvcStream`.
-struct DistinctSortOutput(Dedup<SortOutput>);
-
-impl Iterator for DistinctSortOutput {
-    type Item = OvcRow;
-    fn next(&mut self) -> Option<OvcRow> {
-        self.0.next()
-    }
-}
-
-impl OvcStream for DistinctSortOutput {
-    fn key_len(&self) -> usize {
-        self.0.key_len()
-    }
+    SortOutput::MergeDistinct(merge_runs(final_runs, key_len, stats))
 }
 
 /// Knobs of the Figure 5/6 experiment.
@@ -156,7 +138,21 @@ pub fn sort_intersect_distinct<S: RunStorage>(
         storage2,
         stats,
     );
-    SetOperation::new(d1, d2, SetOp::Intersect, Arc::clone(stats)).collect()
+    // A hand-written plan picks its own batch granularity; rows, codes
+    // and counters do not depend on it.
+    const BATCH_ROWS: usize = 1024;
+    let mut intersect = SetOperation::new(
+        d1.batches(BATCH_ROWS),
+        d2.batches(BATCH_ROWS),
+        SetOp::Intersect,
+        BATCH_ROWS,
+        Arc::clone(stats),
+    );
+    let mut out = Vec::new();
+    while let Some(batch) = intersect.next_batch() {
+        out.extend(batch.to_ovc_rows());
+    }
+    out
 }
 
 #[cfg(test)]

@@ -12,13 +12,12 @@
 //! decides *how many* copies to emit; codes come from the filter theorem
 //! over the merged chain, with copies past the first being duplicates.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use ovc_core::theorem::OvcAccumulator;
-use ovc_core::{Ovc, OvcRow, OvcStream, Row, Stats};
+use ovc_core::{BatchStream, FlatRows, Ovc, SortSpec, Stats};
 
-use crate::merge_join::{GroupedMerge, JoinGroup};
+use crate::merge_join::GroupedMerge;
 
 /// SQL set operations over sorted coded inputs with identical schemas.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -52,109 +51,127 @@ impl SetOp {
 }
 
 /// Set-operation operator.  Both inputs must be sorted on their full rows
-/// (key_len == row width), as SQL set semantics compare entire rows.
-pub struct SetOperation<L: OvcStream, R: OvcStream> {
+/// (key_len == row width), as SQL set semantics compare entire rows, and
+/// under one ordering contract, which is also the output's.
+///
+/// Output rows go straight into batches of at most `batch_size` rows; a
+/// multiset group with more copies than that carries over.
+pub struct SetOperation<L, R> {
     groups: GroupedMerge<L, R>,
     op: SetOp,
-    key_len: usize,
+    batch_size: usize,
     acc: OvcAccumulator,
-    queue: VecDeque<OvcRow>,
+    /// Copies of the current group's row still to be written, the next
+    /// of them coded `code` (the rest are duplicates).
+    copies: usize,
+    code: Ovc,
 }
 
-impl<L: OvcStream, R: OvcStream> SetOperation<L, R> {
-    /// Build the operator over two streams with equal key length.
+impl<L: BatchStream, R: BatchStream> SetOperation<L, R> {
+    /// Build the operator over two streams with equal key length,
+    /// emitting batches of at most `batch_size` rows.
     ///
     /// The documented full-row contract (`key_len == row width` on both
-    /// inputs) cannot be checked here — streams reveal row widths only
-    /// as they produce rows — so it is asserted per group in `next()`:
-    /// a mismatched input fails loudly instead of silently emitting
+    /// inputs) is asserted on each input's first batch, pulled here, and
+    /// no later batch can differ (the group buffers take one width): a
+    /// mismatched input fails loudly instead of silently emitting
     /// truncated or over-wide rows under `UnionAll`.
-    pub fn new(left: L, right: R, op: SetOp, stats: Arc<Stats>) -> Self {
+    pub fn new(left: L, right: R, op: SetOp, batch_size: usize, stats: Arc<Stats>) -> Self {
         let key_len = left.key_len();
         assert_eq!(
             key_len,
             right.key_len(),
             "set operands must agree on the key"
         );
+        assert!(batch_size > 0, "batch size must be positive");
+        let groups = GroupedMerge::new(left, right, (key_len, key_len), key_len, stats);
+        for (side, rows) in [("left", &groups.left.group), ("right", &groups.right.group)] {
+            assert_eq!(
+                rows.width(),
+                key_len,
+                "set operation {side} input must be sorted on its full rows"
+            );
+        }
         SetOperation {
-            groups: GroupedMerge::new(left, right, key_len, stats),
+            groups,
             op,
-            key_len,
+            batch_size,
             acc: OvcAccumulator::new(),
-            queue: VecDeque::new(),
+            copies: 0,
+            code: Ovc::duplicate(),
         }
     }
 }
 
-impl<L: OvcStream, R: OvcStream> Iterator for SetOperation<L, R> {
-    type Item = OvcRow;
-    fn next(&mut self) -> Option<OvcRow> {
+impl<L: BatchStream, R: BatchStream> BatchStream for SetOperation<L, R> {
+    fn next_batch(&mut self) -> Option<FlatRows> {
+        let mut out: Option<FlatRows> = None;
         loop {
-            if let Some(r) = self.queue.pop_front() {
-                return Some(r);
-            }
-            let JoinGroup { code, left, right } = self.groups.next()?;
-            // Enforce the documented contract on both inputs: SQL set
-            // semantics compare entire rows, so the sort key must be the
-            // whole row.  Every buffered row is checked (one integer
-            // compare each) — a key-equal group can mix widths, so
-            // checking only a group's first row would still let an
-            // over-wide row slip into the output.
-            for item in &left {
-                assert_eq!(
-                    item.row.width(),
-                    self.key_len,
-                    "set operation left input must be sorted on its full rows"
-                );
-            }
-            for item in &right {
-                assert_eq!(
-                    item.row.width(),
-                    self.key_len,
-                    "set operation right input must be sorted on its full rows"
-                );
-            }
-            let copies = self.op.copies(left.len(), right.len());
-            if copies == 0 {
-                self.acc.absorb(code);
-                continue;
-            }
-            let row: &Row = left
-                .first()
-                .map(|i| &i.row)
-                .or_else(|| right.first().map(|i| &i.row))
-                .expect("non-empty group");
-            for i in 0..copies {
-                let code = if i == 0 {
-                    self.acc.emit(code)
+            if self.copies > 0 {
+                let (left, right) = (&self.groups.left.group, &self.groups.right.group);
+                let row = if left.is_empty() {
+                    right.row(0)
                 } else {
-                    Ovc::duplicate()
+                    left.row(0)
                 };
-                self.queue.push_back(OvcRow::new(row.clone(), code));
+                let out =
+                    out.get_or_insert_with(|| FlatRows::with_capacity(row.len(), self.batch_size));
+                while self.copies > 0 && out.len() < self.batch_size {
+                    out.push(row, self.code);
+                    self.code = Ovc::duplicate();
+                    self.copies -= 1;
+                }
+                if out.len() >= self.batch_size {
+                    break;
+                }
+            }
+            let Some(code) = self.groups.next_group() else {
+                break;
+            };
+            let (nl, nr) = (self.groups.left.group.len(), self.groups.right.group.len());
+            self.copies = self.op.copies(nl, nr);
+            if self.copies == 0 {
+                self.acc.absorb(code);
+            } else {
+                self.code = self.acc.emit(code);
             }
         }
+        out
     }
-}
 
-impl<L: OvcStream, R: OvcStream> OvcStream for SetOperation<L, R> {
-    fn key_len(&self) -> usize {
-        self.key_len
+    /// The ordering contract both inputs share (the merge asserts they
+    /// agree), whatever its directions.
+    fn sort_spec(&self) -> SortSpec {
+        self.groups.join_spec.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit;
+    use ovc_core::batch::{assert_batches_exact_spec, collect_batch_pairs};
     use ovc_core::derive::assert_codes_exact;
-    use ovc_core::stream::collect_pairs;
-    use ovc_core::VecStream;
+    use ovc_core::{Direction, FlatBatches, StatsSnapshot, VecBatchStream};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::BTreeMap;
 
-    fn stream(rows: Vec<Vec<u64>>) -> VecStream {
+    const ALL_OPS: [SetOp; 6] = [
+        SetOp::Union,
+        SetOp::UnionAll,
+        SetOp::Intersect,
+        SetOp::IntersectAll,
+        SetOp::Except,
+        SetOp::ExceptAll,
+    ];
+
+    /// Sort `rows` on the full row and hand them over coded, in batches
+    /// of 5.
+    fn stream(mut rows: Vec<Vec<u64>>) -> FlatBatches {
         let width = rows.first().map(|r| r.len()).unwrap_or(1);
-        VecStream::from_unsorted_rows(rows.into_iter().map(Row::new).collect(), width)
+        rows.sort();
+        testkit::cut(&rows, &SortSpec::asc(width), 5)
     }
 
     fn reference(l: &[Vec<u64>], r: &[Vec<u64>], op: SetOp) -> Vec<Vec<u64>> {
@@ -177,14 +194,7 @@ mod tests {
     #[test]
     fn all_ops_match_reference_randomized() {
         let mut rng = StdRng::seed_from_u64(17);
-        for op in [
-            SetOp::Union,
-            SetOp::UnionAll,
-            SetOp::Intersect,
-            SetOp::IntersectAll,
-            SetOp::Except,
-            SetOp::ExceptAll,
-        ] {
+        for op in ALL_OPS {
             for _ in 0..5 {
                 let l: Vec<Vec<u64>> = (0..rng.gen_range(0..80))
                     .map(|_| vec![rng.gen_range(0..6u64), rng.gen_range(0..3u64)])
@@ -193,8 +203,8 @@ mod tests {
                     .map(|_| vec![rng.gen_range(0..6u64), rng.gen_range(0..3u64)])
                     .collect();
                 let stats = Stats::new_shared();
-                let setop = SetOperation::new(stream(l.clone()), stream(r.clone()), op, stats);
-                let pairs = collect_pairs(setop);
+                let setop = SetOperation::new(stream(l.clone()), stream(r.clone()), op, 8, stats);
+                let pairs = collect_batch_pairs(setop);
                 assert_codes_exact(&pairs, 2);
                 let got: Vec<Vec<u64>> = pairs.iter().map(|(row, _)| row.cols().to_vec()).collect();
                 assert_eq!(got, reference(&l, &r, op), "{op:?}");
@@ -208,8 +218,11 @@ mod tests {
         let t1 = vec![vec![1], vec![2], vec![2], vec![5]];
         let t2 = vec![vec![2], vec![5], vec![5], vec![7]];
         let stats = Stats::new_shared();
-        let setop = SetOperation::new(stream(t1), stream(t2), SetOp::Intersect, stats);
-        let got: Vec<u64> = setop.map(|r| r.row.cols()[0]).collect();
+        let setop = SetOperation::new(stream(t1), stream(t2), SetOp::Intersect, 8, stats);
+        let got: Vec<u64> = collect_batch_pairs(setop)
+            .iter()
+            .map(|(r, _)| r.cols()[0])
+            .collect();
         assert_eq!(got, vec![2, 5]);
     }
 
@@ -217,32 +230,49 @@ mod tests {
     fn empty_inputs() {
         for op in [SetOp::Union, SetOp::Intersect, SetOp::Except] {
             let stats = Stats::new_shared();
-            let setop = SetOperation::new(
-                VecStream::from_sorted_rows(vec![], 1),
-                VecStream::from_sorted_rows(vec![], 1),
-                op,
-                stats,
-            );
-            assert_eq!(setop.count(), 0);
+            let mut setop = SetOperation::new(stream(vec![]), stream(vec![]), op, 8, stats);
+            assert!(setop.next_batch().is_none());
         }
     }
 
     /// Regression: a 2-column stream keyed on 1 column used to flow
     /// through `UnionAll` silently, emitting garbage (key-equal rows
-    /// collapsed onto one side's payload).  The full-row contract is now
-    /// asserted on both inputs, and on **every** buffered row: here the
-    /// offending wide row hides behind a correctly-narrow row in the
-    /// same key group, so a first-row-only check would miss it.
+    /// collapsed onto one side's payload).  The full-row contract is
+    /// asserted on both inputs.
     #[test]
     #[should_panic(expected = "sorted on its full rows")]
     fn rejects_inputs_not_keyed_on_the_full_row() {
-        let mixed = VecStream::from_unsorted_rows(
-            vec![Row::new(vec![1]), Row::new(vec![1, 10])],
-            1, // key-equal group mixing widths: violates the contract
+        let wide = testkit::cut(&[vec![1, 10], vec![1, 11]], &SortSpec::asc(1), 8);
+        let setop = SetOperation::new(
+            wide,
+            stream(vec![vec![1], vec![3]]),
+            SetOp::UnionAll,
+            8,
+            Stats::new_shared(),
         );
-        let narrow = stream(vec![vec![1], vec![3]]);
-        let setop = SetOperation::new(mixed, narrow, SetOp::UnionAll, Stats::new_shared());
-        let _ = setop.count();
+        let _ = collect_batch_pairs(setop);
+    }
+
+    /// ... and a key-equal group cannot mix widths either: the offending
+    /// wide batch hides behind a correctly-narrow one holding the same
+    /// key, and is refused by the group's flat buffer.
+    #[test]
+    #[should_panic(expected = "uniform width")]
+    fn rejects_a_batch_of_another_width_mid_group() {
+        let spec = SortSpec::asc(1);
+        let mut narrow = FlatRows::new(1);
+        narrow.push(&[1], spec.initial_code(&[1]));
+        let mut wide = FlatRows::new(2);
+        wide.push(&[1, 10], Ovc::duplicate());
+        let mixed = VecBatchStream::new(vec![narrow, wide], spec);
+        let setop = SetOperation::new(
+            mixed,
+            stream(vec![vec![1], vec![3]]),
+            SetOp::UnionAll,
+            8,
+            Stats::new_shared(),
+        );
+        let _ = collect_batch_pairs(setop);
     }
 
     #[test]
@@ -250,13 +280,171 @@ mod tests {
         let stats = Stats::new_shared();
         let setop = SetOperation::new(
             stream(vec![vec![3], vec![1]]),
-            VecStream::from_sorted_rows(vec![], 1),
+            stream(vec![]),
             SetOp::Union,
+            8,
             stats,
         );
-        let pairs = collect_pairs(setop);
+        let pairs = collect_batch_pairs(setop);
         assert_codes_exact(&pairs, 1);
         let got: Vec<u64> = pairs.iter().map(|(r, _)| r.cols()[0]).collect();
         assert_eq!(got, vec![1, 3]);
+    }
+
+    /// The old ≡ new proof, carried across the delete.  At commit 4f110c3
+    /// the row-at-a-time `SetOperation` over `VecStream`s of these seeded
+    /// inputs produced exactly these row counts, row/code digests and
+    /// comparison counts (columns, codes); the batch kernel must too, at
+    /// every input and output batch size.
+    #[test]
+    fn row_kernel_constants_hold() {
+        // (label, seed, left rows, right rows, column domains, skewed)
+        type Scenario = (&'static str, u64, usize, usize, [u64; 2], bool);
+        const SCENARIOS: [Scenario; 4] = [
+            ("dup_heavy", 11, 80, 70, [3, 3], false),
+            ("skewed", 12, 90, 60, [12, 5], true),
+            ("empty_left", 13, 0, 40, [3, 3], false),
+            ("empty_right", 14, 40, 0, [3, 3], false),
+        ];
+        #[rustfmt::skip]
+        const EXPECT: [(SetOp, &str, usize, u64, u64, u64); 24] = [
+            (SetOp::Union, "dup_heavy", 9, 0x6e18ab8d9e69fb47, 3, 140),
+            (SetOp::Union, "skewed", 25, 0x307dc891e58241bf, 9, 144),
+            (SetOp::Union, "empty_left", 9, 0x6e18ab8d9e69fb47, 0, 0),
+            (SetOp::Union, "empty_right", 9, 0x6e18ab8d9e69fb47, 0, 0),
+            (SetOp::UnionAll, "dup_heavy", 150, 0x9922a288d096f716, 3, 140),
+            (SetOp::UnionAll, "skewed", 150, 0x9cd0afd7d75798a0, 9, 144),
+            (SetOp::UnionAll, "empty_left", 40, 0x46a051ebe5a1a1c6, 0, 0),
+            (SetOp::UnionAll, "empty_right", 40, 0xce12f2481350b9b4, 0, 0),
+            (SetOp::Intersect, "dup_heavy", 9, 0x6e18ab8d9e69fb47, 3, 140),
+            (SetOp::Intersect, "skewed", 13, 0xf2dbc9e557c300c0, 9, 144),
+            (SetOp::Intersect, "empty_left", 0, 0xcbf29ce484222325, 0, 0),
+            (SetOp::Intersect, "empty_right", 0, 0xcbf29ce484222325, 0, 0),
+            (SetOp::IntersectAll, "dup_heavy", 61, 0xcd5517f256504275, 3, 140),
+            (SetOp::IntersectAll, "skewed", 49, 0xda1f275df10338f1, 9, 144),
+            (SetOp::IntersectAll, "empty_left", 0, 0xcbf29ce484222325, 0, 0),
+            (SetOp::IntersectAll, "empty_right", 0, 0xcbf29ce484222325, 0, 0),
+            (SetOp::Except, "dup_heavy", 0, 0xcbf29ce484222325, 3, 140),
+            (SetOp::Except, "skewed", 8, 0x1f82820166a11a1b, 9, 144),
+            (SetOp::Except, "empty_left", 0, 0xcbf29ce484222325, 0, 0),
+            (SetOp::Except, "empty_right", 9, 0x6e18ab8d9e69fb47, 0, 0),
+            (SetOp::ExceptAll, "dup_heavy", 19, 0xca62d1787557cacd, 3, 140),
+            (SetOp::ExceptAll, "skewed", 41, 0xc9a695bce11efa71, 9, 144),
+            (SetOp::ExceptAll, "empty_left", 0, 0xcbf29ce484222325, 0, 0),
+            (SetOp::ExceptAll, "empty_right", 40, 0xce12f2481350b9b4, 0, 0),
+        ];
+        let mut expect = EXPECT.iter();
+        for op in ALL_OPS {
+            for (label, seed, nl, nr, domains, skew) in SCENARIOS {
+                let l = testkit::rows(seed, nl, &domains, skew);
+                let r = testkit::rows(seed + 100, nr, &domains, skew);
+                let &(e_op, e_label, rows, digest, col_cmps, ovc_cmps) =
+                    expect.next().expect("one constant per case");
+                assert_eq!((e_op, e_label), (op, label));
+                for (in_batch, out_batch) in [(1, 1), (7, 3), (1024, 1024)] {
+                    let stats = Stats::new_shared();
+                    let spec = SortSpec::asc(2);
+                    let setop = SetOperation::new(
+                        testkit::cut(&l, &spec, in_batch),
+                        testkit::cut(&r, &spec, in_batch),
+                        op,
+                        out_batch,
+                        Arc::clone(&stats),
+                    );
+                    let out = testkit::drain(setop, out_batch);
+                    let case = format!("{op:?}/{label} in={in_batch} out={out_batch}");
+                    assert_eq!(testkit::digest(&out), (rows, digest), "{case}");
+                    let counted = StatsSnapshot {
+                        col_value_cmps: col_cmps,
+                        ovc_cmps,
+                        ..StatsSnapshot::default()
+                    };
+                    assert_eq!(stats.snapshot(), counted, "{case}");
+                }
+            }
+        }
+    }
+
+    /// Seams are invisible: with nine distinct rows of ~9 copies per side
+    /// (so at batch sizes 1, 2 and 7 every group crosses >= 3 batches on
+    /// both sides), every input batch size gives the same rows, codes
+    /// and counters, for every operation.
+    #[test]
+    fn input_seams_move_neither_rows_nor_codes_nor_stats() {
+        let spec = SortSpec::asc(2);
+        let l = testkit::rows(61, 80, &[3, 3], false);
+        let r = testkit::rows(62, 85, &[3, 3], false);
+        for op in ALL_OPS {
+            let run = |lb: usize, rb: usize| {
+                let stats = Stats::new_shared();
+                let setop = SetOperation::new(
+                    testkit::cut(&l, &spec, lb),
+                    testkit::cut(&r, &spec, rb),
+                    op,
+                    16,
+                    Arc::clone(&stats),
+                );
+                let out = testkit::drain(setop, 16);
+                assert_batches_exact_spec(&out, &spec);
+                (testkit::digest(&out), stats.snapshot())
+            };
+            let whole = run(l.len(), r.len());
+            for (lb, rb) in [(1, 1), (2, 2), (7, 7), (2, 7), (1000, 1000)] {
+                assert_eq!(run(lb, rb), whole, "{op:?} left={lb} right={rb}");
+            }
+        }
+    }
+
+    /// The merge runs under the inputs' real ordering contract, and the
+    /// kernel says so: over descending and mixed-direction inputs it
+    /// reports their shared spec — not "ascending" — and the output
+    /// audits exact under that label.
+    #[test]
+    fn descending_and_mixed_inputs_keep_their_label() {
+        for spec in [
+            SortSpec::desc(2),
+            SortSpec::with_dirs(&[Direction::Asc, Direction::Desc]),
+        ] {
+            let order = |seed| {
+                let mut rows = testkit::rows(seed, 60, &[4, 3], false);
+                rows.sort_by(|a, b| spec.cmp_keys(a, b));
+                rows
+            };
+            let (l, r) = (order(71), order(72));
+            for op in ALL_OPS {
+                let setop = SetOperation::new(
+                    testkit::cut(&l, &spec, 4),
+                    testkit::cut(&r, &spec, 9),
+                    op,
+                    8,
+                    Stats::new_shared(),
+                );
+                assert_eq!(setop.sort_spec(), spec, "{op:?}");
+                let out = testkit::drain(setop, 8);
+                assert_batches_exact_spec(&out, &spec);
+                let mut got: Vec<Vec<u64>> = out
+                    .iter()
+                    .flat_map(|b| b.iter())
+                    .map(|(row, _)| row.to_vec())
+                    .collect();
+                got.sort();
+                assert_eq!(got, reference(&l, &r, op), "{op:?} under {spec}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "agree on the join-key ordering contract")]
+    fn rejects_inputs_ordered_under_different_specs() {
+        let rows = testkit::rows(73, 10, &[4, 3], false);
+        let mut reversed = rows.clone();
+        reversed.reverse();
+        let _ = SetOperation::new(
+            testkit::cut(&rows, &SortSpec::asc(2), 4),
+            testkit::cut(&reversed, &SortSpec::desc(2), 4),
+            SetOp::Union,
+            8,
+            Stats::new_shared(),
+        );
     }
 }

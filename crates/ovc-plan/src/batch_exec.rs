@@ -20,23 +20,29 @@
 //!   is the input size (DESIGN.md §12).
 //! * Partitioned [`PhysOp::MergeJoinOvc`] / [`PhysOp::GroupOvc`] /
 //!   [`PhysOp::SetOpMerge`] run one worker per partition (pair); each
-//!   worker streams batches in from the split edge, applies the ordinary
-//!   row kernel between [`BatchRows`] and [`Batcher`], and sends output
-//!   batches down a **bounded** channel (capacity
+//!   worker streams batches in from the split edge, runs the same batch
+//!   kernel the serial lowering uses, and sends its output batches down a
+//!   **bounded** channel (capacity
 //!   `DEFAULT_CHANNEL_CAPACITY / batch` messages, so the in-flight *row*
 //!   budget is independent of the batch size).
-//! * The gathering [`PhysOp::Exchange`] merges the partition batch
-//!   streams on the calling thread with the order-preserving
-//!   tree-of-losers, under the partitions' actual ordering contract.
+//! * The gathering [`PhysOp::Exchange`] merges the live partition batch
+//!   streams on the calling thread with the external sort's own flat
+//!   tree-of-losers merge ([`ovc_sort::FlatMerge`]: a spent input pulls
+//!   its stream's next batch where a run would end), under the
+//!   partitions' actual ordering contract.
 //!
 //! Rows, codes, and [`Stats`] totals are identical for every batch size
 //! and equal to the `ovc-baseline` reference at every degree of
 //! parallelism — `tests/batch_pipeline_properties.rs` holds 200 seeded
 //! plans to that, code for code.  The seam rule makes this cheap:
 //! cutting a coded stream into batches needs no code repair at all, so
-//! the join/group/set-operation kernels are the row kernels with batch
-//! adapters at their ports, and only the exchange edges (where
-//! partitions *are* lifted out of their stream) repair codes.
+//! the join/group/set-operation kernels advance cursors over the
+//! batches' code and value slices as if over one long run, sorts and
+//! gathers fill output batches straight from their merges, and only the
+//! exchange edges (where partitions *are* lifted out of their stream)
+//! repair codes.  Nothing on a coded path boxes a row; the root's
+//! batches are concatenated into one flat buffer, and rows are boxed
+//! only if the caller asks [`Output`] for them.
 //!
 //! Under a [`QueryCtx`] every operator boundary, every exchange producer
 //! and every partition worker checks the context once per batch, sort
@@ -61,14 +67,13 @@ use std::sync::Arc;
 use std::thread::Scope;
 use std::time::{Duration, Instant};
 
-use ovc_core::batch::{assert_batches_exact_spec, BatchRows, Batcher, VecBatchStream};
+use ovc_core::batch::{assert_batches_exact_spec, VecBatchStream};
 use ovc_core::ctx::{self, ExecError, QueryCtx};
 use ovc_core::derive::derive_codes_spec_counted;
 use ovc_core::fault;
 use ovc_core::metrics::{ChannelGauge, ExchangeGauges, ProfileNode};
 use ovc_core::{
-    BatchStream, CodedBatch, FlatRows, OvcRow, OvcStream, Row, SortSpec, Stats, StatsSnapshot,
-    Value, VecStream,
+    BatchStream, CodedBatch, FlatBatches, FlatRows, Row, SortSpec, Stats, StatsSnapshot, Value,
 };
 use ovc_exec::exchange::partition;
 use ovc_exec::plans::in_sort_distinct;
@@ -76,7 +81,10 @@ use ovc_exec::{
     route_batches, BatchChannelStream, BatchDedup, BatchFilter, BatchFrame, BatchProject,
     BatchTake, GroupAggregate, MergeJoin, SetOperation, DEFAULT_CHANNEL_CAPACITY,
 };
-use ovc_sort::{try_external_sort_spec, MemoryRunStorage, Run, RunStorage, SortConfig};
+use ovc_sort::{
+    merge_batch_streams, try_external_sort_spec, MemoryRunStorage, Run, RunStorage, SortConfig,
+    SortOutput,
+};
 
 use crate::catalog::Catalog;
 use crate::exec::{ExecOptions, Output, DEFAULT_BATCH_ROWS};
@@ -90,9 +98,9 @@ type PartStream = Box<dyn BatchStream + Send>;
 /// as typed payloads — callers wrap this in [`ctx::contain`]); with
 /// `prof`, filling the profile tree that mirrors the plan.
 ///
-/// Ordered roots come back as a materialized coded stream (the
-/// pipeline's threads are joined before returning), hash-side roots as
-/// rows, partitioned roots as coded batches.
+/// Ordered roots come back materialized flat (the pipeline's threads are
+/// joined before returning), hash-side roots as rows, partitioned roots
+/// as coded batches.
 pub(crate) fn run(
     plan: &PhysicalPlan,
     catalog: &Catalog,
@@ -114,15 +122,7 @@ pub(crate) fn run(
             shared: Arc::clone(&shared),
         };
         match cx.run(plan, stats, prof, None) {
-            BOut::Batches(mut b) => {
-                let spec = b.sort_spec();
-                let mut rows: Vec<OvcRow> = Vec::new();
-                while let Some(fb) = b.next_batch() {
-                    rows.extend(fb.to_ovc_rows());
-                }
-                drop(b);
-                Output::Stream(Box::new(VecStream::from_coded_spec(rows, spec)))
-            }
+            BOut::Batches(b) => Output::Stream(drain(b)),
             BOut::Rows(rows) => Output::Rows(rows),
             BOut::Parts(parts, _) => {
                 // Drain every partition stream to a standalone coded
@@ -132,11 +132,7 @@ pub(crate) fn run(
                 // every peer joins before the first error propagates.
                 let handles: Vec<_> = parts
                     .into_iter()
-                    .map(|s| {
-                        scope.spawn(move || {
-                            ctx::contain(|| CodedBatch::from_stream_flat(BatchRows::new(s)))
-                        })
-                    })
+                    .map(|s| scope.spawn(move || ctx::contain(|| drain(s))))
                     .collect();
                 let (batches, failure) = reap_scoped(handles);
                 if let Some(err) = failure {
@@ -165,10 +161,29 @@ enum BOut {
     Parts(Vec<PartStream>, SortSpec),
 }
 
+/// Concatenate a coded batch stream (the root's, or one standalone-coded
+/// partition's) into one flat buffer under the stream's spec.
+fn drain(mut stream: impl BatchStream) -> CodedBatch {
+    let spec = stream.sort_spec();
+    let mut all = stream
+        .next_batch()
+        .unwrap_or_else(|| FlatRows::new(spec.len()));
+    while let Some(batch) = stream.next_batch() {
+        all.extend_from(&batch);
+    }
+    CodedBatch::from_flat(all, spec)
+}
+
 impl BOut {
     fn into_rows(self) -> Vec<Row> {
         match self {
-            BOut::Batches(b) => BatchRows::new(b).map(|r| r.row).collect(),
+            BOut::Batches(mut b) => {
+                let mut rows = Vec::new();
+                while let Some(batch) = b.next_batch() {
+                    rows.extend(batch.iter().map(|(cols, _)| Row::from_slice(cols)));
+                }
+                rows
+            }
             BOut::Rows(rows) => rows,
             BOut::Parts(..) => {
                 panic!("plan output is partitioned; gather it with an Exchange to single")
@@ -264,11 +279,6 @@ impl<'env> BCx<'_, 'env> {
         self.catalog
             .get(name)
             .unwrap_or_else(|| panic!("plan references unknown table {name}"))
-    }
-
-    /// Cut a row-kernel output into this plan's batches.
-    fn batched(&self, s: impl OvcStream + 'static) -> BOut {
-        BOut::Batches(Box::new(Batcher::new(s, self.batch)))
     }
 
     /// The per-batch cancellation point of every thread loop: raise the
@@ -368,25 +378,15 @@ impl<'env> BCx<'_, 'env> {
                 let rows = self.run(input, stats, child(prof, 0), None).into_rows();
                 if *dop > 1 {
                     debug_assert!(spec.is_prefix() && !spec.normalized());
-                    if spec.is_asc_prefix() {
-                        self.batched(ovc_sort::parallel::parallel_sort(
-                            rows,
-                            spec.len(),
-                            *dop,
-                            *memory_rows,
-                            *fan_in,
-                            stats,
-                        ))
-                    } else {
-                        self.batched(ovc_sort::parallel_sort_spec(
-                            rows,
-                            spec,
-                            *dop,
-                            *memory_rows,
-                            *fan_in,
-                            stats,
-                        ))
-                    }
+                    let sorted = ovc_sort::parallel_sort_spec(
+                        rows,
+                        spec,
+                        *dop,
+                        *memory_rows,
+                        *fan_in,
+                        stats,
+                    );
+                    BOut::Batches(sorted.batches(self.batch))
                 } else {
                     let cfg = SortConfig::new(spec.len(), *memory_rows).with_fan_in(*fan_in);
                     let mut storage = self.spill_device(stats);
@@ -410,7 +410,7 @@ impl<'env> BCx<'_, 'env> {
                             try_external_sort_spec(rows, resident, spec, &mut storage, stats)
                         })
                         .unwrap_or_else(|err| ctx::propagate(err));
-                    self.batched(sorted)
+                    BOut::Batches(sorted.batches(self.batch))
                 }
             }
             PhysOp::TrustSorted { input, spec } => {
@@ -435,15 +435,14 @@ impl<'env> BCx<'_, 'env> {
             PhysOp::Reverse { input, spec } => {
                 let stream = self.run(input, stats, child(prof, 0), None).into_batches();
                 debug_assert!(stream.sort_spec().satisfies(&spec.reversed()));
-                let mut rows: Vec<Row> = BatchRows::new(stream).map(|r| r.row).collect();
+                let mut rows = BOut::Batches(stream).into_rows();
                 rows.reverse();
                 let codes = derive_codes_spec_counted(&rows, spec, stats);
-                let coded: Vec<OvcRow> = rows
-                    .into_iter()
-                    .zip(codes)
-                    .map(|(row, code)| OvcRow::new(row, code))
-                    .collect();
-                self.batched(VecStream::from_coded_spec(coded, spec.clone()))
+                let mut flat = FlatRows::with_capacity(plan.props.width, rows.len());
+                for (row, code) in rows.iter().zip(codes) {
+                    flat.push(row.cols(), code);
+                }
+                BOut::Batches(Box::new(FlatBatches::new(flat, spec.clone(), self.batch)))
             }
             PhysOp::InSortDistinct {
                 input,
@@ -455,26 +454,20 @@ impl<'env> BCx<'_, 'env> {
                 debug_assert!(spec.is_asc_prefix());
                 let key_len = spec.len();
                 let rows = self.run(input, stats, child(prof, 0), None).into_rows();
-                if *dop > 1 {
-                    self.batched(ovc_sort::parallel::parallel_sort_distinct(
+                let sorted = if *dop > 1 {
+                    ovc_sort::parallel::parallel_sort_distinct(
                         rows,
                         key_len,
                         *dop,
                         *memory_rows,
                         *fan_in,
                         stats,
-                    ))
+                    )
                 } else {
                     let mut storage = self.spill_device(stats);
-                    self.batched(in_sort_distinct(
-                        rows,
-                        key_len,
-                        *memory_rows,
-                        *fan_in,
-                        &mut storage,
-                        stats,
-                    ))
-                }
+                    in_sort_distinct(rows, key_len, *memory_rows, *fan_in, &mut storage, stats)
+                };
+                BOut::Batches(sorted.batches(self.batch))
             }
             PhysOp::DedupCodes { input } => {
                 let stream = self.run(input, stats, child(prof, 0), None).into_batches();
@@ -521,30 +514,32 @@ impl<'env> BCx<'_, 'env> {
                 group_len,
                 aggs,
             } => match self.run(input, stats, child(prof, 0), None) {
-                BOut::Parts(parts, _) => {
-                    let (group_len, aggs) = (*group_len, aggs.clone());
+                BOut::Parts(parts, pspec) => {
+                    let (group_len, aggs, batch) = (*group_len, aggs.clone(), self.batch);
                     self.partitioned(
                         parts.into_iter().map(|p| vec![p]).collect(),
-                        SortSpec::asc(group_len),
+                        pspec.prefix(group_len),
                         prof,
                         gather,
                         move |mut streams, local| {
                             let s = streams.pop().expect("one stream per group worker");
                             Box::new(GroupAggregate::new(
-                                BatchRows::new(s),
+                                s,
                                 group_len,
                                 aggs.clone(),
+                                batch,
                                 local,
                             ))
                         },
                     )
                 }
-                other => self.batched(GroupAggregate::new(
-                    BatchRows::new(other.into_batches()),
+                other => BOut::Batches(Box::new(GroupAggregate::new(
+                    other.into_batches(),
                     *group_len,
                     aggs.clone(),
+                    self.batch,
                     Arc::clone(stats),
-                )),
+                ))),
             },
             PhysOp::MergeJoinOvc {
                 left,
@@ -563,7 +558,7 @@ impl<'env> BCx<'_, 'env> {
                             ovc_exec::JoinType::LeftSemi | ovc_exec::JoinType::LeftAnti => lspec,
                             _ => lspec.prefix(*join_len).with_normalized(false),
                         };
-                        let (join_len, join_type) = (*join_len, *join_type);
+                        let (join_len, join_type, batch) = (*join_len, *join_type, self.batch);
                         self.partitioned(
                             lp.into_iter().zip(rp).map(|(l, r)| vec![l, r]).collect(),
                             out_spec,
@@ -573,26 +568,23 @@ impl<'env> BCx<'_, 'env> {
                                 let r = streams.pop().expect("right input");
                                 let l = streams.pop().expect("left input");
                                 Box::new(MergeJoin::new(
-                                    BatchRows::new(l),
-                                    BatchRows::new(r),
-                                    join_len,
-                                    join_type,
-                                    lw,
-                                    rw,
-                                    local,
+                                    l, r, join_len, join_type, lw, rw, batch, local,
                                 ))
                             },
                         )
                     }
-                    (BOut::Batches(l), BOut::Batches(r)) => self.batched(MergeJoin::new(
-                        BatchRows::new(l),
-                        BatchRows::new(r),
-                        *join_len,
-                        *join_type,
-                        lw,
-                        rw,
-                        Arc::clone(stats),
-                    )),
+                    (BOut::Batches(l), BOut::Batches(r)) => {
+                        BOut::Batches(Box::new(MergeJoin::new(
+                            l,
+                            r,
+                            *join_len,
+                            *join_type,
+                            lw,
+                            rw,
+                            self.batch,
+                            Arc::clone(stats),
+                        )))
+                    }
                     _ => panic!("merge join inputs must both be streams or both partitioned"),
                 }
             }
@@ -619,29 +611,21 @@ impl<'env> BCx<'_, 'env> {
                 ) {
                     (BOut::Parts(lp, lspec), BOut::Parts(rp, _)) => {
                         assert_eq!(lp.len(), rp.len(), "co-partitioned set-op arity mismatch");
-                        let op = *op;
+                        let (op, batch) = (*op, self.batch);
                         self.partitioned(
                             lp.into_iter().zip(rp).map(|(l, r)| vec![l, r]).collect(),
-                            lspec,
+                            lspec.with_normalized(false),
                             prof,
                             gather,
                             move |mut streams, local| {
                                 let r = streams.pop().expect("right input");
                                 let l = streams.pop().expect("left input");
-                                Box::new(SetOperation::new(
-                                    BatchRows::new(l),
-                                    BatchRows::new(r),
-                                    op,
-                                    local,
-                                ))
+                                Box::new(SetOperation::new(l, r, op, batch, local))
                             },
                         )
                     }
-                    (BOut::Batches(l), BOut::Batches(r)) => self.batched(SetOperation::new(
-                        BatchRows::new(l),
-                        BatchRows::new(r),
-                        *op,
-                        Arc::clone(stats),
+                    (BOut::Batches(l), BOut::Batches(r)) => BOut::Batches(Box::new(
+                        SetOperation::new(l, r, *op, self.batch, Arc::clone(stats)),
                     )),
                     _ => panic!("set operation inputs must both be streams or both partitioned"),
                 }
@@ -729,9 +713,10 @@ impl<'env> BCx<'_, 'env> {
                     BOut::Parts(streams, spec)
                 }
                 // Gathering shuffle: merge the live partition streams on
-                // the calling thread with the tree-of-losers, then re-cut
-                // into batches.  Our own gauges ride down to the child so
-                // its workers meter the send side of these channels.
+                // the calling thread — the sort's final merge, over inputs
+                // that refill — straight into output batches.  Our own
+                // gauges ride down to the child so its workers meter the
+                // send side of these channels.
                 Partitioning::Single => {
                     let b = batch.unwrap_or(self.batch);
                     let own = prof.and_then(|n| n.gauges());
@@ -740,10 +725,8 @@ impl<'env> BCx<'_, 'env> {
                         .first()
                         .map(|s| s.sort_spec())
                         .unwrap_or_else(|| pspec.clone());
-                    let cursors: Vec<BatchRows<PartStream>> =
-                        parts.into_iter().map(BatchRows::new).collect();
-                    let merged = ovc_sort::merge_streams_spec(cursors, &spec, stats);
-                    BOut::Batches(Box::new(Batcher::new(merged, b)))
+                    let merged = merge_batch_streams(parts, &spec, stats);
+                    BOut::Batches(SortOutput::Merge(merged).batches(b))
                 }
                 Partitioning::Any => panic!("Exchange to `any` is not a layout"),
             },
@@ -754,11 +737,7 @@ impl<'env> BCx<'_, 'env> {
                 let (streams, pspec) = self.run(input, stats, child(prof, 0), None).into_parts();
                 let handles: Vec<_> = streams
                     .into_iter()
-                    .map(|s| {
-                        self.scope.spawn(move || {
-                            ctx::contain(|| CodedBatch::from_stream_flat(BatchRows::new(s)))
-                        })
-                    })
+                    .map(|s| self.scope.spawn(move || ctx::contain(|| drain(s))))
                     .collect();
                 let (batches, failure) = reap_scoped(handles);
                 if let Some(err) = failure {
@@ -784,16 +763,19 @@ impl<'env> BCx<'_, 'env> {
                 let spec = out.first().map(|b| b.sort_spec().clone()).unwrap_or(pspec);
                 let streams: Vec<PartStream> = out
                     .into_iter()
-                    .map(|cb| Box::new(Batcher::new(cb.into_stream(), self.batch)) as PartStream)
+                    .map(|cb| {
+                        let flat = FlatBatches::new(cb.into_flat(), spec.clone(), self.batch);
+                        Box::new(flat) as PartStream
+                    })
                     .collect();
                 BOut::Parts(streams, spec)
             }
         }
     }
 
-    /// One worker thread per partition: `build` assembles the row kernel
-    /// over that partition's input stream(s) on the worker, whose output
-    /// is re-batched and sent down a bounded channel (in-flight row
+    /// One worker thread per partition: `build` assembles the batch
+    /// kernel over that partition's input stream(s) on the worker, whose
+    /// output batches go down a bounded channel (in-flight row
     /// budget ≈ [`DEFAULT_CHANNEL_CAPACITY`], message capacity scaled by
     /// the batch size).  `gather` gauges, when present, meter the send
     /// side here and the receive side at the consuming merge.
@@ -806,7 +788,7 @@ impl<'env> BCx<'_, 'env> {
         build: F,
     ) -> BOut
     where
-        F: Fn(Vec<PartStream>, Arc<Stats>) -> Box<dyn OvcStream + Send> + Send + Sync + 'env,
+        F: Fn(Vec<PartStream>, Arc<Stats>) -> PartStream + Send + Sync + 'env,
     {
         let cap = DEFAULT_CHANNEL_CAPACITY.div_ceil(self.batch).max(1);
         let build = Arc::new(build);
@@ -818,14 +800,15 @@ impl<'env> BCx<'_, 'env> {
             let build = Arc::clone(&build);
             let node = prof.cloned();
             let cx = self.clone();
+            let label = out_spec.clone();
             self.scope.spawn(move || {
                 let mut rows = 0u64;
                 let mut nbatches = 0u64;
                 let local = Stats::new_shared();
                 let result = ctx::contain(|| {
                     fault::maybe_panic();
-                    let op = build(streams, Arc::clone(&local));
-                    let mut out = Batcher::new(op, cx.batch);
+                    let mut out = build(streams, Arc::clone(&local));
+                    debug_assert_eq!(out.sort_spec(), label, "kernel and channel labels differ");
                     while let Some(fb) = out.next_batch() {
                         cx.check();
                         let n = fb.len() as u64;

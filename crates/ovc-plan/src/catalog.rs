@@ -14,7 +14,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use ovc_core::derive::{derive_codes_spec, is_sorted_spec};
-use ovc_core::{BatchStream, FlatRows, Row, SortSpec};
+use ovc_core::{FlatBatches, FlatRows, Row, SortSpec};
 
 /// A base table plus the cheap exact statistics the cost model feeds on.
 #[derive(Clone, Debug)]
@@ -114,18 +114,16 @@ impl Table {
 
     /// The Section 4.11 coded scan: stream the stored rows and codes in
     /// batches of at most `batch` rows, each a slice copy of the flat
-    /// buffer (no per-row allocation, no comparison).  `None` for a heap
-    /// table.  Panics if `batch` is zero.
-    pub fn scan_coded(&self, batch: usize) -> Option<CodedScan> {
-        assert!(batch > 0, "batch size must be positive");
+    /// buffer (no per-row allocation, no comparison).  A stored table is
+    /// one coded stream, so cutting it into batches needs no code repair
+    /// (the seam rule, DESIGN.md §12).  `None` for a heap table.  Panics
+    /// if `batch` is zero.
+    pub fn scan_coded(&self, batch: usize) -> Option<FlatBatches<Arc<FlatRows>>> {
         match &self.stored {
             Stored::Heap(_) => None,
-            Stored::Coded(flat) => Some(CodedScan {
-                table: Arc::clone(flat),
-                spec: self.spec.clone(),
-                pos: 0,
-                batch,
-            }),
+            Stored::Coded(flat) => {
+                Some(FlatBatches::new(Arc::clone(flat), self.spec.clone(), batch))
+            }
         }
     }
 
@@ -160,37 +158,6 @@ impl Table {
     /// Exact number of distinct full rows.
     pub fn distinct_rows(&self) -> usize {
         self.distinct_rows
-    }
-}
-
-/// A coded scan over a sorted table's flat buffer ([`Table::scan_coded`]).
-/// A stored table is one coded stream, so cutting it into batches needs
-/// no code repair (the seam rule, DESIGN.md §12).
-pub struct CodedScan {
-    table: Arc<FlatRows>,
-    spec: SortSpec,
-    pos: usize,
-    batch: usize,
-}
-
-impl BatchStream for CodedScan {
-    fn next_batch(&mut self) -> Option<FlatRows> {
-        let t = &self.table;
-        if self.pos >= t.len() {
-            return None;
-        }
-        let end = (self.pos + self.batch).min(t.len());
-        let w = t.width();
-        let out = FlatRows::from_parts(
-            w,
-            t.values()[self.pos * w..end * w].to_vec(),
-            t.codes()[self.pos..end].to_vec(),
-        );
-        self.pos = end;
-        Some(out)
-    }
-    fn sort_spec(&self) -> SortSpec {
-        self.spec.clone()
     }
 }
 
@@ -231,7 +198,7 @@ impl Catalog {
 mod tests {
     use super::*;
     use ovc_core::derive::assert_codes_exact;
-    use ovc_core::Ovc;
+    use ovc_core::{BatchStream, Ovc};
 
     #[test]
     fn sorted_table_precomputes_exact_codes() {

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use ovc_core::ctx::{self, ExecError, QueryCtx};
 use ovc_core::metrics::ProfileNode;
-use ovc_core::{CodedBatch, OvcRow, OvcStream, Row, Stats};
+use ovc_core::{CodedBatch, OvcRow, Row, Stats};
 
 use crate::batch_exec::run;
 use crate::catalog::Catalog;
@@ -58,8 +58,11 @@ pub struct ExecOptions {
 /// plan cut off below its gathering exchange — hash partitions of a
 /// coded stream.
 pub enum Output {
-    /// Sorted stream carrying exact offset-value codes.
-    Stream(Box<dyn OvcStream + Send>),
+    /// Sorted stream carrying exact offset-value codes, materialized
+    /// flat: the root's batches concatenated into one contiguous buffer
+    /// ([`CodedBatch::into_flat`]).  Rows are boxed only by
+    /// [`Output::into_coded`] / [`Output::into_rows`].
+    Stream(CodedBatch),
     /// Materialized rows in arbitrary order (hash-side operators).
     Rows(Vec<Row>),
     /// Hash-partitioned coded batches (between a splitting
@@ -72,7 +75,7 @@ impl Output {
     /// Materialize as rows, dropping codes if present.
     pub fn into_rows(self) -> Vec<Row> {
         match self {
-            Output::Stream(s) => s.map(|r| r.row).collect(),
+            Output::Stream(s) => s.into_rows().into_iter().map(|r| r.row).collect(),
             Output::Rows(rows) => rows,
             Output::Partitions(_) => {
                 panic!("plan output is partitioned; gather it with an Exchange to single")
@@ -84,7 +87,7 @@ impl Output {
     /// (callers decide via the plan's properties, not by trial).
     pub fn into_coded(self) -> Vec<OvcRow> {
         match self {
-            Output::Stream(s) => s.collect(),
+            Output::Stream(s) => s.into_rows(),
             Output::Rows(_) => panic!("plan output is unordered; no codes to collect"),
             Output::Partitions(_) => {
                 panic!("plan output is partitioned; gather it with an Exchange to single")
@@ -96,8 +99,9 @@ impl Output {
 /// Run a physical plan against a catalog, accounting into `stats`.
 ///
 /// Ordered roots come back as a coded stream that is already
-/// materialized (the pipeline's threads are joined before returning),
-/// hash-side roots as rows, partitioned roots as coded batches.
+/// materialized, flat (the pipeline's threads are joined before
+/// returning), hash-side roots as rows, partitioned roots as coded
+/// batches.
 ///
 /// Panics if the plan references tables missing from `catalog` or if its
 /// structure violates operator contracts — both are planner bugs, not

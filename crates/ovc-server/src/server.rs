@@ -632,51 +632,30 @@ fn stream_query(
         }
     };
 
+    // Frames are cut every `batch_rows` rows by range over the
+    // materialized result — whatever batches the executor produced it in
+    // — and encoded from the slices the rows already live in.
     let batch_rows = state.config.batch_rows.max(1);
     let mut seq = 0u64;
-    let mut total_rows = 0u64;
-    let mut rows_buf: Vec<Vec<u64>> = Vec::with_capacity(batch_rows);
-    let mut codes_buf: Vec<u64> = Vec::with_capacity(batch_rows);
-    let mut flush = |cw: &mut ChunkedWriter<&mut BufWriter<&TcpStream>>,
-                     rows_buf: &mut Vec<Vec<u64>>,
-                     codes_buf: &mut Vec<u64>,
-                     coded: bool|
-     -> std::io::Result<()> {
-        if rows_buf.is_empty() {
-            return Ok(());
-        }
-        let codes = if coded {
-            Some(codes_buf.as_slice())
-        } else {
-            None
-        };
-        cw.chunk(wire::batch_frame(seq, rows_buf, codes).as_bytes())?;
-        seq += 1;
-        total_rows += rows_buf.len() as u64;
-        rows_buf.clear();
-        codes_buf.clear();
-        Ok(())
-    };
-
-    match output {
+    let total_rows = match output {
         Output::Stream(s) => {
-            for r in s {
-                rows_buf.push(r.row.cols().to_vec());
-                codes_buf.push(r.code.raw());
-                if rows_buf.len() >= batch_rows {
-                    flush(&mut cw, &mut rows_buf, &mut codes_buf, true)?;
-                }
+            let flat = s.into_flat();
+            for at in (0..flat.len()).step_by(batch_rows) {
+                let end = (at + batch_rows).min(flat.len());
+                let rows = (at..end).map(|i| flat.row(i));
+                let frame = wire::batch_frame(seq, rows, Some(&flat.codes()[at..end]));
+                cw.chunk(frame.as_bytes())?;
+                seq += 1;
             }
-            flush(&mut cw, &mut rows_buf, &mut codes_buf, true)?;
+            flat.len()
         }
         Output::Rows(rows) => {
-            for r in rows {
-                rows_buf.push(r.cols().to_vec());
-                if rows_buf.len() >= batch_rows {
-                    flush(&mut cw, &mut rows_buf, &mut codes_buf, false)?;
-                }
+            for chunk in rows.chunks(batch_rows) {
+                let frame = wire::batch_frame(seq, chunk.iter().map(|r| r.cols()), None);
+                cw.chunk(frame.as_bytes())?;
+                seq += 1;
             }
-            flush(&mut cw, &mut rows_buf, &mut codes_buf, false)?;
+            rows.len()
         }
         Output::Partitions(_) => {
             // The planner always gathers to a single stream at the root;
@@ -685,7 +664,7 @@ fn stream_query(
             cw.finish()?;
             return Ok(None);
         }
-    }
+    } as u64;
 
     let delta = stats.snapshot().since(&before);
     state.metrics.absorb_query(&delta);

@@ -18,7 +18,7 @@
 //! protocol documents as its input domain.
 
 use ovc_bench::snapshot::Json;
-use ovc_core::{Direction, Row, SortSpec, StatsSnapshot, Value};
+use ovc_core::{Direction, Ovc, Row, SortSpec, StatsSnapshot, Value};
 use ovc_plan::{Aggregate, JoinType, LogicalPlan, Predicate, SetOp, Table};
 
 /// A request-side failure: the payload could not be understood.  Maps to
@@ -326,9 +326,9 @@ fn push_escaped(out: &mut String, s: &str) {
 /// Append `values` as a JSON array of decimal **strings** — the exact
 /// u64 emission path (see the module docs on why plain numbers lose
 /// bits above 2^53).
-pub fn u64s_json(out: &mut String, values: &[u64]) {
+pub fn u64s_json(out: &mut String, values: impl Iterator<Item = u64>) {
     out.push('[');
-    for (i, v) in values.iter().enumerate() {
+    for (i, v) in values.enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -350,19 +350,26 @@ pub fn header_frame(request_id: &str, mode: &str, width: usize, key_len: usize) 
 }
 
 /// One `batch` frame: parallel `rows` / `codes` arrays (codes omitted
-/// for unordered outputs), `seq` numbering batches from 0.
-pub fn batch_frame(seq: u64, rows: &[Vec<u64>], codes: Option<&[u64]>) -> String {
+/// for unordered outputs), `seq` numbering batches from 0.  Rows and
+/// codes are encoded straight from the slices they already live in — a
+/// range of the result's flat buffer, or the columns of materialized
+/// rows — so a frame costs its own string and nothing per row.
+pub fn batch_frame<'a>(
+    seq: u64,
+    rows: impl Iterator<Item = &'a [u64]>,
+    codes: Option<&[Ovc]>,
+) -> String {
     let mut f = format!("{{\"frame\":\"batch\",\"seq\":{seq},\"rows\":[");
-    for (i, r) in rows.iter().enumerate() {
+    for (i, r) in rows.enumerate() {
         if i > 0 {
             f.push(',');
         }
-        u64s_json(&mut f, r);
+        u64s_json(&mut f, r.iter().copied());
     }
     f.push(']');
     if let Some(codes) = codes {
         f.push_str(",\"codes\":");
-        u64s_json(&mut f, codes);
+        u64s_json(&mut f, codes.iter().map(|c| c.raw()));
     }
     f.push_str("}\n");
     f
@@ -518,7 +525,8 @@ mod tests {
     fn codes_above_2_53_survive_the_wire() {
         // A real valid-tagged code: bit 62 set, low bits distinguishable.
         let code: u64 = (1 << 62) | 12345;
-        let frame = batch_frame(0, &[vec![1, 2]], Some(&[code]));
+        let rows = [[1u64, 2]];
+        let frame = batch_frame(0, rows.iter().map(|r| &r[..]), Some(&[Ovc::from_raw(code)]));
         // The decimal digits appear verbatim inside a JSON string.
         assert!(frame.contains(&format!("\"{code}\"")), "{frame}");
         let doc = Json::parse(&frame).unwrap();

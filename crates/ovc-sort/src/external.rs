@@ -10,8 +10,9 @@
 //! 2. if more than one run exists, spills runs to a [`RunStorage`] and
 //!    merges with bounded fan-in, spilling intermediate merge results,
 //!    until at most `fan_in` runs remain;
-//! 3. streams the final merge (or the single in-memory run) as a coded
-//!    [`OvcStream`].
+//! 3. hands the final merge (or the single in-memory run) over as
+//!    [`SortOutput`]: flat batches for a pipeline
+//!    ([`SortOutput::batches`]), or a coded [`OvcStream`] of boxed rows.
 //!
 //! Spill volume is accounted in [`Stats`]; the Figure 6 experiment's
 //! "sort-based plan spills each input row only once" claim is asserted on
@@ -21,7 +22,7 @@ use std::sync::Arc;
 
 use ovc_core::ctx::propagate;
 use ovc_core::fault::{self, FaultPoint};
-use ovc_core::{ExecError, OvcRow, OvcStream, Row, SortSpec, Stats};
+use ovc_core::{BatchStream, ExecError, OvcRow, OvcStream, Row, SortSpec, Stats};
 
 use crate::merge::merge_runs_spec;
 use crate::run_gen::{generate_runs_spec, RunGenStrategy};
@@ -131,8 +132,29 @@ pub enum SortOutput {
     /// The input fit in memory: a single run streams out directly.
     Memory(RunCursor),
     /// Final merge over the last `<= fan_in` spilled runs — flat runs
-    /// merged in place, rows materialized only as they stream out.
+    /// merged in place, rows copied out only as they stream out.
     Merge(FlatMerge),
+    /// As [`SortOutput::Merge`] for a sort with in-sort duplicate removal
+    /// (Figure 5): every run entering the merge is already duplicate-free,
+    /// and the duplicates the merge itself surfaces — one integer test per
+    /// winner — are dropped on the way out.
+    MergeDistinct(FlatMerge),
+}
+
+impl SortOutput {
+    /// Hand the sorted rows to a batch pipeline: flat batches of at most
+    /// `batch_size` rows, codes exact across the seams — slices of the
+    /// resident run, or buffers the final merge fills winner by winner.
+    /// No row is boxed.  Panics if `batch_size` is zero or rows were
+    /// already taken through the [`Iterator`] impl.
+    pub fn batches(self, batch_size: usize) -> Box<dyn BatchStream + Send> {
+        assert!(batch_size > 0, "batch size must be positive");
+        match self {
+            SortOutput::Memory(c) => Box::new(c.into_run().batches(batch_size)),
+            SortOutput::Merge(m) => Box::new(m.batches(batch_size, false)),
+            SortOutput::MergeDistinct(m) => Box::new(m.batches(batch_size, true)),
+        }
+    }
 }
 
 impl Iterator for SortOutput {
@@ -141,27 +163,26 @@ impl Iterator for SortOutput {
         match self {
             SortOutput::Memory(c) => c.next(),
             SortOutput::Merge(t) => t.next(),
+            SortOutput::MergeDistinct(t) => t.find(|r| !r.code.is_duplicate()),
         }
     }
     fn size_hint(&self) -> (usize, Option<usize>) {
         match self {
             SortOutput::Memory(c) => c.size_hint(),
             SortOutput::Merge(t) => t.size_hint(),
+            SortOutput::MergeDistinct(t) => (0, t.size_hint().1),
         }
     }
 }
 
 impl OvcStream for SortOutput {
     fn key_len(&self) -> usize {
-        match self {
-            SortOutput::Memory(c) => c.key_len(),
-            SortOutput::Merge(t) => t.key_len(),
-        }
+        self.sort_spec().len()
     }
     fn sort_spec(&self) -> SortSpec {
         match self {
             SortOutput::Memory(c) => c.sort_spec(),
-            SortOutput::Merge(t) => t.sort_spec(),
+            SortOutput::Merge(t) | SortOutput::MergeDistinct(t) => t.sort_spec(),
         }
     }
 }
@@ -317,6 +338,7 @@ where
     match external_sort_spec(input, config, spec, storage, stats) {
         SortOutput::Memory(cursor) => cursor.into_run(),
         SortOutput::Merge(merge) => merge.into_run(),
+        SortOutput::MergeDistinct(merge) => merge.into_run_distinct(),
     }
 }
 
@@ -447,6 +469,34 @@ mod tests {
         let spec = external_sort_spec_collect(rows, cfg, &SortSpec::asc(2), &stats_b);
         assert_eq!(plain, spec, "rows and codes byte-identical");
         assert_eq!(stats_a.rows_spilled(), stats_b.rows_spilled());
+    }
+
+    /// The batch hand-over and the row iterator are two views of one
+    /// output: same rows, codes and counters, for a resident sort (run
+    /// slices) and a spilled one (merge-filled buffers) alike.
+    #[test]
+    fn batches_equal_the_row_stream_for_resident_and_spilled_sorts() {
+        use ovc_core::FlatRows;
+        let rows = random_rows(700, 2, 9, 13);
+        for memory_rows in [1000usize, 64] {
+            let cfg = SortConfig::new(2, memory_rows).with_fan_in(4);
+            let row_stats = Stats::new_shared();
+            let expect =
+                FlatRows::from_ovc_rows(external_sort_collect(rows.clone(), cfg, &row_stats), 2);
+            for batch in [1usize, 7, 700, 5000] {
+                let stats = Stats::new_shared();
+                let mut storage = MemoryRunStorage::new(Arc::clone(&stats));
+                let mut out = external_sort(rows.clone(), cfg, &mut storage, &stats).batches(batch);
+                assert_eq!(out.sort_spec(), SortSpec::asc(2));
+                let mut got = FlatRows::new(2);
+                while let Some(b) = out.next_batch() {
+                    assert!(!b.is_empty() && b.len() <= batch);
+                    got.extend_from(&b);
+                }
+                assert_eq!(got, expect, "memory={memory_rows} batch={batch}");
+                assert_eq!(stats.snapshot(), row_stats.snapshot());
+            }
+        }
     }
 
     /// A spill device whose every operation fails with a typed error.

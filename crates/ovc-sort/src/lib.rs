@@ -48,8 +48,8 @@ pub use external::{
     MemoryRunStorage, RunStorage, SortConfig, SortOutput,
 };
 pub use merge::{
-    merge_runs, merge_runs_spec, merge_runs_to_run, merge_runs_to_run_spec, merge_streams,
-    merge_streams_spec,
+    merge_batch_streams, merge_runs, merge_runs_spec, merge_runs_to_run, merge_runs_to_run_spec,
+    merge_streams,
 };
 pub use parallel::{
     parallel_generate_runs, parallel_generate_runs_spec, parallel_sort, parallel_sort_distinct,
@@ -59,6 +59,6 @@ pub use run_gen::{
     generate_runs, generate_runs_spec, sort_rows_ovc, sort_rows_ovc_spec, sort_rows_quicksort,
     sort_rows_quicksort_spec, RunGenStrategy,
 };
-pub use runs::{Run, RunBatches, RunCursor};
+pub use runs::{Run, RunCursor};
 pub use segmented::SegmentedSort;
 pub use tree::{FlatMerge, TreeOfLosers};

@@ -4,14 +4,15 @@
 //! offset-value codes from its inputs and produces exact codes in its
 //! output — the property every downstream operator in this reproduction
 //! relies on.  Runs merge on the flat path ([`FlatMerge`]: rows stay in
-//! their contiguous buffers, winners copy slice-to-slice); arbitrary coded
-//! streams merge through the generic [`TreeOfLosers`].  The same merge
-//! logic serves external sort steps, order-preserving "merging" exchange
-//! (Section 4.10), and LSM-forest scans and compaction (Section 4.11).
+//! their contiguous buffers, winners copy slice-to-slice), and so do live
+//! batch streams — the order-preserving "merging" exchange of Section 4.10
+//! is the external sort's final merge over inputs that refill; row-at-a-
+//! time coded streams merge through the generic [`TreeOfLosers`], which
+//! also serves LSM-forest scans and compaction (Section 4.11).
 
 use std::sync::Arc;
 
-use ovc_core::{OvcStream, SortSpec, Stats};
+use ovc_core::{BatchStream, OvcStream, SortSpec, Stats};
 
 use crate::runs::Run;
 use crate::tree::{FlatMerge, TreeOfLosers};
@@ -33,14 +34,16 @@ fn merge_runs_spec_owned(runs: Vec<Run>, spec: SortSpec, stats: &Arc<Stats>) -> 
     FlatMerge::new(runs, spec, Arc::clone(stats))
 }
 
-/// Merge coded streams ordered under an arbitrary [`SortSpec`].
-pub fn merge_streams_spec<S: OvcStream>(
-    inputs: Vec<S>,
+/// Merge live coded batch streams ordered under `spec` — the gathering
+/// exchange.  Same tournament, comparisons and codes as
+/// [`merge_runs_spec`] over the same rows: a spent input pulls its
+/// stream's next batch where a run would end.
+pub fn merge_batch_streams(
+    inputs: Vec<Box<dyn BatchStream + Send>>,
     spec: &SortSpec,
     stats: &Arc<Stats>,
-) -> TreeOfLosers<S> {
-    debug_assert!(inputs.iter().all(|s| s.sort_spec() == *spec));
-    TreeOfLosers::new_spec(inputs, spec.clone(), Arc::clone(stats))
+) -> FlatMerge {
+    FlatMerge::over_streams(inputs, spec.clone(), Arc::clone(stats))
 }
 
 /// Spec-aware [`merge_runs_to_run`].
@@ -121,6 +124,74 @@ mod tests {
         .collect();
         let via_flat: Vec<_> = merge_runs(runs, 1, &stats).collect();
         assert_eq!(via_cursors, via_flat);
+    }
+
+    /// The gathering exchange's merge: the same tournament over live batch
+    /// streams.  Inputs of unequal batch counts — thirteen 7-row batches,
+    /// one 40-row batch, an empty stream, and five 1-row batches that run
+    /// out while the others are still competing — must reproduce the run
+    /// merge of the same data row for row, code for code and comparison
+    /// for comparison, whatever size the output is cut at.
+    #[test]
+    fn gather_over_batch_streams_equals_the_run_merge_comparisons_included() {
+        use crate::SortOutput;
+        use ovc_core::{Direction, FlatRows};
+        let mut rng = StdRng::seed_from_u64(19);
+        for spec in [
+            SortSpec::asc(2),
+            SortSpec::with_dirs(&[Direction::Desc, Direction::Asc]),
+        ] {
+            let mut run = |n: usize, domain: u64| {
+                let mut rows: Vec<Row> = (0..n)
+                    .map(|_| {
+                        Row::new(vec![
+                            rng.gen_range(0..domain),
+                            rng.gen_range(0..4u64),
+                            rng.gen(),
+                        ])
+                    })
+                    .collect();
+                rows.sort_by(|a, b| spec.cmp_keys(a.key(2), b.key(2)));
+                Run::from_sorted_rows_spec(rows, spec.clone())
+            };
+            let all = [
+                (run(90, 10), 7),
+                (run(40, 10), 40),
+                (run(0, 10), 3),
+                (run(5, 3), 1),
+            ];
+            // All four inputs, then three of them: a tournament with a
+            // padding leaf.
+            for inputs in [&all[..], &all[1..]] {
+                let total: usize = inputs.iter().map(|(r, _)| r.len()).sum();
+                let run_stats = Stats::new_shared();
+                let expect = merge_runs_to_run_spec(
+                    inputs.iter().map(|(r, _)| r.clone()).collect(),
+                    &spec,
+                    &run_stats,
+                );
+                assert_eq!(expect.len(), total);
+                for out_batch in [1usize, 7, total, 1000] {
+                    let stats = Stats::new_shared();
+                    let streams = inputs
+                        .iter()
+                        .map(|(r, cut)| {
+                            Box::new(r.clone().batches(*cut)) as Box<dyn BatchStream + Send>
+                        })
+                        .collect();
+                    let mut out = SortOutput::Merge(merge_batch_streams(streams, &spec, &stats))
+                        .batches(out_batch);
+                    assert_eq!(out.sort_spec(), spec);
+                    let mut got = FlatRows::new(3);
+                    while let Some(b) = out.next_batch() {
+                        assert!(!b.is_empty() && b.len() <= out_batch);
+                        got.extend_from(&b);
+                    }
+                    assert_eq!(&got, expect.flat(), "{spec} out_batch={out_batch}");
+                    assert_eq!(stats.snapshot(), run_stats.snapshot(), "{spec}");
+                }
+            }
+        }
     }
 
     #[test]

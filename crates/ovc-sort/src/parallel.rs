@@ -34,7 +34,7 @@ use std::thread;
 
 use ovc_core::ctx::{self, ExecError};
 use ovc_core::fault;
-use ovc_core::{OvcRow, OvcStream, Row, SortSpec, Stats, StatsSnapshot};
+use ovc_core::{OvcRow, Row, SortSpec, Stats, StatsSnapshot};
 
 use crate::external::{RunStorage, SortOutput};
 use crate::merge::{merge_runs_spec, merge_runs_to_run_spec};
@@ -335,8 +335,9 @@ pub fn parallel_sort_collect(
 /// Parallel external sort with duplicate removal folded in (the parallel
 /// lowering of the planner's `InSortDistinct`): workers dedup their runs
 /// by code inspection before hand-off, merges dedup at every level, and
-/// the final stream drops duplicate-coded rows.  Rows and codes match the
-/// serial `ovc_exec::plans::in_sort_distinct` byte for byte.
+/// the final merge drops duplicate-coded rows on the way out.  Rows and
+/// codes match the serial `ovc_exec::plans::in_sort_distinct` byte for
+/// byte.
 pub fn parallel_sort_distinct(
     rows: Vec<Row>,
     key_len: usize,
@@ -344,45 +345,18 @@ pub fn parallel_sort_distinct(
     memory_rows: usize,
     fan_in: usize,
     stats: &Arc<Stats>,
-) -> impl OvcStream {
+) -> SortOutput {
     let spec = SortSpec::asc(key_len);
     let runs: Vec<Run> = parallel_generate_runs(rows, key_len, threads, memory_rows, stats)
         .into_iter()
         .map(Run::into_distinct)
         .collect();
-    let runs = reduce_to_fan_in(runs, &spec, fan_in, stats, Run::into_distinct);
-    let inner = if runs.len() <= 1 {
-        SortOutput::Memory(
-            runs.into_iter()
-                .next()
-                .unwrap_or_else(|| Run::empty(key_len))
-                .cursor(),
-        )
-    } else {
-        SortOutput::Merge(merge_runs_spec(runs, &spec, stats))
-    };
-    DedupCodes(inner)
-}
-
-/// Streaming duplicate filter by code inspection (one integer test/row).
-struct DedupCodes(SortOutput);
-
-impl Iterator for DedupCodes {
-    type Item = OvcRow;
-    fn next(&mut self) -> Option<OvcRow> {
-        loop {
-            let r = self.0.next()?;
-            if !r.code.is_duplicate() {
-                return Some(r);
-            }
-        }
+    let mut runs = reduce_to_fan_in(runs, &spec, fan_in, stats, Run::into_distinct);
+    if runs.len() <= 1 {
+        let run = runs.pop().unwrap_or_else(|| Run::empty(key_len));
+        return SortOutput::Memory(run.cursor());
     }
-}
-
-impl OvcStream for DedupCodes {
-    fn key_len(&self) -> usize {
-        self.0.key_len()
-    }
+    SortOutput::MergeDistinct(merge_runs_spec(runs, &spec, stats))
 }
 
 #[cfg(test)]
@@ -446,6 +420,14 @@ mod tests {
             assert_eq!(got, expect, "threads={threads}");
             let pairs: Vec<(Row, Ovc)> = out.into_iter().map(|r| (r.row, r.code)).collect();
             assert_codes_exact(&pairs, 2);
+            // The batch hand-over drops the same duplicates in the merge.
+            let mut batches =
+                parallel_sort_distinct(rows.clone(), 2, threads, 128, 8, &stats).batches(100);
+            let mut flat = Vec::new();
+            while let Some(b) = batches.next_batch() {
+                flat.extend(b.iter().map(|(cols, code)| (Row::from_slice(cols), code)));
+            }
+            assert_eq!(flat, pairs, "threads={threads}");
         }
     }
 

@@ -12,10 +12,12 @@
 //! one contiguous [`FlatRows`] buffer — fixed row width, values and codes
 //! in parallel vectors — instead of a `Vec` of boxed rows.  Merging reads
 //! each run sequentially in place and copies winner rows slice-to-slice;
-//! [`OvcRow`]s are materialized only at stream boundaries ([`RunCursor`]).
+//! a batch pipeline takes the run as slices ([`Run::batches`]), and
+//! [`OvcRow`]s are materialized only for row-at-a-time callers
+//! ([`RunCursor`]).
 
 use ovc_core::derive::{derive_codes, derive_codes_spec};
-use ovc_core::{BatchStream, FlatRows, Ovc, OvcRow, OvcStream, Row, SortSpec};
+use ovc_core::{FlatBatches, FlatRows, Ovc, OvcRow, OvcStream, Row, SortSpec};
 
 /// A sorted, coded, in-memory run in flat columnar layout.
 #[derive(Clone, Debug)]
@@ -161,20 +163,14 @@ impl Run {
         }
     }
 
-    /// Consume the run as a [`BatchStream`] of `batch_size`-row
+    /// Consume the run as a [`ovc_core::BatchStream`] of `batch_size`-row
     /// [`FlatRows`] chunks — the batch-pipeline entry point for sorted
     /// data.  Cutting a coded run at any point needs no code repair
     /// (each batch's first code is relative to the previous batch's last
     /// row — the seam rule of `ovc_core::batch`), so the chunks are plain
     /// slices of the flat buffer.  Panics if `batch_size` is zero.
-    pub fn batches(self, batch_size: usize) -> RunBatches {
-        assert!(batch_size > 0, "batch size must be positive");
-        RunBatches {
-            flat: self.flat,
-            spec: self.spec,
-            pos: 0,
-            batch_size,
-        }
+    pub fn batches(self, batch_size: usize) -> FlatBatches {
+        FlatBatches::new(self.flat, self.spec, batch_size)
     }
 
     /// Total payload bytes a spill of this run would write (8 bytes per
@@ -256,39 +252,10 @@ impl OvcStream for RunCursor {
     }
 }
 
-/// Consuming batch cursor over a run: yields `batch_size`-row
-/// [`FlatRows`] slices of the flat buffer (the last batch may be short),
-/// codes exact across seams.  Built by [`Run::batches`].
-pub struct RunBatches {
-    flat: FlatRows,
-    spec: SortSpec,
-    pos: usize,
-    batch_size: usize,
-}
-
-impl BatchStream for RunBatches {
-    fn next_batch(&mut self) -> Option<FlatRows> {
-        if self.pos >= self.flat.len() {
-            return None;
-        }
-        let end = (self.pos + self.batch_size).min(self.flat.len());
-        let w = self.flat.width();
-        let out = FlatRows::from_parts(
-            w,
-            self.flat.values()[self.pos * w..end * w].to_vec(),
-            self.flat.codes()[self.pos..end].to_vec(),
-        );
-        self.pos = end;
-        Some(out)
-    }
-    fn sort_spec(&self) -> SortSpec {
-        self.spec.clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ovc_core::BatchStream;
 
     #[test]
     fn run_from_sorted_rows() {

@@ -33,7 +33,7 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 
 use ovc_core::compare::{compare_same_base, compare_same_base_spec};
-use ovc_core::{FlatRows, Ovc, OvcRow, OvcStream, Row, SortSpec, Stats};
+use ovc_core::{BatchStream, FlatRows, Ovc, OvcRow, OvcStream, Row, SortSpec, Stats};
 
 use crate::runs::Run;
 
@@ -345,23 +345,39 @@ impl<C: Iterator<Item = OvcRow>> OvcStream for TreeOfLosers<C> {
     }
 }
 
-/// Tree-of-losers merge over **flat** runs: the allocation-free merge hot
-/// path.
+/// Tree-of-losers merge over **flat** inputs: the allocation-free merge
+/// hot path, serving both the external sort's run merges and the
+/// gathering exchange.
 ///
 /// Where [`TreeOfLosers`] pulls boxed [`OvcRow`]s out of generic cursors,
-/// `FlatMerge` keeps every input run's rows in place in its contiguous
-/// [`FlatRows`] buffer and tracks one cursor *position* per run.  Each
+/// `FlatMerge` keeps every input's rows in place in a contiguous
+/// [`FlatRows`] buffer and tracks one cursor *position* per input.  Each
 /// steady-state step is the same same-base code tournament (shared
 /// `play_entries` logic, hence bit-identical comparisons, codes, and
 /// [`Stats`] counters), but the winner "moves" by advancing an index; its
-/// row is copied slice-to-slice into a flat output buffer
-/// ([`FlatMerge::into_run`]) or materialized as an [`OvcRow`] only when
-/// the merge is itself the pipeline boundary (the [`Iterator`] impl).
-/// Per-run reads are sequential, so the whole merge streams through
-/// memory the way the hardware prefetcher wants.
+/// row is copied slice-to-slice into a flat output buffer — one run
+/// ([`FlatMerge::into_run`]) or batch after batch
+/// ([`crate::SortOutput::batches`]) — or materialized as an [`OvcRow`]
+/// only when a caller iterates rows (the [`Iterator`] impl).  Per-input
+/// reads are sequential, so the whole merge streams through memory the
+/// way the hardware prefetcher wants.
+///
+/// An input is a [`Run`] ([`FlatMerge::new`]) or a live [`BatchStream`]
+/// ([`crate::merge_batch_streams`]), of which a run is the one-batch case:
+/// when a stream-fed input's current batch runs out, the next batch takes
+/// its place.  By the seam rule that batch's first code is already
+/// relative to the row just output, so the refill costs no comparison and
+/// lives entirely on the branch that turns an exhausted run into a late
+/// fence.
 pub struct FlatMerge {
+    /// Each input's current batch (a run merge: the whole run); for a
+    /// stream-fed merge, padded to `cap` and followed by one spare buffer
+    /// that keeps the batch an input has just left alive until its last
+    /// row is copied out.
     runs: Vec<FlatRows>,
     pos: Vec<usize>,
+    /// The stream behind each input; empty for a merge over runs.
+    sources: Vec<Box<dyn BatchStream + Send>>,
     nodes: Vec<Entry>,
     winner: Entry,
     cap: usize,
@@ -375,24 +391,44 @@ impl FlatMerge {
     /// Build the merge over flat runs ordered (and coded) under `spec`.
     pub fn new(runs: Vec<Run>, spec: SortSpec, stats: Arc<Stats>) -> Self {
         debug_assert!(runs.iter().all(|r| r.sort_spec() == &spec));
+        let runs = runs.into_iter().map(Run::into_flat).collect();
+        Self::build(runs, Vec::new(), spec, stats)
+    }
+
+    /// Build the merge over live batch streams ordered (and coded) under
+    /// `spec`: each stream's first batch is pulled here, the rest as the
+    /// tournament drains them.
+    pub(crate) fn over_streams(
+        mut sources: Vec<Box<dyn BatchStream + Send>>,
+        spec: SortSpec,
+        stats: Arc<Stats>,
+    ) -> Self {
+        debug_assert!(sources.iter().all(|s| s.sort_spec() == spec));
+        let runs: Vec<FlatRows> = sources
+            .iter_mut()
+            .map(|s| s.next_batch().unwrap_or_else(|| FlatRows::new(spec.len())))
+            .collect();
+        let mut merge = Self::build(runs, sources, spec, stats);
+        // Empty buffers for the padding leaves (so no leaf id names the
+        // spare), then the spare itself at index `cap`.
+        merge.pos.resize(merge.cap, 0);
+        merge.runs.resize(merge.cap + 1, FlatRows::new(0));
+        merge
+    }
+
+    fn build(
+        runs: Vec<FlatRows>,
+        sources: Vec<Box<dyn BatchStream + Send>>,
+        spec: SortSpec,
+        stats: Arc<Stats>,
+    ) -> Self {
         let width = runs
             .iter()
             .find(|r| !r.is_empty())
-            .map(Run::width)
+            .map(FlatRows::width)
             .unwrap_or(spec.len());
-        let runs: Vec<FlatRows> = runs.into_iter().map(Run::into_flat).collect();
         let f = runs.len();
         let cap = f.next_power_of_two().max(1);
-        let first_codes: Vec<Ovc> = runs
-            .iter()
-            .map(|r| {
-                if r.is_empty() {
-                    Ovc::LATE_FENCE
-                } else {
-                    r.code(0)
-                }
-            })
-            .collect();
         let asc = spec.is_asc_prefix();
         let k = spec.len();
         let pos = vec![0usize; f];
@@ -412,13 +448,17 @@ impl FlatMerge {
             loser_tree::build(
                 &mut nodes,
                 cap,
-                &mut |r| first_codes.get(r).copied().unwrap_or(Ovc::LATE_FENCE),
+                &mut |r| match runs.get(r) {
+                    Some(run) if !run.is_empty() => run.code(0),
+                    _ => Ovc::LATE_FENCE,
+                },
                 &mut play,
             )
         };
         FlatMerge {
             pos,
             runs,
+            sources,
             nodes,
             winner,
             cap,
@@ -429,8 +469,9 @@ impl FlatMerge {
         }
     }
 
-    /// Pop the winner as `(run, row index, code)` — the row itself stays
-    /// in the run's buffer for the caller to copy or borrow.
+    /// Pop the winner as `(buffer, row index, code)` — the row itself stays
+    /// in `self.runs[buffer]` for the caller to copy or borrow before the
+    /// next pop.
     #[inline]
     fn next_idx(&mut self) -> Option<(usize, usize, Ovc)> {
         if self.winner.code.is_late_fence() {
@@ -441,13 +482,14 @@ impl FlatMerge {
         let out_code = self.winner.code;
         self.pos[w] += 1;
 
-        // The successor from the same run is coded relative to the row
+        // The successor from the same input is coded relative to the row
         // just output (prefix truncation within the run), so the
         // leaf-to-root pass below compares same-base codes.
+        let mut buffer = w;
         let succ = if self.pos[w] < self.runs[w].len() {
             self.runs[w].code(self.pos[w])
         } else {
-            Ovc::LATE_FENCE
+            self.refill(w, &mut buffer)
         };
         let cand = Entry {
             code: succ,
@@ -468,10 +510,29 @@ impl FlatMerge {
             )
         };
         self.winner = loser_tree::replay(&mut self.nodes, self.cap, w, cand, &mut play);
-        Some((w, idx, out_code))
+        Some((buffer, idx, out_code))
     }
 
-    /// Rows remaining across all inputs.
+    /// Input `w`'s current batch is spent.  A run, or a stream that has
+    /// ended, leaves the late fence.  Otherwise the stream's next batch
+    /// takes the input's place and its first code — exact relative to the
+    /// row just output, by the seam rule — is returned; the spent batch,
+    /// which still holds that row, moves to the spare buffer behind the
+    /// inputs, and `buffer` says so.
+    #[cold]
+    fn refill(&mut self, w: usize, buffer: &mut usize) -> Ovc {
+        let Some(batch) = self.sources.get_mut(w).and_then(|s| s.next_batch()) else {
+            return Ovc::LATE_FENCE;
+        };
+        let code = batch.code(0);
+        *buffer = self.cap;
+        self.runs[*buffer] = std::mem::replace(&mut self.runs[w], batch);
+        self.pos[w] = 0;
+        code
+    }
+
+    /// Rows remaining in the inputs' current batches (all remaining rows
+    /// of a run merge; a lower bound for a stream-fed one).
     fn remaining(&self) -> usize {
         self.runs
             .iter()
@@ -509,13 +570,33 @@ impl FlatMerge {
     /// predecessor" leaves every surviving code exact).
     pub fn into_run_distinct(mut self) -> Run {
         self.assert_unconsumed();
-        let mut out = FlatRows::with_capacity(self.width, self.remaining());
-        while let Some((r, i, code)) = self.next_idx() {
-            if !code.is_duplicate() {
+        let out = self.fill(usize::MAX, true);
+        Run::from_flat_trusted(out, self.spec)
+    }
+
+    /// Move winners into a fresh buffer until it holds `limit` rows or
+    /// the merge ends, dropping duplicate-coded winners when `distinct`.
+    fn fill(&mut self, limit: usize, distinct: bool) -> FlatRows {
+        let mut out = FlatRows::with_capacity(self.width, limit.min(self.remaining()));
+        while out.len() < limit {
+            let Some((r, i, code)) = self.next_idx() else {
+                break;
+            };
+            if !(distinct && code.is_duplicate()) {
                 out.push_from(&self.runs[r], i, code);
             }
         }
-        Run::from_flat_trusted(out, self.spec)
+        out
+    }
+
+    /// Hand the merge over batch-at-a-time: winners fill one output
+    /// buffer of at most `batch_size` rows per call, nothing is boxed.
+    pub(crate) fn batches(self, batch_size: usize, distinct: bool) -> MergeBatches {
+        MergeBatches {
+            merge: self,
+            batch_size,
+            distinct,
+        }
     }
 
     /// Number of leaves (padded fan-in).
@@ -544,6 +625,23 @@ impl OvcStream for FlatMerge {
     }
     fn sort_spec(&self) -> SortSpec {
         self.spec.clone()
+    }
+}
+
+/// A [`FlatMerge`] as a [`BatchStream`] (see [`crate::SortOutput::batches`]).
+pub(crate) struct MergeBatches {
+    merge: FlatMerge,
+    batch_size: usize,
+    distinct: bool,
+}
+
+impl BatchStream for MergeBatches {
+    fn next_batch(&mut self) -> Option<FlatRows> {
+        let out = self.merge.fill(self.batch_size, self.distinct);
+        (!out.is_empty()).then_some(out)
+    }
+    fn sort_spec(&self) -> SortSpec {
+        self.merge.spec.clone()
     }
 }
 

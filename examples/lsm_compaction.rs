@@ -12,8 +12,9 @@
 use std::sync::Arc;
 
 use ovc_bench::workload::{table, TableSpec};
-use ovc_core::Stats;
+use ovc_core::{BatchStream, Stats};
 use ovc_exec::{Aggregate, GroupAggregate};
+use ovc_sort::Run;
 use ovc_storage::{LsmConfig, LsmForest};
 
 fn main() {
@@ -60,14 +61,18 @@ fn main() {
 
     // Query processing: merged scan -> in-stream aggregation, both on codes.
     println!("query: select k1, k2, count(*) group by k1, k2\n");
-    let scan = forest.scan();
     let before = stats.snapshot();
-    let grouped = GroupAggregate::new(scan, 2, vec![Aggregate::Count], Arc::clone(&stats));
+    // The merged scan's coded rows, gathered flat, feed the batch kernel.
+    let scan = Run::from_coded(forest.scan().collect(), key_cols).batches(1024);
+    let mut grouped =
+        GroupAggregate::new(scan, 2, vec![Aggregate::Count], 1024, Arc::clone(&stats));
     let mut groups = 0usize;
     let mut max_count = 0u64;
-    for g in grouped {
-        groups += 1;
-        max_count = max_count.max(g.row.cols()[2]);
+    while let Some(batch) = grouped.next_batch() {
+        groups += batch.len();
+        for (row, _) in batch.iter() {
+            max_count = max_count.max(row[2]);
+        }
     }
     let delta = stats.snapshot().since(&before);
     println!("groups: {groups}, largest group: {max_count}");

@@ -13,18 +13,23 @@
 //!
 //! Plan: RLE column-store scan (free codes) → filter (filter theorem) →
 //! merge join (codes decide merge comparisons) → order-preserving split →
-//! per-partition grouping → order-preserving merge — with the comparison
-//! budget printed per stage.
+//! per-partition grouping → order-preserving merge — flat batches from
+//! the scan to the result, with the comparison budget printed per stage.
 //!
 //! Run with: `cargo run --release --example query_pipeline`
 
 use std::sync::Arc;
 
 use ovc_bench::workload::{table, TableSpec};
-use ovc_core::derive::assert_codes_exact;
-use ovc_core::{Row, Stats, VecStream};
-use ovc_exec::{exchange, Aggregate, Filter, GroupAggregate, JoinType, MergeJoin};
+use ovc_core::batch::{assert_batches_exact_spec, VecBatchStream};
+use ovc_core::{BatchStream, FlatRows, Row, SortSpec, Stats, Value};
+use ovc_exec::exchange::partition;
+use ovc_exec::{route_batches, Aggregate, BatchFilter, GroupAggregate, JoinType, MergeJoin};
+use ovc_sort::{merge_batch_streams, Run, SortOutput};
 use ovc_storage::RleColumnStore;
+
+/// Rows per batch between operators (the engine's default).
+const BATCH: usize = 1024;
 
 fn main() {
     let n: usize = std::env::args()
@@ -53,15 +58,15 @@ fn main() {
         dim.len()
     );
 
-    // 1. Scan: codes for free.
-    let scan = fact_store.scan();
+    // 1. Scan: codes for free, handed on as flat batches.
+    let scan = Run::from_coded(fact_store.scan().collect(), 1).batches(BATCH);
     let mark = stats.snapshot();
 
     // 2. Filter: codes by the filter theorem.
-    let filtered = Filter::new(scan, |r: &Row| r.cols()[1] != 0, Arc::clone(&stats));
+    let filtered = BatchFilter::new(scan, |r: &[Value]| r[1] != 0, Arc::clone(&stats));
 
     // 3. Merge join with the dimension (sorted stream with derived codes).
-    let dim_stream = VecStream::from_sorted_rows(dim, 1);
+    let dim_stream = Run::from_sorted_rows(dim, 1).batches(BATCH);
     let joined = MergeJoin::new(
         filtered,
         dim_stream,
@@ -69,43 +74,57 @@ fn main() {
         JoinType::Inner,
         2,
         2,
+        BATCH,
         Arc::clone(&stats),
     );
 
     // 4. Order-preserving split into 4 partitions by region.
-    let parts = exchange::split(joined, 4, exchange::partition::by_hash(0, 4));
+    let mut parts: Vec<Vec<FlatRows>> = vec![Vec::new(); 4];
+    route_batches(
+        joined,
+        4,
+        partition::by_cols_hash_slice(vec![0], 4),
+        BATCH,
+        |p, batch| {
+            parts[p].push(batch);
+            true
+        },
+    );
     let after_split = stats.snapshot().since(&mark);
 
     // 5. Per-partition grouping on (region); tier rides along as Min
     //    (single-valued per region in this dimension).
-    let mut grouped_parts = Vec::new();
-    for p in parts {
-        let grouped: Vec<_> = GroupAggregate::new(
-            p,
-            1,
-            vec![Aggregate::Min(1), Aggregate::Count, Aggregate::Sum(2)],
-            Arc::clone(&stats),
-        )
+    let grouped_parts = parts
+        .into_iter()
+        .map(|batches| {
+            Box::new(GroupAggregate::new(
+                VecBatchStream::new(batches, SortSpec::asc(1)),
+                1,
+                vec![Aggregate::Min(1), Aggregate::Count, Aggregate::Sum(2)],
+                BATCH,
+                Arc::clone(&stats),
+            )) as Box<dyn BatchStream + Send>
+        })
         .collect();
-        grouped_parts.push(VecStream::from_coded(grouped, 1));
-    }
 
     // 6. Order-preserving merge back to one sorted result stream.
-    let merged = exchange::merge(grouped_parts, 1, &stats);
-    let result: Vec<_> = merged.collect();
+    let merged = merge_batch_streams(grouped_parts, &SortSpec::asc(1), &stats);
+    let mut merged = SortOutput::Merge(merged).batches(BATCH);
+    let batches: Vec<FlatRows> = std::iter::from_fn(|| merged.next_batch()).collect();
     let total = stats.snapshot().since(&mark);
 
-    let pairs: Vec<_> = result.iter().map(|r| (r.row.clone(), r.code)).collect();
-    assert_codes_exact(&pairs, 1);
+    assert_batches_exact_spec(&batches, &SortSpec::asc(1));
+    let result: Vec<&[Value]> = batches
+        .iter()
+        .flat_map(|b| b.iter())
+        .map(|(row, _)| row)
+        .collect();
 
     println!("result groups: {}", result.len());
     for r in result.iter().take(8) {
         println!(
             "  region {:>2} tier {} count {:>8} sum {:>12}",
-            r.row.cols()[0],
-            r.row.cols()[1],
-            r.row.cols()[2],
-            r.row.cols()[3]
+            r[0], r[1], r[2], r[3]
         );
     }
     if result.len() > 8 {

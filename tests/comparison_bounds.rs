@@ -7,9 +7,9 @@
 
 use std::sync::Arc;
 
-use ovc_core::{Row, Stats};
+use ovc_core::{BatchStream, Row, Stats};
 use ovc_exec::{JoinType, MergeJoin};
-use ovc_sort::{external_sort_collect, sort_rows_ovc, RunGenStrategy, SortConfig};
+use ovc_sort::{external_sort_collect, sort_rows_ovc, Run, RunGenStrategy, SortConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -83,10 +83,22 @@ fn merge_join_column_comparisons_bounded() {
     for n in [500usize, 2000, 8000] {
         let k = 2;
         let stats = Stats::new_shared();
-        let l = ovc_core::VecStream::from_unsorted_rows(rows(n, k, 8, 13), k);
-        let r = ovc_core::VecStream::from_unsorted_rows(rows(n, k, 8, 14), k);
-        let join = MergeJoin::new(l, r, k, JoinType::Inner, k, k, Arc::clone(&stats));
-        let _ = join.count();
+        let sorted = |seed| {
+            let mut rows = rows(n, k, 8, seed);
+            rows.sort();
+            Run::from_sorted_rows(rows, k).batches(1024)
+        };
+        let mut join = MergeJoin::new(
+            sorted(13),
+            sorted(14),
+            k,
+            JoinType::Inner,
+            k,
+            k,
+            1024,
+            Arc::clone(&stats),
+        );
+        while join.next_batch().is_some() {}
         assert!(
             stats.col_value_cmps() <= (2 * n * k) as u64,
             "join at N={n}: {} > 2N*K",

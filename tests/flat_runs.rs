@@ -129,8 +129,8 @@ proptest! {
     }
 }
 
-/// Boxed materialization points (cursor, `into_rows`, `CodedBatch` flat
-/// variant) agree with the flat storage they read from.
+/// Boxed materialization points (cursor, `into_rows`, a reopened
+/// `CodedBatch`) agree with the flat storage they read from.
 #[test]
 fn materialization_boundaries_agree() {
     let rows: Vec<Row> = (0..200).map(|i| Row::new(vec![i % 7, i % 3, i])).collect();
@@ -142,7 +142,7 @@ fn materialization_boundaries_agree() {
     assert_eq!(via_cursor, via_rows);
 
     let batch = ovc_core::CodedBatch::from_flat(run.flat().clone(), run.sort_spec().clone());
-    assert!(batch.is_flat());
+    assert_eq!(batch.clone().into_flat(), *run.flat());
     let via_batch: Vec<OvcRow> = batch.into_stream().collect();
     assert_eq!(via_batch, via_rows);
 }

@@ -6,15 +6,16 @@
 
 use std::sync::Arc;
 
+use ovc_core::batch::collect_batch_pairs;
 use ovc_core::derive::assert_codes_exact;
 use ovc_core::stream::collect_pairs;
-use ovc_core::{Ovc, Row, Stats, VecStream};
+use ovc_core::{FlatBatches, OvcRow, OvcStream, Row, Stats, VecStream};
 use ovc_exec::nlj::BTreeInner;
 use ovc_exec::{
-    exchange, Aggregate, Dedup, Filter, GroupAggregate, HashJoinOp, HashTable, JoinType,
-    LookupJoin, MergeJoin, Project, SetOp, SetOperation,
+    exchange, Aggregate, BatchDedup, Dedup, Filter, GroupAggregate, HashJoinOp, HashTable,
+    JoinType, LookupJoin, MergeJoin, Project, SetOp, SetOperation,
 };
-use ovc_sort::{external_sort, MemoryRunStorage, SortConfig};
+use ovc_sort::{external_sort, MemoryRunStorage, Run, SortConfig};
 use ovc_storage::{BTree, LsmConfig, LsmForest, RleColumnStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -30,6 +31,17 @@ fn random_rows(n: usize, key_cols: usize, domain: u64, seed: u64) -> Vec<Row> {
         .collect()
 }
 
+/// Rows per batch between the batch kernels: small, so every pipeline
+/// below crosses many seams.
+const BATCH: usize = 64;
+
+/// Hand a row-at-a-time source (a storage scan, a row operator) to the
+/// batch kernels: its coded rows gathered flat, cut every [`BATCH`] rows.
+fn batches(stream: impl OvcStream) -> FlatBatches {
+    let spec = stream.sort_spec();
+    Run::from_coded_spec(stream.collect(), spec).batches(BATCH)
+}
+
 /// Scan an RLE column store, filter, group, and verify codes at each hop.
 #[test]
 fn rle_scan_filter_group_pipeline() {
@@ -41,12 +53,13 @@ fn rle_scan_filter_group_pipeline() {
     let scan = store.scan();
     let filtered = Filter::new(scan, |r| r.cols()[2] != 0, Arc::clone(&stats));
     let grouped = GroupAggregate::new(
-        filtered,
+        batches(filtered),
         2,
         vec![Aggregate::Count, Aggregate::Sum(3)],
+        BATCH,
         Arc::clone(&stats),
     );
-    let pairs = collect_pairs(grouped);
+    let pairs = collect_batch_pairs(grouped);
     assert_codes_exact(&pairs, 2);
     assert_eq!(
         stats.col_value_cmps(),
@@ -69,11 +82,11 @@ fn sort_join_group_pipeline() {
     let stats = Stats::new_shared();
     let mut st1 = MemoryRunStorage::new(Arc::clone(&stats));
     let mut st2 = MemoryRunStorage::new(Arc::clone(&stats));
-    let s1 = external_sort(t1, SortConfig::new(2, 200), &mut st1, &stats);
-    let s2 = external_sort(t2, SortConfig::new(2, 200), &mut st2, &stats);
-    let join = MergeJoin::new(s1, s2, 2, JoinType::Inner, 3, 3, Arc::clone(&stats));
-    let grouped = GroupAggregate::new(join, 1, vec![Aggregate::Count], Arc::clone(&stats));
-    let pairs = collect_pairs(grouped);
+    let s1 = external_sort(t1, SortConfig::new(2, 200), &mut st1, &stats).batches(BATCH);
+    let s2 = external_sort(t2, SortConfig::new(2, 200), &mut st2, &stats).batches(BATCH);
+    let join = MergeJoin::new(s1, s2, 2, JoinType::Inner, 3, 3, BATCH, Arc::clone(&stats));
+    let grouped = GroupAggregate::new(join, 1, vec![Aggregate::Count], BATCH, Arc::clone(&stats));
+    let pairs = collect_batch_pairs(grouped);
     assert_codes_exact(&pairs, 1);
     assert!(!pairs.is_empty());
 }
@@ -120,10 +133,15 @@ fn exchange_round_trip_with_partitionwise_grouping() {
     // one partition, so partition-wise grouping is correct.
     let mut grouped_parts = Vec::new();
     for p in parts {
-        let grouped: Vec<_> =
-            GroupAggregate::new(p, 2, vec![Aggregate::Count], Arc::clone(&stats)).collect();
-        let pairs: Vec<(Row, Ovc)> = grouped.iter().map(|r| (r.row.clone(), r.code)).collect();
+        let pairs = collect_batch_pairs(GroupAggregate::new(
+            batches(p),
+            2,
+            vec![Aggregate::Count],
+            BATCH,
+            Arc::clone(&stats),
+        ));
         assert_codes_exact(&pairs, 2);
+        let grouped = pairs.into_iter().map(|(r, c)| OvcRow::new(r, c)).collect();
         grouped_parts.push(VecStream::from_coded(grouped, 2));
     }
     let merged = exchange::merge(grouped_parts, 2, &stats);
@@ -146,11 +164,17 @@ fn hash_join_project_setop_pipeline() {
     let join = HashJoinOp::new(probe, table, JoinType::Inner);
     // Project down to the first key column only.
     let projected = Project::new(join, 1, |r| Row::new(vec![r.cols()[0]]));
-    let left = VecStream::from_coded(Dedup::new(projected).collect(), 1);
+    let left = batches(Dedup::new(projected));
 
     let right = VecStream::from_unsorted_rows((0..6u64).map(|k| Row::new(vec![k])).collect(), 1);
-    let setop = SetOperation::new(left, right, SetOp::Intersect, Arc::clone(&stats));
-    let pairs = collect_pairs(setop);
+    let setop = SetOperation::new(
+        left,
+        batches(right),
+        SetOp::Intersect,
+        BATCH,
+        Arc::clone(&stats),
+    );
+    let pairs = collect_batch_pairs(setop);
     assert_codes_exact(&pairs, 1);
     assert!(pairs.iter().all(|(r, _)| r.cols()[0] < 6));
 }
@@ -171,10 +195,19 @@ fn deep_pipeline_comparison_budget() {
     let f = ovc_storage::btree::scan_to_stream(&fact_tree);
     let d = ovc_storage::btree::scan_to_stream(&dim_tree);
     let filtered = Filter::new(f, |r| r.cols()[1] % 3 != 0, Arc::clone(&stats));
-    let join = MergeJoin::new(filtered, d, 1, JoinType::Inner, 3, 3, Arc::clone(&stats));
-    let dedup = Dedup::new(join);
-    let grouped = GroupAggregate::new(dedup, 1, vec![Aggregate::Count], Arc::clone(&stats));
-    let pairs = collect_pairs(grouped);
+    let join = MergeJoin::new(
+        batches(filtered),
+        batches(d),
+        1,
+        JoinType::Inner,
+        3,
+        3,
+        BATCH,
+        Arc::clone(&stats),
+    );
+    let dedup = BatchDedup::new(join);
+    let grouped = GroupAggregate::new(dedup, 1, vec![Aggregate::Count], BATCH, Arc::clone(&stats));
+    let pairs = collect_batch_pairs(grouped);
     assert_codes_exact(&pairs, 1);
     // Only the merge join may compare columns, bounded by N*K of its
     // combined input sizes.

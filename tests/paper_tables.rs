@@ -74,7 +74,29 @@ fn table3_full_reproduction() {
         Filter::new(input, |r| keep.contains(r), ovc_core::Stats::new_shared())
             .map(|r| (r.row.cols().to_vec(), r.code.paper_decimal()))
             .collect();
-    assert_eq!(out, vec![(vec![5, 7, 3, 9], 405), (vec![5, 9, 3, 7], 309),]);
+    let table3 = vec![(vec![5, 7, 3, 9], 405), (vec![5, 9, 3, 7], 309)];
+    assert_eq!(out, table3);
+
+    // "Just like the derivation of Table 3 from Table 1" (§4.7): a semi
+    // join selecting the same two rows, through the batch kernel, with
+    // the input cut every four rows so that a seam falls between them.
+    use ovc_core::BatchStream;
+    use ovc_sort::Run;
+    let mut semi = ovc_exec::MergeJoin::new(
+        Run::from_sorted_rows(table1::rows(), 4).batches(4),
+        Run::from_sorted_rows(keep.to_vec(), 4).batches(1),
+        4,
+        ovc_exec::JoinType::LeftSemi,
+        4,
+        4,
+        8,
+        ovc_core::Stats::new_shared(),
+    );
+    let out: Vec<(Vec<u64>, u64)> = std::iter::from_fn(|| semi.next_batch())
+        .flat_map(|b| b.to_ovc_rows())
+        .map(|r| (r.row.cols().to_vec(), r.code.paper_decimal()))
+        .collect();
+    assert_eq!(out, table3);
 }
 
 /// The worked example of Section 3 / Figure 2: after "061" leaves the
@@ -137,5 +159,18 @@ fn duplicate_and_boundary_detection_by_offset() {
         .filter(|c| c.is_valid() && c.offset(4) < 2)
         .count();
     assert_eq!(boundaries, 3, "groups (5,7), (5,8), (5,9)");
-    let _ = Ovc::duplicate();
+    // The grouping kernel finds the same three boundaries, and its
+    // output keeps each group's first code.
+    use ovc_core::BatchStream;
+    let mut groups = ovc_exec::GroupAggregate::new(
+        ovc_sort::Run::from_sorted_rows(rows, 4).batches(3),
+        2,
+        vec![ovc_exec::Aggregate::Count],
+        8,
+        ovc_core::Stats::new_shared(),
+    );
+    let out = groups.next_batch().expect("three groups");
+    let counts: Vec<u64> = out.iter().map(|(row, _)| row[2]).collect();
+    assert_eq!(counts, vec![2, 1, 4]);
+    assert_eq!(out.code(0), Ovc::new(0, 5, 2));
 }

@@ -4,15 +4,29 @@
 //! exact codes are a function of the output row sequence alone.
 
 use ovc_core::derive::assert_codes_exact;
-use ovc_core::{CodedBatch, Ovc, OvcRow, Row, Stats, VecStream};
+use ovc_core::{BatchStream, CodedBatch, FlatBatches, Ovc, OvcRow, Row, Stats, VecStream};
 use ovc_exec::exchange::{self, partition};
 use ovc_exec::parallel::{merge_threaded, repartition_threaded, split_threaded};
 use ovc_plan::exec::{execute, ExecOptions};
 use ovc_plan::{figure5, PlannerConfig, Preference};
 use ovc_sort::external::external_sort_collect;
 use ovc_sort::parallel::{parallel_sort, parallel_sort_distinct};
-use ovc_sort::SortConfig;
+use ovc_sort::{Run, SortConfig};
 use proptest::prelude::*;
+
+/// Sorted rows as the serial batch kernels take them: one coded run, cut
+/// every 64 rows.
+fn batches(rows: &[Row], key_len: usize) -> FlatBatches {
+    Run::from_sorted_rows(rows.to_vec(), key_len).batches(64)
+}
+
+/// Drain a serial batch kernel into the boxed coded rows the parallel
+/// outputs below are compared with.
+fn drain(mut kernel: impl BatchStream) -> Vec<OvcRow> {
+    std::iter::from_fn(|| kernel.next_batch())
+        .flat_map(|b| b.to_ovc_rows())
+        .collect()
+}
 
 fn rows_strategy(width: usize, max_rows: usize) -> impl Strategy<Value = Vec<Row>> {
     prop::collection::vec(prop::collection::vec(0u64..40, width), 0..max_rows)
@@ -166,13 +180,13 @@ proptest! {
         let mut rows = rows;
         rows.sort();
         let aggs = vec![Aggregate::Count, Aggregate::Sum(1), Aggregate::Last(1)];
-        let serial: Vec<OvcRow> = GroupAggregate::new(
-            VecStream::from_sorted_rows(rows.clone(), 2),
+        let serial = drain(GroupAggregate::new(
+            batches(&rows, 2),
             1,
             aggs.clone(),
+            64,
             Stats::new_shared(),
-        )
-        .collect();
+        ));
         let mut catalog = Catalog::new();
         catalog.register("t", Table::sorted(rows, 2));
         let q = LogicalPlan::scan("t").group_by(1, aggs);
@@ -248,13 +262,13 @@ proptest! {
         let (mut l, mut r) = (l, r);
         l.sort();
         r.sort();
-        let serial: Vec<OvcRow> = SetOperation::new(
-            VecStream::from_sorted_rows(l.clone(), 2),
-            VecStream::from_sorted_rows(r.clone(), 2),
+        let serial = drain(SetOperation::new(
+            batches(&l, 2),
+            batches(&r, 2),
             op,
+            64,
             Stats::new_shared(),
-        )
-        .collect();
+        ));
         let mut catalog = Catalog::new();
         catalog.register("l", Table::sorted(l, 2));
         catalog.register("r", Table::sorted(r, 2));
@@ -598,13 +612,13 @@ fn prefix_hash_partial_aggregate_matches_serial() {
         Aggregate::First(2),
         Aggregate::Last(2),
     ];
-    let serial: Vec<OvcRow> = GroupAggregate::new(
-        VecStream::from_sorted_rows(rows.clone(), 3),
+    let serial = drain(GroupAggregate::new(
+        batches(&rows, 3),
         1,
         aggs.clone(),
+        64,
         Stats::new_shared(),
-    )
-    .collect();
+    ));
     for parts in [2usize, 4] {
         let stats = Stats::new_shared();
         let split = split_threaded(

@@ -9,10 +9,11 @@
 
 use std::sync::Arc;
 
+use ovc_core::batch::collect_batch_pairs;
 use ovc_core::derive::assert_codes_exact;
-use ovc_core::stream::collect_pairs;
-use ovc_core::{Row, Stats, VecStream};
+use ovc_core::{BatchStream, FlatBatches, OvcStream, Row, Stats};
 use ovc_exec::{JoinType, MergeJoin, SetOp, SetOperation};
+use ovc_sort::Run;
 use ovc_storage::SecondaryIndex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,6 +23,16 @@ fn base_table(n: usize, seed: u64) -> Vec<Row> {
     (0..n)
         .map(|_| Row::new(vec![rng.gen_range(0..12u64), rng.gen_range(0..12u64)]))
         .collect()
+}
+
+/// Rows per batch into and out of the batch kernels.
+const BATCH: usize = 16;
+
+/// Hand an index's RID stream to the batch kernels: its coded rows
+/// gathered flat, cut every [`BATCH`] rows.
+fn batches(stream: impl OvcStream) -> FlatBatches {
+    let spec = stream.sort_spec();
+    Run::from_coded_spec(stream.collect(), spec).batches(BATCH)
 }
 
 /// `WHERE a = x AND b = y` via two secondary indexes: intersect the RID
@@ -37,8 +48,14 @@ fn index_intersection_for_and_predicates() {
     for (x, y) in [(3u64, 7u64), (0, 0), (11, 5)] {
         let rids_a = ia.scan_eq(x);
         let rids_b = ib.scan_eq(y);
-        let inter = SetOperation::new(rids_a, rids_b, SetOp::Intersect, Arc::clone(&stats));
-        let pairs = collect_pairs(inter);
+        let inter = SetOperation::new(
+            batches(rids_a),
+            batches(rids_b),
+            SetOp::Intersect,
+            BATCH,
+            Arc::clone(&stats),
+        );
+        let pairs = collect_batch_pairs(inter);
         assert_codes_exact(&pairs, 1);
         let expect: Vec<u64> = t
             .iter()
@@ -60,10 +77,10 @@ fn range_index_intersection() {
     let ib = SecondaryIndex::build(&t, 1);
     let stats = Stats::new_shared();
 
-    let ra = VecStream::from_coded(ia.scan_range(2, 8, &stats).collect(), 1);
-    let rb = VecStream::from_coded(ib.scan_range(5, 11, &stats).collect(), 1);
-    let inter = SetOperation::new(ra, rb, SetOp::Intersect, Arc::clone(&stats));
-    let pairs = collect_pairs(inter);
+    let ra = batches(ia.scan_range(2, 8, &stats));
+    let rb = batches(ib.scan_range(5, 11, &stats));
+    let inter = SetOperation::new(ra, rb, SetOp::Intersect, BATCH, Arc::clone(&stats));
+    let pairs = collect_batch_pairs(inter);
     assert_codes_exact(&pairs, 1);
     let expect = t
         .iter()
@@ -84,8 +101,17 @@ fn index_join_covers_query_without_base_table() {
     // Each scan: (rid, value) sorted by rid, codes arity 1.
     let sa = ia.scan_by_rid();
     let sb = ib.scan_by_rid();
-    let join = MergeJoin::new(sa, sb, 1, JoinType::Inner, 2, 2, Arc::clone(&stats));
-    let pairs = collect_pairs(join);
+    let join = MergeJoin::new(
+        batches(sa),
+        batches(sb),
+        1,
+        JoinType::Inner,
+        2,
+        2,
+        BATCH,
+        Arc::clone(&stats),
+    );
+    let pairs = collect_batch_pairs(join);
     assert_codes_exact(&pairs, 1);
     assert_eq!(pairs.len(), t.len(), "every RID matches exactly once");
     for (row, _) in &pairs {
@@ -111,8 +137,14 @@ fn index_union_for_or_predicates() {
     let stats = Stats::new_shared();
     let r1 = ia.scan_eq(1);
     let r2 = ia.scan_eq(9);
-    let union = SetOperation::new(r1, r2, SetOp::Union, Arc::clone(&stats));
-    let pairs = collect_pairs(union);
+    let union = SetOperation::new(
+        batches(r1),
+        batches(r2),
+        SetOp::Union,
+        BATCH,
+        Arc::clone(&stats),
+    );
+    let pairs = collect_batch_pairs(union);
     assert_codes_exact(&pairs, 1);
     let expect = t
         .iter()
@@ -128,12 +160,14 @@ fn fetch_after_intersection() {
     let ia = SecondaryIndex::build(&t, 0);
     let ib = SecondaryIndex::build(&t, 1);
     let stats = Stats::new_shared();
-    let inter = SetOperation::new(
-        ia.scan_eq(6),
-        ib.scan_eq(6),
+    let mut inter = SetOperation::new(
+        batches(ia.scan_eq(6)),
+        batches(ib.scan_eq(6)),
         SetOp::Intersect,
+        BATCH,
         Arc::clone(&stats),
     );
-    let rows: Vec<&Row> = SecondaryIndex::fetch(&t, inter).collect();
+    let rids = std::iter::from_fn(|| inter.next_batch()).flat_map(|b| b.to_ovc_rows());
+    let rows: Vec<&Row> = SecondaryIndex::fetch(&t, rids).collect();
     assert!(rows.iter().all(|r| r.cols()[0] == 6 && r.cols()[1] == 6));
 }
