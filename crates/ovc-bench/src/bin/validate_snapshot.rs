@@ -5,7 +5,8 @@
 //! Usage: `cargo run -p ovc-bench --bin validate_snapshot -- FILE...`
 //! Exits non-zero (with the first violation on stderr) on any failure.
 
-use ovc_bench::snapshot::{validate_snapshot, Json};
+use ovc_bench::snapshot::validate_snapshot;
+use ovc_json::Json;
 
 fn main() {
     let paths: Vec<String> = std::env::args().skip(1).collect();

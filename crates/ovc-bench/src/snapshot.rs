@@ -1,11 +1,10 @@
 //! Machine-readable bench snapshots: `BENCH_<name>.json`.
 //!
 //! The figure binaries and benches print human-readable tables; CI and
-//! regression tooling need the same numbers as data.  This module is a
-//! self-contained JSON layer (this workspace builds without crates.io,
-//! so no serde): a [`Json`] value type with a writer *and* a parser, the
-//! [`BenchSnapshot`] builder the binaries use, and [`validate_snapshot`]
-//! — the schema check CI runs against every emitted file.
+//! regression tooling need the same numbers as data.  This module holds
+//! the [`BenchSnapshot`] builder the binaries use and
+//! [`validate_snapshot`] — the schema check CI runs against every
+//! emitted file.  Writing and parsing are `ovc_json`'s.
 //!
 //! ## Snapshot schema (`schema_version` 1)
 //!
@@ -35,291 +34,9 @@
 //! dev container has one core, where parallel sweeps measure overhead,
 //! not speedup).
 
-use std::fmt::Write as _;
 use std::time::Duration;
 
-/// A JSON value.  Object member order is preserved (insertion order),
-/// which keeps emitted snapshots diffable.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, members in insertion order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup on objects (`None` for other variants or missing
-    /// keys).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The boolean value, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Serialize with two-space indentation and a trailing newline.
-    pub fn to_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write_pretty(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write_pretty(&self, out: &mut String, depth: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => write_num(out, *n),
-            Json::Str(s) => write_str(out, s),
-            Json::Arr(items) if items.is_empty() => out.push_str("[]"),
-            Json::Arr(items) => {
-                let pad = "  ".repeat(depth + 1);
-                out.push_str("[\n");
-                for (i, v) in items.iter().enumerate() {
-                    out.push_str(&pad);
-                    v.write_pretty(out, depth + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                out.push_str(&"  ".repeat(depth));
-                out.push(']');
-            }
-            Json::Obj(members) if members.is_empty() => out.push_str("{}"),
-            Json::Obj(members) => {
-                let pad = "  ".repeat(depth + 1);
-                out.push_str("{\n");
-                for (i, (k, v)) in members.iter().enumerate() {
-                    out.push_str(&pad);
-                    write_str(out, k);
-                    out.push_str(": ");
-                    v.write_pretty(out, depth + 1);
-                    out.push_str(if i + 1 < members.len() { ",\n" } else { "\n" });
-                }
-                out.push_str(&"  ".repeat(depth));
-                out.push('}');
-            }
-        }
-    }
-
-    /// Parse a JSON document (the subset this module emits: no
-    /// scientific-notation requirement on the writer side, but the
-    /// parser accepts standard number syntax).
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing input at byte {pos}"));
-        }
-        Ok(value)
-    }
-}
-
-fn write_num(out: &mut String, n: f64) {
-    if n.fract() == 0.0 && n.abs() < 9.0e15 {
-        let _ = write!(out, "{}", n as i64);
-    } else {
-        let _ = write!(out, "{n}");
-    }
-}
-
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), String> {
-    if bytes[*pos..].starts_with(token.as_bytes()) {
-        *pos += token.len();
-        Ok(())
-    } else {
-        Err(format!("expected `{token}` at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
-        Some(b't') => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
-        Some(b'f') => expect(bytes, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut members = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, ":")?;
-                members.push((key, parse_value(bytes, pos)?));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(members));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(_) => parse_number(bytes, pos).map(Json::Num),
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}", pos = *pos));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                let esc = bytes
-                    .get(*pos)
-                    .ok_or_else(|| "unterminated escape".to_string())?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hex = bytes
-                            .get(*pos..*pos + 4)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let cp = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                        *pos += 4;
-                        out.push(char::from_u32(cp).ok_or("invalid \\u escape")?);
-                    }
-                    other => return Err(format!("unknown escape `\\{}`", *other as char)),
-                }
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so the
-                // byte stream is valid UTF-8 by construction).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                // Non-empty: the `Some(_)` peek above saw a byte here.
-                let Some(c) = rest.chars().next() else {
-                    return Err("truncated string".into());
-                };
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|e| e.to_string())?
-        .parse()
-        .map_err(|_| format!("invalid number at byte {start}"))
-}
+use ovc_json::Json;
 
 /// The `environment` stanza: everything needed to judge whether two
 /// snapshots are comparable.
@@ -583,12 +300,8 @@ mod tests {
 
     #[test]
     fn integers_print_without_fraction() {
-        let mut out = String::new();
-        write_num(&mut out, 1234567.0);
-        assert_eq!(out, "1234567");
-        out.clear();
-        write_num(&mut out, 0.5);
-        assert_eq!(out, "0.5");
+        assert_eq!(Json::Num(1234567.0).to_pretty(), "1234567\n");
+        assert_eq!(Json::Num(0.5).to_pretty(), "0.5\n");
     }
 
     #[test]

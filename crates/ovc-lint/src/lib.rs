@@ -7,13 +7,12 @@
 //! `Relaxed` orderings.  See [`rules::RULES`] for the list and
 //! DESIGN.md §15 for each rule's motivating incident.
 //!
-//! The tool is dependency-free by construction: a hand-rolled
+//! The tool depends on no engine crate: a hand-rolled
 //! comment/string/raw-string-aware lexer ([`lexer`]), brace-level scope
 //! tracking ([`scope`]), a line-scoped rule engine ([`rules`]), and a
-//! self-contained JSON report layer ([`report`]) in the
-//! `BENCH_*.json` snapshot style.  No syn, no serde, no workspace
-//! crates — the linter must keep working when the code it lints does
-//! not.
+//! JSON report ([`report`]) in the `BENCH_*.json` snapshot style, built
+//! on the std-only, dependency-free `ovc-json`.  No syn, no serde — the
+//! linter must keep working when the code it lints does not.
 //!
 //! ```
 //! use ovc_lint::{lint_source, Config};
@@ -35,7 +34,7 @@ pub mod rules;
 pub mod scope;
 
 pub use config::Config;
-pub use report::{validate_report, Json, LintReport};
+pub use report::{validate_report, LintReport};
 pub use rules::{lint_source, FileReport, Finding, Suppression};
 
 use std::path::{Path, PathBuf};

@@ -12,9 +12,10 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use ovc_json::Json;
 use ovc_lint::report::validate_report;
 use ovc_lint::rules::RULES;
-use ovc_lint::{lint_workspace, Config, Json};
+use ovc_lint::{lint_workspace, Config};
 
 fn main() -> ExitCode {
     let mut deny = false;

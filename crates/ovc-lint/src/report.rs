@@ -1,12 +1,10 @@
 //! Machine-readable lint reports: `LINT_ovc.json`.
 //!
-//! Same design as the `BENCH_*.json` layer in `ovc-bench::snapshot`
-//! (this workspace builds without crates.io, so no serde): a [`Json`]
-//! value type with a writer *and* a parser, the [`LintReport`] builder,
-//! and [`validate_report`] — the schema check CI runs against the
-//! emitted file.  The module is duplicated rather than imported so the
-//! lint stays dependency-free: a broken engine crate must never take
-//! the linter down with it.
+//! Same design as the `BENCH_*.json` snapshots in `ovc-bench::snapshot`:
+//! the [`LintReport`] builder and [`validate_report`] — the schema check
+//! CI runs against the emitted file — over the workspace's one JSON
+//! layer, `ovc_json`.  That crate is std-only and depends on nothing, so
+//! a broken engine crate still never takes the linter down with it.
 //!
 //! ## Report schema (`schema_version` 1)
 //!
@@ -29,276 +27,9 @@
 //! }
 //! ```
 
-use std::fmt::Write as _;
+use ovc_json::Json;
 
 use crate::rules::{Finding, Suppression, RULES};
-
-/// A JSON value.  Object member order is preserved (insertion order),
-/// which keeps emitted reports diffable.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, members in insertion order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member lookup on objects (`None` otherwise).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Serialize with two-space indentation and a trailing newline.
-    pub fn to_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write_pretty(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write_pretty(&self, out: &mut String, depth: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => {
-                if n.fract() == 0.0 && n.abs() < 9.0e15 {
-                    let _ = write!(out, "{}", *n as i64);
-                } else {
-                    let _ = write!(out, "{n}");
-                }
-            }
-            Json::Str(s) => write_str(out, s),
-            Json::Arr(items) if items.is_empty() => out.push_str("[]"),
-            Json::Arr(items) => {
-                let pad = "  ".repeat(depth + 1);
-                out.push_str("[\n");
-                for (i, v) in items.iter().enumerate() {
-                    out.push_str(&pad);
-                    v.write_pretty(out, depth + 1);
-                    out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-                }
-                out.push_str(&"  ".repeat(depth));
-                out.push(']');
-            }
-            Json::Obj(members) if members.is_empty() => out.push_str("{}"),
-            Json::Obj(members) => {
-                let pad = "  ".repeat(depth + 1);
-                out.push_str("{\n");
-                for (i, (k, v)) in members.iter().enumerate() {
-                    out.push_str(&pad);
-                    write_str(out, k);
-                    out.push_str(": ");
-                    v.write_pretty(out, depth + 1);
-                    out.push_str(if i + 1 < members.len() { ",\n" } else { "\n" });
-                }
-                out.push_str(&"  ".repeat(depth));
-                out.push('}');
-            }
-        }
-    }
-
-    /// Parse a JSON document.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing input at byte {pos}"));
-        }
-        Ok(value)
-    }
-}
-
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect_token(bytes: &[u8], pos: &mut usize, token: &str) -> Result<(), String> {
-    if bytes[*pos..].starts_with(token.as_bytes()) {
-        *pos += token.len();
-        Ok(())
-    } else {
-        Err(format!("expected `{token}` at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'n') => expect_token(bytes, pos, "null").map(|()| Json::Null),
-        Some(b't') => expect_token(bytes, pos, "true").map(|()| Json::Bool(true)),
-        Some(b'f') => expect_token(bytes, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut members = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect_token(bytes, pos, ":")?;
-                members.push((key, parse_value(bytes, pos)?));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(members));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(_) => parse_number(bytes, pos).map(Json::Num),
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}", pos = *pos));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                let esc = bytes
-                    .get(*pos)
-                    .ok_or_else(|| "unterminated escape".to_string())?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'/' => out.push('/'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hex = bytes
-                            .get(*pos..*pos + 4)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                        let cp = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                        *pos += 4;
-                        out.push(char::from_u32(cp).ok_or("invalid \\u escape")?);
-                    }
-                    other => return Err(format!("unknown escape `\\{}`", *other as char)),
-                }
-            }
-            Some(_) => {
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                let Some(c) = rest.chars().next() else {
-                    return Err("truncated string".into());
-                };
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-        }
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, String> {
-    let start = *pos;
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-    {
-        *pos += 1;
-    }
-    std::str::from_utf8(&bytes[start..*pos])
-        .map_err(|e| e.to_string())?
-        .parse()
-        .map_err(|_| format!("invalid number at byte {start}"))
-}
 
 /// Version stamped into every report; bump when the shape changes.
 pub const SCHEMA_VERSION: u64 = 1;

@@ -11,12 +11,13 @@
 //! the suite doubles as a regression log of the incidents the rules
 //! mechanize.
 
+use ovc_json::Json;
 use ovc_lint::report::{validate_report, SCHEMA_VERSION};
 use ovc_lint::rules::{
     BOUNDED_CHANNELS_ONLY, CONTAINED_SPAWN, NO_UNWRAP_EXPECT, NO_VACUOUS_STATS,
     RELAXED_ORDERING_AUDIT, SUPPRESSION_HYGIENE,
 };
-use ovc_lint::{lint_source, lint_workspace, Config, FileReport, Json};
+use ovc_lint::{lint_source, lint_workspace, Config, FileReport};
 
 /// Lint a fixture under a non-test lib path (all five rules active).
 fn lint(src: &str) -> FileReport {

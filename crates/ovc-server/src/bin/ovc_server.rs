@@ -12,8 +12,27 @@
 //! process exits cleanly on `POST /shutdown` after draining in-flight
 //! queries.
 
+use ovc_core::Row;
 use ovc_plan::{Catalog, PlannerConfig, Table};
 use ovc_server::{RateLimitConfig, Server, ServerConfig};
+
+/// One Figure-5 intersect input: `rows` single-column rows drawn from
+/// `0..rows` (so a good fraction of two such tables intersects), stored
+/// sorted.  SplitMix64 over `state` keeps the tables the same on every
+/// boot.
+fn intersect_table(rows: u64, state: &mut u64) -> Table {
+    let mut values: Vec<Row> = (0..rows)
+        .map(|_| {
+            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            Row::new(vec![(z ^ (z >> 31)) % rows])
+        })
+        .collect();
+    values.sort();
+    Table::sorted(values, 1)
+}
 
 fn usage() -> ! {
     eprintln!(
@@ -77,14 +96,9 @@ fn main() {
 
     let mut catalog = Catalog::new();
     if seed_tables {
-        let (t1, t2) = ovc_bench::workload::intersect_tables(10_000, 42);
-        let (mut t1, mut t2) = (t1, t2);
-        t1.sort();
-        t2.sort();
-        let w1 = t1.first().map(|r| r.width()).unwrap_or(1);
-        let w2 = t2.first().map(|r| r.width()).unwrap_or(1);
-        catalog.register("t1", Table::sorted(t1, w1));
-        catalog.register("t2", Table::sorted(t2, w2));
+        let mut state = 42;
+        catalog.register("t1", intersect_table(10_000, &mut state));
+        catalog.register("t2", intersect_table(10_000, &mut state));
         eprintln!("seeded tables t1, t2 (Figure-5 intersect workload, 10k rows each)");
     }
 

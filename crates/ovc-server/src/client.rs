@@ -1,6 +1,7 @@
 //! A minimal blocking client for the wire protocol — the consumer side
-//! of DESIGN.md §13, used by the integration tests, the `server_bench`
-//! binary, and anyone wanting typed access instead of raw curl.
+//! of DESIGN.md §13, used by the integration tests, the gating benchmark
+//! under `bench/`, and anyone wanting typed access instead of raw curl.
+//! Responses are parsed with `ovc_json`, in time linear in their size.
 //!
 //! One [`Client`] wraps one keep-alive connection; requests are
 //! sequential (issue concurrent queries from concurrent clients, which
@@ -9,7 +10,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
-use ovc_bench::snapshot::Json;
+use ovc_json::Json;
 
 /// A client-side failure: transport, protocol, or a server-reported
 /// error (with its HTTP status when one was received).

@@ -5,7 +5,8 @@
 //! receive the answer as a stream of row batches riding the flat-batch
 //! executor, with exact offset-value codes alongside every ordered
 //! result.  No external crates — the workspace builds without crates.io,
-//! so the HTTP layer, JSON frames, and rate limiter are all local.
+//! so the HTTP layer and rate limiter are local, and JSON goes through
+//! the workspace's one std-only JSON crate, `ovc-json`.
 //!
 //! The crate exists to demonstrate the paper's claim end to end: the
 //! engine's orderings and codes are *properties of the data*, not of the

@@ -29,9 +29,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
-use ovc_bench::snapshot::Json;
 use ovc_core::ctx::ExecError;
 use ovc_core::{QueryCtx, Stats, StatsSnapshot};
+use ovc_json::{write_str, Json};
 use ovc_plan::{
     execute_ctx, execute_ctx_profiled, Catalog, ExecOptions, Output, Planner, PlannerConfig,
 };
@@ -407,8 +407,9 @@ fn handle_request(
                 Ok((name, table)) => {
                     let rows = table.len();
                     state.register_table(&name, table);
-                    let body =
-                        format!("{{\"status\":\"ok\",\"table\":\"{name}\",\"rows\":{rows}}}\n");
+                    let mut body = String::from("{\"status\":\"ok\",\"table\":");
+                    write_str(&mut body, &name);
+                    body.push_str(&format!(",\"rows\":{rows}}}\n"));
                     respond(&mut writer, 200, "OK", "application/json", body.as_bytes())
                 }
                 Err(e) => respond(
@@ -422,8 +423,9 @@ fn handle_request(
         }
         ("POST", "/shutdown") => {
             state.trigger_shutdown();
-            let body =
-                format!("{{\"status\":\"shutting_down\",\"request_id\":\"{request_id}\"}}\n");
+            let mut body = String::from("{\"status\":\"shutting_down\",\"request_id\":");
+            write_str(&mut body, &request_id);
+            body.push_str("}\n");
             // The flag is set, so the session loop closes after this
             // response either way.
             respond(&mut writer, 200, "OK", "application/json", body.as_bytes())
@@ -523,10 +525,10 @@ fn handle_query(
     let qctx = QueryCtx::build(timeout, None);
 
     if mode == "explain" {
-        let mut body = format!("{{\"status\":\"ok\",\"request_id\":\"{request_id}\",\"explain\":");
-        let mut text = String::new();
-        wire_escape_into(&mut text, &physical.explain());
-        body.push_str(&text);
+        let mut body = String::from("{\"status\":\"ok\",\"request_id\":");
+        write_str(&mut body, request_id);
+        body.push_str(",\"explain\":");
+        write_str(&mut body, &physical.explain());
         body.push_str("}\n");
         return write_response(
             &mut writer,
@@ -678,23 +680,6 @@ fn stream_query(
     cw.chunk(wire::trailer_frame(total_rows, seq, &delta, analyze_text.as_deref()).as_bytes())?;
     cw.finish()?;
     Ok(None)
-}
-
-/// JSON-escape `s` into `out` (string form, with quotes).
-fn wire_escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// The deltas of one query, for tests that want to compare a served

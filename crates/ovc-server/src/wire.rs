@@ -17,8 +17,8 @@
 //! rows) pass through `f64` and are exact only up to 2^53, which the
 //! protocol documents as its input domain.
 
-use ovc_bench::snapshot::Json;
 use ovc_core::{Direction, Ovc, Row, SortSpec, StatsSnapshot, Value};
+use ovc_json::{write_str, Json};
 use ovc_plan::{Aggregate, JoinType, LogicalPlan, Predicate, SetOp, Table};
 
 /// A request-side failure: the payload could not be understood.  Maps to
@@ -304,25 +304,6 @@ fn rename_sorted_key(j: &Json) -> Json {
     }
 }
 
-/// JSON string escaping for the hand-rolled frame writers.
-fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Append `values` as a JSON array of decimal **strings** — the exact
 /// u64 emission path (see the module docs on why plain numbers lose
 /// bits above 2^53).
@@ -342,7 +323,7 @@ pub fn u64s_json(out: &mut String, values: impl Iterator<Item = u64>) {
 /// The `header` frame opening every streaming response.
 pub fn header_frame(request_id: &str, mode: &str, width: usize, key_len: usize) -> String {
     let mut f = String::from("{\"frame\":\"header\",\"request_id\":");
-    push_escaped(&mut f, request_id);
+    write_str(&mut f, request_id);
     f.push_str(&format!(
         ",\"mode\":\"{mode}\",\"width\":{width},\"key_len\":{key_len}}}\n"
     ));
@@ -396,7 +377,7 @@ pub fn trailer_frame(
     );
     if let Some(text) = analyze {
         f.push_str(",\"analyze\":");
-        push_escaped(&mut f, text);
+        write_str(&mut f, text);
     }
     f.push_str("}\n");
     f
@@ -407,7 +388,7 @@ pub fn trailer_frame(
 /// left).
 pub fn error_frame(message: &str) -> String {
     let mut f = String::from("{\"frame\":\"error\",\"status\":\"error\",\"message\":");
-    push_escaped(&mut f, message);
+    write_str(&mut f, message);
     f.push_str("}\n");
     f
 }
@@ -419,9 +400,9 @@ pub fn error_frame(message: &str) -> String {
 /// parsing the human-readable message.
 pub fn typed_error_frame(reason: &str, message: &str) -> String {
     let mut f = String::from("{\"frame\":\"error\",\"status\":\"error\",\"reason\":");
-    push_escaped(&mut f, reason);
+    write_str(&mut f, reason);
     f.push_str(",\"message\":");
-    push_escaped(&mut f, message);
+    write_str(&mut f, message);
     f.push_str("}\n");
     f
 }
@@ -429,9 +410,9 @@ pub fn typed_error_frame(reason: &str, message: &str) -> String {
 /// A complete (non-streaming) JSON error body for pre-header failures.
 pub fn error_body(request_id: &str, message: &str) -> String {
     let mut f = String::from("{\"status\":\"error\",\"request_id\":");
-    push_escaped(&mut f, request_id);
+    write_str(&mut f, request_id);
     f.push_str(",\"message\":");
-    push_escaped(&mut f, message);
+    write_str(&mut f, message);
     f.push_str("}\n");
     f
 }

@@ -605,3 +605,93 @@ fn shutdown_with_injected_worker_panics_never_truncates() {
         refused.load(Ordering::Relaxed)
     );
 }
+
+/// Client-supplied strings — the `x-request-id` header and a table
+/// name — are escaped in every JSON body the server builds around them:
+/// the `/tables` reply, the explain body and the `/shutdown` body each
+/// parse and echo the value exactly.
+#[test]
+fn client_strings_are_escaped_in_every_body() {
+    let _gate = gate_read();
+    let server = Server::bind(ServerConfig::default(), Catalog::new()).expect("bind");
+    let addr = server.local_addr();
+    let runner = std::thread::spawn(move || server.run());
+    let parse = |body: &str| {
+        ovc_json::Json::parse(body).unwrap_or_else(|e| panic!("unparseable body {body:?}: {e}"))
+    };
+    let field = |doc: &ovc_json::Json, key: &str| {
+        doc.get(key)
+            .and_then(ovc_json::Json::as_str)
+            .map(str::to_string)
+    };
+    const ID: &str = "a\"b\\c";
+    const TABLE: &str = "t\"1";
+
+    let mut client = Client::connect(addr).expect("connect");
+    let resp = client
+        .request(
+            "POST",
+            "/tables",
+            &[],
+            r#"{"name": "t\"1", "rows": [[2], [1]]}"#,
+        )
+        .expect("register");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let doc = parse(&resp.body);
+    assert_eq!(field(&doc, "table").as_deref(), Some(TABLE));
+    assert_eq!(doc.get("rows").and_then(ovc_json::Json::as_num), Some(2.0));
+
+    let resp = client
+        .request(
+            "POST",
+            "/query",
+            &[("x-request-id", ID)],
+            r#"{"plan": {"scan": "t\"1"}, "mode": "explain"}"#,
+        )
+        .expect("explain");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let doc = parse(&resp.body);
+    assert_eq!(field(&doc, "request_id").as_deref(), Some(ID));
+    let explain = field(&doc, "explain").expect("explain text");
+    assert!(explain.contains(TABLE), "{explain}");
+
+    let resp = client
+        .request(
+            "POST",
+            "/shutdown",
+            &[("x-request-id", ID), ("connection", "close")],
+            "",
+        )
+        .expect("shutdown");
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let doc = parse(&resp.body);
+    assert_eq!(field(&doc, "status").as_deref(), Some("shutting_down"));
+    assert_eq!(field(&doc, "request_id").as_deref(), Some(ID));
+    runner.join().expect("runner").expect("run");
+}
+
+/// A body nested deeper than the parser's bound is a 400 with a reason,
+/// not a stack overflow that takes the process down: the same
+/// connection and a fresh one both still get `/health`.
+#[test]
+fn deeply_nested_body_is_a_400_not_a_crash() {
+    let _gate = gate_read();
+    let server = Server::bind(ServerConfig::default(), catalog(100)).expect("bind");
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let runner = std::thread::spawn(move || server.run());
+
+    let mut client = Client::connect(addr).expect("connect");
+    let resp = client
+        .request("POST", "/query", &[], &"[".repeat(200 * 1024))
+        .expect("a response, not a dropped connection");
+    assert_eq!(resp.status, 400);
+    assert!(resp.body.contains("nesting deeper than"), "{}", resp.body);
+    for mut c in [client, Client::connect(addr).expect("reconnect")] {
+        let r = c.request("GET", "/health", &[], "").expect("health");
+        assert_eq!(r.status, 200, "{}", r.body);
+    }
+
+    handle.shutdown();
+    runner.join().expect("runner").expect("run");
+}

@@ -3,7 +3,8 @@
 //! validates the emitted file with the same
 //! [`ovc_bench::snapshot::validate_snapshot`] exercised here.
 
-use ovc_bench::snapshot::{validate_snapshot, BenchEntry, BenchSnapshot, Json, SCHEMA_VERSION};
+use ovc_bench::snapshot::{validate_snapshot, BenchEntry, BenchSnapshot, SCHEMA_VERSION};
+use ovc_json::Json;
 
 /// An emitted snapshot round-trips through the hand-rolled parser and
 /// passes schema validation, with the environment stanza intact.
