@@ -32,6 +32,7 @@ use std::borrow::Borrow;
 
 use crate::derive::find_code_violation_slices;
 use crate::flat::FlatRows;
+use crate::ovc::Ovc;
 use crate::row::Row;
 use crate::spec::SortSpec;
 
@@ -144,6 +145,44 @@ impl BatchStream for VecBatchStream {
     }
     fn sort_spec(&self) -> SortSpec {
         self.spec.clone()
+    }
+}
+
+/// Boxed rows entering the flat world: an **unordered** batch stream of
+/// up to `batch_size` rows each.  An unordered stream is a coded stream
+/// under [`SortSpec::none`], whose codes are all the duplicate code, so
+/// no second row shape is needed downstream.  Panics on rows of unequal
+/// width within a batch.
+pub struct RowBatches<I> {
+    rows: I,
+    batch_size: usize,
+}
+
+impl<I: Iterator<Item = Row>> RowBatches<I> {
+    /// Cut `rows` every `batch_size` rows.  Panics if `batch_size` is
+    /// zero.
+    pub fn new(rows: impl IntoIterator<IntoIter = I>, batch_size: usize) -> Self {
+        assert!(batch_size > 0, "batch size must be positive");
+        let rows = rows.into_iter();
+        RowBatches { rows, batch_size }
+    }
+}
+
+impl<I: Iterator<Item = Row>> BatchStream for RowBatches<I> {
+    fn next_batch(&mut self) -> Option<FlatRows> {
+        let first = self.rows.next()?;
+        let width = first.width();
+        let room = self.rows.size_hint().0.saturating_add(1);
+        let mut batch = FlatRows::with_capacity(width, room.min(self.batch_size));
+        let rest = self.rows.by_ref().take(self.batch_size - 1);
+        for row in std::iter::once(first).chain(rest) {
+            assert_eq!(row.width(), width, "batch streams require uniform rows");
+            batch.push(row.cols(), Ovc::duplicate());
+        }
+        Some(batch)
+    }
+    fn sort_spec(&self) -> SortSpec {
+        SortSpec::none()
     }
 }
 
@@ -284,6 +323,38 @@ mod tests {
         let batches = drain(b);
         assert_eq!(batches.len(), 2);
         assert_batches_exact_spec(&batches, &spec);
+    }
+
+    /// Boxed rows enter as an unordered stream: a coded stream under the
+    /// empty spec, every code the duplicate code, cut every `batch_size`
+    /// rows.
+    #[test]
+    fn row_batches_are_a_coded_stream_under_the_empty_spec() {
+        let rows: Vec<Row> = (0..7u64).map(|k| Row::new(vec![7 - k, k % 2])).collect();
+        let stream = RowBatches::new(rows.clone(), 3);
+        assert_eq!(stream.sort_spec(), SortSpec::none());
+        let batches = drain(stream);
+        assert_eq!(
+            batches.iter().map(FlatRows::len).collect::<Vec<_>>(),
+            [3, 3, 1]
+        );
+        assert_batches_exact_spec(&batches, &SortSpec::none());
+        let pairs = collect_batch_pairs(VecBatchStream::new(batches, SortSpec::none()));
+        assert!(pairs.iter().all(|(_, code)| code.is_duplicate()));
+        assert_eq!(
+            pairs.into_iter().map(|(row, _)| row).collect::<Vec<_>>(),
+            rows
+        );
+        assert!(drain(RowBatches::new(Vec::new(), 3)).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "uniform rows")]
+    fn row_batches_reject_ragged_rows() {
+        let _ = drain(RowBatches::new(
+            vec![Row::new(vec![1, 2]), Row::new(vec![3])],
+            8,
+        ));
     }
 
     #[test]

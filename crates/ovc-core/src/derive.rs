@@ -47,11 +47,6 @@ pub fn is_sorted(rows: &[Row], key_len: usize) -> bool {
 /// leading-prefix spec (the coded-stream contract).
 pub fn derive_codes_spec(rows: &[Row], spec: &SortSpec) -> Vec<Ovc> {
     let stats = Stats::default();
-    derive_codes_spec_counted(rows, spec, &stats)
-}
-
-/// As [`derive_codes_spec`], counting column comparisons in `stats`.
-pub fn derive_codes_spec_counted(rows: &[Row], spec: &SortSpec, stats: &Stats) -> Vec<Ovc> {
     assert!(
         spec.is_prefix(),
         "coded streams require leading-prefix sort specs, got {spec}"
@@ -62,7 +57,7 @@ pub fn derive_codes_spec_counted(rows: &[Row], spec: &SortSpec, stats: &Stats) -
     for row in rows {
         let code = match prev {
             None => spec.initial_code(row.key(k)),
-            Some(p) => derive_code_spec(p.key(k), row.key(k), spec, stats),
+            Some(p) => derive_code_spec(p.key(k), row.key(k), spec, &stats),
         };
         codes.push(code);
         prev = Some(row);

@@ -81,7 +81,7 @@ pub mod stream;
 pub mod table1;
 pub mod theorem;
 
-pub use batch::{BatchStream, FlatBatches, VecBatchStream};
+pub use batch::{BatchStream, FlatBatches, RowBatches, VecBatchStream};
 pub use ctx::{ExecError, QueryCtx};
 pub use flat::FlatRows;
 pub use metrics::{

@@ -22,7 +22,7 @@ use std::time::Instant;
 use ovc_core::ctx::{self, ExecError};
 use ovc_core::fault;
 use ovc_core::theorem::{clamp_to_prefix, OvcAccumulator};
-use ovc_core::{BatchStream, ChannelGauge, FlatRows, Row, SortSpec, Stats, Value};
+use ovc_core::{BatchStream, ChannelGauge, FlatRows, SortSpec, Stats, Value};
 
 /// What flows over a batched exchange channel: a flat batch, or — as the
 /// producer's last word before it exits — a **poison frame** carrying the
@@ -152,23 +152,28 @@ pub fn route_batches<B, P>(
 /// Batched predicate filter — [`crate::filter::Filter`] over flat batches.
 ///
 /// Accounting is identical to the row operator: one code operation per
-/// *input* row (the accumulator `max`), no column comparisons.  Output
-/// batches may be shorter than input batches (never empty).
+/// *input* row (the accumulator `max`), no column comparisons.  An
+/// unordered input (the empty spec) has only duplicate codes, whose `max`
+/// is the duplicate code, so nothing is counted for it.  Output batches
+/// may be shorter than input batches (never empty).
 pub struct BatchFilter<B, P> {
     input: B,
     predicate: P,
     acc: OvcAccumulator,
     stats: Arc<Stats>,
+    ordered: bool,
 }
 
 impl<B: BatchStream, P: FnMut(&[Value]) -> bool> BatchFilter<B, P> {
     /// Filter `input`, keeping rows for which `predicate` returns true.
     pub fn new(input: B, predicate: P, stats: Arc<Stats>) -> Self {
+        let ordered = !input.sort_spec().is_empty();
         BatchFilter {
             input,
             predicate,
             acc: OvcAccumulator::new(),
             stats,
+            ordered,
         }
     }
 }
@@ -180,7 +185,9 @@ impl<B: BatchStream, P: FnMut(&[Value]) -> bool> BatchStream for BatchFilter<B, 
             let mut out = FlatRows::with_capacity(batch.width(), batch.len());
             for i in 0..batch.len() {
                 let code = batch.code(i);
-                self.stats.count_ovc_cmp();
+                if self.ordered {
+                    self.stats.count_ovc_cmp();
+                }
                 let row = batch.row(i);
                 if (self.predicate)(row) {
                     // Filter theorem: max over the dropped chain plus this row.
@@ -199,30 +206,34 @@ impl<B: BatchStream, P: FnMut(&[Value]) -> bool> BatchStream for BatchFilter<B, 
     }
 }
 
-/// Batched projection preserving the first `surviving_key` sort-key
-/// columns — [`crate::project::Project`] over flat batches.  Codes are
-/// clamped to the surviving prefix; nothing is counted (§4.2: projection
-/// compares no columns).
-pub struct BatchProject<B, F> {
+/// Batched projection onto a column list preserving the first
+/// `surviving_key` sort-key columns — [`crate::project::Project`] over
+/// flat batches.  Each projected row is written straight into the output
+/// buffer; codes are clamped to the surviving prefix; nothing is counted
+/// (§4.2: projection compares no columns).
+pub struct BatchProject<B> {
     input: B,
-    map: F,
+    cols: Vec<usize>,
     in_key_len: usize,
     surviving_key: usize,
     spec: SortSpec,
 }
 
-impl<B: BatchStream, F: FnMut(&[Value]) -> Row> BatchProject<B, F> {
-    /// Build a projection.  `map` receives each input row's columns and
-    /// produces the output row, whose first `surviving_key` columns must
-    /// equal the input's (debug-asserted).  Panics if `surviving_key`
-    /// exceeds the input key length.
-    pub fn new(input: B, surviving_key: usize, map: F) -> Self {
+impl<B: BatchStream> BatchProject<B> {
+    /// Project every row onto `cols` (input column indices, in output
+    /// order).  Panics unless the surviving key stays in place — `cols`
+    /// starts with `0, 1, …, surviving_key − 1` — and fits the input key.
+    pub fn new(input: B, surviving_key: usize, cols: Vec<usize>) -> Self {
         let in_key_len = input.key_len();
         assert!(surviving_key <= in_key_len);
+        assert!(
+            (0..surviving_key).eq(cols.iter().copied().take(surviving_key)),
+            "projection must preserve the surviving key prefix"
+        );
         let spec = input.sort_spec().prefix(surviving_key);
         BatchProject {
             input,
-            map,
+            cols,
             in_key_len,
             surviving_key,
             spec,
@@ -230,24 +241,16 @@ impl<B: BatchStream, F: FnMut(&[Value]) -> Row> BatchProject<B, F> {
     }
 }
 
-impl<B: BatchStream, F: FnMut(&[Value]) -> Row> BatchStream for BatchProject<B, F> {
+impl<B: BatchStream> BatchStream for BatchProject<B> {
     fn next_batch(&mut self) -> Option<FlatRows> {
         let batch = self.input.next_batch()?;
-        let mut out: Option<FlatRows> = None;
-        for i in 0..batch.len() {
-            let row = batch.row(i);
-            let mapped = (self.map)(row);
-            debug_assert_eq!(
-                mapped.key(self.surviving_key),
-                &row[..self.surviving_key],
-                "projection must preserve the surviving key prefix"
-            );
-            let code = clamp_to_prefix(batch.code(i), self.in_key_len, self.surviving_key);
-            out.get_or_insert_with(|| FlatRows::with_capacity(mapped.width(), batch.len()))
-                .push(mapped.cols(), code);
+        let mut values = Vec::with_capacity(batch.len() * self.cols.len());
+        let mut codes = Vec::with_capacity(batch.len());
+        for (row, code) in batch.iter() {
+            values.extend(self.cols.iter().map(|&c| row[c]));
+            codes.push(clamp_to_prefix(code, self.in_key_len, self.surviving_key));
         }
-        // Input batches are never empty, so `out` is always populated.
-        out
+        Some(FlatRows::from_parts(self.cols.len(), values, codes))
     }
     fn sort_spec(&self) -> SortSpec {
         self.spec.clone()
@@ -372,7 +375,7 @@ mod tests {
     use ovc_core::derive::assert_codes_exact_spec;
     use ovc_core::stream::collect_pairs;
     use ovc_core::FlatBatches;
-    use ovc_core::{Ovc, VecStream};
+    use ovc_core::{Ovc, Row, VecStream};
     use ovc_sort::Run;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -425,9 +428,7 @@ mod tests {
                 |r| r.project(&[0, 1, 3]),
             ));
             let spec = SortSpec::asc(2);
-            let batch_op = BatchProject::new(batched(rows, 4, batch_size), 2, |r: &[Value]| {
-                Row::from_slice(r).project(&[0, 1, 3])
-            });
+            let batch_op = BatchProject::new(batched(rows, 4, batch_size), 2, vec![0, 1, 3]);
             assert_eq!(batch_op.sort_spec(), spec);
             let batch_pairs = collect_batch_pairs(batch_op);
             assert_eq!(batch_pairs, row_pairs, "batch={batch_size}");

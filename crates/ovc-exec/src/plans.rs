@@ -12,8 +12,9 @@
 //! spills a row twice and the join input arrives deduplicated and coded.
 //!
 //! Since the `ovc-plan` crate landed, this pipeline is **planner
-//! territory**: [`in_sort_distinct`] is the physical building block that
-//! `ovc_plan`'s executor lowers `InSortDistinct` nodes onto, and the
+//! territory**: `ovc_plan`'s executor lowers `InSortDistinct` nodes onto
+//! the external sort's own distinct mode ([`ovc_sort::try_sort_batches`]),
+//! of which [`in_sort_distinct`] is the row-input adapter, and the
 //! planner derives this exact plan (and its hash-based rival) from the
 //! one logical query in `ovc_plan::figure5`.  [`sort_intersect_distinct`]
 //! remains as the hand-written reference that benches and planner tests
@@ -21,8 +22,8 @@
 
 use std::sync::Arc;
 
-use ovc_core::{BatchStream, OvcRow, Row, Stats};
-use ovc_sort::{generate_runs, merge_runs, Run, RunGenStrategy, RunStorage, SortOutput};
+use ovc_core::{BatchStream, OvcRow, Row, RowBatches, SortSpec, Stats};
+use ovc_sort::{try_sort_batches, RunStorage, SortConfig, SortOutput};
 
 use crate::set_ops::{SetOp, SetOperation};
 
@@ -42,59 +43,12 @@ where
     I: IntoIterator<Item = Row>,
     S: RunStorage,
 {
-    // Run generation; each run deduplicated by code inspection before it
-    // spills (this is what makes the aggregation "in-sort").
-    let runs: Vec<Run> = generate_runs(
-        input,
-        key_len,
-        memory_rows,
-        RunGenStrategy::OvcPriorityQueue,
-        stats,
-    )
-    .into_iter()
-    .map(Run::into_distinct)
-    .collect();
-
-    if runs.len() <= 1 {
-        let run = runs
-            .into_iter()
-            .next()
-            .unwrap_or_else(|| Run::empty(key_len));
-        return SortOutput::Memory(run.cursor());
-    }
-
-    // Spill once; merge with dedup folded into every merge step.  The
-    // intermediate levels stay on the flat path: duplicate-coded rows are
-    // dropped as winners copy between contiguous buffers.
     // Spill failures propagate as typed panic payloads, contained at the
     // executor boundary (`ovc_core::ctx`) like every other `ExecError`.
-    let spill = |res: Result<usize, ovc_core::ExecError>| -> usize {
-        res.unwrap_or_else(|e| ovc_core::ctx::propagate(e))
-    };
-    let unspill = |res: Result<Run, ovc_core::ExecError>| -> Run {
-        res.unwrap_or_else(|e| ovc_core::ctx::propagate(e))
-    };
-    let mut handles: Vec<usize> = runs
-        .into_iter()
-        .map(|r| spill(storage.write_run(r)))
-        .collect();
-    while handles.len() > fan_in {
-        let mut next = Vec::new();
-        for chunk in handles.chunks(fan_in) {
-            let level: Vec<Run> = chunk
-                .iter()
-                .map(|&h| unspill(storage.read_run(h)))
-                .collect();
-            let merged = merge_runs(level, key_len, stats).into_run_distinct();
-            next.push(spill(storage.write_run(merged)));
-        }
-        handles = next;
-    }
-    let final_runs: Vec<Run> = handles
-        .into_iter()
-        .map(|h| unspill(storage.read_run(h)))
-        .collect();
-    SortOutput::MergeDistinct(merge_runs(final_runs, key_len, stats))
+    let config = SortConfig::new(key_len, memory_rows).with_fan_in(fan_in);
+    let input = RowBatches::new(input, memory_rows);
+    try_sort_batches(input, config, &SortSpec::asc(key_len), true, storage, stats)
+        .unwrap_or_else(|err| ovc_core::ctx::propagate(err))
 }
 
 /// Knobs of the Figure 5/6 experiment.

@@ -4,11 +4,12 @@
 //! [`run`] is what all four `execute*` entry points of [`crate::exec`]
 //! call.  Operators hand each other [`FlatRows`] batches of
 //! [`ExecOptions::batch_size`] rows (default
-//! [`DEFAULT_BATCH_ROWS`]), scans of sorted tables slice-copy batches
-//! out of the table's flat coded buffer (Section 4.11: data access is a
-//! source of codes), and **exchanges forward batches through their
-//! channels instead of materializing whole inputs** at the split/merge
-//! boundaries:
+//! [`DEFAULT_BATCH_ROWS`]) — one row shape; an unordered stream is a
+//! coded stream under the empty spec.  Scans slice-copy batches out of
+//! the table's flat buffer (Section 4.11), sorts copy each input batch
+//! once into their workspace, and **exchanges forward batches through
+//! their channels instead of materializing whole inputs** at the
+//! split/merge boundaries:
 //!
 //! * A splitting [`PhysOp::Exchange`] spawns one producer thread that
 //!   lowers and drains its child *on that thread*, routing rows with
@@ -40,17 +41,17 @@
 //! batches' code and value slices as if over one long run, sorts and
 //! gathers fill output batches straight from their merges, and only the
 //! exchange edges (where partitions *are* lifted out of their stream)
-//! repair codes.  Nothing on a coded path boxes a row; the root's
-//! batches are concatenated into one flat buffer, and rows are boxed
-//! only if the caller asks [`Output`] for them.
+//! repair codes.  Only the helper feeding the `ovc-baseline` hash
+//! operators boxes rows here; the root's batches are concatenated into
+//! one flat buffer, boxed at the edge ([`Output`]) if at all.
 //!
 //! Under a [`QueryCtx`] every operator boundary, every exchange producer
 //! and every partition worker checks the context once per batch, sort
 //! spills run through [`CtxStorage`] (budget + cancellation at run
-//! boundaries), and a spill-device fault in a serial sort is recovered
-//! by re-lowering the sort's input subtree — the plan is borrowed and
-//! the table is the retained source — and sorting resident (DESIGN.md
-//! §14).
+//! boundaries), and a spill-device fault in a serial sort (distinct or
+//! not) is recovered by re-lowering the sort's input subtree — the plan
+//! is borrowed and the table is the retained source — and sorting
+//! resident (DESIGN.md §14).
 //!
 //! Worker threads account into per-thread [`Stats`] merged through one
 //! shared [`Stats`]; totals land in the caller's `stats` when the plan's
@@ -69,21 +70,20 @@ use std::time::{Duration, Instant};
 
 use ovc_core::batch::{assert_batches_exact_spec, VecBatchStream};
 use ovc_core::ctx::{self, ExecError, QueryCtx};
-use ovc_core::derive::derive_codes_spec_counted;
 use ovc_core::fault;
 use ovc_core::metrics::{ChannelGauge, ExchangeGauges, ProfileNode};
 use ovc_core::{
-    BatchStream, CodedBatch, FlatBatches, FlatRows, Row, SortSpec, Stats, StatsSnapshot, Value,
+    BatchStream, CodedBatch, FlatBatches, FlatRows, Ovc, Row, RowBatches, SortSpec, Stats,
+    StatsSnapshot, Value,
 };
 use ovc_exec::exchange::partition;
-use ovc_exec::plans::in_sort_distinct;
 use ovc_exec::{
-    route_batches, BatchChannelStream, BatchDedup, BatchFilter, BatchFrame, BatchProject,
-    BatchTake, GroupAggregate, MergeJoin, SetOperation, DEFAULT_CHANNEL_CAPACITY,
+    route_batches, BatchChannelStream, BatchClampKey, BatchDedup, BatchFilter, BatchFrame,
+    BatchProject, BatchTake, GroupAggregate, MergeJoin, SetOperation, DEFAULT_CHANNEL_CAPACITY,
 };
 use ovc_sort::{
-    merge_batch_streams, try_external_sort_spec, MemoryRunStorage, Run, RunStorage, SortConfig,
-    SortOutput,
+    merge_batch_streams, parallel_sort_batches, try_sort_batches, MemoryRunStorage, Run,
+    RunStorage, SortConfig, SortOutput,
 };
 
 use crate::catalog::Catalog;
@@ -98,9 +98,9 @@ type PartStream = Box<dyn BatchStream + Send>;
 /// as typed payloads — callers wrap this in [`ctx::contain`]); with
 /// `prof`, filling the profile tree that mirrors the plan.
 ///
-/// Ordered roots come back materialized flat (the pipeline's threads are
-/// joined before returning), hash-side roots as rows, partitioned roots
-/// as coded batches.
+/// Roots come back materialized (the pipeline's threads are joined
+/// before returning): one stream via [`Output::root`], partitions as
+/// coded batches.
 pub(crate) fn run(
     plan: &PhysicalPlan,
     catalog: &Catalog,
@@ -122,8 +122,7 @@ pub(crate) fn run(
             shared: Arc::clone(&shared),
         };
         match cx.run(plan, stats, prof, None) {
-            BOut::Batches(b) => Output::Stream(drain(b)),
-            BOut::Rows(rows) => Output::Rows(rows),
+            BOut::Batches(b) => Output::root(drain(b), plan.props.coded),
             BOut::Parts(parts, _) => {
                 // Drain every partition stream to a standalone coded
                 // batch.  Concurrent drains keep upstream workers busy;
@@ -151,10 +150,9 @@ pub(crate) fn run(
 /// with streams delivered batch-at-a-time and partitions delivered as
 /// *live* per-partition batch streams instead of materialized batches.
 enum BOut {
-    /// Sorted batch stream carrying exact offset-value codes.
+    /// Batch stream carrying exact offset-value codes under its spec —
+    /// the empty spec for an unordered stream.
     Batches(Box<dyn BatchStream>),
-    /// Materialized rows in arbitrary order (hash-side operators).
-    Rows(Vec<Row>),
     /// Hash-partitioned coded batch streams (between a splitting
     /// exchange and the gathering one), each standalone-coded under the
     /// carried spec.
@@ -174,27 +172,45 @@ fn drain(mut stream: impl BatchStream) -> CodedBatch {
     CodedBatch::from_flat(all, spec)
 }
 
-impl BOut {
-    fn into_rows(self) -> Vec<Row> {
-        match self {
-            BOut::Batches(mut b) => {
-                let mut rows = Vec::new();
-                while let Some(batch) = b.next_batch() {
-                    rows.extend(batch.iter().map(|(cols, _)| Row::from_slice(cols)));
-                }
-                rows
-            }
-            BOut::Rows(rows) => rows,
-            BOut::Parts(..) => {
-                panic!("plan output is partitioned; gather it with an Exchange to single")
-            }
-        }
+/// The one place the executor boxes rows: the `ovc-baseline` hash
+/// operators are reference code over `Vec<Row>`.
+fn baseline_rows(out: BOut) -> Vec<Row> {
+    let mut stream = out.into_batches();
+    let mut rows = Vec::new();
+    while let Some(batch) = stream.next_batch() {
+        rows.extend(batch.iter().map(|(cols, _)| Row::from_slice(cols)));
     }
+    rows
+}
 
+/// `fwd`, ordered under `spec.reversed()` with codes of arity `fwd_len`,
+/// read back to front: ordered under `spec`, codes **shifted** instead of
+/// re-derived.  Reversed row `i`'s predecessor is forward row `i + 1`,
+/// whose forward code already states the prefix the two share, so the
+/// new code is that offset with row `i`'s own value there under `spec`;
+/// duplicates stay duplicates, and no column is compared.
+fn reverse_codes(fwd: &FlatRows, fwd_len: usize, spec: &SortSpec) -> FlatRows {
+    let (n, k) = (fwd.len(), spec.len());
+    let mut out = FlatRows::with_capacity(fwd.width(), n);
+    for i in (0..n).rev() {
+        let row = fwd.row(i);
+        let code = if i + 1 == n {
+            spec.initial_code(&row[..k])
+        } else {
+            match fwd.code(i + 1).offset(fwd_len).min(k) {
+                off if off == k => Ovc::duplicate(),
+                off => Ovc::new(off, spec.code_value(off, row[off]), k),
+            }
+        };
+        out.push(row, code);
+    }
+    out
+}
+
+impl BOut {
     fn into_batches(self) -> Box<dyn BatchStream> {
         match self {
             BOut::Batches(b) => b,
-            BOut::Rows(_) => panic!("plan output is unordered; not a coded stream"),
             BOut::Parts(..) => {
                 panic!("plan output is partitioned; gather it with an Exchange to single")
             }
@@ -342,12 +358,6 @@ impl<'env> BCx<'_, 'env> {
                     }),
                 }))
             }
-            BOut::Rows(rows) => {
-                if let Some(node) = prof {
-                    node.add_rows_out(rows.len() as u64);
-                }
-                BOut::Rows(rows)
-            }
             // Partition rows/batches are counted at the producing side
             // (the spawning arms), where they are actually observed.
             other => other,
@@ -362,35 +372,39 @@ impl<'env> BCx<'_, 'env> {
         gather: Option<&ExchangeGauges>,
     ) -> BOut {
         match &plan.op {
-            PhysOp::ScanRows { table } => BOut::Rows(self.table(table).to_rows()),
-            PhysOp::ScanCoded { table } => BOut::Batches(Box::new(
-                self.table(table)
-                    .scan_coded(self.batch)
-                    .unwrap_or_else(|| panic!("table {table} is not stored sorted")),
-            )),
+            PhysOp::ScanCoded { table } => {
+                BOut::Batches(Box::new(self.table(table).scan(self.batch)))
+            }
+            // The same flat scan with its key clamped away (§4.2): every
+            // code the duplicate code, whatever the table's order.
+            PhysOp::ScanRows { table } => BOut::Batches(Box::new(BatchClampKey::new(
+                self.table(table).scan(self.batch),
+                0,
+            ))),
             PhysOp::SortOvc {
                 input,
                 spec,
                 memory_rows,
                 fan_in,
                 dop,
+            }
+            | PhysOp::InSortDistinct {
+                input,
+                spec,
+                memory_rows,
+                fan_in,
+                dop,
             } => {
-                let rows = self.run(input, stats, child(prof, 0), None).into_rows();
-                if *dop > 1 {
+                let distinct = matches!(plan.op, PhysOp::InSortDistinct { .. });
+                let lower_input = || self.run(input, stats, child(prof, 0), None).into_batches();
+                let sorted = if *dop > 1 {
                     debug_assert!(spec.is_prefix() && !spec.normalized());
-                    let sorted = ovc_sort::parallel_sort_spec(
-                        rows,
-                        spec,
-                        *dop,
-                        *memory_rows,
-                        *fan_in,
-                        stats,
-                    );
-                    BOut::Batches(sorted.batches(self.batch))
+                    let (mem, fan) = (*memory_rows, *fan_in);
+                    parallel_sort_batches(lower_input(), spec, distinct, *dop, mem, fan, stats)
                 } else {
                     let cfg = SortConfig::new(spec.len(), *memory_rows).with_fan_in(*fan_in);
                     let mut storage = self.spill_device(stats);
-                    let sorted = try_external_sort_spec(rows, cfg, spec, &mut storage, stats)
+                    try_sort_batches(lower_input(), cfg, spec, distinct, &mut storage, stats)
                         .or_else(|err| {
                             if !err.is_spill_fault() {
                                 return Err(err);
@@ -398,20 +412,21 @@ impl<'env> BCx<'_, 'env> {
                             // Only the spilled copy is bad; the input
                             // still exists upstream.  Re-lower it rather
                             // than having retained a copy of every sort
-                            // input, and sort resident so the faulty
-                            // device is never touched again.  Codes are a
-                            // function of the output sequence alone, so
-                            // the recovered stream is byte-identical.
-                            let rows = self.run(input, stats, child(prof, 0), None).into_rows();
+                            // input, and sort resident (one unbounded
+                            // run) so the faulty device is never touched
+                            // again.  Codes are a function of the output
+                            // sequence alone, so the recovered stream is
+                            // byte-identical.
                             let resident = SortConfig {
-                                memory_rows: rows.len().max(1),
+                                memory_rows: usize::MAX,
                                 ..cfg
                             };
-                            try_external_sort_spec(rows, resident, spec, &mut storage, stats)
+                            let input = lower_input();
+                            try_sort_batches(input, resident, spec, distinct, &mut storage, stats)
                         })
-                        .unwrap_or_else(|err| ctx::propagate(err));
-                    BOut::Batches(sorted.batches(self.batch))
-                }
+                        .unwrap_or_else(|err| ctx::propagate(err))
+                };
+                BOut::Batches(sorted.batches(self.batch))
             }
             PhysOp::TrustSorted { input, spec } => {
                 let mut stream = self.run(input, stats, child(prof, 0), None).into_batches();
@@ -433,82 +448,38 @@ impl<'env> BCx<'_, 'env> {
                 }
             }
             PhysOp::Reverse { input, spec } => {
-                let stream = self.run(input, stats, child(prof, 0), None).into_batches();
-                debug_assert!(stream.sort_spec().satisfies(&spec.reversed()));
-                let mut rows = BOut::Batches(stream).into_rows();
-                rows.reverse();
-                let codes = derive_codes_spec_counted(&rows, spec, stats);
-                let mut flat = FlatRows::with_capacity(plan.props.width, rows.len());
-                for (row, code) in rows.iter().zip(codes) {
-                    flat.push(row.cols(), code);
-                }
+                let fwd = drain(self.run(input, stats, child(prof, 0), None).into_batches());
+                debug_assert!(fwd.sort_spec().satisfies(&spec.reversed()));
+                let fwd_len = fwd.sort_spec().len();
+                let flat = reverse_codes(&fwd.into_flat(), fwd_len, spec);
                 BOut::Batches(Box::new(FlatBatches::new(flat, spec.clone(), self.batch)))
-            }
-            PhysOp::InSortDistinct {
-                input,
-                spec,
-                memory_rows,
-                fan_in,
-                dop,
-            } => {
-                debug_assert!(spec.is_asc_prefix());
-                let key_len = spec.len();
-                let rows = self.run(input, stats, child(prof, 0), None).into_rows();
-                let sorted = if *dop > 1 {
-                    ovc_sort::parallel::parallel_sort_distinct(
-                        rows,
-                        key_len,
-                        *dop,
-                        *memory_rows,
-                        *fan_in,
-                        stats,
-                    )
-                } else {
-                    let mut storage = self.spill_device(stats);
-                    in_sort_distinct(rows, key_len, *memory_rows, *fan_in, &mut storage, stats)
-                };
-                BOut::Batches(sorted.batches(self.batch))
             }
             PhysOp::DedupCodes { input } => {
                 let stream = self.run(input, stats, child(prof, 0), None).into_batches();
                 BOut::Batches(Box::new(BatchDedup::new(stream)))
             }
             PhysOp::HashDistinct { input, memory_rows } => {
-                let rows = self.run(input, stats, child(prof, 0), None).into_rows();
-                BOut::Rows(ovc_baseline::hash_aggregate_distinct(
-                    rows,
-                    *memory_rows,
-                    stats,
-                ))
+                let rows = baseline_rows(self.run(input, stats, child(prof, 0), None));
+                let out = ovc_baseline::hash_aggregate_distinct(rows, *memory_rows, stats);
+                BOut::Batches(Box::new(RowBatches::new(out, self.batch)))
             }
-            PhysOp::Filter { input, pred } => match self.run(input, stats, child(prof, 0), None) {
-                BOut::Batches(s) => {
-                    let p = pred.clone();
-                    BOut::Batches(Box::new(BatchFilter::new(
-                        s,
-                        move |cols: &[Value]| p.eval_slice(cols),
-                        Arc::clone(stats),
-                    )))
-                }
-                BOut::Rows(rows) => BOut::Rows(rows.into_iter().filter(|r| pred.eval(r)).collect()),
-                BOut::Parts(..) => panic!("filter over partitions is not planned"),
-            },
+            PhysOp::Filter { input, pred } => {
+                let s = self.run(input, stats, child(prof, 0), None).into_batches();
+                let p = pred.clone();
+                BOut::Batches(Box::new(BatchFilter::new(
+                    s,
+                    move |cols: &[Value]| p.eval_slice(cols),
+                    Arc::clone(stats),
+                )))
+            }
             PhysOp::Project {
                 input,
                 cols,
                 surviving_key,
-            } => match self.run(input, stats, child(prof, 0), None) {
-                BOut::Batches(s) => {
-                    let cols = cols.clone();
-                    BOut::Batches(Box::new(BatchProject::new(
-                        s,
-                        *surviving_key,
-                        move |row: &[Value]| Row::new(cols.iter().map(|&c| row[c]).collect()),
-                    )))
-                }
-                BOut::Rows(rows) => BOut::Rows(rows.iter().map(|r| r.project(cols)).collect()),
-                BOut::Parts(..) => panic!("projection over partitions is not planned"),
-            },
+            } => {
+                let s = self.run(input, stats, child(prof, 0), None).into_batches();
+                BOut::Batches(Box::new(BatchProject::new(s, *surviving_key, cols.clone())))
+            }
             PhysOp::GroupOvc {
                 input,
                 group_len,
@@ -594,15 +565,10 @@ impl<'env> BCx<'_, 'env> {
                 join_len,
                 memory_rows,
             } => {
-                let l = self.run(left, stats, child(prof, 0), None).into_rows();
-                let r = self.run(right, stats, child(prof, 1), None).into_rows();
-                BOut::Rows(ovc_baseline::grace_hash_join(
-                    l,
-                    r,
-                    *join_len,
-                    *memory_rows,
-                    stats,
-                ))
+                let l = baseline_rows(self.run(left, stats, child(prof, 0), None));
+                let r = baseline_rows(self.run(right, stats, child(prof, 1), None));
+                let out = ovc_baseline::grace_hash_join(l, r, *join_len, *memory_rows, stats);
+                BOut::Batches(Box::new(RowBatches::new(out, self.batch)))
             }
             PhysOp::SetOpMerge { left, right, op } => {
                 match (
@@ -946,5 +912,28 @@ impl RunStorage for CtxStorage {
 
     fn stored_runs(&self) -> usize {
         self.inner.stored_runs()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    /// One row shape: outside the helper that feeds the two `ovc-baseline`
+    /// hash operators, the executor's code boxes no row.
+    #[test]
+    fn no_row_is_boxed_outside_the_baseline_helper() {
+        let source = include_str!("batch_exec.rs");
+        let (code, _) = source
+            .split_once("#[cfg(test)]")
+            .expect("the test module follows the code");
+        let (before, helper) = code
+            .split_once("fn baseline_rows(")
+            .expect("the baseline helper exists");
+        let (_, after) = helper.split_once("\n}\n").expect("the helper ends");
+        for banned in ["Row::from_slice", "Row::new", ".to_rows()", "into_rows"] {
+            assert!(
+                !before.contains(banned) && !after.contains(banned),
+                "batch_exec.rs boxes rows outside `baseline_rows`: found `{banned}`"
+            );
+        }
     }
 }

@@ -1,52 +1,41 @@
 //! Named base tables and the statistics the planner reads off them.
 //!
 //! Section 4.11 of the paper: "Data access is a source of offset-value
-//! codes as important as sorting."  A [`Table`] registered as *sorted*
-//! derives its codes **once** (the storage-layer effort the paper says
-//! scans should preserve) and stores rows and codes together in one flat
-//! buffer; every scan of it ([`Table::scan_coded`]) slice-copies batches
-//! out of that buffer, codes included, for free.  An unsorted table only
-//! offers raw rows, and any interesting ordering above it must be earned
-//! with a sort.
+//! codes as important as sorting."  Every [`Table`] stores its rows and
+//! their codes together in one flat buffer shared with every scan, which
+//! slice-copies batches out of it, codes included, for free.  A table
+//! registered as *sorted* derives its codes **once** (the storage-layer
+//! effort the paper says scans should preserve).  A heap table is a table
+//! under the empty spec ([`SortSpec::none`]): all its codes are duplicate
+//! codes, and any interesting ordering above it must be earned with a
+//! sort.
 
 use std::collections::BTreeMap;
 use std::collections::HashSet;
 use std::sync::Arc;
 
 use ovc_core::derive::{derive_codes_spec, is_sorted_spec};
-use ovc_core::{FlatBatches, FlatRows, Row, SortSpec};
+use ovc_core::{BatchStream, FlatBatches, FlatRows, Row, RowBatches, SortSpec};
 
 /// A base table plus the cheap exact statistics the cost model feeds on.
 #[derive(Clone, Debug)]
 pub struct Table {
-    stored: Stored,
-    width: usize,
+    /// Rows and codes, flat; shared with every scan.
+    flat: Arc<FlatRows>,
     /// Ordering contract the stored rows follow (empty = heap table).
     spec: SortSpec,
     /// Exact count of distinct full rows (one hash pass at registration).
     distinct_rows: usize,
 }
 
-/// A table's one stored form: heap rows, or — for a sorted table — the
-/// rows and their codes (derived once at registration) in one flat
-/// buffer shared with every scan.
-#[derive(Clone, Debug)]
-enum Stored {
-    Heap(Vec<Row>),
-    Coded(Arc<FlatRows>),
-}
-
 impl Table {
-    /// Register an unsorted heap table.
+    /// Register an unsorted heap table.  Panics on rows of unequal width.
     pub fn unsorted(rows: Vec<Row>) -> Table {
-        let width = rows.first().map(Row::width).unwrap_or(1);
         let distinct_rows = count_distinct(&rows);
-        Table {
-            stored: Stored::Heap(rows),
-            width,
-            spec: SortSpec::none(),
-            distinct_rows,
-        }
+        let flat = RowBatches::new(rows, usize::MAX)
+            .next_batch()
+            .unwrap_or_else(|| FlatRows::new(1));
+        Table::new(flat, SortSpec::none(), distinct_rows)
     }
 
     /// Register a table stored sorted ascending on its first
@@ -78,9 +67,12 @@ impl Table {
         for (row, code) in rows.iter().zip(codes) {
             flat.push(row.cols(), code);
         }
+        Table::new(flat, spec, distinct_rows)
+    }
+
+    fn new(flat: FlatRows, spec: SortSpec, distinct_rows: usize) -> Table {
         Table {
-            stored: Stored::Coded(Arc::new(flat)),
-            width,
+            flat: Arc::new(flat),
             spec,
             distinct_rows,
         }
@@ -94,42 +86,39 @@ impl Table {
         Table::sorted(rows, width)
     }
 
-    /// The stored rows, materialized (one boxed row each — what an
-    /// unordered scan hands to the hash-side operators).
+    /// The stored rows, materialized (one boxed row each).
     pub fn to_rows(&self) -> Vec<Row> {
-        match &self.stored {
-            Stored::Heap(rows) => rows.clone(),
-            Stored::Coded(flat) => flat.iter().map(|(cols, _)| Row::from_slice(cols)).collect(),
-        }
+        self.flat
+            .iter()
+            .map(|(cols, _)| Row::from_slice(cols))
+            .collect()
     }
 
     /// Rows and pre-derived codes in flat layout, when the table is
     /// stored sorted.
     pub fn coded(&self) -> Option<&FlatRows> {
-        match &self.stored {
-            Stored::Heap(_) => None,
-            Stored::Coded(flat) => Some(flat),
-        }
+        (!self.spec.is_empty()).then_some(&*self.flat)
     }
 
-    /// The Section 4.11 coded scan: stream the stored rows and codes in
-    /// batches of at most `batch` rows, each a slice copy of the flat
-    /// buffer (no per-row allocation, no comparison).  A stored table is
-    /// one coded stream, so cutting it into batches needs no code repair
-    /// (the seam rule, DESIGN.md §12).  `None` for a heap table.  Panics
-    /// if `batch` is zero.
+    /// The one scan: stream the stored rows and codes in batches of at
+    /// most `batch` rows under the table's spec, each a slice copy of the
+    /// flat buffer (no per-row allocation, no comparison).  A stored
+    /// table is one coded stream, so cutting it into batches needs no
+    /// code repair (the seam rule, DESIGN.md §12).  Panics if `batch` is
+    /// zero.
+    pub(crate) fn scan(&self, batch: usize) -> FlatBatches<Arc<FlatRows>> {
+        FlatBatches::new(Arc::clone(&self.flat), self.spec.clone(), batch)
+    }
+
+    /// The Section 4.11 coded scan: the one scan of a sorted table;
+    /// `None` for a heap table.
     pub fn scan_coded(&self, batch: usize) -> Option<FlatBatches<Arc<FlatRows>>> {
-        match &self.stored {
-            Stored::Heap(_) => None,
-            Stored::Coded(flat) => {
-                Some(FlatBatches::new(Arc::clone(flat), self.spec.clone(), batch))
-            }
-        }
+        self.coded().map(|_| self.scan(batch))
     }
 
     /// Number of columns per row.
     pub fn width(&self) -> usize {
-        self.width
+        self.flat.width()
     }
 
     /// Leading columns the stored rows are sorted on (0 = unsorted).
@@ -144,10 +133,7 @@ impl Table {
 
     /// Row count.
     pub fn len(&self) -> usize {
-        match &self.stored {
-            Stored::Heap(rows) => rows.len(),
-            Stored::Coded(flat) => flat.len(),
-        }
+        self.flat.len()
     }
 
     /// Is the table empty?

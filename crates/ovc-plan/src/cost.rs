@@ -200,16 +200,12 @@ pub fn exchange(rows: f64, parts: usize, batch: usize) -> Cost {
     }
 }
 
-/// Opposite-direction reuse (`PhysOp::Reverse`): materialize, reverse,
-/// and re-prime codes in one linear pass — `rows × key_len` column
-/// accesses (the derivation bound) plus one accumulator op per row, no
-/// `log N` factor, no spill.  Always cheaper than the sort it replaces.
-pub fn reverse(rows: f64, key_len: usize) -> Cost {
-    Cost {
-        col_cmps: rows * key_len as f64,
-        ovc_cmps: rows,
-        ..Cost::zero()
-    }
+/// Opposite-direction reuse (`PhysOp::Reverse`): materialize and read
+/// back to front, shifting each code onto its new predecessor — one code
+/// inspection per row, no column comparison, no `log N` factor, no
+/// spill.  Always cheaper than the sort it replaces.
+pub fn reverse(rows: f64) -> Cost {
+    streaming(rows)
 }
 
 /// Partition-parallel in-stream grouping (one `GroupAggregate` worker
@@ -419,9 +415,9 @@ mod tests {
     #[test]
     fn reversal_prices_below_the_sort_it_replaces() {
         let n = 20_000.0;
-        let rev = reverse(n, 3);
+        let rev = reverse(n);
         let sort = sort_ovc(n, 3, 1000, 64);
-        assert_eq!(rev.spill_rows, 0.0);
+        assert_eq!((rev.col_cmps, rev.spill_rows), (0.0, 0.0));
         assert!(rev.total(&W) < sort.total(&W));
     }
 

@@ -3,13 +3,13 @@
 //!
 //! There is one executor.  [`execute`], [`execute_ctx`],
 //! [`execute_profiled`] and [`execute_ctx_profiled`] are thin wrappers
-//! over the single batch-at-a-time lowering in `batch_exec`: coded paths
-//! become [`ovc_core::BatchStream`] pipelines over `ovc-exec`/`ovc-sort`
-//! operators fed by flat coded scans, hash paths call the `ovc-baseline`
-//! algorithms on materialized rows, and **exchange sandwiches** run on
-//! real threads with flat batches crossing their channels.  The
-//! boundaries between the three worlds (stream / rows / partitions) are
-//! explicit in the plan, so the executor never guesses.
+//! over the single batch-at-a-time lowering in `batch_exec`: plans become
+//! [`ovc_core::BatchStream`] pipelines over `ovc-exec`/`ovc-sort`
+//! operators fed by flat scans (unordered = coded under the empty spec),
+//! and **exchange sandwiches** run on real threads with flat batches
+//! crossing their channels.  The boundary between the two shapes (stream
+//! / partitions) is explicit in the plan, so the executor never guesses;
+//! rows are boxed only at the edge ([`Output`]).
 //!
 //! [`ExecOptions::verify_trusted`] turns every [`PhysOp::TrustSorted`]
 //! marker — an *elided sort* — into a checked assertion: the stream the
@@ -54,16 +54,17 @@ pub struct ExecOptions {
     pub batch_size: Option<usize>,
 }
 
-/// What a plan produced: a coded sorted stream, bare rows, or — for a
-/// plan cut off below its gathering exchange — hash partitions of a
-/// coded stream.
+/// What a plan produced: a coded sorted stream, bare rows (a plan whose
+/// properties promise no codes), or — for a plan cut off below its
+/// gathering exchange — hash partitions of a coded stream.
 pub enum Output {
     /// Sorted stream carrying exact offset-value codes, materialized
     /// flat: the root's batches concatenated into one contiguous buffer
     /// ([`CodedBatch::into_flat`]).  Rows are boxed only by
     /// [`Output::into_coded`] / [`Output::into_rows`].
     Stream(CodedBatch),
-    /// Materialized rows in arbitrary order (hash-side operators).
+    /// Rows of a plan whose properties promise no codes, in arbitrary
+    /// order.
     Rows(Vec<Row>),
     /// Hash-partitioned coded batches (between a splitting
     /// [`crate::physical::PhysOp::Exchange`] and the gathering one); each batch is sorted
@@ -72,6 +73,17 @@ pub enum Output {
 }
 
 impl Output {
+    /// A single-stream root: flat when the plan promises codes, else its
+    /// rows, boxed here at the edge.
+    pub(crate) fn root(flat: CodedBatch, coded: bool) -> Output {
+        let out = Output::Stream(flat);
+        if coded {
+            out
+        } else {
+            Output::Rows(out.into_rows())
+        }
+    }
+
     /// Materialize as rows, dropping codes if present.
     pub fn into_rows(self) -> Vec<Row> {
         match self {
@@ -98,10 +110,10 @@ impl Output {
 
 /// Run a physical plan against a catalog, accounting into `stats`.
 ///
-/// Ordered roots come back as a coded stream that is already
+/// Coded roots come back as a coded stream that is already
 /// materialized, flat (the pipeline's threads are joined before
-/// returning), hash-side roots as rows, partitioned roots as coded
-/// batches.
+/// returning), roots whose properties promise no codes as rows,
+/// partitioned roots as coded batches.
 ///
 /// Panics if the plan references tables missing from `catalog` or if its
 /// structure violates operator contracts — both are planner bugs, not

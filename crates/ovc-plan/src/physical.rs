@@ -167,9 +167,9 @@ pub enum PhysOp {
         spec: SortSpec,
     },
     /// **Reused opposite ordering**: the input is sorted and coded on
-    /// exactly the reversed spec, so the requirement is met by
-    /// materializing, reversing, and re-priming codes in one linear pass
-    /// — `N × K` column accesses, no `log N` sort factor, no spill.
+    /// exactly the reversed spec, so the requirement is met by reading it
+    /// back to front, codes shifted from their forward successors' — no
+    /// column comparison, no `log N` sort factor, no spill.
     Reverse {
         /// Input plan (ordered and coded on `spec.reversed()`).
         input: Box<PhysicalPlan>,

@@ -11,7 +11,7 @@
 //!   spec with exact offset-value codes the planner **elides the sort**
 //!   ([`PhysOp::TrustSorted`]); when the child carries exactly the
 //!   *opposite* ordering it reuses the stream by reversal
-//!   ([`PhysOp::Reverse`] — one linear re-priming pass, no sort); only
+//!   ([`PhysOp::Reverse`] — codes shifted, not re-derived, no sort); only
 //!   otherwise does it insert a real [`PhysOp::SortOvc`] with
 //!   direction-aware codes (or [`PhysOp::InSortDistinct`] when distinct
 //!   semantics allow folding the dedup in).
@@ -900,9 +900,9 @@ impl<'a> Planner<'a> {
             }
             // Opposite-direction reuse: a stream sorted on exactly the
             // reversed spec is this ordering read back to front — one
-            // materialize-and-reverse plus a linear code re-priming pass
-            // (N × K column accesses, no log factor, no spill) beats any
-            // sort.  Distinct semantics skip this (a Reverse keeps
+            // materialize-and-reverse with every code shifted onto its
+            // new predecessor (no column comparison, no log factor, no
+            // spill) beats any sort.  Distinct semantics skip this (a Reverse keeps
             // multiplicities; the in-sort dedup below is the better
             // deal).
             if !distinct && o.props.satisfies_ordering(&spec.reversed()) {
@@ -912,7 +912,7 @@ impl<'a> Planner<'a> {
                     ..o.props.clone()
                 };
                 let plan = PhysicalPlan {
-                    cost: o.cost.plus(&cost::reverse(rows, spec.len())),
+                    cost: o.cost.plus(&cost::reverse(rows)),
                     props,
                     op: PhysOp::Reverse {
                         input: Box::new(o.clone()),
@@ -1038,9 +1038,10 @@ fn child_clone_best(alts: &Alts, w: &CostWeights) -> Option<PhysicalPlan> {
 mod tests {
     use super::*;
     use crate::catalog::Table;
-    use crate::exec::{execute, ExecOptions};
+    use crate::exec::{execute, ExecOptions, Output};
     use crate::logical::Predicate;
-    use ovc_core::{Direction, Row, Stats};
+    use ovc_core::derive::{assert_codes_exact_spec, derive_codes_spec};
+    use ovc_core::{Direction, Ovc, Row, Stats};
 
     fn catalog_with(rows: Vec<Vec<u64>>, sorted_key: usize) -> Catalog {
         let rows: Vec<Row> = rows.into_iter().map(Row::new).collect();
@@ -1159,6 +1160,75 @@ mod tests {
                 Row::new(vec![1, 10])
             ]
         );
+
+        // Duplicate keys, ties on a key prefix, a stored key longer than
+        // the requirement, and mixed directions: every reversed code is
+        // exact, and shifting codes compares no column.
+        let rows: Vec<Row> = [
+            [1u64, 1, 7],
+            [2, 0, 5],
+            [1, 1, 7],
+            [3, 3, 3],
+            [2, 0, 6],
+            [1, 2, 0],
+            [2, 0, 5],
+            [2, 3, 1],
+        ]
+        .iter()
+        .map(|r| Row::new(r.to_vec()))
+        .collect();
+        let mixed = SortSpec::with_dirs(&[Direction::Asc, Direction::Desc, Direction::Asc]);
+        for (stored, wanted) in [
+            (SortSpec::asc(3), SortSpec::desc(3)),
+            (SortSpec::asc(3), SortSpec::desc(2)),
+            (mixed.clone(), mixed.reversed()),
+            (mixed.prefix(2), mixed.reversed().prefix(1)),
+        ] {
+            let mut sorted = rows.clone();
+            sorted.sort_by(|a, b| stored.cmp_rows(a, b));
+            let mut cat = Catalog::new();
+            cat.register("t", Table::sorted_by(sorted.clone(), stored.clone()));
+            let plan = Planner::new(&cat, PlannerConfig::default())
+                .plan(&LogicalPlan::scan("t").sort_by(wanted.clone()))
+                .expect("plans");
+            assert_eq!(plan.count_op("Reverse"), 1, "{plan}");
+            let stats = Stats::new_shared();
+            let options = ExecOptions {
+                batch_size: Some(3),
+                ..ExecOptions::default()
+            };
+            let pairs: Vec<(Row, Ovc)> = execute(&plan, &cat, &stats, &options)
+                .into_coded()
+                .into_iter()
+                .map(|r| (r.row, r.code))
+                .collect();
+            sorted.reverse();
+            let got: Vec<Row> = pairs.iter().map(|(row, _)| row.clone()).collect();
+            assert_eq!(got, sorted, "{stored} reversed to {wanted}");
+            let codes: Vec<Ovc> = pairs.iter().map(|&(_, code)| code).collect();
+            assert_eq!(
+                codes,
+                derive_codes_spec(&sorted, &wanted),
+                "{stored} → {wanted}"
+            );
+            assert_codes_exact_spec(&pairs, &wanted);
+            assert_eq!(stats.col_value_cmps(), 0, "{stored} reversed to {wanted}");
+        }
+    }
+
+    /// A projection that drops the leading key over an ordered-only child
+    /// promises no codes, so the executor hands back rows rather than a
+    /// stream whose codes are all duplicates.
+    #[test]
+    fn key_dropping_projection_over_ordered_only_child_returns_rows() {
+        let cat = catalog_with(vec![vec![3, 30], vec![1, 10], vec![2, 20]], 0);
+        let q = LogicalPlan::scan("t").sort(1).project(vec![1]);
+        let plan = Planner::new(&cat, PlannerConfig::default())
+            .plan(&q)
+            .expect("plans");
+        assert!(!plan.props.coded, "{plan}");
+        let out = execute(&plan, &cat, &Stats::new_shared(), &ExecOptions::default());
+        assert!(matches!(out, Output::Rows(ref rows) if rows.len() == 3));
     }
 
     /// A mixed-direction sort with no reusable ordering gets a real

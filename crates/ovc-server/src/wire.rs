@@ -271,6 +271,10 @@ pub fn parse_table(j: &Json) -> Result<Table, WireError> {
             .collect::<Result<Vec<_>, _>>()?;
         rows.push(Row::new(vals));
     }
+    let width = rows.first().map_or(0, Row::width);
+    if rows.iter().any(|r| r.width() != width) {
+        return err("table rows: every row must have the same number of values");
+    }
     let spec = if j.get("sorted_key").is_some() || j.get("dirs").is_some() {
         Some(parse_sort_spec(&rename_sorted_key(j))?)
     } else {
@@ -278,6 +282,9 @@ pub fn parse_table(j: &Json) -> Result<Table, WireError> {
     };
     match spec {
         None => Ok(Table::unsorted(rows)),
+        Some(spec) if !rows.is_empty() && spec.len() > width => {
+            err("table rows: the sort key is longer than the rows")
+        }
         Some(spec) => {
             if !ovc_core::derive::is_sorted_spec(&rows, &spec) {
                 return err(format!("table rows are not ordered under {spec}"));

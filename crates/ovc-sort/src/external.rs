@@ -22,10 +22,10 @@ use std::sync::Arc;
 
 use ovc_core::ctx::propagate;
 use ovc_core::fault::{self, FaultPoint};
-use ovc_core::{BatchStream, ExecError, OvcRow, OvcStream, Row, SortSpec, Stats};
+use ovc_core::{BatchStream, ExecError, OvcRow, OvcStream, Row, RowBatches, SortSpec, Stats};
 
 use crate::merge::merge_runs_spec;
-use crate::run_gen::{generate_runs_spec, RunGenStrategy};
+use crate::run_gen::{generate_runs_from, RunGenStrategy};
 use crate::runs::{Run, RunCursor};
 use crate::tree::FlatMerge;
 
@@ -155,6 +155,27 @@ impl SortOutput {
             SortOutput::MergeDistinct(m) => Box::new(m.batches(batch_size, true)),
         }
     }
+
+    /// The output over a sort's last `<= fan_in` runs: a lone run streams
+    /// out resident, more are merged (dropping duplicates on the way out
+    /// when `distinct`).
+    pub(crate) fn finish(
+        mut runs: Vec<Run>,
+        spec: &SortSpec,
+        distinct: bool,
+        stats: &Arc<Stats>,
+    ) -> SortOutput {
+        if runs.len() <= 1 {
+            let run = runs.pop().unwrap_or_else(|| Run::empty_spec(spec.clone()));
+            return SortOutput::Memory(run.cursor());
+        }
+        let merge = merge_runs_spec(runs, spec, stats);
+        if distinct {
+            SortOutput::MergeDistinct(merge)
+        } else {
+            SortOutput::Merge(merge)
+        }
+    }
 }
 
 impl Iterator for SortOutput {
@@ -236,9 +257,8 @@ where
 }
 
 /// Fallible [`external_sort_spec`]: spill-device failures come back as a
-/// typed [`ExecError`] instead of unwinding.  This is the primitive the
-/// recovery path ([`external_sort_spec_resilient`]) and the executors'
-/// fault containment build on.
+/// typed [`ExecError`] instead of unwinding (the row-input adapter of
+/// [`try_sort_batches`]).
 pub fn try_external_sort_spec<I, S>(
     input: I,
     config: SortConfig,
@@ -250,12 +270,33 @@ where
     I: IntoIterator<Item = Row>,
     S: RunStorage,
 {
-    let mut runs = generate_runs_spec(input, spec, config.memory_rows, config.strategy, stats);
-    if runs.is_empty() {
-        return Ok(SortOutput::Memory(Run::empty_spec(spec.clone()).cursor()));
+    let input = RowBatches::new(input, config.memory_rows);
+    try_sort_batches(input, config, spec, false, storage, stats)
+}
+
+/// The one external sort, over flat batches each copied once into run
+/// generation's workspace (`config.key_len` is ignored in favour of
+/// `spec.len()`).  With `distinct` it is Figure 5's in-sort duplicate
+/// removal: runs, merge levels and the final merge drop duplicate-coded
+/// rows — by code inspection alone — before anything spills twice.
+pub fn try_sort_batches<B, S>(
+    input: B,
+    config: SortConfig,
+    spec: &SortSpec,
+    distinct: bool,
+    storage: &mut S,
+    stats: &Arc<Stats>,
+) -> Result<SortOutput, ExecError>
+where
+    B: BatchStream,
+    S: RunStorage,
+{
+    let mut runs = generate_runs_from(input, spec, config.memory_rows, config.strategy, stats);
+    if distinct {
+        runs = runs.into_iter().map(Run::into_distinct).collect();
     }
-    if runs.len() == 1 {
-        return Ok(SortOutput::Memory(runs.pop().expect("one run").cursor()));
+    if runs.len() <= 1 {
+        return Ok(SortOutput::finish(runs, spec, distinct, stats));
     }
     let mut handles = Vec::with_capacity(runs.len());
     for run in runs {
@@ -270,7 +311,12 @@ where
             }
             // Intermediate merge levels stay flat end-to-end: winner rows
             // copy between contiguous buffers, nothing is boxed.
-            let merged = merge_runs_spec(level_runs, spec, stats).into_run();
+            let merge = merge_runs_spec(level_runs, spec, stats);
+            let merged = if distinct {
+                merge.into_run_distinct()
+            } else {
+                merge.into_run()
+            };
             next_level.push(storage.write_run(merged)?);
         }
         handles = next_level;
@@ -279,7 +325,7 @@ where
     for h in handles {
         final_runs.push(storage.read_run(h)?);
     }
-    Ok(SortOutput::Merge(merge_runs_spec(final_runs, spec, stats)))
+    Ok(SortOutput::finish(final_runs, spec, distinct, stats))
 }
 
 /// [`try_external_sort_spec`] with a **re-sort-from-source retry**: when

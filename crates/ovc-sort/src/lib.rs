@@ -13,8 +13,8 @@
 //! * [`merge`] — multi-way merging that consumes *and produces* codes;
 //! * [`external`] — the external merge sort modeled on F1's sort operator,
 //!   with spill accounting;
-//! * [`parallel`] — parallel run generation (one sorter thread per
-//!   row-range slice) feeding the same bounded-fan-in coded merge, with
+//! * [`parallel`] — parallel run generation (one sorter thread per row
+//!   range of one flat buffer) feeding the same bounded-fan-in coded merge, with
 //!   byte-identical output rows and codes;
 //! * [`segmented`] — segmented sorting (Section 4.3), finding segment
 //!   boundaries by code inspection alone.
@@ -45,15 +45,15 @@ pub mod tree;
 pub use external::{
     external_sort, external_sort_collect, external_sort_spec, external_sort_spec_collect,
     external_sort_spec_resilient, external_sort_spec_to_run, try_external_sort_spec,
-    MemoryRunStorage, RunStorage, SortConfig, SortOutput,
+    try_sort_batches, MemoryRunStorage, RunStorage, SortConfig, SortOutput,
 };
 pub use merge::{
     merge_batch_streams, merge_runs, merge_runs_spec, merge_runs_to_run, merge_runs_to_run_spec,
     merge_streams,
 };
 pub use parallel::{
-    parallel_generate_runs, parallel_generate_runs_spec, parallel_sort, parallel_sort_distinct,
-    parallel_sort_spec, parallel_sort_spec_spilled,
+    parallel_sort, parallel_sort_batches, parallel_sort_distinct, parallel_sort_spec,
+    parallel_sort_spec_spilled,
 };
 pub use run_gen::{
     generate_runs, generate_runs_spec, sort_rows_ovc, sort_rows_ovc_spec, sort_rows_quicksort,

@@ -6,10 +6,12 @@
 //! *embarrassingly parallel* half of an external sort — run generation —
 //! with `std::thread` alone:
 //!
-//! 1. slice the input into one contiguous row range per worker;
+//! 1. copy the input once into one resident flat buffer and give each
+//!    worker a contiguous row range of it;
 //! 2. each worker generates sorted, exactly-coded runs with the OVC
-//!    tree-of-losers (its own per-thread [`Stats`], merged into the
-//!    caller's by snapshot afterwards — see `ovc_core::stats`);
+//!    tree-of-losers straight over its range (its own per-thread
+//!    [`Stats`], merged into the caller's by snapshot afterwards — see
+//!    `ovc_core::stats`);
 //! 3. the caller's thread merges all runs with the existing bounded-fan-in
 //!    coded merge.
 //!
@@ -29,16 +31,17 @@
 //! here changes the counters, not the process footprint; real
 //! out-of-core parallel spilling is a ROADMAP item.
 
+use std::ops::Range;
 use std::sync::Arc;
 use std::thread;
 
 use ovc_core::ctx::{self, ExecError};
 use ovc_core::fault;
-use ovc_core::{OvcRow, Row, SortSpec, Stats, StatsSnapshot};
+use ovc_core::{BatchStream, OvcRow, Row, RowBatches, SortSpec, Stats, StatsSnapshot};
 
 use crate::external::{RunStorage, SortOutput};
-use crate::merge::{merge_runs_spec, merge_runs_to_run_spec};
-use crate::run_gen::{generate_runs_spec, RunGenStrategy};
+use crate::merge::merge_runs_to_run_spec;
+use crate::run_gen::{resident, sort_windows};
 use crate::runs::Run;
 
 /// Join every worker, collecting the successes and the *first* panic
@@ -61,73 +64,56 @@ fn join_all<T>(workers: Vec<thread::ScopedJoinHandle<'_, T>>) -> (Vec<T>, Option
     (done, first_err)
 }
 
-/// Generate initial runs from `threads` workers over contiguous row-range
-/// slices of the input.  Each worker respects the per-worker `memory_rows`
-/// budget; per-thread comparison counts are merged into `stats`.
-pub fn parallel_generate_runs(
-    rows: Vec<Row>,
-    key_len: usize,
+/// Run `work` on one scoped thread per contiguous row range — `threads`
+/// (at most one per row) slices of `⌈rows / threads⌉` rows, one empty
+/// range for no rows — each with its own [`Stats`]: `Arc<Stats>` never
+/// crosses the thread boundary, only the snapshot does.  Returns every
+/// surviving worker's result and snapshot, and the first panic as a typed
+/// error once all have joined.
+fn on_workers<T: Send>(
+    rows: usize,
     threads: usize,
-    memory_rows: usize,
-    stats: &Arc<Stats>,
-) -> Vec<Run> {
-    parallel_generate_runs_spec(rows, &SortSpec::asc(key_len), threads, memory_rows, stats)
+    work: impl Fn(Range<usize>, &Arc<Stats>) -> T + Sync,
+) -> (Vec<(T, StatsSnapshot)>, Option<ExecError>) {
+    let len = rows.div_ceil(threads.clamp(1, rows.max(1))).max(1);
+    let work = &work;
+    thread::scope(|scope| {
+        let workers: Vec<_> = (0..rows.max(1))
+            .step_by(len)
+            .map(|start| {
+                scope.spawn(move || {
+                    fault::maybe_panic();
+                    let local = Stats::new_shared();
+                    let out = work(start..(start + len).min(rows), &local);
+                    (out, local.snapshot())
+                })
+            })
+            .collect();
+        join_all(workers)
+    })
 }
 
-/// [`parallel_generate_runs`] under an arbitrary leading-prefix
-/// [`SortSpec`] (mixed ascending/descending directions, normalized keys).
-/// The ascending-prefix case takes the identical code path as the
-/// unsuffixed function — `generate_runs_spec` dispatches to the same
-/// kernel — so rows, codes, *and counters* are unchanged for it.
-pub fn parallel_generate_runs_spec(
-    rows: Vec<Row>,
+/// Generate initial runs with `threads` workers over contiguous row
+/// ranges of one resident flat buffer.  Each worker respects the
+/// per-worker `memory_rows` budget; per-thread comparison counts are
+/// merged into `stats`.  One thread sorts on the caller's.
+fn parallel_runs(
+    (rows, width, values): (usize, usize, Vec<u64>),
     spec: &SortSpec,
     threads: usize,
     memory_rows: usize,
     stats: &Arc<Stats>,
 ) -> Vec<Run> {
-    let threads = threads.clamp(1, rows.len().max(1));
-    if threads <= 1 {
-        return generate_runs_spec(
-            rows,
-            spec,
-            memory_rows,
-            RunGenStrategy::OvcPriorityQueue,
-            stats,
-        );
+    assert!(
+        spec.is_prefix(),
+        "run generation requires a leading-prefix sort spec, got {spec}"
+    );
+    if threads.clamp(1, rows.max(1)) <= 1 {
+        return sort_windows(&values, width, 0..rows, memory_rows, spec, stats);
     }
-    let chunk_len = rows.len().div_ceil(threads);
-    let mut chunks: Vec<Vec<Row>> = Vec::with_capacity(threads);
-    let mut rest = rows;
-    while rest.len() > chunk_len {
-        let tail = rest.split_off(chunk_len);
-        chunks.push(std::mem::replace(&mut rest, tail));
-    }
-    chunks.push(rest);
-
-    let (results, failure) = thread::scope(|scope| {
-        let workers: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                scope.spawn(move || {
-                    fault::maybe_panic();
-                    // Per-thread counters: `Arc<Stats>` never crosses the
-                    // thread boundary; only the snapshot does.
-                    let local = Stats::new_shared();
-                    let runs = generate_runs_spec(
-                        chunk,
-                        spec,
-                        memory_rows,
-                        RunGenStrategy::OvcPriorityQueue,
-                        &local,
-                    );
-                    (runs, local.snapshot())
-                })
-            })
-            .collect();
-        join_all(workers)
+    let (results, failure) = on_workers(rows, threads, |range, local| {
+        sort_windows(&values, width, range, memory_rows, spec, local)
     });
-
     let mut runs = Vec::new();
     for (worker_runs, snapshot) in results {
         stats.absorb(&snapshot);
@@ -167,6 +153,31 @@ fn reduce_to_fan_in(
     runs
 }
 
+/// The one parallel sort: copy `input` once into a resident flat buffer,
+/// generate runs with `threads` workers over its row ranges, reduce them
+/// to `fan_in` by resident merges and stream the final coded merge —
+/// deduplicating at every step with `distinct`.  Rows and codes equal
+/// [`crate::external::try_sort_batches`]'s over the same input.
+pub fn parallel_sort_batches<B: BatchStream>(
+    input: B,
+    spec: &SortSpec,
+    distinct: bool,
+    threads: usize,
+    memory_rows: usize,
+    fan_in: usize,
+    stats: &Arc<Stats>,
+) -> SortOutput {
+    let runs = parallel_runs(resident(input), spec, threads, memory_rows, stats);
+    let (runs, post): (Vec<Run>, fn(Run) -> Run) = if distinct {
+        let runs = runs.into_iter().map(Run::into_distinct).collect();
+        (runs, Run::into_distinct)
+    } else {
+        (runs, |run| run)
+    };
+    let runs = reduce_to_fan_in(runs, spec, fan_in, stats, post);
+    SortOutput::finish(runs, spec, distinct, stats)
+}
+
 /// Sort rows with `threads` parallel run-generation workers, streaming the
 /// final bounded-fan-in coded merge.  Output rows and codes are identical
 /// to [`crate::external::external_sort`] over the same input.
@@ -189,11 +200,8 @@ pub fn parallel_sort(
 }
 
 /// [`parallel_sort`] under an arbitrary leading-prefix [`SortSpec`] —
-/// the direction-aware lowering the planner uses for `ORDER BY ... DESC`
-/// at dop > 1.  Mirrors `external_sort_spec` the way [`parallel_sort`]
-/// mirrors `external_sort`: same workers, same cascaded reduce, with
-/// every merge running the spec-aware tree.  Output rows and codes are
-/// identical to `external_sort_spec` over the same input.
+/// mixed ascending/descending directions, normalized keys.  Output rows
+/// and codes are identical to `external_sort_spec` over the same input.
 pub fn parallel_sort_spec(
     rows: Vec<Row>,
     spec: &SortSpec,
@@ -202,21 +210,14 @@ pub fn parallel_sort_spec(
     fan_in: usize,
     stats: &Arc<Stats>,
 ) -> SortOutput {
-    let runs = parallel_generate_runs_spec(rows, spec, threads, memory_rows, stats);
-    if runs.is_empty() {
-        return SortOutput::Memory(Run::empty_spec(spec.clone()).cursor());
-    }
-    let mut runs = reduce_to_fan_in(runs, spec, fan_in, stats, |run| run);
-    if runs.len() == 1 {
-        return SortOutput::Memory(runs.pop().expect("one run").cursor());
-    }
-    SortOutput::Merge(merge_runs_spec(runs, spec, stats))
+    let input = RowBatches::new(rows, usize::MAX);
+    parallel_sort_batches(input, spec, false, threads, memory_rows, fan_in, stats)
 }
 
 /// [`parallel_sort_spec`] with **per-worker spill devices**: each worker
 /// thread builds its own [`RunStorage`] via `make_storage`, spills every
-/// run it generates, and the device — runs and all — moves back to the
-/// coordinator, which reads the runs back for the bounded-fan-in merge.
+/// run it generates, and the device — with its stored runs — moves back to
+/// the coordinator, which reads the runs back for the bounded-fan-in merge.
 ///
 /// This is the out-of-core regime the resident [`parallel_sort_spec`]
 /// skips: every input row is spilled exactly once and read back exactly
@@ -244,51 +245,25 @@ where
     S: RunStorage,
     F: Fn() -> S + Send + Sync,
 {
-    let threads = threads.clamp(1, rows.len().max(1));
-    let chunk_len = rows.len().div_ceil(threads.max(1)).max(1);
-    let mut chunks: Vec<Vec<Row>> = Vec::with_capacity(threads);
-    let mut rest = rows;
-    while rest.len() > chunk_len {
-        let tail = rest.split_off(chunk_len);
-        chunks.push(std::mem::replace(&mut rest, tail));
-    }
-    chunks.push(rest);
+    let (rows, width, values) = resident(RowBatches::new(rows, usize::MAX));
 
-    // Each worker: generate runs from its slice, spill every run into its
+    // Each worker: generate runs from its range, spill every run into its
     // own device, send the loaded device home.  Spill failures ride back
     // as data (`Result` handles), worker panics as typed join errors —
     // either way every worker is joined before anything propagates.
-    type SpilledSlice<S> = (S, Result<Vec<usize>, ExecError>, StatsSnapshot);
-    let (results, failure): (Vec<SpilledSlice<S>>, Option<ExecError>) = thread::scope(|scope| {
-        let workers: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                let make_storage = &make_storage;
-                scope.spawn(move || {
-                    fault::maybe_panic();
-                    let local = Stats::new_shared();
-                    let mut device = make_storage();
-                    let runs = generate_runs_spec(
-                        chunk,
-                        spec,
-                        memory_rows,
-                        RunGenStrategy::OvcPriorityQueue,
-                        &local,
-                    );
-                    let handles: Result<Vec<usize>, ExecError> =
-                        runs.into_iter().map(|r| device.write_run(r)).collect();
-                    (device, handles, local.snapshot())
-                })
-            })
-            .collect();
-        join_all(workers)
+    let (results, failure) = on_workers(rows, threads, |range, local| {
+        let mut device = make_storage();
+        let runs = sort_windows(&values, width, range, memory_rows, spec, local);
+        let handles: Result<Vec<usize>, ExecError> =
+            runs.into_iter().map(|r| device.write_run(r)).collect();
+        (device, handles)
     });
 
     // Coordinator: absorb worker comparison counts, read every spilled
     // run back, merge with bounded fan-in exactly like the resident path.
     let mut runs = Vec::new();
     let mut spill_err = failure;
-    for (mut device, handles, snapshot) in results {
+    for ((mut device, handles), snapshot) in results {
         stats.absorb(&snapshot);
         match handles {
             Ok(handles) if spill_err.is_none() => {
@@ -311,14 +286,8 @@ where
     if let Some(err) = spill_err {
         ctx::propagate(err);
     }
-    if runs.is_empty() {
-        return SortOutput::Memory(Run::empty_spec(spec.clone()).cursor());
-    }
-    let mut runs = reduce_to_fan_in(runs, spec, fan_in, stats, |run| run);
-    if runs.len() == 1 {
-        return SortOutput::Memory(runs.pop().expect("one run").cursor());
-    }
-    SortOutput::Merge(merge_runs_spec(runs, spec, stats))
+    let runs = reduce_to_fan_in(runs, spec, fan_in, stats, |run| run);
+    SortOutput::finish(runs, spec, false, stats)
 }
 
 /// Convenience: parallel sort and collect.
@@ -332,12 +301,9 @@ pub fn parallel_sort_collect(
     parallel_sort(rows, key_len, threads, memory_rows, 128, stats).collect()
 }
 
-/// Parallel external sort with duplicate removal folded in (the parallel
-/// lowering of the planner's `InSortDistinct`): workers dedup their runs
-/// by code inspection before hand-off, merges dedup at every level, and
-/// the final merge drops duplicate-coded rows on the way out.  Rows and
-/// codes match the serial `ovc_exec::plans::in_sort_distinct` byte for
-/// byte.
+/// [`parallel_sort`] with duplicate removal folded in (see
+/// [`parallel_sort_batches`]).  Rows and codes match the serial
+/// `ovc_exec::plans::in_sort_distinct` byte for byte.
 pub fn parallel_sort_distinct(
     rows: Vec<Row>,
     key_len: usize,
@@ -346,17 +312,9 @@ pub fn parallel_sort_distinct(
     fan_in: usize,
     stats: &Arc<Stats>,
 ) -> SortOutput {
+    let input = RowBatches::new(rows, usize::MAX);
     let spec = SortSpec::asc(key_len);
-    let runs: Vec<Run> = parallel_generate_runs(rows, key_len, threads, memory_rows, stats)
-        .into_iter()
-        .map(Run::into_distinct)
-        .collect();
-    let mut runs = reduce_to_fan_in(runs, &spec, fan_in, stats, Run::into_distinct);
-    if runs.len() <= 1 {
-        let run = runs.pop().unwrap_or_else(|| Run::empty(key_len));
-        return SortOutput::Memory(run.cursor());
-    }
-    SortOutput::MergeDistinct(merge_runs_spec(runs, &spec, stats))
+    parallel_sort_batches(input, &spec, true, threads, memory_rows, fan_in, stats)
 }
 
 #[cfg(test)]

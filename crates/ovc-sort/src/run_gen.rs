@@ -11,68 +11,75 @@
 //! row-by-row, column-by-column" method).  Both feed the external sorter;
 //! Figure-level benches compare them.
 //!
-//! All strategies run over **flat** buffers (DESIGN.md §10): incoming
-//! rows are copied once into a contiguous `Vec<u64>` (their boxes freed
-//! immediately), the sort permutes indices or tournament entries over
-//! that buffer, and the winner sequence is gathered straight into the
-//! output run's flat storage.  No boxed row is moved, allocated, or
-//! dropped anywhere in the hot loop.
+//! All strategies run over **flat** buffers (DESIGN.md §10).  The input
+//! is a [`BatchStream`]: the executor's flat batches, or boxed rows cut
+//! into batches at the library's edge ([`RowBatches`]).  Each row is
+//! copied once into a workspace of at most `memory_rows` rows, the sort
+//! permutes indices or tournament entries over that buffer, and the
+//! winner sequence is gathered straight into the output run's flat
+//! storage.  No boxed row is moved, allocated, or dropped anywhere in the
+//! hot loop.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use ovc_core::compare::{compare_keys_counted, derive_code, derive_code_spec};
-use ovc_core::{FlatRows, Ovc, Row, SortSpec, Stats};
+use ovc_core::{BatchStream, FlatRows, Ovc, Row, RowBatches, SortSpec, Stats};
 
+use crate::replacement::generate_runs_replacement;
 use crate::runs::Run;
 use crate::tree::{loser_tree, play_entries, Entry, FENCE_ENTRY};
 
-/// Accumulates incoming rows into one contiguous buffer, fixing the width
-/// from the first row and freeing each box as it lands.
-struct RowBuffer {
+/// Run generation's workspace: rows copied flat out of the input's
+/// batches, fixing the width from the first batch.
+#[derive(Default)]
+struct Workspace {
     width: Option<usize>,
     values: Vec<u64>,
     rows: usize,
 }
 
-impl RowBuffer {
-    fn new() -> Self {
-        RowBuffer {
-            width: None,
-            values: Vec::new(),
-            rows: 0,
+impl Workspace {
+    /// Take in `batch`, handing the workspace to `full` each time it holds
+    /// `cap` rows and emptying it after (its buffer is kept).  Every row
+    /// is copied once: a batch that fits an empty workspace whose buffer
+    /// is no larger than the batch's becomes the workspace, uncopied.
+    fn absorb(&mut self, batch: FlatRows, cap: usize, full: &mut impl FnMut(&Workspace)) {
+        let n = batch.len();
+        let (width, mut values, _) = batch.into_parts();
+        let fixed = *self.width.get_or_insert(width);
+        assert_eq!(width, fixed, "run generation requires uniform rows");
+        let mut at = 0;
+        if self.rows == 0 && n <= cap && self.values.capacity() <= values.len() {
+            self.values = std::mem::take(&mut values);
+            (self.rows, at) = (n, n);
         }
-    }
-
-    fn push(&mut self, row: Row) {
-        let width = *self.width.get_or_insert_with(|| row.width());
-        assert_eq!(row.width(), width, "run generation requires uniform rows");
-        self.values.extend_from_slice(row.cols());
-        self.rows += 1;
-    }
-
-    /// Take the buffered `(rows, width, values)`, leaving the buffer ready
-    /// (same width) for the next run's rows.
-    fn take(&mut self) -> (usize, usize, Vec<u64>) {
-        let width = self.width.unwrap_or(0);
-        let n = std::mem::take(&mut self.rows);
-        let cap = self.values.capacity();
-        (
-            n,
-            width,
-            std::mem::replace(&mut self.values, Vec::with_capacity(cap)),
-        )
+        loop {
+            if self.rows == cap {
+                full(self);
+                self.values.clear();
+                self.rows = 0;
+            }
+            if at == n {
+                return;
+            }
+            let take = (cap - self.rows).min(n - at);
+            self.values
+                .extend_from_slice(&values[at * width..(at + take) * width]);
+            self.rows += take;
+            at += take;
+        }
     }
 }
 
-/// Copy boxed rows into one contiguous buffer, returning `(row count,
-/// width, values)`.  Panics unless all rows share one width (streams are
-/// homogeneous).
-fn flatten_values(rows: Vec<Row>) -> (usize, usize, Vec<u64>) {
-    let mut buf = RowBuffer::new();
-    for row in rows {
-        buf.push(row);
+/// Copy a whole stream into one resident flat buffer, returning `(row
+/// count, width, values)` — the input the parallel sorters slice.
+pub(crate) fn resident(mut input: impl BatchStream) -> (usize, usize, Vec<u64>) {
+    let mut ws = Workspace::default();
+    while let Some(batch) = input.next_batch() {
+        ws.absorb(batch, usize::MAX, &mut |_| {});
     }
-    buf.take()
+    (ws.rows, ws.width.unwrap_or(0), ws.values)
 }
 
 /// Sort one flat buffer into a run under the requested strategy.
@@ -97,6 +104,29 @@ fn sort_flat(
     }
 }
 
+/// Sort rows `range` of a resident flat buffer into OVC runs of at most
+/// `memory_rows` rows each, in place: a parallel worker's share.
+pub(crate) fn sort_windows(
+    values: &[u64],
+    width: usize,
+    range: Range<usize>,
+    memory_rows: usize,
+    spec: &SortSpec,
+    stats: &Arc<Stats>,
+) -> Vec<Run> {
+    assert!(memory_rows > 0, "memory budget must hold at least one row");
+    range
+        .clone()
+        .step_by(memory_rows)
+        .map(|start| {
+            let end = (start + memory_rows).min(range.end);
+            let window = &values[start * width..end * width];
+            let strategy = RunGenStrategy::OvcPriorityQueue;
+            sort_flat(end - start, width, window, spec, strategy, stats)
+        })
+        .collect()
+}
+
 /// Sort rows into one run using a tree-of-losers priority queue over
 /// single-row inputs.  Codes are a by-product of the tournament.
 pub fn sort_rows_ovc(rows: Vec<Row>, key_len: usize, stats: &Arc<Stats>) -> Run {
@@ -110,15 +140,15 @@ pub fn sort_rows_ovc(rows: Vec<Row>, key_len: usize, stats: &Arc<Stats>) -> Run 
 /// normalization pass charged as `N × K` column accesses, then pure byte
 /// comparisons) and codes are derived in a linear pass.
 pub fn sort_rows_ovc_spec(rows: Vec<Row>, spec: &SortSpec, stats: &Arc<Stats>) -> Run {
-    let (n, width, values) = flatten_values(rows);
-    sort_flat(
-        n,
-        width,
-        &values,
-        spec,
-        RunGenStrategy::OvcPriorityQueue,
-        stats,
-    )
+    sort_rows(rows, spec, RunGenStrategy::OvcPriorityQueue, stats)
+}
+
+/// All of `rows` as one run: a single unbounded workspace.
+fn sort_rows(rows: Vec<Row>, spec: &SortSpec, strategy: RunGenStrategy, stats: &Arc<Stats>) -> Run {
+    let input = RowBatches::new(rows, usize::MAX);
+    generate_runs_from(input, spec, usize::MAX, strategy, stats)
+        .pop()
+        .unwrap_or_else(|| Run::empty_spec(spec.clone()))
 }
 
 /// The single-row tournament of Section 3 over a flat buffer: leaf `i` is
@@ -242,8 +272,7 @@ fn sort_flat_normalized(
 /// Direction-aware [`sort_rows_quicksort`]: full-key comparisons under
 /// the spec over an index permutation, then a linear code-priming pass.
 pub fn sort_rows_quicksort_spec(rows: Vec<Row>, spec: &SortSpec, stats: &Arc<Stats>) -> Run {
-    let (n, width, values) = flatten_values(rows);
-    sort_flat(n, width, &values, spec, RunGenStrategy::Quicksort, stats)
+    sort_rows(rows, spec, RunGenStrategy::Quicksort, stats)
 }
 
 /// Gather rows of a flat buffer in `idx` order into a new run, deriving
@@ -299,40 +328,7 @@ pub fn generate_runs<I>(
 where
     I: IntoIterator<Item = Row>,
 {
-    assert!(memory_rows > 0, "memory budget must hold at least one row");
-    if strategy == RunGenStrategy::ReplacementSelection {
-        return crate::replacement::generate_runs_replacement(input, key_len, memory_rows, stats);
-    }
-    generate_runs_flat(input, &SortSpec::asc(key_len), memory_rows, strategy, stats)
-}
-
-/// The shared flat-buffered loop: rows land straight in a contiguous
-/// buffer (one copy, boxes freed on arrival) which each full window sorts
-/// in place.
-fn generate_runs_flat<I>(
-    input: I,
-    spec: &SortSpec,
-    memory_rows: usize,
-    strategy: RunGenStrategy,
-    stats: &Arc<Stats>,
-) -> Vec<Run>
-where
-    I: IntoIterator<Item = Row>,
-{
-    let mut runs = Vec::new();
-    let mut buffer = RowBuffer::new();
-    for row in input {
-        buffer.push(row);
-        if buffer.rows == memory_rows {
-            let (n, width, values) = buffer.take();
-            runs.push(sort_flat(n, width, &values, spec, strategy, stats));
-        }
-    }
-    if buffer.rows > 0 {
-        let (n, width, values) = buffer.take();
-        runs.push(sort_flat(n, width, &values, spec, strategy, stats));
-    }
-    runs
+    generate_runs_spec(input, &SortSpec::asc(key_len), memory_rows, strategy, stats)
 }
 
 /// Direction-aware [`generate_runs`]: initial runs ordered under `spec`.
@@ -350,19 +346,52 @@ pub fn generate_runs_spec<I>(
 where
     I: IntoIterator<Item = Row>,
 {
+    let input = RowBatches::new(input, memory_rows);
+    generate_runs_from(input, spec, memory_rows, strategy, stats)
+}
+
+/// Run generation's one core: copy `input` into a flat workspace of at
+/// most `memory_rows` rows and sort each full workspace into a run.
+pub(crate) fn generate_runs_from(
+    mut input: impl BatchStream,
+    spec: &SortSpec,
+    memory_rows: usize,
+    strategy: RunGenStrategy,
+    stats: &Arc<Stats>,
+) -> Vec<Run> {
     assert!(memory_rows > 0, "memory budget must hold at least one row");
     assert!(
         spec.is_prefix(),
         "run generation requires a leading-prefix sort spec, got {spec}"
     );
-    if spec.is_asc_prefix() && !spec.normalized() {
-        return generate_runs(input, spec.len(), memory_rows, strategy, stats);
+    if strategy == RunGenStrategy::ReplacementSelection {
+        assert!(
+            spec.is_asc_prefix() && !spec.normalized(),
+            "replacement selection supports ascending-prefix specs only"
+        );
+        // Replacement selection still works on boxed rows.
+        let rows = std::iter::from_fn(move || input.next_batch()).flat_map(|batch| {
+            let rows: Vec<Row> = batch
+                .iter()
+                .map(|(cols, _)| Row::from_slice(cols))
+                .collect();
+            rows
+        });
+        return generate_runs_replacement(rows, spec.len(), memory_rows, stats);
     }
-    assert!(
-        strategy != RunGenStrategy::ReplacementSelection,
-        "replacement selection supports ascending-prefix specs only"
-    );
-    generate_runs_flat(input, spec, memory_rows, strategy, stats)
+    let mut runs = Vec::new();
+    let mut sort = |ws: &Workspace| {
+        let width = ws.width.unwrap_or(0);
+        runs.push(sort_flat(ws.rows, width, &ws.values, spec, strategy, stats));
+    };
+    let mut ws = Workspace::default();
+    while let Some(batch) = input.next_batch() {
+        ws.absorb(batch, memory_rows, &mut sort);
+    }
+    if ws.rows > 0 {
+        sort(&ws);
+    }
+    runs
 }
 
 #[cfg(test)]
@@ -423,6 +452,39 @@ mod tests {
         assert_eq!(runs.iter().map(Run::len).sum::<usize>(), 105);
         assert!(runs[..4].iter().all(|r| r.len() == 25));
         assert_eq!(runs[4].len(), 5);
+    }
+
+    /// Input batches smaller than, equal to, straddling and larger than
+    /// the workspace cut exactly the runs, codes and counters of the row
+    /// entry point.
+    #[test]
+    fn workspace_cuts_the_same_runs_at_every_input_batch_size() {
+        let rows = random_rows(105, 2, 4, 3);
+        let expect_stats = Stats::new_shared();
+        let expect: Vec<FlatRows> = generate_runs(
+            rows.clone(),
+            2,
+            25,
+            RunGenStrategy::Quicksort,
+            &expect_stats,
+        )
+        .iter()
+        .map(|run| run.flat().clone())
+        .collect();
+        for batch in [1, 7, 25, 30, 200] {
+            let stats = Stats::new_shared();
+            let input = RowBatches::new(rows.clone(), batch);
+            let runs = generate_runs_from(
+                input,
+                &SortSpec::asc(2),
+                25,
+                RunGenStrategy::Quicksort,
+                &stats,
+            );
+            let got: Vec<FlatRows> = runs.iter().map(|run| run.flat().clone()).collect();
+            assert_eq!(got, expect, "batch={batch}");
+            assert_eq!(stats.snapshot(), expect_stats.snapshot(), "batch={batch}");
+        }
     }
 
     #[test]

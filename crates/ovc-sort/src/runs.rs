@@ -78,11 +78,6 @@ impl Run {
         Run { flat, spec }
     }
 
-    /// An empty run.
-    pub fn empty(key_len: usize) -> Self {
-        Self::empty_spec(SortSpec::asc(key_len))
-    }
-
     /// An empty run under an explicit spec.
     pub fn empty_spec(spec: SortSpec) -> Self {
         Run {
@@ -289,7 +284,10 @@ mod tests {
             assert_eq!(flat, expect, "batch={batch_size}");
         }
         // Empty run: no batches at all.
-        assert!(Run::empty(2).batches(4).next_batch().is_none());
+        assert!(Run::empty_spec(SortSpec::asc(2))
+            .batches(4)
+            .next_batch()
+            .is_none());
     }
 
     #[test]
@@ -315,7 +313,7 @@ mod tests {
         let run = Run::from_sorted_rows(vec![Row::new(vec![1, 2, 3])], 2);
         // 3 columns + 1 code word = 32 bytes.
         assert_eq!(run.spill_bytes(), 32);
-        assert_eq!(Run::empty(2).spill_bytes(), 0);
+        assert_eq!(Run::empty_spec(SortSpec::asc(2)).spill_bytes(), 0);
     }
 
     #[test]

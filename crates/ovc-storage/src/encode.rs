@@ -259,7 +259,7 @@ mod tests {
 
     #[test]
     fn empty_run() {
-        round_trip(&Run::empty(2));
+        round_trip(&Run::empty_spec(SortSpec::asc(2)));
     }
 
     #[test]

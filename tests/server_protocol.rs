@@ -695,3 +695,35 @@ fn deeply_nested_body_is_a_400_not_a_crash() {
     handle.shutdown();
     runner.join().expect("runner").expect("run");
 }
+
+/// `POST /tables` answers rows of unequal width, and a sort key longer
+/// than the rows, with a 400 and a reason — not a registered table that
+/// streams ragged rows, and not a panic that drops the session: the same
+/// connection and a fresh one both still get `/health`.
+#[test]
+fn ragged_rows_and_overlong_keys_are_a_400_not_a_crash() {
+    let _gate = gate_read();
+    let server = Server::bind(ServerConfig::default(), Catalog::new()).expect("bind");
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let runner = std::thread::spawn(move || server.run());
+
+    let mut client = Client::connect(addr).expect("connect");
+    for body in [
+        r#"{"name": "r", "rows": [[1, 2], [3]]}"#,
+        r#"{"name": "r", "rows": [[1, 2], [3]], "sorted_key": 1}"#,
+        r#"{"name": "r", "rows": [[1], [2]], "sorted_key": 2}"#,
+    ] {
+        let resp = client
+            .request("POST", "/tables", &[], body)
+            .unwrap_or_else(|err| panic!("{body}: no response ({err})"));
+        assert_eq!(resp.status, 400, "{body}: {}", resp.body);
+    }
+    for mut c in [client, Client::connect(addr).expect("reconnect")] {
+        let r = c.request("GET", "/health", &[], "").expect("health");
+        assert_eq!(r.status, 200, "{}", r.body);
+    }
+
+    handle.shutdown();
+    runner.join().expect("runner").expect("run");
+}
