@@ -13,14 +13,16 @@
 //!   column at the new offset (Table 2, case 3).
 //!
 //! Every column-value comparison is counted in [`Stats`], which is how the
-//! `N × K` bound of Section 3 is verified experimentally.
+//! `N × K` bound of Section 3 is verified experimentally.  The two
+//! same-base comparators count through [`CmpCounter`], so a tournament
+//! loop may count into a plain [`crate::Tally`] and flush it into `Stats`.
 
 use std::cmp::Ordering;
 
 use crate::ovc::Ovc;
 use crate::row::Value;
 use crate::spec::SortSpec;
-use crate::stats::Stats;
+use crate::stats::{CmpCounter, Stats};
 
 /// Compare two keys whose codes are relative to the same base key.
 ///
@@ -42,7 +44,7 @@ pub fn compare_same_base(
     b_key: &[Value],
     a_code: &mut Ovc,
     b_code: &mut Ovc,
-    stats: &Stats,
+    stats: &impl CmpCounter,
 ) -> Ordering {
     stats.count_ovc_cmp();
     if a_code != b_code {
@@ -96,7 +98,7 @@ pub fn compare_same_base_spec(
     a_code: &mut Ovc,
     b_code: &mut Ovc,
     spec: &SortSpec,
-    stats: &Stats,
+    stats: &impl CmpCounter,
 ) -> Ordering {
     stats.count_ovc_cmp();
     if a_code != b_code {

@@ -39,9 +39,9 @@ pub enum FaultPoint {
     /// A spill device is about to read a run back — firing fails the
     /// read with [`ExecError::SpillIo`].
     SpillRead,
-    /// A spill device has encoded a run — firing flips one byte of the
-    /// encoding, which the checksummed format detects on read-back as
-    /// [`ExecError::SpillCorruption`].
+    /// A file spill device has encoded a run — firing flips one byte of
+    /// the encoding, which the spill frame's checksum detects on
+    /// read-back as [`ExecError::SpillCorruption`].
     SpillCorrupt,
     /// A parallel worker (exchange producer, partition worker, merge
     /// feeder) is starting — firing panics the worker, exercising panic

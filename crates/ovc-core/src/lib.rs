@@ -90,5 +90,5 @@ pub use metrics::{
 pub use ovc::Ovc;
 pub use row::{Row, SortKey, Value};
 pub use spec::{Direction, SortSpec};
-pub use stats::{CostWeights, Stats, StatsSnapshot};
+pub use stats::{CmpCounter, CostWeights, Stats, StatsSnapshot, Tally};
 pub use stream::{CodedBatch, OvcRow, OvcStream, SendOvcStream, VecStream};

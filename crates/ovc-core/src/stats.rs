@@ -7,6 +7,7 @@
 //! claims measurable independent of wall-clock noise; EXPERIMENTS.md and
 //! the `ablation_counters` bench are driven by them.
 
+use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -177,6 +178,70 @@ impl Stats {
 impl fmt::Debug for Stats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.snapshot().fmt(f)
+    }
+}
+
+/// Where the comparators of [`crate::compare`] count: the query's shared
+/// [`Stats`], or a [`Tally`] that a single-threaded loop flushes into it.
+pub trait CmpCounter {
+    /// Count one column-value comparison.
+    fn count_col_cmp(&self);
+    /// Count one offset-value-code comparison.
+    fn count_ovc_cmp(&self);
+}
+
+impl CmpCounter for Stats {
+    #[inline]
+    fn count_col_cmp(&self) {
+        Stats::count_col_cmp(self);
+    }
+    #[inline]
+    fn count_ovc_cmp(&self) {
+        Stats::count_ovc_cmp(self);
+    }
+}
+
+impl<C: CmpCounter + ?Sized> CmpCounter for Arc<C> {
+    fn count_col_cmp(&self) {
+        (**self).count_col_cmp();
+    }
+    fn count_ovc_cmp(&self) {
+        (**self).count_ovc_cmp();
+    }
+}
+
+/// Comparison counts in plain cells: a tournament counts about twenty
+/// code comparisons per row, and a relaxed atomic add on the shared
+/// [`Stats`] is a `lock`-prefixed instruction each.  The loop counts here
+/// instead and [`Tally::flush`]es at its batch or run boundary, so the
+/// totals — and per-batch profiles — stay exact.
+#[derive(Debug, Default)]
+pub struct Tally {
+    col_value_cmps: Cell<u64>,
+    ovc_cmps: Cell<u64>,
+}
+
+impl Tally {
+    /// Move the counts into `stats`, leaving the tally at zero.
+    pub fn flush(&self, stats: &Stats) {
+        let (col, ovc) = (self.col_value_cmps.take(), self.ovc_cmps.take());
+        if col > 0 {
+            stats.count_col_cmps(col);
+        }
+        if ovc > 0 {
+            stats.ovc_cmps.fetch_add(ovc, Ordering::Relaxed);
+        }
+    }
+}
+
+impl CmpCounter for Tally {
+    #[inline]
+    fn count_col_cmp(&self) {
+        self.col_value_cmps.set(self.col_value_cmps.get() + 1);
+    }
+    #[inline]
+    fn count_ovc_cmp(&self) {
+        self.ovc_cmps.set(self.ovc_cmps.get() + 1);
     }
 }
 

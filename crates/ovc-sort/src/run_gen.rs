@@ -24,7 +24,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use ovc_core::compare::{compare_keys_counted, derive_code, derive_code_spec};
-use ovc_core::{BatchStream, FlatRows, Ovc, Row, RowBatches, SortSpec, Stats};
+use ovc_core::{BatchStream, FlatRows, Ovc, Row, RowBatches, SortSpec, Stats, Tally};
 
 use crate::replacement::generate_runs_replacement;
 use crate::runs::Run;
@@ -156,7 +156,8 @@ fn sort_rows(rows: Vec<Row>, spec: &SortSpec, strategy: RunGenStrategy, stats: &
 /// "−∞"), every pop replays one leaf-to-root path of same-base code
 /// comparisons, and the winner's columns are copied slice-to-slice into
 /// the output run.  Bit-identical comparisons, codes, and counters to the
-/// boxed-row formulation it replaces.
+/// boxed-row formulation it replaces; the comparisons are tallied locally
+/// and reach `stats` once, when the run is complete.
 fn flat_tournament_sort(
     n: usize,
     width: usize,
@@ -177,8 +178,9 @@ fn flat_tournament_sort(
 
     let cap = n.next_power_of_two().max(1);
     let mut nodes = vec![FENCE_ENTRY; cap];
+    let tally = Tally::default();
     let mut play = |a: Entry, b: Entry| -> (Entry, Entry) {
-        play_entries(a, b, key_of(a), key_of(b), spec, asc, stats)
+        play_entries(a, b, key_of(a), key_of(b), spec, asc, &tally)
     };
     let mut winner = loser_tree::build(
         &mut nodes,
@@ -206,6 +208,7 @@ fn flat_tournament_sort(
         winner = loser_tree::replay(&mut nodes, cap, w, cand, &mut play);
     }
     debug_assert_eq!(out.len(), n);
+    tally.flush(stats);
     Run::from_flat(out, spec.clone())
 }
 

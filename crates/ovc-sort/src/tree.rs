@@ -33,7 +33,9 @@ use std::cmp::Ordering;
 use std::sync::Arc;
 
 use ovc_core::compare::{compare_same_base, compare_same_base_spec};
-use ovc_core::{BatchStream, FlatRows, Ovc, OvcRow, OvcStream, Row, SortSpec, Stats};
+use ovc_core::{
+    BatchStream, CmpCounter, FlatRows, Ovc, OvcRow, OvcStream, Row, SortSpec, Stats, Tally,
+};
 
 use crate::runs::Run;
 
@@ -55,6 +57,8 @@ pub(crate) struct Entry {
 /// case (the paper's default throughout) skips the per-column direction
 /// dispatch entirely.  Both comparators implement the same two theorems
 /// with identical counting, so the dispatch is purely mechanical.
+/// `stats` is any [`CmpCounter`]: the shared [`Stats`], or the [`Tally`]
+/// that [`FlatMerge`] and run generation count into.
 #[inline]
 pub(crate) fn play_entries(
     mut a: Entry,
@@ -63,7 +67,7 @@ pub(crate) fn play_entries(
     b_key: &[u64],
     spec: &SortSpec,
     asc: bool,
-    stats: &Stats,
+    stats: &impl CmpCounter,
 ) -> (Entry, Entry) {
     let ord = if asc {
         compare_same_base(a_key, b_key, &mut a.code, &mut b.code, stats)
@@ -384,6 +388,10 @@ pub struct FlatMerge {
     width: usize,
     spec: SortSpec,
     asc: bool,
+    /// Comparisons since the last flush into `stats`: flushed after the
+    /// build, at the end of every [`FlatMerge::fill`] and
+    /// [`FlatMerge::into_run`], and on every row the [`Iterator`] yields.
+    tally: Tally,
     stats: Arc<Stats>,
 }
 
@@ -433,6 +441,7 @@ impl FlatMerge {
         let k = spec.len();
         let pos = vec![0usize; f];
         let mut nodes = vec![FENCE_ENTRY; cap];
+        let tally = Tally::default();
         let winner = {
             let mut play = |a: Entry, b: Entry| {
                 play_entries(
@@ -442,7 +451,7 @@ impl FlatMerge {
                     flat_key(&runs, &pos, k, b),
                     &spec,
                     asc,
-                    &stats,
+                    &tally,
                 )
             };
             loser_tree::build(
@@ -455,6 +464,7 @@ impl FlatMerge {
                 &mut play,
             )
         };
+        tally.flush(&stats);
         FlatMerge {
             pos,
             runs,
@@ -465,6 +475,7 @@ impl FlatMerge {
             width,
             asc,
             spec,
+            tally,
             stats,
         }
     }
@@ -495,8 +506,8 @@ impl FlatMerge {
             code: succ,
             run: w as u32,
         };
-        let (runs, pos, spec, asc, stats) =
-            (&self.runs, &self.pos, &self.spec, self.asc, &self.stats);
+        let (runs, pos, spec, asc, tally) =
+            (&self.runs, &self.pos, &self.spec, self.asc, &self.tally);
         let k = spec.len();
         let mut play = |a: Entry, b: Entry| {
             play_entries(
@@ -506,7 +517,7 @@ impl FlatMerge {
                 flat_key(runs, pos, k, b),
                 spec,
                 asc,
-                stats,
+                tally,
             )
         };
         self.winner = loser_tree::replay(&mut self.nodes, self.cap, w, cand, &mut play);
@@ -561,6 +572,7 @@ impl FlatMerge {
         while let Some((r, i, code)) = self.next_idx() {
             out.push_from(&self.runs[r], i, code);
         }
+        self.tally.flush(&self.stats);
         Run::from_flat_trusted(out, self.spec)
     }
 
@@ -586,6 +598,7 @@ impl FlatMerge {
                 out.push_from(&self.runs[r], i, code);
             }
         }
+        self.tally.flush(&self.stats);
         out
     }
 
@@ -610,6 +623,7 @@ impl Iterator for FlatMerge {
 
     fn next(&mut self) -> Option<OvcRow> {
         let (r, i, code) = self.next_idx()?;
+        self.tally.flush(&self.stats);
         Some(OvcRow::new(Row::from_slice(self.runs[r].row(i)), code))
     }
 

@@ -5,10 +5,11 @@
 //! offset-value codes."  This crate builds every storage structure the
 //! paper names, each delivering coded streams:
 //!
-//! * [`encode`] — prefix-truncated run format (runs "encoded with prefixes
-//!   truncated", Section 3) and the checksummed raw-words frame;
-//! * [`checksum`] — dependency-free CRC32 behind the crash-safe spill
-//!   framing (DESIGN.md §14);
+//! * [`encode`] — the one spill format: runs "encoded with prefixes
+//!   truncated" (Section 3) inside a length + CRC32 frame that also
+//!   records the run's sort spec, decoded with every field checked;
+//! * [`checksum`] — dependency-free slice-by-8 CRC32 behind that frame
+//!   (DESIGN.md §14);
 //! * [`spill`] — spill devices with honest byte accounting (in-memory and
 //!   file-backed) for the Figure 6 spill claims;
 //! * [`btree`] — bulk-loaded b-tree with next-neighbor-difference leaf
@@ -34,8 +35,8 @@ pub mod spill;
 
 pub use btree::{BTree, BTreeScan};
 pub use checksum::crc32;
-pub use encode::{decode_run, decode_run_raw, encode_run, encode_run_raw, RAW_FRAME_OVERHEAD};
+pub use encode::{decode_run, encode_run};
 pub use lsm::{merge_forest_scans, LsmConfig, LsmForest};
 pub use rle::{RleColumnStore, RleScan};
 pub use secondary::{Rid, SecondaryIndex};
-pub use spill::{EncodedRunStorage, FileRunStorage, SpillFormat};
+pub use spill::{EncodedRunStorage, FileRunStorage};

@@ -1,10 +1,14 @@
 //! Spill devices: encoding-faithful [`RunStorage`] implementations.
 //!
-//! [`EncodedRunStorage`] keeps prefix-truncated byte images in memory and
-//! accounts *actual encoded bytes* — the honest substitute for the paper's
+//! Both devices store the one spill format of [`crate::encode`]: a
+//! prefix-truncated run image in a length + CRC32 frame.
+//! [`EncodedRunStorage`] keeps the images in memory and accounts *actual
+//! encoded bytes*, frame included — the honest substitute for the paper's
 //! temporary files (DESIGN.md §3.6): spill behaviour depends on row counts
-//! and byte volumes, not on the device.  [`FileRunStorage`] writes the same
-//! images through `std::fs` for runs that should genuinely leave memory.
+//! and byte volumes, not on the device.  [`FileRunStorage`] writes the
+//! same images through `std::fs` for runs that should genuinely leave
+//! memory.  A damaged image reads back as a typed
+//! [`ExecError::SpillCorruption`] from either device.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -13,43 +17,9 @@ use ovc_core::fault::{self, FaultPoint};
 use ovc_core::{ExecError, Stats};
 use ovc_sort::{Run, RunStorage};
 
-use crate::encode::{decode_run, decode_run_raw, encode_run, encode_run_raw};
+use crate::encode::{decode_run, encode_run};
 
-/// On-disk layout of a spilled run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SpillFormat {
-    /// Prefix-truncated byte images (Section 3's encoding; honest encoded
-    /// byte accounting, the historical default).
-    PrefixTruncated,
-    /// The run's flat buffers written as raw little-endian `u64` words —
-    /// no per-row branching on either side of the spill, the cheap path
-    /// for devices where serialization CPU matters more than bytes.
-    RawWords,
-}
-
-impl SpillFormat {
-    fn encode(self, run: &Run) -> Vec<u8> {
-        match self {
-            SpillFormat::PrefixTruncated => encode_run(run),
-            SpillFormat::RawWords => encode_run_raw(run),
-        }
-    }
-
-    fn decode(self, bytes: &[u8]) -> Result<Run, ExecError> {
-        match self {
-            SpillFormat::PrefixTruncated => Ok(decode_run(bytes)),
-            SpillFormat::RawWords => decode_run_raw(bytes),
-        }
-    }
-
-    /// Whether the format carries its own integrity framing (length +
-    /// CRC32), i.e. whether corrupted bytes decode to a typed error.
-    fn checksummed(self) -> bool {
-        matches!(self, SpillFormat::RawWords)
-    }
-}
-
-/// In-memory spill device storing encoded (prefix-truncated) run images.
+/// In-memory spill device storing encoded run images.
 pub struct EncodedRunStorage {
     blobs: Vec<Option<(Vec<u8>, u64)>>, // (bytes, row count)
     stats: Arc<Stats>,
@@ -84,7 +54,7 @@ impl RunStorage for EncodedRunStorage {
         fault::maybe_spill_io(FaultPoint::SpillRead)?;
         let (bytes, rows) = self.blobs[handle].take().expect("run already consumed");
         self.stats.count_read_back(rows, bytes.len() as u64);
-        Ok(decode_run(&bytes))
+        decode_run(&bytes)
     }
 
     fn stored_runs(&self) -> usize {
@@ -99,16 +69,13 @@ pub struct FileRunStorage {
     files: Vec<Option<(PathBuf, u64, u64)>>, // (path, rows, bytes)
     stats: Arc<Stats>,
     next_id: u64,
-    format: SpillFormat,
 }
 
 impl FileRunStorage {
-    /// As [`FileRunStorage::new`], spilling raw flat words instead of
-    /// prefix-truncated images (cheaper encode/decode, more bytes).
+    /// The same device as [`FileRunStorage::new`]: there is one spill
+    /// format.  The name is kept because the `bench/` harness calls it.
     pub fn new_raw(stats: Arc<Stats>) -> std::io::Result<Self> {
-        let mut s = Self::new(stats)?;
-        s.format = SpillFormat::RawWords;
-        Ok(s)
+        Self::new(stats)
     }
 
     /// Create a scratch directory under the system temp dir.
@@ -127,7 +94,6 @@ impl FileRunStorage {
             files: Vec::new(),
             stats,
             next_id: 0,
-            format: SpillFormat::PrefixTruncated,
         })
     }
 
@@ -141,13 +107,10 @@ impl RunStorage for FileRunStorage {
     fn write_run(&mut self, run: Run) -> Result<usize, ExecError> {
         fault::maybe_spill_io(FaultPoint::SpillWrite)?;
         let rows = run.len() as u64;
-        let mut bytes = self.format.encode(&run);
-        // Corruption injection only targets the checksummed format: the
-        // flip must surface as a typed decode error on read-back, and
-        // only framed bytes guarantee that.
-        if self.format.checksummed() {
-            fault::maybe_corrupt(&mut bytes);
-        }
+        let mut bytes = encode_run(&run);
+        // An injected flip must surface as a typed decode error on
+        // read-back; the frame's checksum guarantees it does.
+        fault::maybe_corrupt(&mut bytes);
         let path = self.dir.join(format!("run-{}.ovc", self.next_id));
         self.next_id += 1;
         std::fs::write(&path, &bytes).map_err(|e| ExecError::SpillIo {
@@ -166,7 +129,7 @@ impl RunStorage for FileRunStorage {
         })?;
         let _ = std::fs::remove_file(&path);
         self.stats.count_read_back(rows, bytes);
-        self.format.decode(&data)
+        decode_run(&data)
     }
 
     fn stored_runs(&self) -> usize {
@@ -183,8 +146,8 @@ impl Drop for FileRunStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ovc_core::Row;
-    use ovc_sort::{external_sort, SortConfig};
+    use ovc_core::{Direction, Row, SortSpec};
+    use ovc_sort::{external_sort, try_external_sort_spec, MemoryRunStorage, SortConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -193,6 +156,16 @@ mod tests {
         (0..n)
             .map(|_| Row::new(vec![rng.gen_range(0..8u64), rng.gen_range(0..8u64)]))
             .collect()
+    }
+
+    /// The single file a device holding one run has written.
+    fn only_spill_file(storage: &FileRunStorage) -> PathBuf {
+        std::fs::read_dir(storage.dir())
+            .expect("scratch dir")
+            .next()
+            .expect("one spill file")
+            .expect("dir entry")
+            .path()
     }
 
     #[test]
@@ -241,28 +214,31 @@ mod tests {
     }
 
     #[test]
-    fn raw_file_storage_round_trips_and_costs_more_bytes() {
+    fn new_raw_is_the_one_framed_format() {
         let mut rows = random_rows(200, 21);
         rows.sort();
         let run = Run::from_sorted_rows(rows, 2);
 
-        let s_enc = Stats::new_shared();
-        let mut enc = FileRunStorage::new(Arc::clone(&s_enc)).expect("tempdir");
-        let h = enc.write_run(run.clone()).expect("write");
-        assert_eq!(enc.read_run(h).expect("read").flat(), run.flat());
+        let s_new = Stats::new_shared();
+        let mut new = FileRunStorage::new(Arc::clone(&s_new)).expect("tempdir");
+        let h = new.write_run(run.clone()).expect("write");
+        let new_bytes = std::fs::read(only_spill_file(&new)).expect("spill file");
+        assert_eq!(new.read_run(h).expect("read").flat(), run.flat());
 
         let s_raw = Stats::new_shared();
         let mut raw = FileRunStorage::new_raw(Arc::clone(&s_raw)).expect("tempdir");
         let h = raw.write_run(run.clone()).expect("write");
+        let raw_bytes = std::fs::read(only_spill_file(&raw)).expect("spill file");
         assert_eq!(raw.read_run(h).expect("read").flat(), run.flat());
 
-        // Raw words spill the whole flat buffer; prefix truncation saves
-        // bytes on these low-cardinality keys.
-        assert!(s_raw.bytes_spilled() > s_enc.bytes_spilled());
-        assert_eq!(
-            s_raw.bytes_spilled(),
-            crate::encode::RAW_FRAME_OVERHEAD as u64
-                + (run.len() as u64) * (run.width() as u64 + 1) * 8
+        // Byte for byte the same file, accounted as the encoded image.
+        assert_eq!(raw_bytes, new_bytes);
+        assert_eq!(raw_bytes, encode_run(&run));
+        assert_eq!(s_raw.bytes_spilled(), s_new.bytes_spilled());
+        assert_eq!(s_new.bytes_spilled(), new_bytes.len() as u64);
+        assert!(
+            s_new.bytes_spilled() < run.spill_bytes(),
+            "prefix truncation"
         );
     }
 
@@ -277,12 +253,7 @@ mod tests {
 
         // Flip one byte of the spilled file behind the device's back —
         // the bit-rot scenario the CRC32 framing exists for.
-        let file = std::fs::read_dir(storage.dir())
-            .expect("scratch dir")
-            .next()
-            .expect("one spill file")
-            .expect("dir entry")
-            .path();
+        let file = only_spill_file(&storage);
         let mut bytes = std::fs::read(&file).expect("read spill file");
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x08;
@@ -291,6 +262,34 @@ mod tests {
         let err = storage
             .read_run(h)
             .expect_err("corruption must be detected");
+        assert_eq!(err.reason(), "spill_corruption");
+    }
+
+    /// A payload byte is the flip no row check could catch — any value is
+    /// a valid payload — so only the frame's checksum stands between it
+    /// and a wrong row.
+    #[test]
+    fn flipped_payload_byte_reads_back_as_typed_corruption() {
+        let stats = Stats::new_shared();
+        let mut storage = FileRunStorage::new(Arc::clone(&stats)).expect("tempdir");
+        let rows: Vec<Row> = (0..40u64).map(|i| Row::new(vec![i / 4, i])).collect();
+        let h = storage
+            .write_run(Run::from_sorted_rows(rows, 1))
+            .expect("write");
+
+        // The last row's payload word, 39.
+        let file = only_spill_file(&storage);
+        let mut bytes = std::fs::read(&file).expect("read spill file");
+        let payload = 8 * bytes
+            .chunks_exact(8)
+            .rposition(|w| w == 39u64.to_le_bytes())
+            .expect("payload word 39 is in the file");
+        bytes[payload] ^= 0x01;
+        std::fs::write(&file, &bytes).expect("rewrite spill file");
+
+        let err = storage
+            .read_run(h)
+            .expect_err("a flipped payload must not decode");
         assert_eq!(err.reason(), "spill_corruption");
     }
 
@@ -304,12 +303,7 @@ mod tests {
         let h = storage.write_run(run).expect("write");
 
         // Simulate a torn write: the file loses its tail.
-        let file = std::fs::read_dir(storage.dir())
-            .expect("scratch dir")
-            .next()
-            .expect("one spill file")
-            .expect("dir entry")
-            .path();
+        let file = only_spill_file(&storage);
         let bytes = std::fs::read(&file).expect("read spill file");
         std::fs::write(&file, &bytes[..bytes.len() / 2]).expect("truncate spill file");
 
@@ -329,5 +323,53 @@ mod tests {
         assert_eq!(out.len(), 400);
         let pairs: Vec<_> = out.into_iter().map(|r| (r.row, r.code)).collect();
         ovc_core::derive::assert_codes_exact(&pairs, 2);
+    }
+
+    /// `try_external_sort_spec` in 50-row runs through `storage`: the
+    /// output's rows and codes, after checking it is labelled `spec`.
+    fn sort_through<S: RunStorage>(
+        rows: &[Row],
+        spec: &SortSpec,
+        storage: &mut S,
+        stats: &Arc<Stats>,
+    ) -> Vec<(Row, ovc_core::Ovc)> {
+        let cfg = SortConfig::new(2, 50);
+        let out = try_external_sort_spec(rows.to_vec(), cfg, spec, storage, stats).expect("sort");
+        assert_eq!(ovc_core::OvcStream::sort_spec(&out), *spec);
+        out.map(|r| (r.row, r.code)).collect()
+    }
+
+    /// A run reads back under the spec it was sorted by: descending,
+    /// mixed and normalized sorts through both encoding devices equal the
+    /// in-memory sort — rows, codes and `sort_spec()`.
+    #[test]
+    fn spilled_runs_keep_their_sort_spec() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let rows: Vec<Row> = (0..300)
+            .map(|_| Row::new((0..3).map(|_| rng.gen_range(0..6u64)).collect()))
+            .collect();
+        let mixed = SortSpec::with_dirs(&[Direction::Asc, Direction::Desc]);
+        for spec in [
+            SortSpec::desc(2),
+            mixed.clone(),
+            mixed.with_normalized(true),
+            SortSpec::desc(2).with_normalized(true),
+        ] {
+            let stats = Stats::new_shared();
+            let mut memory = MemoryRunStorage::new(Arc::clone(&stats));
+            let expect = sort_through(&rows, &spec, &mut memory, &stats);
+            assert_eq!(expect.len(), 300);
+
+            let stats = Stats::new_shared();
+            let mut encoded = EncodedRunStorage::new(Arc::clone(&stats));
+            let got = sort_through(&rows, &spec, &mut encoded, &stats);
+            assert_eq!(got, expect, "encoded device under {spec}");
+
+            let stats = Stats::new_shared();
+            let mut file = FileRunStorage::new(Arc::clone(&stats)).expect("tempdir");
+            let got = sort_through(&rows, &spec, &mut file, &stats);
+            assert_eq!(got, expect, "file device under {spec}");
+            assert!(stats.rows_spilled() >= 300, "the sort spilled");
+        }
     }
 }

@@ -287,12 +287,12 @@ fn injected_spill_corruption_is_detected_and_recovered() {
             .collect()
     };
 
-    // A flipped byte in a checksummed raw spill frame comes back as a
-    // typed corruption error on read-back.
+    // A flipped byte in a spill frame comes back as a typed corruption
+    // error on read-back.
     {
         let _guard = fault::install(FaultConfig::new(seed).once(FaultPoint::SpillCorrupt));
         let stats = Stats::new_shared();
-        let mut storage = FileRunStorage::new_raw(Arc::clone(&stats)).expect("tempdir");
+        let mut storage = FileRunStorage::new(Arc::clone(&stats)).expect("tempdir");
         let err = try_external_sort_spec(rows.clone(), cfg, &spec, &mut storage, &stats)
             .map(|_| ())
             .expect_err("corrupted frame must fail the read-back");
@@ -303,7 +303,7 @@ fn injected_spill_corruption_is_detected_and_recovered() {
     {
         let _guard = fault::install(FaultConfig::new(seed).once(FaultPoint::SpillCorrupt));
         let stats = Stats::new_shared();
-        let mut storage = FileRunStorage::new_raw(Arc::clone(&stats)).expect("tempdir");
+        let mut storage = FileRunStorage::new(Arc::clone(&stats)).expect("tempdir");
         let out: Vec<_> = external_sort_spec_resilient(rows, cfg, &spec, &mut storage, &stats)
             .expect("resilient sort recovers from corruption")
             .collect();

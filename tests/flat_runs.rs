@@ -4,7 +4,7 @@
 //! flat, struct-of-arrays runs must produce exactly the rows **and
 //! codes** of the boxed-row reference — under ascending, mixed-direction,
 //! and normalized-key `SortSpec`s — and spilled flat runs must round-trip
-//! bit-exactly through both encodings.
+//! bit-exactly, spec included, through the spill format.
 
 use std::sync::Arc;
 
@@ -14,7 +14,7 @@ use ovc_sort::{
     external_sort_spec_collect, external_sort_spec_to_run, merge_runs_to_run_spec,
     sort_rows_ovc_spec, sort_rows_quicksort_spec, MemoryRunStorage, SortConfig,
 };
-use ovc_storage::{decode_run, decode_run_raw, encode_run, encode_run_raw, EncodedRunStorage};
+use ovc_storage::{decode_run, encode_run, EncodedRunStorage};
 use proptest::prelude::*;
 
 /// Every spec family the refactor must preserve byte-for-byte.
@@ -106,26 +106,26 @@ proptest! {
         }
     }
 
-    /// Flat runs round-trip bit-exactly through both spill encodings and
-    /// through the encoded spill device.
+    /// Flat runs round-trip bit-exactly, under every spec family, through
+    /// the spill format and through the encoded spill device.
     #[test]
     fn flat_spill_round_trips(rows in rows_strategy()) {
-        let stats = Stats::new_shared();
-        let run = sort_rows_ovc_spec(rows, &SortSpec::asc(3), &stats);
-
-        let truncated = decode_run(&encode_run(&run));
-        prop_assert_eq!(truncated.flat(), run.flat());
-        prop_assert_eq!(truncated.sort_spec(), run.sort_spec());
-
-        let raw = decode_run_raw(&encode_run_raw(&run)).expect("clean frame decodes");
-        prop_assert_eq!(raw.flat(), run.flat());
-
-        let mut device = EncodedRunStorage::new(Arc::clone(&stats));
         use ovc_sort::RunStorage;
-        let handle = device.write_run(run.clone()).expect("write");
-        let back = device.read_run(handle).expect("read");
-        prop_assert_eq!(back.flat(), run.flat());
-        prop_assert_eq!(stats.bytes_spilled(), stats.bytes_read_back());
+        for (label, spec) in specs() {
+            let stats = Stats::new_shared();
+            let run = sort_rows_ovc_spec(rows.clone(), &spec, &stats);
+
+            let back = decode_run(&encode_run(&run)).expect("clean frame decodes");
+            prop_assert_eq!(back.flat(), run.flat(), "codec under {}", label);
+            prop_assert_eq!(back.sort_spec(), run.sort_spec());
+
+            let mut device = EncodedRunStorage::new(Arc::clone(&stats));
+            let handle = device.write_run(run.clone()).expect("write");
+            let back = device.read_run(handle).expect("read");
+            prop_assert_eq!(back.flat(), run.flat(), "device under {}", label);
+            prop_assert_eq!(back.sort_spec(), run.sort_spec());
+            prop_assert_eq!(stats.bytes_spilled(), stats.bytes_read_back());
+        }
     }
 }
 
