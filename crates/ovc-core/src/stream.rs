@@ -166,8 +166,8 @@ impl OvcStream for VecStream {
 /// A coded stream that may cross a thread boundary.
 ///
 /// This is a pure marker: any [`OvcStream`] whose row source is `Send`
-/// (which includes [`VecStream`], [`CodedBatch`] cursors, and the threaded
-/// exchange's channel streams) already satisfies it via the blanket impl.
+/// (which includes [`VecStream`] and [`CodedBatch`] cursors) already
+/// satisfies it via the blanket impl.
 /// The exactness contract travels with the stream — codes are a function
 /// of the row sequence alone, so moving a stream between threads cannot
 /// invalidate them.
@@ -178,15 +178,14 @@ impl<S: OvcStream + Send> SendOvcStream for S {}
 /// An owned, sendable batch of coded rows — the hand-off unit between
 /// pipeline threads, and the shape of an executor's materialized output.
 ///
-/// Where a single-threaded pipeline passes an [`OvcStream`] by value, the
-/// parallel operators (`ovc-exec`'s threaded exchange, `ovc-sort`'s
-/// parallel run generation) materialize a `CodedBatch`, move it across a
-/// thread or channel, and resume streaming on the other side with
-/// [`CodedBatch::into_stream`].  The batch carries the same contract as
-/// the stream it came from: rows sorted on the leading `key_len` columns,
-/// every code exact relative to its predecessor.  Rows live in one flat
-/// contiguous buffer ([`FlatRows`]); [`OvcRow`]s are boxed only on the
-/// way out.
+/// Where a single-threaded pipeline passes an [`OvcStream`] by value, a
+/// `CodedBatch` can move across a thread or channel and resume streaming
+/// on the other side with [`CodedBatch::into_stream`]; the executor's
+/// drained partitions and root come back as one.  The batch carries the
+/// same contract as the stream it came from: rows sorted on the leading
+/// `key_len` columns, every code exact relative to its predecessor.  Rows
+/// live in one flat contiguous buffer ([`FlatRows`]); [`OvcRow`]s are
+/// boxed only on the way out.
 #[derive(Clone, Debug)]
 pub struct CodedBatch {
     flat: FlatRows,

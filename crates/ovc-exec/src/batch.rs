@@ -1,19 +1,23 @@
-//! Morsel-style batch operators over [`FlatRows`] batches.
+//! Morsel-style batch operators over [`FlatRows`] batches, and the
+//! batch exchange's two ends (§4.10, see [`crate::exchange`]).
 //!
-//! These are the batch-at-a-time counterparts of the row operators in
-//! [`crate::filter`], [`crate::project`], [`crate::dedup`] and the
-//! splitting side of [`crate::exchange`].  Each one consumes and produces
-//! [`BatchStream`] batches whose codes stay exact *across batch seams*
-//! (DESIGN.md §12): batch `k+1`'s first code is relative to batch `k`'s
-//! last row, so no repair happens at a seam — only at a standalone lift
+//! The operators are the batch-at-a-time counterparts of the row
+//! operators in [`crate::filter`], [`crate::project`] and
+//! [`crate::dedup`].  Each one consumes and produces [`BatchStream`]
+//! batches whose codes stay exact *across batch seams* (DESIGN.md §12):
+//! batch `k+1`'s first code is relative to batch `k`'s last row, so no
+//! repair happens at a seam — only at a standalone lift
 //! ([`ovc_core::batch::repair_head`]).
+//!
+//! The exchange's splitting side is [`route_batches`]; its channels carry
+//! [`BatchFrame`]s, received as a [`BatchChannelStream`].  The gathering
+//! side is `ovc_sort::merge_batch_streams` over those streams.
 //!
 //! Counting discipline mirrors the row operators exactly, which is what
 //! the differential harness (`tests/batch_pipeline_properties.rs`)
 //! asserts: [`BatchFilter`] accounts one code operation per *input* row,
 //! projection/clamping/dedup account nothing, and [`route_batches`]'s
-//! per-partition accumulators are uncounted — identical to
-//! `route_coded_rows` in [`crate::parallel`].
+//! per-partition accumulators are uncounted.
 
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
@@ -24,11 +28,16 @@ use ovc_core::fault;
 use ovc_core::theorem::{clamp_to_prefix, OvcAccumulator};
 use ovc_core::{BatchStream, ChannelGauge, FlatRows, SortSpec, Stats, Value};
 
+/// Default in-flight budget of a bounded exchange channel, in rows.
+/// Small enough for backpressure to keep memory flat, large enough to
+/// amortize wakeups; a channel of `batch`-row frames holds
+/// `DEFAULT_CHANNEL_CAPACITY.div_ceil(batch)` messages.
+pub const DEFAULT_CHANNEL_CAPACITY: usize = 1024;
+
 /// What flows over a batched exchange channel: a flat batch, or — as the
 /// producer's last word before it exits — a **poison frame** carrying the
-/// typed error that killed it (the batched twin of the row exchange's
-/// poison protocol, DESIGN.md §14).  A channel that closes without
-/// poison is a clean end-of-stream.
+/// typed error that killed it (DESIGN.md §14).  A channel that closes
+/// without poison is a clean end-of-stream.
 pub enum BatchFrame {
     /// A flat batch of coded rows.
     Batch(FlatRows),
@@ -37,8 +46,7 @@ pub enum BatchFrame {
 }
 
 /// The receiving end of a batched exchange channel: a [`BatchStream`]
-/// over a bounded (or unbounded) channel of [`BatchFrame`]s, the batched
-/// counterpart of [`crate::parallel::ChannelStream`].
+/// over a bounded (or unbounded) channel of [`BatchFrame`]s.
 ///
 /// With a gauge attached, every `recv` is timed and the *rows* (not just
 /// messages) crossing the channel are counted —
@@ -92,13 +100,12 @@ impl BatchStream for BatchChannelStream {
 /// [`OvcAccumulator`] per partition (a row "kept" by partition `p` is
 /// "absorbed" by every other partition's accumulator — the filter
 /// corollary), buffering up to `batch_size` rows per partition before
-/// handing the batch to `send`.
+/// handing the batch to `send` — one channel operation per *batch*.
 ///
-/// This is `route_coded_rows` of [`crate::parallel`] re-expressed over
-/// flat batches: same accumulators, same codes, but one channel operation
-/// per *batch* instead of per row.  A `false` return from `send` closes
-/// that partition (its consumer is gone); the others keep flowing.  Any
-/// partial batches are flushed when the input is exhausted.
+/// A `false` return from `send` closes that partition (its consumer is
+/// gone); the others keep flowing.  Once every partition has closed, no
+/// further input is pulled.  Any partial batches are flushed when the
+/// input is exhausted.
 pub fn route_batches<B, P>(
     mut input: B,
     parts: usize,
@@ -113,6 +120,7 @@ pub fn route_batches<B, P>(
     assert!(batch_size > 0, "batch size must be positive");
     let mut accs = vec![OvcAccumulator::new(); parts];
     let mut open = vec![true; parts];
+    let mut live = parts;
     let mut pending: Vec<Option<FlatRows>> = (0..parts).map(|_| None).collect();
     while let Some(batch) = input.next_batch() {
         let width = batch.width();
@@ -135,6 +143,11 @@ pub fn route_batches<B, P>(
                     let full = pending[p].take().expect("buffer just filled");
                     if !send(p, full) {
                         open[p] = false;
+                        live -= 1;
+                        if live == 0 {
+                            // Every consumer is gone: stop draining.
+                            return;
+                        }
                     }
                 }
             }
@@ -368,7 +381,7 @@ impl<B: BatchStream> BatchStream for BatchTake<B> {
 mod tests {
     use super::*;
     use crate::dedup::Dedup;
-    use crate::exchange::{partition, split};
+    use crate::exchange::by_cols_hash;
     use crate::filter::Filter;
     use crate::project::{ClampKey, Project};
     use ovc_core::batch::collect_batch_pairs;
@@ -478,27 +491,34 @@ mod tests {
         }
     }
 
+    /// The §4.10 split oracle: partition `p` holds exactly the input rows
+    /// routed to `p`, in input order, and its codes are the codes
+    /// re-derived from those rows alone.
+    fn assert_split_exact(
+        input: &[Row],
+        got: &[Vec<(Row, Ovc)>],
+        mut route: impl FnMut(&[Value]) -> usize,
+        spec: &SortSpec,
+    ) {
+        for (p, pairs) in got.iter().enumerate() {
+            let expect: Vec<&Row> = input.iter().filter(|r| route(r.cols()) == p).collect();
+            let rows: Vec<&Row> = pairs.iter().map(|(r, _)| r).collect();
+            assert_eq!(rows, expect, "partition {p}");
+            assert_codes_exact_spec(pairs, spec);
+        }
+    }
+
     #[test]
     fn route_batches_matches_serial_split_codes_and_hash() {
         let parts = 4;
         for batch_size in [1, 3, 64] {
             let rows = sorted_rows(500, 16, 3, 7);
-            // Serial reference: the §4.10 one-to-many split on boxed rows.
-            let expect: Vec<Vec<(Row, Ovc)>> = split(
-                VecStream::from_sorted_rows(rows.clone(), 3),
-                parts,
-                partition::by_cols_hash(vec![0, 2], parts),
-            )
-            .into_iter()
-            .map(collect_pairs)
-            .collect();
-            // Batched routing with the slice-based twin of the same hash.
             let mut got: Vec<Vec<(Row, Ovc)>> = vec![Vec::new(); parts];
             let mut max_seen = 0usize;
             route_batches(
-                batched(rows, 3, batch_size),
+                batched(rows.clone(), 3, batch_size),
                 parts,
-                partition::by_cols_hash_slice(vec![0, 2], parts),
+                by_cols_hash(vec![0, 2], parts),
                 batch_size,
                 |p, batch| {
                     assert!(!batch.is_empty());
@@ -508,9 +528,66 @@ mod tests {
                 },
             );
             assert!(max_seen <= batch_size);
-            assert_eq!(got, expect, "batch={batch_size}");
-            for pairs in &got {
-                assert_codes_exact_spec(pairs, &SortSpec::asc(3));
+            let route = by_cols_hash(vec![0, 2], parts);
+            assert_split_exact(&rows, &got, route, &SortSpec::asc(3));
+        }
+    }
+
+    /// Once every consumer is gone the producer stops pulling: at most
+    /// one batch is read after the last partition closes, instead of
+    /// the rest of the input.
+    #[test]
+    fn route_batches_stops_pulling_once_every_partition_closes() {
+        struct Counting<'a, B> {
+            inner: B,
+            pulls: &'a std::cell::Cell<usize>,
+        }
+        impl<B: BatchStream> BatchStream for Counting<'_, B> {
+            fn next_batch(&mut self) -> Option<FlatRows> {
+                self.pulls.set(self.pulls.get() + 1);
+                self.inner.next_batch()
+            }
+            fn sort_spec(&self) -> SortSpec {
+                self.inner.sort_spec()
+            }
+        }
+        for parts in [1, 3] {
+            let pulls = std::cell::Cell::new(0);
+            let mut pulls_at_close = 0;
+            let input = Counting {
+                inner: batched(sorted_rows(1000, 21, 2, 50), 2, 10),
+                pulls: &pulls,
+            };
+            route_batches(input, parts, by_cols_hash(vec![0, 1], parts), 10, |_, _| {
+                pulls_at_close = pulls.get();
+                false
+            });
+            assert!(pulls_at_close > 0, "parts={parts}: every partition sent");
+            assert!(
+                pulls.get() <= pulls_at_close + 1,
+                "parts={parts}: {} pulls, the last partition closed at pull {pulls_at_close}",
+                pulls.get()
+            );
+        }
+    }
+
+    /// One exchange: the batch exchange's code names nothing of the row
+    /// world, so no row-at-a-time shuffle can grow back beside it.
+    #[test]
+    fn the_batch_exchange_names_no_row_type() {
+        let banned = ["OvcRow", "OvcStream", "VecStream", "TreeOfLosers", "Row"];
+        for (file, source) in [
+            ("batch.rs", include_str!("batch.rs")),
+            ("exchange.rs", include_str!("exchange.rs")),
+        ] {
+            let (code, _) = source
+                .split_once("#[cfg(test)]")
+                .expect("the test module follows the code");
+            for word in code.split(|c: char| !(c.is_alphanumeric() || c == '_')) {
+                assert!(
+                    !banned.contains(&word),
+                    "{file} names `{word}` outside its tests"
+                );
             }
         }
     }
@@ -523,7 +600,7 @@ mod tests {
         route_batches(
             batched(rows, 2, 4),
             parts,
-            partition::by_cols_hash_slice(vec![0, 1], parts),
+            by_cols_hash(vec![0, 1], parts),
             4,
             |p, batch| {
                 if p == 1 {

@@ -1,253 +1,187 @@
-//! Order-preserving exchange / shuffle (Section 4.10).
+//! Order-preserving exchange / shuffle (Section 4.10), over flat batches.
+//!
+//! There is one exchange, and the executor (`ovc-plan`) runs it:
 //!
 //! * One-to-many "splitting" shuffle: each output partition is a selection
 //!   from the input stream, so it "resembles a filter with respect to each
 //!   output partition" — one filter-theorem accumulator per partition.
+//!   That is [`crate::route_batches`] on a producer thread, routing with
+//!   [`by_cols_hash`] and sending each filled batch down its partition's
+//!   channel.
 //! * Many-to-one "merging" shuffle: "the standard merge logic, very
-//!   similar to a merge step in an external merge sort", i.e. a
-//!   tree-of-losers that consumes and produces codes.
+//!   similar to a merge step in an external merge sort" — literally the
+//!   external sort's flat tree-of-losers, `ovc_sort::merge_batch_streams`,
+//!   over the live partition streams: a spent input pulls its stream's
+//!   next batch where a run would end.
 //! * Many-to-many: "similar to a sequence of many-to-one and one-to-many
-//!   shuffle operations" — composed from the two primitives.
+//!   shuffle operations" — and so it is composed: the planner gathers a
+//!   partitioned input to one stream and splits it again on the new
+//!   columns.  The split edge is unbounded (DESIGN.md §12), so a splitter
+//!   never waits on a slow partition and the producer/consumer wait cycle
+//!   the paper warns about cannot form.
 //!
-//! These operators express the data movement and code computation as
-//! single-threaded data-flow — the reference semantics.  The same
-//! computations run on real producer/consumer threads over bounded
-//! channels in [`crate::parallel`] (`split_threaded`, `merge_threaded`,
-//! `repartition_threaded`), which is property-tested to match these
-//! functions row for row and code for code.
+//! Codes stay exact across both hand-offs because they are a function of
+//! the row sequence within a stream, and every partition is consumed in
+//! the order it was produced.
 
-use std::sync::Arc;
+use ovc_core::Value;
 
-use ovc_core::theorem::OvcAccumulator;
-use ovc_core::{OvcRow, OvcStream, Row, Stats, VecStream};
-use ovc_sort::TreeOfLosers;
-
-/// Ready-made partitioning functions.
-pub mod partition {
-    use ovc_core::{Row, Value};
-
-    /// Hash-partition on the given column.
-    pub fn by_hash(col: usize, n: usize) -> impl FnMut(&Row) -> usize {
-        move |r: &Row| {
-            // Fibonacci hashing of the column value.
-            let h = r.cols()[col].wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            (h >> 32) as usize % n
+/// Hash-partition on a set of columns together: rows agreeing on those
+/// columns land in the same partition, whichever input they come from —
+/// the co-location guarantee partitioned joins, groupings and set
+/// operations build on.
+pub fn by_cols_hash(cols: Vec<usize>, n: usize) -> impl FnMut(&[Value]) -> usize + Clone + Send {
+    move |r: &[Value]| {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325; // FNV offset basis
+        for &c in &cols {
+            h ^= r[c];
+            h = h.wrapping_mul(0x100_0000_01b3); // FNV prime
         }
+        // Fibonacci finisher spreads the low bits.
+        ((h.wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> 32) as usize % n
     }
-
-    /// Hash-partition on the leading `key_len` columns together — the
-    /// partitioner co-partitioned merge joins need: rows with equal join
-    /// keys land in the same partition, whichever side they come from.
-    pub fn by_key_hash(key_len: usize, n: usize) -> impl FnMut(&Row) -> usize + Clone {
-        by_cols_hash((0..key_len).collect(), n)
-    }
-
-    /// Hash-partition on an arbitrary set of columns together.
-    pub fn by_cols_hash(cols: Vec<usize>, n: usize) -> impl FnMut(&Row) -> usize + Clone {
-        move |r: &Row| {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325; // FNV offset basis
-            for &c in &cols {
-                h ^= r.cols()[c];
-                h = h.wrapping_mul(0x100_0000_01b3); // FNV prime
-            }
-            // Fibonacci finisher spreads the low bits.
-            ((h.wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> 32) as usize % n
-        }
-    }
-
-    /// Slice-based twin of [`by_cols_hash`] for flat-batch routing: the
-    /// same hash over the same columns, so a row lands in the same
-    /// partition whether it arrives boxed or as a batch slice — the
-    /// property the batched/serial differential tests rely on.
-    pub fn by_cols_hash_slice(
-        cols: Vec<usize>,
-        n: usize,
-    ) -> impl FnMut(&[Value]) -> usize + Clone + Send {
-        move |r: &[Value]| {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325; // FNV offset basis
-            for &c in &cols {
-                h ^= r[c];
-                h = h.wrapping_mul(0x100_0000_01b3); // FNV prime
-            }
-            ((h.wrapping_mul(0x9E37_79B9_7F4A_7C15)) >> 32) as usize % n
-        }
-    }
-
-    /// Range-partition on column 0 with the given upper boundaries
-    /// (partition `i` receives values below `boundaries[i]`; the last
-    /// partition receives the rest).
-    pub fn by_range(boundaries: Vec<Value>) -> impl FnMut(&Row) -> usize {
-        move |r: &Row| {
-            let v = r.cols()[0];
-            boundaries
-                .iter()
-                .position(|&b| v < b)
-                .unwrap_or(boundaries.len())
-        }
-    }
-
-    /// Round-robin by arrival order.
-    pub fn round_robin(n: usize) -> impl FnMut(&Row) -> usize {
-        let mut i = 0usize;
-        move |_: &Row| {
-            let p = i % n;
-            i += 1;
-            p
-        }
-    }
-}
-
-/// Order-preserving one-to-many split: route each row with `part`, keeping
-/// every partition sorted and exactly coded via its own accumulator.
-pub fn split<S, P>(input: S, parts: usize, mut part: P) -> Vec<VecStream>
-where
-    S: OvcStream,
-    P: FnMut(&Row) -> usize,
-{
-    let key_len = input.key_len();
-    let mut accs = vec![OvcAccumulator::new(); parts];
-    let mut outs: Vec<Vec<OvcRow>> = vec![Vec::new(); parts];
-    for OvcRow { row, code } in input {
-        let p = part(&row);
-        assert!(p < parts, "partition function out of range");
-        // This row is "kept" by partition p and "dropped" by all others.
-        for (i, acc) in accs.iter_mut().enumerate() {
-            if i == p {
-                let out_code = acc.emit(code);
-                outs[p].push(OvcRow::new(row.clone(), out_code));
-            } else {
-                acc.absorb(code);
-            }
-        }
-    }
-    outs.into_iter()
-        .map(|rows| VecStream::from_coded(rows, key_len))
-        .collect()
-}
-
-/// Order-preserving many-to-one merge: the tree-of-losers merge over the
-/// partition streams.
-pub fn merge<S: OvcStream>(inputs: Vec<S>, key_len: usize, stats: &Arc<Stats>) -> TreeOfLosers<S> {
-    ovc_sort::merge_streams(inputs, key_len, stats)
-}
-
-/// Order-preserving many-to-many shuffle: split every input into
-/// `parts_out` ways, then merge column-wise.  (The paper notes real
-/// systems usually avoid this form due to deadlock concerns between
-/// producer and consumer threads; the data-flow semantics are as below.)
-pub fn many_to_many<S, P>(
-    inputs: Vec<S>,
-    parts_out: usize,
-    mut make_part: impl FnMut() -> P,
-    stats: &Arc<Stats>,
-) -> Vec<VecStream>
-where
-    S: OvcStream,
-    P: FnMut(&Row) -> usize,
-{
-    let key_len = inputs.first().map(|s| s.key_len()).unwrap_or(0);
-    // Split each input; transpose; merge each column of partitions.
-    let mut columns: Vec<Vec<VecStream>> = (0..parts_out).map(|_| Vec::new()).collect();
-    for input in inputs {
-        for (p, stream) in split(input, parts_out, make_part()).into_iter().enumerate() {
-            columns[p].push(stream);
-        }
-    }
-    columns
-        .into_iter()
-        .map(|streams| {
-            let merged: Vec<OvcRow> = merge(streams, key_len, stats).collect();
-            VecStream::from_coded(merged, key_len)
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ovc_core::derive::assert_codes_exact;
-    use ovc_core::stream::collect_pairs;
+    use crate::route_batches;
+    use ovc_core::batch::collect_batch_pairs;
+    use ovc_core::derive::assert_codes_exact_spec;
+    use ovc_core::{BatchStream, FlatRows, Ovc, Row, SortSpec, Stats, VecBatchStream};
+    use ovc_sort::{merge_batch_streams, Run};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn stream(n: usize, seed: u64) -> (VecStream, Vec<Row>) {
+    fn input(n: usize, seed: u64) -> Run {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut rows: Vec<Row> = (0..n)
             .map(|_| Row::new(vec![rng.gen_range(0..20u64), rng.gen_range(0..20u64)]))
             .collect();
         rows.sort();
-        (VecStream::from_sorted_rows(rows.clone(), 2), rows)
+        Run::from_sorted_rows(rows, 2)
+    }
+
+    /// Split `input` into `parts` partitions with `route`, collecting each
+    /// partition's batches (7 rows per batch each way).
+    fn split(input: Run, parts: usize, route: impl FnMut(&[Value]) -> usize) -> Vec<Vec<FlatRows>> {
+        let mut out = vec![Vec::new(); parts];
+        route_batches(input.batches(7), parts, route, 7, |p, batch| {
+            out[p].push(batch);
+            true
+        });
+        out
+    }
+
+    /// One partition's rows and codes, audited exact under `spec`.
+    fn exact_pairs(batches: &[FlatRows], spec: &SortSpec) -> Vec<(Row, Ovc)> {
+        let pairs = collect_batch_pairs(VecBatchStream::new(batches.to_vec(), spec.clone()));
+        assert_codes_exact_spec(&pairs, spec);
+        pairs
+    }
+
+    /// The merging shuffle over the partitions' batch streams.
+    fn gather(parts: Vec<Vec<FlatRows>>, spec: &SortSpec) -> Run {
+        let streams = parts
+            .into_iter()
+            .map(|b| Box::new(VecBatchStream::new(b, spec.clone())) as Box<dyn BatchStream + Send>)
+            .collect();
+        merge_batch_streams(streams, spec, &Stats::new_shared()).into_run()
     }
 
     #[test]
     fn split_partitions_are_sorted_and_exact() {
-        let (input, rows) = stream(300, 1);
-        let parts = split(input, 4, partition::by_hash(1, 4));
+        let input = input(300, 1);
+        let (n, spec) = (input.len(), input.sort_spec().clone());
+        let parts = split(input, 4, by_cols_hash(vec![1], 4));
         assert_eq!(parts.len(), 4);
-        let mut total = 0;
-        for p in parts {
-            let pairs = collect_pairs(p);
-            total += pairs.len();
-            assert_codes_exact(&pairs, 2);
-        }
-        assert_eq!(total, rows.len());
+        let total: usize = parts.iter().map(|p| exact_pairs(p, &spec).len()).sum();
+        assert_eq!(total, n);
     }
 
     #[test]
     fn split_then_merge_round_trips() {
-        let (input, rows) = stream(500, 2);
-        let stats = Stats::new_shared();
-        let parts = split(input, 8, partition::by_hash(0, 8));
-        let merged = merge(parts, 2, &stats);
-        let pairs = collect_pairs(merged);
-        assert_codes_exact(&pairs, 2);
-        let got: Vec<Row> = pairs.into_iter().map(|(r, _)| r).collect();
-        assert_eq!(got, rows, "shuffle round trip preserves the sorted stream");
+        let input = input(500, 2);
+        let spec = input.sort_spec().clone();
+        let parts = split(input.clone(), 8, by_cols_hash(vec![0], 8));
+        let merged = gather(parts, &spec);
+        assert_eq!(
+            merged.flat(),
+            input.flat(),
+            "shuffle round trip preserves the sorted stream, codes included"
+        );
     }
 
     #[test]
     fn range_partition_keeps_global_order_concatenated() {
-        let (input, rows) = stream(200, 3);
-        let parts = split(input, 3, partition::by_range(vec![7, 14]));
+        let input = input(200, 3);
+        let spec = input.sort_spec().clone();
+        let expect = collect_batch_pairs(input.clone().batches(7));
+        let bounds = [7, 14];
+        let parts = split(input, 3, |r: &[Value]| {
+            bounds
+                .iter()
+                .position(|&b| r[0] < b)
+                .unwrap_or(bounds.len())
+        });
         let mut got: Vec<Row> = Vec::new();
-        for p in parts {
-            let pairs = collect_pairs(p);
-            assert_codes_exact(&pairs, 2);
-            got.extend(pairs.into_iter().map(|(r, _)| r));
+        for p in &parts {
+            got.extend(exact_pairs(p, &spec).into_iter().map(|(r, _)| r));
         }
         // Range partitions concatenate back to the global order.
+        let rows: Vec<Row> = expect.into_iter().map(|(r, _)| r).collect();
         assert_eq!(got, rows);
     }
 
     #[test]
     fn round_robin_split() {
-        let (input, rows) = stream(100, 4);
-        let parts = split(input, 3, partition::round_robin(3));
-        let sizes: Vec<usize> = parts.iter().map(|p| p.size_hint().0).collect();
-        assert_eq!(sizes.iter().sum::<usize>(), rows.len());
-        assert!(sizes.iter().all(|&s| s >= rows.len() / 3));
+        let input = input(100, 4);
+        let n = input.len();
+        let mut next = 0usize;
+        let parts = split(input, 3, |_: &[Value]| {
+            next += 1;
+            next % 3
+        });
+        let sizes: Vec<usize> = parts
+            .iter()
+            .map(|p| p.iter().map(FlatRows::len).sum())
+            .collect();
+        assert_eq!(sizes.iter().sum::<usize>(), n);
+        assert!(sizes.iter().all(|&s| s >= n / 3));
     }
 
+    /// Many-to-many as the paper defines it: many-to-one, then
+    /// one-to-many.  Two sorted inputs gather into one stream, which
+    /// splits four ways; each partition holds exactly the gathered rows
+    /// that hash to it, in order, exactly coded.
     #[test]
     fn many_to_many_shuffle() {
-        let (a, mut rows_a) = stream(150, 5);
-        let (b, rows_b) = stream(150, 6);
-        let stats = Stats::new_shared();
-        let outs = many_to_many(vec![a, b], 4, || partition::by_hash(0, 4), &stats);
-        let mut total = 0;
-        for o in outs {
-            let pairs = collect_pairs(o);
-            total += pairs.len();
-            assert_codes_exact(&pairs, 2);
+        let (a, b) = (input(150, 5), input(150, 6));
+        let spec = a.sort_spec().clone();
+        let n = a.len() + b.len();
+        let gathered = gather(vec![vec![a.into_flat()], vec![b.into_flat()]], &spec);
+        assert_eq!(gathered.len(), n);
+        let all = collect_batch_pairs(gathered.clone().batches(7));
+        let parts = split(gathered, 4, by_cols_hash(vec![0], 4));
+        let mut route = by_cols_hash(vec![0], 4);
+        for (p, batches) in parts.iter().enumerate() {
+            let rows: Vec<Row> = exact_pairs(batches, &spec)
+                .into_iter()
+                .map(|(r, _)| r)
+                .collect();
+            let expect: Vec<Row> = all
+                .iter()
+                .filter(|(r, _)| route(r.cols()) == p)
+                .map(|(r, _)| r.clone())
+                .collect();
+            assert_eq!(rows, expect, "partition {p}");
         }
-        rows_a.extend(rows_b);
-        assert_eq!(total, rows_a.len());
     }
 
     #[test]
     fn empty_input_split() {
-        let input = VecStream::from_sorted_rows(vec![], 1);
-        let parts = split(input, 2, partition::round_robin(2));
-        assert!(parts.into_iter().all(|p| p.count() == 0));
+        let input = Run::from_sorted_rows(vec![], 1);
+        let parts = split(input, 2, |_: &[Value]| 0);
+        assert!(parts.iter().all(Vec::is_empty), "nothing is sent");
     }
 }

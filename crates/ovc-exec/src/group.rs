@@ -66,12 +66,13 @@ impl Aggregate {
 
     /// Combine two partial results of this aggregate computed over
     /// disjoint, order-adjacent slices of one group (`a`'s rows precede
-    /// `b`'s in the input order).  This is the decomposition law behind
-    /// partition-parallel grouping: `fold` over a whole group equals
-    /// `merge` over per-partition partial folds.  Wrapping like `fold`.
+    /// `b`'s in the input order).  This is the decomposition law that
+    /// lets a sort fold already-aggregated rows (in-sort aggregation):
+    /// `fold` over a whole group equals `merge` over partial folds of its
+    /// slices.  Wrapping like `fold`.
     ///
-    /// `Last` trusts the stated orientation; [`GroupFinal`] establishes
-    /// it by comparing the carried last-row keys before calling.
+    /// `First` and `Last` trust the stated orientation: the caller passes
+    /// the earlier slice as `a`.
     pub fn merge(&self, a: Value, b: Value) -> Value {
         match *self {
             Aggregate::Count | Aggregate::Sum(_) => a.wrapping_add(b),
@@ -277,340 +278,6 @@ impl<S: OvcStream> Iterator for GroupCountDistinct<S> {
 }
 
 impl<S: OvcStream> OvcStream for GroupCountDistinct<S> {
-    fn key_len(&self) -> usize {
-        self.group_len
-    }
-}
-
-/// Partial-aggregate half of the parallel group-by decomposition
-/// (DESIGN.md §7): used when the exchange hashes on a sort-key prefix
-/// **longer** than the group key, so one group's rows spread across
-/// partitions and no partition can finish the group alone.
-///
-/// Accumulates local groups exactly like [`GroupAggregate`], but emits
-/// rows built for a downstream [`GroupFinal`] merge instead of final
-/// results:
-///
-/// * the row starts with the full input key (`in_key_len` columns) of
-///   the group's **first** local row, so the gathering merge orders the
-///   partials of one group by their first-row keys — the partial holding
-///   the globally-first row of a group always gathers first;
-/// * one partial accumulator column per aggregate follows;
-/// * when any [`Aggregate::Last`] is present, the full input key of the
-///   group's **last** local row rides along as trailing payload: the
-///   only way a final merge can decide which partial saw the
-///   globally-last row;
-/// * the code is the first row's **unclamped** input code, which is
-///   exact for the partial sequence: consecutive local groups differ
-///   inside the group-key prefix, and every row of a group shares that
-///   prefix, so the code against the previous group's last row equals
-///   the code against its first row.
-pub struct GroupPartial<S> {
-    input: S,
-    in_key_len: usize,
-    group_len: usize,
-    aggregates: Vec<Aggregate>,
-    carry_last_key: bool,
-    /// First row, its code, the accumulators, and (when carried) the
-    /// key of the group's last row seen so far.
-    pending: Option<(Row, Ovc, Vec<Value>, Vec<Value>)>,
-    stats: Arc<Stats>,
-}
-
-impl<S: OvcStream> GroupPartial<S> {
-    /// Build the operator.  Panics unless `group_len <= input.key_len()`.
-    pub fn new(input: S, group_len: usize, aggregates: Vec<Aggregate>, stats: Arc<Stats>) -> Self {
-        let in_key_len = input.key_len();
-        assert!(
-            group_len <= in_key_len,
-            "group key must be a sort-key prefix"
-        );
-        let carry_last_key = aggregates.iter().any(|a| matches!(a, Aggregate::Last(_)));
-        GroupPartial {
-            input,
-            in_key_len,
-            group_len,
-            aggregates,
-            carry_last_key,
-            pending: None,
-            stats,
-        }
-    }
-
-    fn finish(&self, (row, code, accs, last_key): (Row, Ovc, Vec<Value>, Vec<Value>)) -> OvcRow {
-        let mut cols = Vec::with_capacity(self.in_key_len + accs.len() + last_key.len());
-        cols.extend_from_slice(row.key(self.in_key_len));
-        cols.extend_from_slice(&accs);
-        cols.extend_from_slice(&last_key);
-        // Unclamped: the partial stream stays coded at the full input
-        // arity so the gathering merge can order partials of one group.
-        OvcRow::new(Row::new(cols), code)
-    }
-}
-
-impl<S: OvcStream> Iterator for GroupPartial<S> {
-    type Item = OvcRow;
-    fn next(&mut self) -> Option<OvcRow> {
-        loop {
-            match self.input.next() {
-                None => return self.pending.take().map(|g| self.finish(g)),
-                Some(OvcRow { row, code }) => {
-                    self.stats.count_ovc_cmp();
-                    let same_group =
-                        code.is_valid() && code.offset(self.in_key_len) >= self.group_len;
-                    match (&mut self.pending, same_group) {
-                        (Some((_, _, accs, last_key)), true) => {
-                            for (acc, agg) in accs.iter_mut().zip(&self.aggregates) {
-                                *acc = agg.fold(*acc, row.cols());
-                            }
-                            if self.carry_last_key {
-                                last_key.copy_from_slice(row.key(self.in_key_len));
-                            }
-                        }
-                        (pending @ None, _) => {
-                            let accs: Vec<Value> =
-                                self.aggregates.iter().map(|a| a.init(row.cols())).collect();
-                            let last = if self.carry_last_key {
-                                row.key(self.in_key_len).to_vec()
-                            } else {
-                                Vec::new()
-                            };
-                            *pending = Some((row, code, accs, last));
-                        }
-                        (pending @ Some(_), false) => {
-                            let accs: Vec<Value> =
-                                self.aggregates.iter().map(|a| a.init(row.cols())).collect();
-                            let last = if self.carry_last_key {
-                                row.key(self.in_key_len).to_vec()
-                            } else {
-                                Vec::new()
-                            };
-                            let done = pending
-                                .replace((row, code, accs, last))
-                                .expect("pending group");
-                            return Some(self.finish(done));
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl<S: OvcStream> OvcStream for GroupPartial<S> {
-    fn key_len(&self) -> usize {
-        self.in_key_len
-    }
-}
-
-/// Count-distinct flavour of [`GroupPartial`]: per local group, emit
-/// `[first-row key (in_key_len)] ++ [local distinct count]` with the
-/// first row's unclamped code.  Distinct full keys never split across
-/// hash partitions (equal rows hash equally), so the per-partition
-/// counts are disjoint and a [`GroupFinal`] over `[Aggregate::Count]`
-/// sums them into the exact global counts.
-pub struct GroupCountDistinctPartial<S> {
-    input: S,
-    in_key_len: usize,
-    group_len: usize,
-    pending: Option<(Row, Ovc, u64)>,
-    stats: Arc<Stats>,
-}
-
-impl<S: OvcStream> GroupCountDistinctPartial<S> {
-    /// Build the operator; panics unless `group_len <= input.key_len()`.
-    pub fn new(input: S, group_len: usize, stats: Arc<Stats>) -> Self {
-        let in_key_len = input.key_len();
-        assert!(group_len <= in_key_len);
-        GroupCountDistinctPartial {
-            input,
-            in_key_len,
-            group_len,
-            pending: None,
-            stats,
-        }
-    }
-
-    fn finish(&self, (row, code, distinct): (Row, Ovc, u64)) -> OvcRow {
-        let mut cols = Vec::with_capacity(self.in_key_len + 1);
-        cols.extend_from_slice(row.key(self.in_key_len));
-        cols.push(distinct);
-        OvcRow::new(Row::new(cols), code)
-    }
-}
-
-impl<S: OvcStream> Iterator for GroupCountDistinctPartial<S> {
-    type Item = OvcRow;
-    fn next(&mut self) -> Option<OvcRow> {
-        loop {
-            match self.input.next() {
-                None => return self.pending.take().map(|g| self.finish(g)),
-                Some(OvcRow { row, code }) => {
-                    self.stats.count_ovc_cmp(); // duplicate test
-                    self.stats.count_ovc_cmp(); // group-boundary test
-                    let is_duplicate = code.is_duplicate();
-                    let same_group =
-                        code.is_valid() && code.offset(self.in_key_len) >= self.group_len;
-                    match (&mut self.pending, same_group) {
-                        (Some((_, _, distinct)), true) => {
-                            if !is_duplicate {
-                                *distinct += 1;
-                            }
-                        }
-                        (pending @ None, _) => {
-                            *pending = Some((row, code, 1));
-                        }
-                        (pending @ Some(_), false) => {
-                            let done = pending.replace((row, code, 1)).expect("pending group");
-                            return Some(self.finish(done));
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl<S: OvcStream> OvcStream for GroupCountDistinctPartial<S> {
-    fn key_len(&self) -> usize {
-        self.in_key_len
-    }
-}
-
-/// Final-merge half of the parallel group-by decomposition: consumes a
-/// gathered stream of [`GroupPartial`] (or
-/// [`GroupCountDistinctPartial`]) rows — sorted and coded at the full
-/// input arity — and merges the partials of each group with
-/// [`Aggregate::merge`] into exactly the rows and codes the serial
-/// [`GroupAggregate`] would have produced:
-///
-/// * group membership is the same one-integer boundary test
-///   (`offset >= group_len`);
-/// * `First` keeps the first gathered partial's value — the gather
-///   merge orders partials by their first-row keys, so the first
-///   partial holds the globally-first row;
-/// * `Last` compares the carried last-row keys (the one place the
-///   decomposition must touch column values; those comparisons are
-///   counted) and keeps the value of the partial whose slice ends last;
-/// * the output code is the first partial's code clamped to the group
-///   arity, which equals the serial code because group boundaries fall
-///   inside the shared group-key prefix.
-pub struct GroupFinal<S> {
-    input: S,
-    in_key_len: usize,
-    group_len: usize,
-    aggregates: Vec<Aggregate>,
-    carry_last_key: bool,
-    /// Representative (first) partial row, its code, merged
-    /// accumulators, and the winning last-row key so far.
-    pending: Option<(Row, Ovc, Vec<Value>, Vec<Value>)>,
-    stats: Arc<Stats>,
-}
-
-impl<S: OvcStream> GroupFinal<S> {
-    /// Build the operator over a gathered partial stream.  Panics unless
-    /// `group_len <= input.key_len()`.
-    pub fn new(input: S, group_len: usize, aggregates: Vec<Aggregate>, stats: Arc<Stats>) -> Self {
-        let in_key_len = input.key_len();
-        assert!(
-            group_len <= in_key_len,
-            "group key must be a sort-key prefix"
-        );
-        let carry_last_key = aggregates.iter().any(|a| matches!(a, Aggregate::Last(_)));
-        GroupFinal {
-            input,
-            in_key_len,
-            group_len,
-            aggregates,
-            carry_last_key,
-            pending: None,
-            stats,
-        }
-    }
-
-    fn finish(&self, (row, code, accs, _): (Row, Ovc, Vec<Value>, Vec<Value>)) -> OvcRow {
-        let mut cols = Vec::with_capacity(self.group_len + accs.len());
-        cols.extend_from_slice(row.key(self.group_len));
-        cols.extend_from_slice(&accs);
-        OvcRow::new(
-            Row::new(cols),
-            clamp_to_prefix(code, self.in_key_len, self.group_len),
-        )
-    }
-}
-
-impl<S: OvcStream> Iterator for GroupFinal<S> {
-    type Item = OvcRow;
-    fn next(&mut self) -> Option<OvcRow> {
-        loop {
-            match self.input.next() {
-                None => return self.pending.take().map(|g| self.finish(g)),
-                Some(OvcRow { row, code }) => {
-                    self.stats.count_ovc_cmp();
-                    let n = self.aggregates.len();
-                    let in_key = self.in_key_len;
-                    debug_assert_eq!(
-                        row.width(),
-                        in_key + n + if self.carry_last_key { in_key } else { 0 },
-                        "partial row layout mismatch"
-                    );
-                    let same_group = code.is_valid() && code.offset(in_key) >= self.group_len;
-                    match (&mut self.pending, same_group) {
-                        (Some((_, _, accs, last_key)), true) => {
-                            let cand_accs = &row.cols()[in_key..in_key + n];
-                            let cand_last = &row.cols()[in_key + n..];
-                            // Does the candidate partial's slice end after
-                            // the pending one's?  Only Last cares; the
-                            // column comparisons it takes are counted.
-                            let cand_is_later = if self.carry_last_key {
-                                let mut later = false;
-                                for (a, b) in cand_last.iter().zip(last_key.iter()) {
-                                    self.stats.count_col_cmp();
-                                    match a.cmp(b) {
-                                        std::cmp::Ordering::Greater => {
-                                            later = true;
-                                            break;
-                                        }
-                                        std::cmp::Ordering::Less => break,
-                                        std::cmp::Ordering::Equal => {}
-                                    }
-                                }
-                                later
-                            } else {
-                                false
-                            };
-                            for (i, (acc, agg)) in accs.iter_mut().zip(&self.aggregates).enumerate()
-                            {
-                                *acc = match agg {
-                                    Aggregate::Last(_) if !cand_is_later => *acc,
-                                    _ => agg.merge(*acc, cand_accs[i]),
-                                };
-                            }
-                            if cand_is_later {
-                                last_key.copy_from_slice(cand_last);
-                            }
-                        }
-                        (pending @ None, _) => {
-                            let accs = row.cols()[in_key..in_key + n].to_vec();
-                            let last = row.cols()[in_key + n..].to_vec();
-                            *pending = Some((row, code, accs, last));
-                        }
-                        (pending @ Some(_), false) => {
-                            let accs = row.cols()[in_key..in_key + n].to_vec();
-                            let last = row.cols()[in_key + n..].to_vec();
-                            let done = pending
-                                .replace((row, code, accs, last))
-                                .expect("pending group");
-                            return Some(self.finish(done));
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl<S: OvcStream> OvcStream for GroupFinal<S> {
     fn key_len(&self) -> usize {
         self.group_len
     }
@@ -850,8 +517,8 @@ mod tests {
     #[test]
     fn merge_law_matches_fold_on_split_groups() {
         // fold(whole group) == merge(fold(front), fold(back)) for every
-        // aggregate whose merge is order-trusting (First/Last orientation
-        // is established by GroupFinal; here the split is in order).
+        // aggregate (First/Last trust the orientation; here the front
+        // slice is passed first).
         let rows = [[1u64, 10], [1, 30], [1, 20], [1, 5]];
         for agg in [
             Aggregate::Count,
@@ -872,76 +539,6 @@ mod tests {
                 .fold(agg.init(&rows[2]), |acc, r| agg.fold(acc, r));
             assert_eq!(fold_all, agg.merge(front, back), "{agg:?}");
         }
-    }
-
-    #[test]
-    fn partial_then_final_equals_direct_grouping() {
-        // One partition (no parallelism): GroupPartial -> GroupFinal must
-        // already reproduce GroupAggregate byte for byte.
-        let mut rng = StdRng::seed_from_u64(99);
-        let mut rows: Vec<Row> = (0..500)
-            .map(|_| {
-                Row::new(vec![
-                    rng.gen_range(0..4u64),
-                    rng.gen_range(0..6u64),
-                    rng.gen_range(0..50u64),
-                ])
-            })
-            .collect();
-        rows.sort();
-        let aggs = vec![
-            Aggregate::Count,
-            Aggregate::Sum(2),
-            Aggregate::Min(2),
-            Aggregate::Max(2),
-            Aggregate::First(2),
-            Aggregate::Last(2),
-        ];
-        let serial = collect_batch_pairs(GroupAggregate::new(
-            batches(&rows, 3),
-            1,
-            aggs.clone(),
-            16,
-            Stats::new_shared(),
-        ));
-        let stats = Stats::new_shared();
-        let partial = GroupPartial::new(
-            VecStream::from_sorted_rows(rows, 3),
-            1,
-            aggs.clone(),
-            Arc::clone(&stats),
-        );
-        assert_eq!(partial.key_len(), 3, "partials stay at full arity");
-        let partial_rows: Vec<OvcRow> = partial.collect();
-        let gathered = VecStream::from_coded(partial_rows, 3);
-        let final_pairs = collect_pairs(GroupFinal::new(gathered, 1, aggs, stats));
-        assert_eq!(final_pairs, serial);
-        assert_codes_exact(&final_pairs, 1);
-    }
-
-    #[test]
-    fn count_distinct_partial_then_final_equals_direct() {
-        let mut rng = StdRng::seed_from_u64(41);
-        let mut rows: Vec<Row> = (0..400)
-            .map(|_| Row::new(vec![rng.gen_range(0..5u64), rng.gen_range(0..5u64)]))
-            .collect();
-        rows.sort();
-        let serial = collect_pairs(GroupCountDistinct::new(
-            VecStream::from_sorted_rows(rows.clone(), 2),
-            1,
-            Stats::new_shared(),
-        ));
-        let stats = Stats::new_shared();
-        let partial_rows: Vec<OvcRow> = GroupCountDistinctPartial::new(
-            VecStream::from_sorted_rows(rows, 2),
-            1,
-            Arc::clone(&stats),
-        )
-        .collect();
-        let gathered = VecStream::from_coded(partial_rows, 2);
-        let final_pairs =
-            collect_pairs(GroupFinal::new(gathered, 1, vec![Aggregate::Count], stats));
-        assert_eq!(final_pairs, serial);
     }
 
     const AGGS: [Aggregate; 6] = [

@@ -9,8 +9,7 @@
 //! * [`project`] — projection and sort-key clamping (§4.2);
 //! * [`dedup`] — duplicate removal by code inspection (§4.4);
 //! * [`group`] — in-stream grouping/aggregation, Figure 4's operator
-//!   (§4.5): a batch kernel, plus the row-at-a-time partial/final and
-//!   count-distinct forms;
+//!   (§4.5): a batch kernel, plus the row-at-a-time count-distinct form;
 //! * [`pivot`] — pivoting as grouping (§4.6);
 //! * [`merge_join`] — inner/semi/anti/outer merge joins whose merge logic
 //!   itself compares codes (§4.7), a batch kernel;
@@ -20,12 +19,12 @@
 //! * [`hash_join_op`] — order-preserving in-memory hash join (§4.9);
 //! * [`window`] — analytic (window) functions over coded streams (§5);
 //! * [`batch`] — morsel-style batch-at-a-time counterparts (filter,
-//!   project, clamp, dedup, top-k, and the splitting shuffle) over
-//!   [`ovc_core::FlatRows`] batches with seam-exact codes;
-//! * [`exchange`] — order-preserving split and merge shuffles (§4.10),
-//!   single-threaded data-flow semantics;
-//! * [`parallel`] — the same shuffles on real producer/consumer threads
-//!   with bounded channels (the exchange-parallel regime of F1 Query);
+//!   project, clamp, dedup, top-k) over [`ovc_core::FlatRows`] batches
+//!   with seam-exact codes, and the exchange's splitting side and
+//!   channels;
+//! * [`exchange`] — the order-preserving exchange (§4.10): how the one
+//!   batch exchange realizes the paper's three shuffles, and its hash
+//!   partitioner;
 //! * [`plans`] — the sort-based "intersect distinct" plan of Figure 5.
 //!
 //! Every operator upholds the coded-stream contract — row-at-a-time
@@ -48,7 +47,6 @@ pub mod group;
 pub mod hash_join_op;
 pub mod merge_join;
 pub mod nlj;
-pub mod parallel;
 pub mod pivot;
 pub mod plans;
 pub mod project;
@@ -57,22 +55,14 @@ pub mod window;
 
 pub use batch::{
     route_batches, BatchChannelStream, BatchClampKey, BatchDedup, BatchFilter, BatchFrame,
-    BatchProject, BatchTake,
+    BatchProject, BatchTake, DEFAULT_CHANNEL_CAPACITY,
 };
 pub use dedup::{Dedup, DedupCounting};
 pub use filter::Filter;
-pub use group::{
-    Aggregate, GroupAggregate, GroupCountDistinct, GroupCountDistinctPartial, GroupFinal,
-    GroupPartial,
-};
+pub use group::{Aggregate, GroupAggregate, GroupCountDistinct};
 pub use hash_join_op::{HashJoinOp, HashTable};
 pub use merge_join::{JoinType, MergeJoin, NULL_VALUE};
 pub use nlj::{BTreeInner, InnerSource, LookupJoin, PredicateInner};
-pub use parallel::{
-    count_distinct_partitions_partial, group_partitions_partial, merge_threaded,
-    merge_threaded_spec, repartition_threaded, split_threaded, ChannelStream, MergeThreaded,
-    SplitThreads, DEFAULT_CHANNEL_CAPACITY,
-};
 pub use pivot::{Pivot, PivotSpec};
 pub use project::{ClampKey, Project};
 pub use set_ops::{SetOp, SetOperation};

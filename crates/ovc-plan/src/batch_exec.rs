@@ -76,7 +76,7 @@ use ovc_core::{
     BatchStream, CodedBatch, FlatBatches, FlatRows, Ovc, Row, RowBatches, SortSpec, Stats,
     StatsSnapshot, Value,
 };
-use ovc_exec::exchange::partition;
+use ovc_exec::exchange::by_cols_hash;
 use ovc_exec::{
     route_batches, BatchChannelStream, BatchClampKey, BatchDedup, BatchFilter, BatchFrame,
     BatchProject, BatchTake, GroupAggregate, MergeJoin, SetOperation, DEFAULT_CHANNEL_CAPACITY,
@@ -638,27 +638,21 @@ impl<'env> BCx<'_, 'env> {
                             let src = cx
                                 .run(src_plan, &local, src_prof.as_ref(), None)
                                 .into_batches();
-                            route_batches(
-                                src,
-                                parts,
-                                partition::by_cols_hash_slice(cols, parts),
-                                b,
-                                |p, fb| {
-                                    cx.check();
-                                    let n = fb.len() as u64;
-                                    rows += n;
-                                    nbatches += 1;
-                                    match &send_gauges[p] {
-                                        Some(g) => {
-                                            let t0 = Instant::now();
-                                            let ok = txs[p].send(BatchFrame::Batch(fb)).is_ok();
-                                            g.note_send_rows(t0.elapsed(), n);
-                                            ok
-                                        }
-                                        None => txs[p].send(BatchFrame::Batch(fb)).is_ok(),
+                            route_batches(src, parts, by_cols_hash(cols, parts), b, |p, fb| {
+                                cx.check();
+                                let n = fb.len() as u64;
+                                rows += n;
+                                nbatches += 1;
+                                match &send_gauges[p] {
+                                    Some(g) => {
+                                        let t0 = Instant::now();
+                                        let ok = txs[p].send(BatchFrame::Batch(fb)).is_ok();
+                                        g.note_send_rows(t0.elapsed(), n);
+                                        ok
                                     }
-                                },
-                            );
+                                    None => txs[p].send(BatchFrame::Batch(fb)).is_ok(),
+                                }
+                            });
                         });
                         if let Err(err) = result {
                             // Poison every partition so the workers see
@@ -696,46 +690,6 @@ impl<'env> BCx<'_, 'env> {
                 }
                 Partitioning::Any => panic!("Exchange to `any` is not a layout"),
             },
-            PhysOp::Repartition { input, cols, parts } => {
-                // Materializing boundary by design (the planner prices it
-                // that way): drain the incoming partition streams, rehash
-                // with the threaded repartitioner, and re-batch.
-                let (streams, pspec) = self.run(input, stats, child(prof, 0), None).into_parts();
-                let handles: Vec<_> = streams
-                    .into_iter()
-                    .map(|s| self.scope.spawn(move || ctx::contain(|| drain(s))))
-                    .collect();
-                let (batches, failure) = reap_scoped(handles);
-                if let Some(err) = failure {
-                    ctx::propagate(err);
-                }
-                let key_len = batches
-                    .first()
-                    .map(|b| b.key_len())
-                    .unwrap_or_else(|| input.props.order.len());
-                let cols = cols.clone();
-                let out = ovc_exec::parallel::repartition_threaded(
-                    batches,
-                    key_len,
-                    *parts,
-                    || partition::by_cols_hash(cols.clone(), *parts),
-                    DEFAULT_CHANNEL_CAPACITY,
-                    stats,
-                );
-                if let Some(n) = prof {
-                    n.add_batches(out.len() as u64);
-                    n.add_rows_out(out.iter().map(|b| b.len() as u64).sum());
-                }
-                let spec = out.first().map(|b| b.sort_spec().clone()).unwrap_or(pspec);
-                let streams: Vec<PartStream> = out
-                    .into_iter()
-                    .map(|cb| {
-                        let flat = FlatBatches::new(cb.into_flat(), spec.clone(), self.batch);
-                        Box::new(flat) as PartStream
-                    })
-                    .collect();
-                BOut::Parts(streams, spec)
-            }
         }
     }
 

@@ -17,9 +17,10 @@
 //! * **partitioning** — a [`Partitioning`] value describing how the
 //!   output is laid out across streams.  Explicit [`PhysOp::Exchange`]
 //!   nodes move data between layouts (Section 4.10's order-preserving
-//!   shuffles, lowered onto the threaded exchange of
-//!   `ovc_exec::parallel`), which is how a merge join runs
-//!   partition-parallel over hash-co-partitioned inputs.
+//!   shuffles, lowered onto the batch exchange: `ovc_exec::route_batches`
+//!   to split, `ovc_sort::merge_batch_streams` to gather), which is how
+//!   a merge join runs partition-parallel over hash-co-partitioned
+//!   inputs.  Many-to-many is a gather followed by a split.
 
 use std::fmt;
 
@@ -289,17 +290,6 @@ pub enum PhysOp {
         /// shown by `EXPLAIN`.
         batch: Option<usize>,
     },
-    /// Hash-to-hash repartitioning: N splitters × P mergers, all
-    /// threaded (`repartition_threaded`) — used when the input is
-    /// already partitioned but on the wrong columns or width.
-    Repartition {
-        /// Input plan (hash-partitioned).
-        input: Box<PhysicalPlan>,
-        /// Columns hashed to pick the new partition.
-        cols: Vec<usize>,
-        /// New partition count.
-        parts: usize,
-    },
 }
 
 /// A physical plan node: operator, inferred properties, cumulative cost.
@@ -333,7 +323,6 @@ impl PhysicalPlan {
             PhysOp::SetOpMerge { .. } => "SetOpMerge",
             PhysOp::TopK { .. } => "TopK",
             PhysOp::Exchange { .. } => "Exchange",
-            PhysOp::Repartition { .. } => "Repartition",
         }
     }
 
@@ -351,8 +340,7 @@ impl PhysicalPlan {
             | PhysOp::Project { input, .. }
             | PhysOp::GroupOvc { input, .. }
             | PhysOp::TopK { input, .. }
-            | PhysOp::Exchange { input, .. }
-            | PhysOp::Repartition { input, .. } => vec![input],
+            | PhysOp::Exchange { input, .. } => vec![input],
             PhysOp::MergeJoinOvc { left, right, .. }
             | PhysOp::GraceHashJoin { left, right, .. }
             | PhysOp::SetOpMerge { left, right, .. } => vec![left, right],
@@ -382,12 +370,12 @@ impl PhysicalPlan {
             .collect()
     }
 
-    /// The explicit exchange operators in this plan (splits, gathers,
-    /// and repartitions).
+    /// The explicit exchange operators in this plan (splits and
+    /// gathers), preorder.
     pub fn exchanges(&self) -> Vec<&PhysicalPlan> {
         self.nodes()
             .into_iter()
-            .filter(|n| matches!(n.op, PhysOp::Exchange { .. } | PhysOp::Repartition { .. }))
+            .filter(|n| matches!(n.op, PhysOp::Exchange { .. }))
             .collect()
     }
 
@@ -456,13 +444,6 @@ impl PhysicalPlan {
                 Some(b) => format!(" -> {to} batch={b}"),
                 None => format!(" -> {to}"),
             },
-            PhysOp::Repartition { cols, parts, .. } => {
-                let to = Partitioning::Hash {
-                    cols: cols.clone(),
-                    parts: *parts,
-                };
-                format!(" -> {to}")
-            }
             _ => String::new(),
         }
     }

@@ -538,11 +538,12 @@ impl<'a> Planner<'a> {
     /// The partition-parallel gate shared by the join, group-by, and
     /// set-operation enforcers: a dop granted, a non-empty hash key,
     /// enough rows to amortize thread coordination, and a plain
-    /// ascending-prefix order on **every** input (the threaded exchange
-    /// path is ascending-only — a trusted stream may carry a longer
-    /// mixed-direction spec, and such operators run serial rather than
-    /// risk a mis-specced shuffle).  Returns the hash layout to
-    /// exchange into when all gates pass.
+    /// ascending-prefix order on **every** input (a trusted stream may
+    /// carry a longer mixed-direction spec, and such operators run
+    /// serial rather than risk a mis-specced shuffle; whether the batch
+    /// exchange, which carries any spec, would let this gate go is
+    /// unverified).  Returns the hash layout to exchange into when all
+    /// gates pass.
     fn partition_target(
         &self,
         hash_cols: usize,

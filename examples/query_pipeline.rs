@@ -23,7 +23,7 @@ use std::sync::Arc;
 use ovc_bench::workload::{table, TableSpec};
 use ovc_core::batch::{assert_batches_exact_spec, VecBatchStream};
 use ovc_core::{BatchStream, FlatRows, Row, SortSpec, Stats, Value};
-use ovc_exec::exchange::partition;
+use ovc_exec::exchange::by_cols_hash;
 use ovc_exec::{route_batches, Aggregate, BatchFilter, GroupAggregate, JoinType, MergeJoin};
 use ovc_sort::{merge_batch_streams, Run, SortOutput};
 use ovc_storage::RleColumnStore;
@@ -80,16 +80,10 @@ fn main() {
 
     // 4. Order-preserving split into 4 partitions by region.
     let mut parts: Vec<Vec<FlatRows>> = vec![Vec::new(); 4];
-    route_batches(
-        joined,
-        4,
-        partition::by_cols_hash_slice(vec![0], 4),
-        BATCH,
-        |p, batch| {
-            parts[p].push(batch);
-            true
-        },
-    );
+    route_batches(joined, 4, by_cols_hash(vec![0], 4), BATCH, |p, batch| {
+        parts[p].push(batch);
+        true
+    });
     let after_split = stats.snapshot().since(&mark);
 
     // 5. Per-partition grouping on (region); tier rides along as Min

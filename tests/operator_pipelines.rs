@@ -6,16 +6,17 @@
 
 use std::sync::Arc;
 
-use ovc_core::batch::collect_batch_pairs;
+use ovc_core::batch::{collect_batch_pairs, VecBatchStream};
 use ovc_core::derive::assert_codes_exact;
 use ovc_core::stream::collect_pairs;
-use ovc_core::{FlatBatches, OvcRow, OvcStream, Row, Stats, VecStream};
+use ovc_core::{BatchStream, FlatBatches, FlatRows, OvcStream, Row, SortSpec, Stats, VecStream};
+use ovc_exec::exchange::by_cols_hash;
 use ovc_exec::nlj::BTreeInner;
 use ovc_exec::{
-    exchange, Aggregate, BatchDedup, Dedup, Filter, GroupAggregate, HashJoinOp, HashTable,
+    route_batches, Aggregate, BatchDedup, Dedup, Filter, GroupAggregate, HashJoinOp, HashTable,
     JoinType, LookupJoin, MergeJoin, Project, SetOp, SetOperation,
 };
-use ovc_sort::{external_sort, MemoryRunStorage, Run, SortConfig};
+use ovc_sort::{external_sort, merge_batch_streams, MemoryRunStorage, Run, SortConfig};
 use ovc_storage::{BTree, LsmConfig, LsmForest, RleColumnStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -126,25 +127,31 @@ fn exchange_round_trip_with_partitionwise_grouping() {
     let mut rows = random_rows(1200, 2, 8, 5);
     rows.sort();
     let stats = Stats::new_shared();
-    let input = VecStream::from_sorted_rows(rows.clone(), 2);
-    let parts = exchange::split(input, 4, exchange::partition::by_hash(0, 4));
+    let spec = SortSpec::asc(2);
+    let input = Run::from_sorted_rows(rows.clone(), 2).batches(BATCH);
+    let mut parts: Vec<Vec<FlatRows>> = vec![Vec::new(); 4];
+    route_batches(input, 4, by_cols_hash(vec![0], 4), BATCH, |p, batch| {
+        parts[p].push(batch);
+        true
+    });
 
     // Hash partitioning on the leading key column keeps whole groups in
     // one partition, so partition-wise grouping is correct.
-    let mut grouped_parts = Vec::new();
+    let mut grouped_parts: Vec<Box<dyn BatchStream + Send>> = Vec::new();
     for p in parts {
-        let pairs = collect_batch_pairs(GroupAggregate::new(
-            batches(p),
+        let mut grouped = GroupAggregate::new(
+            VecBatchStream::new(p, spec.clone()),
             2,
             vec![Aggregate::Count],
             BATCH,
             Arc::clone(&stats),
-        ));
+        );
+        let batches: Vec<FlatRows> = std::iter::from_fn(|| grouped.next_batch()).collect();
+        let pairs = collect_batch_pairs(VecBatchStream::new(batches.clone(), spec.clone()));
         assert_codes_exact(&pairs, 2);
-        let grouped = pairs.into_iter().map(|(r, c)| OvcRow::new(r, c)).collect();
-        grouped_parts.push(VecStream::from_coded(grouped, 2));
+        grouped_parts.push(Box::new(VecBatchStream::new(batches, spec.clone())));
     }
-    let merged = exchange::merge(grouped_parts, 2, &stats);
+    let merged = merge_batch_streams(grouped_parts, &spec, &stats);
     let pairs = collect_pairs(merged);
     assert_codes_exact(&pairs, 2);
     let total: u64 = pairs.iter().map(|(r, _)| r.cols()[2]).sum();

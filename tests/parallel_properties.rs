@@ -3,15 +3,16 @@
 //! exact offset-value codes against the serial implementation, because
 //! exact codes are a function of the output row sequence alone.
 
-use ovc_core::derive::assert_codes_exact;
-use ovc_core::{BatchStream, CodedBatch, FlatBatches, Ovc, OvcRow, Row, Stats, VecStream};
-use ovc_exec::exchange::{self, partition};
-use ovc_exec::parallel::{merge_threaded, repartition_threaded, split_threaded};
+use ovc_core::batch::{collect_batch_pairs, VecBatchStream};
+use ovc_core::derive::{assert_codes_exact, assert_codes_exact_spec};
+use ovc_core::{BatchStream, Direction, FlatBatches, FlatRows, Ovc, OvcRow, Row, SortSpec, Stats};
+use ovc_exec::exchange::by_cols_hash;
+use ovc_exec::route_batches;
 use ovc_plan::exec::{execute, ExecOptions};
 use ovc_plan::{figure5, PlannerConfig, Preference};
 use ovc_sort::external::external_sort_collect;
 use ovc_sort::parallel::{parallel_sort, parallel_sort_distinct};
-use ovc_sort::{Run, SortConfig};
+use ovc_sort::{merge_batch_streams, Run, SortConfig};
 use proptest::prelude::*;
 
 /// Sorted rows as the serial batch kernels take them: one coded run, cut
@@ -75,95 +76,55 @@ proptest! {
         }
     }
 
-    /// The threaded exchange matches the serial exchange partition by
-    /// partition — including under extreme skew (every row to one
-    /// partition, the others empty) — and a threaded split/merge round
-    /// trip reproduces the input stream exactly.
+    /// The §4.10 round trip on the batch exchange, under an ascending and
+    /// a mixed-direction spec, at 2..=5 partitions and batch sizes
+    /// {1, 7, 64}, with hash routing or everything routed to one
+    /// partition: each partition holds exactly the input rows routed to
+    /// it, in input order, with the codes re-derived from its own rows,
+    /// and gathering the partitions returns the input's rows and codes.
     #[test]
-    fn threaded_exchange_equals_serial(
+    fn batch_exchange_splits_and_gathers_exactly(
         rows in rows_strategy(2, 300),
-        parts in 2usize..5,
+        spec_sel in 0usize..2,
+        parts in 2usize..6,
+        batch_sel in 0usize..3,
         skew_sel in 0usize..2,
     ) {
+        let spec = [
+            SortSpec::asc(2),
+            SortSpec::with_dirs(&[Direction::Asc, Direction::Desc]),
+        ][spec_sel]
+            .clone();
+        let batch = [1usize, 7, 64][batch_sel];
         let skewed = skew_sel == 1;
-        let mut sorted = rows;
-        sorted.sort();
-        let make_part = |parts: usize, skewed: bool| -> Box<dyn FnMut(&Row) -> usize + Send> {
-            if skewed {
-                // One hot partition, the rest empty.
-                Box::new(move |_: &Row| parts - 1)
-            } else {
-                Box::new(partition::by_hash(0, parts))
-            }
-        };
+        let mut rows = rows;
+        rows.sort_by(|a, b| spec.cmp_keys(a.key(2), b.key(2)));
+        let input = Run::from_sorted_rows_spec(rows.clone(), spec.clone());
+        let mut hash = by_cols_hash(vec![0], parts);
+        // Skewed: one hot partition, the rest empty.
+        let mut route = move |r: &[u64]| if skewed { parts - 1 } else { hash(r) };
 
-        let serial = exchange::split(
-            VecStream::from_sorted_rows(sorted.clone(), 2),
-            parts,
-            make_part(parts, skewed),
-        );
-        let threaded = split_threaded(
-            CodedBatch::from_sorted_rows(sorted.clone(), 2),
-            parts,
-            make_part(parts, skewed),
-            8,
-        )
-        .collect_all();
-        prop_assert_eq!(threaded.len(), parts);
-        let mut batches = Vec::new();
-        for (t, s) in threaded.into_iter().zip(serial) {
-            let s_rows: Vec<OvcRow> = s.collect();
-            prop_assert_eq!(t.to_ovc_rows(), s_rows);
-            batches.push(t);
-        }
-        if skewed {
-            prop_assert!(batches[..parts - 1].iter().all(|b| b.is_empty()));
-            prop_assert_eq!(batches[parts - 1].len(), sorted.len());
+        let mut split: Vec<Vec<FlatRows>> = vec![Vec::new(); parts];
+        route_batches(input.clone().batches(batch), parts, route.clone(), batch, |p, b| {
+            assert!(!b.is_empty() && b.len() <= batch, "batch of {} rows", b.len());
+            split[p].push(b);
+            true
+        });
+        for (p, batches) in split.iter().enumerate() {
+            let pairs = collect_batch_pairs(VecBatchStream::new(batches.clone(), spec.clone()));
+            let expect: Vec<&Row> = rows.iter().filter(|r| route(r.cols()) == p).collect();
+            let got: Vec<&Row> = pairs.iter().map(|(r, _)| r).collect();
+            prop_assert_eq!(got, expect, "partition {}", p);
+            assert_codes_exact_spec(&pairs, &spec);
         }
 
         // Round trip: merging the partitions restores the input stream.
-        let merged: Vec<OvcRow> =
-            merge_threaded(batches, 2, 8, &Stats::new_shared()).collect();
-        let expect: Vec<OvcRow> = VecStream::from_sorted_rows(sorted, 2).collect();
-        prop_assert_eq!(merged, expect);
-    }
-
-    /// Many-to-many repartitioning (N splitters, P mergers, all threaded)
-    /// matches the serial many-to-many shuffle output for output.
-    #[test]
-    fn threaded_repartition_equals_serial(
-        a in rows_strategy(2, 200),
-        b in rows_strategy(2, 200),
-        parts_out in 2usize..4,
-    ) {
-        let (mut a, mut b) = (a, b);
-        a.sort();
-        b.sort();
-        let stats = Stats::new_shared();
-        let threaded = repartition_threaded(
-            vec![
-                CodedBatch::from_sorted_rows(a.clone(), 2),
-                CodedBatch::from_sorted_rows(b.clone(), 2),
-            ],
-            2,
-            parts_out,
-            || partition::by_hash(1, parts_out),
-            8,
-            &stats,
-        );
-        let serial = exchange::many_to_many(
-            vec![
-                VecStream::from_sorted_rows(a, 2),
-                VecStream::from_sorted_rows(b, 2),
-            ],
-            parts_out,
-            || partition::by_hash(1, parts_out),
-            &Stats::new_shared(),
-        );
-        for (t, s) in threaded.into_iter().zip(serial) {
-            let s_rows: Vec<OvcRow> = s.collect();
-            prop_assert_eq!(t.into_rows(), s_rows);
-        }
+        let streams = split
+            .into_iter()
+            .map(|b| Box::new(VecBatchStream::new(b, spec.clone())) as Box<dyn BatchStream + Send>)
+            .collect();
+        let merged = merge_batch_streams(streams, &spec, &Stats::new_shared()).into_run();
+        prop_assert_eq!(merged.flat(), input.flat());
     }
 
     /// Planned partition-parallel grouping ≡ the serial operator, rows
@@ -204,39 +165,6 @@ proptest! {
         )
         .into_coded();
         prop_assert_eq!(gathered, serial, "parts={}", parts);
-    }
-
-    /// Partition-parallel count-distinct (partials hashed on the full
-    /// sort key, summed by the final merge) ≡ the serial operator.
-    #[test]
-    fn partitioned_count_distinct_equals_serial(
-        rows in rows_strategy(2, 300),
-        parts in 2usize..5,
-    ) {
-        use ovc_exec::parallel::count_distinct_partitions_partial;
-        use ovc_exec::{Aggregate, GroupCountDistinct, GroupFinal};
-        let mut rows = rows;
-        rows.sort();
-        let serial: Vec<OvcRow> = GroupCountDistinct::new(
-            VecStream::from_sorted_rows(rows.clone(), 2),
-            1,
-            Stats::new_shared(),
-        )
-        .collect();
-        let stats = Stats::new_shared();
-        let split = split_threaded(
-            CodedBatch::from_sorted_rows(rows, 2),
-            parts,
-            partition::by_key_hash(2, parts),
-            8,
-        )
-        .collect_all();
-        let partials = count_distinct_partitions_partial(split, 1, &stats);
-        let gathered = merge_threaded(partials, 2, 8, &stats);
-        let out: Vec<OvcRow> =
-            GroupFinal::new(gathered, 1, vec![Aggregate::Count], std::sync::Arc::clone(&stats))
-                .collect();
-        prop_assert_eq!(out, serial, "parts={}", parts);
     }
 
     /// Planned partition-parallel set operations ≡ the serial operator,
@@ -392,7 +320,7 @@ fn planned_merge_join_with_explicit_exchanges_matches_serial() {
 /// The ISSUE 5 acceptance criterion, grouping half: a planned `dop=4`
 /// group-by EXPLAINs with `Exchange -> hash(group key) x4` below the
 /// grouping and `Exchange -> single` above it, runs on real threads via
-/// `split_threaded`/`merge_threaded`, and produces rows and codes
+/// the batch exchange, and produces rows and codes
 /// byte-identical to the `dop=1` plan — all six aggregates included.
 #[test]
 fn planned_group_by_with_explicit_exchanges_matches_serial() {
@@ -578,70 +506,88 @@ fn skewed_planned_group_by_matches_serial() {
     assert_eq!(serial.len(), 1, "a single hot group");
 }
 
-/// The prefix-hash partial-aggregate decomposition at the operator
-/// level: exchange hashed on the full sort key (groups split across
-/// partitions), per-partition `GroupPartial` workers, gathering merge,
-/// `GroupFinal` — byte-identical to the serial grouping for all six
-/// aggregates, across partition counts and a skewed distribution.
+/// Repartitioning on real threads equals the serial plan, and is the
+/// paper's many-to-many shuffle: a gather followed by a split.  A
+/// group-by on `c0` over a merge join on `(c0, c1)` takes the join's
+/// `hash(c0,c1)` partitions to `hash(c0)` by gathering them to one stream
+/// and splitting that on `c0`.  At dop 2 and 4 the plan says so, and its
+/// rows and codes equal the dop-1 plan's.
 #[test]
-fn prefix_hash_partial_aggregate_matches_serial() {
-    use ovc_exec::exchange::partition;
-    use ovc_exec::parallel::group_partitions_partial;
-    use ovc_exec::{Aggregate, GroupAggregate, GroupFinal};
+fn threaded_repartition_equals_serial() {
+    use ovc_plan::{Aggregate, Catalog, JoinType, LogicalPlan, PhysicalPlan, Planner, Table};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    let mut rng = StdRng::seed_from_u64(0xF00D);
-    // Skewed: group 0 holds half of all rows.
-    let mut rows: Vec<Row> = (0..600)
-        .map(|_| {
-            let g = if rng.gen_bool(0.5) {
-                0
-            } else {
-                rng.gen_range(1..6u64)
-            };
-            Row::new(vec![g, rng.gen_range(0..25u64), rng.gen_range(0..50u64)])
-        })
-        .collect();
-    rows.sort();
-    let aggs = vec![
-        Aggregate::Count,
-        Aggregate::Sum(2),
-        Aggregate::Min(2),
-        Aggregate::Max(2),
-        Aggregate::First(2),
-        Aggregate::Last(2),
-    ];
-    let serial = drain(GroupAggregate::new(
-        batches(&rows, 3),
-        1,
-        aggs.clone(),
-        64,
-        Stats::new_shared(),
-    ));
-    for parts in [2usize, 4] {
-        let stats = Stats::new_shared();
-        let split = split_threaded(
-            CodedBatch::from_sorted_rows(rows.clone(), 3),
-            parts,
-            partition::by_key_hash(3, parts),
-            16,
+    let mk = |seed: u64, n: usize| -> Vec<Row> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rows: Vec<Row> = (0..n)
+            .map(|_| {
+                Row::new(vec![
+                    rng.gen_range(0..12u64),
+                    rng.gen_range(0..6u64),
+                    rng.gen_range(0..100u64),
+                ])
+            })
+            .collect();
+        rows.sort();
+        rows
+    };
+    let mut catalog = Catalog::new();
+    catalog.register("l", Table::sorted(mk(0x3A, 400), 2));
+    catalog.register("r", Table::sorted(mk(0x3B, 300), 2));
+    let q = LogicalPlan::scan("l")
+        .join(LogicalPlan::scan("r"), 2, JoinType::Inner)
+        .group_by(1, vec![Aggregate::Count, Aggregate::Sum(2)]);
+    let base = PlannerConfig::default()
+        .with_preference(Preference::ForceSortBased)
+        .with_parallel_threshold(0);
+    let run = |plan: &PhysicalPlan| -> Vec<OvcRow> {
+        execute(
+            plan,
+            &catalog,
+            &Stats::new_shared(),
+            &ExecOptions {
+                verify_trusted: true,
+                ..Default::default()
+            },
         )
-        .collect_all();
-        let partials = group_partitions_partial(split, 1, aggs.clone(), &stats);
-        let gathered = merge_threaded(partials, 3, 16, &stats);
-        let out: Vec<OvcRow> =
-            GroupFinal::new(gathered, 1, aggs.clone(), std::sync::Arc::clone(&stats)).collect();
-        assert_eq!(out, serial, "parts={parts}");
-        let pairs: Vec<(Row, Ovc)> = out.into_iter().map(|r| (r.row, r.code)).collect();
-        exact(&pairs, 1);
+        .into_coded()
+    };
+    // The exchange targets of a subtree, preorder.
+    let targets = |node: &PhysicalPlan| -> Vec<String> {
+        node.exchanges().iter().map(|n| n.op_detail()).collect()
+    };
+
+    let serial_plan = Planner::new(&catalog, base).plan(&q).expect("plans");
+    assert_eq!(serial_plan.count_op("Exchange"), 0, "{serial_plan}");
+    let serial = run(&serial_plan);
+    assert!(!serial.is_empty());
+    for dop in [2usize, 4] {
+        let plan = Planner::new(&catalog, base.with_dop(dop))
+            .plan(&q)
+            .expect("plans");
+        let gather = " -> single".to_string();
+        let split = format!(" -> hash(c0)x{dop}");
+        let join = format!(" -> hash(c0,c1)x{dop}");
+        // The group-by's split on c0 sits above the join's gather, which
+        // sits above the join's two splits on (c0, c1).
+        let resplit = plan.exchanges()[1];
+        let below = [gather.clone(), join.clone(), join];
+        assert_eq!(targets(resplit.exchanges()[1]), below, "{plan}");
+        assert_eq!(targets(resplit)[0], split, "{plan}");
+        assert_eq!(targets(resplit)[1..], below, "{plan}");
+        assert_eq!(targets(&plan)[0], gather, "{plan}");
+        assert_eq!(plan.count_op("Exchange"), 5, "{plan}");
+        let ex = plan.explain();
+        assert!(ex.contains(&format!("Exchange -> hash(c0)x{dop}")), "{ex}");
+        assert_eq!(run(&plan), serial, "dop={dop}: rows and codes");
     }
 }
 
 /// Regression (code review): the partitioning enforcer must not shuffle
 /// streams whose trusted order is longer than the ascending join prefix
 /// — a table stored `[c0 asc, c1 desc]` satisfies an ascending 1-column
-/// join requirement via TrustSorted, but the threaded exchange path is
+/// join requirement via TrustSorted, but the planner's partition gate is
 /// ascending-only, so the join stays serial (and correct) despite the
 /// dop directive.
 #[test]
