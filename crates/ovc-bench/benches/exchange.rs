@@ -5,8 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ovc_baseline::merge_runs_plain;
 use ovc_bench::workload::{table, TableSpec};
-use ovc_core::{Row, Stats};
-use ovc_sort::{merge_runs, Run};
+use ovc_core::{Row, SortSpec, Stats};
+use ovc_sort::{merge_runs_spec, Run};
 
 const ROWS_PER_PART: usize = 50_000;
 const KEY_COLS: usize = 4;
@@ -44,7 +44,7 @@ fn bench(c: &mut Criterion) {
                         .iter()
                         .map(|p| Run::from_sorted_rows(p.clone(), KEY_COLS))
                         .collect();
-                    merge_runs(runs, KEY_COLS, &stats).count()
+                    merge_runs_spec(runs, &SortSpec::asc(KEY_COLS), &stats).count()
                 })
             },
         );

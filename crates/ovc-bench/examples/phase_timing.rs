@@ -8,10 +8,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use ovc_bench::workload::{table, TableSpec};
-use ovc_core::{OvcRow, Stats};
+use ovc_core::{OvcRow, SortSpec, Stats};
 use ovc_sort::{
-    external_sort, generate_runs, merge_runs, MemoryRunStorage, RunGenStrategy, RunStorage,
-    SortConfig,
+    external_sort, generate_runs, merge_runs_to_run_spec, MemoryRunStorage, RunGenStrategy,
+    RunStorage, SortConfig,
 };
 
 const ROWS: usize = 300_000;
@@ -50,7 +50,7 @@ fn main() {
             .into_iter()
             .map(|h| storage.read_run(h).expect("in-memory read-back"))
             .collect();
-        let run = merge_runs(final_runs, KEY_COLS, &stats).into_run();
+        let run = merge_runs_to_run_spec(final_runs, &SortSpec::asc(KEY_COLS), &stats);
         let t3 = Instant::now();
         let out: Vec<OvcRow> = run.cursor().collect();
         let t4 = Instant::now();

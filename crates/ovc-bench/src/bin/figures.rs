@@ -16,10 +16,10 @@ use ovc_bench::workload::{grouped_sorted_table, intersect_tables};
 use ovc_core::compare::compare_same_base;
 use ovc_core::derive::derive_codes;
 use ovc_core::desc::{derive_desc_code, DescOvc};
-use ovc_core::{table1, Row, Stats, VecStream};
+use ovc_core::{table1, BatchStream, Row, Stats, Value};
 use ovc_exec::plans::{sort_intersect_distinct, IntersectConfig};
-use ovc_exec::Filter;
-use ovc_sort::MemoryRunStorage;
+use ovc_exec::BatchFilter;
+use ovc_sort::{MemoryRunStorage, Run};
 
 fn arg(name: &str, default: usize) -> usize {
     let args: Vec<String> = std::env::args().collect();
@@ -137,15 +137,19 @@ fn table_3() {
     println!("==================================================================\n");
     let rows = table1::rows();
     let keep = [rows[0].clone(), rows[6].clone()];
-    let input = VecStream::from_sorted_rows(rows, 4);
+    let input = Run::from_sorted_rows(rows, 4).batches(4);
+    let keep_row = |row: &[Value]| keep.iter().any(|k| k.cols() == row);
+    let mut filter = BatchFilter::new(input, keep_row, Stats::new_shared());
     println!("{:<18} {:>9} {:>8}", "rows", "a-offs", "asc OVC");
-    for r in Filter::new(input, |row| keep.contains(row), Stats::new_shared()) {
-        println!(
-            "{:<18} {:>9} {:>8}",
-            format!("{:?}", r.row.cols()),
-            4 - r.code.arity_minus_offset(),
-            r.code.paper_decimal()
-        );
+    while let Some(batch) = filter.next_batch() {
+        for (row, code) in batch.iter() {
+            println!(
+                "{:<18} {:>9} {:>8}",
+                format!("{row:?}"),
+                4 - code.arity_minus_offset(),
+                code.paper_decimal()
+            );
+        }
     }
     println!("\npaper: (5,7,3,9) -> 405;  (5,9,3,7) -> 309\n");
 }

@@ -1,23 +1,19 @@
-//! Morsel-style batch operators over [`FlatRows`] batches, and the
-//! batch exchange's two ends (§4.10, see [`crate::exchange`]).
+//! Top-k over [`FlatRows`] batches ([`BatchTake`]), and the batch
+//! exchange's two ends (§4.10, see [`crate::exchange`]).
 //!
-//! The operators are the batch-at-a-time counterparts of the row
-//! operators in [`crate::filter`], [`crate::project`] and
-//! [`crate::dedup`].  Each one consumes and produces [`BatchStream`]
-//! batches whose codes stay exact *across batch seams* (DESIGN.md §12):
-//! batch `k+1`'s first code is relative to batch `k`'s last row, so no
-//! repair happens at a seam — only at a standalone lift
-//! ([`ovc_core::batch::repair_head`]).
+//! Every batch operator — these and the filter, projection and dedup of
+//! [`crate::filter`], [`crate::project`] and [`crate::dedup`] — consumes
+//! and produces [`BatchStream`] batches whose codes stay exact *across
+//! batch seams* (DESIGN.md §12): batch `k+1`'s first code is relative to
+//! batch `k`'s last row, so no repair happens at a seam — only at a
+//! standalone lift ([`ovc_core::batch::repair_head`]).
 //!
 //! The exchange's splitting side is [`route_batches`]; its channels carry
 //! [`BatchFrame`]s, received as a [`BatchChannelStream`].  The gathering
 //! side is `ovc_sort::merge_batch_streams` over those streams.
-//!
-//! Counting discipline mirrors the row operators exactly, which is what
-//! the differential harness (`tests/batch_pipeline_properties.rs`)
-//! asserts: [`BatchFilter`] accounts one code operation per *input* row,
-//! projection/clamping/dedup account nothing, and [`route_batches`]'s
-//! per-partition accumulators are uncounted.
+//! [`route_batches`]'s per-partition accumulators are uncounted, as are
+//! top-k, projection, clamping and dedup; the filter counts one code
+//! operation per *input* row.
 
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
@@ -25,8 +21,8 @@ use std::time::Instant;
 
 use ovc_core::ctx::{self, ExecError};
 use ovc_core::fault;
-use ovc_core::theorem::{clamp_to_prefix, OvcAccumulator};
-use ovc_core::{BatchStream, ChannelGauge, FlatRows, SortSpec, Stats, Value};
+use ovc_core::theorem::OvcAccumulator;
+use ovc_core::{BatchStream, ChannelGauge, FlatRows, SortSpec, Value};
 
 /// Default in-flight budget of a bounded exchange channel, in rows.
 /// Small enough for backpressure to keep memory flat, large enough to
@@ -162,187 +158,6 @@ pub fn route_batches<B, P>(
     }
 }
 
-/// Batched predicate filter — [`crate::filter::Filter`] over flat batches.
-///
-/// Accounting is identical to the row operator: one code operation per
-/// *input* row (the accumulator `max`), no column comparisons.  An
-/// unordered input (the empty spec) has only duplicate codes, whose `max`
-/// is the duplicate code, so nothing is counted for it.  Output batches
-/// may be shorter than input batches (never empty).
-pub struct BatchFilter<B, P> {
-    input: B,
-    predicate: P,
-    acc: OvcAccumulator,
-    stats: Arc<Stats>,
-    ordered: bool,
-}
-
-impl<B: BatchStream, P: FnMut(&[Value]) -> bool> BatchFilter<B, P> {
-    /// Filter `input`, keeping rows for which `predicate` returns true.
-    pub fn new(input: B, predicate: P, stats: Arc<Stats>) -> Self {
-        let ordered = !input.sort_spec().is_empty();
-        BatchFilter {
-            input,
-            predicate,
-            acc: OvcAccumulator::new(),
-            stats,
-            ordered,
-        }
-    }
-}
-
-impl<B: BatchStream, P: FnMut(&[Value]) -> bool> BatchStream for BatchFilter<B, P> {
-    fn next_batch(&mut self) -> Option<FlatRows> {
-        loop {
-            let batch = self.input.next_batch()?;
-            let mut out = FlatRows::with_capacity(batch.width(), batch.len());
-            for i in 0..batch.len() {
-                let code = batch.code(i);
-                if self.ordered {
-                    self.stats.count_ovc_cmp();
-                }
-                let row = batch.row(i);
-                if (self.predicate)(row) {
-                    // Filter theorem: max over the dropped chain plus this row.
-                    out.push(row, self.acc.emit(code));
-                } else {
-                    self.acc.absorb(code);
-                }
-            }
-            if !out.is_empty() {
-                return Some(out);
-            }
-        }
-    }
-    fn sort_spec(&self) -> SortSpec {
-        self.input.sort_spec()
-    }
-}
-
-/// Batched projection onto a column list preserving the first
-/// `surviving_key` sort-key columns — [`crate::project::Project`] over
-/// flat batches.  Each projected row is written straight into the output
-/// buffer; codes are clamped to the surviving prefix; nothing is counted
-/// (§4.2: projection compares no columns).
-pub struct BatchProject<B> {
-    input: B,
-    cols: Vec<usize>,
-    in_key_len: usize,
-    surviving_key: usize,
-    spec: SortSpec,
-}
-
-impl<B: BatchStream> BatchProject<B> {
-    /// Project every row onto `cols` (input column indices, in output
-    /// order).  Panics unless the surviving key stays in place — `cols`
-    /// starts with `0, 1, …, surviving_key − 1` — and fits the input key.
-    pub fn new(input: B, surviving_key: usize, cols: Vec<usize>) -> Self {
-        let in_key_len = input.key_len();
-        assert!(surviving_key <= in_key_len);
-        assert!(
-            (0..surviving_key).eq(cols.iter().copied().take(surviving_key)),
-            "projection must preserve the surviving key prefix"
-        );
-        let spec = input.sort_spec().prefix(surviving_key);
-        BatchProject {
-            input,
-            cols,
-            in_key_len,
-            surviving_key,
-            spec,
-        }
-    }
-}
-
-impl<B: BatchStream> BatchStream for BatchProject<B> {
-    fn next_batch(&mut self) -> Option<FlatRows> {
-        let batch = self.input.next_batch()?;
-        let mut values = Vec::with_capacity(batch.len() * self.cols.len());
-        let mut codes = Vec::with_capacity(batch.len());
-        for (row, code) in batch.iter() {
-            values.extend(self.cols.iter().map(|&c| row[c]));
-            codes.push(clamp_to_prefix(code, self.in_key_len, self.surviving_key));
-        }
-        Some(FlatRows::from_parts(self.cols.len(), values, codes))
-    }
-    fn sort_spec(&self) -> SortSpec {
-        self.spec.clone()
-    }
-}
-
-/// Batched sort-key clamp — [`crate::project::ClampKey`] over flat
-/// batches: rows untouched, codes clamped in place to the shorter key.
-pub struct BatchClampKey<B> {
-    input: B,
-    in_key_len: usize,
-    new_key_len: usize,
-    spec: SortSpec,
-}
-
-impl<B: BatchStream> BatchClampKey<B> {
-    /// Wrap `input` with a shorter sort key.
-    pub fn new(input: B, new_key_len: usize) -> Self {
-        let in_key_len = input.key_len();
-        assert!(new_key_len <= in_key_len);
-        let spec = input.sort_spec().prefix(new_key_len);
-        BatchClampKey {
-            input,
-            in_key_len,
-            new_key_len,
-            spec,
-        }
-    }
-}
-
-impl<B: BatchStream> BatchStream for BatchClampKey<B> {
-    fn next_batch(&mut self) -> Option<FlatRows> {
-        let mut batch = self.input.next_batch()?;
-        for i in 0..batch.len() {
-            batch.set_code(
-                i,
-                clamp_to_prefix(batch.code(i), self.in_key_len, self.new_key_len),
-            );
-        }
-        Some(batch)
-    }
-    fn sort_spec(&self) -> SortSpec {
-        self.spec.clone()
-    }
-}
-
-/// Batched duplicate removal by code inspection — [`crate::dedup::Dedup`]
-/// over flat batches.  A duplicate-coded first row of a batch is relative
-/// to the previous batch's last row, so per-batch filtering is exact
-/// across seams: survivors keep their input codes (§4.4).
-pub struct BatchDedup<B> {
-    input: B,
-}
-
-impl<B: BatchStream> BatchDedup<B> {
-    /// Remove rows whose key equals the previous row's key.
-    pub fn new(input: B) -> Self {
-        BatchDedup { input }
-    }
-}
-
-impl<B: BatchStream> BatchStream for BatchDedup<B> {
-    fn next_batch(&mut self) -> Option<FlatRows> {
-        loop {
-            let batch = self.input.next_batch()?;
-            if batch.codes().iter().all(|c| !c.is_duplicate()) {
-                return Some(batch); // duplicate-free: no copy needed
-            }
-            let kept = batch.retain_indices(|_, c| !c.is_duplicate());
-            if !kept.is_empty() {
-                return Some(kept);
-            }
-        }
-    }
-    fn sort_spec(&self) -> SortSpec {
-        self.input.sort_spec()
-    }
-}
-
 /// Batched top-k: pass batches through until `k` rows have flowed, then
 /// stop pulling — truncating the final batch so exactly `k` rows emerge.
 /// Codes of a stream prefix are exact as-is.
@@ -380,15 +195,13 @@ impl<B: BatchStream> BatchStream for BatchTake<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dedup::Dedup;
     use crate::exchange::by_cols_hash;
-    use crate::filter::Filter;
-    use crate::project::{ClampKey, Project};
+    use crate::{BatchClampKey, BatchDedup, BatchFilter, BatchProject};
     use ovc_core::batch::collect_batch_pairs;
     use ovc_core::derive::assert_codes_exact_spec;
     use ovc_core::stream::collect_pairs;
     use ovc_core::FlatBatches;
-    use ovc_core::{Ovc, Row, VecStream};
+    use ovc_core::{Ovc, Row, Stats, StatsSnapshot, VecStream};
     use ovc_sort::Run;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -406,28 +219,30 @@ mod tests {
         Run::from_sorted_rows(rows, key_len).batches(batch_size)
     }
 
+    fn rows_of(pairs: &[(Row, Ovc)]) -> Vec<Row> {
+        pairs.iter().map(|(r, _)| r.clone()).collect()
+    }
+
     #[test]
     fn batch_filter_matches_row_filter_rows_codes_and_stats() {
         for batch_size in [1, 3, 7, 64] {
             let rows = sorted_rows(300, 11, 3, 5);
-            let row_stats = Stats::new_shared();
-            let row_pairs = collect_pairs(Filter::new(
-                VecStream::from_sorted_rows(rows.clone(), 3),
-                |r| r.cols()[1] % 2 == 0,
-                Arc::clone(&row_stats),
-            ));
-            let batch_stats = Stats::new_shared();
-            let batch_pairs = collect_batch_pairs(BatchFilter::new(
+            let keep = |r: &[Value]| r[1].is_multiple_of(2);
+            let expect: Vec<Row> = rows.iter().filter(|r| keep(r.cols())).cloned().collect();
+            let stats = Stats::new_shared();
+            let pairs = collect_batch_pairs(BatchFilter::new(
                 batched(rows, 3, batch_size),
-                |r: &[Value]| r[1].is_multiple_of(2),
-                Arc::clone(&batch_stats),
+                keep,
+                Arc::clone(&stats),
             ));
-            assert_eq!(batch_pairs, row_pairs, "batch={batch_size}");
-            assert_eq!(
-                batch_stats.snapshot(),
-                row_stats.snapshot(),
-                "batch={batch_size}"
-            );
+            assert_eq!(rows_of(&pairs), expect, "batch={batch_size}");
+            assert_codes_exact_spec(&pairs, &SortSpec::asc(3));
+            // One code operation per input row, nothing else.
+            let counted = StatsSnapshot {
+                ovc_cmps: 300,
+                ..StatsSnapshot::default()
+            };
+            assert_eq!(stats.snapshot(), counted, "batch={batch_size}");
         }
     }
 
@@ -435,17 +250,13 @@ mod tests {
     fn batch_project_matches_row_project() {
         for batch_size in [1, 5, 300] {
             let rows = sorted_rows(300, 12, 4, 6);
-            let row_pairs = collect_pairs(Project::new(
-                VecStream::from_sorted_rows(rows.clone(), 4),
-                2,
-                |r| r.project(&[0, 1, 3]),
-            ));
+            let expect: Vec<Row> = rows.iter().map(|r| r.project(&[0, 1, 3])).collect();
             let spec = SortSpec::asc(2);
             let batch_op = BatchProject::new(batched(rows, 4, batch_size), 2, vec![0, 1, 3]);
             assert_eq!(batch_op.sort_spec(), spec);
-            let batch_pairs = collect_batch_pairs(batch_op);
-            assert_eq!(batch_pairs, row_pairs, "batch={batch_size}");
-            assert_codes_exact_spec(&batch_pairs, &spec);
+            let pairs = collect_batch_pairs(batch_op);
+            assert_eq!(rows_of(&pairs), expect, "batch={batch_size}");
+            assert_codes_exact_spec(&pairs, &spec);
         }
     }
 
@@ -453,13 +264,10 @@ mod tests {
     fn batch_clamp_matches_row_clamp() {
         for batch_size in [1, 4, 17] {
             let rows = sorted_rows(250, 13, 3, 4);
-            let row_pairs = collect_pairs(ClampKey::new(
-                VecStream::from_sorted_rows(rows.clone(), 3),
-                1,
-            ));
-            let batch_pairs =
-                collect_batch_pairs(BatchClampKey::new(batched(rows, 3, batch_size), 1));
-            assert_eq!(batch_pairs, row_pairs, "batch={batch_size}");
+            let pairs =
+                collect_batch_pairs(BatchClampKey::new(batched(rows.clone(), 3, batch_size), 1));
+            assert_eq!(rows_of(&pairs), rows, "batch={batch_size}");
+            assert_codes_exact_spec(&pairs, &SortSpec::asc(1));
         }
     }
 
@@ -467,10 +275,11 @@ mod tests {
     fn batch_dedup_matches_row_dedup_on_duplicate_heavy_input() {
         for batch_size in [1, 2, 9, 1024] {
             let rows = sorted_rows(400, 14, 2, 3); // tiny domain: mostly duplicates
-            let row_pairs = collect_pairs(Dedup::new(VecStream::from_sorted_rows(rows.clone(), 2)));
-            let batch_pairs = collect_batch_pairs(BatchDedup::new(batched(rows, 2, batch_size)));
-            assert_eq!(batch_pairs, row_pairs, "batch={batch_size}");
-            assert_codes_exact_spec(&batch_pairs, &SortSpec::asc(2));
+            let mut expect = rows.clone();
+            expect.dedup();
+            let pairs = collect_batch_pairs(BatchDedup::new(batched(rows, 2, batch_size)));
+            assert_eq!(rows_of(&pairs), expect, "batch={batch_size}");
+            assert_codes_exact_spec(&pairs, &SortSpec::asc(2));
         }
     }
 
@@ -575,7 +384,7 @@ mod tests {
     /// world, so no row-at-a-time shuffle can grow back beside it.
     #[test]
     fn the_batch_exchange_names_no_row_type() {
-        let banned = ["OvcRow", "OvcStream", "VecStream", "TreeOfLosers", "Row"];
+        let banned = ["OvcRow", "OvcStream", "VecStream", "Row"];
         for (file, source) in [
             ("batch.rs", include_str!("batch.rs")),
             ("exchange.rs", include_str!("exchange.rs")),

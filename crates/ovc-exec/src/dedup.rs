@@ -11,106 +11,64 @@
 //! Retaining the survivors' codes is correct because a duplicate shares
 //! its entire key with its predecessor: the code of the next distinct row
 //! relative to the duplicate equals its code relative to the first copy.
+//!
+//! The "single copy with counter" of Section 4.7 is a
+//! [`crate::group::GroupAggregate`] over the whole row with a `Count`.
 
-use ovc_core::{OvcRow, OvcStream};
+use ovc_core::{BatchStream, FlatRows, SortSpec};
 
-/// Duplicate removal over the full sort key.
-pub struct Dedup<S> {
-    input: S,
+/// Duplicate removal over the full sort key, batch at a time.  A
+/// duplicate-coded first row of a batch is relative to the previous
+/// batch's last row, so per-batch filtering is exact across seams:
+/// survivors keep their input codes.
+pub struct BatchDedup<B> {
+    input: B,
 }
 
-impl<S: OvcStream> Dedup<S> {
+impl<B: BatchStream> BatchDedup<B> {
     /// Remove rows whose key equals the previous row's key.
-    pub fn new(input: S) -> Self {
-        Dedup { input }
+    pub fn new(input: B) -> Self {
+        BatchDedup { input }
     }
 }
 
-impl<S: OvcStream> Iterator for Dedup<S> {
-    type Item = OvcRow;
-    fn next(&mut self) -> Option<OvcRow> {
+impl<B: BatchStream> BatchStream for BatchDedup<B> {
+    fn next_batch(&mut self) -> Option<FlatRows> {
         loop {
-            let r = self.input.next()?;
-            if !r.code.is_duplicate() {
-                return Some(r);
+            let batch = self.input.next_batch()?;
+            if batch.codes().iter().all(|c| !c.is_duplicate()) {
+                return Some(batch); // duplicate-free: no copy needed
+            }
+            let kept = batch.retain_indices(|_, c| !c.is_duplicate());
+            if !kept.is_empty() {
+                return Some(kept);
             }
         }
     }
-}
-
-impl<S: OvcStream> OvcStream for Dedup<S> {
-    fn key_len(&self) -> usize {
-        self.input.key_len()
-    }
-    fn sort_spec(&self) -> ovc_core::SortSpec {
+    fn sort_spec(&self) -> SortSpec {
         self.input.sort_spec()
-    }
-}
-
-/// Duplicate removal that keeps a count of collapsed copies, appended as a
-/// payload column — the "single copy with counter" representation that
-/// Section 4.7 recommends for sort-based multi-set operations.
-pub struct DedupCounting<S: Iterator<Item = OvcRow>> {
-    input: std::iter::Peekable<S>,
-    spec: ovc_core::SortSpec,
-}
-
-impl<S: OvcStream> DedupCounting<S> {
-    /// Collapse duplicates into `(row, count)`; the count becomes the
-    /// output row's last column.
-    pub fn new(input: S) -> Self {
-        let spec = input.sort_spec();
-        DedupCounting {
-            input: input.peekable(),
-            spec,
-        }
-    }
-}
-
-impl<S: OvcStream> Iterator for DedupCounting<S> {
-    type Item = OvcRow;
-    fn next(&mut self) -> Option<OvcRow> {
-        let first = self.input.next()?;
-        debug_assert!(!first.code.is_duplicate(), "input must start each group");
-        let mut count = 1u64;
-        while let Some(peek) = self.input.peek() {
-            if peek.code.is_duplicate() {
-                count += 1;
-                self.input.next();
-            } else {
-                break;
-            }
-        }
-        let mut cols = first.row.cols().to_vec();
-        cols.push(count);
-        Some(OvcRow::new(ovc_core::Row::new(cols), first.code))
-    }
-}
-
-impl<S: OvcStream> OvcStream for DedupCounting<S> {
-    fn key_len(&self) -> usize {
-        self.spec.len()
-    }
-    fn sort_spec(&self) -> ovc_core::SortSpec {
-        self.spec.clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ovc_core::batch::collect_batch_pairs;
     use ovc_core::derive::assert_codes_exact;
-    use ovc_core::stream::collect_pairs;
-    use ovc_core::{Row, VecStream};
+    use ovc_core::{FlatBatches, Row, Stats};
+    use ovc_sort::Run;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// Sorted rows as one coded run on `key_len` columns, cut every 3 rows.
+    fn batches(rows: Vec<Row>, key_len: usize) -> FlatBatches {
+        Run::from_sorted_rows(rows, key_len).batches(3)
+    }
+
     #[test]
     fn removes_the_table1_duplicate() {
-        let rows = ovc_core::table1::rows();
-        let input = VecStream::from_sorted_rows(rows, 4);
-        let dedup = Dedup::new(input);
-        let pairs = collect_pairs(dedup);
+        let dedup = BatchDedup::new(batches(ovc_core::table1::rows(), 4));
+        let pairs = collect_batch_pairs(dedup);
         assert_eq!(pairs.len(), 6, "one duplicate row suppressed");
         assert_codes_exact(&pairs, 4);
         assert!(pairs.iter().all(|(_, c)| !c.is_duplicate()));
@@ -128,25 +86,26 @@ mod tests {
         rows.sort();
         let mut expect = rows.clone();
         expect.dedup();
-        let input = VecStream::from_sorted_rows(rows, 2);
-        let pairs = collect_pairs(Dedup::new(input));
+        let pairs = collect_batch_pairs(BatchDedup::new(batches(rows, 2)));
         assert_codes_exact(&pairs, 2);
         let got: Vec<Row> = pairs.into_iter().map(|(r, _)| r).collect();
         assert_eq!(got, expect);
     }
 
+    /// Section 4.7's "single copy with counter": grouping on the whole row
+    /// with a count collapses each run of duplicates, keeping the first
+    /// copy's code.
     #[test]
     fn counting_dedup_counts() {
-        let rows = vec![
-            Row::new(vec![1]),
-            Row::new(vec![1]),
-            Row::new(vec![1]),
-            Row::new(vec![2]),
-            Row::new(vec![3]),
-            Row::new(vec![3]),
-        ];
-        let input = VecStream::from_sorted_rows(rows, 1);
-        let pairs = collect_pairs(DedupCounting::new(input));
+        let rows = [1u64, 1, 1, 2, 3, 3].map(|v| Row::new(vec![v])).to_vec();
+        let counted = crate::GroupAggregate::new(
+            batches(rows, 1),
+            1,
+            vec![crate::Aggregate::Count],
+            2,
+            Stats::new_shared(),
+        );
+        let pairs = collect_batch_pairs(counted);
         let got: Vec<(u64, u64)> = pairs
             .iter()
             .map(|(r, _)| (r.cols()[0], r.cols()[1]))
@@ -158,24 +117,27 @@ mod tests {
     #[test]
     fn dedup_without_duplicates_is_identity() {
         let rows: Vec<Row> = (0..20).map(|i| Row::new(vec![i])).collect();
-        let input = VecStream::from_sorted_rows(rows.clone(), 1);
-        let got: Vec<Row> = Dedup::new(input).map(|r| r.row).collect();
+        let got: Vec<Row> = collect_batch_pairs(BatchDedup::new(batches(rows.clone(), 1)))
+            .into_iter()
+            .map(|(r, _)| r)
+            .collect();
         assert_eq!(got, rows);
     }
 
     #[test]
     fn dedup_all_equal() {
         let rows = vec![Row::new(vec![9, 9]); 10];
-        let input = VecStream::from_sorted_rows(rows, 2);
-        let pairs = collect_pairs(Dedup::new(input));
+        let pairs = collect_batch_pairs(BatchDedup::new(batches(rows, 2)));
         assert_eq!(pairs.len(), 1);
     }
 
     #[test]
     fn empty_input() {
-        let input = VecStream::from_sorted_rows(vec![], 2);
-        assert_eq!(Dedup::new(input).count(), 0);
-        let input = VecStream::from_sorted_rows(vec![], 2);
-        assert_eq!(DedupCounting::new(input).count(), 0);
+        let mut dedup = BatchDedup::new(batches(vec![], 2));
+        assert!(dedup.next_batch().is_none());
+        let aggs = vec![crate::Aggregate::Count];
+        let mut counted =
+            crate::GroupAggregate::new(batches(vec![], 2), 2, aggs, 4, Stats::new_shared());
+        assert!(counted.next_batch().is_none());
     }
 }

@@ -12,54 +12,63 @@
 use std::sync::Arc;
 
 use ovc_core::theorem::OvcAccumulator;
-use ovc_core::{OvcRow, OvcStream, Row, Stats};
+use ovc_core::{BatchStream, FlatRows, SortSpec, Stats, Value};
 
-/// A predicate filter over a coded stream.
-pub struct Filter<S, P> {
-    input: S,
+/// A predicate filter over flat batches of coded rows.
+///
+/// One code operation per *input* row (the accumulator `max`) is counted
+/// into `stats` — the same units `ovc_plan::cost::streaming` estimates —
+/// so the operator's zero-column-comparison claim is measured, not
+/// assumed.  An unordered input (the empty spec) has only duplicate
+/// codes, whose `max` is the duplicate code, so nothing is counted for
+/// it.  The accumulator carries across batch seams; output batches may be
+/// shorter than input batches (never empty).
+pub struct BatchFilter<B, P> {
+    input: B,
     predicate: P,
     acc: OvcAccumulator,
-    /// Shared counters: the accumulator `max` is one integer (code)
-    /// operation per row, accounted here — the same units
-    /// `ovc_plan::cost::streaming` estimates — so the operator's
-    /// zero-column-comparison claim is measured, not assumed.
     stats: Arc<Stats>,
+    ordered: bool,
 }
 
-impl<S: OvcStream, P: FnMut(&Row) -> bool> Filter<S, P> {
+impl<B: BatchStream, P: FnMut(&[Value]) -> bool> BatchFilter<B, P> {
     /// Filter `input`, keeping rows for which `predicate` returns true.
-    pub fn new(input: S, predicate: P, stats: Arc<Stats>) -> Self {
-        Filter {
+    pub fn new(input: B, predicate: P, stats: Arc<Stats>) -> Self {
+        let ordered = !input.sort_spec().is_empty();
+        BatchFilter {
             input,
             predicate,
             acc: OvcAccumulator::new(),
             stats,
+            ordered,
         }
     }
 }
 
-impl<S: OvcStream, P: FnMut(&Row) -> bool> Iterator for Filter<S, P> {
-    type Item = OvcRow;
-
-    fn next(&mut self) -> Option<OvcRow> {
+impl<B: BatchStream, P: FnMut(&[Value]) -> bool> BatchStream for BatchFilter<B, P> {
+    fn next_batch(&mut self) -> Option<FlatRows> {
         loop {
-            let OvcRow { row, code } = self.input.next()?;
-            self.stats.count_ovc_cmp();
-            if (self.predicate)(&row) {
-                // Filter theorem: max over the dropped chain plus this row.
-                let code = self.acc.emit(code);
-                return Some(OvcRow::new(row, code));
+            let batch = self.input.next_batch()?;
+            let mut out = FlatRows::with_capacity(batch.width(), batch.len());
+            for i in 0..batch.len() {
+                let code = batch.code(i);
+                if self.ordered {
+                    self.stats.count_ovc_cmp();
+                }
+                let row = batch.row(i);
+                if (self.predicate)(row) {
+                    // Filter theorem: max over the dropped chain plus this row.
+                    out.push(row, self.acc.emit(code));
+                } else {
+                    self.acc.absorb(code);
+                }
             }
-            self.acc.absorb(code);
+            if !out.is_empty() {
+                return Some(out);
+            }
         }
     }
-}
-
-impl<S: OvcStream, P: FnMut(&Row) -> bool> OvcStream for Filter<S, P> {
-    fn key_len(&self) -> usize {
-        self.input.key_len()
-    }
-    fn sort_spec(&self) -> ovc_core::SortSpec {
+    fn sort_spec(&self) -> SortSpec {
         self.input.sort_spec()
     }
 }
@@ -67,25 +76,36 @@ impl<S: OvcStream, P: FnMut(&Row) -> bool> OvcStream for Filter<S, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ovc_core::batch::collect_batch_pairs;
     use ovc_core::derive::assert_codes_exact;
-    use ovc_core::stream::collect_pairs;
-    use ovc_core::{Ovc, VecStream};
+    use ovc_core::{FlatBatches, Ovc, Row};
+    use ovc_sort::Run;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Table 1's rows as one coded run, cut every `batch` rows.
+    fn table1(batch: usize) -> FlatBatches {
+        Run::from_sorted_rows(ovc_core::table1::rows(), 4).batches(batch)
+    }
 
     /// Table 3 of the paper: only the first and last rows of Table 1
     /// satisfy the predicate; their ascending codes are 405 and 309.
     #[test]
     fn table3_filter_codes() {
         let rows = ovc_core::table1::rows();
-        let keep: Vec<Row> = vec![rows[0].clone(), rows[6].clone()];
-        let input = VecStream::from_sorted_rows(rows, 4);
-        let filter = Filter::new(input, |r| keep.contains(r), Stats::new_shared());
-        let pairs = collect_pairs(filter);
-        assert_eq!(pairs.len(), 2);
-        assert_eq!(pairs[0].1.paper_decimal(), 405);
-        assert_eq!(pairs[1].1.paper_decimal(), 309);
-        assert_codes_exact(&pairs, 4);
+        let keep = [rows[0].cols(), rows[6].cols()];
+        for batch in [1, 3, 7] {
+            let filter = BatchFilter::new(
+                table1(batch),
+                |r: &[Value]| keep.contains(&r),
+                Stats::new_shared(),
+            );
+            let pairs = collect_batch_pairs(filter);
+            assert_eq!(pairs.len(), 2);
+            assert_eq!(pairs[0].1.paper_decimal(), 405);
+            assert_eq!(pairs[1].1.paper_decimal(), 309);
+            assert_codes_exact(&pairs, 4);
+        }
     }
 
     #[test]
@@ -101,28 +121,29 @@ mod tests {
             })
             .collect();
         rows.sort();
-        let input = VecStream::from_sorted_rows(rows, 3);
-        let filter = Filter::new(input, |r| r.cols()[1] % 2 == 0, Stats::new_shared());
-        let pairs = collect_pairs(filter);
+        let input = Run::from_sorted_rows(rows, 3).batches(16);
+        let filter = BatchFilter::new(
+            input,
+            |r: &[Value]| r[1].is_multiple_of(2),
+            Stats::new_shared(),
+        );
+        let pairs = collect_batch_pairs(filter);
         assert_codes_exact(&pairs, 3);
     }
 
     #[test]
     fn keep_all_is_identity() {
-        let rows = ovc_core::table1::rows();
-        let input = VecStream::from_sorted_rows(rows, 4);
         let expect: Vec<Ovc> = ovc_core::table1::asc_codes();
-        let filter = Filter::new(input, |_| true, Stats::new_shared());
-        let pairs = collect_pairs(filter);
+        let filter = BatchFilter::new(table1(3), |_: &[Value]| true, Stats::new_shared());
+        let pairs = collect_batch_pairs(filter);
         let codes: Vec<Ovc> = pairs.iter().map(|(_, c)| *c).collect();
         assert_eq!(codes, expect, "an all-pass filter changes nothing");
     }
 
     #[test]
     fn drop_all_is_empty() {
-        let input = VecStream::from_sorted_rows(ovc_core::table1::rows(), 4);
-        let mut filter = Filter::new(input, |_| false, Stats::new_shared());
-        assert!(filter.next().is_none());
+        let mut filter = BatchFilter::new(table1(3), |_: &[Value]| false, Stats::new_shared());
+        assert!(filter.next_batch().is_none());
     }
 
     #[test]
@@ -130,12 +151,10 @@ mod tests {
         // The handle is attached to the operator, so the zeros below are
         // measurements of its accounting, not asserts on a dangling
         // counter: one code operation per row, nothing else.
-        let rows = ovc_core::table1::rows();
-        let n_rows = rows.len() as u64;
-        let input = VecStream::from_sorted_rows(rows, 4);
+        let n_rows = ovc_core::table1::rows().len() as u64;
         let stats = Stats::new_shared();
-        let filter = Filter::new(input, |r| r.cols()[0] > 0, Arc::clone(&stats));
-        let _ = collect_pairs(filter);
+        let filter = BatchFilter::new(table1(2), |r: &[Value]| r[0] > 0, Arc::clone(&stats));
+        let _ = collect_batch_pairs(filter);
         assert_eq!(stats.col_value_cmps(), 0);
         assert_eq!(stats.row_cmps(), 0);
         assert_eq!(stats.ovc_cmps(), n_rows, "the handle is live");
@@ -143,11 +162,9 @@ mod tests {
 
     #[test]
     fn filters_compose() {
-        let rows = ovc_core::table1::rows();
-        let input = VecStream::from_sorted_rows(rows, 4);
-        let f1 = Filter::new(input, |r| r.cols()[1] >= 8, Stats::new_shared());
-        let f2 = Filter::new(f1, |r| r.cols()[2] == 2, Stats::new_shared());
-        let pairs = collect_pairs(f2);
+        let f1 = BatchFilter::new(table1(2), |r: &[Value]| r[1] >= 8, Stats::new_shared());
+        let f2 = BatchFilter::new(f1, |r: &[Value]| r[2] == 2, Stats::new_shared());
+        let pairs = collect_batch_pairs(f2);
         assert_eq!(pairs.len(), 2); // the duplicate pair (5,9,2,7)
         assert_codes_exact(&pairs, 4);
     }

@@ -5,9 +5,11 @@
 //! output from the codes of its inputs, with "no additional column value
 //! comparisons beyond those required in the operation itself":
 //!
-//! * [`filter`] — predicate filter via the filter theorem (§4.1, Table 3);
-//! * [`project`] — projection and sort-key clamping (§4.2);
-//! * [`dedup`] — duplicate removal by code inspection (§4.4);
+//! * [`filter`] — predicate filter via the filter theorem (§4.1, Table 3),
+//!   a batch kernel;
+//! * [`project`] — projection and sort-key clamping (§4.2), batch kernels;
+//! * [`dedup`] — duplicate removal by code inspection (§4.4), a batch
+//!   kernel;
 //! * [`group`] — in-stream grouping/aggregation, Figure 4's operator
 //!   (§4.5): a batch kernel, plus the row-at-a-time count-distinct form;
 //! * [`pivot`] — pivoting as grouping (§4.6);
@@ -18,21 +20,21 @@
 //! * [`nlj`] — nested-loops and b-tree lookup joins (§4.8);
 //! * [`hash_join_op`] — order-preserving in-memory hash join (§4.9);
 //! * [`window`] — analytic (window) functions over coded streams (§5);
-//! * [`batch`] — morsel-style batch-at-a-time counterparts (filter,
-//!   project, clamp, dedup, top-k) over [`ovc_core::FlatRows`] batches
-//!   with seam-exact codes, and the exchange's splitting side and
-//!   channels;
+//! * [`batch`] — batch top-k over [`ovc_core::FlatRows`] batches with
+//!   seam-exact codes, and the exchange's splitting side and channels;
 //! * [`exchange`] — the order-preserving exchange (§4.10): how the one
 //!   batch exchange realizes the paper's three shuffles, and its hash
 //!   partitioner;
 //! * [`plans`] — the sort-based "intersect distinct" plan of Figure 5.
 //!
-//! Every operator upholds the coded-stream contract — row-at-a-time
-//! ([`ovc_core::stream::OvcStream`]) or batch-at-a-time
-//! ([`ovc_core::batch::BatchStream`], seams included): output codes are
-//! exact, so operators compose into arbitrarily deep pipelines carrying
-//! codes end to end.  The batch kernels (merge join, set operations,
-//! group-by, and the [`batch`] operators) are what the planner's executor
+//! Every operator upholds the coded-stream contract — batch-at-a-time
+//! ([`ovc_core::batch::BatchStream`], seams included) or, for the §4.5
+//! count-distinct, §4.6, §4.8, §4.9 and window operators, row-at-a-time
+//! ([`ovc_core::stream::OvcStream`]): output codes are exact, so
+//! operators compose into arbitrarily deep pipelines carrying codes end
+//! to end.  Each of §4.1, §4.2 and §4.4 has one implementation, a batch
+//! kernel; the batch kernels (filter, projection, clamp, dedup, top-k,
+//! merge join, set operations, group-by) are what the planner's executor
 //! lowers onto; they read their inputs' key and code slices in place and
 //! box no row.
 
@@ -54,17 +56,16 @@ pub mod set_ops;
 pub mod window;
 
 pub use batch::{
-    route_batches, BatchChannelStream, BatchClampKey, BatchDedup, BatchFilter, BatchFrame,
-    BatchProject, BatchTake, DEFAULT_CHANNEL_CAPACITY,
+    route_batches, BatchChannelStream, BatchFrame, BatchTake, DEFAULT_CHANNEL_CAPACITY,
 };
-pub use dedup::{Dedup, DedupCounting};
-pub use filter::Filter;
+pub use dedup::BatchDedup;
+pub use filter::BatchFilter;
 pub use group::{Aggregate, GroupAggregate, GroupCountDistinct};
 pub use hash_join_op::{HashJoinOp, HashTable};
 pub use merge_join::{JoinType, MergeJoin, NULL_VALUE};
 pub use nlj::{BTreeInner, InnerSource, LookupJoin, PredicateInner};
 pub use pivot::{Pivot, PivotSpec};
-pub use project::{ClampKey, Project};
+pub use project::{BatchClampKey, BatchProject};
 pub use set_ops::{SetOp, SetOperation};
 pub use window::{Window, WindowFunc};
 

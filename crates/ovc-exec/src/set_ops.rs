@@ -4,8 +4,9 @@
 //! union like a full outer join, and difference like an anti semi join."
 //! The multiset ("all") variants follow SQL semantics; the paper notes
 //! they "benefit from grouping on the input side (collapsing duplicate
-//! rows to a single row with a counter)", which
-//! [`crate::dedup::DedupCounting`] provides.
+//! rows to a single row with a counter)", which a
+//! [`crate::group::GroupAggregate`] over the whole row with a `Count`
+//! aggregate provides.
 //!
 //! All six operations share the same grouped two-way merge as
 //! [`crate::merge_join::MergeJoin`]: per join-key group the operation only

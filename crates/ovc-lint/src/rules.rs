@@ -264,7 +264,7 @@ fn rule_vacuous_stats(path: &str, lines: &[LexLine], raw: &[&str], out: &mut Vec
             };
             // The ctor must be what the binding *is* (modulo shared
             // wrappers), not an argument buried in an operator call:
-            // `let op = Filter::new(.., Stats::new_shared())` binds a
+            // `let op = BatchFilter::new(.., Stats::new_shared())` binds a
             // live operator, not a dead handle.
             let Some(eq) = code.find('=') else { continue };
             let mut rhs = code[eq + 1..].trim_start();

@@ -89,8 +89,8 @@ fn check_by_ref() {
 }
 fn check_by_value() {
     let stats = Stats::new_shared();
-    let op = Filter::new(input, pred, stats);
-    assert!(op.next().is_some());
+    let op = BatchFilter::new(input, pred, stats);
+    assert!(op.next_batch().is_some());
 }
 "#,
     );
@@ -99,15 +99,15 @@ fn check_by_value() {
 
 /// The false-positive shape rule 1 must NOT flag: the ctor appears as
 /// an *argument* to an operator constructor, so the binding is a live
-/// operator, not a dead handle (`crates/ovc-exec/src/filter.rs`
-/// exercises exactly this).
+/// operator, not a dead handle (`drop_all_is_empty` in
+/// `crates/ovc-exec/src/filter.rs` has exactly this shape).
 #[test]
 fn vacuous_stats_true_negative_ctor_as_argument() {
     let r = lint(
         r#"
 fn empty_filter_yields_nothing() {
-    let filter = Filter::new(input, |_| false, Stats::new_shared());
-    assert!(filter.next().is_none());
+    let filter = BatchFilter::new(input, |_| false, Stats::new_shared());
+    assert!(filter.next_batch().is_none());
 }
 "#,
     );

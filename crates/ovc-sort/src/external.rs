@@ -78,9 +78,9 @@ impl SortConfig {
 /// `Arc<Stats>`, so the bound costs nothing.
 /// Both operations are fallible: real devices hit I/O errors on write
 /// and detect corruption on read-back, and both must surface as a typed
-/// [`ExecError`] the sort can react to (fail the query, or retry from
-/// source — see [`external_sort_spec_resilient`]) rather than a panic or
-/// garbage rows.
+/// [`ExecError`] rather than a panic or garbage rows.  The sort returns
+/// it; the planned executor recovers by re-lowering the sort's input and
+/// sorting it resident (DESIGN.md §14).
 pub trait RunStorage: Send {
     /// Write a run; returns its handle.
     fn write_run(&mut self, run: Run) -> Result<usize, ExecError>;
@@ -298,13 +298,16 @@ where
     if runs.len() <= 1 {
         return Ok(SortOutput::finish(runs, spec, distinct, stats));
     }
+    // `fan_in` is a public field: a merge of one run per chunk would never
+    // shrink the level, and `chunks(0)` panics.
+    let fan_in = config.fan_in.max(2);
     let mut handles = Vec::with_capacity(runs.len());
     for run in runs {
         handles.push(storage.write_run(run)?);
     }
-    while handles.len() > config.fan_in {
+    while handles.len() > fan_in {
         let mut next_level = Vec::new();
-        for chunk in handles.chunks(config.fan_in) {
+        for chunk in handles.chunks(fan_in) {
             let mut level_runs = Vec::with_capacity(chunk.len());
             for &h in chunk {
                 level_runs.push(storage.read_run(h)?);
@@ -326,43 +329,6 @@ where
         final_runs.push(storage.read_run(h)?);
     }
     Ok(SortOutput::finish(final_runs, spec, distinct, stats))
-}
-
-/// [`try_external_sort_spec`] with a **re-sort-from-source retry**: when
-/// the spill device fails (I/O error or detected corruption — see
-/// [`ExecError::is_spill_fault`]), the input still exists upstream, so
-/// the sort retries entirely in memory instead of failing the query.
-///
-/// The price of the safety net: when the input exceeds the memory
-/// budget, a copy of the source rows is retained for the duration of
-/// the first attempt (recovery needs a source to re-sort from).  On
-/// retry, `memory_rows` is raised to the input size so run generation
-/// yields a single resident run and the faulty device is never touched
-/// again.  [`Stats`] keep every counter the failed attempt accrued —
-/// accounting reflects work actually performed.
-pub fn external_sort_spec_resilient<S>(
-    rows: Vec<Row>,
-    config: SortConfig,
-    spec: &SortSpec,
-    storage: &mut S,
-    stats: &Arc<Stats>,
-) -> Result<SortOutput, ExecError>
-where
-    S: RunStorage,
-{
-    let retained = (rows.len() > config.memory_rows).then(|| rows.clone());
-    match try_external_sort_spec(rows, config, spec, storage, stats) {
-        Ok(out) => Ok(out),
-        Err(err) if err.is_spill_fault() => {
-            let Some(rows) = retained else {
-                return Err(err);
-            };
-            let mut resident = config;
-            resident.memory_rows = rows.len().max(1);
-            try_external_sort_spec(rows, resident, spec, storage, stats)
-        }
-        Err(err) => Err(err),
-    }
 }
 
 /// Externally sort `input` all the way into a single **flat** run — the
@@ -580,53 +546,31 @@ mod tests {
         assert_eq!(err.reason(), "spill_io");
     }
 
+    /// `fan_in` is a public field, so a struct literal can bypass
+    /// `with_fan_in`'s clamp: 0 and 1 must sort exactly like fan-in 2
+    /// (1 used to loop forever, 0 panicked in `chunks`).
     #[test]
-    fn resilient_sort_recovers_from_spill_faults_byte_identically() {
-        let rows = random_rows(800, 2, 10, 22);
-        let ref_stats = Stats::new_shared();
-        let reference = external_sort_collect(rows.clone(), SortConfig::new(2, 50), &ref_stats);
-
-        let stats = Stats::new_shared();
-        let out: Vec<OvcRow> = external_sort_spec_resilient(
-            rows,
-            SortConfig::new(2, 50),
-            &SortSpec::asc(2),
-            &mut BrokenStorage,
-            &stats,
-        )
-        .expect("retry path recovers")
-        .collect();
-        // Exact codes are a function of the output row sequence alone, so
-        // the in-memory retry reproduces rows *and* codes bit-for-bit.
-        assert_eq!(out, reference);
-    }
-
-    #[test]
-    fn resilient_sort_does_not_mask_non_spill_errors() {
-        struct CancelledStorage;
-        impl RunStorage for CancelledStorage {
-            fn write_run(&mut self, _run: Run) -> Result<usize, ExecError> {
-                Err(ExecError::Cancelled)
-            }
-            fn read_run(&mut self, _handle: usize) -> Result<Run, ExecError> {
-                Err(ExecError::Cancelled)
-            }
-            fn stored_runs(&self) -> usize {
-                0
-            }
+    fn struct_literal_fan_in_below_two_merges_like_fan_in_two() {
+        use ovc_core::FlatRows;
+        let rows = random_rows(600, 2, 9, 24);
+        let sort = |cfg: SortConfig| {
+            let stats = Stats::new_shared();
+            let mut storage = MemoryRunStorage::new(Arc::clone(&stats));
+            let input = RowBatches::new(rows.clone(), 64);
+            let out = try_sort_batches(input, cfg, &SortSpec::asc(2), false, &mut storage, &stats)
+                .expect("in-memory spill");
+            let got = FlatRows::from_ovc_rows(out.collect(), 2);
+            (got, stats.snapshot())
+        };
+        let expect = sort(SortConfig::new(2, 50).with_fan_in(2));
+        assert!(expect.1.rows_spilled > 600, "a multi-level merge");
+        for fan_in in [0, 1] {
+            let cfg = SortConfig {
+                fan_in,
+                ..SortConfig::new(2, 50)
+            };
+            assert_eq!(sort(cfg), expect, "fan_in {fan_in}");
         }
-        let rows = random_rows(300, 2, 10, 23);
-        let stats = Stats::new_shared();
-        let err = external_sort_spec_resilient(
-            rows,
-            SortConfig::new(2, 50),
-            &SortSpec::asc(2),
-            &mut CancelledStorage,
-            &stats,
-        )
-        .map(|_| ())
-        .expect_err("cancellation is not retryable");
-        assert_eq!(err, ExecError::Cancelled);
     }
 
     #[test]

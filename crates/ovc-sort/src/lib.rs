@@ -4,7 +4,8 @@
 //! of the paper):
 //!
 //! * [`tree`] — the tree-of-losers priority queue of Figures 1–3, with
-//!   fences and offset-value codes folded into one 64-bit comparison;
+//!   fences and offset-value codes folded into one 64-bit comparison: one
+//!   merge tournament ([`FlatMerge`]) for every merge in the workspace;
 //! * [`runs`] — sorted coded runs in flat columnar layout (in-memory
 //!   prefix-truncation equivalent);
 //! * [`run_gen`] — run generation by priority queue (OVC-native) or
@@ -44,13 +45,10 @@ pub mod tree;
 
 pub use external::{
     external_sort, external_sort_collect, external_sort_spec, external_sort_spec_collect,
-    external_sort_spec_resilient, external_sort_spec_to_run, try_external_sort_spec,
-    try_sort_batches, MemoryRunStorage, RunStorage, SortConfig, SortOutput,
+    external_sort_spec_to_run, try_external_sort_spec, try_sort_batches, MemoryRunStorage,
+    RunStorage, SortConfig, SortOutput,
 };
-pub use merge::{
-    merge_batch_streams, merge_runs, merge_runs_spec, merge_runs_to_run, merge_runs_to_run_spec,
-    merge_streams,
-};
+pub use merge::{merge_batch_streams, merge_runs_spec, merge_runs_to_run_spec};
 pub use parallel::{
     parallel_sort, parallel_sort_batches, parallel_sort_distinct, parallel_sort_spec,
     parallel_sort_spec_spilled,
@@ -61,4 +59,4 @@ pub use run_gen::{
 };
 pub use runs::{Run, RunCursor};
 pub use segmented::SegmentedSort;
-pub use tree::{FlatMerge, TreeOfLosers};
+pub use tree::FlatMerge;

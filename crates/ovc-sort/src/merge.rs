@@ -1,37 +1,26 @@
 //! Multi-way merge of sorted, coded inputs.
 //!
-//! Thin wrappers over the tree-of-losers engines: merging consumes
-//! offset-value codes from its inputs and produces exact codes in its
-//! output — the property every downstream operator in this reproduction
-//! relies on.  Runs merge on the flat path ([`FlatMerge`]: rows stay in
-//! their contiguous buffers, winners copy slice-to-slice), and so do live
-//! batch streams — the order-preserving "merging" exchange of Section 4.10
-//! is the external sort's final merge over inputs that refill; row-at-a-
-//! time coded streams merge through the generic [`TreeOfLosers`], which
-//! also serves LSM-forest scans and compaction (Section 4.11).
+//! Thin wrappers over the one tree-of-losers merge, [`FlatMerge`]:
+//! merging consumes offset-value codes from its inputs and produces exact
+//! codes in its output — the property every downstream operator in this
+//! reproduction relies on.  Runs merge in place (rows stay in their
+//! contiguous buffers, winners copy slice-to-slice), and so do live batch
+//! streams — the order-preserving "merging" exchange of Section 4.10 is
+//! the external sort's final merge over inputs that refill.  LSM-forest
+//! compaction and scans (Section 4.11) merge their runs the same way.
 
 use std::sync::Arc;
 
-use ovc_core::{BatchStream, OvcStream, SortSpec, Stats};
+use ovc_core::{BatchStream, SortSpec, Stats};
 
 use crate::runs::Run;
-use crate::tree::{FlatMerge, TreeOfLosers};
+use crate::tree::FlatMerge;
 
-/// Merge in-memory flat runs into one coded output stream (allocation-free
-/// until the stream materializes rows; use [`FlatMerge::into_run`] to stay
-/// flat end-to-end).
-pub fn merge_runs(runs: Vec<Run>, key_len: usize, stats: &Arc<Stats>) -> FlatMerge {
-    merge_runs_spec_owned(runs, SortSpec::asc(key_len), stats)
-}
-
-/// Merge runs ordered under an arbitrary [`SortSpec`].
+/// Merge in-memory flat runs ordered under `spec` into one coded output
+/// stream (allocation-free until the stream materializes rows; use
+/// [`FlatMerge::into_run`] to stay flat end-to-end).
 pub fn merge_runs_spec(runs: Vec<Run>, spec: &SortSpec, stats: &Arc<Stats>) -> FlatMerge {
-    merge_runs_spec_owned(runs, spec.clone(), stats)
-}
-
-fn merge_runs_spec_owned(runs: Vec<Run>, spec: SortSpec, stats: &Arc<Stats>) -> FlatMerge {
-    debug_assert!(runs.iter().all(|r| r.sort_spec() == &spec));
-    FlatMerge::new(runs, spec, Arc::clone(stats))
+    FlatMerge::new(runs, spec.clone(), Arc::clone(stats))
 }
 
 /// Merge live coded batch streams ordered under `spec` — the gathering
@@ -46,26 +35,11 @@ pub fn merge_batch_streams(
     FlatMerge::over_streams(inputs, spec.clone(), Arc::clone(stats))
 }
 
-/// Spec-aware [`merge_runs_to_run`].
+/// Merge runs and materialize the result as a single flat run (LSM
+/// compaction uses it) — winner rows copy straight between contiguous
+/// buffers, no boxed row anywhere.
 pub fn merge_runs_to_run_spec(runs: Vec<Run>, spec: &SortSpec, stats: &Arc<Stats>) -> Run {
     merge_runs_spec(runs, spec, stats).into_run()
-}
-
-/// Merge arbitrary coded streams (all sorted on the same key prefix).
-pub fn merge_streams<S: OvcStream>(
-    inputs: Vec<S>,
-    key_len: usize,
-    stats: &Arc<Stats>,
-) -> TreeOfLosers<S> {
-    debug_assert!(inputs.iter().all(|s| s.key_len() == key_len));
-    TreeOfLosers::new(inputs, key_len, Arc::clone(stats))
-}
-
-/// Merge runs and materialize the result as a single flat run (used by
-/// intermediate external-merge steps and LSM compaction) — winner rows
-/// copy straight between contiguous buffers, no boxed row anywhere.
-pub fn merge_runs_to_run(runs: Vec<Run>, key_len: usize, stats: &Arc<Stats>) -> Run {
-    merge_runs(runs, key_len, stats).into_run()
 }
 
 #[cfg(test)]
@@ -90,7 +64,7 @@ mod tests {
             runs.push(Run::from_sorted_rows(rows, 2));
         }
         let stats = Stats::new_shared();
-        let merged = merge_runs_to_run(runs, 2, &stats);
+        let merged = merge_runs_to_run_spec(runs, &SortSpec::asc(2), &stats);
         assert_eq!(merged.len(), 250);
         let pairs: Vec<(Row, Ovc)> = merged
             .iter()
@@ -104,8 +78,9 @@ mod tests {
 
     #[test]
     fn flat_merge_stream_equals_cursor_merge() {
-        // The flat merge and the generic cursor-based tree must agree row
-        // for row and code for code (same tournament, different storage).
+        // The merge's row edge (its `Iterator`, flushing its tally per
+        // row) and its flat drain must agree row for row, code for code
+        // and comparison for comparison (same tournament, two outlets).
         let mut rng = StdRng::seed_from_u64(9);
         let mut runs = Vec::new();
         for _ in 0..4 {
@@ -115,15 +90,14 @@ mod tests {
             rows.sort();
             runs.push(Run::from_sorted_rows(rows, 1));
         }
-        let stats = Stats::new_shared();
-        let via_cursors: Vec<_> = TreeOfLosers::new(
-            runs.iter().map(|r| r.clone().cursor()).collect(),
-            1,
-            Arc::clone(&stats),
-        )
-        .collect();
-        let via_flat: Vec<_> = merge_runs(runs, 1, &stats).collect();
-        assert_eq!(via_cursors, via_flat);
+        let spec = SortSpec::asc(1);
+        let row_stats = Stats::new_shared();
+        let via_rows: Vec<_> = merge_runs_spec(runs.clone(), &spec, &row_stats).collect();
+        let flat_stats = Stats::new_shared();
+        let via_flat = merge_runs_to_run_spec(runs, &spec, &flat_stats);
+        assert_eq!(via_rows, via_flat.to_ovc_rows());
+        assert_eq!(row_stats.snapshot(), flat_stats.snapshot());
+        assert!(row_stats.ovc_cmps() > 0);
     }
 
     /// The gathering exchange's merge: the same tournament over live batch
@@ -197,6 +171,6 @@ mod tests {
     #[test]
     fn merge_no_runs_is_empty() {
         let stats = Stats::new_shared();
-        assert!(merge_runs_to_run(vec![], 1, &stats).is_empty());
+        assert!(merge_runs_to_run_spec(vec![], &SortSpec::asc(1), &stats).is_empty());
     }
 }

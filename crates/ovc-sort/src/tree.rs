@@ -4,8 +4,14 @@
 //! A tournament tree embedded in an array merges `F` sorted inputs with one
 //! comparison per tree level on each leaf-to-root pass.  Every node holds a
 //! loser's offset-value code and its run identifier; the rows themselves
-//! stay in the input cursors ("strings remain in the input buffers",
-//! Figure 3).
+//! stay in the inputs' flat buffers ("strings remain in the input
+//! buffers", Figure 3).
+//!
+//! There is one merge tournament, [`FlatMerge`]: it merges the external
+//! sort's runs, gathers the order-preserving exchange (§4.10), and
+//! compacts and scans the LSM forest and secondary-index RID lists
+//! (§4.11).  Run generation plays the same matches (`play_entries`)
+//! over the same array mechanics (`loser_tree`).
 //!
 //! The crucial invariant (Section 3): after the overall winner moves to the
 //! output, all nodes on its leaf-to-root path hold codes relative to that
@@ -49,9 +55,8 @@ pub(crate) struct Entry {
 
 /// Play one match between two entries whose keys are `a_key`/`b_key`:
 /// returns `(winner, loser)` with the loser's code adjusted relative to
-/// the winner where required.  Shared by the cursor-based
-/// [`TreeOfLosers`], the flat-run [`FlatMerge`], and flat run generation —
-/// all three must produce bit-identical tournaments.
+/// the winner where required.  Shared by [`FlatMerge`] and flat run
+/// generation, so the two cannot play different tournaments.
 ///
 /// `asc` is the caller's cached `spec.is_asc_prefix()`: the all-ascending
 /// case (the paper's default throughout) skips the per-column direction
@@ -90,10 +95,9 @@ pub(crate) fn play_entries(
     }
 }
 
-/// The array-embedded tournament mechanics shared by every engine in this
-/// crate — the cursor-based [`TreeOfLosers`], the flat-run [`FlatMerge`],
-/// and run generation's single-row tournament.  One copy of the walk means
-/// the three cannot diverge: slot 0 unused, slots `1..cap` hold losers,
+/// The array-embedded tournament mechanics shared by [`FlatMerge`] and
+/// run generation's single-row tournament.  One copy of the walk means
+/// the two cannot diverge: slot 0 unused, slots `1..cap` hold losers,
 /// leaves `cap..2*cap` are implicit.
 pub(crate) mod loser_tree {
     use super::Entry;
@@ -162,17 +166,6 @@ pub(crate) const FENCE_ENTRY: Entry = Entry {
     run: 0,
 };
 
-/// Key slice of an entry's current row in a cursor-based tree (empty for
-/// fences; only read when both codes are valid and equal, in which case
-/// rows exist).
-#[inline]
-fn cursor_key(cur: &[Option<Row>], key_len: usize, e: Entry) -> &[u64] {
-    cur.get(e.run as usize)
-        .and_then(|r| r.as_ref())
-        .map(|r| r.key(key_len))
-        .unwrap_or(&[])
-}
-
 /// Key slice of an entry's current row in a flat-run merge.
 #[inline]
 fn flat_key<'a>(runs: &'a [FlatRows], pos: &[usize], key_len: usize, e: Entry) -> &'a [u64] {
@@ -183,183 +176,16 @@ fn flat_key<'a>(runs: &'a [FlatRows], pos: &[usize], key_len: usize, e: Entry) -
     }
 }
 
-/// Tree-of-losers priority queue merging `F` cursors of coded rows.
+/// Tree-of-losers merge over **flat** inputs: the workspace's one merge
+/// tournament, serving the external sort's run merges, the gathering
+/// exchange, and the storage layer's LSM compactions and merged scans.
 ///
-/// Each cursor must yield rows in ascending key order with exact codes
-/// relative to the cursor's previous row (the [`OvcStream`] contract).
-/// The merge output is itself a valid coded stream: the winner's code at
-/// the root is its code relative to the previous overall winner, i.e. the
-/// previous output row.
-pub struct TreeOfLosers<C: Iterator<Item = OvcRow>> {
-    cursors: Vec<C>,
-    /// Current head row of each real input (index = run id); `None` once
-    /// exhausted.  Padded inputs beyond `cursors.len()` are permanent
-    /// late fences and have no slot here.
-    cur: Vec<Option<Row>>,
-    /// Internal nodes; slot 0 unused, slots `1..cap` hold losers.
-    nodes: Vec<Entry>,
-    winner: Entry,
-    /// Leaf count: `cursors.len()` rounded up to a power of two.
-    cap: usize,
-    spec: SortSpec,
-    /// Cached `spec.is_asc_prefix()` — selects the direction-free
-    /// comparator in [`play_entries`].
-    asc: bool,
-    stats: Arc<Stats>,
-}
-
-impl<C: Iterator<Item = OvcRow>> TreeOfLosers<C> {
-    /// Build the queue over the given cursors with the default
-    /// all-ascending ordering on the leading `key_len` columns.
-    pub fn new(cursors: Vec<C>, key_len: usize, stats: Arc<Stats>) -> Self {
-        Self::new_spec(cursors, SortSpec::asc(key_len), stats)
-    }
-
-    /// Build the queue over cursors ordered (and coded) under `spec`.
-    /// Runs compete at fixed leaves; missing leaves (when the fan-in is
-    /// not a power of two) are late fences.  Every comparison is the
-    /// same same-base code comparison as the ascending case — the spec
-    /// only changes which direction column comparisons resolve in and
-    /// how loser values are re-encoded ([`compare_same_base_spec`]).
-    pub fn new_spec(mut cursors: Vec<C>, spec: SortSpec, stats: Arc<Stats>) -> Self {
-        let f = cursors.len();
-        let cap = f.next_power_of_two().max(1);
-        let mut cur = Vec::with_capacity(f);
-        let mut first_codes = Vec::with_capacity(f);
-        for c in cursors.iter_mut() {
-            match c.next() {
-                Some(OvcRow { row, code }) => {
-                    cur.push(Some(row));
-                    first_codes.push(code);
-                }
-                None => {
-                    cur.push(None);
-                    first_codes.push(Ovc::LATE_FENCE);
-                }
-            }
-        }
-        let asc = spec.is_asc_prefix();
-        let k = spec.len();
-        let mut nodes = vec![FENCE_ENTRY; cap];
-        let winner = {
-            let mut play = |a: Entry, b: Entry| {
-                play_entries(
-                    a,
-                    b,
-                    cursor_key(&cur, k, a),
-                    cursor_key(&cur, k, b),
-                    &spec,
-                    asc,
-                    &stats,
-                )
-            };
-            loser_tree::build(
-                &mut nodes,
-                cap,
-                &mut |r| first_codes.get(r).copied().unwrap_or(Ovc::LATE_FENCE),
-                &mut play,
-            )
-        };
-        TreeOfLosers {
-            cursors,
-            cur,
-            nodes,
-            winner,
-            cap,
-            asc,
-            spec,
-            stats,
-        }
-    }
-
-    /// Number of leaves (padded fan-in).
-    pub fn fan_in(&self) -> usize {
-        self.cap
-    }
-
-    /// The shared statistics handle.
-    pub fn stats(&self) -> &Arc<Stats> {
-        &self.stats
-    }
-
-    /// Peek the code of the current overall winner without popping
-    /// (late fence once the merge is exhausted).
-    ///
-    /// F1's merge logic uses this to route rows whose offset equals the
-    /// key-column count straight to the output buffer (Section 5).
-    pub fn peek_code(&self) -> Ovc {
-        self.winner.code
-    }
-}
-
-impl<C: Iterator<Item = OvcRow>> Iterator for TreeOfLosers<C> {
-    type Item = OvcRow;
-
-    fn next(&mut self) -> Option<OvcRow> {
-        if self.winner.code.is_late_fence() {
-            return None;
-        }
-        let w = self.winner.run as usize;
-        let row = self.cur[w].take().expect("winner run has a current row");
-        let out = OvcRow::new(row, self.winner.code);
-
-        // Fetch the winner's successor from the same input; it is coded
-        // relative to the row just output (prefix truncation within the
-        // run), so the leaf-to-root pass below compares same-base codes.
-        let cand = match self.cursors[w].next() {
-            Some(OvcRow { row, code }) => {
-                self.cur[w] = Some(row);
-                Entry {
-                    code,
-                    run: w as u32,
-                }
-            }
-            None => Entry {
-                code: Ovc::LATE_FENCE,
-                run: w as u32,
-            },
-        };
-
-        // One comparison per tree level: the candidate retraces the prior
-        // winner's leaf-to-root path.
-        let (cur, spec, asc, stats) = (&self.cur, &self.spec, self.asc, &self.stats);
-        let k = spec.len();
-        let mut play = |a: Entry, b: Entry| {
-            play_entries(
-                a,
-                b,
-                cursor_key(cur, k, a),
-                cursor_key(cur, k, b),
-                spec,
-                asc,
-                stats,
-            )
-        };
-        self.winner = loser_tree::replay(&mut self.nodes, self.cap, w, cand, &mut play);
-        Some(out)
-    }
-}
-
-impl<C: Iterator<Item = OvcRow>> OvcStream for TreeOfLosers<C> {
-    fn key_len(&self) -> usize {
-        self.spec.len()
-    }
-    fn sort_spec(&self) -> SortSpec {
-        self.spec.clone()
-    }
-}
-
-/// Tree-of-losers merge over **flat** inputs: the allocation-free merge
-/// hot path, serving both the external sort's run merges and the
-/// gathering exchange.
-///
-/// Where [`TreeOfLosers`] pulls boxed [`OvcRow`]s out of generic cursors,
 /// `FlatMerge` keeps every input's rows in place in a contiguous
 /// [`FlatRows`] buffer and tracks one cursor *position* per input.  Each
-/// steady-state step is the same same-base code tournament (shared
-/// `play_entries` logic, hence bit-identical comparisons, codes, and
-/// [`Stats`] counters), but the winner "moves" by advancing an index; its
-/// row is copied slice-to-slice into a flat output buffer — one run
+/// steady-state step is a same-base code comparison per tree level (the
+/// `play_entries` logic run generation shares, counted into a [`Tally`]
+/// and flushed into [`Stats`]); the winner "moves" by advancing an index;
+/// its row is copied slice-to-slice into a flat output buffer — one run
 /// ([`FlatMerge::into_run`]) or batch after batch
 /// ([`crate::SortOutput::batches`]) — or materialized as an [`OvcRow`]
 /// only when a caller iterates rows (the [`Iterator`] impl).  Per-input
@@ -611,11 +437,6 @@ impl FlatMerge {
             distinct,
         }
     }
-
-    /// Number of leaves (padded fan-in).
-    pub fn fan_in(&self) -> usize {
-        self.cap
-    }
 }
 
 impl Iterator for FlatMerge {
@@ -664,19 +485,20 @@ mod tests {
     use super::*;
     use ovc_core::derive::assert_codes_exact;
     use ovc_core::stream::collect_pairs;
-    use ovc_core::VecStream;
 
-    fn stream_of(rows: Vec<Vec<u64>>, key_len: usize) -> VecStream {
-        VecStream::from_sorted_rows(rows.into_iter().map(Row::new).collect(), key_len)
+    fn run_of(rows: Vec<Vec<u64>>, key_len: usize) -> Run {
+        Run::from_sorted_rows(rows.into_iter().map(Row::new).collect(), key_len)
+    }
+
+    fn merge(runs: Vec<Run>, key_len: usize, stats: Arc<Stats>) -> FlatMerge {
+        FlatMerge::new(runs, SortSpec::asc(key_len), stats)
     }
 
     #[test]
     fn merges_two_runs() {
-        let a = stream_of(vec![vec![1, 1], vec![3, 1], vec![5, 1]], 2);
-        let b = stream_of(vec![vec![2, 1], vec![4, 1], vec![6, 1]], 2);
-        let stats = Stats::new_shared();
-        let tree = TreeOfLosers::new(vec![a, b], 2, stats);
-        let pairs = collect_pairs(tree);
+        let a = run_of(vec![vec![1, 1], vec![3, 1], vec![5, 1]], 2);
+        let b = run_of(vec![vec![2, 1], vec![4, 1], vec![6, 1]], 2);
+        let pairs = collect_pairs(merge(vec![a, b], 2, Stats::new_shared()));
         let keys: Vec<u64> = pairs.iter().map(|(r, _)| r.cols()[0]).collect();
         assert_eq!(keys, vec![1, 2, 3, 4, 5, 6]);
         assert_codes_exact(&pairs, 2);
@@ -685,22 +507,19 @@ mod tests {
     #[test]
     fn merge_output_codes_are_exact_for_many_runs() {
         // Three runs with interleaved values and duplicates, odd fan-in.
-        let r1 = stream_of(vec![vec![1, 2], vec![1, 5], vec![7, 0]], 2);
-        let r2 = stream_of(vec![vec![1, 2], vec![4, 4]], 2);
-        let r3 = stream_of(vec![vec![0, 9], vec![9, 9]], 2);
-        let stats = Stats::new_shared();
-        let tree = TreeOfLosers::new(vec![r1, r2, r3], 2, stats);
-        let pairs = collect_pairs(tree);
+        let r1 = run_of(vec![vec![1, 2], vec![1, 5], vec![7, 0]], 2);
+        let r2 = run_of(vec![vec![1, 2], vec![4, 4]], 2);
+        let r3 = run_of(vec![vec![0, 9], vec![9, 9]], 2);
+        let pairs = collect_pairs(merge(vec![r1, r2, r3], 2, Stats::new_shared()));
         assert_eq!(pairs.len(), 7);
         assert_codes_exact(&pairs, 2);
     }
 
     #[test]
     fn single_run_passes_through() {
-        let a = stream_of(vec![vec![2], vec![3], vec![9]], 1);
+        let a = run_of(vec![vec![2], vec![3], vec![9]], 1);
         let stats = Stats::new_shared();
-        let tree = TreeOfLosers::new(vec![a], 1, Arc::clone(&stats));
-        let pairs = collect_pairs(tree);
+        let pairs = collect_pairs(merge(vec![a], 1, Arc::clone(&stats)));
         assert_eq!(pairs.len(), 3);
         assert_codes_exact(&pairs, 1);
         // A single input requires no column comparisons at all.
@@ -709,26 +528,21 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let stats = Stats::new_shared();
-        let tree: TreeOfLosers<VecStream> = TreeOfLosers::new(vec![], 1, stats);
-        assert_eq!(tree.count(), 0);
+        assert_eq!(merge(vec![], 1, Stats::new_shared()).count(), 0);
+        assert!(merge(vec![], 1, Stats::new_shared()).into_run().is_empty());
 
-        let empty = stream_of(vec![], 1);
-        let full = stream_of(vec![vec![1]], 1);
-        let stats = Stats::new_shared();
-        let tree = TreeOfLosers::new(vec![empty, full], 1, stats);
-        let pairs = collect_pairs(tree);
+        let empty = run_of(vec![], 1);
+        let full = run_of(vec![vec![1]], 1);
+        let pairs = collect_pairs(merge(vec![empty, full], 1, Stats::new_shared()));
         assert_eq!(pairs.len(), 1);
         assert_codes_exact(&pairs, 1);
     }
 
     #[test]
     fn all_duplicates_across_runs() {
-        let a = stream_of(vec![vec![5, 5]; 3], 2);
-        let b = stream_of(vec![vec![5, 5]; 2], 2);
-        let stats = Stats::new_shared();
-        let tree = TreeOfLosers::new(vec![a, b], 2, stats);
-        let pairs = collect_pairs(tree);
+        let a = run_of(vec![vec![5, 5]; 3], 2);
+        let b = run_of(vec![vec![5, 5]; 2], 2);
+        let pairs = collect_pairs(merge(vec![a, b], 2, Stats::new_shared()));
         assert_eq!(pairs.len(), 5);
         assert_codes_exact(&pairs, 2);
         // All rows after the first carry the duplicate code.
@@ -738,11 +552,11 @@ mod tests {
     #[test]
     fn merge_is_stable_by_run_index() {
         // Equal keys must come out in run order (payload reveals origin).
-        let a = stream_of(vec![vec![5, 100]], 1);
-        let b = stream_of(vec![vec![5, 200]], 1);
-        let stats = Stats::new_shared();
-        let tree = TreeOfLosers::new(vec![a, b], 1, stats);
-        let rows: Vec<Row> = tree.map(|r| r.row).collect();
+        let a = run_of(vec![vec![5, 100]], 1);
+        let b = run_of(vec![vec![5, 200]], 1);
+        let rows: Vec<Row> = merge(vec![a, b], 1, Stats::new_shared())
+            .map(|r| r.row)
+            .collect();
         assert_eq!(rows[0].cols()[1], 100);
         assert_eq!(rows[1].cols()[1], 200);
     }
@@ -767,11 +581,10 @@ mod tests {
                 .collect();
             rows.sort();
             n += rows.len() as u64;
-            runs.push(VecStream::from_sorted_rows(rows, 3));
+            runs.push(Run::from_sorted_rows(rows, 3));
         }
         let stats = Stats::new_shared();
-        let tree = TreeOfLosers::new(runs, 3, Arc::clone(&stats));
-        let pairs = collect_pairs(tree);
+        let pairs = collect_pairs(merge(runs, 3, Arc::clone(&stats)));
         assert_eq!(pairs.len() as u64, n);
         assert_codes_exact(&pairs, 3);
         // The paper's bound: total column-value comparisons <= N * K.
@@ -789,24 +602,12 @@ mod tests {
         use ovc_core::Direction;
         let spec = SortSpec::with_dirs(&[Direction::Desc, Direction::Asc]);
         // Two runs ordered [c0 desc, c1 asc].
-        let a = VecStream::from_sorted_rows_spec(
-            vec![
-                Row::new(vec![9, 1]),
-                Row::new(vec![5, 0]),
-                Row::new(vec![5, 7]),
-            ],
-            spec.clone(),
-        );
-        let b = VecStream::from_sorted_rows_spec(
-            vec![
-                Row::new(vec![7, 2]),
-                Row::new(vec![5, 7]),
-                Row::new(vec![1, 1]),
-            ],
-            spec.clone(),
-        );
-        let stats = Stats::new_shared();
-        let tree = TreeOfLosers::new_spec(vec![a, b], spec.clone(), stats);
+        let run = |rows: [[u64; 2]; 3]| {
+            Run::from_sorted_rows_spec(rows.map(|r| Row::new(r.to_vec())).to_vec(), spec.clone())
+        };
+        let a = run([[9, 1], [5, 0], [5, 7]]);
+        let b = run([[7, 2], [5, 7], [1, 1]]);
+        let tree = FlatMerge::new(vec![a, b], spec.clone(), Stats::new_shared());
         assert_eq!(tree.sort_spec(), spec);
         let pairs = collect_pairs(tree);
         let keys: Vec<Vec<u64>> = pairs.iter().map(|(r, _)| r.cols().to_vec()).collect();
@@ -822,17 +623,5 @@ mod tests {
             ]
         );
         assert_codes_exact_spec(&pairs, &spec);
-    }
-
-    #[test]
-    fn peek_code_matches_next_output() {
-        let a = stream_of(vec![vec![1], vec![2]], 1);
-        let stats = Stats::new_shared();
-        let mut tree = TreeOfLosers::new(vec![a], 1, stats);
-        let peeked = tree.peek_code();
-        let first = tree.next().unwrap();
-        assert_eq!(peeked, first.code);
-        tree.next();
-        assert!(tree.peek_code().is_late_fence());
     }
 }

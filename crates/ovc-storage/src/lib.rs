@@ -21,6 +21,9 @@
 //! * [`secondary`] — non-unique secondary indexes with sorted RID lists,
 //!   range/IN scans via tree-of-losers merges, and RID-order scans for
 //!   index intersection and index join.
+//!
+//! Every merge here — compaction, forest scans, RID-list scans — is the
+//! sort's one tournament, `ovc_sort::FlatMerge`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -36,7 +39,7 @@ pub mod spill;
 pub use btree::{BTree, BTreeScan};
 pub use checksum::crc32;
 pub use encode::{decode_run, encode_run};
-pub use lsm::{merge_forest_scans, LsmConfig, LsmForest};
+pub use lsm::{LsmConfig, LsmForest};
 pub use rle::{RleColumnStore, RleScan};
 pub use secondary::{Rid, SecondaryIndex};
 pub use spill::{EncodedRunStorage, FileRunStorage};

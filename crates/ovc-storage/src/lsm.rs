@@ -13,15 +13,17 @@
 //!
 //! * **ingest** sorts a batch with the OVC priority queue — codes are a
 //!   by-product;
-//! * **compaction** merges runs with a tree-of-losers — codes in, codes
-//!   out, column comparisons bounded by `N × K`;
-//! * **scan** merges all runs the same way, delivering one coded stream to
-//!   query processing.
+//! * **compaction** merges runs with the sort's one tree-of-losers,
+//!   [`FlatMerge`] — codes in, codes out, column comparisons bounded by
+//!   `N × K`;
+//! * **scan** is the same merge over every run, delivering one coded
+//!   stream to query processing ("merge of such scans benefits from
+//!   offset-value codes", Section 4.11).
 
 use std::sync::Arc;
 
-use ovc_core::{Row, Stats};
-use ovc_sort::{merge_runs_to_run, sort_rows_ovc, Run, RunCursor, TreeOfLosers};
+use ovc_core::{Row, SortSpec, Stats};
+use ovc_sort::{merge_runs_spec, merge_runs_to_run_spec, sort_rows_ovc, FlatMerge, Run};
 
 /// Forest shape parameters.
 #[derive(Clone, Copy, Debug)]
@@ -104,12 +106,7 @@ impl LsmForest {
     fn compact_from(&mut self, mut level: usize) {
         while self.levels[level].len() > self.config.fanout {
             let runs = std::mem::take(&mut self.levels[level]);
-            let read_rows: u64 = runs.iter().map(|r| r.len() as u64).sum();
-            let read_bytes: u64 = runs.iter().map(Run::spill_bytes).sum();
-            self.stats.count_read_back(read_rows, read_bytes);
-            let merged = merge_runs_to_run(runs, self.key_len, &self.stats);
-            self.stats
-                .count_spill(merged.len() as u64, merged.spill_bytes());
+            let merged = self.merge(runs);
             if level + 1 == self.levels.len() {
                 self.levels.push(Vec::new());
             }
@@ -118,29 +115,34 @@ impl LsmForest {
         }
     }
 
-    /// Force-merge the whole forest into a single run (major compaction).
+    /// Merge `runs` into one, charging the compaction's I/O: every input
+    /// row is read back and every output row written.
+    fn merge(&self, runs: Vec<Run>) -> Run {
+        let read_rows: u64 = runs.iter().map(|r| r.len() as u64).sum();
+        let read_bytes: u64 = runs.iter().map(Run::spill_bytes).sum();
+        self.stats.count_read_back(read_rows, read_bytes);
+        let merged = merge_runs_to_run_spec(runs, &SortSpec::asc(self.key_len), &self.stats);
+        self.stats
+            .count_spill(merged.len() as u64, merged.spill_bytes());
+        merged
+    }
+
+    /// Force-merge the whole forest into a single run (major compaction),
+    /// charged like any other compaction.
     pub fn major_compact(&mut self) {
         let runs: Vec<Run> = self.levels.iter_mut().flat_map(std::mem::take).collect();
         if runs.is_empty() {
             return;
         }
-        let merged = merge_runs_to_run(runs, self.key_len, &self.stats);
+        let merged = self.merge(runs);
         self.levels = vec![Vec::new(), vec![merged]];
-        while self.levels.len() > 2 {
-            self.levels.pop();
-        }
     }
 
-    /// Ordered scan over the whole forest: a tree-of-losers merge of every
-    /// run's cursor, producing one coded stream.
-    pub fn scan(&self) -> TreeOfLosers<RunCursor> {
-        let cursors: Vec<RunCursor> = self
-            .levels
-            .iter()
-            .flatten()
-            .map(|r| r.clone().cursor())
-            .collect();
-        TreeOfLosers::new(cursors, self.key_len, Arc::clone(&self.stats))
+    /// Ordered scan over the whole forest: one tree-of-losers merge of
+    /// every run, producing one coded stream.
+    pub fn scan(&self) -> FlatMerge {
+        let runs: Vec<Run> = self.levels.iter().flatten().cloned().collect();
+        merge_runs_spec(runs, &SortSpec::asc(self.key_len), &self.stats)
     }
 
     /// Point lookup: all rows matching the full key, newest level first
@@ -170,28 +172,6 @@ impl LsmForest {
         out.sort();
         out
     }
-
-    /// Consume the forest into one merged coded stream (used by pipelines
-    /// that own the forest).
-    pub fn into_scan(self) -> TreeOfLosers<RunCursor> {
-        let key_len = self.key_len;
-        let stats = Arc::clone(&self.stats);
-        let cursors: Vec<RunCursor> = self.levels.into_iter().flatten().map(Run::cursor).collect();
-        TreeOfLosers::new(cursors, key_len, stats)
-    }
-}
-
-/// Merge several forests' scans into one coded stream — the "merge of such
-/// scans benefits from offset-value codes" case of Section 4.11.  The
-/// merge is itself a tree-of-losers over the forests' merge trees.
-pub fn merge_forest_scans(
-    forests: Vec<LsmForest>,
-    stats: &Arc<Stats>,
-) -> TreeOfLosers<TreeOfLosers<RunCursor>> {
-    let key_len = forests.first().map(|f| f.key_len()).unwrap_or(0);
-    let scans: Vec<TreeOfLosers<RunCursor>> =
-        forests.into_iter().map(LsmForest::into_scan).collect();
-    TreeOfLosers::new(scans, key_len, Arc::clone(stats))
 }
 
 #[cfg(test)]
@@ -265,6 +245,25 @@ mod tests {
         let pairs: Vec<(Row, Ovc)> = forest.scan().map(|r| (r.row, r.code)).collect();
         assert_eq!(pairs.len(), 210);
         assert_codes_exact(&pairs, 2);
+    }
+
+    /// Major compaction reads every row back and writes it once, exactly
+    /// as a cascading compaction of the same runs is charged.
+    #[test]
+    fn major_compact_charges_one_read_back_and_one_spill_per_row() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let stats = Stats::new_shared();
+        let mut forest = LsmForest::new(2, LsmConfig { fanout: 3 }, Arc::clone(&stats));
+        for _ in 0..9 {
+            forest.ingest(batch(40, &mut rng));
+        }
+        assert!(forest.run_count() > 1);
+        let before = stats.snapshot();
+        forest.major_compact();
+        let delta = stats.snapshot().since(&before);
+        assert_eq!(delta.rows_read_back, forest.len() as u64);
+        assert_eq!(delta.rows_spilled, forest.len() as u64);
+        assert_eq!(forest.run_count(), 1);
     }
 
     #[test]

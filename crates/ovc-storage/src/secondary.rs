@@ -13,24 +13,26 @@
 //!
 //! This index maps one column's values to sorted RID lists whose codes are
 //! computed once at build time; equality, IN-list, and range scans deliver
-//! coded RID streams (range/IN scans through a tree-of-losers merge).
+//! coded RID streams (range/IN scans through the sort's one tree-of-losers
+//! merge, `ovc_sort::FlatMerge`).
 //! Index intersection and RID-order index joins compose downstream with
 //! the set operations and merge join of `ovc-exec` — see the
 //! `secondary_index` integration tests.
 
 use std::sync::Arc;
 
-use ovc_core::{Ovc, OvcRow, Row, Stats, Value, VecStream};
-use ovc_sort::{Run, RunCursor, TreeOfLosers};
+use ovc_core::{FlatRows, Ovc, OvcRow, Row, SortSpec, Stats, Value, VecStream};
+use ovc_sort::{merge_runs_spec, FlatMerge, Run};
 
 /// A row identifier: the row's position in the base table.
 pub type Rid = u64;
 
 /// A secondary index over one column of a base table.
 pub struct SecondaryIndex {
-    /// Distinct values in ascending order, each with its coded RID list
-    /// (RIDs ascend; codes are next-neighbor differences, free at scan).
-    entries: Vec<(Value, Vec<OvcRow>)>,
+    /// Distinct values in ascending order, each with its coded RID list:
+    /// a one-column run whose RIDs ascend and whose codes are
+    /// next-neighbor differences, free at scan.
+    entries: Vec<(Value, Run)>,
     column: usize,
     table_rows: usize,
 }
@@ -44,24 +46,26 @@ impl SecondaryIndex {
             .map(|(rid, row)| (row.cols()[column], rid as Rid))
             .collect();
         pairs.sort_unstable();
-        let mut entries: Vec<(Value, Vec<OvcRow>)> = Vec::new();
+        let mut lists: Vec<(Value, FlatRows)> = Vec::new();
         for (value, rid) in pairs {
-            let rid_row = Row::new(vec![rid]);
-            match entries.last_mut() {
+            match lists.last_mut() {
                 Some((v, list)) if *v == value => {
                     // RIDs within one value's list are strictly ascending;
                     // the next-neighbor code is stored, as in a compressed
                     // index leaf.
-                    let code = Ovc::new(0, rid, 1);
-                    debug_assert!(list.last().map(|p| p.row.cols()[0] < rid).unwrap_or(true));
-                    list.push(OvcRow::new(rid_row, code));
+                    list.push(&[rid], Ovc::new(0, rid, 1));
                 }
                 _ => {
-                    let code = Ovc::initial(&[rid]);
-                    entries.push((value, vec![OvcRow::new(rid_row, code)]));
+                    let mut list = FlatRows::new(1);
+                    list.push(&[rid], Ovc::initial(&[rid]));
+                    lists.push((value, list));
                 }
             }
         }
+        let entries = lists
+            .into_iter()
+            .map(|(value, list)| (value, Run::from_flat(list, SortSpec::asc(1))))
+            .collect();
         SecondaryIndex {
             entries,
             column,
@@ -84,11 +88,11 @@ impl SecondaryIndex {
         self.table_rows
     }
 
-    fn list_for(&self, value: Value) -> Option<&[OvcRow]> {
+    fn list_for(&self, value: Value) -> Option<&Run> {
         self.entries
             .binary_search_by_key(&value, |(v, _)| *v)
             .ok()
-            .map(|i| self.entries[i].1.as_slice())
+            .map(|i| &self.entries[i].1)
     }
 
     /// Coded RID stream for an equality predicate.  The stored codes come
@@ -96,7 +100,7 @@ impl SecondaryIndex {
     pub fn scan_eq(&self, value: Value) -> VecStream {
         let rows = self
             .list_for(value)
-            .map(<[OvcRow]>::to_vec)
+            .map(Run::to_ovc_rows)
             .unwrap_or_default();
         VecStream::from_coded(rows, 1)
     }
@@ -104,26 +108,23 @@ impl SecondaryIndex {
     /// Coded RID stream for a range predicate `lo <= v < hi`: a
     /// tree-of-losers merge of the per-value lists, producing exact codes
     /// for the merged list (Section 4.11's "range queries need to merge
-    /// lists of row identifiers").
-    pub fn scan_range(&self, lo: Value, hi: Value, stats: &Arc<Stats>) -> TreeOfLosers<RunCursor> {
+    /// lists of row identifiers").  An empty range (`lo >= hi`) merges
+    /// nothing.
+    pub fn scan_range(&self, lo: Value, hi: Value, stats: &Arc<Stats>) -> FlatMerge {
         let from = self.entries.partition_point(|(v, _)| *v < lo);
-        let to = self.entries.partition_point(|(v, _)| *v < hi);
-        let cursors: Vec<RunCursor> = self.entries[from..to]
-            .iter()
-            .map(|(_, list)| Run::from_coded(list.clone(), 1).cursor())
-            .collect();
-        TreeOfLosers::new(cursors, 1, Arc::clone(stats))
+        let to = self.entries.partition_point(|(v, _)| *v < hi).max(from);
+        let lists = self.entries[from..to].iter().map(|(_, list)| list.clone());
+        merge_runs_spec(lists.collect(), &SortSpec::asc(1), stats)
     }
 
     /// Coded RID stream for an IN-list predicate — MDAM-style merging of
-    /// several disjoint lists.
-    pub fn scan_in(&self, values: &[Value], stats: &Arc<Stats>) -> TreeOfLosers<RunCursor> {
-        let cursors: Vec<RunCursor> = values
-            .iter()
-            .filter_map(|&v| self.list_for(v))
-            .map(|list| Run::from_coded(list.to_vec(), 1).cursor())
-            .collect();
-        TreeOfLosers::new(cursors, 1, Arc::clone(stats))
+    /// several disjoint lists.  A value listed twice is merged once.
+    pub fn scan_in(&self, values: &[Value], stats: &Arc<Stats>) -> FlatMerge {
+        let mut values = values.to_vec();
+        values.sort_unstable();
+        values.dedup();
+        let lists = values.into_iter().filter_map(|v| self.list_for(v).cloned());
+        merge_runs_spec(lists.collect(), &SortSpec::asc(1), stats)
     }
 
     /// Index-only scan in RID order: `(rid, value)` rows sorted by RID with
@@ -133,7 +134,7 @@ impl SecondaryIndex {
         let mut rows: Vec<(Rid, Value)> = self
             .entries
             .iter()
-            .flat_map(|(v, list)| list.iter().map(move |r| (r.row.cols()[0], *v)))
+            .flat_map(|(v, list)| list.iter().map(move |(rid, _)| (rid[0], *v)))
             .collect();
         rows.sort_unstable();
         let coded: Vec<OvcRow> = rows
@@ -223,6 +224,32 @@ mod tests {
             .filter(|r| [3u64, 17].contains(&r.cols()[0]))
             .count();
         assert_eq!(pairs.len(), expect);
+    }
+
+    #[test]
+    fn inverted_range_is_empty() {
+        let t = table(300, 20, 6);
+        let idx = SecondaryIndex::build(&t, 0);
+        let stats = Stats::new_shared();
+        assert_eq!(idx.scan_range(17, 3, &stats).count(), 0);
+        assert_eq!(idx.scan_range(5, 5, &stats).count(), 0);
+    }
+
+    #[test]
+    fn in_list_with_a_repeated_value_returns_each_rid_once() {
+        let t = table(300, 20, 7);
+        let idx = SecondaryIndex::build(&t, 0);
+        let stats = Stats::new_shared();
+        let pairs = collect_pairs(idx.scan_in(&[3, 17, 3], &stats));
+        assert_codes_exact(&pairs, 1);
+        let expect: Vec<u64> = t
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| [3u64, 17].contains(&r.cols()[0]))
+            .map(|(i, _)| i as u64)
+            .collect();
+        let got: Vec<u64> = pairs.iter().map(|(r, _)| r.cols()[0]).collect();
+        assert_eq!(got, expect);
     }
 
     #[test]

@@ -14,7 +14,6 @@ use std::sync::Arc;
 use ovc_bench::workload::{table, TableSpec};
 use ovc_core::{BatchStream, Stats};
 use ovc_exec::{Aggregate, GroupAggregate};
-use ovc_sort::Run;
 use ovc_storage::{LsmConfig, LsmForest};
 
 fn main() {
@@ -62,8 +61,9 @@ fn main() {
     // Query processing: merged scan -> in-stream aggregation, both on codes.
     println!("query: select k1, k2, count(*) group by k1, k2\n");
     let before = stats.snapshot();
-    // The merged scan's coded rows, gathered flat, feed the batch kernel.
-    let scan = Run::from_coded(forest.scan().collect(), key_cols).batches(1024);
+    // The merged scan drains flat into one run, which feeds the batch
+    // kernel.
+    let scan = forest.scan().into_run().batches(1024);
     let mut grouped =
         GroupAggregate::new(scan, 2, vec![Aggregate::Count], 1024, Arc::clone(&stats));
     let mut groups = 0usize;

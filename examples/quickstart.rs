@@ -8,8 +8,8 @@
 
 use ovc_core::derive::derive_codes;
 use ovc_core::desc::{derive_desc_code, DescOvc};
-use ovc_core::{table1, BatchStream, Row, Stats, VecStream};
-use ovc_exec::{Aggregate, Dedup, Filter, GroupAggregate};
+use ovc_core::{table1, BatchStream, Row, Stats, Value};
+use ovc_exec::{Aggregate, BatchDedup, BatchFilter, GroupAggregate};
 use ovc_sort::Run;
 
 fn main() {
@@ -45,24 +45,35 @@ fn main() {
     }
 
     println!("\n=== Table 3: codes after a filter (keep first & last row) ===\n");
-    let keep = [rows[0].clone(), rows[6].clone()];
-    let input = VecStream::from_sorted_rows(rows.clone(), 4);
-    for r in Filter::new(input, |row| keep.contains(row), Stats::new_shared()) {
-        println!(
-            "{:<16} asc-code {:>4}  (offset {})",
-            format!("{:?}", r.row.cols()),
-            r.code.paper_decimal(),
-            r.code.offset(4)
-        );
+    // The filter reads flat batches too: the sorted rows as one coded
+    // run, cut every 4 rows.
+    let keep = [rows[0].cols(), rows[6].cols()];
+    let input = Run::from_sorted_rows(rows.clone(), 4).batches(4);
+    let mut filtered = BatchFilter::new(
+        input,
+        |row: &[Value]| keep.contains(&row),
+        Stats::new_shared(),
+    );
+    while let Some(batch) = filtered.next_batch() {
+        for (row, code) in batch.iter() {
+            println!(
+                "{:<16} asc-code {:>4}  (offset {})",
+                format!("{row:?}"),
+                code.paper_decimal(),
+                code.offset(4)
+            );
+        }
     }
 
     println!("\n=== Duplicate removal by code inspection ===\n");
-    let input = VecStream::from_sorted_rows(rows.clone(), 4);
-    let distinct: Vec<_> = Dedup::new(input).collect();
+    let mut distinct = BatchDedup::new(Run::from_sorted_rows(rows.clone(), 4).batches(4));
+    let distinct_rows: usize = std::iter::from_fn(|| distinct.next_batch())
+        .map(|b| b.len())
+        .sum();
     println!(
         "{} rows in, {} rows out — the duplicate (5,9,2,7) was found by the\nsingle integer test `offset == arity`, no column comparisons.",
         rows.len(),
-        distinct.len()
+        distinct_rows
     );
 
     println!("\n=== Grouping on the first two columns ===\n");

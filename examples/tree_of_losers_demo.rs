@@ -12,8 +12,8 @@
 
 use std::sync::Arc;
 
-use ovc_core::{Row, Stats, VecStream};
-use ovc_sort::TreeOfLosers;
+use ovc_core::{Row, SortSpec, Stats};
+use ovc_sort::{FlatMerge, Run};
 
 /// A 3-character string as a row of char columns.
 fn key(s: &str) -> Row {
@@ -38,11 +38,11 @@ fn main() {
     ];
 
     let stats = Stats::new_shared();
-    let cursors: Vec<VecStream> = runs
+    let coded: Vec<Run> = runs
         .iter()
-        .map(|r| VecStream::from_sorted_rows(r.clone(), 3))
+        .map(|r| Run::from_sorted_rows(r.clone(), 3))
         .collect();
-    let tree = TreeOfLosers::new(cursors, 3, Arc::clone(&stats));
+    let tree = FlatMerge::new(coded, SortSpec::asc(3), Arc::clone(&stats));
 
     println!("merging {} runs of 3-character strings\n", runs.len());
     println!(

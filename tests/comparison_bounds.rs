@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use ovc_core::{BatchStream, Row, Stats};
+use ovc_core::{BatchStream, Row, SortSpec, Stats};
 use ovc_exec::{JoinType, MergeJoin};
 use ovc_sort::{external_sort_collect, sort_rows_ovc, Run, RunGenStrategy, SortConfig};
 use rand::rngs::StdRng;
@@ -149,7 +149,7 @@ fn replacement_selection_bounded_by_constant_times_n_k() {
     );
     // And merging those runs stays within N*K again.
     let before = stats.snapshot();
-    let merged = ovc_sort::merge_runs_to_run(runs, k, &stats);
+    let merged = ovc_sort::merge_runs_to_run_spec(runs, &SortSpec::asc(k), &stats);
     assert_eq!(merged.len(), n);
     let delta = stats.snapshot().since(&before);
     assert!(delta.col_value_cmps <= (n * k) as u64);

@@ -25,9 +25,7 @@ use ovc_repro::plan::{
     execute, execute_ctx, execute_ctx_profiled, execute_profiled, Aggregate, Catalog, ExecOptions,
     JoinType, LogicalPlan, Planner, PlannerConfig, Preference, SetOp, Table,
 };
-use ovc_repro::sort::{
-    external_sort_spec_resilient, try_external_sort_spec, MemoryRunStorage, SortConfig,
-};
+use ovc_repro::sort::{try_external_sort_spec, MemoryRunStorage, SortConfig};
 use ovc_repro::storage::FileRunStorage;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -247,27 +245,28 @@ fn injected_spill_write_fault_is_typed_and_retry_is_byte_identical() {
 
     // The bare sort surfaces the injected write failure as a typed
     // error, not a panic and not wrong rows.
-    {
-        let _guard = fault::install(FaultConfig::new(seed).once(FaultPoint::SpillWrite));
-        let stats = Stats::new_shared();
-        let mut storage = MemoryRunStorage::new(Arc::clone(&stats));
-        let err = try_external_sort_spec(rows.clone(), cfg, &spec, &mut storage, &stats)
-            .map(|_| ())
-            .expect_err("injected write fault must surface");
-        assert_eq!(err.reason(), "spill_io");
-    }
+    let _guard = fault::install(FaultConfig::new(seed).once(FaultPoint::SpillWrite));
+    let stats = Stats::new_shared();
+    let mut storage = MemoryRunStorage::new(Arc::clone(&stats));
+    let err = try_external_sort_spec(rows.clone(), cfg, &spec, &mut storage, &stats)
+        .map(|_| ())
+        .expect_err("injected write fault must surface");
+    assert_eq!(err.reason(), "spill_io");
 
-    // The resilient sort retries from source and reproduces the exact
-    // rows AND codes — codes are a function of the output sequence
-    // alone, so the recovery path cannot drift.
-    {
-        let _guard = fault::install(FaultConfig::new(seed).once(FaultPoint::SpillWrite));
-        let stats = Stats::new_shared();
-        let mut storage = MemoryRunStorage::new(Arc::clone(&stats));
-        let out: Vec<_> = external_sort_spec_resilient(rows, cfg, &spec, &mut storage, &stats)
-            .expect("resilient sort recovers")
-            .collect();
-        assert_eq!(out, reference, "recovered output must be byte-identical");
+    // The executor's retry (DESIGN.md §14) sorts the input again from
+    // source, resident, on the same device: rows AND codes match, since
+    // codes are a function of the output sequence alone.
+    let out: Vec<_> = try_external_sort_spec(rows, resident(cfg), &spec, &mut storage, &stats)
+        .expect("the resident retry touches no device")
+        .collect();
+    assert_eq!(out, reference, "retried output must be byte-identical");
+}
+
+/// `cfg` with one unbounded run: a sort that never spills.
+fn resident(cfg: SortConfig) -> SortConfig {
+    SortConfig {
+        memory_rows: usize::MAX,
+        ..cfg
     }
 }
 
@@ -289,26 +288,19 @@ fn injected_spill_corruption_is_detected_and_recovered() {
 
     // A flipped byte in a spill frame comes back as a typed corruption
     // error on read-back.
-    {
-        let _guard = fault::install(FaultConfig::new(seed).once(FaultPoint::SpillCorrupt));
-        let stats = Stats::new_shared();
-        let mut storage = FileRunStorage::new(Arc::clone(&stats)).expect("tempdir");
-        let err = try_external_sort_spec(rows.clone(), cfg, &spec, &mut storage, &stats)
-            .map(|_| ())
-            .expect_err("corrupted frame must fail the read-back");
-        assert_eq!(err.reason(), "spill_corruption");
-    }
+    let _guard = fault::install(FaultConfig::new(seed).once(FaultPoint::SpillCorrupt));
+    let stats = Stats::new_shared();
+    let mut storage = FileRunStorage::new(Arc::clone(&stats)).expect("tempdir");
+    let err = try_external_sort_spec(rows.clone(), cfg, &spec, &mut storage, &stats)
+        .map(|_| ())
+        .expect_err("corrupted frame must fail the read-back");
+    assert_eq!(err.reason(), "spill_corruption");
 
-    // And the resilient path recovers to the exact reference output.
-    {
-        let _guard = fault::install(FaultConfig::new(seed).once(FaultPoint::SpillCorrupt));
-        let stats = Stats::new_shared();
-        let mut storage = FileRunStorage::new(Arc::clone(&stats)).expect("tempdir");
-        let out: Vec<_> = external_sort_spec_resilient(rows, cfg, &spec, &mut storage, &stats)
-            .expect("resilient sort recovers from corruption")
-            .collect();
-        assert_eq!(out, reference);
-    }
+    // Recovered as the executor recovers: from source, resident.
+    let out: Vec<_> = try_external_sort_spec(rows, resident(cfg), &spec, &mut storage, &stats)
+        .expect("the resident retry touches no device")
+        .collect();
+    assert_eq!(out, reference);
 }
 
 #[test]
@@ -318,18 +310,24 @@ fn plan_level_spill_fault_recovers_to_identical_output() {
     let cat = catalog(1_000, seed);
     let query = LogicalPlan::scan("heap").sort(3);
     let config = spilling_sort_config();
-    let (rows, codes, _) = run_plain(&cat, &query, config);
+    let (rows, codes, clean) = run_plain(&cat, &query, config);
+    assert!(
+        clean.rows_read_back > 0,
+        "the sort must spill and read back"
+    );
 
-    // The executor recovers serial sorts from spill-device faults: the
-    // injected failure is absorbed by re-running the sort's input and
-    // sorting resident, and the query still answers byte-identically.
-    let _guard = fault::install(FaultConfig::new(seed).once(FaultPoint::SpillWrite));
-    let qctx = QueryCtx::new();
-    let (f_rows, f_codes, _) =
-        run_ctx(&cat, &query, config, &qctx).expect("ctx executor recovers the spill fault");
-    assert_eq!(f_rows, rows, "recovered rows differ");
-    assert_eq!(f_codes, codes, "recovered codes differ");
-    drop(_guard);
+    // The executor recovers serial sorts from spill-device faults, on
+    // the way out (write) and on the way back (read): the injected
+    // failure is absorbed by re-running the sort's input and sorting
+    // resident, and the query still answers byte-identically.
+    for point in [FaultPoint::SpillWrite, FaultPoint::SpillRead] {
+        let _guard = fault::install(FaultConfig::new(seed).once(point));
+        let qctx = QueryCtx::new();
+        let (f_rows, f_codes, _) = run_ctx(&cat, &query, config, &qctx)
+            .unwrap_or_else(|err| panic!("{point:?} must be recovered, got {err}"));
+        assert_eq!(f_rows, rows, "{point:?}: recovered rows differ");
+        assert_eq!(f_codes, codes, "{point:?}: recovered codes differ");
+    }
 
     // The same on `with_batch_size` plans, serial and through exchanges
     // (where the failing sort runs on a producer thread): the sort's
@@ -340,11 +338,18 @@ fn plan_level_spill_fault_recovers_to_identical_output() {
         assert_spilling_join_shape(&cat, dop, config);
         let (rows, codes, clean) = run_plain(&cat, &spilling_join_query(), config);
         assert!(clean.rows_spilled > 0, "dop={dop}: the fixture must spill");
-        let _guard = fault::install(FaultConfig::new(seed).once(FaultPoint::SpillWrite));
-        let (f_rows, f_codes, _) = run_ctx(&cat, &spilling_join_query(), config, &QueryCtx::new())
-            .unwrap_or_else(|err| panic!("dop={dop}: spill fault must be recovered, got {err}"));
-        assert_eq!(f_rows, rows, "dop={dop}: recovered rows differ");
-        assert_eq!(f_codes, codes, "dop={dop}: recovered codes differ");
+        for point in [FaultPoint::SpillWrite, FaultPoint::SpillRead] {
+            let _guard = fault::install(FaultConfig::new(seed).once(point));
+            let (f_rows, f_codes, _) =
+                run_ctx(&cat, &spilling_join_query(), config, &QueryCtx::new()).unwrap_or_else(
+                    |err| panic!("dop={dop} {point:?}: must be recovered, got {err}"),
+                );
+            assert_eq!(f_rows, rows, "dop={dop} {point:?}: recovered rows differ");
+            assert_eq!(
+                f_codes, codes,
+                "dop={dop} {point:?}: recovered codes differ"
+            );
+        }
     }
 }
 

@@ -9,12 +9,14 @@ use std::sync::Arc;
 use ovc_core::batch::{collect_batch_pairs, VecBatchStream};
 use ovc_core::derive::assert_codes_exact;
 use ovc_core::stream::collect_pairs;
-use ovc_core::{BatchStream, FlatBatches, FlatRows, OvcStream, Row, SortSpec, Stats, VecStream};
+use ovc_core::{
+    BatchStream, FlatBatches, FlatRows, OvcRow, OvcStream, Row, SortSpec, Stats, Value, VecStream,
+};
 use ovc_exec::exchange::by_cols_hash;
 use ovc_exec::nlj::BTreeInner;
 use ovc_exec::{
-    route_batches, Aggregate, BatchDedup, Dedup, Filter, GroupAggregate, HashJoinOp, HashTable,
-    JoinType, LookupJoin, MergeJoin, Project, SetOp, SetOperation,
+    route_batches, Aggregate, BatchDedup, BatchFilter, BatchProject, GroupAggregate, HashJoinOp,
+    HashTable, JoinType, LookupJoin, MergeJoin, SetOp, SetOperation,
 };
 use ovc_sort::{external_sort, merge_batch_streams, MemoryRunStorage, Run, SortConfig};
 use ovc_storage::{BTree, LsmConfig, LsmForest, RleColumnStore};
@@ -43,6 +45,14 @@ fn batches(stream: impl OvcStream) -> FlatBatches {
     Run::from_coded_spec(stream.collect(), spec).batches(BATCH)
 }
 
+/// Hand a batch kernel's output to a row-at-a-time operator.
+fn rows(stream: impl BatchStream) -> VecStream {
+    let spec = stream.sort_spec();
+    let pairs = collect_batch_pairs(stream);
+    let rows = pairs.into_iter().map(|(row, code)| OvcRow::new(row, code));
+    VecStream::from_coded_spec(rows.collect(), spec)
+}
+
 /// Scan an RLE column store, filter, group, and verify codes at each hop.
 #[test]
 fn rle_scan_filter_group_pipeline() {
@@ -51,10 +61,10 @@ fn rle_scan_filter_group_pipeline() {
     let store = RleColumnStore::build(&rows, 3);
     let stats = Stats::new_shared();
 
-    let scan = store.scan();
-    let filtered = Filter::new(scan, |r| r.cols()[2] != 0, Arc::clone(&stats));
+    let scan = batches(store.scan());
+    let filtered = BatchFilter::new(scan, |r: &[Value]| r[2] != 0, Arc::clone(&stats));
     let grouped = GroupAggregate::new(
-        batches(filtered),
+        filtered,
         2,
         vec![Aggregate::Count, Aggregate::Sum(3)],
         BATCH,
@@ -109,8 +119,8 @@ fn lsm_scan_join_pipeline() {
     dim_rows.sort();
     let dim = BTree::bulk_load(dim_rows, 2, 8, 4);
 
-    let scan = forest.into_scan();
-    let dedup = Dedup::new(scan);
+    let scan = forest.scan().into_run().batches(BATCH);
+    let dedup = rows(BatchDedup::new(scan));
     let inner = BTreeInner::new(&dim, 1, 2, Arc::clone(&stats));
     let join = LookupJoin::new(dedup, inner, JoinType::LeftSemi);
     let pairs = collect_pairs(join);
@@ -170,8 +180,8 @@ fn hash_join_project_setop_pipeline() {
     let table = HashTable::build(build_rows, 1);
     let join = HashJoinOp::new(probe, table, JoinType::Inner);
     // Project down to the first key column only.
-    let projected = Project::new(join, 1, |r| Row::new(vec![r.cols()[0]]));
-    let left = batches(Dedup::new(projected));
+    let projected = BatchProject::new(batches(join), 1, vec![0]);
+    let left = BatchDedup::new(projected);
 
     let right = VecStream::from_unsorted_rows((0..6u64).map(|k| Row::new(vec![k])).collect(), 1);
     let setop = SetOperation::new(
@@ -201,9 +211,13 @@ fn deep_pipeline_comparison_budget() {
 
     let f = ovc_storage::btree::scan_to_stream(&fact_tree);
     let d = ovc_storage::btree::scan_to_stream(&dim_tree);
-    let filtered = Filter::new(f, |r| r.cols()[1] % 3 != 0, Arc::clone(&stats));
+    let filtered = BatchFilter::new(
+        batches(f),
+        |r: &[Value]| !r[1].is_multiple_of(3),
+        Arc::clone(&stats),
+    );
     let join = MergeJoin::new(
-        batches(filtered),
+        filtered,
         batches(d),
         1,
         JoinType::Inner,

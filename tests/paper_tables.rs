@@ -1,11 +1,13 @@
 //! Verbatim reproduction of the paper's Tables 1, 2, and 3 — the fixtures
 //! every reviewer will check first.
 
+use ovc_core::batch::collect_batch_pairs;
 use ovc_core::compare::compare_same_base;
 use ovc_core::derive::derive_codes;
 use ovc_core::desc::{derive_desc_code, DescOvc};
-use ovc_core::{table1, Ovc, Stats};
-use ovc_exec::Filter;
+use ovc_core::{table1, Ovc, Stats, Value};
+use ovc_exec::BatchFilter;
+use ovc_sort::Run;
 use std::cmp::Ordering;
 
 /// Table 1: both code columns for the seven-row running example.
@@ -69,19 +71,24 @@ fn table2_full_reproduction() {
 fn table3_full_reproduction() {
     let rows = table1::rows();
     let keep = [rows[0].clone(), rows[6].clone()];
-    let input = ovc_core::VecStream::from_sorted_rows(rows, 4);
-    let out: Vec<(Vec<u64>, u64)> =
-        Filter::new(input, |r| keep.contains(r), ovc_core::Stats::new_shared())
-            .map(|r| (r.row.cols().to_vec(), r.code.paper_decimal()))
-            .collect();
     let table3 = vec![(vec![5, 7, 3, 9], 405), (vec![5, 9, 3, 7], 309)];
+    // The filter kernel, with the input cut every four rows so that a
+    // seam falls between the two survivors.
+    let filter = BatchFilter::new(
+        Run::from_sorted_rows(rows, 4).batches(4),
+        |r: &[Value]| keep.iter().any(|k| k.cols() == r),
+        ovc_core::Stats::new_shared(),
+    );
+    let out: Vec<(Vec<u64>, u64)> = collect_batch_pairs(filter)
+        .into_iter()
+        .map(|(row, code)| (row.cols().to_vec(), code.paper_decimal()))
+        .collect();
     assert_eq!(out, table3);
 
     // "Just like the derivation of Table 3 from Table 1" (§4.7): a semi
-    // join selecting the same two rows, through the batch kernel, with
-    // the input cut every four rows so that a seam falls between them.
+    // join selecting the same two rows, through the batch kernel, cut
+    // the same way.
     use ovc_core::BatchStream;
-    use ovc_sort::Run;
     let mut semi = ovc_exec::MergeJoin::new(
         Run::from_sorted_rows(table1::rows(), 4).batches(4),
         Run::from_sorted_rows(keep.to_vec(), 4).batches(1),
