@@ -31,6 +31,15 @@ use std::sync::Arc;
 /// double-counted.  Relaxed ordering is sufficient: counters are
 /// statistics, not synchronization.
 ///
+/// Each add here is a `lock`-prefixed instruction, dearer than the code
+/// comparison it counts, so the hot loops do not count on this handle
+/// per comparison.  A batch kernel counts into a local tally (a
+/// [`Tally`], or a plain integer for a one-test-per-row loop) and
+/// publishes it with one batch add ([`Stats::count_ovc_cmps`],
+/// [`Stats::count_col_cmps`]) per `next_batch`, before the call returns.
+/// A profiler that diffs snapshots around the call therefore still sees
+/// every comparison the call made.
+///
 /// ```
 /// use std::sync::Arc;
 /// use ovc_core::Stats;
@@ -84,6 +93,13 @@ impl Stats {
     #[inline]
     pub fn count_ovc_cmp(&self) {
         self.ovc_cmps.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Count `n` offset-value-code comparisons at once: the batch form a
+    /// kernel publishes its local count with.
+    #[inline]
+    pub fn count_ovc_cmps(&self, n: u64) {
+        self.ovc_cmps.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Count one full row comparison (baseline algorithms).
@@ -168,7 +184,7 @@ impl Stats {
     /// Add a snapshot (e.g. from another thread's `Stats`) into this one.
     pub fn absorb(&self, s: &StatsSnapshot) {
         self.count_col_cmps(s.col_value_cmps);
-        self.ovc_cmps.fetch_add(s.ovc_cmps, Ordering::Relaxed);
+        self.count_ovc_cmps(s.ovc_cmps);
         self.row_cmps.fetch_add(s.row_cmps, Ordering::Relaxed);
         self.count_spill(s.rows_spilled, s.bytes_spilled);
         self.count_read_back(s.rows_read_back, s.bytes_read_back);
@@ -181,8 +197,11 @@ impl fmt::Debug for Stats {
     }
 }
 
-/// Where the comparators of [`crate::compare`] count: the query's shared
-/// [`Stats`], or a [`Tally`] that a single-threaded loop flushes into it.
+/// Where the comparators of [`crate::compare`] count: a [`Tally`] that a
+/// single-threaded loop flushes into the query's [`Stats`] once per batch
+/// (every tournament and executor kernel), or the shared `Stats` itself
+/// (one-off comparisons and the baseline sorts, which also count row
+/// comparisons a `Tally` does not carry).
 pub trait CmpCounter {
     /// Count one column-value comparison.
     fn count_col_cmp(&self);
@@ -213,8 +232,9 @@ impl<C: CmpCounter + ?Sized> CmpCounter for Arc<C> {
 /// Comparison counts in plain cells: a tournament counts about twenty
 /// code comparisons per row, and a relaxed atomic add on the shared
 /// [`Stats`] is a `lock`-prefixed instruction each.  The loop counts here
-/// instead and [`Tally::flush`]es at its batch or run boundary, so the
-/// totals — and per-batch profiles — stay exact.
+/// instead and [`Tally::flush`]es at its batch or run boundary — inside
+/// the `next_batch` that made the comparisons — so the totals and the
+/// per-batch profiles stay exact.
 #[derive(Debug, Default)]
 pub struct Tally {
     col_value_cmps: Cell<u64>,
@@ -229,7 +249,7 @@ impl Tally {
             stats.count_col_cmps(col);
         }
         if ovc > 0 {
-            stats.ovc_cmps.fetch_add(ovc, Ordering::Relaxed);
+            stats.count_ovc_cmps(ovc);
         }
     }
 }
@@ -349,11 +369,12 @@ mod tests {
         s.count_col_cmp();
         s.count_col_cmps(4);
         s.count_ovc_cmp();
+        s.count_ovc_cmps(3);
         s.count_row_cmp();
         s.count_spill(10, 80);
         s.count_read_back(10, 80);
         assert_eq!(s.col_value_cmps(), 5);
-        assert_eq!(s.ovc_cmps(), 1);
+        assert_eq!(s.ovc_cmps(), 4);
         assert_eq!(s.row_cmps(), 1);
         assert_eq!(s.rows_spilled(), 10);
         assert_eq!(s.bytes_spilled(), 80);

@@ -7,7 +7,8 @@
 //! row."  Table 3 illustrates the calculation on the data of Table 1.
 //!
 //! No row or column comparisons happen here at all — only one integer
-//! `max` per input row.
+//! `max` per input row, counted with one add per input batch rather than
+//! one per row.
 
 use std::sync::Arc;
 
@@ -19,10 +20,12 @@ use ovc_core::{BatchStream, FlatRows, SortSpec, Stats, Value};
 /// One code operation per *input* row (the accumulator `max`) is counted
 /// into `stats` — the same units `ovc_plan::cost::streaming` estimates —
 /// so the operator's zero-column-comparison claim is measured, not
-/// assumed.  An unordered input (the empty spec) has only duplicate
-/// codes, whose `max` is the duplicate code, so nothing is counted for
-/// it.  The accumulator carries across batch seams; output batches may be
-/// shorter than input batches (never empty).
+/// assumed.  The count is published as one add per input batch, inside
+/// the `next_batch` that reads it.  An unordered input (the empty spec)
+/// has only duplicate codes, whose `max` is the duplicate code, so
+/// nothing is counted for it.  The accumulator carries across batch
+/// seams; output batches may be shorter than input batches (never
+/// empty).
 pub struct BatchFilter<B, P> {
     input: B,
     predicate: P,
@@ -49,12 +52,12 @@ impl<B: BatchStream, P: FnMut(&[Value]) -> bool> BatchStream for BatchFilter<B, 
     fn next_batch(&mut self) -> Option<FlatRows> {
         loop {
             let batch = self.input.next_batch()?;
+            if self.ordered {
+                self.stats.count_ovc_cmps(batch.len() as u64);
+            }
             let mut out = FlatRows::with_capacity(batch.width(), batch.len());
             for i in 0..batch.len() {
                 let code = batch.code(i);
-                if self.ordered {
-                    self.stats.count_ovc_cmp();
-                }
                 let row = batch.row(i);
                 if (self.predicate)(row) {
                     // Filter theorem: max over the dropped chain plus this row.

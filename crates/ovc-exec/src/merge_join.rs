@@ -14,7 +14,10 @@
 //!   with two leaves, every comparison is a same-base code comparison: the
 //!   current row of each side is coded relative to the row most recently
 //!   consumed from *either* side, so codes decide most comparisons and
-//!   equal join keys surface as duplicate codes for free;
+//!   equal join keys surface as duplicate codes for free.  The merge
+//!   counts its comparisons into a local `Tally`, which the operator
+//!   publishes into the query's `Stats` before each `next_batch`
+//!   returns (and on drop);
 //! * join-key groups fall out of the merged stream's codes (a
 //!   non-duplicate code marks a boundary);
 //! * per group, the join type decides what to emit.  Output codes come
@@ -28,9 +31,9 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use ovc_core::compare::compare_same_base_spec;
+use ovc_core::compare::{compare_same_base, compare_same_base_spec};
 use ovc_core::theorem::{clamp_to_prefix, OvcAccumulator};
-use ovc_core::{BatchStream, FlatRows, Ovc, SortSpec, Stats, Value};
+use ovc_core::{BatchStream, FlatRows, Ovc, SortSpec, Stats, Tally, Value};
 
 /// The "null" padding value for outer-join non-matches.  Rows are plain
 /// `u64` columns, so a sentinel stands in for SQL NULL (DESIGN.md §3.6).
@@ -130,9 +133,13 @@ pub(crate) struct GroupedMerge<L, R> {
     /// Ordering contract of the join-key prefix (shared by both inputs);
     /// drives every merge comparison, so mixed asc/desc join keys work.
     pub(crate) join_spec: SortSpec,
+    /// The join key is all ascending: compare with the plain comparator.
+    asc: bool,
     /// Lookahead: side and merged-chain code of the next group's first
     /// row — compared already, still at the head of its input.
     decided: Option<(Side, Ovc)>,
+    /// Comparisons made since the last [`GroupedMerge::publish`].
+    tally: Tally,
     stats: Arc<Stats>,
     started: bool,
 }
@@ -162,11 +169,20 @@ impl<L: BatchStream, R: BatchStream> GroupedMerge<L, R> {
             left: Input::new(left, left_width, join_len),
             right: Input::new(right, right_width, join_len),
             join_len,
+            asc: join_spec.is_asc_prefix(),
             join_spec,
             decided: None,
+            tally: Tally::default(),
             stats,
             started: false,
         }
+    }
+
+    /// Move the comparisons counted so far into the query's `Stats`.  The
+    /// operators call this before every `next_batch` returns, so a
+    /// profiler's per-call `Stats` delta still holds the call's work.
+    pub(crate) fn publish(&self) {
+        self.tally.flush(&self.stats);
     }
 
     /// Decide which head comes next in the merged chain; its code is
@@ -178,14 +194,22 @@ impl<L: BatchStream, R: BatchStream> GroupedMerge<L, R> {
             (false, true) => Some((Side::Left, l.cmp)),
             (true, false) => Some((Side::Right, r.cmp)),
             (false, false) => {
-                let ord = compare_same_base_spec(
+                let (l_key, r_key) = (
                     l.batch.key(l.pos, self.join_len),
                     r.batch.key(r.pos, self.join_len),
-                    &mut l.cmp,
-                    &mut r.cmp,
-                    &self.join_spec,
-                    &self.stats,
                 );
+                let ord = if self.asc {
+                    compare_same_base(l_key, r_key, &mut l.cmp, &mut r.cmp, &self.tally)
+                } else {
+                    compare_same_base_spec(
+                        l_key,
+                        r_key,
+                        &mut l.cmp,
+                        &mut r.cmp,
+                        &self.join_spec,
+                        &self.tally,
+                    )
+                };
                 Some(match ord {
                     Ordering::Less => (Side::Left, l.cmp),
                     Ordering::Greater => (Side::Right, r.cmp),
@@ -234,6 +258,14 @@ impl<L: BatchStream, R: BatchStream> GroupedMerge<L, R> {
             self.take(side);
         }
         Some(group_code)
+    }
+}
+
+impl<L, R> Drop for GroupedMerge<L, R> {
+    /// Publish what an abandoned `next_batch` (a panic mid-call) left in
+    /// the tally; after a normal return it is already zero.
+    fn drop(&mut self) {
+        self.tally.flush(&self.stats);
     }
 }
 
@@ -411,6 +443,7 @@ impl<L: BatchStream, R: BatchStream> BatchStream for MergeJoin<L, R> {
                 None => break,
             }
         }
+        self.groups.publish();
         out
     }
 

@@ -11,7 +11,9 @@
 //! All six operations share the same grouped two-way merge as
 //! [`crate::merge_join::MergeJoin`]: per join-key group the operation only
 //! decides *how many* copies to emit; codes come from the filter theorem
-//! over the merged chain, with copies past the first being duplicates.
+//! over the merged chain, with copies past the first being duplicates,
+//! and the merge's comparison count is published into the query's `Stats`
+//! before each `next_batch` returns.
 
 use std::sync::Arc;
 
@@ -137,6 +139,7 @@ impl<L: BatchStream, R: BatchStream> BatchStream for SetOperation<L, R> {
                 self.code = self.acc.emit(code);
             }
         }
+        self.groups.publish();
         out
     }
 

@@ -208,29 +208,6 @@ pub fn reverse(rows: f64) -> Cost {
     streaming(rows)
 }
 
-/// Partition-parallel in-stream grouping (one `GroupAggregate` worker
-/// per partition behind an exchange sandwich):
-/// each of the `rows` input rows pays its one code-inspection boundary
-/// test in exactly one partition, so the counted work is dop-invariant
-/// and equals the serial [`streaming`] estimate.  The surrounding
-/// splitting/gathering shuffles are explicit plan nodes priced by
-/// [`exchange`]; nothing spills either way.  `_dop` stays in the
-/// signature for when wall-clock-aware costing (ROADMAP) makes the
-/// estimate dop-sensitive.
-pub fn group_parallel(rows: f64, _dop: usize) -> Cost {
-    streaming(rows)
-}
-
-/// Partition-parallel merge set operation (one `SetOperation` worker
-/// per partition pair behind an exchange sandwich): every row flows
-/// through exactly one partition's two-way
-/// merge, so comparison totals match the serial [`merge_streaming`]
-/// estimate — the exchanges around it are priced separately on their
-/// own plan nodes, mirroring the partitioned merge join.
-pub fn set_op_parallel(left_rows: f64, right_rows: f64, key_len: usize, _dop: usize) -> Cost {
-    merge_streaming(left_rows, right_rows, key_len)
-}
-
 /// Parallel OVC sort (`ovc_sort::parallel::parallel_sort`): run
 /// generation on `dop` worker slices, then the same in-memory
 /// bounded-fan-in cascade the serial estimate already counts.
@@ -395,15 +372,12 @@ mod tests {
     #[test]
     fn parallel_group_and_set_op_counts_are_dop_invariant() {
         // The partitioned lowerings run the same total comparisons as
-        // their serial forms (each row visits exactly one partition);
+        // their serial forms (each row visits exactly one partition), so
+        // they are priced by the serial functions, which take no dop;
         // only the explicit exchange nodes add overhead, priced apart.
-        let g = group_parallel(10_000.0, 4);
-        assert_eq!(g, streaming(10_000.0));
-        assert_eq!(g.spill_rows, 0.0);
-        let s = set_op_parallel(5_000.0, 4_000.0, 2, 4);
-        assert_eq!(s, merge_streaming(5_000.0, 4_000.0, 2));
         // A bracketed operator plus its two splits and gather stays far
         // below what a spilling blocking operator would cost.
+        let s = merge_streaming(5_000.0, 4_000.0, 2);
         let bracketed = s
             .plus(&exchange(9_000.0, 4, 1024))
             .plus(&exchange(9_000.0, 4, 1024))

@@ -499,11 +499,7 @@ impl<'a> Planner<'a> {
             ),
             None => (input, Partitioning::Single, 1),
         };
-        let local = if target.is_some() {
-            cost::group_parallel(rows, group_dop)
-        } else {
-            cost::streaming(rows)
-        };
+        let local = cost::streaming(rows);
         let props = PhysicalProps {
             width: group_len + aggs.len(),
             order: SortSpec::asc(group_len),
@@ -763,11 +759,7 @@ impl<'a> Planner<'a> {
             // argument verbatim, with "join key" = "whole row").
             let target = self.partition_target(lw, ln + rn, &[&li, &ri]);
             let (li, ri, set_partitioning, set_dop) = self.bracket_inputs(li, ri, &target);
-            let local = if target.is_some() {
-                cost::set_op_parallel(li.props.rows, ri.props.rows, lw, set_dop)
-            } else {
-                cost::merge_streaming(li.props.rows, ri.props.rows, lw)
-            };
+            let local = cost::merge_streaming(li.props.rows, ri.props.rows, lw);
             let props = PhysicalProps {
                 width: lw,
                 order: SortSpec::asc(lw),

@@ -7,10 +7,11 @@
 //! keep-alive by default.  Everything unsupported is rejected loudly with
 //! a 4xx instead of guessed at.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
-/// Largest accepted header block, in bytes (64 KiB — far above any
-/// legitimate client, far below a memory-exhaustion vector).
+/// Largest accepted request head — request line plus header block — in
+/// bytes (64 KiB — far above any legitimate client, far below a
+/// memory-exhaustion vector).
 pub const MAX_HEADER_BYTES: usize = 64 * 1024;
 
 /// Largest accepted request body, in bytes (16 MiB — bounds table
@@ -75,54 +76,76 @@ impl std::fmt::Display for ParseError {
 /// Read one request off the connection.  `Ok(None)` means the peer
 /// closed cleanly between requests (the normal end of a keep-alive
 /// session); errors mid-request are surfaced as [`ParseError`].
+///
+/// The head — request line plus headers — is read through a
+/// [`Read::take`] of `MAX_HEADER_BYTES + 1` bytes, so a line that never
+/// ends is cut there and answered `TooLarge` instead of being buffered
+/// whole.  Framing is `Content-Length` only: a `Transfer-Encoding`
+/// header or two differing `Content-Length` values are `Malformed`
+/// (RFC 9112 §6.3), never guessed at.
 pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, ParseError> {
-    let mut line = String::new();
-    match reader.read_line(&mut line) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) => return Err(ParseError::Io(e.to_string())),
-    }
-    let line = line.trim_end();
-    let mut parts = line.split_whitespace();
-    let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(p), Some(v)) => (m.to_string(), p.to_string(), v),
-        _ => return Err(ParseError::Malformed(format!("request line {line:?}"))),
-    };
-    if !version.starts_with("HTTP/1.") {
-        return Err(ParseError::Malformed(format!("unsupported {version}")));
-    }
-
-    let mut headers = Vec::new();
-    let mut header_bytes = 0usize;
-    loop {
-        let mut h = String::new();
-        match reader.read_line(&mut h) {
-            Ok(0) => return Err(ParseError::UnexpectedEof),
-            Ok(n) => header_bytes += n,
-            Err(e) => return Err(ParseError::Io(e.to_string())),
-        }
-        if header_bytes > MAX_HEADER_BYTES {
-            return Err(ParseError::TooLarge("header block".into()));
-        }
-        let h = h.trim_end();
-        if h.is_empty() {
-            break;
-        }
-        let Some((name, value)) = h.split_once(':') else {
-            return Err(ParseError::Malformed(format!("header {h:?}")));
+    let (method, path, headers) = {
+        let mut head = reader.by_ref().take(MAX_HEADER_BYTES as u64 + 1);
+        let mut head_bytes = 0usize;
+        let mut next_line = |line: &mut String| -> Result<usize, ParseError> {
+            let n = head
+                .read_line(line)
+                .map_err(|e| ParseError::Io(e.to_string()))?;
+            head_bytes += n;
+            if head_bytes > MAX_HEADER_BYTES {
+                return Err(ParseError::TooLarge("request head".into()));
+            }
+            Ok(n)
         };
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
 
-    let content_length = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .map(|(_, v)| {
-            v.parse::<usize>()
-                .map_err(|_| ParseError::Malformed(format!("content-length {v:?}")))
-        })
-        .transpose()?
-        .unwrap_or(0);
+        let mut line = String::new();
+        if next_line(&mut line)? == 0 {
+            return Ok(None);
+        }
+        let line = line.trim_end();
+        let mut parts = line.split_whitespace();
+        let (method, path, version) = match (parts.next(), parts.next(), parts.next()) {
+            (Some(m), Some(p), Some(v)) => (m.to_string(), p.to_string(), v),
+            _ => return Err(ParseError::Malformed(format!("request line {line:?}"))),
+        };
+        if !version.starts_with("HTTP/1.") {
+            return Err(ParseError::Malformed(format!("unsupported {version}")));
+        }
+
+        let mut headers = Vec::new();
+        loop {
+            let mut h = String::new();
+            if next_line(&mut h)? == 0 {
+                return Err(ParseError::UnexpectedEof);
+            }
+            let h = h.trim_end();
+            if h.is_empty() {
+                break;
+            }
+            let Some((name, value)) = h.split_once(':') else {
+                return Err(ParseError::Malformed(format!("header {h:?}")));
+            };
+            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+        }
+        (method, path, headers)
+    };
+
+    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
+        return Err(ParseError::Malformed(
+            "transfer-encoding is not supported; send content-length".into(),
+        ));
+    }
+    let mut content_length: Option<usize> = None;
+    for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
+        let n = v
+            .parse::<usize>()
+            .map_err(|_| ParseError::Malformed(format!("content-length {v:?}")))?;
+        if content_length.is_some_and(|seen| seen != n) {
+            return Err(ParseError::Malformed("conflicting content-length".into()));
+        }
+        content_length = Some(n);
+    }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Err(ParseError::TooLarge(format!(
             "body of {content_length} bytes"
@@ -130,7 +153,7 @@ pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Option<Request>, Parse
     }
     let mut body = vec![0u8; content_length];
     if content_length > 0 {
-        std::io::Read::read_exact(reader, &mut body).map_err(|e| {
+        reader.read_exact(&mut body).map_err(|e| {
             if e.kind() == std::io::ErrorKind::UnexpectedEof {
                 ParseError::UnexpectedEof
             } else {
@@ -269,6 +292,96 @@ mod tests {
         );
         let mut r = BufReader::new(raw.as_bytes());
         assert!(matches!(read_request(&mut r), Err(ParseError::TooLarge(_))));
+    }
+
+    /// A `BufRead` that counts the bytes its caller consumes.
+    struct Counting<R> {
+        inner: R,
+        consumed: usize,
+    }
+
+    impl<R: BufRead> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.consumed += n;
+            Ok(n)
+        }
+    }
+
+    impl<R: BufRead> BufRead for Counting<R> {
+        fn fill_buf(&mut self) -> std::io::Result<&[u8]> {
+            self.inner.fill_buf()
+        }
+        fn consume(&mut self, n: usize) {
+            self.consumed += n;
+            self.inner.consume(n);
+        }
+    }
+
+    /// Parse `raw`, returning the outcome and the bytes consumed.
+    fn parse_counting(raw: &[u8]) -> (Result<Option<Request>, ParseError>, usize) {
+        let mut r = Counting {
+            inner: BufReader::new(raw),
+            consumed: 0,
+        };
+        (read_request(&mut r), r.consumed)
+    }
+
+    #[test]
+    fn endless_head_lines_are_cut_at_the_cap() {
+        const MIB: usize = 1 << 20;
+        let mut request_line = b"GET /".to_vec();
+        request_line.resize(MIB, b'a');
+        let mut header_line = b"GET /health HTTP/1.1\r\nx-pad: ".to_vec();
+        header_line.resize(MIB, b'a');
+        for raw in [request_line, header_line] {
+            let (got, consumed) = parse_counting(&raw);
+            assert!(matches!(got, Err(ParseError::TooLarge(_))), "{got:?}");
+            assert!(consumed <= MAX_HEADER_BYTES + 1, "consumed {consumed}");
+        }
+    }
+
+    #[test]
+    fn head_at_the_cap_parses_one_past_it_does_not() {
+        let head = |len: usize| {
+            let mut raw = b"GET /health HTTP/1.1\r\nx-pad: ".to_vec();
+            raw.resize(len - 4, b'a');
+            raw.extend_from_slice(b"\r\n\r\n");
+            raw
+        };
+        let (got, consumed) = parse_counting(&head(MAX_HEADER_BYTES));
+        let req = got.unwrap().unwrap();
+        assert_eq!(req.path, "/health");
+        assert_eq!(consumed, MAX_HEADER_BYTES);
+        let (got, consumed) = parse_counting(&head(MAX_HEADER_BYTES + 1));
+        assert!(matches!(got, Err(ParseError::TooLarge(_))), "{got:?}");
+        assert!(consumed <= MAX_HEADER_BYTES + 1, "consumed {consumed}");
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_malformed() {
+        let raw = b"POST /x HTTP/1.1\r\ncontent-length: 4\r\ncontent-length: 2\r\n\r\nbody";
+        let mut r = BufReader::new(&raw[..]);
+        assert!(matches!(
+            read_request(&mut r),
+            Err(ParseError::Malformed(_))
+        ));
+        // Repeating the same value is legal.
+        let raw = b"POST /x HTTP/1.1\r\ncontent-length: 4\r\nContent-Length: 4\r\n\r\nbody";
+        let mut r = BufReader::new(&raw[..]);
+        assert_eq!(read_request(&mut r).unwrap().unwrap().body, b"body");
+    }
+
+    #[test]
+    fn transfer_encoding_is_malformed() {
+        // Ignoring the header would parse the chunked body as the next
+        // request; refuse it instead.
+        let raw = b"POST /x HTTP/1.1\r\ntransfer-encoding: chunked\r\n\r\n4\r\nbody\r\n0\r\n\r\n";
+        let mut r = BufReader::new(&raw[..]);
+        assert!(matches!(
+            read_request(&mut r),
+            Err(ParseError::Malformed(_))
+        ));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 use ovc_core::{Ovc, OvcRow, Row, Stats};
 use ovc_plan::exec::{execute, execute_profiled, ExecOptions};
 use ovc_plan::{
-    figure5, Catalog, JoinType, LogicalPlan, Planner, PlannerConfig, Preference, Table,
+    figure5, Aggregate, Catalog, JoinType, LogicalPlan, Planner, PlannerConfig, Predicate,
+    Preference, Table,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -271,4 +272,112 @@ fn profiled_topk_reports_partial_drains() {
         sort.metrics.rows_out
     );
     assert_eq!(sort.metrics.batches, 2, "two batches of four cover k=7");
+}
+
+/// `pipeline_sorted`'s shape at a few thousand rows: a fact table sorted
+/// on `(c0, c1, c2, c3)`, filtered on `c2`, merge-joined with a sorted
+/// dimension on `(c0, c1)`, grouped on `(c0, c1)`.  Every sort is elided,
+/// so the counted work is the filter's, the merge join's and the
+/// grouping's.
+fn sorted_pipeline() -> (Catalog, LogicalPlan) {
+    const DOMAIN: u64 = 30;
+    let mut rng = StdRng::seed_from_u64(0x9192);
+    let fact: Vec<Row> = (0..4000)
+        .map(|_| {
+            Row::new(vec![
+                rng.gen_range(0..DOMAIN),
+                rng.gen_range(0..DOMAIN),
+                rng.gen_range(0..100u64),
+                rng.gen_range(0..1000u64),
+            ])
+        })
+        .collect();
+    let dim: Vec<Row> = (0..DOMAIN)
+        .flat_map(|a| (0..DOMAIN).map(move |b| (a, b)))
+        .map(|(a, b)| Row::new(vec![a, b, rng.gen_range(0..1000u64)]))
+        .collect();
+    let mut catalog = Catalog::new();
+    catalog.register("fact", Table::sorted_from_unsorted(fact));
+    catalog.register("dim", Table::sorted_from_unsorted(dim));
+    let q = LogicalPlan::scan("fact")
+        .filter(Predicate::ColLt(2, 30))
+        .join(LogicalPlan::scan("dim"), 2, JoinType::Inner)
+        .group_by(2, vec![Aggregate::Count, Aggregate::Sum(4)]);
+    (catalog, q)
+}
+
+/// Run `plan` profiled at `batch` rows per batch; return each node's
+/// (name, col cmps, code cmps), preorder, after checking that the root's
+/// counters are the query's `Stats` totals.
+fn profiled_counts(
+    plan: &ovc_plan::PhysicalPlan,
+    catalog: &Catalog,
+    batch: usize,
+) -> Vec<(String, u64, u64)> {
+    let stats = Stats::new_shared();
+    let options = ExecOptions {
+        batch_size: Some(batch),
+        ..Default::default()
+    };
+    let (out, root) = execute_profiled(plan, catalog, &stats, &options);
+    assert!(!out.into_coded().is_empty());
+    let profile = root.snapshot();
+    assert_eq!(
+        (
+            profile.metrics.col_cmps(),
+            profile.metrics.code_resolved_cmps()
+        ),
+        (stats.col_value_cmps(), stats.ovc_cmps()),
+        "batch {batch}: the root holds every counted comparison"
+    );
+    profile
+        .nodes()
+        .into_iter()
+        .map(|n| {
+            (
+                format!("{}{}", n.name, n.detail),
+                n.metrics.col_cmps(),
+                n.metrics.code_resolved_cmps(),
+            )
+        })
+        .collect()
+}
+
+/// Kernels count comparisons locally and publish them inside
+/// `next_batch` (DESIGN.md §11): each node's inclusive counters are then
+/// the same whatever the batch size, and the root's are the totals.
+#[test]
+fn per_node_counts_do_not_depend_on_batch_size() {
+    let (catalog, q) = sorted_pipeline();
+    let plan = Planner::new(&catalog, PlannerConfig::default())
+        .plan(&q)
+        .expect("plans");
+    assert_eq!(plan.count_op("SortOvc"), 0, "every sort elided");
+    let reference = profiled_counts(&plan, &catalog, 1024);
+    let (_, root_col, root_code) = &reference[0];
+    assert!(*root_code > 0, "the kernels counted: {reference:?}");
+    assert!(*root_col > 0, "the merge join compared columns");
+    for batch in [1, 7] {
+        assert_eq!(
+            profiled_counts(&plan, &catalog, batch),
+            reference,
+            "batch {batch}"
+        );
+    }
+}
+
+/// The totals check under early termination: a `TopK` whose k is
+/// smaller than one batch stops pulling, and what the kernels below it
+/// counted is still all in the root's window.
+#[test]
+fn early_stop_keeps_root_counts_equal_to_totals() {
+    let (catalog, q) = sorted_pipeline();
+    let q = q.top_k(2, 5);
+    let plan = Planner::new(&catalog, PlannerConfig::default())
+        .plan(&q)
+        .expect("plans");
+    for batch in [7, 64, 1024] {
+        let counts = profiled_counts(&plan, &catalog, batch);
+        assert!(counts[0].2 > 0, "batch {batch}: {counts:?}");
+    }
 }

@@ -139,3 +139,47 @@ fn lsm_compaction_write_amplification_bounded() {
         bound
     );
 }
+
+/// Figure 6 at the `figures --quick` size (20 000 rows per table, memory
+/// N/10, fan-in 128), its counted columns pinned: the figure's ground
+/// truth is these counts, so a change that moves any of them shows here
+/// rather than only in a regenerated snapshot.
+#[test]
+fn figure6_quick_counts_are_pinned() {
+    let (t1, t2) = ovc_bench::workload::intersect_tables(20_000, 42);
+    let mem = 2_000;
+
+    let hs = Stats::new_shared();
+    let h = hash_intersect_distinct(t1.clone(), t2.clone(), mem, &hs);
+
+    let ss = Stats::new_shared();
+    let mut s1 = MemoryRunStorage::new(Arc::clone(&ss));
+    let mut s2 = MemoryRunStorage::new(Arc::clone(&ss));
+    let cfg = IntersectConfig {
+        key_len: 1,
+        memory_rows: mem,
+        fan_in: 128,
+    };
+    let s = sort_intersect_distinct(t1, t2, cfg, &mut s1, &mut s2, &ss);
+
+    // (result rows, rows spilled, bytes spilled, column cmps, code cmps)
+    let counted = |rows: usize, st: &Stats| {
+        (
+            rows,
+            st.rows_spilled(),
+            st.bytes_spilled(),
+            st.col_value_cmps(),
+            st.ovc_cmps(),
+        )
+    };
+    assert_eq!(
+        counted(h.len(), &hs),
+        (8082, 57663, 922_608, 97663, 0),
+        "hash plan"
+    );
+    assert_eq!(
+        counted(s.len(), &ss),
+        (8082, 38161, 610_576, 0, 659_034),
+        "sort plan"
+    );
+}
