@@ -16,6 +16,8 @@
 //! `N × K` bound of Section 3 is verified experimentally.  The two
 //! same-base comparators count through [`CmpCounter`], so a tournament
 //! loop may count into a plain [`crate::Tally`] and flush it into `Stats`.
+//! Each is split in two: [`compare_same_base`] counts the code comparison
+//! and decides unequal codes, and [`resume_same_base`] handles equal ones.
 
 use std::cmp::Ordering;
 
@@ -38,6 +40,9 @@ use crate::stats::{CmpCounter, Stats};
 /// Fences never have their codes adjusted: a fence comparison is decided
 /// entirely by the 64-bit code compare (early < valid < late), which is the
 /// "free" comparison the paper describes in Section 5.
+///
+/// Counts one code comparison, decides unequal codes, and hands equal ones
+/// to [`resume_same_base`].
 #[inline]
 pub fn compare_same_base(
     a_key: &[Value],
@@ -52,6 +57,28 @@ pub fn compare_same_base(
         // its code relative to the old base.  Nothing to recompute.
         return (*a_code).cmp(b_code);
     }
+    resume_same_base(a_key, b_key, a_code, b_code, stats)
+}
+
+/// The equal-code half of [`compare_same_base`]: `a_code == b_code`, both
+/// relative to the same base, and the code comparison that found them
+/// equal has already been counted by the caller.  Two fences or two
+/// duplicates are `Ordering::Equal` at no cost; otherwise column
+/// comparisons resume past the shared prefix and value (equal code
+/// theorem), each counted, and the loser is re-coded as
+/// [`compare_same_base`] describes.
+///
+/// A tournament that decides unequal codes itself and counts its code
+/// comparisons per tree pass calls this directly for the ties.
+#[inline]
+pub fn resume_same_base(
+    a_key: &[Value],
+    b_key: &[Value],
+    a_code: &mut Ovc,
+    b_code: &mut Ovc,
+    stats: &impl CmpCounter,
+) -> Ordering {
+    debug_assert_eq!(a_code, b_code, "resume_same_base needs equal codes");
     if !a_code.is_valid() {
         // Two early fences or two late fences; order is irrelevant.
         return Ordering::Equal;
@@ -106,6 +133,21 @@ pub fn compare_same_base_spec(
         // relative to the winner is its existing code.
         return (*a_code).cmp(b_code);
     }
+    resume_same_base_spec(a_key, b_key, a_code, b_code, spec, stats)
+}
+
+/// Direction-aware [`resume_same_base`]: the equal-code half of
+/// [`compare_same_base_spec`], counting only the column comparisons.
+#[inline]
+pub fn resume_same_base_spec(
+    a_key: &[Value],
+    b_key: &[Value],
+    a_code: &mut Ovc,
+    b_code: &mut Ovc,
+    spec: &SortSpec,
+    stats: &impl CmpCounter,
+) -> Ordering {
+    debug_assert_eq!(a_code, b_code, "resume_same_base_spec needs equal codes");
     if !a_code.is_valid() {
         return Ordering::Equal;
     }

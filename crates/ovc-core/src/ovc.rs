@@ -175,6 +175,16 @@ impl Ovc {
         self.is_valid() && self.arity_minus_offset() == 0
     }
 
+    /// Is this a valid code other than the duplicate code: the only kind
+    /// whose equality with another same-base code leaves the keys'
+    /// order open?  Equal to `is_valid() && !is_duplicate()`, as one
+    /// range check, so a tournament tests it without a second branch.
+    #[inline]
+    pub const fn is_valid_non_duplicate(self) -> bool {
+        const LO: u64 = VALID_TAG | (1 << VALUE_BITS);
+        self.0.wrapping_sub(LO) < (1 << 63) - LO
+    }
+
     /// Render the code the way the paper's Table 1 does for a decimal
     /// domain: `(arity - offset) * 100 + value`, with duplicates shown as 0.
     ///
@@ -273,6 +283,33 @@ mod tests {
             let dup = Ovc::new(arity, 0, arity);
             assert!(dup.is_duplicate());
             assert_eq!(dup.offset(arity), arity);
+        }
+    }
+
+    #[test]
+    fn valid_non_duplicate_is_one_range() {
+        let edges = [
+            0,
+            1,
+            VALID_TAG - 1,
+            VALID_TAG,
+            VALID_TAG + 1,
+            VALID_TAG | VALUE_MASK,
+            VALID_TAG | (1 << VALUE_BITS),
+            (1 << 63) - 1,
+            1 << 63,
+            u64::MAX,
+        ];
+        let codes = edges
+            .into_iter()
+            .map(Ovc::from_raw)
+            .chain([Ovc::new(0, 0, 1), Ovc::new(2, VALUE_MASK, 3)]);
+        for c in codes {
+            assert_eq!(
+                c.is_valid_non_duplicate(),
+                c.is_valid() && !c.is_duplicate(),
+                "{c:?}"
+            );
         }
     }
 

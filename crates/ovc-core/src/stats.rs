@@ -235,6 +235,12 @@ impl<C: CmpCounter + ?Sized> CmpCounter for Arc<C> {
 /// instead and [`Tally::flush`]es at its batch or run boundary — inside
 /// the `next_batch` that made the comparisons — so the totals and the
 /// per-batch profiles stay exact.
+///
+/// A tournament does not even count per match: a build plays `cap − 1`
+/// matches and a leaf-to-root pass `log2(cap)`, known before either
+/// starts, so each adds its whole count in one [`Tally::count_ovc_cmps`].
+/// Column comparisons, which only tied codes make, are counted one by one
+/// where they happen.
 #[derive(Debug, Default)]
 pub struct Tally {
     col_value_cmps: Cell<u64>,
@@ -242,6 +248,12 @@ pub struct Tally {
 }
 
 impl Tally {
+    /// Count `n` offset-value-code comparisons at once.
+    #[inline]
+    pub fn count_ovc_cmps(&self, n: u64) {
+        self.ovc_cmps.set(self.ovc_cmps.get() + n);
+    }
+
     /// Move the counts into `stats`, leaving the tally at zero.
     pub fn flush(&self, stats: &Stats) {
         let (col, ovc) = (self.col_value_cmps.take(), self.ovc_cmps.take());
@@ -261,7 +273,7 @@ impl CmpCounter for Tally {
     }
     #[inline]
     fn count_ovc_cmp(&self) {
-        self.ovc_cmps.set(self.ovc_cmps.get() + 1);
+        self.count_ovc_cmps(1);
     }
 }
 

@@ -168,6 +168,41 @@ mod tests {
         }
     }
 
+    /// A merge's size hint never promises fewer rows than it yields.  A
+    /// merge over streams sees only its inputs' current batches, so it
+    /// gives no upper bound; a run merge's hint stays exact.
+    #[test]
+    fn size_hint_upper_bound_covers_the_rows_yielded() {
+        use crate::SortOutput;
+        let spec = SortSpec::asc(1);
+        let run = Run::from_sorted_rows((0..10u64).map(|v| Row::new(vec![v])).collect(), 1);
+        let stats = Stats::new_shared();
+        let over_stream = || {
+            let stream = Box::new(run.clone().batches(3)) as Box<dyn BatchStream + Send>;
+            merge_batch_streams(vec![stream], &spec, &stats)
+        };
+        let check = |mut rows: Box<dyn Iterator<Item = _>>, exact: bool| {
+            for left in (0..=run.len()).rev() {
+                let (lo, hi) = rows.size_hint();
+                assert!(lo <= left, "lower bound {lo} > {left} left");
+                assert!(
+                    hi.is_none_or(|hi| hi >= left),
+                    "upper bound {hi:?} < {left} left"
+                );
+                if exact {
+                    assert_eq!((lo, hi), (left, Some(left)));
+                }
+                assert_eq!(rows.next().is_some(), left > 0);
+            }
+        };
+        check(Box::new(over_stream()), false);
+        check(Box::new(SortOutput::Merge(over_stream())), false);
+        check(
+            Box::new(merge_runs_spec(vec![run.clone()], &spec, &stats)),
+            true,
+        );
+    }
+
     #[test]
     fn merge_no_runs_is_empty() {
         let stats = Stats::new_shared();

@@ -179,9 +179,7 @@ fn flat_tournament_sort(
     let cap = n.next_power_of_two().max(1);
     let mut nodes = vec![FENCE_ENTRY; cap];
     let tally = Tally::default();
-    let mut play = |a: Entry, b: Entry| -> (Entry, Entry) {
-        play_entries(a, b, key_of(a), key_of(b), spec, asc, &tally)
-    };
+    let mut play = |a: Entry, b: Entry| play_entries(a, b, key_of, spec, asc, &tally);
     let mut winner = loser_tree::build(
         &mut nodes,
         cap,
@@ -192,6 +190,7 @@ fn flat_tournament_sort(
                 Ovc::LATE_FENCE
             }
         },
+        &tally,
         &mut play,
     );
 
@@ -205,7 +204,7 @@ fn flat_tournament_sort(
             code: Ovc::LATE_FENCE,
             run: w as u32,
         };
-        winner = loser_tree::replay(&mut nodes, cap, w, cand, &mut play);
+        winner = loser_tree::replay(&mut nodes, cap, w, cand, &tally, &mut play);
     }
     debug_assert_eq!(out.len(), n);
     tally.flush(stats);

@@ -34,14 +34,24 @@
 //! build phase uses same-base code comparisons.  Exhausted inputs turn into
 //! late fences whose comparisons are single integer compares ("the
 //! comparison of offset-value codes is practically free", Section 5).
+//!
+//! That integer compare is also how a match is played.  Most matches take
+//! the **fast path**: the codes differ, or they are equal fences or equal
+//! duplicates, and the entry with the smaller `(code, run)` pair wins —
+//! one compare of the pair packed into a `u128` and a select, no branch
+//! on the outcome, no key slice built, no counter touched.  Only equal,
+//! valid, non-duplicate codes take the out-of-line **tied path**, which
+//! resumes the column comparisons.  Code comparisons are counted per
+//! call, not per match: a build plays `cap − 1` matches and a
+//! leaf-to-root pass `log2(cap)`, and each adds its count to the
+//! [`Tally`] in one step.
 
 use std::cmp::Ordering;
+use std::hint::select_unpredictable;
 use std::sync::Arc;
 
-use ovc_core::compare::{compare_same_base, compare_same_base_spec};
-use ovc_core::{
-    BatchStream, CmpCounter, FlatRows, Ovc, OvcRow, OvcStream, Row, SortSpec, Stats, Tally,
-};
+use ovc_core::compare::{resume_same_base, resume_same_base_spec};
+use ovc_core::{BatchStream, FlatRows, Ovc, OvcRow, OvcStream, Row, SortSpec, Stats, Tally};
 
 use crate::runs::Run;
 
@@ -53,43 +63,85 @@ pub(crate) struct Entry {
     pub(crate) run: u32,
 }
 
-/// Play one match between two entries whose keys are `a_key`/`b_key`:
-/// returns `(winner, loser)` with the loser's code adjusted relative to
-/// the winner where required.  Shared by [`FlatMerge`] and flat run
-/// generation, so the two cannot play different tournaments.
+impl Entry {
+    /// `(code, run)` as one integer: ordering these orders entries by code
+    /// and, among equal codes, by run, which keeps the merge stable.
+    #[inline]
+    fn packed(self) -> u128 {
+        (u128::from(self.code.raw()) << 32) | u128::from(self.run)
+    }
+
+    #[inline]
+    fn unpacked(k: u128) -> Entry {
+        Entry {
+            code: Ovc::from_raw((k >> 32) as u64),
+            run: k as u32,
+        }
+    }
+}
+
+/// Play one match between two entries coded relative to the same base:
+/// returns `(winner, loser)` with the loser's code exact relative to the
+/// winner.  Shared by [`FlatMerge`] and flat run generation, so the two
+/// cannot play different tournaments.
+///
+/// The fast path decides by the packed `(code, run)` pair alone, with a
+/// select rather than a branch on the outcome: unequal codes leave the
+/// loser's code exact (unequal code theorem), and an equal pair of fences
+/// or duplicates needs no re-code; the lower run wins a tie.  `key` yields
+/// an entry's key slice and only the tied path calls it.  No counter is
+/// touched here: [`loser_tree`] counts the code comparisons per call and
+/// the tied path counts its column comparisons into `tally`.
 ///
 /// `asc` is the caller's cached `spec.is_asc_prefix()`: the all-ascending
 /// case (the paper's default throughout) skips the per-column direction
-/// dispatch entirely.  Both comparators implement the same two theorems
-/// with identical counting, so the dispatch is purely mechanical.
-/// `stats` is any [`CmpCounter`]: the shared [`Stats`], or the [`Tally`]
-/// that [`FlatMerge`] and run generation count into.
+/// dispatch entirely.
 #[inline]
-pub(crate) fn play_entries(
-    mut a: Entry,
-    mut b: Entry,
-    a_key: &[u64],
-    b_key: &[u64],
+pub(crate) fn play_entries<'k>(
+    a: Entry,
+    b: Entry,
+    key: impl Fn(Entry) -> &'k [u64],
     spec: &SortSpec,
     asc: bool,
-    stats: &impl CmpCounter,
+    tally: &Tally,
 ) -> (Entry, Entry) {
+    if (a.code == b.code) & a.code.is_valid_non_duplicate() {
+        return play_tied(a, b, key, spec, asc, tally);
+    }
+    let (pa, pb) = (a.packed(), b.packed());
+    let a_wins = pa <= pb;
+    (
+        Entry::unpacked(select_unpredictable(a_wins, pa, pb)),
+        Entry::unpacked(select_unpredictable(a_wins, pb, pa)),
+    )
+}
+
+/// The tied path of [`play_entries`]: equal, valid, non-duplicate codes.
+/// Column comparisons resume past the shared prefix (equal code theorem);
+/// equal keys go to the lower run, and the loser becomes a duplicate of
+/// the winner.
+#[cold]
+#[inline(never)]
+fn play_tied<'k>(
+    mut a: Entry,
+    mut b: Entry,
+    key: impl Fn(Entry) -> &'k [u64],
+    spec: &SortSpec,
+    asc: bool,
+    tally: &Tally,
+) -> (Entry, Entry) {
+    let (a_key, b_key) = (key(a), key(b));
     let ord = if asc {
-        compare_same_base(a_key, b_key, &mut a.code, &mut b.code, stats)
+        resume_same_base(a_key, b_key, &mut a.code, &mut b.code, tally)
     } else {
-        compare_same_base_spec(a_key, b_key, &mut a.code, &mut b.code, spec, stats)
+        resume_same_base_spec(a_key, b_key, &mut a.code, &mut b.code, spec, tally)
     };
     match ord {
         Ordering::Less => (a, b),
         Ordering::Greater => (b, a),
         Ordering::Equal => {
-            // Equal keys (or two fences).  Lower run index wins so the
-            // merge is stable; an equal-key loser is a duplicate of the
-            // winner.
             let (w, mut l) = if a.run <= b.run { (a, b) } else { (b, a) };
-            if l.code.is_valid() {
-                l.code = Ovc::duplicate();
-            }
+            l.code = Ovc::duplicate();
             (w, l)
         }
     }
@@ -101,18 +153,21 @@ pub(crate) fn play_entries(
 /// leaves `cap..2*cap` are implicit.
 pub(crate) mod loser_tree {
     use super::Entry;
-    use ovc_core::Ovc;
+    use ovc_core::{Ovc, Tally};
 
     /// Run the initial tournament, storing losers in `nodes[1..cap]` and
     /// returning the overall winner.  `leaf_code(r)` supplies leaf `r`'s
     /// first code ([`Ovc::LATE_FENCE`] for absent leaves).  Build is the
     /// cold path, so the callbacks are dyn — the recursion stays simple.
+    /// Its `cap − 1` matches are counted into `tally` in one step.
     pub(crate) fn build(
         nodes: &mut [Entry],
         cap: usize,
         leaf_code: &mut dyn FnMut(usize) -> Ovc,
+        tally: &Tally,
         play: &mut dyn FnMut(Entry, Entry) -> (Entry, Entry),
     ) -> Entry {
+        tally.count_ovc_cmps(cap as u64 - 1);
         build_node(1, nodes, cap, leaf_code, play)
     }
 
@@ -140,14 +195,18 @@ pub(crate) mod loser_tree {
     /// One comparison per tree level: the candidate (leaf `leaf`'s
     /// successor) retraces the prior winner's leaf-to-root path, swapping
     /// with stored losers it loses to; returns the new overall winner.
+    /// Its `log2(cap)` matches are counted into `tally` in one step.
     #[inline]
     pub(crate) fn replay(
         nodes: &mut [Entry],
         cap: usize,
         leaf: usize,
         mut cand: Entry,
+        tally: &Tally,
         play: &mut impl FnMut(Entry, Entry) -> (Entry, Entry),
     ) -> Entry {
+        debug_assert!(cap.is_power_of_two());
+        tally.count_ovc_cmps(u64::from(cap.trailing_zeros()));
         let mut node = (cap + leaf) >> 1;
         while node >= 1 {
             let stored = nodes[node];
@@ -269,17 +328,8 @@ impl FlatMerge {
         let mut nodes = vec![FENCE_ENTRY; cap];
         let tally = Tally::default();
         let winner = {
-            let mut play = |a: Entry, b: Entry| {
-                play_entries(
-                    a,
-                    b,
-                    flat_key(&runs, &pos, k, a),
-                    flat_key(&runs, &pos, k, b),
-                    &spec,
-                    asc,
-                    &tally,
-                )
-            };
+            let key = |e: Entry| flat_key(&runs, &pos, k, e);
+            let mut play = |a: Entry, b: Entry| play_entries(a, b, key, &spec, asc, &tally);
             loser_tree::build(
                 &mut nodes,
                 cap,
@@ -287,6 +337,7 @@ impl FlatMerge {
                     Some(run) if !run.is_empty() => run.code(0),
                     _ => Ovc::LATE_FENCE,
                 },
+                &tally,
                 &mut play,
             )
         };
@@ -335,18 +386,9 @@ impl FlatMerge {
         let (runs, pos, spec, asc, tally) =
             (&self.runs, &self.pos, &self.spec, self.asc, &self.tally);
         let k = spec.len();
-        let mut play = |a: Entry, b: Entry| {
-            play_entries(
-                a,
-                b,
-                flat_key(runs, pos, k, a),
-                flat_key(runs, pos, k, b),
-                spec,
-                asc,
-                tally,
-            )
-        };
-        self.winner = loser_tree::replay(&mut self.nodes, self.cap, w, cand, &mut play);
+        let key = |e: Entry| flat_key(runs, pos, k, e);
+        let mut play = |a: Entry, b: Entry| play_entries(a, b, key, spec, asc, tally);
+        self.winner = loser_tree::replay(&mut self.nodes, self.cap, w, cand, tally, &mut play);
         Some((buffer, idx, out_code))
     }
 
@@ -448,9 +490,11 @@ impl Iterator for FlatMerge {
         Some(OvcRow::new(Row::from_slice(self.runs[r].row(i)), code))
     }
 
+    /// Exact for a run merge.  A stream-fed input may still hold batches
+    /// it has not pulled, so a merge over streams promises no upper bound.
     fn size_hint(&self) -> (usize, Option<usize>) {
         let left = self.remaining();
-        (left, Some(left))
+        (left, self.sources.is_empty().then_some(left))
     }
 }
 
@@ -594,6 +638,136 @@ mod tests {
             stats.col_value_cmps(),
             n * 3
         );
+    }
+
+    /// `play_entries` against its reference match: `compare_same_base`
+    /// (`_spec`) plus the stable tie-break and the duplicate re-code.  Keys
+    /// at or after a shared base under `asc(k)` and mixed specs, with few
+    /// distinct values so ties are common, clamped values at both lossy
+    /// ends, fences, duplicates, and equal and unequal run ids, must give
+    /// the same winner, loser and counts.  `RANDOM_SEED` reseeds it.
+    #[test]
+    fn play_entries_matches_the_reference_match() {
+        use ovc_core::compare::{compare_same_base, compare_same_base_spec, derive_code_spec};
+        use ovc_core::ovc::VALUE_MASK;
+        use ovc_core::Direction;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        fn reference(
+            mut a: Entry,
+            mut b: Entry,
+            a_key: &[u64],
+            b_key: &[u64],
+            spec: &SortSpec,
+            stats: &Stats,
+        ) -> (Entry, Entry) {
+            let ord = if spec.is_asc_prefix() {
+                compare_same_base(a_key, b_key, &mut a.code, &mut b.code, stats)
+            } else {
+                compare_same_base_spec(a_key, b_key, &mut a.code, &mut b.code, spec, stats)
+            };
+            match ord {
+                Ordering::Less => (a, b),
+                Ordering::Greater => (b, a),
+                Ordering::Equal => {
+                    let (w, mut l) = if a.run <= b.run { (a, b) } else { (b, a) };
+                    if l.code.is_valid() {
+                        l.code = Ovc::duplicate();
+                    }
+                    (w, l)
+                }
+            }
+        }
+
+        let seed = std::env::var("RANDOM_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(35);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut tied = 0;
+        for case in 0..20_000 {
+            let k = rng.gen_range(1..=3usize);
+            let spec = if rng.gen_bool(0.5) {
+                SortSpec::asc(k)
+            } else {
+                let dirs: Vec<Direction> = (0..k)
+                    .map(|_| {
+                        if rng.gen_bool(0.5) {
+                            Direction::Desc
+                        } else {
+                            Direction::Asc
+                        }
+                    })
+                    .collect();
+                SortSpec::with_dirs(&dirs)
+            };
+            // One value in eight clamps: past `VALUE_MASK` it saturates
+            // the ascending code field and zeroes the descending one.
+            let key = |rng: &mut StdRng| -> Vec<u64> {
+                (0..k)
+                    .map(|_| {
+                        let v = rng.gen_range(0..4u64);
+                        if rng.gen_range(0..8) == 0 {
+                            VALUE_MASK + v
+                        } else {
+                            v
+                        }
+                    })
+                    .collect()
+            };
+            let base = key(&mut rng);
+            let after_base = |rng: &mut StdRng| {
+                (0..8)
+                    .map(|_| key(rng))
+                    .find(|c| spec.cmp_keys(c, &base) != Ordering::Less)
+                    .unwrap_or_else(|| base.clone())
+            };
+            let a_key = after_base(&mut rng);
+            let mut b_key = after_base(&mut rng);
+            let entry = |rng: &mut StdRng, key: &[u64]| {
+                let code = match rng.gen_range(0..16) {
+                    0 => Ovc::EARLY_FENCE,
+                    1 => Ovc::LATE_FENCE,
+                    _ => derive_code_spec(&base, key, &spec, &Stats::default()),
+                };
+                Entry {
+                    code,
+                    run: rng.gen_range(0..3),
+                }
+            };
+            let a = entry(&mut rng, &a_key);
+            let b = entry(&mut rng, &b_key);
+            // An entry names one row: equal `(code, run)` pairs share a key.
+            if (a.code, a.run) == (b.code, b.run) {
+                b_key = a_key.clone();
+            }
+
+            let expect_stats = Stats::default();
+            let (ew, el) = reference(a, b, &a_key, &b_key, &spec, &expect_stats);
+            let tally = Tally::default();
+            // The one code comparison `loser_tree` counts for this match.
+            tally.count_ovc_cmps(1);
+            let key_of = |e: Entry| -> &[u64] {
+                if e.run == a.run {
+                    &a_key
+                } else {
+                    &b_key
+                }
+            };
+            let (w, l) = play_entries(a, b, key_of, &spec, spec.is_asc_prefix(), &tally);
+            let stats = Stats::default();
+            tally.flush(&stats);
+            let why = format!("seed {seed} case {case}: {spec} {a:?} {a_key:?} vs {b:?} {b_key:?}");
+            assert_eq!(
+                (w.code, w.run, l.code, l.run),
+                (ew.code, ew.run, el.code, el.run),
+                "{why}"
+            );
+            assert_eq!(stats.snapshot(), expect_stats.snapshot(), "{why}");
+            tied += usize::from(expect_stats.col_value_cmps() > 0);
+        }
+        assert!(tied > 1000, "only {tied} matches reached the columns");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use ovc_core::{BatchStream, Row, SortSpec, Stats};
 use ovc_exec::{JoinType, MergeJoin};
-use ovc_sort::{external_sort_collect, sort_rows_ovc, Run, RunGenStrategy, SortConfig};
+use ovc_sort::{external_sort_collect, sort_rows_ovc, FlatMerge, Run, RunGenStrategy, SortConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -76,6 +76,42 @@ fn no_log_n_factor_in_column_comparisons() {
     let _ = sort_rows_ovc(rows(n, k, 4, 12), k, &s_ovc);
     let _ = ovc_baseline::sort_rows_plain(rows(n, k, 4, 12), k, &s_plain);
     assert!(s_ovc.col_value_cmps() * 3 < s_plain.col_value_cmps());
+}
+
+/// A tournament plays a fixed number of matches, whatever the data: its
+/// build `cap − 1` and each leaf-to-root pass `log2(cap)`, with `cap` the
+/// leaf count rounded up to a power of two.  So code comparisons have a
+/// closed form, for run generation over `n` single-row leaves and for a
+/// merge of `f` runs holding `N` rows.
+#[test]
+fn tournament_code_comparisons_have_a_closed_form() {
+    let expect = |leaves: usize, rows: usize| {
+        let cap = leaves.next_power_of_two() as u64;
+        (cap - 1) + rows as u64 * u64::from(cap.trailing_zeros())
+    };
+    for n in [1usize, 2, 3, 5, 8, 100, 1024, 1500] {
+        let stats = Stats::new_shared();
+        let run = sort_rows_ovc(rows(n, 3, 4, 18), 3, &stats);
+        assert_eq!(run.len(), n);
+        assert_eq!(stats.ovc_cmps(), expect(n, n), "run generation, n={n}");
+    }
+    let k = 2;
+    for f in [1usize, 2, 3, 5, 8, 9] {
+        // Runs of unequal length, the second one empty.
+        let runs: Vec<Run> = (0..f)
+            .map(|i| {
+                let len = if i == 1 { 0 } else { 20 + 7 * i };
+                let mut rows = rows(len, k, 4, 19 + i as u64);
+                rows.sort();
+                Run::from_sorted_rows(rows, k)
+            })
+            .collect();
+        let total: usize = runs.iter().map(Run::len).sum();
+        let stats = Stats::new_shared();
+        let merged = FlatMerge::new(runs, SortSpec::asc(k), Arc::clone(&stats)).into_run();
+        assert_eq!(merged.len(), total);
+        assert_eq!(stats.ovc_cmps(), expect(f, total), "merge, f={f}");
+    }
 }
 
 #[test]
