@@ -12,13 +12,21 @@ use std::sync::Arc;
 
 use ovc_core::{Row, Stats, Value};
 
+/// Multiplicative hash of a join key with a per-recursion-level seed,
+/// finished with MurmurHash3's `fmix64`: without it the low bits of the
+/// hash are the low bits of the key, so a partition cut by an even
+/// `parts` would never split again at the next level.
 fn key_hash(key: &[Value], level: u64) -> u64 {
     let mut h = 0x84222325_cbf29ce4u64 ^ level.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     for &c in key {
         h ^= c;
         h = h.wrapping_mul(0x100_0000_01b3);
     }
-    h
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 use crate::hash_agg::{decode_rows, encode_rows};
@@ -175,6 +183,21 @@ mod tests {
             stats.rows_spilled() >= 3000,
             "both inputs spill when the build side overflows"
         );
+    }
+
+    #[test]
+    fn keys_sharing_their_low_bits_still_split() {
+        // Even keys, two partitions per level: an unmixed multiplicative
+        // hash sends every key to one partition at every level.
+        let l: Vec<Row> = (0..100u64).map(|k| Row::new(vec![2 * k])).collect();
+        let r: Vec<Row> = (0..300u64).map(|k| Row::new(vec![k])).collect();
+        let stats = Stats::new_shared();
+        let mut got: Vec<Vec<u64>> = grace_hash_join(l.clone(), r.clone(), 1, 60, &stats)
+            .into_iter()
+            .map(|x| x.cols().to_vec())
+            .collect();
+        got.sort();
+        assert_eq!(got, reference_inner(&l, &r, 1));
     }
 
     #[test]

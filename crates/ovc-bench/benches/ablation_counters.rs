@@ -1,18 +1,20 @@
 //! Counter-based ablation (custom harness, not Criterion): prints the
 //! comparison and spill counters behind the paper's analytical claims —
 //! the N×K bound with no log N factor (Section 3), the per-operator
-//! comparison budget of Section 4, and the Figure 6 spill shape.
+//! comparison budget of Section 4, and the Figure 6 spill shape (the
+//! planner's two Figure 5 plans, one side forced).
 //!
 //! Run with: `cargo bench -p ovc-bench --bench ablation_counters`
 
 use std::sync::Arc;
 
-use ovc_baseline::{external_sort_plain, hash_intersect_distinct};
+use ovc_baseline::external_sort_plain;
 use ovc_bench::workload::{grouped_sorted_table, intersect_tables, table, TableSpec};
 use ovc_core::{BatchStream, Stats, VecStream};
-use ovc_exec::plans::{sort_intersect_distinct, IntersectConfig};
 use ovc_exec::{Aggregate, BatchDedup, GroupAggregate, JoinType, MergeJoin};
-use ovc_sort::{external_sort_collect, sort_rows_ovc, MemoryRunStorage, Run, SortConfig};
+use ovc_plan::figure5::{catalog_unsorted, run_intersect};
+use ovc_plan::{PlannerConfig, Preference};
+use ovc_sort::{external_sort_collect, sort_rows_ovc, Run, SortConfig};
 
 /// The engine's default batch size.
 const BATCH: usize = 1024;
@@ -143,23 +145,26 @@ fn main() {
     );
     for n in [50_000usize, 200_000] {
         let (t1, t2) = intersect_tables(n, 6);
-        let hs = Stats::new_shared();
-        let _ = hash_intersect_distinct(t1.clone(), t2.clone(), n / 10, &hs);
-        let ss = Stats::new_shared();
-        let mut s1 = MemoryRunStorage::new(Arc::clone(&ss));
-        let mut s2 = MemoryRunStorage::new(Arc::clone(&ss));
-        let cfg = IntersectConfig {
-            key_len: 1,
-            memory_rows: n / 10,
-            fan_in: 128,
+        let cat = catalog_unsorted(t1, t2);
+        let spilled = |preference| {
+            let cfg = PlannerConfig::default()
+                .with_memory_rows(n / 10)
+                .with_fan_in(128)
+                .with_preference(preference);
+            let stats = Stats::new_shared();
+            run_intersect(&cat, cfg, &stats).expect("plans");
+            stats.rows_spilled()
         };
-        let _ = sort_intersect_distinct(t1, t2, cfg, &mut s1, &mut s2, &ss);
+        let (hash, sort) = (
+            spilled(Preference::ForceHashBased),
+            spilled(Preference::ForceSortBased),
+        );
         println!(
             "{:>10} {:>14} {:>14} {:>8.2}",
             n,
-            hs.rows_spilled(),
-            ss.rows_spilled(),
-            hs.rows_spilled() as f64 / ss.rows_spilled().max(1) as f64
+            hash,
+            sort,
+            hash as f64 / sort.max(1) as f64
         );
     }
 }

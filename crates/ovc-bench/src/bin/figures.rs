@@ -7,19 +7,18 @@
 //! `--quick` shrinks both to a smoke-test scale (CI runs this mode and
 //! validates the emitted snapshot against the documented schema).
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use ovc_baseline::hash_intersect_distinct;
 use ovc_bench::snapshot::{BenchEntry, BenchSnapshot};
 use ovc_bench::workload::{grouped_sorted_table, intersect_tables};
 use ovc_core::compare::compare_same_base;
 use ovc_core::derive::derive_codes;
 use ovc_core::desc::{derive_desc_code, DescOvc};
 use ovc_core::{table1, BatchStream, Row, Stats, Value};
-use ovc_exec::plans::{sort_intersect_distinct, IntersectConfig};
 use ovc_exec::BatchFilter;
-use ovc_sort::{MemoryRunStorage, Run};
+use ovc_plan::figure5::{catalog_unsorted, run_intersect};
+use ovc_plan::{PlannerConfig, Preference};
+use ovc_sort::Run;
 
 fn arg(name: &str, default: usize) -> usize {
     let args: Vec<String> = std::env::args().collect();
@@ -269,26 +268,26 @@ fn figure_6(rows_n: usize, snap: &mut BenchSnapshot) {
     println!("          paper scale: 100M rows / 10M memory — same 10:1 ratio)");
     println!("==================================================================\n");
     let (t1, t2) = intersect_tables(rows_n, 42);
-    let mem = rows_n / 10;
-
-    let hs = Stats::new_shared();
-    let start = Instant::now();
-    let h = hash_intersect_distinct(t1.clone(), t2.clone(), mem, &hs);
-    let t_hash = start.elapsed();
-
-    let ss = Stats::new_shared();
-    let mut s1 = MemoryRunStorage::new(Arc::clone(&ss));
-    let mut s2 = MemoryRunStorage::new(Arc::clone(&ss));
-    let cfg = IntersectConfig {
-        key_len: 1,
-        memory_rows: mem,
-        fan_in: 128,
+    let cat = catalog_unsorted(t1, t2);
+    // Both plans come from the planner, one side forced, at dop 1.
+    let run = |preference| {
+        let cfg = PlannerConfig::default()
+            .with_memory_rows(rows_n / 10)
+            .with_fan_in(128)
+            .with_preference(preference);
+        let stats = Stats::new_shared();
+        let start = Instant::now();
+        let (plan, out) = run_intersect(&cat, cfg, &stats).expect("plans");
+        let rows = out.into_rows();
+        (start.elapsed(), plan, rows, stats)
     };
-    let start = Instant::now();
-    let s = sort_intersect_distinct(t1, t2, cfg, &mut s1, &mut s2, &ss);
-    let t_sort = start.elapsed();
-    assert_eq!(h.len(), s.len());
+    let (t_hash, hash_plan, mut h, hs) = run(Preference::ForceHashBased);
+    let (t_sort, sort_plan, s, ss) = run(Preference::ForceSortBased);
+    h.sort();
+    assert_eq!(h, s, "the hash and sort plans must return the same rows");
 
+    println!("hash plan:\n{hash_plan}");
+    println!("sort plan:\n{sort_plan}");
     println!("result rows: {}\n", s.len());
     println!("{:<30} {:>14} {:>14}", "", "hash plan", "sort plan");
     println!("{:<30} {:>12.1?} {:>12.1?}", "wall time", t_hash, t_sort);

@@ -24,8 +24,7 @@
 //!   seam-exact codes, and the exchange's splitting side and channels;
 //! * [`exchange`] — the order-preserving exchange (§4.10): how the one
 //!   batch exchange realizes the paper's three shuffles, and its hash
-//!   partitioner;
-//! * [`plans`] — the sort-based "intersect distinct" plan of Figure 5.
+//!   partitioner.
 //!
 //! Every operator upholds the coded-stream contract — batch-at-a-time
 //! ([`ovc_core::batch::BatchStream`], seams included) or, for the §4.5
@@ -50,7 +49,6 @@ pub mod hash_join_op;
 pub mod merge_join;
 pub mod nlj;
 pub mod pivot;
-pub mod plans;
 pub mod project;
 pub mod set_ops;
 pub mod window;

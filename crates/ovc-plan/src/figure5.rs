@@ -1,13 +1,16 @@
 //! The paper's Figure 5 experiment, expressed through the planner.
 //!
-//! The repository's first generation hand-wired both Figure 5 plans:
-//! `ovc_exec::plans::sort_intersect_distinct` (two in-sort duplicate
-//! removals feeding a code-consuming merge join) and
-//! `ovc_baseline::plans::hash_intersect_distinct` (two hash aggregations
-//! and a Grace hash join).  This module derives both from one logical
-//! query — `select B from T1 intersect select B from T2` — so the choice
-//! the paper's authors made by hand is now the planner's to make, and
-//! every future workload flows through the same machinery.
+//! Both Figure 5 plans come from one logical query — `select B from T1
+//! intersect select B from T2` — over [`catalog_unsorted`]:
+//! [`Preference::ForceSortBased`](crate::Preference) yields two
+//! `InSortDistinct` (duplicates dropped before runs spill) under a
+//! `SetOpMerge` that consumes their codes, two blocking operators;
+//! [`Preference::ForceHashBased`](crate::Preference) yields two
+//! `HashDistinct` under a `GraceHashJoin`, three blocking operators.
+//! `Auto` leaves the choice to the cost model.  The `figures` binary,
+//! the `ablation_counters` bench, `tests/spill_accounting.rs` and the
+//! `intersect_distinct` example all run [`run_intersect`], so Figure 6's
+//! counts come from the code users' queries run.
 
 use std::sync::Arc;
 
@@ -70,6 +73,8 @@ pub fn run_intersect(
 mod tests {
     use super::*;
     use crate::planner::Preference;
+    use ovc_core::derive::assert_codes_exact;
+    use ovc_core::{Ovc, OvcRow};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use std::collections::BTreeSet;
@@ -85,6 +90,196 @@ mod tests {
         let a: BTreeSet<u64> = t1.iter().map(|r| r.cols()[0]).collect();
         let b: BTreeSet<u64> = t2.iter().map(|r| r.cols()[0]).collect();
         a.intersection(&b).copied().collect()
+    }
+
+    /// The Figure 5 experiment's knobs: memory per blocking operator,
+    /// fan-in 64, one side forced.
+    fn forced(memory_rows: usize, preference: Preference) -> PlannerConfig {
+        PlannerConfig::default()
+            .with_memory_rows(memory_rows)
+            .with_fan_in(64)
+            .with_preference(preference)
+    }
+
+    /// Plan and run the Figure 5 query over unsorted `t1`, `t2`.
+    fn run(t1: &[Row], t2: &[Row], cfg: PlannerConfig) -> (PhysicalPlan, Output, Arc<Stats>) {
+        let cat = catalog_unsorted(t1.to_vec(), t2.to_vec());
+        let stats = Stats::new_shared();
+        let (plan, out) = run_intersect(&cat, cfg, &stats).expect("plans");
+        (plan, out, stats)
+    }
+
+    /// The sort plan's output in order, with its codes checked exact.
+    fn coded_values(out: Output) -> Vec<u64> {
+        let pairs: Vec<(Row, Ovc)> = out
+            .into_coded()
+            .into_iter()
+            .map(|r: OvcRow| (r.row, r.code))
+            .collect();
+        assert_codes_exact(&pairs, 1);
+        pairs.iter().map(|(r, _)| r.cols()[0]).collect()
+    }
+
+    /// `select distinct * from t` planned sort-based over an unsorted
+    /// table: one `InSortDistinct`.
+    fn planned_distinct(rows: Vec<Row>, memory_rows: usize) -> (Output, Arc<Stats>) {
+        let mut cat = Catalog::new();
+        cat.register("t", Table::unsorted(rows));
+        let cfg = forced(memory_rows, Preference::ForceSortBased);
+        let plan = Planner::new(&cat, cfg)
+            .plan(&LogicalPlan::scan("t").distinct())
+            .expect("plans");
+        assert_eq!(plan.count_op("InSortDistinct"), 1, "{plan}");
+        let stats = Stats::new_shared();
+        let out = execute(&plan, &cat, &stats, &ExecOptions::default());
+        (out, stats)
+    }
+
+    #[test]
+    fn in_sort_distinct_output_is_distinct_sorted_exact() {
+        let rows = table(2000, 50, 1);
+        let expect: BTreeSet<u64> = rows.iter().map(|r| r.cols()[0]).collect();
+        let (out, _) = planned_distinct(rows, 128);
+        assert_eq!(coded_values(out), expect.into_iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn in_sort_distinct_spills_less_than_input() {
+        // With 2000 rows over 50 distinct values and 128-row memory, early
+        // duplicate removal shrinks every spilled run drastically.
+        let (_, stats) = planned_distinct(table(2000, 50, 2), 128);
+        assert!(
+            stats.rows_spilled() > 0 && stats.rows_spilled() < 2000,
+            "in-sort aggregation must spill, and fewer rows than the input ({})",
+            stats.rows_spilled()
+        );
+    }
+
+    #[test]
+    fn sort_intersect_matches_reference() {
+        let (t1, t2) = (table(3000, 40, 3), table(3000, 60, 4));
+        let (_, out, _) = run(&t1, &t2, forced(256, Preference::ForceSortBased));
+        assert_eq!(coded_values(out), reference(&t1, &t2));
+    }
+
+    #[test]
+    fn sort_plan_spills_each_row_at_most_once() {
+        // Figure 6's claim: the sort-based plan spills each input row only
+        // once (here even less, thanks to in-sort dedup).
+        let (t1, t2) = (table(4000, 3000, 5), table(4000, 3000, 6)); // mostly distinct
+        let (_, _, stats) = run(&t1, &t2, forced(400, Preference::ForceSortBased));
+        assert!(
+            stats.rows_spilled() > 0 && stats.rows_spilled() <= 8000,
+            "each row spilled at most once, got {}",
+            stats.rows_spilled()
+        );
+    }
+
+    #[test]
+    fn small_inputs_never_spill() {
+        let (t1, t2) = (table(100, 10, 7), table(100, 10, 8));
+        let (_, out, stats) = run(&t1, &t2, forced(1000, Preference::ForceSortBased));
+        assert!(!out.into_rows().is_empty());
+        assert_eq!(stats.rows_spilled(), 0);
+    }
+
+    #[test]
+    fn hash_and_sort_plans_agree() {
+        let (t1, t2) = (table(3000, 500, 1), table(3000, 700, 2));
+        let (_, hash, _) = run(&t1, &t2, forced(200, Preference::ForceHashBased));
+        let mut hash_rows = hash.into_rows();
+        hash_rows.sort();
+        let (_, sort, _) = run(&t1, &t2, forced(200, Preference::ForceSortBased));
+        assert_eq!(hash_rows, sort.into_rows());
+    }
+
+    #[test]
+    fn figure6_spill_shape_sort_beats_hash() {
+        // The Figure 6 claim: with memory a tenth of the input, the hash
+        // plan spills rows in both the aggregations and the join, while
+        // the sort plan spills each input row at most once.
+        let n = 5000;
+        let (t1, t2) = (table(n, 4000, 3), table(n, 4000, 4));
+        let (_, _, hs) = run(&t1, &t2, forced(n / 10, Preference::ForceHashBased));
+        let (_, _, ss) = run(&t1, &t2, forced(n / 10, Preference::ForceSortBased));
+        assert!(
+            ss.rows_spilled() <= 2 * n as u64,
+            "sort plan spills each row at most once: {}",
+            ss.rows_spilled()
+        );
+        assert!(
+            hs.rows_spilled() > ss.rows_spilled() * 5 / 4,
+            "hash plan must spill substantially more: hash {} vs sort {}",
+            hs.rows_spilled(),
+            ss.rows_spilled()
+        );
+    }
+
+    #[test]
+    fn empty_inputs() {
+        let some = table(10, 5, 5);
+        for preference in [
+            Preference::ForceHashBased,
+            Preference::ForceSortBased,
+            Preference::Auto,
+        ] {
+            for (t1, t2) in [(&[][..], &some[..]), (&some, &[]), (&[], &[])] {
+                let (plan, out, _) = run(t1, t2, forced(10, preference));
+                assert!(out.into_rows().is_empty(), "{preference:?}:\n{plan}");
+            }
+        }
+    }
+
+    /// Force sort, force hash and `Auto`, at dop 1 and dop 4, on random
+    /// table sizes, value domains and memory budgets: rows must equal the
+    /// `BTreeSet` intersection, and a coded output must carry exact codes.
+    /// `RANDOM_SEED` reseeds it.
+    #[test]
+    fn planned_figure5_matches_the_oracle() {
+        let seed = std::env::var("RANDOM_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(36);
+        // Captured, so shown only when a check (e.g. `assert_codes_exact`)
+        // fails.
+        println!("RANDOM_SEED={seed}");
+        let mut rng = StdRng::seed_from_u64(seed);
+        for case in 0..12 {
+            let t1 = table(rng.gen_range(0..3000), rng.gen_range(1..2000), rng.gen());
+            let t2 = table(rng.gen_range(0..3000), rng.gen_range(1..2000), rng.gen());
+            let memory_rows = rng.gen_range(8..1024);
+            let expect = reference(&t1, &t2);
+            for preference in [
+                Preference::ForceSortBased,
+                Preference::ForceHashBased,
+                Preference::Auto,
+            ] {
+                for dop in [1, 4] {
+                    let cfg = forced(memory_rows, preference)
+                        .with_dop(dop)
+                        .with_parallel_threshold(1);
+                    let (plan, out, _) = run(&t1, &t2, cfg);
+                    let why = format!(
+                        "seed {seed} case {case}: {} x {} rows, memory {memory_rows}, \
+                         {preference:?} dop {dop}:\n{plan}",
+                        t1.len(),
+                        t2.len()
+                    );
+                    let got = if plan.props.coded {
+                        coded_values(out)
+                    } else {
+                        let mut got: Vec<u64> =
+                            out.into_rows().iter().map(|r| r.cols()[0]).collect();
+                        got.sort();
+                        got
+                    };
+                    assert_eq!(got, expect, "{why}");
+                    if preference == Preference::ForceSortBased {
+                        assert!(plan.props.coded, "{why}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

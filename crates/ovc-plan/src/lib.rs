@@ -33,8 +33,8 @@
 //!   tree (rows, wall time, comparison deltas, exchange channel gauges)
 //!   and [`physical::PhysicalPlan::explain_analyze`] renders estimates
 //!   beside measurements;
-//! * [`figure5`] — the paper's Figure 5 experiment derived from one
-//!   logical query instead of two hand-written pipelines.
+//! * [`figure5`] — the paper's Figure 5 experiment: both plans derived
+//!   from one logical query; Figure 6's counts come from running them.
 //!
 //! ## Quick example
 //!

@@ -303,7 +303,8 @@ pub fn parallel_sort_collect(
 
 /// [`parallel_sort`] with duplicate removal folded in (see
 /// [`parallel_sort_batches`]).  Rows and codes match the serial
-/// `ovc_exec::plans::in_sort_distinct` byte for byte.
+/// in-sort distinct ([`crate::try_sort_batches`] with `distinct`) byte
+/// for byte.
 pub fn parallel_sort_distinct(
     rows: Vec<Row>,
     key_len: usize,

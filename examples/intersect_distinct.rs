@@ -1,19 +1,19 @@
 //! Figures 5 and 6: "select B from T1 intersect select B from T2",
-//! hash-based plan vs sort-based plan.
+//! hash-based plan vs sort-based plan, both derived by the planner from
+//! the one logical query (`ovc_plan::figure5`) with one side forced.
 //!
-//! Prints both plan shapes, runs both at a laptop-friendly scale with the
-//! paper's 10:1 input-to-memory ratio, and reports wall time, spill
-//! volume, and comparison counts.  Scale with an argument:
+//! Prints both plan shapes (EXPLAIN), runs both at a laptop-friendly
+//! scale with the paper's 10:1 input-to-memory ratio, checks they return
+//! the same rows, and reports wall time, spill volume, and comparison
+//! counts.  Scale with an argument:
 //! `cargo run --release --example intersect_distinct -- 2000000`
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use ovc_baseline::hash_intersect_distinct;
 use ovc_bench::workload::intersect_tables;
 use ovc_core::Stats;
-use ovc_exec::plans::{sort_intersect_distinct, IntersectConfig};
-use ovc_sort::MemoryRunStorage;
+use ovc_plan::figure5::{catalog_unsorted, run_intersect};
+use ovc_plan::{PlannerConfig, Preference};
 
 fn main() {
     let n: usize = std::env::args()
@@ -22,43 +22,29 @@ fn main() {
         .unwrap_or(500_000);
     let mem = n / 10;
 
+    let (t1, t2) = intersect_tables(n, 42);
+    let cat = catalog_unsorted(t1, t2);
+    let run = |preference| {
+        let cfg = PlannerConfig::default()
+            .with_memory_rows(mem)
+            .with_fan_in(128)
+            .with_preference(preference);
+        let stats = Stats::new_shared();
+        let start = Instant::now();
+        let (plan, out) = run_intersect(&cat, cfg, &stats).expect("plans");
+        let rows = out.into_rows();
+        (start.elapsed(), plan, rows, stats)
+    };
+    let (hash_time, hash_plan, mut hash_out, hs) = run(Preference::ForceHashBased);
+    let (sort_time, sort_plan, sort_out, ss) = run(Preference::ForceSortBased);
+    hash_out.sort();
+    assert_eq!(hash_out, sort_out, "plans must agree");
+
     println!("=== Figure 5: the two query plans ===\n");
-    println!("hash-based plan                sort-based plan");
-    println!("---------------                ---------------");
-    println!("      intersect                      intersect");
-    println!("     (hash join)                   (merge join, consumes OVCs)");
-    println!("      /       \\                      /       \\");
-    println!(" hash agg   hash agg          in-sort agg   in-sort agg");
-    println!(" (dedup)    (dedup)           (dedup via offset == arity)");
-    println!("    |           |                  |           |");
-    println!("  scan T1    scan T2            scan T1     scan T2");
-    println!();
-    println!("blocking operators: 3 (hash)   vs   2 (sort)\n");
+    println!("hash-based plan (3 blocking operators):\n{hash_plan}");
+    println!("sort-based plan (2 blocking operators; the merge consumes the codes):\n{sort_plan}");
 
     println!("=== Figure 6: performance at N = {n} rows/table, memory = {mem} rows ===\n");
-    let (t1, t2) = intersect_tables(n, 42);
-
-    // Hash-based plan.
-    let hs = Stats::new_shared();
-    let start = Instant::now();
-    let hash_out = hash_intersect_distinct(t1.clone(), t2.clone(), mem, &hs);
-    let hash_time = start.elapsed();
-
-    // Sort-based plan.
-    let ss = Stats::new_shared();
-    let mut s1 = MemoryRunStorage::new(Arc::clone(&ss));
-    let mut s2 = MemoryRunStorage::new(Arc::clone(&ss));
-    let cfg = IntersectConfig {
-        key_len: 1,
-        memory_rows: mem,
-        fan_in: 128,
-    };
-    let start = Instant::now();
-    let sort_out = sort_intersect_distinct(t1, t2, cfg, &mut s1, &mut s2, &ss);
-    let sort_time = start.elapsed();
-
-    assert_eq!(hash_out.len(), sort_out.len(), "plans must agree");
-
     println!("result rows: {}\n", sort_out.len());
     println!("{:<28} {:>14} {:>14}", "", "hash plan", "sort plan");
     println!(

@@ -2,7 +2,7 @@
 //! picks, the answer must be the answer — and every sort it elides must
 //! be justified by exact offset-value codes on the stream it trusted.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use ovc_core::derive::{assert_codes_exact_spec, derive_codes_spec};
 use ovc_core::{Direction, Ovc, OvcRow, Row, SortSpec, Stats};
@@ -239,11 +239,11 @@ proptest! {
     }
 }
 
-/// The ISSUE acceptance criterion: on randomized inputs, the planner
-/// picks the sort-based plan for the Figure-5 intersect-distinct workload
-/// when the inputs are sorted and coded, elides the redundant sorts, and
-/// matches `ovc_baseline::plans::hash_intersect_distinct` row for row
-/// (order-insensitive).
+/// On randomized inputs, the planner picks the sort-based plan for the
+/// Figure 5 intersect-distinct workload when the inputs are sorted and
+/// coded, elides the redundant sorts, and returns exactly the `BTreeSet`
+/// intersection; the forced hash plan over the same tables stored
+/// unsorted returns it too (order-insensitive).
 #[test]
 fn figure5_acceptance_sorted_inputs() {
     use rand::rngs::StdRng;
@@ -290,16 +290,30 @@ fn figure5_acceptance_sorted_inputs() {
                 ..Default::default()
             },
         );
-        let planner_rows: Vec<Row> = out.into_rows();
         assert_eq!(stats.rows_spilled(), 0, "nothing blocks, nothing spills");
+        // Oracle: the set intersection, independent of every kernel.
+        let expect: Vec<Row> = {
+            let a: BTreeSet<Row> = t1.iter().cloned().collect();
+            let b: BTreeSet<Row> = t2.iter().cloned().collect();
+            a.intersection(&b).cloned().collect()
+        };
+        assert_eq!(
+            out.into_rows(),
+            expect,
+            "planner-produced sort plan must match the oracle (seed {seed})"
+        );
 
-        // Reference: the hand-written hash plan of Figure 5.
-        let hs = Stats::new_shared();
-        let mut hash_rows = ovc_baseline::plans::hash_intersect_distinct(t1, t2, n / 8 + 8, &hs);
+        // The hash plan over the same tables stored unsorted.
+        let unsorted = ovc_plan::figure5::catalog_unsorted(t1, t2);
+        let cfg = cfg.with_preference(Preference::ForceHashBased);
+        let (plan, out) =
+            ovc_plan::figure5::run_intersect(&unsorted, cfg, &Stats::new_shared()).expect("plans");
+        assert!(!plan.uses_sort_based_ops(), "(seed {seed}):\n{plan}");
+        let mut hash_rows = out.into_rows();
         hash_rows.sort();
         assert_eq!(
-            planner_rows, hash_rows,
-            "planner-produced sort plan must match the hash reference (seed {seed})"
+            hash_rows, expect,
+            "forced hash plan must match the oracle (seed {seed})"
         );
     }
 }

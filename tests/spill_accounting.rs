@@ -1,14 +1,15 @@
 //! Spill accounting across the Figure 6 plans and the storage substrates:
 //! conservation laws (bytes written == bytes read back), the paper's
 //! "sort spills once, hash spills twice" shape at several scales, and the
-//! prefix-truncation byte savings.
+//! prefix-truncation byte savings.  Both Figure 6 plans are the planner's
+//! (`ovc_plan::figure5::run_intersect` with one side forced).
 
 use std::sync::Arc;
 
-use ovc_baseline::hash_intersect_distinct;
 use ovc_core::{Row, Stats};
-use ovc_exec::plans::{sort_intersect_distinct, IntersectConfig};
-use ovc_sort::{external_sort, MemoryRunStorage, RunStorage, SortConfig};
+use ovc_plan::figure5::{catalog_unsorted, run_intersect};
+use ovc_plan::{Catalog, PlannerConfig, Preference};
+use ovc_sort::{external_sort, RunStorage, SortConfig};
 use ovc_storage::EncodedRunStorage;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,6 +19,23 @@ fn table(n: usize, domain: u64, seed: u64) -> Vec<Row> {
     (0..n)
         .map(|_| Row::new(vec![rng.gen_range(0..domain)]))
         .collect()
+}
+
+/// Run the planned Figure 5 query with one side forced; returns its
+/// result row count and counters.
+fn figure5(
+    catalog: &Catalog,
+    memory_rows: usize,
+    fan_in: usize,
+    preference: Preference,
+) -> (usize, Arc<Stats>) {
+    let cfg = PlannerConfig::default()
+        .with_memory_rows(memory_rows)
+        .with_fan_in(fan_in)
+        .with_preference(preference);
+    let stats = Stats::new_shared();
+    let (_, out) = run_intersect(catalog, cfg, &stats).expect("plans");
+    (out.into_rows().len(), stats)
 }
 
 #[test]
@@ -66,20 +84,10 @@ fn figure6_shape_across_scales() {
     for n in [2000usize, 8000] {
         let t1 = table(n, (n as u64) * 3 / 4, 3);
         let t2 = table(n, (n as u64) * 3 / 4, 4);
+        let cat = catalog_unsorted(t1, t2);
         let mem = n / 10;
-
-        let hs = Stats::new_shared();
-        let _ = hash_intersect_distinct(t1.clone(), t2.clone(), mem, &hs);
-
-        let ss = Stats::new_shared();
-        let mut s1 = MemoryRunStorage::new(Arc::clone(&ss));
-        let mut s2 = MemoryRunStorage::new(Arc::clone(&ss));
-        let cfg = IntersectConfig {
-            key_len: 1,
-            memory_rows: mem,
-            fan_in: 64,
-        };
-        let _ = sort_intersect_distinct(t1, t2, cfg, &mut s1, &mut s2, &ss);
+        let (_, hs) = figure5(&cat, mem, 64, Preference::ForceHashBased);
+        let (_, ss) = figure5(&cat, mem, 64, Preference::ForceSortBased);
 
         assert!(
             ss.rows_spilled() <= 2 * n as u64,
@@ -97,21 +105,10 @@ fn figure6_shape_across_scales() {
 
 #[test]
 fn in_memory_plans_spill_nothing() {
-    let t1 = table(500, 100, 5);
-    let t2 = table(500, 100, 6);
-    let hs = Stats::new_shared();
-    let _ = hash_intersect_distinct(t1.clone(), t2.clone(), 10_000, &hs);
+    let cat = catalog_unsorted(table(500, 100, 5), table(500, 100, 6));
+    let (_, hs) = figure5(&cat, 10_000, 64, Preference::ForceHashBased);
     assert_eq!(hs.rows_spilled(), 0);
-
-    let ss = Stats::new_shared();
-    let mut s1 = MemoryRunStorage::new(Arc::clone(&ss));
-    let mut s2 = MemoryRunStorage::new(Arc::clone(&ss));
-    let cfg = IntersectConfig {
-        key_len: 1,
-        memory_rows: 10_000,
-        fan_in: 64,
-    };
-    let _ = sort_intersect_distinct(t1, t2, cfg, &mut s1, &mut s2, &ss);
+    let (_, ss) = figure5(&cat, 10_000, 64, Preference::ForceSortBased);
     assert_eq!(ss.rows_spilled(), 0);
 }
 
@@ -141,29 +138,18 @@ fn lsm_compaction_write_amplification_bounded() {
 }
 
 /// Figure 6 at the `figures --quick` size (20 000 rows per table, memory
-/// N/10, fan-in 128), its counted columns pinned: the figure's ground
+/// N/10, fan-in 128, planned at dop 1), its counted columns pinned: the figure's ground
 /// truth is these counts, so a change that moves any of them shows here
 /// rather than only in a regenerated snapshot.
 #[test]
 fn figure6_quick_counts_are_pinned() {
     let (t1, t2) = ovc_bench::workload::intersect_tables(20_000, 42);
-    let mem = 2_000;
-
-    let hs = Stats::new_shared();
-    let h = hash_intersect_distinct(t1.clone(), t2.clone(), mem, &hs);
-
-    let ss = Stats::new_shared();
-    let mut s1 = MemoryRunStorage::new(Arc::clone(&ss));
-    let mut s2 = MemoryRunStorage::new(Arc::clone(&ss));
-    let cfg = IntersectConfig {
-        key_len: 1,
-        memory_rows: mem,
-        fan_in: 128,
-    };
-    let s = sort_intersect_distinct(t1, t2, cfg, &mut s1, &mut s2, &ss);
+    let cat = catalog_unsorted(t1, t2);
+    let h = figure5(&cat, 2_000, 128, Preference::ForceHashBased);
+    let s = figure5(&cat, 2_000, 128, Preference::ForceSortBased);
 
     // (result rows, rows spilled, bytes spilled, column cmps, code cmps)
-    let counted = |rows: usize, st: &Stats| {
+    let counted = |(rows, st): (usize, Arc<Stats>)| {
         (
             rows,
             st.rows_spilled(),
@@ -172,14 +158,6 @@ fn figure6_quick_counts_are_pinned() {
             st.ovc_cmps(),
         )
     };
-    assert_eq!(
-        counted(h.len(), &hs),
-        (8082, 57663, 922_608, 97663, 0),
-        "hash plan"
-    );
-    assert_eq!(
-        counted(s.len(), &ss),
-        (8082, 38161, 610_576, 0, 659_034),
-        "sort plan"
-    );
+    assert_eq!(counted(h), (8082, 57663, 922_608, 97663, 0), "hash plan");
+    assert_eq!(counted(s), (8082, 38161, 610_576, 0, 659_034), "sort plan");
 }
