@@ -31,6 +31,11 @@ fn key_hash(key: &[Value], level: u64) -> u64 {
 
 use crate::hash_agg::{decode_rows, encode_rows};
 
+/// Re-partitioning levels before a partition whose build side still
+/// overflows memory is joined by block nested loops instead: it holds
+/// more rows of one join key than `memory_rows`, which no hash splits.
+const MAX_LEVEL: u64 = 8;
+
 /// Inner hash join on the first `join_len` columns with a `memory_rows`
 /// build-side budget.  Output rows are `left ++ right past the join key`,
 /// in arbitrary (hash) order.
@@ -60,29 +65,11 @@ fn join_recursive(
         (right, left, false)
     };
     if build.len() <= memory_rows {
-        let mut table: HashMap<Box<[Value]>, Vec<Row>> = HashMap::with_capacity(build.len());
-        for row in build {
-            stats.count_col_cmps(join_len as u64); // hash-function accesses
-            table
-                .entry(row.cols()[..join_len].to_vec().into_boxed_slice())
-                .or_default()
-                .push(row);
-        }
-        let mut out = Vec::new();
-        for p in probe {
-            stats.count_col_cmps(join_len as u64); // hash-function accesses
-            if let Some(matches) = table.get(&p.cols()[..join_len]) {
-                for b in matches {
-                    let (l, r) = if build_is_left { (b, &p) } else { (&p, b) };
-                    let mut cols = l.cols().to_vec();
-                    cols.extend_from_slice(&r.cols()[join_len..]);
-                    out.push(Row::new(cols));
-                }
-            }
-        }
-        return out;
+        return join_in_memory(&build, &probe, build_is_left, join_len, stats);
     }
-    assert!(level < 8, "hash recursion too deep (degenerate join keys?)");
+    if level >= MAX_LEVEL {
+        return join_blocks(&build, &probe, build_is_left, join_len, memory_rows, stats);
+    }
     // Overflow: partition both inputs to temporary storage.
     let parts = build.len().div_ceil(memory_rows).max(2);
     let mut bp: Vec<Vec<Row>> = vec![Vec::new(); parts];
@@ -114,6 +101,57 @@ fn join_recursive(
             level + 1,
             stats,
         ));
+    }
+    out
+}
+
+/// Join a build side that fits in memory: hash it, then probe.
+fn join_in_memory(
+    build: &[Row],
+    probe: &[Row],
+    build_is_left: bool,
+    join_len: usize,
+    stats: &Stats,
+) -> Vec<Row> {
+    let mut table: HashMap<&[Value], Vec<&Row>> = HashMap::with_capacity(build.len());
+    for row in build {
+        stats.count_col_cmps(join_len as u64); // hash-function accesses
+        table.entry(&row.cols()[..join_len]).or_default().push(row);
+    }
+    let mut out = Vec::new();
+    for p in probe {
+        stats.count_col_cmps(join_len as u64); // hash-function accesses
+        if let Some(matches) = table.get(&p.cols()[..join_len]) {
+            for &b in matches {
+                let (l, r) = if build_is_left { (b, p) } else { (p, b) };
+                let mut cols = l.cols().to_vec();
+                cols.extend_from_slice(&r.cols()[join_len..]);
+                out.push(Row::new(cols));
+            }
+        }
+    }
+    out
+}
+
+/// Block nested loops over a partition whose build side no re-partitioning
+/// brings under `memory_rows`: join `memory_rows` build rows at a time
+/// against the whole probe side.  Each block after the first reads the
+/// probe partition back once more, and is charged for it.
+fn join_blocks(
+    build: &[Row],
+    probe: &[Row],
+    build_is_left: bool,
+    join_len: usize,
+    memory_rows: usize,
+    stats: &Stats,
+) -> Vec<Row> {
+    let probe_bytes = encode_rows(probe).len() as u64;
+    let mut out = Vec::new();
+    for (i, block) in build.chunks(memory_rows).enumerate() {
+        if i > 0 {
+            stats.count_read_back(probe.len() as u64, probe_bytes);
+        }
+        out.extend(join_in_memory(block, probe, build_is_left, join_len, stats));
     }
     out
 }
@@ -198,6 +236,40 @@ mod tests {
             .collect();
         got.sort();
         assert_eq!(got, reference_inner(&l, &r, 1));
+    }
+
+    /// Regression: a build side holding more rows of one join key than
+    /// `memory_rows` used to exhaust the re-partitioning levels and panic
+    /// ("hash recursion too deep").  It now finishes by block nested
+    /// loops, charging each extra pass over the probe partition as a
+    /// read-back, and returns the reference multiset.
+    #[test]
+    fn one_hot_key_beyond_memory_joins_by_blocks() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut side = |n: usize| -> Vec<Row> {
+            (0..n)
+                .map(|i| {
+                    let key = if i % 3 == 0 {
+                        rng.gen_range(0..50u64)
+                    } else {
+                        7
+                    };
+                    Row::new(vec![key, rng.gen_range(0..1000u64)])
+                })
+                .collect()
+        };
+        let (l, r) = (side(300), side(360));
+        let stats = Stats::new_shared();
+        let mut got: Vec<Vec<u64>> = grace_hash_join(l.clone(), r.clone(), 1, 40, &stats)
+            .into_iter()
+            .map(|x| x.cols().to_vec())
+            .collect();
+        got.sort();
+        assert_eq!(got, reference_inner(&l, &r, 1));
+        assert!(
+            stats.rows_read_back() > stats.rows_spilled(),
+            "the blocks re-read the probe partition"
+        );
     }
 
     #[test]

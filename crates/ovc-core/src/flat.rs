@@ -170,6 +170,19 @@ impl FlatRows {
         self.codes.push(code);
     }
 
+    /// Append the row made of `parts` laid end to end (a join's combined
+    /// or padded row, written straight into the batch).  Panics unless
+    /// the parts add up to the width.
+    #[inline]
+    pub fn push_concat(&mut self, parts: &[&[Value]], code: Ovc) {
+        let len: usize = parts.iter().map(|p| p.len()).sum();
+        assert_eq!(len, self.width, "flat rows require uniform width");
+        for part in parts {
+            self.values.extend_from_slice(part);
+        }
+        self.codes.push(code);
+    }
+
     /// Copy rows `range` out as a batch of their own (two slice copies —
     /// the one cut every batch source over a flat buffer makes: coded
     /// scans, run batches, partition drains).  Codes are copied as they
@@ -274,6 +287,20 @@ mod tests {
         let mut out = FlatRows::new(3);
         out.push_from(&f, 1, f.code(1));
         assert_eq!(out.row(0), f.row(1));
+    }
+
+    #[test]
+    fn push_concat_lays_parts_end_to_end() {
+        let mut out = FlatRows::new(4);
+        out.push_concat(&[&[1, 2], &[], &[3, 4]], Ovc::duplicate());
+        assert_eq!(out.row(0), &[1, 2, 3, 4]);
+        assert!(out.code(0).is_duplicate());
+    }
+
+    #[test]
+    #[should_panic(expected = "uniform width")]
+    fn push_concat_rejects_a_short_row() {
+        FlatRows::new(3).push_concat(&[&[1], &[2]], Ovc::duplicate());
     }
 
     #[test]

@@ -98,6 +98,13 @@ impl BatchStream for BatchChannelStream {
 /// corollary), buffering up to `batch_size` rows per partition before
 /// handing the batch to `send` — one channel operation per *batch*.
 ///
+/// Per row the work is the partition function, one `absorb` per
+/// partition and one copy: every accumulator absorbs the row's code and
+/// then partition `p`'s emits it, which gives `p` the same code as
+/// keeping the row without absorbing it.  The partition buffers are made
+/// with the first batch and replaced as they are sent, so no row checks
+/// for one; a `part` result of `parts` or more panics on the index.
+///
 /// A `false` return from `send` closes that partition (its consumer is
 /// gone); the others keep flowing.  Once every partition has closed, no
 /// further input is pulled.  Any partial batches are flushed when the
@@ -117,43 +124,43 @@ pub fn route_batches<B, P>(
     let mut accs = vec![OvcAccumulator::new(); parts];
     let mut open = vec![true; parts];
     let mut live = parts;
-    let mut pending: Vec<Option<FlatRows>> = (0..parts).map(|_| None).collect();
+    let mut pending: Vec<FlatRows> = Vec::new();
     while let Some(batch) = input.next_batch() {
         let width = batch.width();
+        if pending.is_empty() {
+            pending = (0..parts)
+                .map(|_| FlatRows::with_capacity(width, batch_size))
+                .collect();
+        }
         for i in 0..batch.len() {
             let row = batch.row(i);
             let code = batch.code(i);
             let p = part(row);
-            assert!(p < parts, "partition function out of range");
-            let out_code = accs[p].emit(code);
-            for (j, acc) in accs.iter_mut().enumerate() {
-                if j != p {
-                    acc.absorb(code);
-                }
+            for acc in &mut accs {
+                acc.absorb(code);
             }
-            if open[p] {
-                let buf =
-                    pending[p].get_or_insert_with(|| FlatRows::with_capacity(width, batch_size));
-                buf.push(row, out_code);
-                if buf.len() >= batch_size {
-                    let full = pending[p].take().expect("buffer just filled");
-                    if !send(p, full) {
-                        open[p] = false;
-                        live -= 1;
-                        if live == 0 {
-                            // Every consumer is gone: stop draining.
-                            return;
-                        }
+            let out_code = accs[p].emit(code);
+            if !open[p] {
+                continue;
+            }
+            let buf = &mut pending[p];
+            buf.push(row, out_code);
+            if buf.len() >= batch_size {
+                let full = std::mem::replace(buf, FlatRows::with_capacity(width, batch_size));
+                if !send(p, full) {
+                    open[p] = false;
+                    live -= 1;
+                    if live == 0 {
+                        // Every consumer is gone: stop draining.
+                        return;
                     }
                 }
             }
         }
     }
     for (p, buf) in pending.into_iter().enumerate() {
-        if let Some(buf) = buf {
-            if open[p] && !buf.is_empty() {
-                let _ = send(p, buf);
-            }
+        if open[p] && !buf.is_empty() {
+            let _ = send(p, buf);
         }
     }
 }

@@ -8,32 +8,42 @@
 //!
 //! Structure:
 //!
-//! * a `GroupedMerge` runs a two-way merge of the two inputs — one
-//!   cursor per input over the current batch's key and code slices — with
-//!   their codes clamped to the join-key arity.  Exactly like a tree-of-losers
-//!   with two leaves, every comparison is a same-base code comparison: the
-//!   current row of each side is coded relative to the row most recently
-//!   consumed from *either* side, so codes decide most comparisons and
-//!   equal join keys surface as duplicate codes for free.  The merge
-//!   counts its comparisons into a local `Tally`, which the operator
-//!   publishes into the query's `Stats` before each `next_batch`
-//!   returns (and on drop);
-//! * join-key groups fall out of the merged stream's codes (a
-//!   non-duplicate code marks a boundary);
-//! * per group, the join type decides what to emit.  Output codes come
-//!   from the filter theorem over the merged chain: the first output of an
-//!   emitted group carries the accumulated `max` since the previous output,
-//!   every further output within the group is a duplicate under the
-//!   join-key arity.  Semi and anti joins instead preserve the *left*
-//!   input's codes at its full arity, "just like the derivation of Table 3
-//!   from Table 1" (Section 4.7).
+//! * a `GroupedMerge` is a tree-of-losers with two leaves, and plays the
+//!   tournament's own match, `ovc_sort::tree::play_entries`: the left
+//!   head enters as run 0 and the right head as run 1, each with its code
+//!   clamped to the join-key arity and read in place from its batch.
+//!   Every head is coded relative to the row most recently taken from
+//!   *either* side, so one compare of the packed `(code, side)` pair
+//!   decides most matches without a branch on the outcome; only equal,
+//!   valid, non-duplicate codes take the cold tied path and resume column
+//!   comparisons.  Equal join keys go to the left first and turn the
+//!   right head into a duplicate, so a group's left rows precede its
+//!   right rows.  The merge counts one code comparison per match while
+//!   both inputs are live into a local `Tally`, which the operator
+//!   publishes into the query's `Stats` before each `next_batch` returns
+//!   (and on drop);
+//! * join-key groups fall out of the merged chain's codes (a
+//!   non-duplicate code marks a boundary), and the match that picks a
+//!   group's first row already tells whether the other side takes part:
+//!   the right head's code is then a duplicate;
+//! * per row, the join type decides what to emit, and each output row is
+//!   copied once, straight from the input batches into the output batch.
+//!   Outer padding, anti and semi joins, and a group in which one side
+//!   holds a single row write as the rows are taken; only a many-to-many
+//!   group is buffered.  Output codes come from the filter theorem over
+//!   the merged chain: the first output of an emitted group carries the
+//!   accumulated `max` since the previous output, every further output
+//!   within the group is a duplicate under the join-key arity.  Semi and
+//!   anti joins instead preserve the *left* input's codes at its full
+//!   arity, "just like the derivation of Table 3 from Table 1" (Section
+//!   4.7).
 
-use std::cmp::Ordering;
+use std::mem::replace;
 use std::sync::Arc;
 
-use ovc_core::compare::{compare_same_base, compare_same_base_spec};
 use ovc_core::theorem::{clamp_to_prefix, OvcAccumulator};
 use ovc_core::{BatchStream, FlatRows, Ovc, SortSpec, Stats, Tally, Value};
+use ovc_sort::tree::{play_entries, Entry};
 
 /// The "null" padding value for outer-join non-matches.  Rows are plain
 /// `u64` columns, so a sentinel stands in for SQL NULL (DESIGN.md §3.6).
@@ -56,100 +66,100 @@ pub enum JoinType {
     LeftAnti,
 }
 
-/// Which side a merged row came from.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Side {
-    Left,
-    Right,
-}
+/// The left input's index in the merge's per-input arrays, and its run
+/// in the match.
+pub(crate) const LEFT: usize = 0;
+/// The right input's index and run.
+pub(crate) const RIGHT: usize = 1;
 
-/// One input of the merge: a cursor over its current batch — the head row
-/// and its code are read in place from the batch's slices — plus this
-/// side's share of the join-key group being gathered.
-pub(crate) struct Input<B> {
-    stream: B,
-    batch: FlatRows,
-    pos: usize,
-    key_len: usize,
-    /// Comparison code of the head row: join arity, relative to the row
-    /// most recently consumed from either side.
-    cmp: Ovc,
-    /// This side's rows of the current group, with their codes at the
-    /// side's original arity (used by semi/anti joins).
-    pub(crate) group: FlatRows,
-}
-
-impl<B: BatchStream> Input<B> {
-    /// Position on the first row of `stream`; `width` shapes the buffers
-    /// of an input that turns out to be empty.
-    fn new(mut stream: B, width: usize, join_len: usize) -> Self {
-        let batch = stream.next_batch().unwrap_or_else(|| FlatRows::new(width));
-        let mut input = Input {
-            key_len: stream.key_len(),
-            stream,
-            group: FlatRows::new(batch.width()),
-            batch,
-            pos: 0,
-            cmp: Ovc::LATE_FENCE,
-        };
-        input.settle(join_len);
-        input
-    }
-
-    fn done(&self) -> bool {
-        self.pos >= self.batch.len()
-    }
-
-    /// Bring a head row under the cursor: when the current batch is spent,
-    /// pull the next one (by the seam rule its first code is relative to
-    /// the row just consumed), then clamp the head's code to the join
-    /// arity.
-    fn settle(&mut self, join_len: usize) {
-        if self.done() {
-            if let Some(batch) = self.stream.next_batch() {
-                self.batch = batch;
-                self.pos = 0;
-            }
-        }
-        if !self.done() {
-            self.cmp = clamp_to_prefix(self.batch.code(self.pos), self.key_len, join_len);
-        }
-    }
-
-    /// Move the head row into the current group.
-    fn take(&mut self, join_len: usize) {
-        let code = self.batch.code(self.pos);
-        self.group.push_from(&self.batch, self.pos, code);
-        self.pos += 1;
-        self.settle(join_len);
+/// Clamp an input's code from its key arity to the join arity (the
+/// identity when the two agree, as under a set operation).
+#[inline]
+fn clamp(code: Ovc, key_len: usize, join_len: usize) -> Ovc {
+    if key_len == join_len {
+        code
+    } else {
+        clamp_to_prefix(code, key_len, join_len)
     }
 }
 
-/// Two-way merge of the join inputs, grouped by join key.
+/// The merge's match: one round of the two-leaf tournament over the
+/// heads' comparison codes, the left as run 0 and the right as run 1, so
+/// equal keys go to the left.  Counts one code comparison while both
+/// inputs are live; `key` yields a side's head key and only the tied path
+/// calls it.  Returns `(winner, loser)` as [`play_entries`] does, the
+/// loser's code exact relative to the winner; a winner holding the late
+/// fence means both inputs are spent.
+#[inline]
+fn play_heads<'k>(
+    heads: [Ovc; 2],
+    key: impl Fn(Entry) -> &'k [Value],
+    spec: &SortSpec,
+    asc: bool,
+    tally: &Tally,
+) -> (Entry, Entry) {
+    let live = (heads[0] != Ovc::LATE_FENCE) & (heads[1] != Ovc::LATE_FENCE);
+    tally.count_ovc_cmps(u64::from(live));
+    let entry = |run: u32| Entry {
+        code: heads[run as usize],
+        run,
+    };
+    play_entries(entry(0), entry(1), key, spec, asc, tally)
+}
+
+/// The next row of the merged chain: decided, not yet taken.
+#[derive(Clone, Copy)]
+pub(crate) struct Next {
+    /// The input it comes from: [`LEFT`] or [`RIGHT`].
+    pub(crate) side: usize,
+    /// Its code in the merged chain at join arity, exact relative to the
+    /// row taken before it.
+    pub(crate) code: Ovc,
+    /// It is the first row of a join-key group.
+    pub(crate) starts_group: bool,
+}
+
+/// Two-way merge of the join inputs: the merged chain, one row at a time,
+/// with its join-key groups marked.
+///
+/// Per input it keeps a cursor over the current batch, in arrays indexed
+/// by side, so taking a row, reading a head and counting a side index
+/// instead of branching on which input won.  Only pulling an input's
+/// next batch branches on the side.
 pub(crate) struct GroupedMerge<L, R> {
-    pub(crate) left: Input<L>,
-    pub(crate) right: Input<R>,
+    left: L,
+    right: R,
+    /// Each input's current batch, and its head row's position in it.
+    pub(crate) batches: [FlatRows; 2],
+    pos: [usize; 2],
+    key_lens: [usize; 2],
+    /// Each head's comparison code at join arity, relative to the row
+    /// most recently taken from either side; the late fence once that
+    /// side is spent.
+    heads: [Ovc; 2],
     join_len: usize,
     /// Ordering contract of the join-key prefix (shared by both inputs);
-    /// drives every merge comparison, so mixed asc/desc join keys work.
+    /// drives every tied match, so mixed asc/desc join keys work.
     pub(crate) join_spec: SortSpec,
-    /// The join key is all ascending: compare with the plain comparator.
+    /// The join key is all ascending: ties use the plain comparator.
     asc: bool,
-    /// Lookahead: side and merged-chain code of the next group's first
-    /// row — compared already, still at the head of its input.
-    decided: Option<(Side, Ovc)>,
+    /// The row [`GroupedMerge::peek`] decided, until it is taken.
+    decided: Option<Next>,
+    /// A row has been taken.  Before that, the first row starts a group
+    /// whatever its code (under an empty join key every code is a
+    /// duplicate and all rows form one group).
+    started: bool,
     /// Comparisons made since the last [`GroupedMerge::publish`].
     tally: Tally,
     stats: Arc<Stats>,
-    started: bool,
 }
 
 impl<L: BatchStream, R: BatchStream> GroupedMerge<L, R> {
     /// Merge `left` and `right` (rows `left_width` / `right_width` columns
     /// wide) on their first `join_len` columns.
     pub(crate) fn new(
-        left: L,
-        right: R,
+        mut left: L,
+        mut right: R,
         (left_width, right_width): (usize, usize),
         join_len: usize,
         stats: Arc<Stats>,
@@ -165,17 +175,31 @@ impl<L: BatchStream, R: BatchStream> GroupedMerge<L, R> {
             right_spec.prefix(join_len).keys(),
             "join inputs must agree on the join-key ordering contract"
         );
-        GroupedMerge {
-            left: Input::new(left, left_width, join_len),
-            right: Input::new(right, right_width, join_len),
+        // `width` shapes the batch of an input that turns out to be empty.
+        let first = |batch: Option<FlatRows>, width| batch.unwrap_or_else(|| FlatRows::new(width));
+        let batches = [
+            first(left.next_batch(), left_width),
+            first(right.next_batch(), right_width),
+        ];
+        let mut merge = GroupedMerge {
+            key_lens: [left.key_len(), right.key_len()],
+            left,
+            right,
+            batches,
+            pos: [0; 2],
+            heads: [Ovc::LATE_FENCE; 2],
             join_len,
             asc: join_spec.is_asc_prefix(),
             join_spec,
             decided: None,
+            started: false,
             tally: Tally::default(),
             stats,
-            started: false,
+        };
+        for side in [LEFT, RIGHT] {
+            merge.settle(side);
         }
+        merge
     }
 
     /// Move the comparisons counted so far into the query's `Stats`.  The
@@ -185,79 +209,99 @@ impl<L: BatchStream, R: BatchStream> GroupedMerge<L, R> {
         self.tally.flush(&self.stats);
     }
 
-    /// Decide which head comes next in the merged chain; its code is
-    /// exact relative to the previously taken row.
-    fn decide(&mut self) -> Option<(Side, Ovc)> {
-        let (l, r) = (&mut self.left, &mut self.right);
-        match (l.done(), r.done()) {
-            (true, true) => None,
-            (false, true) => Some((Side::Left, l.cmp)),
-            (true, false) => Some((Side::Right, r.cmp)),
-            (false, false) => {
-                let (l_key, r_key) = (
-                    l.batch.key(l.pos, self.join_len),
-                    r.batch.key(r.pos, self.join_len),
-                );
-                let ord = if self.asc {
-                    compare_same_base(l_key, r_key, &mut l.cmp, &mut r.cmp, &self.tally)
-                } else {
-                    compare_same_base_spec(
-                        l_key,
-                        r_key,
-                        &mut l.cmp,
-                        &mut r.cmp,
-                        &self.join_spec,
-                        &self.tally,
-                    )
-                };
-                Some(match ord {
-                    Ordering::Less => (Side::Left, l.cmp),
-                    Ordering::Greater => (Side::Right, r.cmp),
-                    Ordering::Equal => {
-                        // Equal join keys: take the left first (stability);
-                        // the right head becomes a duplicate of it.
-                        r.cmp = Ovc::duplicate();
-                        (Side::Left, l.cmp)
-                    }
-                })
+    /// Set `side`'s head code from the row under its cursor: its code
+    /// clamped to the join arity, or the late fence once the input is
+    /// spent.
+    #[inline]
+    fn settle(&mut self, side: usize) {
+        if self.pos[side] >= self.batches[side].len() && !self.refill(side) {
+            self.heads[side] = Ovc::LATE_FENCE;
+            return;
+        }
+        let code = self.batches[side].code(self.pos[side]);
+        self.heads[side] = clamp(code, self.key_lens[side], self.join_len);
+    }
+
+    /// Pull `side`'s next non-empty batch in place of the used-up one; by
+    /// the seam rule its first code is relative to the row just taken.
+    /// `false` once the input is spent.
+    #[cold]
+    #[inline(never)]
+    fn refill(&mut self, side: usize) -> bool {
+        loop {
+            let batch = if side == LEFT {
+                self.left.next_batch()
+            } else {
+                self.right.next_batch()
+            };
+            let Some(batch) = batch else {
+                return false;
+            };
+            if !batch.is_empty() {
+                self.batches[side] = batch;
+                self.pos[side] = 0;
+                return true;
             }
         }
     }
 
-    fn take(&mut self, side: Side) {
-        match side {
-            Side::Left => self.left.take(self.join_len),
-            Side::Right => self.right.take(self.join_len),
+    /// Decide which head comes next in the merged chain; the decision
+    /// stands until [`GroupedMerge::take`].  `None` once both inputs are
+    /// spent.
+    #[inline]
+    pub(crate) fn peek(&mut self) -> Option<Next> {
+        if self.decided.is_none() {
+            let (batches, pos, j) = (&self.batches, &self.pos, self.join_len);
+            let key = |e: Entry| {
+                let side = e.run as usize;
+                batches[side].key(pos[side], j)
+            };
+            let (win, lose) = play_heads(self.heads, key, &self.join_spec, self.asc, &self.tally);
+            self.heads[lose.run as usize] = lose.code;
+            if win.code == Ovc::LATE_FENCE {
+                return None;
+            }
+            self.decided = Some(Next {
+                side: win.run as usize,
+                code: win.code,
+                starts_group: !self.started || !win.code.is_duplicate(),
+            });
         }
+        self.decided
     }
 
-    /// Gather the next join-key group into the inputs' `group` buffers
-    /// (replacing the previous group) and return the exact merged-chain
-    /// code of its first row, at join arity.
-    pub(crate) fn next_group(&mut self) -> Option<Ovc> {
-        let (side, group_code) = match self.decided.take() {
-            Some(d) => d,
-            None => self.decide()?,
-        };
-        debug_assert!(
-            !self.started || !group_code.is_duplicate() || self.join_len == 0,
-            "group must start at a boundary"
-        );
+    /// The batch and position of `side`'s head row, to copy it from.
+    #[inline]
+    pub(crate) fn head(&self, side: usize) -> (&FlatRows, usize) {
+        (&self.batches[side], self.pos[side])
+    }
+
+    /// Whether `side`'s head row is its input's only row of its join-key
+    /// group: its successor sits in the same batch and is no duplicate at
+    /// join arity.  A successor in the next batch is not looked at, so
+    /// `false` only means "not known".
+    pub(crate) fn head_is_alone(&self, side: usize) -> bool {
+        let (batch, next) = (&self.batches[side], self.pos[side] + 1);
+        next < batch.len()
+            && !clamp(batch.code(next), self.key_lens[side], self.join_len).is_duplicate()
+    }
+
+    /// At a group's first row, taken from the left: whether the right
+    /// input has rows in the group too.  The match that chose the left
+    /// head left the right head's code a duplicate exactly then.
+    #[inline]
+    pub(crate) fn right_joins(&self) -> bool {
+        self.heads[RIGHT].is_duplicate()
+    }
+
+    /// Take the decided row ([`GroupedMerge::peek`]) out of its input.
+    #[inline]
+    pub(crate) fn take(&mut self, side: usize) {
+        debug_assert!(self.decided.is_some_and(|n| n.side == side));
+        self.decided = None;
         self.started = true;
-        self.left.group.truncate(0);
-        self.right.group.truncate(0);
-        self.take(side);
-        // Absorb the rest of the group: rows whose merged-chain code is a
-        // duplicate at join arity (free detection; with an empty join key
-        // everything is one group).
-        while let Some((side, code)) = self.decide() {
-            if !code.is_duplicate() {
-                self.decided = Some((side, code));
-                break;
-            }
-            self.take(side);
-        }
-        Some(group_code)
+        self.pos[side] += 1;
+        self.settle(side);
     }
 }
 
@@ -269,6 +313,25 @@ impl<L, R> Drop for GroupedMerge<L, R> {
     }
 }
 
+/// What the current group does with each of its left rows as it is taken.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum LeftRows {
+    /// Semi and anti joins: written unchanged (`true`) or passed over,
+    /// its code absorbed by the left chain's accumulator (`false`).
+    Own(bool),
+    /// The group has no left rows.
+    Absent,
+    /// Passed over: no right row matches and the join pads no left row.
+    Skip,
+    /// Written padded with nulls for the absent right side.
+    Pad,
+    /// Written combined with the right head, read in place: the right
+    /// side's only row of the group.
+    WithRightHead,
+    /// Buffered, to be combined with the group's right rows.
+    Buffer,
+}
+
 /// Merge join over two coded batch streams.
 ///
 /// The join key is the first `join_len` columns of both inputs.  Output
@@ -278,16 +341,16 @@ impl<L, R> Drop for GroupedMerge<L, R> {
 /// and anti joins whose outputs are unmodified left rows with codes at the
 /// left input's full arity.
 ///
-/// Both inputs are read in place: one cursor per side over the current
-/// batch's key and code slices, a join-key group held as flat rows, and
-/// the group's output rows written straight into an output batch of at
-/// most `batch_size` rows (a many-to-many group larger than that carries
-/// over into the following batches).
+/// Both inputs are read in place, and each output row is copied once,
+/// straight into an output batch of at most `batch_size` rows.  Only a
+/// many-to-many group is buffered, as flat rows, and its combinations
+/// carry over into the following batches when they do not fit.
 pub struct MergeJoin<L, R> {
     groups: GroupedMerge<L, R>,
     join_type: JoinType,
     join_len: usize,
     left_width: usize,
+    right_width: usize,
     /// Column count and ordering contract of the output: the left input's
     /// for semi/anti joins, combined rows under the join-key spec else.
     out_width: usize,
@@ -297,13 +360,21 @@ pub struct MergeJoin<L, R> {
     acc: OvcAccumulator,
     /// Filter-theorem accumulator over the left chain (semi/anti).
     left_acc: OvcAccumulator,
-    /// Output rows `next..total` of the current group are still to be
-    /// written; row 0 carries `head_code`.
+    /// The current group's handling of its left rows.
+    left_rows: LeftRows,
+    /// The current group has not been closed yet.
+    open: bool,
+    /// Code of the current group's next output row (the group's head code,
+    /// then duplicates); unused by semi and anti joins.
+    code: Ovc,
+    /// A many-to-many group's rows, and its combinations `next..total`
+    /// still to be written.
+    left_group: FlatRows,
+    right_group: FlatRows,
     next: usize,
     total: usize,
-    head_code: Ovc,
-    /// Scratch for one combined or padded output row.
-    row: Vec<Value>,
+    /// `NULL_VALUE`s to pad a row with.
+    nulls: Vec<Value>,
 }
 
 impl<L: BatchStream, R: BatchStream> MergeJoin<L, R> {
@@ -337,114 +408,159 @@ impl<L: BatchStream, R: BatchStream> MergeJoin<L, R> {
             join_type,
             join_len,
             left_width,
+            right_width,
             out_width,
             out_spec,
             batch_size,
             acc: OvcAccumulator::new(),
             left_acc: OvcAccumulator::new(),
+            left_rows: LeftRows::Absent,
+            open: false,
+            code: Ovc::duplicate(),
+            left_group: FlatRows::new(left_width),
+            right_group: FlatRows::new(right_width),
             next: 0,
             total: 0,
-            head_code: Ovc::duplicate(),
-            row: Vec::with_capacity(out_width),
+            nulls: vec![NULL_VALUE; left_width.max(right_width)],
         }
     }
 
-    fn keeps_left_rows(&self) -> bool {
-        matches!(self.join_type, JoinType::LeftSemi | JoinType::LeftAnti)
+    fn pads_left(&self) -> bool {
+        matches!(self.join_type, JoinType::RightOuter | JoinType::FullOuter)
     }
 
-    /// A new group is in the merge's buffers: decide how many rows it
-    /// emits and code the first of them, or absorb the group's codes.
-    fn start_group(&mut self, code: Ovc) {
-        let (left, right) = (&self.groups.left.group, &self.groups.right.group);
-        let (nl, nr) = (left.len(), right.len());
-        self.next = 0;
-        if self.keeps_left_rows() {
-            let emit = (self.join_type == JoinType::LeftSemi) == (nr > 0);
-            self.total = if emit { nl } else { 0 };
+    /// `next` is a group's first row: decide how the group handles its
+    /// rows and code its first output, or absorb the group's code when it
+    /// emits nothing.
+    fn start_group(&mut self, next: Next) {
+        self.open = true;
+        self.left_group.truncate(0);
+        self.right_group.truncate(0);
+        let partner = next.side == LEFT && self.groups.right_joins();
+        if matches!(self.join_type, JoinType::LeftSemi | JoinType::LeftAnti) {
             // Output codes follow the filter theorem over the left input
             // at its full arity (Section 4.7: "the rule for setting
             // offset-value codes in the output is the same as given in
             // the 'filter theorem'").
-            if self.total > 0 {
-                self.head_code = self.left_acc.emit(left.code(0));
-            } else {
-                for &code in left.codes() {
-                    self.left_acc.absorb(code);
-                }
-            }
+            self.left_rows = LeftRows::Own(partner == (self.join_type == JoinType::LeftSemi));
             return;
         }
         let pads_right = matches!(self.join_type, JoinType::LeftOuter | JoinType::FullOuter);
-        let pads_left = matches!(self.join_type, JoinType::RightOuter | JoinType::FullOuter);
-        self.total = match (nl, nr) {
-            (_, 0) if pads_right => nl,
-            (0, _) if pads_left => nr,
-            _ => nl * nr,
+        self.left_rows = if next.side == RIGHT {
+            LeftRows::Absent
+        } else if !partner {
+            if pads_right {
+                LeftRows::Pad
+            } else {
+                LeftRows::Skip
+            }
+        } else if self.groups.head_is_alone(RIGHT) {
+            LeftRows::WithRightHead
+        } else {
+            LeftRows::Buffer
         };
         // The first output of an emitted group carries the accumulated
         // merged-chain code; every further one is a duplicate at join
         // arity.
-        if self.total > 0 {
-            self.head_code = self.acc.emit(code);
+        let emits = match self.left_rows {
+            LeftRows::Absent => self.pads_left(),
+            LeftRows::Skip => false,
+            _ => true,
+        };
+        if emits {
+            self.code = self.acc.emit(next.code);
         } else {
-            self.acc.absorb(code);
+            self.acc.absorb(next.code);
         }
     }
 
-    /// Write output row `self.next` of the current group into `out`.
-    fn emit_row(&mut self, out: &mut FlatRows) {
-        let (left, right) = (&self.groups.left.group, &self.groups.right.group);
-        let k = self.next;
+    /// The group is complete: a many-to-many group now writes its
+    /// combinations.  Returns whether it has any.
+    fn end_group(&mut self) -> bool {
+        if !replace(&mut self.open, false) || self.right_group.is_empty() {
+            return false;
+        }
+        self.next = 0;
+        self.total = self.left_group.len() * self.right_group.len();
+        true
+    }
+
+    /// Handle the left head row as the group says.
+    fn left_row(&mut self, out: &mut FlatRows) {
+        let ((batch, pos), j) = (self.groups.head(LEFT), self.join_len);
+        let (row, own) = (batch.row(pos), batch.code(pos));
+        match self.left_rows {
+            LeftRows::Own(true) => out.push_from(batch, pos, self.left_acc.emit(own)),
+            LeftRows::Own(false) => self.left_acc.absorb(own),
+            LeftRows::Absent | LeftRows::Skip => {}
+            LeftRows::Pad => {
+                let code = replace(&mut self.code, Ovc::duplicate());
+                out.push_concat(&[row, &self.nulls[..self.right_width - j]], code);
+            }
+            LeftRows::WithRightHead => {
+                let (right, at) = self.groups.head(RIGHT);
+                let code = replace(&mut self.code, Ovc::duplicate());
+                out.push_concat(&[row, &right.row(at)[j..]], code);
+            }
+            LeftRows::Buffer => self.left_group.push_from(batch, pos, own),
+        }
+    }
+
+    /// Handle the right head row: all of the group's left rows are taken
+    /// by now, so their count is known.
+    fn right_row(&mut self, out: &mut FlatRows) {
+        let ((batch, pos), j) = (self.groups.head(RIGHT), self.join_len);
+        let row = batch.row(pos);
+        match self.left_rows {
+            LeftRows::Absent if self.pads_left() => {
+                let code = replace(&mut self.code, Ovc::duplicate());
+                let pad = &self.nulls[..self.left_width - j];
+                out.push_concat(&[&row[..j], pad, &row[j..]], code);
+            }
+            LeftRows::Buffer if self.left_group.len() == 1 => {
+                let code = replace(&mut self.code, Ovc::duplicate());
+                out.push_concat(&[self.left_group.row(0), &row[j..]], code);
+            }
+            LeftRows::Buffer => self.right_group.push_from(batch, pos, Ovc::duplicate()),
+            _ => {}
+        }
+    }
+
+    /// Write the next combination of a many-to-many group, left-major.
+    fn cross_row(&mut self, out: &mut FlatRows) {
+        let (k, nr) = (self.next, self.right_group.len());
         self.next += 1;
-        if self.keeps_left_rows() {
-            let code = if k == 0 { self.head_code } else { left.code(k) };
-            return out.push_from(left, k, code);
-        }
-        let j = self.join_len;
-        self.row.clear();
-        if right.is_empty() {
-            self.row.extend_from_slice(left.row(k));
-            self.row.resize(out.width(), NULL_VALUE);
-        } else if left.is_empty() {
-            self.row.extend_from_slice(&right.row(k)[..j]);
-            self.row.resize(self.left_width, NULL_VALUE);
-            self.row.extend_from_slice(&right.row(k)[j..]);
-        } else {
-            self.row.extend_from_slice(left.row(k / right.len()));
-            self.row.extend_from_slice(&right.row(k % right.len())[j..]);
-        }
-        let code = if k == 0 {
-            self.head_code
-        } else {
-            Ovc::duplicate()
-        };
-        out.push(&self.row, code);
+        let code = replace(&mut self.code, Ovc::duplicate());
+        let right = &self.right_group.row(k % nr)[self.join_len..];
+        out.push_concat(&[self.left_group.row(k / nr), right], code);
     }
 }
 
 impl<L: BatchStream, R: BatchStream> BatchStream for MergeJoin<L, R> {
     fn next_batch(&mut self) -> Option<FlatRows> {
-        let mut out: Option<FlatRows> = None;
-        loop {
+        let mut out = FlatRows::with_capacity(self.out_width, self.batch_size);
+        while out.len() < self.batch_size {
             if self.next < self.total {
-                let out = out.get_or_insert_with(|| {
-                    FlatRows::with_capacity(self.out_width, self.batch_size)
-                });
-                while self.next < self.total && out.len() < self.batch_size {
-                    self.emit_row(out);
-                }
-                if out.len() >= self.batch_size {
-                    break;
-                }
+                self.cross_row(&mut out);
+                continue;
             }
-            match self.groups.next_group() {
-                Some(code) => self.start_group(code),
-                None => break,
+            let next = self.groups.peek();
+            if next.is_none_or(|n| n.starts_group) && self.end_group() {
+                continue;
             }
+            let Some(next) = next else { break };
+            if next.starts_group {
+                self.start_group(next);
+            }
+            if next.side == LEFT {
+                self.left_row(&mut out);
+            } else {
+                self.right_row(&mut out);
+            }
+            self.groups.take(next.side);
         }
         self.groups.publish();
-        out
+        (!out.is_empty()).then_some(out)
     }
 
     fn sort_spec(&self) -> SortSpec {
@@ -604,6 +720,124 @@ mod tests {
 
     fn rows_of(pairs: &[(Row, Ovc)]) -> Vec<Vec<u64>> {
         pairs.iter().map(|(r, _)| r.cols().to_vec()).collect()
+    }
+
+    /// Differential for the merge's match: `play_heads` against the
+    /// branchy comparator it replaced — `compare_same_base(_spec)`, the
+    /// left taken first on equal keys with the right head turned into a
+    /// duplicate, and no comparison once a side is spent.  Random keys
+    /// at or after a shared base under `asc(k)` and mixed specs, with few
+    /// distinct values so equal codes and duplicates are common, clamped
+    /// values at both lossy ends, and spent sides (late fences), must
+    /// give the same winner, heads and counts.  `RANDOM_SEED` reseeds it.
+    #[test]
+    fn grouped_merge_match_matches_the_reference() {
+        use ovc_core::compare::{compare_same_base, compare_same_base_spec, derive_code_spec};
+        use ovc_core::ovc::VALUE_MASK;
+        use std::cmp::Ordering;
+
+        /// The parent's `decide`: `None` when both sides are spent, else
+        /// the side taken, its code, and both heads afterwards.
+        fn reference(
+            heads: [Option<(&[u64], Ovc)>; 2],
+            spec: &SortSpec,
+            stats: &Stats,
+        ) -> Option<(usize, Ovc, [Ovc; 2])> {
+            let late = Ovc::LATE_FENCE;
+            match heads {
+                [None, None] => None,
+                [Some((_, l)), None] => Some((LEFT, l, [l, late])),
+                [None, Some((_, r))] => Some((RIGHT, r, [late, r])),
+                [Some((lk, mut l)), Some((rk, mut r))] => {
+                    let ord = if spec.is_asc_prefix() {
+                        compare_same_base(lk, rk, &mut l, &mut r, stats)
+                    } else {
+                        compare_same_base_spec(lk, rk, &mut l, &mut r, spec, stats)
+                    };
+                    Some(match ord {
+                        Ordering::Less => (LEFT, l, [l, r]),
+                        Ordering::Greater => (RIGHT, r, [l, r]),
+                        Ordering::Equal => (LEFT, l, [l, Ovc::duplicate()]),
+                    })
+                }
+            }
+        }
+
+        let seed = std::env::var("RANDOM_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(40);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut tied, mut spent, mut dups) = (0, 0, 0);
+        for case in 0..20_000 {
+            let k = rng.gen_range(1..=3usize);
+            let spec = if rng.gen_bool(0.5) {
+                SortSpec::asc(k)
+            } else {
+                let dirs: Vec<Direction> = (0..k)
+                    .map(|_| {
+                        if rng.gen_bool(0.5) {
+                            Direction::Desc
+                        } else {
+                            Direction::Asc
+                        }
+                    })
+                    .collect();
+                SortSpec::with_dirs(&dirs)
+            };
+            // One value in eight clamps: past `VALUE_MASK` it saturates
+            // the ascending code field and zeroes the descending one.
+            let key = |rng: &mut StdRng| -> Vec<u64> {
+                (0..k)
+                    .map(|_| {
+                        let v = rng.gen_range(0..3u64);
+                        if rng.gen_range(0..8) == 0 {
+                            VALUE_MASK + v
+                        } else {
+                            v
+                        }
+                    })
+                    .collect()
+            };
+            let base = key(&mut rng);
+            let after_base = |rng: &mut StdRng| {
+                (0..8)
+                    .map(|_| key(rng))
+                    .find(|c| spec.cmp_keys(c, &base) != Ordering::Less)
+                    .unwrap_or_else(|| base.clone())
+            };
+            let keys = [after_base(&mut rng), after_base(&mut rng)];
+            let live = [rng.gen_range(0..6) > 0, rng.gen_range(0..6) > 0];
+            let heads: [Option<(&[u64], Ovc)>; 2] = std::array::from_fn(|i| {
+                live[i].then(|| {
+                    let code = derive_code_spec(&base, &keys[i], &spec, &Stats::default());
+                    (&keys[i][..], code)
+                })
+            });
+
+            let expect_stats = Stats::default();
+            let expect = reference(heads, &spec, &expect_stats);
+            let tally = Tally::default();
+            let codes = heads.map(|h| h.map_or(Ovc::LATE_FENCE, |(_, code)| code));
+            let key_of = |e: Entry| -> &[u64] { &keys[e.run as usize] };
+            let (win, lose) = play_heads(codes, key_of, &spec, spec.is_asc_prefix(), &tally);
+            let mut after = codes;
+            after[lose.run as usize] = lose.code;
+            let got = (win.code != Ovc::LATE_FENCE).then_some((win.run as usize, win.code, after));
+            let stats = Stats::default();
+            tally.flush(&stats);
+            let why = format!("seed {seed} case {case}: {spec} {keys:?} {codes:?}");
+            assert_eq!(got, expect, "{why}");
+            assert_eq!(stats.snapshot(), expect_stats.snapshot(), "{why}");
+            tied += usize::from(expect_stats.col_value_cmps() > 0);
+            spent += usize::from(!live[0] || !live[1]);
+            dups += usize::from(codes.iter().any(|c| c.is_duplicate()));
+        }
+        assert!(tied > 1000, "only {tied} matches reached the columns");
+        assert!(
+            spent > 1000 && dups > 1000,
+            "{spent} spent sides, {dups} duplicates"
+        );
     }
 
     #[test]

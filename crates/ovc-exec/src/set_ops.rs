@@ -8,19 +8,26 @@
 //! [`crate::group::GroupAggregate`] over the whole row with a `Count`
 //! aggregate provides.
 //!
-//! All six operations share the same grouped two-way merge as
-//! [`crate::merge_join::MergeJoin`]: per join-key group the operation only
-//! decides *how many* copies to emit; codes come from the filter theorem
-//! over the merged chain, with copies past the first being duplicates,
-//! and the merge's comparison count is published into the query's `Stats`
-//! before each `next_batch` returns.
+//! All six operations run on the same two-leaf merge as
+//! [`crate::merge_join::MergeJoin`].  The key is the whole row, so every
+//! row of a group is the same row, and a group is its counts `(nl, nr)`
+//! and one row, not two buffers: per group the operation only decides
+//! *how many* copies to emit.  The rows are copied straight from the
+//! input batches as they are taken — every row under `UNION ALL`, a
+//! group's first row under `UNION`, and under `INTERSECT` and `EXCEPT` as
+//! soon as the group's first row shows whether the other side takes
+//! part.  Only `EXCEPT ALL` over a group that both sides hold keeps one
+//! copy of the row until the group's counts are known.  Codes come from
+//! the filter theorem over the merged chain, with copies past the first
+//! being duplicates, and the merge's comparison count is published into
+//! the query's `Stats` before each `next_batch` returns.
 
 use std::sync::Arc;
 
 use ovc_core::theorem::OvcAccumulator;
 use ovc_core::{BatchStream, FlatRows, Ovc, SortSpec, Stats};
 
-use crate::merge_join::GroupedMerge;
+use crate::merge_join::{GroupedMerge, Next, LEFT, RIGHT};
 
 /// SQL set operations over sorted coded inputs with identical schemas.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -51,6 +58,24 @@ impl SetOp {
             SetOp::ExceptAll => nl.saturating_sub(nr),
         }
     }
+
+    /// Whether a row taken from `side` is written as it is taken, given
+    /// the group's rows taken before it and whether the right input takes
+    /// part in the group.  A group's left rows precede its right rows, so
+    /// `nl` is final when the right rows arrive.  What this writes never
+    /// exceeds [`SetOp::copies`], and falls short of it only under
+    /// `EXCEPT ALL` over a group that both sides hold.
+    fn writes_on_take(self, side: usize, [nl, nr]: [usize; 2], partner: bool) -> bool {
+        let first = nl + nr == 0;
+        match self {
+            SetOp::UnionAll => true,
+            SetOp::Union => first,
+            SetOp::Intersect => first && partner,
+            SetOp::Except => first && side == LEFT && !partner,
+            SetOp::IntersectAll => side == RIGHT && nr < nl,
+            SetOp::ExceptAll => side == LEFT && !partner,
+        }
+    }
 }
 
 /// Set-operation operator.  Both inputs must be sorted on their full rows
@@ -63,11 +88,21 @@ pub struct SetOperation<L, R> {
     groups: GroupedMerge<L, R>,
     op: SetOp,
     batch_size: usize,
+    width: usize,
     acc: OvcAccumulator,
-    /// Copies of the current group's row still to be written, the next
-    /// of them coded `code` (the rest are duplicates).
-    copies: usize,
+    /// The current group: its merged-chain code, the rows taken from each
+    /// side so far, the copies written, and whether the right input takes
+    /// part.
     code: Ovc,
+    counts: [usize; 2],
+    written: usize,
+    partner: bool,
+    /// The current group has not been closed yet.
+    open: bool,
+    /// `EXCEPT ALL` over a group both sides hold: one copy of the group's
+    /// row, and the copies of it still to be written at the group's end.
+    row: FlatRows,
+    pending: usize,
 }
 
 impl<L: BatchStream, R: BatchStream> SetOperation<L, R> {
@@ -76,7 +111,7 @@ impl<L: BatchStream, R: BatchStream> SetOperation<L, R> {
     ///
     /// The documented full-row contract (`key_len == row width` on both
     /// inputs) is asserted on each input's first batch, pulled here, and
-    /// no later batch can differ (the group buffers take one width): a
+    /// no later batch can differ (output batches take one width): a
     /// mismatched input fails loudly instead of silently emitting
     /// truncated or over-wide rows under `UnionAll`.
     pub fn new(left: L, right: R, op: SetOp, batch_size: usize, stats: Arc<Stats>) -> Self {
@@ -88,7 +123,7 @@ impl<L: BatchStream, R: BatchStream> SetOperation<L, R> {
         );
         assert!(batch_size > 0, "batch size must be positive");
         let groups = GroupedMerge::new(left, right, (key_len, key_len), key_len, stats);
-        for (side, rows) in [("left", &groups.left.group), ("right", &groups.right.group)] {
+        for (side, rows) in ["left", "right"].iter().zip(&groups.batches) {
             assert_eq!(
                 rows.width(),
                 key_len,
@@ -99,48 +134,92 @@ impl<L: BatchStream, R: BatchStream> SetOperation<L, R> {
             groups,
             op,
             batch_size,
+            width: key_len,
             acc: OvcAccumulator::new(),
-            copies: 0,
             code: Ovc::duplicate(),
+            counts: [0; 2],
+            written: 0,
+            partner: false,
+            open: false,
+            row: FlatRows::new(key_len),
+            pending: 0,
+        }
+    }
+
+    /// `next` is a group's first row.
+    fn start_group(&mut self, next: Next) {
+        self.open = true;
+        self.code = next.code;
+        self.counts = [0; 2];
+        self.written = 0;
+        self.partner = next.side == LEFT && self.groups.right_joins();
+        if self.op == SetOp::ExceptAll && self.partner {
+            let (batch, pos) = self.groups.head(LEFT);
+            self.row.truncate(0);
+            self.row.push_from(batch, pos, Ovc::duplicate());
+        }
+    }
+
+    /// The group is complete: its copies not written yet become pending,
+    /// and a group that emits nothing absorbs its code.  Returns whether
+    /// any copy is pending.
+    fn end_group(&mut self) -> bool {
+        if !std::mem::replace(&mut self.open, false) {
+            return false;
+        }
+        let copies = self.op.copies(self.counts[LEFT], self.counts[RIGHT]);
+        debug_assert!(
+            self.written <= copies,
+            "{:?} wrote too many copies",
+            self.op
+        );
+        if copies == 0 {
+            self.acc.absorb(self.code);
+        }
+        self.pending = copies - self.written;
+        self.pending > 0
+    }
+
+    /// Code of the group's next copy: the first carries the accumulated
+    /// merged-chain code, the rest are duplicates.
+    fn next_code(&mut self) -> Ovc {
+        self.written += 1;
+        if self.written == 1 {
+            self.acc.emit(self.code)
+        } else {
+            Ovc::duplicate()
         }
     }
 }
 
 impl<L: BatchStream, R: BatchStream> BatchStream for SetOperation<L, R> {
     fn next_batch(&mut self) -> Option<FlatRows> {
-        let mut out: Option<FlatRows> = None;
-        loop {
-            if self.copies > 0 {
-                let (left, right) = (&self.groups.left.group, &self.groups.right.group);
-                let row = if left.is_empty() {
-                    right.row(0)
-                } else {
-                    left.row(0)
-                };
-                let out =
-                    out.get_or_insert_with(|| FlatRows::with_capacity(row.len(), self.batch_size));
-                while self.copies > 0 && out.len() < self.batch_size {
-                    out.push(row, self.code);
-                    self.code = Ovc::duplicate();
-                    self.copies -= 1;
-                }
-                if out.len() >= self.batch_size {
-                    break;
-                }
+        let mut out = FlatRows::with_capacity(self.width, self.batch_size);
+        while out.len() < self.batch_size {
+            if self.pending > 0 {
+                self.pending -= 1;
+                let code = self.next_code();
+                out.push_from(&self.row, 0, code);
+                continue;
             }
-            let Some(code) = self.groups.next_group() else {
-                break;
-            };
-            let (nl, nr) = (self.groups.left.group.len(), self.groups.right.group.len());
-            self.copies = self.op.copies(nl, nr);
-            if self.copies == 0 {
-                self.acc.absorb(code);
-            } else {
-                self.code = self.acc.emit(code);
+            let next = self.groups.peek();
+            if next.is_none_or(|n| n.starts_group) && self.end_group() {
+                continue;
             }
+            let Some(next) = next else { break };
+            if next.starts_group {
+                self.start_group(next);
+            }
+            if self.op.writes_on_take(next.side, self.counts, self.partner) {
+                let code = self.next_code();
+                let (batch, pos) = self.groups.head(next.side);
+                out.push_from(batch, pos, code);
+            }
+            self.counts[next.side] += 1;
+            self.groups.take(next.side);
         }
         self.groups.publish();
-        out
+        (!out.is_empty()).then_some(out)
     }
 
     /// The ordering contract both inputs share (the merge asserts they

@@ -57,10 +57,16 @@ use crate::runs::Run;
 
 /// A tree node: an offset-value code plus a run identifier.  16 bytes, so a
 /// queue of 512–1024 entries fits an L1 cache as Section 3 envisions.
+///
+/// A two-input merge (merge join, set operations) plays the same
+/// entries: one per input, the left input as run 0 and the right as
+/// run 1.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Entry {
-    pub(crate) code: Ovc,
-    pub(crate) run: u32,
+pub struct Entry {
+    /// The entry's offset-value code, relative to the last winner.
+    pub code: Ovc,
+    /// The input the entry's row comes from; the lower run wins ties.
+    pub run: u32,
 }
 
 impl Entry {
@@ -82,22 +88,24 @@ impl Entry {
 
 /// Play one match between two entries coded relative to the same base:
 /// returns `(winner, loser)` with the loser's code exact relative to the
-/// winner.  Shared by [`FlatMerge`] and flat run generation, so the two
-/// cannot play different tournaments.
+/// winner.  Shared by [`FlatMerge`], flat run generation and the
+/// two-input merge under `ovc-exec`'s merge join and set operations, so
+/// two leaves and `N` leaves cannot play different tournaments.
 ///
 /// The fast path decides by the packed `(code, run)` pair alone, with a
 /// select rather than a branch on the outcome: unequal codes leave the
 /// loser's code exact (unequal code theorem), and an equal pair of fences
 /// or duplicates needs no re-code; the lower run wins a tie.  `key` yields
 /// an entry's key slice and only the tied path calls it.  No counter is
-/// touched here: [`loser_tree`] counts the code comparisons per call and
-/// the tied path counts its column comparisons into `tally`.
+/// touched here: the caller counts the code comparisons (the tournament
+/// per tree pass, a two-input merge per match while both inputs are
+/// live) and the tied path counts its column comparisons into `tally`.
 ///
 /// `asc` is the caller's cached `spec.is_asc_prefix()`: the all-ascending
 /// case (the paper's default throughout) skips the per-column direction
 /// dispatch entirely.
 #[inline]
-pub(crate) fn play_entries<'k>(
+pub fn play_entries<'k>(
     a: Entry,
     b: Entry,
     key: impl Fn(Entry) -> &'k [u64],

@@ -387,3 +387,38 @@ fn planner_reports_errors() {
         .unwrap_err();
     assert!(matches!(err, ovc_plan::PlanError::Schema(_)), "{err}");
 }
+
+/// Regression: a hash join whose build side holds more rows of one join
+/// key than the memory budget used to panic ("hash recursion too deep"),
+/// and the planner lowers every hash-preferred join onto it.  Forced
+/// onto the hash plan, the query now answers with the reference
+/// multiset, the same as the sort plan.
+#[test]
+fn forced_hash_join_with_a_hot_key_beyond_memory() {
+    let side = |n: u64, hot: u64| -> Vec<Row> {
+        (0..n)
+            .map(|i| {
+                let key = if i < hot { 7 } else { i % 23 };
+                Row::new(vec![key, i])
+            })
+            .collect()
+    };
+    let (l, r) = (side(200, 150), side(220, 100));
+    let mut catalog = Catalog::new();
+    catalog.register("l", Table::unsorted(l.clone()));
+    catalog.register("r", Table::unsorted(r.clone()));
+    let q = LogicalPlan::scan("l").join(LogicalPlan::scan("r"), 1, JoinType::Inner);
+    let (plan, hash_rows) = exec_with(&q, &catalog, Preference::ForceHashBased, true);
+    assert_eq!(plan.count_op("GraceHashJoin"), 1, "{plan}");
+    let expect: Vec<Row> = l
+        .iter()
+        .flat_map(|a| {
+            r.iter()
+                .filter(move |b| b.cols()[0] == a.cols()[0])
+                .map(move |b| Row::new(vec![a.cols()[0], a.cols()[1], b.cols()[1]]))
+        })
+        .collect();
+    assert_eq!(multiset(hash_rows), multiset(expect.clone()));
+    let (_, sort_rows) = exec_with(&q, &catalog, Preference::ForceSortBased, true);
+    assert_eq!(multiset(sort_rows), multiset(expect));
+}
