@@ -143,7 +143,7 @@ pub(crate) struct GroupedMerge<L, R> {
     pub(crate) join_spec: SortSpec,
     /// The join key is all ascending: ties use the plain comparator.
     asc: bool,
-    /// The row [`GroupedMerge::peek`] decided, until it is taken.
+    /// The next row of the merged chain, decided after every take.
     decided: Option<Next>,
     /// A row has been taken.  Before that, the first row starts a group
     /// whatever its code (under an empty join key every code is a
@@ -199,6 +199,7 @@ impl<L: BatchStream, R: BatchStream> GroupedMerge<L, R> {
         for side in [LEFT, RIGHT] {
             merge.settle(side);
         }
+        merge.decide();
         merge
     }
 
@@ -245,29 +246,28 @@ impl<L: BatchStream, R: BatchStream> GroupedMerge<L, R> {
         }
     }
 
-    /// Decide which head comes next in the merged chain; the decision
-    /// stands until [`GroupedMerge::take`].  `None` once both inputs are
-    /// spent.
+    /// The next row of the merged chain, decided and not yet taken;
+    /// `None` once both inputs are spent.
     #[inline]
-    pub(crate) fn peek(&mut self) -> Option<Next> {
-        if self.decided.is_none() {
-            let (batches, pos, j) = (&self.batches, &self.pos, self.join_len);
-            let key = |e: Entry| {
-                let side = e.run as usize;
-                batches[side].key(pos[side], j)
-            };
-            let (win, lose) = play_heads(self.heads, key, &self.join_spec, self.asc, &self.tally);
-            self.heads[lose.run as usize] = lose.code;
-            if win.code == Ovc::LATE_FENCE {
-                return None;
-            }
-            self.decided = Some(Next {
-                side: win.run as usize,
-                code: win.code,
-                starts_group: !self.started || !win.code.is_duplicate(),
-            });
-        }
+    pub(crate) fn peek(&self) -> Option<Next> {
         self.decided
+    }
+
+    /// Play the match that decides the next row of the merged chain.
+    #[inline]
+    fn decide(&mut self) {
+        let (batches, pos, j) = (&self.batches, &self.pos, self.join_len);
+        let key = |e: Entry| {
+            let side = e.run as usize;
+            batches[side].key(pos[side], j)
+        };
+        let (win, lose) = play_heads(self.heads, key, &self.join_spec, self.asc, &self.tally);
+        self.heads[lose.run as usize] = lose.code;
+        self.decided = (win.code != Ovc::LATE_FENCE).then_some(Next {
+            side: win.run as usize,
+            code: win.code,
+            starts_group: !self.started || !win.code.is_duplicate(),
+        });
     }
 
     /// The batch and position of `side`'s head row, to copy it from.
@@ -294,14 +294,15 @@ impl<L: BatchStream, R: BatchStream> GroupedMerge<L, R> {
         self.heads[RIGHT].is_duplicate()
     }
 
-    /// Take the decided row ([`GroupedMerge::peek`]) out of its input.
+    /// Take the decided row ([`GroupedMerge::peek`]) out of its input,
+    /// and decide the next.
     #[inline]
     pub(crate) fn take(&mut self, side: usize) {
         debug_assert!(self.decided.is_some_and(|n| n.side == side));
-        self.decided = None;
         self.started = true;
         self.pos[side] += 1;
         self.settle(side);
+        self.decide();
     }
 }
 
@@ -1123,6 +1124,45 @@ mod tests {
             assert!(whole.0 .0 > 0 || jt == JoinType::LeftAnti, "{jt:?}");
             for (lb, rb) in [(1, 1), (2, 2), (7, 7), (1, 7), (7, 2), (1000, 1000)] {
                 assert_eq!(run(lb, rb), whole, "{jt:?} left={lb} right={rb}");
+            }
+        }
+    }
+
+    /// A side with one row per join key is read in place: the other
+    /// side's rows are combined with it as they are taken, unless the
+    /// row after it lies past its batch's end and nothing says the key
+    /// does not go on.  Batch size 1 never sees past a row and so always
+    /// takes the buffered path; every batch size must give the same rows,
+    /// codes and counters, with the single rows on either side.
+    #[test]
+    fn single_row_sides_stream_past_seams() {
+        let spec = SortSpec::asc(2);
+        let many = testkit::rows(81, 70, &[6, 3, 1000], false);
+        // One row per key (c0, c1) = (k, k % 3) for k in 0..5.
+        let single: Vec<Vec<u64>> = (0..5u64).map(|k| vec![k, k % 3, 500 + k]).collect();
+        for (l, r) in [(&many, &single), (&single, &many)] {
+            for jt in ALL_JOIN_TYPES {
+                let run = |lb: usize, rb: usize| {
+                    let stats = Stats::new_shared();
+                    let join = MergeJoin::new(
+                        testkit::cut(l, &spec, lb),
+                        testkit::cut(r, &spec, rb),
+                        2,
+                        jt,
+                        3,
+                        3,
+                        5,
+                        Arc::clone(&stats),
+                    );
+                    let out_spec = join.sort_spec();
+                    let out = testkit::drain(join, 5);
+                    assert_batches_exact_spec(&out, &out_spec);
+                    (testkit::digest(&out), stats.snapshot())
+                };
+                let buffered = run(1, 1);
+                for (lb, rb) in [(2, 2), (3, 2), (7, 3), (1000, 1000)] {
+                    assert_eq!(run(lb, rb), buffered, "{jt:?} left={lb} right={rb}");
+                }
             }
         }
     }
