@@ -14,9 +14,10 @@
 //!   (§4.5): a batch kernel, plus the row-at-a-time count-distinct form;
 //! * [`pivot`] — pivoting as grouping (§4.6);
 //! * [`merge_join`] — inner/semi/anti/outer merge joins whose merge logic
-//!   itself compares codes (§4.7), a batch kernel;
+//!   is a two-leaf tree-of-losers playing the sort tournament's own match
+//!   (§4.7), a batch kernel;
 //! * [`set_ops`] — union/intersect/except and multiset variants (§4.7),
-//!   a batch kernel over the same grouped merge;
+//!   a batch kernel over the same merge that keeps counts, not rows;
 //! * [`nlj`] — nested-loops and b-tree lookup joins (§4.8);
 //! * [`hash_join_op`] — order-preserving in-memory hash join (§4.9);
 //! * [`window`] — analytic (window) functions over coded streams (§5);

@@ -280,7 +280,7 @@ impl<L: BatchStream, R: BatchStream> GroupedMerge<L, R> {
     /// group: its successor sits in the same batch and is no duplicate at
     /// join arity.  A successor in the next batch is not looked at, so
     /// `false` only means "not known".
-    pub(crate) fn head_is_alone(&self, side: usize) -> bool {
+    fn head_is_alone(&self, side: usize) -> bool {
         let (batch, next) = (&self.batches[side], self.pos[side] + 1);
         next < batch.len()
             && !clamp(batch.code(next), self.key_lens[side], self.join_len).is_duplicate()
