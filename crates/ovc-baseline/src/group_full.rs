@@ -2,52 +2,72 @@
 //! multiple key columns* for group-boundary detection.
 //!
 //! Identical semantics to [`ovc_exec::GroupAggregate`], but each boundary
-//! test compares the current row's grouping columns against the previous
-//! row's, column by column — the cost the paper's Figure 4 measures
-//! against the offset-test version.
+//! test compares the current row's grouping columns against the group's
+//! key, column by column — the cost the paper's Figure 4 measures
+//! against the offset-test version.  Both operators read the same flat
+//! batches and write flat batches, so the race between them is the
+//! boundary test alone.
 
 use std::sync::Arc;
 
-use ovc_core::{OvcRow, Row, Stats, Value};
+use ovc_core::{BatchStream, FlatRows, Ovc, SortSpec, Stats, StatsSnapshot, Value};
 use ovc_exec::Aggregate;
 
 /// In-stream grouping with column-by-column boundary detection.
 ///
 /// The output intentionally omits offset-value codes (this is the
-/// pre-OVC operator), so it yields plain rows.
-pub struct GroupFullCompare<S> {
-    input: S,
+/// pre-OVC operator): it is an unordered stream under
+/// [`SortSpec::none`], every code a duplicate.  Output rows are the group
+/// key followed by one column per aggregate, in batches of at most
+/// `batch_size` rows.
+pub struct GroupFullCompare<B> {
+    input: B,
+    /// The current input batch and the next row to read in it.
+    batch: FlatRows,
+    pos: usize,
     group_len: usize,
     aggregates: Vec<Aggregate>,
-    pending: Option<(Row, Vec<Value>)>,
+    batch_size: usize,
+    /// Whether a group is being accumulated into `row` (group key, then
+    /// one accumulator per aggregate).
+    pending: bool,
+    row: Vec<Value>,
+    /// Row and column comparisons are counted locally and published
+    /// before each `next_batch` returns, as the engine's kernels do.
     stats: Arc<Stats>,
 }
 
-impl<S: Iterator<Item = OvcRow>> GroupFullCompare<S> {
-    /// Build the baseline operator over any sorted row stream.
-    pub fn new(input: S, group_len: usize, aggregates: Vec<Aggregate>, stats: Arc<Stats>) -> Self {
+impl<B: BatchStream> GroupFullCompare<B> {
+    /// Build the baseline operator over any sorted batch stream, emitting
+    /// batches of at most `batch_size` rows.  Panics if `batch_size` is
+    /// zero.
+    pub fn new(
+        input: B,
+        group_len: usize,
+        aggregates: Vec<Aggregate>,
+        batch_size: usize,
+        stats: Arc<Stats>,
+    ) -> Self {
+        assert!(batch_size > 0, "batch size must be positive");
         GroupFullCompare {
             input,
+            batch: FlatRows::new(0),
+            pos: 0,
             group_len,
+            row: vec![0; group_len + aggregates.len()],
             aggregates,
-            pending: None,
+            batch_size,
+            pending: false,
             stats,
         }
     }
 
-    fn finish(&self, (row, accs): (Row, Vec<Value>)) -> Row {
-        let mut cols = Vec::with_capacity(self.group_len + accs.len());
-        cols.extend_from_slice(row.key(self.group_len));
-        cols.extend_from_slice(&accs);
-        Row::new(cols)
-    }
-
     /// The measured cost: compare all grouping columns.
-    fn same_group(&self, prev: &Row, cur: &Row) -> bool {
-        self.stats.count_row_cmp();
-        for i in 0..self.group_len {
-            self.stats.count_col_cmp();
-            if prev.cols()[i] != cur.cols()[i] {
+    fn same_group(counted: &mut StatsSnapshot, key: &[Value], cur: &[Value]) -> bool {
+        counted.row_cmps += 1;
+        for (k, c) in key.iter().zip(cur) {
+            counted.col_value_cmps += 1;
+            if k != c {
                 return false;
             }
         }
@@ -55,45 +75,71 @@ impl<S: Iterator<Item = OvcRow>> GroupFullCompare<S> {
     }
 }
 
-impl<S: Iterator<Item = OvcRow>> Iterator for GroupFullCompare<S> {
-    type Item = Row;
-
-    fn next(&mut self) -> Option<Row> {
+impl<B: BatchStream> BatchStream for GroupFullCompare<B> {
+    fn next_batch(&mut self) -> Option<FlatRows> {
+        let (g, batch_size) = (self.group_len, self.batch_size);
+        let mut out: Option<FlatRows> = None;
+        // Append a finished group; true once the output batch is full.
+        let finish = |out: &mut Option<FlatRows>, row: &[Value]| {
+            let out = out.get_or_insert_with(|| FlatRows::with_capacity(row.len(), batch_size));
+            out.push(row, Ovc::duplicate());
+            out.len() >= batch_size
+        };
+        let mut counted = StatsSnapshot::default();
         loop {
-            match self.input.next() {
-                None => return self.pending.take().map(|g| self.finish(g)),
-                Some(OvcRow { row, .. }) => {
-                    let same = self
-                        .pending
-                        .as_ref()
-                        .is_some_and(|(prev, _)| self.same_group(prev, &row));
-                    if same {
-                        let aggs = &self.aggregates;
-                        let (_, accs) = self.pending.as_mut().expect("pending");
-                        for (acc, agg) in accs.iter_mut().zip(aggs) {
-                            *acc = agg.fold(*acc, row.cols());
-                        }
-                    } else {
-                        let accs = self.aggregates.iter().map(|a| a.init(row.cols())).collect();
-                        if let Some(done) = self.pending.replace((row, accs)) {
-                            return Some(self.finish(done));
-                        }
+            if self.pos >= self.batch.len() {
+                let Some(batch) = self.input.next_batch() else {
+                    // Input exhausted: flush the final group, if any.
+                    if std::mem::take(&mut self.pending) {
+                        finish(&mut out, &self.row);
                     }
+                    self.stats.absorb(&counted);
+                    return out;
+                };
+                self.batch = batch;
+                self.pos = 0;
+            }
+            let cols = self.batch.row(self.pos);
+            self.pos += 1;
+            if self.pending && Self::same_group(&mut counted, &self.row[..g], &cols[..g]) {
+                for (acc, agg) in self.row[g..].iter_mut().zip(&self.aggregates) {
+                    *acc = agg.fold(*acc, cols);
                 }
+                continue;
+            }
+            // Boundary: emit the finished group, start anew.
+            let full = std::mem::replace(&mut self.pending, true) && finish(&mut out, &self.row);
+            self.row[..g].copy_from_slice(&cols[..g]);
+            for (acc, agg) in self.row[g..].iter_mut().zip(&self.aggregates) {
+                *acc = agg.init(cols);
+            }
+            if full {
+                self.stats.absorb(&counted);
+                return out;
             }
         }
+    }
+
+    fn sort_spec(&self) -> SortSpec {
+        SortSpec::none()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ovc_core::batch::collect_batch_pairs;
-    use ovc_core::VecStream;
+    use ovc_core::Row;
     use ovc_exec::GroupAggregate;
     use ovc_sort::Run;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// Every output value of `stream`, batches concatenated.
+    fn values(mut stream: impl BatchStream) -> Vec<Value> {
+        std::iter::from_fn(|| stream.next_batch())
+            .flat_map(|b| b.values().to_vec())
+            .collect()
+    }
 
     #[test]
     fn matches_ovc_grouping_output() {
@@ -108,20 +154,17 @@ mod tests {
             })
             .collect();
         rows.sort();
+        let run = Run::from_sorted_rows(rows, 3);
         let aggs = vec![Aggregate::Count, Aggregate::Sum(2)];
         let stats = Stats::new_shared();
-        let baseline: Vec<Row> = GroupFullCompare::new(
-            VecStream::from_sorted_rows(rows.clone(), 3),
+        let baseline = values(GroupFullCompare::new(
+            run.clone().batches(7),
             2,
             aggs.clone(),
+            4,
             Arc::clone(&stats),
-        )
-        .collect();
-        let input = Run::from_sorted_rows(rows, 3).batches(64);
-        let ovc: Vec<Row> = collect_batch_pairs(GroupAggregate::new(input, 2, aggs, 64, stats))
-            .into_iter()
-            .map(|(row, _)| row)
-            .collect();
+        ));
+        let ovc = values(GroupAggregate::new(run.batches(64), 2, aggs, 64, stats));
         assert_eq!(baseline, ovc);
     }
 
@@ -133,14 +176,14 @@ mod tests {
             .collect();
         rows.sort();
         let stats = Stats::new_shared();
-        let n: usize = GroupFullCompare::new(
-            VecStream::from_sorted_rows(rows, 2),
+        let groups = values(GroupFullCompare::new(
+            Run::from_sorted_rows(rows, 2).batches(64),
             2,
             vec![Aggregate::Count],
+            64,
             Arc::clone(&stats),
-        )
-        .count();
-        assert!(n <= 9);
+        ));
+        assert!(groups.len() <= 9 * 3, "at most 9 groups of 3 values");
         // 999 boundary tests, each comparing 1-2 columns.
         assert!(stats.col_value_cmps() >= 999);
         assert_eq!(stats.row_cmps(), 999);
@@ -149,12 +192,13 @@ mod tests {
     #[test]
     fn empty_input() {
         let stats = Stats::new_shared();
-        let g = GroupFullCompare::new(
-            VecStream::from_sorted_rows(vec![], 2),
+        let mut g = GroupFullCompare::new(
+            Run::from_sorted_rows(vec![], 2).batches(64),
             1,
             vec![Aggregate::Count],
+            64,
             stats,
         );
-        assert_eq!(g.count(), 0);
+        assert!(g.next_batch().is_none());
     }
 }

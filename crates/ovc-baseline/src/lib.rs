@@ -1,8 +1,8 @@
 //! # ovc-baseline — the algorithms the paper compares against
 //!
 //! The hash kernels the planner lowers Figure 5's hash plan onto, and
-//! the rivals the `ablation_counters` bench counts against the
-//! offset-value-coded operators:
+//! the rivals that `ovc-bench` counts (the `ablation_counters` test) and
+//! times (Figure 4) against the offset-value-coded operators:
 //!
 //! * [`hash_agg`] — spilling (Grace-style) hash aggregation for duplicate
 //!   removal (`HashDistinct`: Figure 5's hash plan, first two blocking

@@ -7,15 +7,18 @@
 //! `--quick` shrinks both to a smoke-test scale (CI runs this mode and
 //! validates the emitted snapshot against the documented schema).
 
-use std::time::Instant;
+use std::path::Path;
+use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
+use ovc_baseline::GroupFullCompare;
 use ovc_bench::snapshot::{BenchEntry, BenchSnapshot};
 use ovc_bench::workload::{grouped_sorted_table, intersect_tables};
 use ovc_core::compare::compare_same_base;
 use ovc_core::derive::derive_codes;
 use ovc_core::desc::{derive_desc_code, DescOvc};
 use ovc_core::{table1, BatchStream, Row, Stats, Value};
-use ovc_exec::BatchFilter;
+use ovc_exec::{Aggregate, BatchFilter, GroupAggregate};
 use ovc_plan::figure5::{catalog_unsorted, run_intersect};
 use ovc_plan::{PlannerConfig, Preference};
 use ovc_sort::Run;
@@ -33,7 +36,7 @@ fn flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
 }
 
-fn main() {
+fn main() -> ExitCode {
     let quick = flag("--quick");
     let default_rows = if quick { 20_000 } else { 1_000_000 };
 
@@ -55,9 +58,21 @@ fn main() {
     figure_5();
     figure_6(arg("--fig6-rows", default_rows), &mut snap);
 
-    match snap.write_to(std::path::Path::new(".")) {
-        Ok(path) => println!("snapshot: wrote {}", path.display()),
-        Err(e) => eprintln!("snapshot: failed to write {}: {e}", snap.file_name()),
+    write_snapshot(&snap, Path::new("."))
+}
+
+/// Write `snap` into `dir`.  A failed write is a failed run: a stale
+/// snapshot left by an earlier run must not pass for this one's.
+fn write_snapshot(snap: &BenchSnapshot, dir: &Path) -> ExitCode {
+    match snap.write_to(dir) {
+        Ok(path) => {
+            println!("snapshot: wrote {}", path.display());
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("snapshot: failed to write {}: {e}", snap.file_name());
+            ExitCode::FAILURE
+        }
     }
 }
 
@@ -158,7 +173,7 @@ fn figure_4(rows_n: usize, snap: &mut BenchSnapshot) {
     println!("Figure 4: Group boundaries from offset-value codes");
     println!("         (in-stream aggregation over materialized sorted input,");
     println!("          N = {rows_n}, 8 key columns, grouping on 6 columns;");
-    println!("          medians of 5 runs)");
+    println!("          GroupAggregate vs GroupFullCompare, medians of 5 runs)");
     println!("==================================================================\n");
     println!(
         "{:>8} {:>14} {:>18} {:>9}",
@@ -166,64 +181,42 @@ fn figure_4(rows_n: usize, snap: &mut BenchSnapshot) {
     );
     const K: usize = 8; // "many key columns" (Section 6)
     const G: usize = 6; // grouping-key length
+    const BATCH: usize = 1024; // the engine's default batch size
+
+    // Both operators compute count and the sum of the payload.
+    let aggs = [Aggregate::Count, Aggregate::Sum(K)];
     for ratio in [1usize, 2, 5, 10, 20, 50, 100] {
-        let rows = grouped_sorted_table(rows_n, K, ratio, 4);
         // The sort already ran: rows are materialized with their codes,
-        // exactly the state Figure 4 starts from.
-        let codes = derive_codes(&rows, K);
-        let coded: Vec<(Row, ovc_core::Ovc)> = rows.into_iter().zip(codes).collect();
-
-        // OVC: one integer test per row against the code threshold, plus
-        // the aggregation itself (count, sum of the payload).
-        let t_ovc = median5(|| {
-            let (mut groups, mut cnt, mut sum) = (0u64, 0u64, 0u64);
-            for (row, code) in &coded {
-                let boundary = !(code.is_valid() && code.offset(K) >= G);
-                if boundary {
-                    groups += 1;
-                    std::hint::black_box((cnt, sum));
-                    (cnt, sum) = (0, 0);
-                }
-                cnt += 1;
-                sum = sum.wrapping_add(row.cols()[K]);
-            }
-            std::hint::black_box((groups, cnt, sum))
-        });
-
-        // Baseline: full comparisons of the grouping columns per row — the
-        // generic column-by-column comparator a pre-OVC engine uses.
-        let t_full = median5(|| {
-            let (mut groups, mut cnt, mut sum) = (0u64, 0u64, 0u64);
-            let mut prev: Option<&Row> = None;
-            for (row, _) in &coded {
-                let boundary = match prev {
-                    None => true,
-                    Some(p) => {
-                        let (pk, rk) = (p.key(G), row.key(G));
-                        let mut differ = false;
-                        for i in 0..G {
-                            match std::hint::black_box(pk[i]).cmp(&rk[i]) {
-                                std::cmp::Ordering::Equal => continue,
-                                _ => {
-                                    differ = true;
-                                    break;
-                                }
-                            }
-                        }
-                        differ
-                    }
-                };
-                if boundary {
-                    groups += 1;
-                    std::hint::black_box((cnt, sum));
-                    (cnt, sum) = (0, 0);
-                }
-                cnt += 1;
-                sum = sum.wrapping_add(row.cols()[K]);
-                prev = Some(row);
-            }
-            std::hint::black_box((groups, cnt, sum))
-        });
+        // exactly the state Figure 4 starts from.  Each timed run gets a
+        // fresh copy of the run, made outside the timing.
+        let run = Run::from_sorted_rows(grouped_sorted_table(rows_n, K, ratio, 4), K);
+        // OVC: one integer test per row against the code threshold.
+        let ovc = |run: Run| {
+            GroupAggregate::new(
+                run.batches(BATCH),
+                G,
+                aggs.to_vec(),
+                BATCH,
+                Stats::new_shared(),
+            )
+        };
+        // Baseline: full comparisons of the grouping columns per row.
+        let full = |run: Run| {
+            GroupFullCompare::new(
+                run.batches(BATCH),
+                G,
+                aggs.to_vec(),
+                BATCH,
+                Stats::new_shared(),
+            )
+        };
+        assert_eq!(
+            output_values(ovc(run.clone())),
+            output_values(full(run.clone())),
+            "ratio {ratio}: both operators must return the same groups"
+        );
+        let t_ovc = median5(|| run.clone(), |r| count_rows(ovc(r)));
+        let t_full = median5(|| run.clone(), |r| count_rows(full(r)));
 
         println!(
             "{:>8} {:>12.1?} {:>16.1?} {:>8.2}x",
@@ -240,9 +233,22 @@ fn figure_4(rows_n: usize, snap: &mut BenchSnapshot) {
                 .metric("speedup", t_full.as_secs_f64() / t_ovc.as_secs_f64()),
         );
     }
-    println!("\nThe library operators (GroupAggregate / GroupFullCompare) implement");
-    println!("the same two mechanisms and are tested to produce identical output;");
-    println!("this measurement isolates boundary detection as the paper does.\n");
+    println!("\nBoth operators read the same {BATCH}-row batches of one coded run and");
+    println!("write flat batches; their outputs are asserted equal before timing.\n");
+}
+
+/// Drain a batch stream, counting its rows.
+fn count_rows(mut stream: impl BatchStream) -> usize {
+    std::iter::from_fn(|| stream.next_batch())
+        .map(|b| b.len())
+        .sum()
+}
+
+/// Every output value of a batch stream, batches concatenated.
+fn output_values(mut stream: impl BatchStream) -> Vec<Value> {
+    std::iter::from_fn(|| stream.next_batch())
+        .flat_map(|b| b.values().to_vec())
+        .collect()
 }
 
 fn figure_5() {
@@ -341,14 +347,33 @@ fn figure_6(rows_n: usize, snap: &mut BenchSnapshot) {
     }
 }
 
-fn median5<T>(mut f: impl FnMut() -> T) -> std::time::Duration {
-    let mut times: Vec<std::time::Duration> = (0..5)
+/// The median of five timed calls of `f`, each on a fresh `setup()`
+/// made outside the timing.
+fn median5<I, T>(mut setup: impl FnMut() -> I, mut f: impl FnMut(I) -> T) -> Duration {
+    let mut times: Vec<Duration> = (0..5)
         .map(|_| {
+            let input = setup();
             let start = Instant::now();
-            let _ = f();
+            std::hint::black_box(f(input));
             start.elapsed()
         })
         .collect();
     times.sort();
     times[2]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_failed_snapshot_write_fails_the_run() {
+        // A directory path whose parent is a regular file: no process,
+        // root included, can create a file under it.
+        let file = std::env::temp_dir().join(format!("figures-not-a-dir-{}", std::process::id()));
+        std::fs::write(&file, b"").expect("scratch file");
+        let status = write_snapshot(&BenchSnapshot::new("figures"), &file.join("out"));
+        std::fs::remove_file(&file).expect("remove scratch file");
+        assert_eq!(status, ExitCode::FAILURE);
+    }
 }

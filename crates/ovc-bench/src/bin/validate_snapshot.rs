@@ -1,6 +1,6 @@
 //! Validate `BENCH_<name>.json` files against the documented snapshot
-//! schema (see `ovc_bench::snapshot`).  CI runs this on every snapshot
-//! the figure binaries emit.
+//! schema (see `ovc_bench::snapshot`).  CI runs this on the snapshot
+//! the `figures` binary emits.
 //!
 //! Usage: `cargo run -p ovc-bench --bin validate_snapshot -- FILE...`
 //! Exits non-zero (with the first violation on stderr) on any failure.

@@ -5,8 +5,14 @@
 //! many key columns.  Each key column is an 8-byte integer with only a
 //! few distinct values."  The [`workload`] module generates exactly that
 //! data shape, parameterized the way the figures sweep it; [`snapshot`]
-//! gives the figure binaries a machine-readable output channel
-//! (`BENCH_<name>.json`, schema-validated in CI).
+//! gives the `figures` binary a machine-readable output channel
+//! (`BENCH_figures.json`, schema-validated in CI).
+//!
+//! Gated wall-clock measurement is the harness's in `bench/`.  What this
+//! crate adds is the paper's tables and figures (`cargo run --release
+//! -p ovc-bench --bin figures`) and the counted ablation, pinned byte
+//! for byte by `tests/ablation_counters.rs` against
+//! `testdata/ablation_counters.txt`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,8 +1,8 @@
 //! Machine-readable bench snapshots: `BENCH_<name>.json`.
 //!
-//! The figure binaries and benches print human-readable tables; CI and
+//! The `figures` binary prints human-readable tables; CI and
 //! regression tooling need the same numbers as data.  This module holds
-//! the [`BenchSnapshot`] builder the binaries use and
+//! the [`BenchSnapshot`] builder the binary uses and
 //! [`validate_snapshot`] — the schema check CI runs against every
 //! emitted file.  Writing and parsing are `ovc_json`'s.
 //!

@@ -5,7 +5,7 @@
 //! and the sort-based plan of Figure 6 spills each row once where the
 //! hash-based plan spills many rows twice.  These counters make those
 //! claims measurable independent of wall-clock noise; EXPERIMENTS.md and
-//! the `ablation_counters` bench are driven by them.
+//! the `ablation_counters` test are driven by them.
 
 use std::cell::Cell;
 use std::fmt;

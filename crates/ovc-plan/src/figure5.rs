@@ -8,7 +8,7 @@
 //! [`Preference::ForceHashBased`](crate::Preference) yields two
 //! `HashDistinct` under a `GraceHashJoin`, three blocking operators.
 //! `Auto` leaves the choice to the cost model.  The `figures` binary,
-//! the `ablation_counters` bench, `tests/spill_accounting.rs` and the
+//! the `ablation_counters` test, `tests/spill_accounting.rs` and the
 //! `intersect_distinct` example all run [`run_intersect`], so Figure 6's
 //! counts come from the code users' queries run.
 

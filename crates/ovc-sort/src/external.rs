@@ -71,10 +71,8 @@ impl SortConfig {
 /// `ovc-storage` provides an encoding-faithful implementation with byte
 /// accounting and an optional file-backed variant.
 ///
-/// Devices are `Send`: a parallel sort hands each worker thread its own
-/// spill device (see `parallel::parallel_sort_spec_spilled`), and the
-/// device — with its stored runs — moves back to the coordinator for the
-/// merge.  All implementations in this workspace account through
+/// Devices are `Send`, so a device and its stored runs can move between
+/// threads.  All implementations in this workspace account through
 /// `Arc<Stats>`, so the bound costs nothing.
 /// Both operations are fallible: real devices hit I/O errors on write
 /// and detect corruption on read-back, and both must surface as a typed
@@ -333,9 +331,9 @@ where
 
 /// Externally sort `input` all the way into a single **flat** run — the
 /// allocation-free variant of [`external_sort_spec`] for consumers that
-/// keep working on the contiguous layout (benches, storage loads).  The
-/// final merge gathers straight into one flat buffer instead of streaming
-/// boxed [`OvcRow`]s.
+/// keep working on the contiguous layout (the `bench/` harness, storage
+/// loads).  The final merge gathers straight into one flat buffer
+/// instead of streaming boxed [`OvcRow`]s.
 pub fn external_sort_spec_to_run<I, S>(
     input: I,
     config: SortConfig,

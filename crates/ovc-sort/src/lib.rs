@@ -51,11 +51,10 @@ pub use external::{
 pub use merge::{merge_batch_streams, merge_runs_spec, merge_runs_to_run_spec};
 pub use parallel::{
     parallel_sort, parallel_sort_batches, parallel_sort_distinct, parallel_sort_spec,
-    parallel_sort_spec_spilled,
 };
 pub use run_gen::{
-    generate_runs, generate_runs_spec, sort_rows_ovc, sort_rows_ovc_spec, sort_rows_quicksort,
-    sort_rows_quicksort_spec, RunGenStrategy,
+    generate_runs, generate_runs_spec, sort_rows_ovc, sort_rows_ovc_spec, sort_rows_quicksort_spec,
+    RunGenStrategy,
 };
 pub use runs::{Run, RunCursor};
 pub use segmented::SegmentedSort;

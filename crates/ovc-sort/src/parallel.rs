@@ -37,9 +37,9 @@ use std::thread;
 
 use ovc_core::ctx::{self, ExecError};
 use ovc_core::fault;
-use ovc_core::{BatchStream, OvcRow, Row, RowBatches, SortSpec, Stats, StatsSnapshot};
+use ovc_core::{BatchStream, Row, RowBatches, SortSpec, Stats, StatsSnapshot};
 
-use crate::external::{RunStorage, SortOutput};
+use crate::external::SortOutput;
 use crate::merge::merge_runs_to_run_spec;
 use crate::run_gen::{resident, sort_windows};
 use crate::runs::Run;
@@ -214,93 +214,6 @@ pub fn parallel_sort_spec(
     parallel_sort_batches(input, spec, false, threads, memory_rows, fan_in, stats)
 }
 
-/// [`parallel_sort_spec`] with **per-worker spill devices**: each worker
-/// thread builds its own [`RunStorage`] via `make_storage`, spills every
-/// run it generates, and the device — with its stored runs — moves back to
-/// the coordinator, which reads the runs back for the bounded-fan-in merge.
-///
-/// This is the out-of-core regime the resident [`parallel_sort_spec`]
-/// skips: every input row is spilled exactly once and read back exactly
-/// once (the Figure 6 sort-plan property), now with the spill bandwidth
-/// spread across workers.  It is also the function that *forces*
-/// `RunStorage: Send` — devices are created on worker threads and
-/// consumed on the caller's.  Accounting flows through whatever `Stats`
-/// handle the factory bakes into each device (shared `Arc<Stats>` now
-/// crosses threads, so `|| MemoryRunStorage::new(Arc::clone(&stats))`
-/// simply works); comparison counters from run generation land in
-/// `stats` via per-thread snapshots as in [`parallel_sort_spec`].
-///
-/// Output rows and codes are byte-identical to
-/// [`crate::external::external_sort_spec`] over the same input.
-pub fn parallel_sort_spec_spilled<S, F>(
-    rows: Vec<Row>,
-    spec: &SortSpec,
-    threads: usize,
-    memory_rows: usize,
-    fan_in: usize,
-    make_storage: F,
-    stats: &Arc<Stats>,
-) -> SortOutput
-where
-    S: RunStorage,
-    F: Fn() -> S + Send + Sync,
-{
-    let (rows, width, values) = resident(RowBatches::new(rows, usize::MAX));
-
-    // Each worker: generate runs from its range, spill every run into its
-    // own device, send the loaded device home.  Spill failures ride back
-    // as data (`Result` handles), worker panics as typed join errors —
-    // either way every worker is joined before anything propagates.
-    let (results, failure) = on_workers(rows, threads, |range, local| {
-        let mut device = make_storage();
-        let runs = sort_windows(&values, width, range, memory_rows, spec, local);
-        let handles: Result<Vec<usize>, ExecError> =
-            runs.into_iter().map(|r| device.write_run(r)).collect();
-        (device, handles)
-    });
-
-    // Coordinator: absorb worker comparison counts, read every spilled
-    // run back, merge with bounded fan-in exactly like the resident path.
-    let mut runs = Vec::new();
-    let mut spill_err = failure;
-    for ((mut device, handles), snapshot) in results {
-        stats.absorb(&snapshot);
-        match handles {
-            Ok(handles) if spill_err.is_none() => {
-                for h in handles {
-                    match device.read_run(h) {
-                        Ok(run) => runs.push(run),
-                        Err(err) => {
-                            spill_err.get_or_insert(err);
-                            break;
-                        }
-                    }
-                }
-            }
-            Ok(_) => {}
-            Err(err) => {
-                spill_err.get_or_insert(err);
-            }
-        }
-    }
-    if let Some(err) = spill_err {
-        ctx::propagate(err);
-    }
-    let runs = reduce_to_fan_in(runs, spec, fan_in, stats, |run| run);
-    SortOutput::finish(runs, spec, false, stats)
-}
-
-/// Convenience: parallel sort and collect.
-pub fn parallel_sort_collect(
-    rows: Vec<Row>,
-    key_len: usize,
-    threads: usize,
-    memory_rows: usize,
-    stats: &Arc<Stats>,
-) -> Vec<OvcRow> {
-    parallel_sort(rows, key_len, threads, memory_rows, 128, stats).collect()
-}
-
 /// [`parallel_sort`] with duplicate removal folded in (see
 /// [`parallel_sort_batches`]).  Rows and codes match the serial
 /// in-sort distinct ([`crate::try_sort_batches`] with `distinct`) byte
@@ -325,7 +238,7 @@ mod tests {
     use crate::external_sort_spec_collect;
     use crate::SortConfig;
     use ovc_core::derive::assert_codes_exact;
-    use ovc_core::{Ovc, Row};
+    use ovc_core::{Ovc, OvcRow, Row};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -342,7 +255,7 @@ mod tests {
         for threads in [1usize, 2, 3, 4, 8] {
             let s_par = Stats::new_shared();
             let s_ser = Stats::new_shared();
-            let par = parallel_sort_collect(rows.clone(), 3, threads, 256, &s_par);
+            let par = parallel_sort(rows.clone(), 3, threads, 256, 128, &s_par).collect::<Vec<_>>();
             let ser = external_sort_collect(rows.clone(), SortConfig::new(3, 256), &s_ser);
             assert_eq!(par, ser, "threads={threads}");
             let pairs: Vec<(Row, Ovc)> = par.into_iter().map(|r| (r.row, r.code)).collect();
@@ -356,7 +269,7 @@ mod tests {
         // the N×K bound holds regardless of the thread count.
         let rows = random_rows(2000, 2, 5, 2);
         let stats = Stats::new_shared();
-        let _ = parallel_sort_collect(rows, 2, 4, 128, &stats);
+        let _ = parallel_sort(rows, 2, 4, 128, 128, &stats).count();
         assert!(stats.col_value_cmps() > 0, "worker counters merged");
         assert!(
             stats.col_value_cmps() <= 2000 * 2,
@@ -444,83 +357,14 @@ mod tests {
     }
 
     #[test]
-    fn spilled_parallel_sort_matches_serial_and_spills_once() {
-        use crate::MemoryRunStorage;
-        use std::sync::atomic::{AtomicUsize, Ordering};
-
-        let rows = random_rows(4000, 3, 11, 8);
-        let spec = SortSpec::asc(3);
-        let ser =
-            external_sort_collect(rows.clone(), SortConfig::new(3, 256), &Stats::new_shared());
-        for threads in [1usize, 2, 4] {
-            let stats = Stats::new_shared();
-            let devices = AtomicUsize::new(0);
-            let par: Vec<OvcRow> = parallel_sort_spec_spilled(
-                rows.clone(),
-                &spec,
-                threads,
-                256,
-                8,
-                || {
-                    devices.fetch_add(1, Ordering::Relaxed);
-                    // Shared Arc<Stats> crosses into the worker — the
-                    // capability the Send refactor bought.
-                    MemoryRunStorage::new(Arc::clone(&stats))
-                },
-                &stats,
-            )
-            .collect();
-            assert_eq!(par, ser, "threads={threads}");
-            // One device per worker, created on that worker's thread.
-            assert_eq!(devices.load(Ordering::Relaxed), threads);
-            // The Figure 6 sort-plan property survives the fan-out: every
-            // row spilled exactly once and read back exactly once.
-            assert_eq!(stats.rows_spilled(), 4000, "threads={threads}");
-            assert_eq!(stats.rows_read_back(), 4000, "threads={threads}");
-            let pairs: Vec<(Row, Ovc)> = par.into_iter().map(|r| (r.row, r.code)).collect();
-            assert_codes_exact(&pairs, 3);
-        }
-    }
-
-    #[test]
-    fn spilled_parallel_sort_mixed_directions() {
-        use crate::MemoryRunStorage;
-        use ovc_core::derive::assert_codes_exact_spec;
-        use ovc_core::spec::Direction;
-
-        let rows = random_rows(2500, 2, 7, 9);
-        let spec = SortSpec::with_dirs(&[Direction::Desc, Direction::Asc]);
-        let ser = external_sort_spec_collect(
-            rows.clone(),
-            SortConfig::new(2, 128),
-            &spec,
-            &Stats::new_shared(),
-        );
-        let stats = Stats::new_shared();
-        let par: Vec<OvcRow> = parallel_sort_spec_spilled(
-            rows,
-            &spec,
-            4,
-            128,
-            8,
-            || MemoryRunStorage::new(Arc::clone(&stats)),
-            &stats,
-        )
-        .collect();
-        assert_eq!(par, ser);
-        let pairs: Vec<(Row, Ovc)> = par.into_iter().map(|r| (r.row, r.code)).collect();
-        assert_codes_exact_spec(&pairs, &spec);
-    }
-
-    #[test]
     fn degenerate_inputs() {
         let stats = Stats::new_shared();
-        assert!(parallel_sort_collect(vec![], 2, 8, 16, &stats).is_empty());
-        let one = parallel_sort_collect(vec![Row::new(vec![7, 7])], 2, 8, 16, &stats);
-        assert_eq!(one.len(), 1);
+        assert_eq!(parallel_sort(vec![], 2, 8, 16, 128, &stats).count(), 0);
+        let one = parallel_sort(vec![Row::new(vec![7, 7])], 2, 8, 16, 128, &stats);
+        assert_eq!(one.count(), 1);
         // More threads than rows clamps to one row per worker.
         let few = random_rows(3, 2, 4, 5);
-        let out = parallel_sort_collect(few, 2, 64, 16, &stats);
-        assert_eq!(out.len(), 3);
+        let out = parallel_sort(few, 2, 64, 16, 128, &stats);
+        assert_eq!(out.count(), 3);
     }
 }

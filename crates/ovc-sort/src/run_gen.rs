@@ -9,7 +9,7 @@
 //! The quicksort strategy is the conventional baseline: sort with full key
 //! comparisons, then prime codes in one linear pass (the "comparing …
 //! row-by-row, column-by-column" method).  Both feed the external sorter;
-//! Figure-level benches compare them.
+//! the comparison-bound tests compare them.
 //!
 //! All strategies run over **flat** buffers (DESIGN.md §10).  The input
 //! is a [`BatchStream`]: the executor's flat batches, or boxed rows cut
@@ -211,13 +211,6 @@ fn flat_tournament_sort(
     Run::from_flat(out, spec.clone())
 }
 
-/// Sort rows with stable full-key comparisons over an index permutation,
-/// then derive codes in a linear pass while gathering the sorted flat
-/// output.  The conventional method the paper improves on.
-pub fn sort_rows_quicksort(rows: Vec<Row>, key_len: usize, stats: &Arc<Stats>) -> Run {
-    sort_rows_quicksort_spec(rows, &SortSpec::asc(key_len), stats)
-}
-
 fn sort_flat_quicksort(
     n: usize,
     width: usize,
@@ -271,8 +264,9 @@ fn sort_flat_normalized(
     gather_with_codes(&idx, width, values, spec, stats)
 }
 
-/// Direction-aware [`sort_rows_quicksort`]: full-key comparisons under
-/// the spec over an index permutation, then a linear code-priming pass.
+/// Sort rows with stable full-key comparisons under the spec over an
+/// index permutation, then derive codes in a linear pass while gathering
+/// the sorted flat output.  The conventional method the paper improves on.
 pub fn sort_rows_quicksort_spec(rows: Vec<Row>, spec: &SortSpec, stats: &Arc<Stats>) -> Run {
     sort_rows(rows, spec, RunGenStrategy::Quicksort, stats)
 }
@@ -439,7 +433,7 @@ mod tests {
         let rows = random_rows(150, 2, 8, 2);
         let stats = Stats::new_shared();
         let a = sort_rows_ovc(rows.clone(), 2, &stats);
-        let b = sort_rows_quicksort(rows, 2, &stats);
+        let b = sort_rows_quicksort_spec(rows, &SortSpec::asc(2), &stats);
         // Byte-identical rows and codes, since both are determined by the
         // data alone.
         assert_eq!(a.flat(), b.flat());
@@ -522,7 +516,7 @@ mod tests {
         let s_ovc = Stats::new_shared();
         let s_qs = Stats::new_shared();
         let _ = sort_rows_ovc(rows.clone(), 4, &s_ovc);
-        let _ = sort_rows_quicksort(rows, 4, &s_qs);
+        let _ = sort_rows_quicksort_spec(rows, &SortSpec::asc(4), &s_qs);
         assert!(
             s_ovc.col_value_cmps() < s_qs.col_value_cmps() / 2,
             "ovc {} vs quicksort {}",

@@ -16,8 +16,12 @@ use std::time::Instant;
 
 use ovc_baseline::GroupFullCompare;
 use ovc_bench::workload::grouped_sorted_table;
-use ovc_core::{Stats, VecStream};
-use ovc_exec::{Aggregate, GroupCountDistinct};
+use ovc_core::{BatchStream, Stats, VecStream};
+use ovc_exec::{Aggregate, BatchDedup, GroupCountDistinct};
+use ovc_sort::Run;
+
+/// The engine's default batch size.
+const BATCH: usize = 1024;
 
 fn main() {
     let rows_n: usize = std::env::args()
@@ -48,18 +52,20 @@ fn main() {
         let t_ovc = start.elapsed();
 
         // Baseline: full comparisons of the grouping columns per row.
-        let input = VecStream::from_sorted_rows(rows, key_cols);
+        let input = Run::from_sorted_rows(rows, key_cols).batches(BATCH);
         let stats_full = Stats::new_shared();
         let start = Instant::now();
         // Dedup kept identical (`offset == arity`); the boundary test differs.
-        let distinct = input.filter(|r| !r.code.is_duplicate());
-        let grouped = GroupFullCompare::new(
-            distinct,
+        let mut grouped = GroupFullCompare::new(
+            BatchDedup::new(input),
             group_len,
             vec![Aggregate::Count],
+            BATCH,
             Arc::clone(&stats_full),
         );
-        let groups_full: usize = grouped.count();
+        let groups_full: usize = std::iter::from_fn(|| grouped.next_batch())
+            .map(|b| b.len())
+            .sum();
         let t_full = start.elapsed();
 
         assert_eq!(groups_ovc, groups_full);

@@ -34,8 +34,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use ovc_core::batch::collect_batch_pairs;
 use ovc_core::derive::assert_codes_exact_spec;
-use ovc_core::{Ovc, OvcRow, Row, SortSpec, Stats, StatsSnapshot};
+use ovc_core::{Ovc, Row, RowBatches, SortSpec, Stats, StatsSnapshot};
 use ovc_exec::NULL_VALUE;
 use ovc_plan::exec::{execute, ExecOptions, Output};
 use ovc_plan::logical::Logical;
@@ -280,14 +281,17 @@ fn reference(node: &Logical, catalog: &Catalog) -> Vec<Row> {
         } => {
             let sorted =
                 ovc_baseline::sort_rows_plain(reference(input, catalog), *group_len, &stats);
-            let stream = sorted.into_iter().map(|r| OvcRow::new(r, Ovc::duplicate()));
-            ovc_baseline::GroupFullCompare::new(
-                stream,
+            let grouped = ovc_baseline::GroupFullCompare::new(
+                RowBatches::new(sorted, 64),
                 *group_len,
                 aggs.clone(),
+                64,
                 Arc::clone(&stats),
-            )
-            .collect()
+            );
+            collect_batch_pairs(grouped)
+                .into_iter()
+                .map(|(row, _)| row)
+                .collect()
         }
         Logical::Distinct { input } => {
             ovc_baseline::hash_aggregate_distinct(reference(input, catalog), usize::MAX, &stats)
@@ -425,7 +429,7 @@ fn batched_group_by_matches_reference_semantics() {
         .into_iter()
         .map(|(k, (c, s))| vec![k, c, s])
         .collect();
-    for dop in [1usize, 2, 4] {
+    for dop in [1usize, 2, 4, 8] {
         let cfg = PlannerConfig::default()
             .with_preference(Preference::ForceSortBased)
             .with_dop(dop)

@@ -41,7 +41,7 @@ fn exact(pairs: &[(Row, Ovc)], key_len: usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Parallel sort ≡ serial sort, rows and codes, threads ∈ {2, 4}.
+    /// Parallel sort ≡ serial sort, rows and codes, threads ∈ {1, 2, 4, 8}.
     #[test]
     fn parallel_sort_equals_serial(rows in rows_strategy(2, 400), mem in 16usize..96) {
         let serial = external_sort_collect(
@@ -49,7 +49,7 @@ proptest! {
             SortConfig::new(2, mem),
             &Stats::new_shared(),
         );
-        for threads in [2usize, 4] {
+        for threads in [1usize, 2, 4, 8] {
             let stats = Stats::new_shared();
             let par: Vec<OvcRow> =
                 parallel_sort(rows.clone(), 2, threads, mem, 64, &stats).collect();
@@ -218,7 +218,7 @@ proptest! {
     }
 
     /// The acceptance property: the Figure-5 query planned with dop ∈
-    /// {2, 4} executes to byte-identical rows and exact codes as the
+    /// {2, 4, 8} executes to byte-identical rows and exact codes as the
     /// dop=1 plan, with every elided sort still passing the trusted-
     /// stream audit.
     #[test]
@@ -240,7 +240,7 @@ proptest! {
         let pairs: Vec<(Row, Ovc)> =
             serial.iter().map(|r| (r.row.clone(), r.code)).collect();
         exact(&pairs, 1);
-        for dop in [2usize, 4] {
+        for dop in [2usize, 4, 8] {
             let parallel = run(base.with_dop(dop).with_parallel_threshold(1));
             prop_assert_eq!(&parallel, &serial, "dop={}", dop);
         }
@@ -402,9 +402,9 @@ fn planned_group_by_with_explicit_exchanges_matches_serial() {
 }
 
 /// The ISSUE 5 acceptance criterion, set-operation half: every planned
-/// `dop=4` set operation EXPLAINs with `Exchange -> hash(whole row) x4`
-/// under both inputs plus a gather, and answers byte-identically to the
-/// serial plan — all six operations.
+/// set operation at `dop` ∈ {4, 8} EXPLAINs with `Exchange -> hash(whole
+/// row) x dop` under both inputs plus a gather, and answers
+/// byte-identically to the serial plan — all six operations.
 #[test]
 fn planned_set_ops_with_explicit_exchanges_match_serial() {
     use ovc_core::Row;
@@ -438,17 +438,6 @@ fn planned_set_ops_with_explicit_exchanges_match_serial() {
         let serial_plan = Planner::new(&catalog, base).plan(&q).expect("plans");
         assert_eq!(serial_plan.count_op("Exchange"), 0, "{serial_plan}");
 
-        let par_cfg = base.with_dop(4).with_parallel_threshold(1);
-        let par_plan = Planner::new(&catalog, par_cfg).plan(&q).expect("plans");
-        assert_eq!(
-            par_plan.count_op("Exchange"),
-            3,
-            "two splits + one gather ({op:?}):\n{par_plan}"
-        );
-        let ex = par_plan.explain();
-        assert!(ex.contains("Exchange -> hash(c0,c1)x4"), "{ex}");
-        assert!(ex.contains("Exchange -> single"), "{ex}");
-
         let run = |plan: &ovc_plan::PhysicalPlan| -> Vec<OvcRow> {
             let stats = Stats::new_shared();
             execute(
@@ -463,8 +452,22 @@ fn planned_set_ops_with_explicit_exchanges_match_serial() {
             .into_coded()
         };
         let serial = run(&serial_plan);
-        let parallel = run(&par_plan);
-        assert_eq!(parallel, serial, "{op:?}: rows and codes");
+        for dop in [4usize, 8] {
+            let par_cfg = base.with_dop(dop).with_parallel_threshold(1);
+            let par_plan = Planner::new(&catalog, par_cfg).plan(&q).expect("plans");
+            assert_eq!(
+                par_plan.count_op("Exchange"),
+                3,
+                "two splits + one gather ({op:?}, dop {dop}):\n{par_plan}"
+            );
+            let ex = par_plan.explain();
+            assert!(
+                ex.contains(&format!("Exchange -> hash(c0,c1)x{dop}")),
+                "{ex}"
+            );
+            assert!(ex.contains("Exchange -> single"), "{ex}");
+            assert_eq!(run(&par_plan), serial, "{op:?} dop={dop}: rows and codes");
+        }
         let pairs: Vec<(Row, Ovc)> = serial.into_iter().map(|r| (r.row, r.code)).collect();
         exact(&pairs, 2);
     }
