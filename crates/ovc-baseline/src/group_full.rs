@@ -13,13 +13,18 @@ use std::sync::Arc;
 use ovc_core::{BatchStream, FlatRows, Ovc, SortSpec, Stats, StatsSnapshot, Value};
 use ovc_exec::Aggregate;
 
+/// The most rows [`GroupFullCompare`] writes into one output batch —
+/// the engine's default batch size, so a race against
+/// [`ovc_exec::GroupAggregate`] passes the same value to both.
+pub const OUTPUT_BATCH_ROWS: usize = 1024;
+
 /// In-stream grouping with column-by-column boundary detection.
 ///
 /// The output intentionally omits offset-value codes (this is the
 /// pre-OVC operator): it is an unordered stream under
 /// [`SortSpec::none`], every code a duplicate.  Output rows are the group
 /// key followed by one column per aggregate, in batches of at most
-/// `batch_size` rows.
+/// [`OUTPUT_BATCH_ROWS`] rows.
 pub struct GroupFullCompare<B> {
     input: B,
     /// The current input batch and the next row to read in it.
@@ -27,7 +32,6 @@ pub struct GroupFullCompare<B> {
     pos: usize,
     group_len: usize,
     aggregates: Vec<Aggregate>,
-    batch_size: usize,
     /// Whether a group is being accumulated into `row` (group key, then
     /// one accumulator per aggregate).
     pending: bool,
@@ -38,17 +42,8 @@ pub struct GroupFullCompare<B> {
 }
 
 impl<B: BatchStream> GroupFullCompare<B> {
-    /// Build the baseline operator over any sorted batch stream, emitting
-    /// batches of at most `batch_size` rows.  Panics if `batch_size` is
-    /// zero.
-    pub fn new(
-        input: B,
-        group_len: usize,
-        aggregates: Vec<Aggregate>,
-        batch_size: usize,
-        stats: Arc<Stats>,
-    ) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
+    /// Build the baseline operator over any sorted batch stream.
+    pub fn new(input: B, group_len: usize, aggregates: Vec<Aggregate>, stats: Arc<Stats>) -> Self {
         GroupFullCompare {
             input,
             batch: FlatRows::new(0),
@@ -56,7 +51,6 @@ impl<B: BatchStream> GroupFullCompare<B> {
             group_len,
             row: vec![0; group_len + aggregates.len()],
             aggregates,
-            batch_size,
             pending: false,
             stats,
         }
@@ -77,13 +71,14 @@ impl<B: BatchStream> GroupFullCompare<B> {
 
 impl<B: BatchStream> BatchStream for GroupFullCompare<B> {
     fn next_batch(&mut self) -> Option<FlatRows> {
-        let (g, batch_size) = (self.group_len, self.batch_size);
+        let g = self.group_len;
         let mut out: Option<FlatRows> = None;
         // Append a finished group; true once the output batch is full.
         let finish = |out: &mut Option<FlatRows>, row: &[Value]| {
-            let out = out.get_or_insert_with(|| FlatRows::with_capacity(row.len(), batch_size));
+            let out =
+                out.get_or_insert_with(|| FlatRows::with_capacity(row.len(), OUTPUT_BATCH_ROWS));
             out.push(row, Ovc::duplicate());
-            out.len() >= batch_size
+            out.len() >= OUTPUT_BATCH_ROWS
         };
         let mut counted = StatsSnapshot::default();
         loop {
@@ -128,62 +123,64 @@ impl<B: BatchStream> BatchStream for GroupFullCompare<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ovc_core::batch::collect_batch_pairs;
     use ovc_core::Row;
     use ovc_exec::GroupAggregate;
     use ovc_sort::Run;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Every output value of `stream`, batches concatenated.
-    fn values(mut stream: impl BatchStream) -> Vec<Value> {
-        std::iter::from_fn(|| stream.next_batch())
-            .flat_map(|b| b.values().to_vec())
+    /// The output rows of `stream`, without their codes.
+    fn rows(stream: impl BatchStream) -> Vec<Row> {
+        collect_batch_pairs(stream)
+            .into_iter()
+            .map(|(row, _)| row)
             .collect()
     }
 
     #[test]
     fn matches_ovc_grouping_output() {
+        // About 2000 groups: the output crosses a batch seam.
         let mut rng = StdRng::seed_from_u64(31);
-        let mut rows: Vec<Row> = (0..600)
+        let mut input: Vec<Row> = (0..6000)
             .map(|_| {
                 Row::new(vec![
-                    rng.gen_range(0..5u64),
-                    rng.gen_range(0..5u64),
+                    rng.gen_range(0..50u64),
+                    rng.gen_range(0..50u64),
                     rng.gen_range(0..50u64),
                 ])
             })
             .collect();
-        rows.sort();
-        let run = Run::from_sorted_rows(rows, 3);
+        input.sort();
+        let run = Run::from_sorted_rows(input, 3);
         let aggs = vec![Aggregate::Count, Aggregate::Sum(2)];
         let stats = Stats::new_shared();
-        let baseline = values(GroupFullCompare::new(
+        let baseline = rows(GroupFullCompare::new(
             run.clone().batches(7),
             2,
             aggs.clone(),
-            4,
             Arc::clone(&stats),
         ));
-        let ovc = values(GroupAggregate::new(run.batches(64), 2, aggs, 64, stats));
+        assert!(baseline.len() > OUTPUT_BATCH_ROWS);
+        let ovc = rows(GroupAggregate::new(run.batches(64), 2, aggs, 64, stats));
         assert_eq!(baseline, ovc);
     }
 
     #[test]
     fn baseline_pays_column_comparisons_where_ovc_pays_none() {
         let mut rng = StdRng::seed_from_u64(32);
-        let mut rows: Vec<Row> = (0..1000)
+        let mut input: Vec<Row> = (0..1000)
             .map(|_| Row::new(vec![rng.gen_range(0..3u64), rng.gen_range(0..3u64)]))
             .collect();
-        rows.sort();
+        input.sort();
         let stats = Stats::new_shared();
-        let groups = values(GroupFullCompare::new(
-            Run::from_sorted_rows(rows, 2).batches(64),
+        let groups = rows(GroupFullCompare::new(
+            Run::from_sorted_rows(input, 2).batches(64),
             2,
             vec![Aggregate::Count],
-            64,
             Arc::clone(&stats),
         ));
-        assert!(groups.len() <= 9 * 3, "at most 9 groups of 3 values");
+        assert!(groups.len() <= 9, "at most 9 groups");
         // 999 boundary tests, each comparing 1-2 columns.
         assert!(stats.col_value_cmps() >= 999);
         assert_eq!(stats.row_cmps(), 999);
@@ -196,7 +193,6 @@ mod tests {
             Run::from_sorted_rows(vec![], 2).batches(64),
             1,
             vec![Aggregate::Count],
-            64,
             stats,
         );
         assert!(g.next_batch().is_none());

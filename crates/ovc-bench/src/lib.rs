@@ -19,3 +19,12 @@
 
 pub mod snapshot;
 pub mod workload;
+
+use ovc_core::BatchStream;
+
+/// Drain a batch stream, counting its rows.
+pub fn count_rows(mut stream: impl BatchStream) -> usize {
+    std::iter::from_fn(|| stream.next_batch())
+        .map(|b| b.len())
+        .sum()
+}

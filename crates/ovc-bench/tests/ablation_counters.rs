@@ -13,8 +13,9 @@ use std::fmt::Write;
 use std::sync::Arc;
 
 use ovc_baseline::{external_sort_plain, GroupFullCompare};
+use ovc_bench::count_rows;
 use ovc_bench::workload::{grouped_sorted_table, intersect_tables, table, TableSpec};
-use ovc_core::{BatchStream, Stats};
+use ovc_core::Stats;
 use ovc_exec::{Aggregate, BatchDedup, GroupAggregate, JoinType, MergeJoin};
 use ovc_plan::figure5::{catalog_unsorted, run_intersect};
 use ovc_plan::{PlannerConfig, Preference};
@@ -22,13 +23,6 @@ use ovc_sort::{external_sort_collect, sort_rows_ovc, Run, SortConfig};
 
 /// The engine's default batch size.
 const BATCH: usize = 1024;
-
-/// Drain a batch stream, counting its rows.
-fn count_rows(mut stream: impl BatchStream) -> usize {
-    std::iter::from_fn(|| stream.next_batch())
-        .map(|b| b.len())
-        .sum()
-}
 
 fn render() -> Result<String, std::fmt::Error> {
     let mut out = String::new();
@@ -123,7 +117,6 @@ fn render() -> Result<String, std::fmt::Error> {
         run.batches(BATCH),
         2,
         vec![Aggregate::Count],
-        BATCH,
         Arc::clone(&s),
     ));
     writeln!(

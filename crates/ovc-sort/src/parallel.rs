@@ -31,13 +31,12 @@
 //! here changes the counters, not the process footprint; real
 //! out-of-core parallel spilling is a ROADMAP item.
 
-use std::ops::Range;
 use std::sync::Arc;
 use std::thread;
 
 use ovc_core::ctx::{self, ExecError};
 use ovc_core::fault;
-use ovc_core::{BatchStream, Row, RowBatches, SortSpec, Stats, StatsSnapshot};
+use ovc_core::{BatchStream, Row, RowBatches, SortSpec, Stats};
 
 use crate::external::SortOutput;
 use crate::merge::merge_runs_to_run_spec;
@@ -64,39 +63,14 @@ fn join_all<T>(workers: Vec<thread::ScopedJoinHandle<'_, T>>) -> (Vec<T>, Option
     (done, first_err)
 }
 
-/// Run `work` on one scoped thread per contiguous row range — `threads`
-/// (at most one per row) slices of `⌈rows / threads⌉` rows, one empty
-/// range for no rows — each with its own [`Stats`]: `Arc<Stats>` never
-/// crosses the thread boundary, only the snapshot does.  Returns every
-/// surviving worker's result and snapshot, and the first panic as a typed
-/// error once all have joined.
-fn on_workers<T: Send>(
-    rows: usize,
-    threads: usize,
-    work: impl Fn(Range<usize>, &Arc<Stats>) -> T + Sync,
-) -> (Vec<(T, StatsSnapshot)>, Option<ExecError>) {
-    let len = rows.div_ceil(threads.clamp(1, rows.max(1))).max(1);
-    let work = &work;
-    thread::scope(|scope| {
-        let workers: Vec<_> = (0..rows.max(1))
-            .step_by(len)
-            .map(|start| {
-                scope.spawn(move || {
-                    fault::maybe_panic();
-                    let local = Stats::new_shared();
-                    let out = work(start..(start + len).min(rows), &local);
-                    (out, local.snapshot())
-                })
-            })
-            .collect();
-        join_all(workers)
-    })
-}
-
 /// Generate initial runs with `threads` workers over contiguous row
-/// ranges of one resident flat buffer.  Each worker respects the
-/// per-worker `memory_rows` budget; per-thread comparison counts are
-/// merged into `stats`.  One thread sorts on the caller's.
+/// ranges of one resident flat buffer — `threads` (at most one per row)
+/// slices of `⌈rows / threads⌉` rows.  Each worker respects the
+/// per-worker `memory_rows` budget and counts into its own [`Stats`]:
+/// `Arc<Stats>` never crosses the thread boundary, only the snapshot
+/// does, merged into `stats` once every worker has joined.  The first
+/// worker panic is then propagated as a typed error.  One thread sorts
+/// on the caller's.
 fn parallel_runs(
     (rows, width, values): (usize, usize, Vec<u64>),
     spec: &SortSpec,
@@ -111,8 +85,22 @@ fn parallel_runs(
     if threads.clamp(1, rows.max(1)) <= 1 {
         return sort_windows(&values, width, 0..rows, memory_rows, spec, stats);
     }
-    let (results, failure) = on_workers(rows, threads, |range, local| {
-        sort_windows(&values, width, range, memory_rows, spec, local)
+    let len = rows.div_ceil(threads.clamp(1, rows));
+    let values = &values;
+    let (results, failure) = thread::scope(|scope| {
+        let workers: Vec<_> = (0..rows)
+            .step_by(len)
+            .map(|start| {
+                scope.spawn(move || {
+                    fault::maybe_panic();
+                    let local = Stats::new_shared();
+                    let range = start..(start + len).min(rows);
+                    let runs = sort_windows(values, width, range, memory_rows, spec, &local);
+                    (runs, local.snapshot())
+                })
+            })
+            .collect();
+        join_all(workers)
     });
     let mut runs = Vec::new();
     for (worker_runs, snapshot) in results {

@@ -60,7 +60,6 @@ fn main() {
             BatchDedup::new(input),
             group_len,
             vec![Aggregate::Count],
-            BATCH,
             Arc::clone(&stats_full),
         );
         let groups_full: usize = std::iter::from_fn(|| grouped.next_batch())

@@ -285,7 +285,6 @@ fn reference(node: &Logical, catalog: &Catalog) -> Vec<Row> {
                 RowBatches::new(sorted, 64),
                 *group_len,
                 aggs.clone(),
-                64,
                 Arc::clone(&stats),
             );
             collect_batch_pairs(grouped)
