@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use ovc_core::{BatchStream, FlatRows, Ovc, SortSpec, Stats, StatsSnapshot, Value};
+use ovc_core::{BatchStream, ExecError, FlatRows, Ovc, SortSpec, Stats, StatsSnapshot, Value};
 use ovc_exec::Aggregate;
 
 /// The most rows [`GroupFullCompare`] writes into one output batch —
@@ -70,7 +70,7 @@ impl<B: BatchStream> GroupFullCompare<B> {
 }
 
 impl<B: BatchStream> BatchStream for GroupFullCompare<B> {
-    fn next_batch(&mut self) -> Option<FlatRows> {
+    fn next_batch(&mut self) -> Result<Option<FlatRows>, ExecError> {
         let g = self.group_len;
         let mut out: Option<FlatRows> = None;
         // Append a finished group; true once the output batch is full.
@@ -83,13 +83,13 @@ impl<B: BatchStream> BatchStream for GroupFullCompare<B> {
         let mut counted = StatsSnapshot::default();
         loop {
             if self.pos >= self.batch.len() {
-                let Some(batch) = self.input.next_batch() else {
+                let Some(batch) = self.input.next_batch()? else {
                     // Input exhausted: flush the final group, if any.
                     if std::mem::take(&mut self.pending) {
                         finish(&mut out, &self.row);
                     }
                     self.stats.absorb(&counted);
-                    return out;
+                    return Ok(out);
                 };
                 self.batch = batch;
                 self.pos = 0;
@@ -110,7 +110,7 @@ impl<B: BatchStream> BatchStream for GroupFullCompare<B> {
             }
             if full {
                 self.stats.absorb(&counted);
-                return out;
+                return Ok(out);
             }
         }
     }
@@ -195,6 +195,6 @@ mod tests {
             vec![Aggregate::Count],
             stats,
         );
-        assert!(g.next_batch().is_none());
+        assert!(g.next_batch().unwrap().is_none());
     }
 }

@@ -157,7 +157,7 @@ fn table_3() {
     let keep_row = |row: &[Value]| keep.iter().any(|k| k.cols() == row);
     let mut filter = BatchFilter::new(input, keep_row, Stats::new_shared());
     println!("{:<18} {:>9} {:>8}", "rows", "a-offs", "asc OVC");
-    while let Some(batch) = filter.next_batch() {
+    while let Some(batch) = filter.next_batch().expect("a resident run cannot fail") {
         for (row, code) in batch.iter() {
             println!(
                 "{:<18} {:>9} {:>8}",

@@ -22,9 +22,10 @@ pub mod workload;
 
 use ovc_core::BatchStream;
 
-/// Drain a batch stream, counting its rows.
+/// Drain a batch stream, counting its rows.  Panics with the error's
+/// message if the stream fails.
 pub fn count_rows(mut stream: impl BatchStream) -> usize {
-    std::iter::from_fn(|| stream.next_batch())
+    std::iter::from_fn(|| stream.next_batch().unwrap_or_else(|err| panic!("{err}")))
         .map(|b| b.len())
         .sum()
 }

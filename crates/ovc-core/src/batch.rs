@@ -30,6 +30,7 @@
 
 use std::borrow::Borrow;
 
+use crate::ctx::ExecError;
 use crate::derive::find_code_violation_slices;
 use crate::flat::FlatRows;
 use crate::ovc::Ovc;
@@ -45,10 +46,15 @@ use crate::spec::SortSpec;
 /// an upper bound chosen by the producer: operators may emit shorter
 /// batches (a filter that dropped rows, a flush at end of input), and a
 /// batch is never empty.
+///
+/// A failure (cancellation, a deadline, a spill fault, a dead exchange
+/// producer) is returned as an [`ExecError`] value; an operator hands
+/// its input's error on with `?`.  After an `Err` the stream is done:
+/// callers do not pull it again.
 pub trait BatchStream {
-    /// The next batch, or `None` at end of stream.  Yielded batches are
-    /// non-empty.
-    fn next_batch(&mut self) -> Option<FlatRows>;
+    /// The next batch, `Ok(None)` at end of stream, or the error that
+    /// ended it.  Yielded batches are non-empty.
+    fn next_batch(&mut self) -> Result<Option<FlatRows>, ExecError>;
 
     /// The ordering contract the concatenated rows and codes follow.
     fn sort_spec(&self) -> SortSpec;
@@ -60,7 +66,7 @@ pub trait BatchStream {
 }
 
 impl<B: BatchStream + ?Sized> BatchStream for Box<B> {
-    fn next_batch(&mut self) -> Option<FlatRows> {
+    fn next_batch(&mut self) -> Result<Option<FlatRows>, ExecError> {
         (**self).next_batch()
     }
     fn sort_spec(&self) -> SortSpec {
@@ -99,15 +105,15 @@ impl<F: Borrow<FlatRows>> FlatBatches<F> {
 }
 
 impl<F: Borrow<FlatRows>> BatchStream for FlatBatches<F> {
-    fn next_batch(&mut self) -> Option<FlatRows> {
+    fn next_batch(&mut self) -> Result<Option<FlatRows>, ExecError> {
         let flat = self.flat.borrow();
         if self.pos >= flat.len() {
-            return None;
+            return Ok(None);
         }
         let end = (self.pos + self.batch_size).min(flat.len());
         let out = flat.slice(self.pos..end);
         self.pos = end;
-        Some(out)
+        Ok(Some(out))
     }
     fn sort_spec(&self) -> SortSpec {
         self.spec.clone()
@@ -140,8 +146,8 @@ impl VecBatchStream {
 }
 
 impl BatchStream for VecBatchStream {
-    fn next_batch(&mut self) -> Option<FlatRows> {
-        self.batches.next()
+    fn next_batch(&mut self) -> Result<Option<FlatRows>, ExecError> {
+        Ok(self.batches.next())
     }
     fn sort_spec(&self) -> SortSpec {
         self.spec.clone()
@@ -169,17 +175,18 @@ impl<I: Iterator<Item = Row>> RowBatches<I> {
 }
 
 impl<I: Iterator<Item = Row>> BatchStream for RowBatches<I> {
-    fn next_batch(&mut self) -> Option<FlatRows> {
-        let first = self.rows.next()?;
-        let width = first.width();
-        let room = self.rows.size_hint().0.saturating_add(1);
-        let mut batch = FlatRows::with_capacity(width, room.min(self.batch_size));
-        let rest = self.rows.by_ref().take(self.batch_size - 1);
-        for row in std::iter::once(first).chain(rest) {
-            assert_eq!(row.width(), width, "batch streams require uniform rows");
-            batch.push(row.cols(), Ovc::duplicate());
-        }
-        Some(batch)
+    fn next_batch(&mut self) -> Result<Option<FlatRows>, ExecError> {
+        Ok(self.rows.next().map(|first| {
+            let width = first.width();
+            let room = self.rows.size_hint().0.saturating_add(1);
+            let mut batch = FlatRows::with_capacity(width, room.min(self.batch_size));
+            let rest = self.rows.by_ref().take(self.batch_size - 1);
+            for row in std::iter::once(first).chain(rest) {
+                assert_eq!(row.width(), width, "batch streams require uniform rows");
+                batch.push(row.cols(), Ovc::duplicate());
+            }
+            batch
+        }))
     }
     fn sort_spec(&self) -> SortSpec {
         SortSpec::none()
@@ -222,9 +229,10 @@ pub fn repair_head(flat: &mut FlatRows, spec: &SortSpec) {
 }
 
 /// Drain a batch stream into `(Row, Ovc)` pairs (test convenience).
+/// Panics with the error's message if the stream fails.
 pub fn collect_batch_pairs<B: BatchStream>(mut stream: B) -> Vec<(Row, crate::Ovc)> {
     let mut pairs = Vec::new();
-    while let Some(batch) = stream.next_batch() {
+    while let Some(batch) = stream.next_batch().unwrap_or_else(|err| panic!("{err}")) {
         pairs.extend(
             batch
                 .iter()
@@ -249,7 +257,7 @@ mod tests {
     }
 
     fn drain(mut stream: impl BatchStream) -> Vec<FlatRows> {
-        std::iter::from_fn(|| stream.next_batch()).collect()
+        std::iter::from_fn(|| stream.next_batch().unwrap()).collect()
     }
 
     fn table1_stream() -> VecStream {
@@ -278,14 +286,14 @@ mod tests {
     fn boxed_batch_streams_forward_the_contract() {
         let mut boxed: Box<dyn BatchStream> = Box::new(cut(table1_stream(), 3));
         assert_eq!(boxed.key_len(), 4);
-        let first = boxed.next_batch().expect("first batch");
+        let first = boxed.next_batch().unwrap().expect("first batch");
         assert_eq!(first.len(), 3);
     }
 
     #[test]
     fn empty_stream_yields_no_batches() {
         let mut b = cut(VecStream::from_sorted_rows(vec![], 2), 8);
-        assert!(b.next_batch().is_none());
+        assert!(b.next_batch().unwrap().is_none());
         // Empty batches handed to the wrapper are dropped, not yielded.
         let hollow = VecBatchStream::new(vec![FlatRows::new(2)], SortSpec::asc(2));
         assert_eq!(collect_batch_pairs(hollow).len(), 0);
@@ -304,7 +312,7 @@ mod tests {
     fn repair_head_makes_a_mid_stream_batch_standalone() {
         let mut stream = cut(table1_stream(), 3);
         let _ = stream.next_batch();
-        let mut mid = stream.next_batch().expect("second batch");
+        let mut mid = stream.next_batch().unwrap().expect("second batch");
         repair_head(&mut mid, &SortSpec::asc(4));
         // The standalone contract (first code relative to −∞) now holds.
         let _ = crate::CodedBatch::from_flat(mid, SortSpec::asc(4));
@@ -373,8 +381,8 @@ mod tests {
             Row::new(vec![2]),
         ];
         let mut b = cut(VecStream::from_sorted_rows(rows, 1), 2);
-        let first = b.next_batch().unwrap();
-        let second = b.next_batch().unwrap();
+        let first = b.next_batch().unwrap().unwrap();
+        let second = b.next_batch().unwrap().unwrap();
         assert!(first.code(1).is_duplicate());
         assert!(second.code(0).is_duplicate(), "the seam code stays exact");
         assert_eq!(second.code(1), Ovc::new(0, 2, 1));

@@ -12,16 +12,14 @@
 //!   cancellation token, an optional deadline, and an optional spill
 //!   budget.  Executors thread it through their operators and call
 //!   [`QueryCtx::check`] at batch and run boundaries; a tripped check
-//!   surfaces as an [`ExecError`].
-//! * [`ExecError`] + [`contain`] / [`propagate`] — typed error
-//!   propagation through iterator-shaped operators.  Operators cannot
-//!   return `Result` from `Iterator::next`, so a typed error travels as
-//!   a panic payload ([`propagate`] calls `std::panic::panic_any`) and
-//!   is caught exactly once at an execution boundary by [`contain`],
-//!   which maps the payload back to the original [`ExecError`].  A
-//!   *plain* panic (a bug, or an injected fault) caught at the same
-//!   boundary becomes [`ExecError::WorkerPanic`] — contained, never
-//!   process-fatal.
+//!   returns an [`ExecError`].
+//! * [`ExecError`] — the one error value.  Errors travel as values:
+//!   `BatchStream::next_batch`, the sorts and the spill devices return
+//!   `Result`, and each operator hands its input's error on with `?`.
+//!   Only a *plain* panic (a bug, or an injected fault) still unwinds;
+//!   [`contain`] (at a worker spawn or an execution entry point) and
+//!   [`join_all`] (when scoped workers join) turn it into
+//!   [`ExecError::WorkerPanic`] — contained, never process-fatal.
 //!
 //! Checks are engineered to be cheap enough for hot paths: cancellation
 //! is one relaxed atomic load, and the deadline comparison is only
@@ -32,6 +30,7 @@ use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
 /// Typed execution failure.  Every fault the engine tolerates — user
@@ -129,40 +128,44 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// Raise a typed error out of iterator-shaped code.  The payload unwinds
-/// until the nearest [`contain`] boundary maps it back to the original
-/// [`ExecError`]; it never reaches the user as a raw panic.
-pub fn propagate(err: ExecError) -> ! {
-    panic::panic_any(err)
-}
-
-/// Run `f`, containing any unwind and mapping it to a typed
-/// [`ExecError`]: payloads raised by [`propagate`] come back verbatim,
-/// everything else (a genuine bug, an injected `panic!`) becomes
-/// [`ExecError::WorkerPanic`] with the panic message as detail.
+/// Run `f`, containing any unwind: a panic (a genuine bug, an injected
+/// `panic!`) becomes [`ExecError::WorkerPanic`] with the panic message
+/// as detail.
 pub fn contain<R>(f: impl FnOnce() -> R) -> Result<R, ExecError> {
-    match panic::catch_unwind(AssertUnwindSafe(f)) {
-        Ok(v) => Ok(v),
-        Err(payload) => Err(error_from_panic(payload)),
-    }
+    panic::catch_unwind(AssertUnwindSafe(f)).map_err(error_from_panic)
 }
 
-/// Map a caught panic payload (from `catch_unwind` or a `JoinHandle`
-/// error) to a typed [`ExecError`].
-pub fn error_from_panic(payload: Box<dyn Any + Send>) -> ExecError {
-    match payload.downcast::<ExecError>() {
-        Ok(err) => *err,
-        Err(payload) => {
-            let detail = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "worker panicked with a non-string payload".to_string()
-            };
-            ExecError::WorkerPanic { detail }
+/// Join every scoped worker, collecting what the successful ones
+/// returned and the **first** failure — a worker's own `Err`, or its
+/// panic as [`ExecError::WorkerPanic`].  Every handle joins before the
+/// failure is reported, so no thread outlives a failing query and the
+/// caller can still absorb the survivors' work.
+pub fn join_all<T>(
+    handles: Vec<ScopedJoinHandle<'_, Result<T, ExecError>>>,
+) -> (Vec<T>, Option<ExecError>) {
+    let mut done = Vec::with_capacity(handles.len());
+    let mut failure = None;
+    for handle in handles {
+        match handle.join().map_err(error_from_panic).and_then(|r| r) {
+            Ok(value) => done.push(value),
+            Err(err) => {
+                failure.get_or_insert(err);
+            }
         }
     }
+    (done, failure)
+}
+
+/// Map a caught panic payload to [`ExecError::WorkerPanic`].
+fn error_from_panic(payload: Box<dyn Any + Send>) -> ExecError {
+    let detail = if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "worker panicked with a non-string payload".to_string()
+    };
+    ExecError::WorkerPanic { detail }
 }
 
 #[derive(Debug)]
@@ -229,21 +232,10 @@ impl QueryCtx {
         self.inner.cancelled.store(true, Ordering::Relaxed);
     }
 
-    /// Whether [`QueryCtx::cancel`] has been called.
-    pub fn is_cancelled(&self) -> bool {
-        // ovc-lint: allow(relaxed-ordering-audit) -- monotonic flag read on the per-row hot path; staleness only delays cancellation by one check
-        self.inner.cancelled.load(Ordering::Relaxed)
-    }
-
-    /// The time budget this context was built with, if any.
-    pub fn time_budget(&self) -> Option<Duration> {
-        self.inner.budget
-    }
-
     /// Check cancellation and deadline.  One relaxed atomic load on the
     /// happy path; the clock is only consulted when a deadline exists.
     pub fn check(&self) -> Result<(), ExecError> {
-        // ovc-lint: allow(relaxed-ordering-audit) -- see is_cancelled: hot-path flag read, staleness delays the typed error by one check
+        // ovc-lint: allow(relaxed-ordering-audit) -- monotonic flag read on the per-batch hot path; staleness delays the typed error by one check
         if self.inner.cancelled.load(Ordering::Relaxed) {
             return Err(ExecError::Cancelled);
         }
@@ -255,14 +247,6 @@ impl QueryCtx {
             }
         }
         Ok(())
-    }
-
-    /// [`QueryCtx::check`], raising through [`propagate`] on failure —
-    /// for iterator-shaped code that cannot return `Result`.
-    pub fn check_or_propagate(&self) {
-        if let Err(err) = self.check() {
-            propagate(err);
-        }
     }
 
     /// Charge `bytes` of spill volume against the budget (if one is
@@ -331,14 +315,27 @@ mod tests {
     }
 
     #[test]
-    fn contain_maps_typed_payloads_and_plain_panics() {
-        let typed = contain(|| propagate(ExecError::Cancelled));
-        assert_eq!(typed, Err(ExecError::Cancelled));
+    fn contain_maps_plain_panics_to_worker_panic() {
         let plain = contain(|| panic!("boom {}", 7));
         match plain {
             Err(ExecError::WorkerPanic { detail }) => assert_eq!(detail, "boom 7"),
             other => panic!("expected worker panic, got {other:?}"),
         }
         assert_eq!(contain(|| 42), Ok(42));
+    }
+
+    #[test]
+    fn join_all_joins_every_worker_and_keeps_the_first_failure() {
+        let (done, failure) = std::thread::scope(|scope| {
+            let handles = vec![
+                scope.spawn(|| Ok(1)),
+                scope.spawn(|| Err(ExecError::Cancelled)),
+                scope.spawn(|| panic!("late")),
+                scope.spawn(|| Ok(4)),
+            ];
+            join_all(handles)
+        });
+        assert_eq!(done, [1, 4]);
+        assert_eq!(failure, Some(ExecError::Cancelled));
     }
 }

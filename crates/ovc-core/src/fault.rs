@@ -45,7 +45,7 @@ pub enum FaultPoint {
     SpillCorrupt,
     /// A parallel worker (exchange producer, partition worker, merge
     /// feeder) is starting — firing panics the worker, exercising panic
-    /// containment and poison-frame propagation.
+    /// containment and the `Err` item that carries it down the channel.
     WorkerPanic,
     /// An exchange consumer — or, under a `QueryCtx`, any operator
     /// boundary of the executor — is about to receive a batch: firing
@@ -232,9 +232,8 @@ pub fn should_fire(point: FaultPoint) -> bool {
     fire
 }
 
-/// Probe [`FaultPoint::WorkerPanic`]; fires as a *plain* `panic!` (not a
-/// typed payload) so containment of arbitrary panics is what gets
-/// exercised.
+/// Probe [`FaultPoint::WorkerPanic`]; fires as a plain `panic!`, so
+/// containment of arbitrary panics is what gets exercised.
 pub fn maybe_panic() {
     if should_fire(FaultPoint::WorkerPanic) {
         panic!("injected fault: worker panic");

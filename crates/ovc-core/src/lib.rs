@@ -18,7 +18,7 @@
 //! * [`mod@derive`] — reference derivation/validation of exact codes;
 //! * [`ctx`] — per-query execution context ([`ctx::QueryCtx`]:
 //!   cancellation, deadlines, spill budgets) and the typed
-//!   [`ctx::ExecError`] with panic-contained propagation;
+//!   [`ctx::ExecError`] every failure is returned as;
 //! * [`fault`] — the deterministic, seeded fault-injection registry
 //!   (zero-cost when disabled) behind the fault-tolerance test suite;
 //! * [`flat`] — [`flat::FlatRows`]: contiguous struct-of-arrays storage for

@@ -9,8 +9,9 @@
 //! standalone lift ([`ovc_core::batch::repair_head`]).
 //!
 //! The exchange's splitting side is [`route_batches`]; its channels carry
-//! [`BatchFrame`]s, received as a [`BatchChannelStream`].  The gathering
-//! side is `ovc_sort::merge_batch_streams` over those streams.
+//! `Result<FlatRows, ExecError>` items, received as a
+//! [`BatchChannelStream`].  The gathering side is
+//! `ovc_sort::merge_batch_streams` over those streams.
 //! [`route_batches`]'s per-partition accumulators are uncounted, as are
 //! top-k, projection, clamping and dedup; the filter counts one code
 //! operation per *input* row.
@@ -19,7 +20,7 @@ use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ovc_core::ctx::{self, ExecError};
+use ovc_core::ctx::ExecError;
 use ovc_core::fault;
 use ovc_core::theorem::OvcAccumulator;
 use ovc_core::{BatchStream, ChannelGauge, FlatRows, SortSpec, Value};
@@ -30,26 +31,18 @@ use ovc_core::{BatchStream, ChannelGauge, FlatRows, SortSpec, Value};
 /// `DEFAULT_CHANNEL_CAPACITY.div_ceil(batch)` messages.
 pub const DEFAULT_CHANNEL_CAPACITY: usize = 1024;
 
-/// What flows over a batched exchange channel: a flat batch, or — as the
-/// producer's last word before it exits — a **poison frame** carrying the
-/// typed error that killed it (DESIGN.md §14).  A channel that closes
-/// without poison is a clean end-of-stream.
-pub enum BatchFrame {
-    /// A flat batch of coded rows.
-    Batch(FlatRows),
-    /// The producer died: re-raise this typed error on the consumer.
-    Poison(ExecError),
-}
-
 /// The receiving end of a batched exchange channel: a [`BatchStream`]
-/// over a bounded (or unbounded) channel of [`BatchFrame`]s.
+/// over a bounded (or unbounded) channel whose items are flat batches
+/// or — as the producer's last word before it exits — the `Err` that
+/// killed it (DESIGN.md §14).  That error is what the consumer's
+/// `next_batch` returns; a channel that closes without one is a clean
+/// end of stream.
 ///
 /// With a gauge attached, every `recv` is timed and the *rows* (not just
 /// messages) crossing the channel are counted —
-/// [`ChannelGauge::note_recv_rows`].  A poison frame re-raises the
-/// producer's typed error on the consuming thread ([`ctx::propagate`]).
+/// [`ChannelGauge::note_recv_rows`].
 pub struct BatchChannelStream {
-    rx: Receiver<BatchFrame>,
+    rx: Receiver<Result<FlatRows, ExecError>>,
     spec: SortSpec,
     gauge: Option<Arc<ChannelGauge>>,
 }
@@ -57,34 +50,32 @@ pub struct BatchChannelStream {
 impl BatchChannelStream {
     /// Wrap a channel receiver as a coded batch stream with the given
     /// ordering contract.
-    pub fn new(rx: Receiver<BatchFrame>, spec: SortSpec, gauge: Option<Arc<ChannelGauge>>) -> Self {
+    pub fn new(
+        rx: Receiver<Result<FlatRows, ExecError>>,
+        spec: SortSpec,
+        gauge: Option<Arc<ChannelGauge>>,
+    ) -> Self {
         BatchChannelStream { rx, spec, gauge }
     }
 }
 
 impl BatchStream for BatchChannelStream {
-    fn next_batch(&mut self) -> Option<FlatRows> {
+    fn next_batch(&mut self) -> Result<Option<FlatRows>, ExecError> {
         fault::maybe_slow_consumer();
-        let frame = match &self.gauge {
+        let item = match &self.gauge {
             None => self.rx.recv().ok(),
             Some(g) => {
                 let t0 = Instant::now();
                 let got = self.rx.recv().ok();
-                g.note_recv_rows(
-                    t0.elapsed(),
-                    match &got {
-                        Some(BatchFrame::Batch(b)) => Some(b.len() as u64),
-                        _ => None,
-                    },
-                );
+                let rows = match &got {
+                    Some(Ok(b)) => Some(b.len() as u64),
+                    _ => None,
+                };
+                g.note_recv_rows(t0.elapsed(), rows);
                 got
             }
         };
-        match frame {
-            Some(BatchFrame::Batch(b)) => Some(b),
-            Some(BatchFrame::Poison(err)) => ctx::propagate(err),
-            None => None,
-        }
+        item.transpose()
     }
     fn sort_spec(&self) -> SortSpec {
         self.spec.clone()
@@ -108,14 +99,15 @@ impl BatchStream for BatchChannelStream {
 /// A `false` return from `send` closes that partition (its consumer is
 /// gone); the others keep flowing.  Once every partition has closed, no
 /// further input is pulled.  Any partial batches are flushed when the
-/// input is exhausted.
+/// input is exhausted; an input error is returned unflushed.
 pub fn route_batches<B, P>(
     mut input: B,
     parts: usize,
     mut part: P,
     batch_size: usize,
     mut send: impl FnMut(usize, FlatRows) -> bool,
-) where
+) -> Result<(), ExecError>
+where
     B: BatchStream,
     P: FnMut(&[Value]) -> usize,
 {
@@ -125,7 +117,7 @@ pub fn route_batches<B, P>(
     let mut open = vec![true; parts];
     let mut live = parts;
     let mut pending: Vec<FlatRows> = Vec::new();
-    while let Some(batch) = input.next_batch() {
+    while let Some(batch) = input.next_batch()? {
         let width = batch.width();
         if pending.is_empty() {
             pending = (0..parts)
@@ -152,7 +144,7 @@ pub fn route_batches<B, P>(
                     live -= 1;
                     if live == 0 {
                         // Every consumer is gone: stop draining.
-                        return;
+                        return Ok(());
                     }
                 }
             }
@@ -163,6 +155,7 @@ pub fn route_batches<B, P>(
             let _ = send(p, buf);
         }
     }
+    Ok(())
 }
 
 /// Batched top-k: pass batches through until `k` rows have flowed, then
@@ -181,18 +174,20 @@ impl<B: BatchStream> BatchTake<B> {
 }
 
 impl<B: BatchStream> BatchStream for BatchTake<B> {
-    fn next_batch(&mut self) -> Option<FlatRows> {
+    fn next_batch(&mut self) -> Result<Option<FlatRows>, ExecError> {
         if self.left == 0 {
-            return None;
+            return Ok(None);
         }
-        let mut batch = self.input.next_batch()?;
+        let Some(mut batch) = self.input.next_batch()? else {
+            return Ok(None);
+        };
         if batch.len() >= self.left {
             batch.truncate(self.left);
             self.left = 0;
         } else {
             self.left -= batch.len();
         }
-        Some(batch)
+        Ok(Some(batch))
     }
     fn sort_spec(&self) -> SortSpec {
         self.input.sort_spec()
@@ -342,7 +337,8 @@ mod tests {
                     got[p].extend(batch.iter().map(|(r, c)| (Row::from_slice(r), c)));
                     true
                 },
-            );
+            )
+            .unwrap();
             assert!(max_seen <= batch_size);
             let route = by_cols_hash(vec![0, 2], parts);
             assert_split_exact(&rows, &got, route, &SortSpec::asc(3));
@@ -359,7 +355,7 @@ mod tests {
             pulls: &'a std::cell::Cell<usize>,
         }
         impl<B: BatchStream> BatchStream for Counting<'_, B> {
-            fn next_batch(&mut self) -> Option<FlatRows> {
+            fn next_batch(&mut self) -> Result<Option<FlatRows>, ExecError> {
                 self.pulls.set(self.pulls.get() + 1);
                 self.inner.next_batch()
             }
@@ -377,7 +373,8 @@ mod tests {
             route_batches(input, parts, by_cols_hash(vec![0, 1], parts), 10, |_, _| {
                 pulls_at_close = pulls.get();
                 false
-            });
+            })
+            .unwrap();
             assert!(pulls_at_close > 0, "parts={parts}: every partition sent");
             assert!(
                 pulls.get() <= pulls_at_close + 1,
@@ -425,7 +422,8 @@ mod tests {
                 got[p].extend(batch.iter().map(|(r, c)| (Row::from_slice(r), c)));
                 true
             },
-        );
+        )
+        .unwrap();
         assert!(got[1].is_empty());
         for p in [0, 2] {
             assert!(!got[p].is_empty());
@@ -439,8 +437,8 @@ mod tests {
         let rows = sorted_rows(50, 18, 2, 9);
         let expect = collect_pairs(VecStream::from_sorted_rows(rows.clone(), 2));
         let mut batcher = batched(rows, 2, 8);
-        while let Some(b) = batcher.next_batch() {
-            tx.send(BatchFrame::Batch(b)).unwrap();
+        while let Some(b) = batcher.next_batch().unwrap() {
+            tx.send(Ok(b)).unwrap();
         }
         drop(tx);
         let stream = BatchChannelStream::new(rx, SortSpec::asc(2), None);
@@ -453,19 +451,23 @@ mod tests {
         let (tx, rx) = std::sync::mpsc::channel();
         let rows = sorted_rows(20, 20, 2, 9);
         let mut batcher = batched(rows, 2, 8);
-        let first = batcher.next_batch().unwrap();
-        tx.send(BatchFrame::Batch(first)).unwrap();
-        tx.send(BatchFrame::Poison(ExecError::WorkerPanic {
+        let first = batcher.next_batch().unwrap().unwrap();
+        tx.send(Ok(first)).unwrap();
+        let died = ExecError::WorkerPanic {
             detail: "producer died".into(),
-        }))
-        .unwrap();
+        };
+        tx.send(Err(died.clone())).unwrap();
         drop(tx);
         let mut stream = BatchChannelStream::new(rx, SortSpec::asc(2), None);
-        assert!(stream.next_batch().is_some(), "clean batch before poison");
-        match ctx::contain(|| stream.next_batch()) {
-            Err(err) => assert_eq!(err.reason(), "worker_panic"),
-            Ok(_) => panic!("poison frame must re-raise the producer's error"),
-        }
+        assert!(
+            matches!(stream.next_batch(), Ok(Some(_))),
+            "clean batch before poison"
+        );
+        assert_eq!(
+            stream.next_batch().map(|_| ()),
+            Err(died),
+            "the producer's error"
+        );
     }
 
     #[test]

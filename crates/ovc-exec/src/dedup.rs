@@ -15,7 +15,7 @@
 //! The "single copy with counter" of Section 4.7 is a
 //! [`crate::group::GroupAggregate`] over the whole row with a `Count`.
 
-use ovc_core::{BatchStream, FlatRows, SortSpec};
+use ovc_core::{BatchStream, ExecError, FlatRows, SortSpec};
 
 /// Duplicate removal over the full sort key, batch at a time.  A
 /// duplicate-coded first row of a batch is relative to the previous
@@ -33,17 +33,17 @@ impl<B: BatchStream> BatchDedup<B> {
 }
 
 impl<B: BatchStream> BatchStream for BatchDedup<B> {
-    fn next_batch(&mut self) -> Option<FlatRows> {
-        loop {
-            let batch = self.input.next_batch()?;
+    fn next_batch(&mut self) -> Result<Option<FlatRows>, ExecError> {
+        while let Some(batch) = self.input.next_batch()? {
             if batch.codes().iter().all(|c| !c.is_duplicate()) {
-                return Some(batch); // duplicate-free: no copy needed
+                return Ok(Some(batch)); // duplicate-free: no copy needed
             }
             let kept = batch.retain_indices(|_, c| !c.is_duplicate());
             if !kept.is_empty() {
-                return Some(kept);
+                return Ok(Some(kept));
             }
         }
+        Ok(None)
     }
     fn sort_spec(&self) -> SortSpec {
         self.input.sort_spec()
@@ -134,10 +134,10 @@ mod tests {
     #[test]
     fn empty_input() {
         let mut dedup = BatchDedup::new(batches(vec![], 2));
-        assert!(dedup.next_batch().is_none());
+        assert!(dedup.next_batch().unwrap().is_none());
         let aggs = vec![crate::Aggregate::Count];
         let mut counted =
             crate::GroupAggregate::new(batches(vec![], 2), 2, aggs, 4, Stats::new_shared());
-        assert!(counted.next_batch().is_none());
+        assert!(counted.next_batch().unwrap().is_none());
     }
 }

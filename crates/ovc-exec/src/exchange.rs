@@ -79,7 +79,8 @@ mod tests {
         route_batches(input.batches(7), parts, route, 7, |p, batch| {
             out[p].push(batch);
             true
-        });
+        })
+        .unwrap();
         out
     }
 
@@ -96,7 +97,9 @@ mod tests {
             .into_iter()
             .map(|b| Box::new(VecBatchStream::new(b, spec.clone())) as Box<dyn BatchStream + Send>)
             .collect();
-        merge_batch_streams(streams, spec, &Stats::new_shared()).into_run()
+        merge_batch_streams(streams, spec, &Stats::new_shared())
+            .unwrap()
+            .into_run()
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use ovc_core::theorem::OvcAccumulator;
-use ovc_core::{BatchStream, FlatRows, SortSpec, Stats, Value};
+use ovc_core::{BatchStream, ExecError, FlatRows, SortSpec, Stats, Value};
 
 /// A predicate filter over flat batches of coded rows.
 ///
@@ -49,9 +49,8 @@ impl<B: BatchStream, P: FnMut(&[Value]) -> bool> BatchFilter<B, P> {
 }
 
 impl<B: BatchStream, P: FnMut(&[Value]) -> bool> BatchStream for BatchFilter<B, P> {
-    fn next_batch(&mut self) -> Option<FlatRows> {
-        loop {
-            let batch = self.input.next_batch()?;
+    fn next_batch(&mut self) -> Result<Option<FlatRows>, ExecError> {
+        while let Some(batch) = self.input.next_batch()? {
             if self.ordered {
                 self.stats.count_ovc_cmps(batch.len() as u64);
             }
@@ -67,9 +66,10 @@ impl<B: BatchStream, P: FnMut(&[Value]) -> bool> BatchStream for BatchFilter<B, 
                 }
             }
             if !out.is_empty() {
-                return Some(out);
+                return Ok(Some(out));
             }
         }
+        Ok(None)
     }
     fn sort_spec(&self) -> SortSpec {
         self.input.sort_spec()
@@ -146,7 +146,7 @@ mod tests {
     #[test]
     fn drop_all_is_empty() {
         let mut filter = BatchFilter::new(table1(3), |_: &[Value]| false, Stats::new_shared());
-        assert!(filter.next_batch().is_none());
+        assert!(filter.next_batch().unwrap().is_none());
     }
 
     #[test]

@@ -17,7 +17,9 @@
 use std::sync::Arc;
 
 use ovc_core::theorem::clamp_to_prefix;
-use ovc_core::{BatchStream, FlatRows, Ovc, OvcRow, OvcStream, Row, SortSpec, Stats, Value};
+use ovc_core::{
+    BatchStream, ExecError, FlatRows, Ovc, OvcRow, OvcStream, Row, SortSpec, Stats, Value,
+};
 
 /// An aggregate function over a group of rows.
 ///
@@ -151,7 +153,7 @@ impl<B: BatchStream> GroupAggregate<B> {
 }
 
 impl<B: BatchStream> BatchStream for GroupAggregate<B> {
-    fn next_batch(&mut self) -> Option<FlatRows> {
+    fn next_batch(&mut self) -> Result<Option<FlatRows>, ExecError> {
         let (g, in_key_len, batch_size) = (self.group_len, self.in_key_len, self.batch_size);
         let mut out: Option<FlatRows> = None;
         // Append a finished group; true once the output batch is full.
@@ -160,17 +162,17 @@ impl<B: BatchStream> BatchStream for GroupAggregate<B> {
             out.push(row, clamp_to_prefix(code, in_key_len, g));
             out.len() >= batch_size
         };
-        // Rows tested in this call, published before every return.
+        // Rows tested in this call, published before every `Ok` return.
         let mut tested = 0u64;
         loop {
             if self.pos >= self.batch.len() {
-                let Some(batch) = self.input.next_batch() else {
+                let Some(batch) = self.input.next_batch()? else {
                     // Input exhausted: flush the final group, if any.
                     if let Some(code) = self.pending.take() {
                         finish(&mut out, &self.row, code);
                     }
                     self.stats.count_ovc_cmps(tested);
-                    return out;
+                    return Ok(out);
                 };
                 self.batch = batch;
                 self.pos = 0;
@@ -199,7 +201,7 @@ impl<B: BatchStream> BatchStream for GroupAggregate<B> {
             }
             if full {
                 self.stats.count_ovc_cmps(tested);
-                return out;
+                return Ok(out);
             }
         }
     }
@@ -431,7 +433,7 @@ mod tests {
             4,
             Stats::new_shared(),
         );
-        assert!(group.next_batch().is_none());
+        assert!(group.next_batch().unwrap().is_none());
     }
 
     #[test]

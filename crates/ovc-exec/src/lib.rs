@@ -54,9 +54,7 @@ pub mod project;
 pub mod set_ops;
 pub mod window;
 
-pub use batch::{
-    route_batches, BatchChannelStream, BatchFrame, BatchTake, DEFAULT_CHANNEL_CAPACITY,
-};
+pub use batch::{route_batches, BatchChannelStream, BatchTake, DEFAULT_CHANNEL_CAPACITY};
 pub use dedup::BatchDedup;
 pub use filter::BatchFilter;
 pub use group::{Aggregate, GroupAggregate, GroupCountDistinct};
@@ -74,7 +72,7 @@ pub use window::{Window, WindowFunc};
 /// old ≡ new constants were recorded with (the row kernels these
 /// replaced, at commit 4f110c3, produced the same digests and counters).
 pub(crate) mod testkit {
-    use ovc_core::{BatchStream, FlatBatches, FlatRows, Row, SortSpec};
+    use ovc_core::{BatchStream, ExecError, FlatBatches, FlatRows, Row, SortSpec};
     use ovc_sort::Run;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -113,11 +111,31 @@ pub(crate) mod testkit {
     /// `max` rows.
     pub(crate) fn drain(mut stream: impl BatchStream, max: usize) -> Vec<FlatRows> {
         let mut batches = Vec::new();
-        while let Some(b) = stream.next_batch() {
+        while let Some(b) = stream.next_batch().unwrap() {
             assert!(!b.is_empty() && b.len() <= max, "batch of {} rows", b.len());
             batches.push(b);
         }
         batches
+    }
+
+    /// A batch stream that passes on `left` batches of `inner`, then
+    /// fails with [`ExecError::Cancelled`].
+    pub(crate) struct FailAfter<B> {
+        pub(crate) inner: B,
+        pub(crate) left: usize,
+    }
+
+    impl<B: BatchStream> BatchStream for FailAfter<B> {
+        fn next_batch(&mut self) -> Result<Option<FlatRows>, ExecError> {
+            if self.left == 0 {
+                return Err(ExecError::Cancelled);
+            }
+            self.left -= 1;
+            self.inner.next_batch()
+        }
+        fn sort_spec(&self) -> SortSpec {
+            self.inner.sort_spec()
+        }
     }
 
     /// `(rows, FNV-1a over every column value and raw code)`.

@@ -20,8 +20,7 @@
 //!   right head into a duplicate, so a group's left rows precede its
 //!   right rows.  The merge counts one code comparison per match while
 //!   both inputs are live into a local `Tally`, which the operator
-//!   publishes into the query's `Stats` before each `next_batch` returns
-//!   (and on drop);
+//!   publishes into the query's `Stats` before each `next_batch` returns;
 //! * join-key groups fall out of the merged chain's codes (a
 //!   non-duplicate code marks a boundary), and the match that picks a
 //!   group's first row already tells whether the other side takes part:
@@ -42,7 +41,7 @@ use std::mem::replace;
 use std::sync::Arc;
 
 use ovc_core::theorem::{clamp_to_prefix, OvcAccumulator};
-use ovc_core::{BatchStream, FlatRows, Ovc, SortSpec, Stats, Tally, Value};
+use ovc_core::{BatchStream, ExecError, FlatRows, Ovc, SortSpec, Stats, Tally, Value};
 use ovc_sort::tree::{play_entries, Entry};
 
 /// The "null" padding value for outer-join non-matches.  Rows are plain
@@ -149,17 +148,19 @@ pub(crate) struct GroupedMerge<L, R> {
     /// whatever its code (under an empty join key every code is a
     /// duplicate and all rows form one group).
     started: bool,
-    /// Comparisons made since the last [`GroupedMerge::publish`].
+    /// Comparisons made since the last [`GroupedMerge::finish`].
     tally: Tally,
     stats: Arc<Stats>,
+    /// The first error an input returned; the merged chain ended there.
+    error: Option<ExecError>,
 }
 
 impl<L: BatchStream, R: BatchStream> GroupedMerge<L, R> {
     /// Merge `left` and `right` (rows `left_width` / `right_width` columns
     /// wide) on their first `join_len` columns.
     pub(crate) fn new(
-        mut left: L,
-        mut right: R,
+        left: L,
+        right: R,
         (left_width, right_width): (usize, usize),
         join_len: usize,
         stats: Arc<Stats>,
@@ -175,17 +176,13 @@ impl<L: BatchStream, R: BatchStream> GroupedMerge<L, R> {
             right_spec.prefix(join_len).keys(),
             "join inputs must agree on the join-key ordering contract"
         );
-        // `width` shapes the batch of an input that turns out to be empty.
-        let first = |batch: Option<FlatRows>, width| batch.unwrap_or_else(|| FlatRows::new(width));
-        let batches = [
-            first(left.next_batch(), left_width),
-            first(right.next_batch(), right_width),
-        ];
         let mut merge = GroupedMerge {
             key_lens: [left.key_len(), right.key_len()],
             left,
             right,
-            batches,
+            // Empty until `settle` pulls each input's first batch; the
+            // width shapes the batch of an input that turns out empty.
+            batches: [FlatRows::new(left_width), FlatRows::new(right_width)],
             pos: [0; 2],
             heads: [Ovc::LATE_FENCE; 2],
             join_len,
@@ -195,6 +192,7 @@ impl<L: BatchStream, R: BatchStream> GroupedMerge<L, R> {
             started: false,
             tally: Tally::default(),
             stats,
+            error: None,
         };
         for side in [LEFT, RIGHT] {
             merge.settle(side);
@@ -203,11 +201,17 @@ impl<L: BatchStream, R: BatchStream> GroupedMerge<L, R> {
         merge
     }
 
-    /// Move the comparisons counted so far into the query's `Stats`.  The
-    /// operators call this before every `next_batch` returns, so a
-    /// profiler's per-call `Stats` delta still holds the call's work.
-    pub(crate) fn publish(&self) {
+    /// End a `next_batch` call that filled `out`: move the comparisons
+    /// counted so far into the query's `Stats` — the operators call this
+    /// before every `next_batch` returns, so a profiler's per-call
+    /// `Stats` delta still holds the call's work — and return the batch,
+    /// or, if an input failed during the call, its error instead.
+    pub(crate) fn finish(&mut self, out: FlatRows) -> Result<Option<FlatRows>, ExecError> {
         self.tally.flush(&self.stats);
+        match self.error.take() {
+            Some(err) => Err(err),
+            None => Ok((!out.is_empty()).then_some(out)),
+        }
     }
 
     /// Set `side`'s head code from the row under its cursor: its code
@@ -225,25 +229,33 @@ impl<L: BatchStream, R: BatchStream> GroupedMerge<L, R> {
 
     /// Pull `side`'s next non-empty batch in place of the used-up one; by
     /// the seam rule its first code is relative to the row just taken.
-    /// `false` once the input is spent.
+    /// `false` once the input is spent — or once either input has
+    /// failed: both heads are then fences, which ends the merged chain,
+    /// and the error waits for [`GroupedMerge::finish`].
     #[cold]
     #[inline(never)]
     fn refill(&mut self, side: usize) -> bool {
-        loop {
+        while self.error.is_none() {
             let batch = if side == LEFT {
                 self.left.next_batch()
             } else {
                 self.right.next_batch()
             };
-            let Some(batch) = batch else {
-                return false;
-            };
-            if !batch.is_empty() {
-                self.batches[side] = batch;
-                self.pos[side] = 0;
-                return true;
+            match batch {
+                Ok(Some(batch)) if !batch.is_empty() => {
+                    self.batches[side] = batch;
+                    self.pos[side] = 0;
+                    return true;
+                }
+                Ok(Some(_)) => {}
+                Ok(None) => return false,
+                Err(err) => {
+                    self.error = Some(err);
+                    self.heads = [Ovc::LATE_FENCE; 2];
+                }
             }
         }
+        false
     }
 
     /// The next row of the merged chain, decided and not yet taken;
@@ -303,14 +315,6 @@ impl<L: BatchStream, R: BatchStream> GroupedMerge<L, R> {
         self.pos[side] += 1;
         self.settle(side);
         self.decide();
-    }
-}
-
-impl<L, R> Drop for GroupedMerge<L, R> {
-    /// Publish what an abandoned `next_batch` (a panic mid-call) left in
-    /// the tally; after a normal return it is already zero.
-    fn drop(&mut self) {
-        self.tally.flush(&self.stats);
     }
 }
 
@@ -538,7 +542,7 @@ impl<L: BatchStream, R: BatchStream> MergeJoin<L, R> {
 }
 
 impl<L: BatchStream, R: BatchStream> BatchStream for MergeJoin<L, R> {
-    fn next_batch(&mut self) -> Option<FlatRows> {
+    fn next_batch(&mut self) -> Result<Option<FlatRows>, ExecError> {
         let mut out = FlatRows::with_capacity(self.out_width, self.batch_size);
         while out.len() < self.batch_size {
             if self.next < self.total {
@@ -560,8 +564,7 @@ impl<L: BatchStream, R: BatchStream> BatchStream for MergeJoin<L, R> {
             }
             self.groups.take(next.side);
         }
-        self.groups.publish();
-        (!out.is_empty()).then_some(out)
+        self.groups.finish(out)
     }
 
     fn sort_spec(&self) -> SortSpec {
@@ -585,6 +588,81 @@ mod tests {
     fn stream(mut rows: Vec<Vec<u64>>, key_len: usize) -> FlatBatches {
         rows.sort_by(|a, b| a[..key_len].cmp(&b[..key_len]));
         testkit::cut(&rows, &SortSpec::asc(key_len), 7)
+    }
+
+    /// An input that fails on its first or second batch ends the join
+    /// and the set operation (one `GroupedMerge`) with its error: the
+    /// `next_batch` that reaches the failed pull returns it, and the rows
+    /// before it are a prefix of the full output that stops short of the
+    /// failing input's eighth row.
+    #[test]
+    fn a_failing_input_ends_the_merge_with_its_error() {
+        use crate::{SetOp, SetOperation};
+        use testkit::FailAfter;
+        let wide: Vec<Vec<u64>> = (0..40u64).map(|k| vec![k, k]).collect();
+        let keys: Vec<Vec<u64>> = (0..40u64).map(|k| vec![k]).collect();
+        for left in [0, 1] {
+            let fail = |rows: &[Vec<u64>], key_len| FailAfter {
+                inner: stream(rows.to_vec(), key_len),
+                left,
+            };
+            let stats = Stats::new_shared;
+            let outputs: [(Box<dyn BatchStream>, Box<dyn BatchStream>); 2] = [
+                (
+                    Box::new(MergeJoin::new(
+                        stream(wide.clone(), 1),
+                        fail(&wide, 1),
+                        1,
+                        JoinType::Inner,
+                        2,
+                        2,
+                        4,
+                        stats(),
+                    )),
+                    Box::new(MergeJoin::new(
+                        stream(wide.clone(), 1),
+                        stream(wide.clone(), 1),
+                        1,
+                        JoinType::Inner,
+                        2,
+                        2,
+                        4,
+                        stats(),
+                    )),
+                ),
+                (
+                    Box::new(SetOperation::new(
+                        fail(&keys, 1),
+                        stream(keys.clone(), 1),
+                        SetOp::UnionAll,
+                        4,
+                        stats(),
+                    )),
+                    Box::new(SetOperation::new(
+                        stream(keys.clone(), 1),
+                        stream(keys.clone(), 1),
+                        SetOp::UnionAll,
+                        4,
+                        stats(),
+                    )),
+                ),
+            ];
+            for (mut failing, full) in outputs {
+                let expect = collect_batch_pairs(full);
+                let mut emitted = Vec::new();
+                let got = loop {
+                    match failing.next_batch() {
+                        Ok(Some(b)) => {
+                            emitted.extend(b.iter().map(|(r, c)| (Row::from_slice(r), c)))
+                        }
+                        other => break other.map(|_| ()),
+                    }
+                };
+                assert_eq!(got, Err(ExecError::Cancelled), "left={left}");
+                assert!(emitted.len() < 7 * 2, "left={left}: {} rows", emitted.len());
+                assert_eq!(emitted, expect[..emitted.len()], "left={left}");
+            }
+        }
     }
 
     /// Reference join on the first `j` columns, for all types.

@@ -13,7 +13,7 @@
 //!   away with it).
 
 use ovc_core::theorem::clamp_to_prefix;
-use ovc_core::{BatchStream, FlatRows, SortSpec};
+use ovc_core::{BatchStream, ExecError, FlatRows, SortSpec};
 
 /// Projection onto a column list preserving the first `surviving_key`
 /// sort-key columns.  Each projected row is written straight into the
@@ -49,15 +49,16 @@ impl<B: BatchStream> BatchProject<B> {
 }
 
 impl<B: BatchStream> BatchStream for BatchProject<B> {
-    fn next_batch(&mut self) -> Option<FlatRows> {
-        let batch = self.input.next_batch()?;
-        let mut values = Vec::with_capacity(batch.len() * self.cols.len());
-        let mut codes = Vec::with_capacity(batch.len());
-        for (row, code) in batch.iter() {
-            values.extend(self.cols.iter().map(|&c| row[c]));
-            codes.push(clamp_to_prefix(code, self.in_key_len, self.surviving_key));
-        }
-        Some(FlatRows::from_parts(self.cols.len(), values, codes))
+    fn next_batch(&mut self) -> Result<Option<FlatRows>, ExecError> {
+        Ok(self.input.next_batch()?.map(|batch| {
+            let mut values = Vec::with_capacity(batch.len() * self.cols.len());
+            let mut codes = Vec::with_capacity(batch.len());
+            for (row, code) in batch.iter() {
+                values.extend(self.cols.iter().map(|&c| row[c]));
+                codes.push(clamp_to_prefix(code, self.in_key_len, self.surviving_key));
+            }
+            FlatRows::from_parts(self.cols.len(), values, codes)
+        }))
     }
     fn sort_spec(&self) -> SortSpec {
         self.spec.clone()
@@ -89,15 +90,14 @@ impl<B: BatchStream> BatchClampKey<B> {
 }
 
 impl<B: BatchStream> BatchStream for BatchClampKey<B> {
-    fn next_batch(&mut self) -> Option<FlatRows> {
-        let mut batch = self.input.next_batch()?;
-        for i in 0..batch.len() {
-            batch.set_code(
-                i,
-                clamp_to_prefix(batch.code(i), self.in_key_len, self.new_key_len),
-            );
-        }
-        Some(batch)
+    fn next_batch(&mut self) -> Result<Option<FlatRows>, ExecError> {
+        Ok(self.input.next_batch()?.map(|mut batch| {
+            for i in 0..batch.len() {
+                let code = batch.code(i);
+                batch.set_code(i, clamp_to_prefix(code, self.in_key_len, self.new_key_len));
+            }
+            batch
+        }))
     }
     fn sort_spec(&self) -> SortSpec {
         self.spec.clone()

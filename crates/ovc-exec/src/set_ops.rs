@@ -25,7 +25,7 @@
 use std::sync::Arc;
 
 use ovc_core::theorem::OvcAccumulator;
-use ovc_core::{BatchStream, FlatRows, Ovc, SortSpec, Stats};
+use ovc_core::{BatchStream, ExecError, FlatRows, Ovc, SortSpec, Stats};
 
 use crate::merge_join::{GroupedMerge, Next, LEFT, RIGHT};
 
@@ -193,7 +193,7 @@ impl<L: BatchStream, R: BatchStream> SetOperation<L, R> {
 }
 
 impl<L: BatchStream, R: BatchStream> BatchStream for SetOperation<L, R> {
-    fn next_batch(&mut self) -> Option<FlatRows> {
+    fn next_batch(&mut self) -> Result<Option<FlatRows>, ExecError> {
         let mut out = FlatRows::with_capacity(self.width, self.batch_size);
         while out.len() < self.batch_size {
             if self.pending > 0 {
@@ -218,8 +218,7 @@ impl<L: BatchStream, R: BatchStream> BatchStream for SetOperation<L, R> {
             self.counts[next.side] += 1;
             self.groups.take(next.side);
         }
-        self.groups.publish();
-        (!out.is_empty()).then_some(out)
+        self.groups.finish(out)
     }
 
     /// The ordering contract both inputs share (the merge asserts they
@@ -314,7 +313,7 @@ mod tests {
         for op in [SetOp::Union, SetOp::Intersect, SetOp::Except] {
             let stats = Stats::new_shared();
             let mut setop = SetOperation::new(stream(vec![]), stream(vec![]), op, 8, stats);
-            assert!(setop.next_batch().is_none());
+            assert!(setop.next_batch().unwrap().is_none());
         }
     }
 

@@ -576,9 +576,7 @@ fn rule_contained_spawn(
                 .filter(|s| s.start <= i && i <= s.end)
                 .any(|s| {
                     lines[s.start..=s.end].iter().any(|l| {
-                        l.code.contains("join_all(")
-                            || l.code.contains("reap(")
-                            || l.code.contains("error_from_panic(")
+                        l.code.contains("join_all(") || l.code.contains("error_from_panic(")
                     })
                 });
         if !contained {

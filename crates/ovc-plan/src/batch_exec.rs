@@ -45,13 +45,17 @@
 //! operators boxes rows here; the root's batches are concatenated into
 //! one flat buffer, boxed at the edge ([`Output`]) if at all.
 //!
-//! Under a [`QueryCtx`] every operator boundary, every exchange producer
-//! and every partition worker checks the context once per batch, sort
-//! spills run through [`CtxStorage`] (budget + cancellation at run
-//! boundaries), and a spill-device fault in a serial sort (distinct or
-//! not) is recovered by re-lowering the sort's input subtree — the plan
-//! is borrowed and the table is the retained source — and sorting
-//! resident (DESIGN.md §14).
+//! Under a [`QueryCtx`] every operator boundary and every partition
+//! worker checks the context once per batch (an exchange producer
+//! checks through the boundary of the child it drains), sort spills run
+//! through [`CtxStorage`] (budget + cancellation at run boundaries), and
+//! a spill-device fault in a serial sort (distinct or not) is recovered
+//! by re-lowering the sort's input subtree — the plan is borrowed and
+//! the table is the retained source — and sorting resident (DESIGN.md
+//! §14).  Every failure is an [`ExecError`] value: lowering and every
+//! `next_batch` return it, an exchange channel carries it as its last
+//! item, and [`run`] returns it once every thread of the plan has
+//! joined.
 //!
 //! Worker threads account into per-thread [`Stats`] merged through one
 //! shared [`Stats`]; totals land in the caller's `stats` when the plan's
@@ -78,8 +82,8 @@ use ovc_core::{
 };
 use ovc_exec::exchange::by_cols_hash;
 use ovc_exec::{
-    route_batches, BatchChannelStream, BatchClampKey, BatchDedup, BatchFilter, BatchFrame,
-    BatchProject, BatchTake, GroupAggregate, MergeJoin, SetOperation, DEFAULT_CHANNEL_CAPACITY,
+    route_batches, BatchChannelStream, BatchClampKey, BatchDedup, BatchFilter, BatchProject,
+    BatchTake, GroupAggregate, MergeJoin, SetOperation, DEFAULT_CHANNEL_CAPACITY,
 };
 use ovc_sort::{
     merge_batch_streams, parallel_sort_batches, try_sort_batches, MemoryRunStorage, Run,
@@ -94,9 +98,11 @@ use crate::physical::{Partitioning, PhysOp, PhysicalPlan};
 type PartStream = Box<dyn BatchStream + Send>;
 
 /// Run `plan` batch-at-a-time, accounting into `stats`: with `qctx`,
-/// under its cancellation, deadline and spill budget (failures unwind
-/// as typed payloads — callers wrap this in [`ctx::contain`]); with
-/// `prof`, filling the profile tree that mirrors the plan.
+/// under its cancellation, deadline and spill budget; with `prof`,
+/// filling the profile tree that mirrors the plan.  A failure comes back
+/// as the `Err` of the operator, exchange or sort it happened in (a
+/// worker thread's panic as [`ExecError::WorkerPanic`]); only a panic
+/// on the calling thread unwinds out of here.
 ///
 /// Roots come back materialized (the pipeline's threads are joined
 /// before returning): one stream via [`Output::root`], partitions as
@@ -108,7 +114,7 @@ pub(crate) fn run(
     options: &ExecOptions,
     qctx: Option<&QueryCtx>,
     prof: Option<&Arc<ProfileNode>>,
-) -> Output {
+) -> Result<Output, ExecError> {
     let batch = options.batch_size.unwrap_or(DEFAULT_BATCH_ROWS);
     assert!(batch > 0, "batch size must be positive");
     let shared = Stats::new_shared();
@@ -121,23 +127,20 @@ pub(crate) fn run(
             scope,
             shared: Arc::clone(&shared),
         };
-        match cx.run(plan, stats, prof, None) {
-            BOut::Batches(b) => Output::root(drain(b), plan.props.coded),
+        match cx.run(plan, stats, prof, None)? {
+            BOut::Batches(b) => Ok(Output::root(drain(b)?, plan.props.coded)),
             BOut::Parts(parts, _) => {
                 // Drain every partition stream to a standalone coded
                 // batch.  Concurrent drains keep upstream workers busy;
                 // each partition chain is fed by its own thread, so
-                // join order cannot deadlock.  Drains run contained and
-                // every peer joins before the first error propagates.
+                // join order cannot deadlock.  Every peer joins before
+                // the first error is returned.
                 let handles: Vec<_> = parts
                     .into_iter()
-                    .map(|s| scope.spawn(move || ctx::contain(|| drain(s))))
+                    .map(|s| scope.spawn(move || drain(s)))
                     .collect();
-                let (batches, failure) = reap_scoped(handles);
-                if let Some(err) = failure {
-                    ctx::propagate(err);
-                }
-                Output::Partitions(batches)
+                let (batches, failure) = ctx::join_all(handles);
+                failure.map_or(Ok(Output::Partitions(batches)), Err)
             }
         }
     });
@@ -161,26 +164,26 @@ enum BOut {
 
 /// Concatenate a coded batch stream (the root's, or one standalone-coded
 /// partition's) into one flat buffer under the stream's spec.
-fn drain(mut stream: impl BatchStream) -> CodedBatch {
+fn drain(mut stream: impl BatchStream) -> Result<CodedBatch, ExecError> {
     let spec = stream.sort_spec();
     let mut all = stream
-        .next_batch()
+        .next_batch()?
         .unwrap_or_else(|| FlatRows::new(spec.len()));
-    while let Some(batch) = stream.next_batch() {
+    while let Some(batch) = stream.next_batch()? {
         all.extend_from(&batch);
     }
-    CodedBatch::from_flat(all, spec)
+    Ok(CodedBatch::from_flat(all, spec))
 }
 
 /// The one place the executor boxes rows: the `ovc-baseline` hash
 /// operators are reference code over `Vec<Row>`.
-fn baseline_rows(out: BOut) -> Vec<Row> {
+fn baseline_rows(out: BOut) -> Result<Vec<Row>, ExecError> {
     let mut stream = out.into_batches();
     let mut rows = Vec::new();
-    while let Some(batch) = stream.next_batch() {
+    while let Some(batch) = stream.next_batch()? {
         rows.extend(batch.iter().map(|(cols, _)| Row::from_slice(cols)));
     }
-    rows
+    Ok(rows)
 }
 
 /// `fwd`, ordered under `spec.reversed()` with codes of arity `fwd_len`,
@@ -223,29 +226,6 @@ impl BOut {
             _ => panic!("plan output is not partitioned"),
         }
     }
-}
-
-/// Join every scoped handle, collecting successes and the **first**
-/// failure (a contained [`ExecError`] or a raw panic payload) — the
-/// exchange fault rule: all peers join before any error propagates, so
-/// no thread outlives a failing query.
-fn reap_scoped<'scope, T>(
-    handles: Vec<std::thread::ScopedJoinHandle<'scope, Result<T, ExecError>>>,
-) -> (Vec<T>, Option<ExecError>) {
-    let mut outs = Vec::with_capacity(handles.len());
-    let mut failure = None;
-    for handle in handles {
-        match handle.join() {
-            Ok(Ok(value)) => outs.push(value),
-            Ok(Err(err)) => {
-                failure.get_or_insert(err);
-            }
-            Err(payload) => {
-                failure.get_or_insert(ctx::error_from_panic(payload));
-            }
-        }
-    }
-    (outs, failure)
 }
 
 /// The profile node for child `i` of a profiled node (the profile tree
@@ -297,12 +277,10 @@ impl<'env> BCx<'_, 'env> {
             .unwrap_or_else(|| panic!("plan references unknown table {name}"))
     }
 
-    /// The per-batch cancellation point of every thread loop: raise the
+    /// The per-batch cancellation point of every thread loop: the
     /// context's typed error, if it has tripped.
-    fn check(&self) {
-        if let Some(ctx) = &self.ctx {
-            ctx.check_or_propagate();
-        }
+    fn check(&self) -> Result<(), ExecError> {
+        self.ctx.as_ref().map_or(Ok(()), QueryCtx::check)
     }
 
     /// A fresh spill device for one sort, charging this query's context.
@@ -335,15 +313,15 @@ impl<'env> BCx<'_, 'env> {
         stats: &Arc<Stats>,
         prof: Option<&Arc<ProfileNode>>,
         gather: Option<&ExchangeGauges>,
-    ) -> BOut {
+    ) -> Result<BOut, ExecError> {
         let window = prof.map(|node| (node, stats.snapshot(), Instant::now()));
-        let out = self.lower(plan, stats, prof, gather);
+        let out = self.lower(plan, stats, prof, gather)?;
         if let Some((node, before, start)) = window {
             node.add_wall(start.elapsed());
             node.absorb_stats(&stats.snapshot().since(&before));
         }
-        self.check();
-        match out {
+        self.check()?;
+        Ok(match out {
             BOut::Batches(inner) if prof.is_some() || self.ctx.is_some() => {
                 BOut::Batches(Box::new(Boundary {
                     inner,
@@ -361,7 +339,7 @@ impl<'env> BCx<'_, 'env> {
             // Partition rows/batches are counted at the producing side
             // (the spawning arms), where they are actually observed.
             other => other,
-        }
+        })
     }
 
     fn lower(
@@ -370,8 +348,8 @@ impl<'env> BCx<'_, 'env> {
         stats: &Arc<Stats>,
         prof: Option<&Arc<ProfileNode>>,
         gather: Option<&ExchangeGauges>,
-    ) -> BOut {
-        match &plan.op {
+    ) -> Result<BOut, ExecError> {
+        Ok(match &plan.op {
             PhysOp::ScanCoded { table } => {
                 BOut::Batches(Box::new(self.table(table).scan(self.batch)))
             }
@@ -396,15 +374,18 @@ impl<'env> BCx<'_, 'env> {
                 dop,
             } => {
                 let distinct = matches!(plan.op, PhysOp::InSortDistinct { .. });
-                let lower_input = || self.run(input, stats, child(prof, 0), None).into_batches();
+                let lower_input = || {
+                    self.run(input, stats, child(prof, 0), None)
+                        .map(BOut::into_batches)
+                };
                 let sorted = if *dop > 1 {
                     debug_assert!(spec.is_prefix() && !spec.normalized());
                     let (mem, fan) = (*memory_rows, *fan_in);
-                    parallel_sort_batches(lower_input(), spec, distinct, *dop, mem, fan, stats)
+                    parallel_sort_batches(lower_input()?, spec, distinct, *dop, mem, fan, stats)?
                 } else {
                     let cfg = SortConfig::new(spec.len(), *memory_rows).with_fan_in(*fan_in);
                     let mut storage = self.spill_device(stats);
-                    try_sort_batches(lower_input(), cfg, spec, distinct, &mut storage, stats)
+                    try_sort_batches(lower_input()?, cfg, spec, distinct, &mut storage, stats)
                         .or_else(|err| {
                             if !err.is_spill_fault() {
                                 return Err(err);
@@ -421,15 +402,14 @@ impl<'env> BCx<'_, 'env> {
                                 memory_rows: usize::MAX,
                                 ..cfg
                             };
-                            let input = lower_input();
+                            let input = lower_input()?;
                             try_sort_batches(input, resident, spec, distinct, &mut storage, stats)
-                        })
-                        .unwrap_or_else(|err| ctx::propagate(err))
+                        })?
                 };
                 BOut::Batches(sorted.batches(self.batch))
             }
             PhysOp::TrustSorted { input, spec } => {
-                let mut stream = self.run(input, stats, child(prof, 0), None).into_batches();
+                let mut stream = self.run(input, stats, child(prof, 0), None)?.into_batches();
                 if self.options.verify_trusted {
                     // Audit the elision batch-wise, seams included: the
                     // stream the planner trusted must carry exact codes
@@ -438,7 +418,7 @@ impl<'env> BCx<'_, 'env> {
                     let stream_spec = stream.sort_spec();
                     debug_assert!(stream_spec.satisfies(spec));
                     let mut batches = Vec::new();
-                    while let Some(b) = stream.next_batch() {
+                    while let Some(b) = stream.next_batch()? {
                         batches.push(b);
                     }
                     assert_batches_exact_spec(&batches, &stream_spec);
@@ -448,23 +428,23 @@ impl<'env> BCx<'_, 'env> {
                 }
             }
             PhysOp::Reverse { input, spec } => {
-                let fwd = drain(self.run(input, stats, child(prof, 0), None).into_batches());
+                let fwd = drain(self.run(input, stats, child(prof, 0), None)?.into_batches())?;
                 debug_assert!(fwd.sort_spec().satisfies(&spec.reversed()));
                 let fwd_len = fwd.sort_spec().len();
                 let flat = reverse_codes(&fwd.into_flat(), fwd_len, spec);
                 BOut::Batches(Box::new(FlatBatches::new(flat, spec.clone(), self.batch)))
             }
             PhysOp::DedupCodes { input } => {
-                let stream = self.run(input, stats, child(prof, 0), None).into_batches();
+                let stream = self.run(input, stats, child(prof, 0), None)?.into_batches();
                 BOut::Batches(Box::new(BatchDedup::new(stream)))
             }
             PhysOp::HashDistinct { input, memory_rows } => {
-                let rows = baseline_rows(self.run(input, stats, child(prof, 0), None));
+                let rows = baseline_rows(self.run(input, stats, child(prof, 0), None)?)?;
                 let out = ovc_baseline::hash_aggregate_distinct(rows, *memory_rows, stats);
                 BOut::Batches(Box::new(RowBatches::new(out, self.batch)))
             }
             PhysOp::Filter { input, pred } => {
-                let s = self.run(input, stats, child(prof, 0), None).into_batches();
+                let s = self.run(input, stats, child(prof, 0), None)?.into_batches();
                 let p = pred.clone();
                 BOut::Batches(Box::new(BatchFilter::new(
                     s,
@@ -477,14 +457,14 @@ impl<'env> BCx<'_, 'env> {
                 cols,
                 surviving_key,
             } => {
-                let s = self.run(input, stats, child(prof, 0), None).into_batches();
+                let s = self.run(input, stats, child(prof, 0), None)?.into_batches();
                 BOut::Batches(Box::new(BatchProject::new(s, *surviving_key, cols.clone())))
             }
             PhysOp::GroupOvc {
                 input,
                 group_len,
                 aggs,
-            } => match self.run(input, stats, child(prof, 0), None) {
+            } => match self.run(input, stats, child(prof, 0), None)? {
                 BOut::Parts(parts, pspec) => {
                     let (group_len, aggs, batch) = (*group_len, aggs.clone(), self.batch);
                     self.partitioned(
@@ -520,8 +500,8 @@ impl<'env> BCx<'_, 'env> {
             } => {
                 let (lw, rw) = (left.props.width, right.props.width);
                 match (
-                    self.run(left, stats, child(prof, 0), None),
-                    self.run(right, stats, child(prof, 1), None),
+                    self.run(left, stats, child(prof, 0), None)?,
+                    self.run(right, stats, child(prof, 1), None)?,
                 ) {
                     (BOut::Parts(lp, lspec), BOut::Parts(rp, _)) => {
                         assert_eq!(lp.len(), rp.len(), "co-partitioned join arity mismatch");
@@ -565,15 +545,15 @@ impl<'env> BCx<'_, 'env> {
                 join_len,
                 memory_rows,
             } => {
-                let l = baseline_rows(self.run(left, stats, child(prof, 0), None));
-                let r = baseline_rows(self.run(right, stats, child(prof, 1), None));
+                let l = baseline_rows(self.run(left, stats, child(prof, 0), None)?)?;
+                let r = baseline_rows(self.run(right, stats, child(prof, 1), None)?)?;
                 let out = ovc_baseline::grace_hash_join(l, r, *join_len, *memory_rows, stats);
                 BOut::Batches(Box::new(RowBatches::new(out, self.batch)))
             }
             PhysOp::SetOpMerge { left, right, op } => {
                 match (
-                    self.run(left, stats, child(prof, 0), None),
-                    self.run(right, stats, child(prof, 1), None),
+                    self.run(left, stats, child(prof, 0), None)?,
+                    self.run(right, stats, child(prof, 1), None)?,
                 ) {
                     (BOut::Parts(lp, lspec), BOut::Parts(rp, _)) => {
                         assert_eq!(lp.len(), rp.len(), "co-partitioned set-op arity mismatch");
@@ -597,7 +577,7 @@ impl<'env> BCx<'_, 'env> {
                 }
             }
             PhysOp::TopK { input, k } => {
-                let stream = self.run(input, stats, child(prof, 0), None).into_batches();
+                let stream = self.run(input, stats, child(prof, 0), None)?.into_batches();
                 BOut::Batches(Box::new(BatchTake::new(stream, *k)))
             }
             PhysOp::Exchange { input, to, batch } => match to {
@@ -614,7 +594,7 @@ impl<'env> BCx<'_, 'env> {
                     let mut streams: Vec<PartStream> = Vec::with_capacity(parts);
                     for p in 0..parts {
                         // ovc-lint: allow(bounded-channels-only) -- deliberate unbounded split→worker edge: in-flight data is bounded by the producer's input (DESIGN.md §12); a sync_channel here can deadlock the single splitter against uneven partition drain (§4.10)
-                        let (tx, rx) = mpsc::channel::<BatchFrame>();
+                        let (tx, rx) = mpsc::channel::<Result<FlatRows, ExecError>>();
                         txs.push(tx);
                         streams.push(Box::new(BatchChannelStream::new(
                             rx,
@@ -635,30 +615,30 @@ impl<'env> BCx<'_, 'env> {
                         let local = Stats::new_shared();
                         let result = ctx::contain(|| {
                             fault::maybe_panic();
-                            let src = cx
-                                .run(src_plan, &local, src_prof.as_ref(), None)
-                                .into_batches();
-                            route_batches(src, parts, by_cols_hash(cols, parts), b, |p, fb| {
-                                cx.check();
+                            // Under a context the child is boundary-wrapped:
+                            // draining it checks the context once per batch.
+                            let src = cx.run(src_plan, &local, src_prof.as_ref(), None)?;
+                            let route = by_cols_hash(cols, parts);
+                            route_batches(src.into_batches(), parts, route, b, |p, fb| {
                                 let n = fb.len() as u64;
                                 rows += n;
                                 nbatches += 1;
                                 match &send_gauges[p] {
                                     Some(g) => {
                                         let t0 = Instant::now();
-                                        let ok = txs[p].send(BatchFrame::Batch(fb)).is_ok();
+                                        let ok = txs[p].send(Ok(fb)).is_ok();
                                         g.note_send_rows(t0.elapsed(), n);
                                         ok
                                     }
-                                    None => txs[p].send(BatchFrame::Batch(fb)).is_ok(),
+                                    None => txs[p].send(Ok(fb)).is_ok(),
                                 }
-                            });
+                            })
                         });
-                        if let Err(err) = result {
-                            // Poison every partition so the workers see
-                            // the typed error, not a short clean stream.
+                        if let Err(err) = result.and_then(|routed| routed) {
+                            // End every partition with the error, so the
+                            // workers see it, not a short clean stream.
                             for tx in &txs {
-                                let _ = tx.send(BatchFrame::Poison(err.clone()));
+                                let _ = tx.send(Err(err.clone()));
                             }
                         }
                         drop(txs);
@@ -680,17 +660,17 @@ impl<'env> BCx<'_, 'env> {
                 Partitioning::Single => {
                     let b = batch.unwrap_or(self.batch);
                     let own = prof.and_then(|n| n.gauges());
-                    let (parts, pspec) = self.run(input, stats, child(prof, 0), own).into_parts();
+                    let (parts, pspec) = self.run(input, stats, child(prof, 0), own)?.into_parts();
                     let spec = parts
                         .first()
                         .map(|s| s.sort_spec())
                         .unwrap_or_else(|| pspec.clone());
-                    let merged = merge_batch_streams(parts, &spec, stats);
+                    let merged = merge_batch_streams(parts, &spec, stats)?;
                     BOut::Batches(SortOutput::Merge(merged).batches(b))
                 }
                 Partitioning::Any => panic!("Exchange to `any` is not a layout"),
             },
-        }
+        })
     }
 
     /// One worker thread per partition: `build` assembles the batch
@@ -714,7 +694,7 @@ impl<'env> BCx<'_, 'env> {
         let build = Arc::new(build);
         let mut outs: Vec<PartStream> = Vec::with_capacity(inputs.len());
         for (p, streams) in inputs.into_iter().enumerate() {
-            let (tx, rx) = mpsc::sync_channel::<BatchFrame>(cap);
+            let (tx, rx) = mpsc::sync_channel::<Result<FlatRows, ExecError>>(cap);
             let send_gauge = gauge_for(gather, p);
             let recv_gauge = gauge_for(gather, p);
             let build = Arc::clone(&build);
@@ -729,19 +709,19 @@ impl<'env> BCx<'_, 'env> {
                     fault::maybe_panic();
                     let mut out = build(streams, Arc::clone(&local));
                     debug_assert_eq!(out.sort_spec(), label, "kernel and channel labels differ");
-                    while let Some(fb) = out.next_batch() {
-                        cx.check();
+                    while let Some(fb) = out.next_batch()? {
+                        cx.check()?;
                         let n = fb.len() as u64;
                         rows += n;
                         nbatches += 1;
                         let ok = match &send_gauge {
                             Some(g) => {
                                 let t0 = Instant::now();
-                                let ok = tx.send(BatchFrame::Batch(fb)).is_ok();
+                                let ok = tx.send(Ok(fb)).is_ok();
                                 g.note_send_rows(t0.elapsed(), n);
                                 ok
                             }
-                            None => tx.send(BatchFrame::Batch(fb)).is_ok(),
+                            None => tx.send(Ok(fb)).is_ok(),
                         };
                         if !ok {
                             // Consumer gone (early termination above): stop
@@ -749,12 +729,13 @@ impl<'env> BCx<'_, 'env> {
                             break;
                         }
                     }
+                    Ok(())
                 });
-                if let Err(err) = result {
-                    // Poison the gather edge: a worker death (its own
-                    // panic, or a poisoned split edge re-raised by its
-                    // input) becomes a typed error at the consumer.
-                    let _ = tx.send(BatchFrame::Poison(err));
+                if let Err(err) = result.and_then(|worked| worked) {
+                    // End the gather edge with the error: a worker death
+                    // (its own panic, or a failed split edge handed on by
+                    // its input) reaches the consumer as that error.
+                    let _ = tx.send(Err(err));
                 }
                 let snap = local.snapshot();
                 if let Some(n) = &node {
@@ -805,10 +786,10 @@ struct Meter {
 }
 
 impl BatchStream for Boundary {
-    fn next_batch(&mut self) -> Option<FlatRows> {
+    fn next_batch(&mut self) -> Result<Option<FlatRows>, ExecError> {
         if let Some(ctx) = &self.ctx {
             fault::maybe_slow_consumer();
-            ctx.check_or_propagate();
+            ctx.check()?;
         }
         let Some(m) = &mut self.meter else {
             return self.inner.next_batch();
@@ -818,7 +799,7 @@ impl BatchStream for Boundary {
         let item = self.inner.next_batch();
         m.wall += start.elapsed();
         m.delta.add(&m.stats.snapshot().since(&before));
-        if let Some(b) = &item {
+        if let Ok(Some(b)) = &item {
             m.rows += b.len() as u64;
             m.batches += 1;
         }

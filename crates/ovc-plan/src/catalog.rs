@@ -32,8 +32,11 @@ impl Table {
     /// Register an unsorted heap table.  Panics on rows of unequal width.
     pub fn unsorted(rows: Vec<Row>) -> Table {
         let distinct_rows = count_distinct(&rows);
+        // Boxed rows cannot fail: `ok()` drops no error.
         let flat = RowBatches::new(rows, usize::MAX)
             .next_batch()
+            .ok()
+            .flatten()
             .unwrap_or_else(|| FlatRows::new(1));
         Table::new(flat, SortSpec::none(), distinct_rows)
     }
@@ -260,7 +263,7 @@ mod tests {
                 let mut scan = t.scan_coded(batch).expect("sorted table scans coded");
                 assert_eq!(scan.sort_spec(), spec);
                 let mut batches = Vec::new();
-                while let Some(b) = scan.next_batch() {
+                while let Some(b) = scan.next_batch().unwrap() {
                     assert!(!b.is_empty() && b.len() <= batch);
                     batches.push(b);
                 }

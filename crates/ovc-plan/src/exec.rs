@@ -117,25 +117,27 @@ impl Output {
 ///
 /// Panics if the plan references tables missing from `catalog` or if its
 /// structure violates operator contracts — both are planner bugs, not
-/// runtime conditions, so they fail loudly.
+/// runtime conditions, so they fail loudly.  A run that fails (a worker
+/// panic, a spill fault) panics with the error's message; use
+/// [`execute_ctx`] to get the [`ExecError`] as a value.
 pub fn execute(
     plan: &PhysicalPlan,
     catalog: &Catalog,
     stats: &Arc<Stats>,
     options: &ExecOptions,
 ) -> Output {
-    run(plan, catalog, stats, options, None, None)
+    run(plan, catalog, stats, options, None, None).unwrap_or_else(|err| panic!("{err}"))
 }
 
 /// As [`execute`], but fault-tolerant: run the plan under a
-/// [`QueryCtx`] and return a typed [`ExecError`] instead of unwinding.
+/// [`QueryCtx`] and return a typed [`ExecError`] instead of panicking.
 ///
 /// The context is checked once per batch at every operator boundary and
-/// in every exchange producer and worker loop, spills charge the
-/// context's budget, and the whole run — root drain included — happens
-/// *inside* the containment boundary, so worker panics, poisoned
-/// exchange channels, cancellation, deadline expiry, and spill
-/// corruption all surface here as `Err`.  Rows, codes, and [`Stats`]
+/// in every partition worker loop, and spills charge the context's
+/// budget.  Cancellation, deadline expiry, spill faults and failed
+/// exchange channels come back as values; the whole run — root drain
+/// included — also happens inside [`ctx::contain`], so a panic on the
+/// calling thread surfaces here as [`ExecError::WorkerPanic`] too.  Rows, codes, and [`Stats`]
 /// totals of a successful run are identical to [`execute`] of the same
 /// plan.
 pub fn execute_ctx(
@@ -146,7 +148,7 @@ pub fn execute_ctx(
     qctx: &QueryCtx,
 ) -> Result<Output, ExecError> {
     qctx.check()?;
-    ctx::contain(|| run(plan, catalog, stats, options, Some(qctx), None))
+    ctx::contain(|| run(plan, catalog, stats, options, Some(qctx), None))?
 }
 
 /// As [`execute`], but with per-operator profiling: every lowered
@@ -166,7 +168,7 @@ pub fn execute_profiled(
 ) -> (Output, Arc<ProfileNode>) {
     let root = crate::profile::build_profile(plan);
     let out = run(plan, catalog, stats, options, None, Some(&root));
-    (out, root)
+    (out.unwrap_or_else(|err| panic!("{err}")), root)
 }
 
 /// As [`execute_profiled`], but fault-tolerant (see [`execute_ctx`]).
@@ -179,7 +181,7 @@ pub fn execute_ctx_profiled(
 ) -> Result<(Output, Arc<ProfileNode>), ExecError> {
     qctx.check()?;
     let root = crate::profile::build_profile(plan);
-    let out = ctx::contain(|| run(plan, catalog, stats, options, Some(qctx), Some(&root)))?;
+    let out = ctx::contain(|| run(plan, catalog, stats, options, Some(qctx), Some(&root)))??;
     Ok((out, root))
 }
 

@@ -20,7 +20,6 @@
 
 use std::sync::Arc;
 
-use ovc_core::ctx::propagate;
 use ovc_core::fault::{self, FaultPoint};
 use ovc_core::{BatchStream, ExecError, OvcRow, OvcStream, Row, RowBatches, SortSpec, Stats};
 
@@ -211,7 +210,9 @@ impl OvcStream for SortOutput {
 /// If the input fits the memory budget the sort never spills; otherwise
 /// initial runs spill once and intermediate merge steps (only needed when
 /// the run count exceeds the fan-in) spill again, exactly like the
-/// textbook merge sort the paper builds on.
+/// textbook merge sort the paper builds on.  Panics with the error's
+/// message if the spill device fails ([`try_external_sort_spec`]
+/// returns it instead).
 pub fn external_sort<I, S>(
     input: I,
     config: SortConfig,
@@ -223,7 +224,8 @@ where
     S: RunStorage,
 {
     let spec = SortSpec::asc(config.key_len);
-    external_sort_spec(input, config, &spec, storage, stats)
+    try_external_sort_spec(input, config, &spec, storage, stats)
+        .unwrap_or_else(|err| panic!("{err}"))
 }
 
 /// Convenience: sort and collect (tests, small inputs).
@@ -238,25 +240,9 @@ where
 /// Direction-aware [`external_sort`]: the same run-generation / spill /
 /// bounded-fan-in merge cascade under an arbitrary leading-prefix
 /// [`SortSpec`] (mixed ascending/descending directions, optional
-/// normalized-key run generation).  `config.key_len` is ignored in
-/// favour of `spec.len()`.
-pub fn external_sort_spec<I, S>(
-    input: I,
-    config: SortConfig,
-    spec: &SortSpec,
-    storage: &mut S,
-    stats: &Arc<Stats>,
-) -> SortOutput
-where
-    I: IntoIterator<Item = Row>,
-    S: RunStorage,
-{
-    try_external_sort_spec(input, config, spec, storage, stats).unwrap_or_else(|err| propagate(err))
-}
-
-/// Fallible [`external_sort_spec`]: spill-device failures come back as a
-/// typed [`ExecError`] instead of unwinding (the row-input adapter of
-/// [`try_sort_batches`]).
+/// normalized-key run generation), returning a spill-device failure as
+/// a typed [`ExecError`] — the row-input adapter of [`try_sort_batches`].
+/// `config.key_len` is ignored in favour of `spec.len()`.
 pub fn try_external_sort_spec<I, S>(
     input: I,
     config: SortConfig,
@@ -289,7 +275,7 @@ where
     B: BatchStream,
     S: RunStorage,
 {
-    let mut runs = generate_runs_from(input, spec, config.memory_rows, config.strategy, stats);
+    let mut runs = generate_runs_from(input, spec, config.memory_rows, config.strategy, stats)?;
     if distinct {
         runs = runs.into_iter().map(Run::into_distinct).collect();
     }
@@ -330,10 +316,11 @@ where
 }
 
 /// Externally sort `input` all the way into a single **flat** run — the
-/// allocation-free variant of [`external_sort_spec`] for consumers that
-/// keep working on the contiguous layout (the `bench/` harness, storage
-/// loads).  The final merge gathers straight into one flat buffer
-/// instead of streaming boxed [`OvcRow`]s.
+/// allocation-free variant of [`try_external_sort_spec`] for consumers
+/// that keep working on the contiguous layout (the `bench/` harness,
+/// storage loads).  The final merge gathers straight into one flat
+/// buffer instead of streaming boxed [`OvcRow`]s.  Panics with the
+/// error's message if the spill device fails.
 pub fn external_sort_spec_to_run<I, S>(
     input: I,
     config: SortConfig,
@@ -345,7 +332,8 @@ where
     I: IntoIterator<Item = Row>,
     S: RunStorage,
 {
-    match external_sort_spec(input, config, spec, storage, stats) {
+    let sorted = try_external_sort_spec(input, config, spec, storage, stats);
+    match sorted.unwrap_or_else(|err| panic!("{err}")) {
         SortOutput::Memory(cursor) => cursor.into_run(),
         SortOutput::Merge(merge) => merge.into_run(),
         SortOutput::MergeDistinct(merge) => merge.into_run_distinct(),
@@ -363,7 +351,9 @@ where
     I: IntoIterator<Item = Row>,
 {
     let mut storage = MemoryRunStorage::new(Arc::clone(stats));
-    external_sort_spec(input, config, spec, &mut storage, stats).collect()
+    try_external_sort_spec(input, config, spec, &mut storage, stats)
+        .unwrap_or_else(|err| panic!("{err}"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -499,7 +489,7 @@ mod tests {
                 let mut out = external_sort(rows.clone(), cfg, &mut storage, &stats).batches(batch);
                 assert_eq!(out.sort_spec(), SortSpec::asc(2));
                 let mut got = FlatRows::new(2);
-                while let Some(b) = out.next_batch() {
+                while let Some(b) = out.next_batch().unwrap() {
                     assert!(!b.is_empty() && b.len() <= batch);
                     got.extend_from(&b);
                 }
@@ -542,6 +532,26 @@ mod tests {
         .map(|_| ())
         .expect_err("spilling sort on a broken device must fail");
         assert_eq!(err.reason(), "spill_io");
+    }
+
+    /// An input that fails after two batches, mid-way through the first
+    /// run's workspace: the sort returns that error under every run
+    /// generation strategy, and nothing spills.
+    #[test]
+    fn input_error_mid_run_generation_is_returned() {
+        use crate::RunGenStrategy::*;
+        for strategy in [OvcPriorityQueue, Quicksort, ReplacementSelection] {
+            let stats = Stats::new_shared();
+            let mut storage = MemoryRunStorage::new(Arc::clone(&stats));
+            let input = crate::FailAfter {
+                inner: RowBatches::new(random_rows(500, 2, 10, 25), 64),
+                left: 2,
+            };
+            let cfg = SortConfig::new(2, 100).with_strategy(strategy);
+            let got = try_sort_batches(input, cfg, &SortSpec::asc(2), false, &mut storage, &stats);
+            assert_eq!(got.map(|_| ()), Err(ExecError::Cancelled), "{strategy:?}");
+            assert_eq!(stats.rows_spilled(), 0, "{strategy:?}");
+        }
     }
 
     /// `fan_in` is a public field, so a struct literal can bypass

@@ -44,9 +44,8 @@ pub mod segmented;
 pub mod tree;
 
 pub use external::{
-    external_sort, external_sort_collect, external_sort_spec, external_sort_spec_collect,
-    external_sort_spec_to_run, try_external_sort_spec, try_sort_batches, MemoryRunStorage,
-    RunStorage, SortConfig, SortOutput,
+    external_sort, external_sort_collect, external_sort_spec_collect, external_sort_spec_to_run,
+    try_external_sort_spec, try_sort_batches, MemoryRunStorage, RunStorage, SortConfig, SortOutput,
 };
 pub use merge::{merge_batch_streams, merge_runs_spec, merge_runs_to_run_spec};
 pub use parallel::{
@@ -59,3 +58,26 @@ pub use run_gen::{
 pub use runs::{Run, RunCursor};
 pub use segmented::SegmentedSort;
 pub use tree::FlatMerge;
+
+#[cfg(test)]
+/// A batch stream that passes on `left` batches of `inner`, then fails
+/// with [`ovc_core::ExecError::Cancelled`]: the failing input of the
+/// error-path unit tests.
+pub(crate) struct FailAfter<B> {
+    pub(crate) inner: B,
+    pub(crate) left: usize,
+}
+
+#[cfg(test)]
+impl<B: ovc_core::BatchStream> ovc_core::BatchStream for FailAfter<B> {
+    fn next_batch(&mut self) -> Result<Option<ovc_core::FlatRows>, ovc_core::ExecError> {
+        if self.left == 0 {
+            return Err(ovc_core::ExecError::Cancelled);
+        }
+        self.left -= 1;
+        self.inner.next_batch()
+    }
+    fn sort_spec(&self) -> ovc_core::SortSpec {
+        self.inner.sort_spec()
+    }
+}

@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use ovc_core::{BatchStream, SortSpec, Stats};
+use ovc_core::{BatchStream, ExecError, SortSpec, Stats};
 
 use crate::runs::Run;
 use crate::tree::FlatMerge;
@@ -26,12 +26,14 @@ pub fn merge_runs_spec(runs: Vec<Run>, spec: &SortSpec, stats: &Arc<Stats>) -> F
 /// Merge live coded batch streams ordered under `spec` — the gathering
 /// exchange.  Same tournament, comparisons and codes as
 /// [`merge_runs_spec`] over the same rows: a spent input pulls its
-/// stream's next batch where a run would end.
+/// stream's next batch where a run would end.  Each input's first batch
+/// is pulled here; an input's error is returned, here or by the merge's
+/// batch outlet ([`crate::SortOutput::batches`]).
 pub fn merge_batch_streams(
     inputs: Vec<Box<dyn BatchStream + Send>>,
     spec: &SortSpec,
     stats: &Arc<Stats>,
-) -> FlatMerge {
+) -> Result<FlatMerge, ExecError> {
     FlatMerge::over_streams(inputs, spec.clone(), Arc::clone(stats))
 }
 
@@ -153,11 +155,12 @@ mod tests {
                             Box::new(r.clone().batches(*cut)) as Box<dyn BatchStream + Send>
                         })
                         .collect();
-                    let mut out = SortOutput::Merge(merge_batch_streams(streams, &spec, &stats))
-                        .batches(out_batch);
+                    let mut out =
+                        SortOutput::Merge(merge_batch_streams(streams, &spec, &stats).unwrap())
+                            .batches(out_batch);
                     assert_eq!(out.sort_spec(), spec);
                     let mut got = FlatRows::new(3);
-                    while let Some(b) = out.next_batch() {
+                    while let Some(b) = out.next_batch().unwrap() {
                         assert!(!b.is_empty() && b.len() <= out_batch);
                         got.extend_from(&b);
                     }
@@ -166,6 +169,70 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A stream-fed merge whose input fails on its second batch: the
+    /// output batch whose fill reaches that refill is the error, and
+    /// every row emitted before it is a prefix of the merge that stops
+    /// short of the failing input's last good row.  Failing on the
+    /// first batch fails the build.
+    #[test]
+    fn a_failing_input_ends_the_merge_with_its_error() {
+        use crate::{FailAfter, SortOutput};
+        use ovc_core::ExecError;
+        let spec = SortSpec::asc(1);
+        let run = |vals: Vec<u64>| {
+            Run::from_sorted_rows(vals.into_iter().map(|v| Row::new(vec![v])).collect(), 1)
+        };
+        let evens = run((0..40).step_by(2).collect());
+        let odds = run((1..40).step_by(2).collect());
+        // The odd input's first batch ends at 9: its refill comes right
+        // after 9, the merge's tenth row, is popped.
+        let merged = merge_runs_to_run_spec(
+            vec![evens.clone(), odds.clone()],
+            &spec,
+            &Stats::new_shared(),
+        );
+        for out_batch in [1usize, 3, 4, 9, 10, 100] {
+            let stats = Stats::new_shared();
+            let failing = FailAfter {
+                inner: odds.clone().batches(5),
+                left: 1,
+            };
+            let streams: Vec<Box<dyn BatchStream + Send>> =
+                vec![Box::new(evens.clone().batches(5)), Box::new(failing)];
+            let mut out = SortOutput::Merge(merge_batch_streams(streams, &spec, &stats).unwrap())
+                .batches(out_batch);
+            let mut emitted = Vec::new();
+            let got = loop {
+                match out.next_batch() {
+                    Ok(Some(b)) => emitted.extend(b.iter().map(|(r, c)| (r.to_vec(), c))),
+                    other => break other.map(|_| ()),
+                }
+            };
+            assert_eq!(got, Err(ExecError::Cancelled), "out_batch={out_batch}");
+            // Full batches only: the one the refill fell into is dropped.
+            assert_eq!(
+                emitted.len(),
+                9 / out_batch * out_batch,
+                "out_batch={out_batch}"
+            );
+            let prefix: Vec<_> = merged
+                .iter()
+                .take(emitted.len())
+                .map(|(r, c)| (r.to_vec(), c))
+                .collect();
+            assert_eq!(emitted, prefix, "out_batch={out_batch}");
+        }
+        // An input failing on its first batch fails the merge's build.
+        let failing = FailAfter {
+            inner: odds.batches(5),
+            left: 0,
+        };
+        let streams: Vec<Box<dyn BatchStream + Send>> =
+            vec![Box::new(evens.batches(5)), Box::new(failing)];
+        let built = merge_batch_streams(streams, &spec, &Stats::new_shared());
+        assert_eq!(built.map(|_| ()), Err(ExecError::Cancelled));
     }
 
     /// A merge's size hint never promises fewer rows than it yields.  A
@@ -179,7 +246,7 @@ mod tests {
         let stats = Stats::new_shared();
         let over_stream = || {
             let stream = Box::new(run.clone().batches(3)) as Box<dyn BatchStream + Send>;
-            merge_batch_streams(vec![stream], &spec, &stats)
+            merge_batch_streams(vec![stream], &spec, &stats).unwrap()
         };
         let check = |mut rows: Box<dyn Iterator<Item = _>>, exact: bool| {
             for left in (0..=run.len()).rev() {

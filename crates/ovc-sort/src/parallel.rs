@@ -43,47 +43,28 @@ use crate::merge::merge_runs_to_run_spec;
 use crate::run_gen::{resident, sort_windows};
 use crate::runs::Run;
 
-/// Join every worker, collecting the successes and the *first* panic
-/// payload (mapped to a typed [`ExecError`]).  Joining all handles before
-/// reporting is what keeps a single panicked worker from leaking threads
-/// or deadlocking peers; callers absorb surviving workers' stats and then
-/// propagate the error.
-fn join_all<T>(workers: Vec<thread::ScopedJoinHandle<'_, T>>) -> (Vec<T>, Option<ExecError>) {
-    let mut done = Vec::with_capacity(workers.len());
-    let mut first_err = None;
-    for worker in workers {
-        match worker.join() {
-            Ok(v) => done.push(v),
-            Err(payload) => {
-                let err = ctx::error_from_panic(payload);
-                first_err.get_or_insert(err);
-            }
-        }
-    }
-    (done, first_err)
-}
-
 /// Generate initial runs with `threads` workers over contiguous row
 /// ranges of one resident flat buffer — `threads` (at most one per row)
 /// slices of `⌈rows / threads⌉` rows.  Each worker respects the
 /// per-worker `memory_rows` budget and counts into its own [`Stats`]:
 /// `Arc<Stats>` never crosses the thread boundary, only the snapshot
-/// does, merged into `stats` once every worker has joined.  The first
-/// worker panic is then propagated as a typed error.  One thread sorts
-/// on the caller's.
+/// does, merged into `stats` once every worker has joined
+/// ([`ctx::join_all`]).  The first worker panic is then returned as
+/// [`ExecError::WorkerPanic`].  One thread sorts on the caller's.
 fn parallel_runs(
     (rows, width, values): (usize, usize, Vec<u64>),
     spec: &SortSpec,
     threads: usize,
     memory_rows: usize,
     stats: &Arc<Stats>,
-) -> Vec<Run> {
+) -> Result<Vec<Run>, ExecError> {
     assert!(
         spec.is_prefix(),
         "run generation requires a leading-prefix sort spec, got {spec}"
     );
     if threads.clamp(1, rows.max(1)) <= 1 {
-        return sort_windows(&values, width, 0..rows, memory_rows, spec, stats);
+        let runs = sort_windows(&values, width, 0..rows, memory_rows, spec, stats);
+        return Ok(runs);
     }
     let len = rows.div_ceil(threads.clamp(1, rows));
     let values = &values;
@@ -96,21 +77,18 @@ fn parallel_runs(
                     let local = Stats::new_shared();
                     let range = start..(start + len).min(rows);
                     let runs = sort_windows(values, width, range, memory_rows, spec, &local);
-                    (runs, local.snapshot())
+                    Ok((runs, local.snapshot()))
                 })
             })
             .collect();
-        join_all(workers)
+        ctx::join_all(workers)
     });
     let mut runs = Vec::new();
     for (worker_runs, snapshot) in results {
         stats.absorb(&snapshot);
         runs.extend(worker_runs);
     }
-    if let Some(err) = failure {
-        ctx::propagate(err);
-    }
-    runs
+    failure.map_or(Ok(runs), Err)
 }
 
 /// Reduce a run set to at most `fan_in` runs by cascaded in-memory merges
@@ -145,7 +123,8 @@ fn reduce_to_fan_in(
 /// generate runs with `threads` workers over its row ranges, reduce them
 /// to `fan_in` by resident merges and stream the final coded merge —
 /// deduplicating at every step with `distinct`.  Rows and codes equal
-/// [`crate::external::try_sort_batches`]'s over the same input.
+/// [`crate::external::try_sort_batches`]'s over the same input; an input
+/// error or a worker panic is returned.
 pub fn parallel_sort_batches<B: BatchStream>(
     input: B,
     spec: &SortSpec,
@@ -154,8 +133,8 @@ pub fn parallel_sort_batches<B: BatchStream>(
     memory_rows: usize,
     fan_in: usize,
     stats: &Arc<Stats>,
-) -> SortOutput {
-    let runs = parallel_runs(resident(input), spec, threads, memory_rows, stats);
+) -> Result<SortOutput, ExecError> {
+    let runs = parallel_runs(resident(input)?, spec, threads, memory_rows, stats)?;
     let (runs, post): (Vec<Run>, fn(Run) -> Run) = if distinct {
         let runs = runs.into_iter().map(Run::into_distinct).collect();
         (runs, Run::into_distinct)
@@ -163,12 +142,13 @@ pub fn parallel_sort_batches<B: BatchStream>(
         (runs, |run| run)
     };
     let runs = reduce_to_fan_in(runs, spec, fan_in, stats, post);
-    SortOutput::finish(runs, spec, distinct, stats)
+    Ok(SortOutput::finish(runs, spec, distinct, stats))
 }
 
 /// Sort rows with `threads` parallel run-generation workers, streaming the
 /// final bounded-fan-in coded merge.  Output rows and codes are identical
-/// to [`crate::external::external_sort`] over the same input.
+/// to [`crate::external::external_sort`] over the same input.  Panics
+/// with the error's message if a worker panics.
 pub fn parallel_sort(
     rows: Vec<Row>,
     key_len: usize,
@@ -189,7 +169,8 @@ pub fn parallel_sort(
 
 /// [`parallel_sort`] under an arbitrary leading-prefix [`SortSpec`] —
 /// mixed ascending/descending directions, normalized keys.  Output rows
-/// and codes are identical to `external_sort_spec` over the same input.
+/// and codes are identical to [`crate::try_external_sort_spec`] over the
+/// same input.
 pub fn parallel_sort_spec(
     rows: Vec<Row>,
     spec: &SortSpec,
@@ -200,6 +181,7 @@ pub fn parallel_sort_spec(
 ) -> SortOutput {
     let input = RowBatches::new(rows, usize::MAX);
     parallel_sort_batches(input, spec, false, threads, memory_rows, fan_in, stats)
+        .unwrap_or_else(|err| panic!("{err}"))
 }
 
 /// [`parallel_sort`] with duplicate removal folded in (see
@@ -217,6 +199,7 @@ pub fn parallel_sort_distinct(
     let input = RowBatches::new(rows, usize::MAX);
     let spec = SortSpec::asc(key_len);
     parallel_sort_batches(input, &spec, true, threads, memory_rows, fan_in, stats)
+        .unwrap_or_else(|err| panic!("{err}"))
 }
 
 #[cfg(test)]
@@ -284,7 +267,7 @@ mod tests {
             let mut batches =
                 parallel_sort_distinct(rows.clone(), 2, threads, 128, 8, &stats).batches(100);
             let mut flat = Vec::new();
-            while let Some(b) = batches.next_batch() {
+            while let Some(b) = batches.next_batch().unwrap() {
                 flat.extend(b.iter().map(|(cols, code)| (Row::from_slice(cols), code)));
             }
             assert_eq!(flat, pairs, "threads={threads}");

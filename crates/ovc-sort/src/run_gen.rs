@@ -24,7 +24,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use ovc_core::compare::{compare_keys_counted, derive_code, derive_code_spec};
-use ovc_core::{BatchStream, FlatRows, Ovc, Row, RowBatches, SortSpec, Stats, Tally};
+use ovc_core::{BatchStream, ExecError, FlatRows, Ovc, Row, RowBatches, SortSpec, Stats, Tally};
 
 use crate::replacement::generate_runs_replacement;
 use crate::runs::Run;
@@ -74,12 +74,12 @@ impl Workspace {
 
 /// Copy a whole stream into one resident flat buffer, returning `(row
 /// count, width, values)` — the input the parallel sorters slice.
-pub(crate) fn resident(mut input: impl BatchStream) -> (usize, usize, Vec<u64>) {
+pub(crate) fn resident(mut input: impl BatchStream) -> Result<(usize, usize, Vec<u64>), ExecError> {
     let mut ws = Workspace::default();
-    while let Some(batch) = input.next_batch() {
+    while let Some(batch) = input.next_batch()? {
         ws.absorb(batch, usize::MAX, &mut |_| {});
     }
-    (ws.rows, ws.width.unwrap_or(0), ws.values)
+    Ok((ws.rows, ws.width.unwrap_or(0), ws.values))
 }
 
 /// Sort one flat buffer into a run under the requested strategy.
@@ -145,8 +145,7 @@ pub fn sort_rows_ovc_spec(rows: Vec<Row>, spec: &SortSpec, stats: &Arc<Stats>) -
 
 /// All of `rows` as one run: a single unbounded workspace.
 fn sort_rows(rows: Vec<Row>, spec: &SortSpec, strategy: RunGenStrategy, stats: &Arc<Stats>) -> Run {
-    let input = RowBatches::new(rows, usize::MAX);
-    generate_runs_from(input, spec, usize::MAX, strategy, stats)
+    generate_runs_spec(rows, spec, usize::MAX, strategy, stats)
         .pop()
         .unwrap_or_else(|| Run::empty_spec(spec.clone()))
 }
@@ -344,17 +343,19 @@ where
 {
     let input = RowBatches::new(input, memory_rows);
     generate_runs_from(input, spec, memory_rows, strategy, stats)
+        .unwrap_or_else(|err| unreachable!("boxed rows cannot fail: {err}"))
 }
 
 /// Run generation's one core: copy `input` into a flat workspace of at
 /// most `memory_rows` rows and sort each full workspace into a run.
+/// An input error ends run generation and is returned.
 pub(crate) fn generate_runs_from(
     mut input: impl BatchStream,
     spec: &SortSpec,
     memory_rows: usize,
     strategy: RunGenStrategy,
     stats: &Arc<Stats>,
-) -> Vec<Run> {
+) -> Result<Vec<Run>, ExecError> {
     assert!(memory_rows > 0, "memory budget must hold at least one row");
     assert!(
         spec.is_prefix(),
@@ -365,15 +366,18 @@ pub(crate) fn generate_runs_from(
             spec.is_asc_prefix() && !spec.normalized(),
             "replacement selection supports ascending-prefix specs only"
         );
-        // Replacement selection still works on boxed rows.
-        let rows = std::iter::from_fn(move || input.next_batch()).flat_map(|batch| {
-            let rows: Vec<Row> = batch
-                .iter()
-                .map(|(cols, _)| Row::from_slice(cols))
-                .collect();
-            rows
+        // Replacement selection still works on boxed rows; an input
+        // error ends the row supply and is returned after it.
+        let mut failed = Ok(());
+        let batches =
+            std::iter::from_fn(|| input.next_batch().map_err(|e| failed = Err(e)).ok()?);
+        let rows = batches.flat_map(|b| {
+            b.iter()
+                .map(|(r, _)| Row::from_slice(r))
+                .collect::<Vec<_>>()
         });
-        return generate_runs_replacement(rows, spec.len(), memory_rows, stats);
+        let runs = generate_runs_replacement(rows, spec.len(), memory_rows, stats);
+        return failed.map(|()| runs);
     }
     let mut runs = Vec::new();
     let mut sort = |ws: &Workspace| {
@@ -381,13 +385,13 @@ pub(crate) fn generate_runs_from(
         runs.push(sort_flat(ws.rows, width, &ws.values, spec, strategy, stats));
     };
     let mut ws = Workspace::default();
-    while let Some(batch) = input.next_batch() {
+    while let Some(batch) = input.next_batch()? {
         ws.absorb(batch, memory_rows, &mut sort);
     }
     if ws.rows > 0 {
         sort(&ws);
     }
-    runs
+    Ok(runs)
 }
 
 #[cfg(test)]
@@ -476,7 +480,8 @@ mod tests {
                 25,
                 RunGenStrategy::Quicksort,
                 &stats,
-            );
+            )
+            .unwrap();
             let got: Vec<FlatRows> = runs.iter().map(|run| run.flat().clone()).collect();
             assert_eq!(got, expect, "batch={batch}");
             assert_eq!(stats.snapshot(), expect_stats.snapshot(), "batch={batch}");

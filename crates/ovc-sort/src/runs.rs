@@ -274,7 +274,7 @@ mod tests {
             let mut cursor = Run::from_sorted_rows(rows.clone(), 4).batches(batch_size);
             assert_eq!(cursor.sort_spec(), SortSpec::asc(4));
             let mut batches = Vec::new();
-            while let Some(b) = cursor.next_batch() {
+            while let Some(b) = cursor.next_batch().unwrap() {
                 assert!(!b.is_empty());
                 assert!(b.len() <= batch_size);
                 batches.push(b);
@@ -287,6 +287,7 @@ mod tests {
         assert!(Run::empty_spec(SortSpec::asc(2))
             .batches(4)
             .next_batch()
+            .unwrap()
             .is_none());
     }
 

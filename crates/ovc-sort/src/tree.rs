@@ -51,7 +51,9 @@ use std::hint::select_unpredictable;
 use std::sync::Arc;
 
 use ovc_core::compare::{resume_same_base, resume_same_base_spec};
-use ovc_core::{BatchStream, FlatRows, Ovc, OvcRow, OvcStream, Row, SortSpec, Stats, Tally};
+use ovc_core::{
+    BatchStream, ExecError, FlatRows, Ovc, OvcRow, OvcStream, Row, SortSpec, Stats, Tally,
+};
 
 use crate::runs::Run;
 
@@ -265,7 +267,9 @@ fn flat_key<'a>(runs: &'a [FlatRows], pos: &[usize], key_len: usize, e: Entry) -
 /// its place.  By the seam rule that batch's first code is already
 /// relative to the row just output, so the refill costs no comparison and
 /// lives entirely on the branch that turns an exhausted run into a late
-/// fence.
+/// fence.  A stream's error ends the merge on that same branch: every
+/// node becomes a fence, and the batch being filled is dropped for the
+/// error ([`crate::SortOutput::batches`]), so no row after it leaves.
 pub struct FlatMerge {
     /// Each input's current batch (a run merge: the whole run); for a
     /// stream-fed merge, padded to `cap` and followed by one spare buffer
@@ -275,6 +279,8 @@ pub struct FlatMerge {
     pos: Vec<usize>,
     /// The stream behind each input; empty for a merge over runs.
     sources: Vec<Box<dyn BatchStream + Send>>,
+    /// The error a stream returned, which ended the merge.
+    error: Option<ExecError>,
     nodes: Vec<Entry>,
     winner: Entry,
     cap: usize,
@@ -297,24 +303,24 @@ impl FlatMerge {
     }
 
     /// Build the merge over live batch streams ordered (and coded) under
-    /// `spec`: each stream's first batch is pulled here, the rest as the
-    /// tournament drains them.
+    /// `spec`: each stream's first batch is pulled here (a stream's error
+    /// is returned), the rest as the tournament drains them.
     pub(crate) fn over_streams(
         mut sources: Vec<Box<dyn BatchStream + Send>>,
         spec: SortSpec,
         stats: Arc<Stats>,
-    ) -> Self {
+    ) -> Result<Self, ExecError> {
         debug_assert!(sources.iter().all(|s| s.sort_spec() == spec));
-        let runs: Vec<FlatRows> = sources
+        let runs = sources
             .iter_mut()
-            .map(|s| s.next_batch().unwrap_or_else(|| FlatRows::new(spec.len())))
-            .collect();
+            .map(|s| Ok(s.next_batch()?.unwrap_or_else(|| FlatRows::new(spec.len()))))
+            .collect::<Result<Vec<FlatRows>, ExecError>>()?;
         let mut merge = Self::build(runs, sources, spec, stats);
         // Empty buffers for the padding leaves (so no leaf id names the
         // spare), then the spare itself at index `cap`.
         merge.pos.resize(merge.cap, 0);
         merge.runs.resize(merge.cap + 1, FlatRows::new(0));
-        merge
+        Ok(merge)
     }
 
     fn build(
@@ -354,6 +360,7 @@ impl FlatMerge {
             pos,
             runs,
             sources,
+            error: None,
             nodes,
             winner,
             cap,
@@ -405,17 +412,34 @@ impl FlatMerge {
     /// takes the input's place and its first code — exact relative to the
     /// row just output, by the seam rule — is returned; the spent batch,
     /// which still holds that row, moves to the spare buffer behind the
-    /// inputs, and `buffer` says so.
+    /// inputs, and `buffer` says so.  A stream's error ends the merge:
+    /// every node becomes a fence, so the replay that follows makes a
+    /// fence the winner, and the error waits in `self.error` for the
+    /// outlet.
     #[cold]
     fn refill(&mut self, w: usize, buffer: &mut usize) -> Ovc {
-        let Some(batch) = self.sources.get_mut(w).and_then(|s| s.next_batch()) else {
-            return Ovc::LATE_FENCE;
+        let batch = match self.sources.get_mut(w).map(|s| s.next_batch()) {
+            Some(Ok(Some(batch))) => batch,
+            Some(Err(err)) => {
+                self.error = Some(err);
+                self.nodes.fill(FENCE_ENTRY);
+                return Ovc::LATE_FENCE;
+            }
+            _ => return Ovc::LATE_FENCE,
         };
         let code = batch.code(0);
         *buffer = self.cap;
         self.runs[*buffer] = std::mem::replace(&mut self.runs[w], batch);
         self.pos[w] = 0;
         code
+    }
+
+    /// Panic with the error that ended a stream-fed merge, if any: the
+    /// row and run outlets have no error channel.
+    fn assert_no_error(&mut self) {
+        if let Some(err) = self.error.take() {
+            panic!("{err}");
+        }
     }
 
     /// Rows remaining in the inputs' current batches (all remaining rows
@@ -441,7 +465,8 @@ impl FlatMerge {
 
     /// Drain the merge into one flat run: winner rows are copied straight
     /// into a contiguous output buffer — no boxed row anywhere.  Panics if
-    /// rows were already taken through the [`Iterator`] impl.
+    /// rows were already taken through the [`Iterator`] impl, or with the
+    /// error of a failing stream-fed input.
     pub fn into_run(mut self) -> Run {
         self.assert_unconsumed();
         let mut out = FlatRows::with_capacity(self.width, self.remaining());
@@ -449,6 +474,7 @@ impl FlatMerge {
             out.push_from(&self.runs[r], i, code);
         }
         self.tally.flush(&self.stats);
+        self.assert_no_error();
         Run::from_flat_trusted(out, self.spec)
     }
 
@@ -459,12 +485,13 @@ impl FlatMerge {
     pub fn into_run_distinct(mut self) -> Run {
         self.assert_unconsumed();
         let out = self.fill(usize::MAX, true);
-        Run::from_flat_trusted(out, self.spec)
+        Run::from_flat_trusted(out.unwrap_or_else(|err| panic!("{err}")), self.spec)
     }
 
     /// Move winners into a fresh buffer until it holds `limit` rows or
     /// the merge ends, dropping duplicate-coded winners when `distinct`.
-    fn fill(&mut self, limit: usize, distinct: bool) -> FlatRows {
+    /// A stream's error that ended the merge is returned instead.
+    fn fill(&mut self, limit: usize, distinct: bool) -> Result<FlatRows, ExecError> {
         let mut out = FlatRows::with_capacity(self.width, limit.min(self.remaining()));
         while out.len() < limit {
             let Some((r, i, code)) = self.next_idx() else {
@@ -475,7 +502,7 @@ impl FlatMerge {
             }
         }
         self.tally.flush(&self.stats);
-        out
+        self.error.take().map_or(Ok(out), Err)
     }
 
     /// Hand the merge over batch-at-a-time: winners fill one output
@@ -492,8 +519,12 @@ impl FlatMerge {
 impl Iterator for FlatMerge {
     type Item = OvcRow;
 
+    /// Panics with the error of a failing stream-fed input.
     fn next(&mut self) -> Option<OvcRow> {
-        let (r, i, code) = self.next_idx()?;
+        let Some((r, i, code)) = self.next_idx() else {
+            self.assert_no_error();
+            return None;
+        };
         self.tally.flush(&self.stats);
         Some(OvcRow::new(Row::from_slice(self.runs[r].row(i)), code))
     }
@@ -523,9 +554,9 @@ pub(crate) struct MergeBatches {
 }
 
 impl BatchStream for MergeBatches {
-    fn next_batch(&mut self) -> Option<FlatRows> {
-        let out = self.merge.fill(self.batch_size, self.distinct);
-        (!out.is_empty()).then_some(out)
+    fn next_batch(&mut self) -> Result<Option<FlatRows>, ExecError> {
+        let out = self.merge.fill(self.batch_size, self.distinct)?;
+        Ok((!out.is_empty()).then_some(out))
     }
     fn sort_spec(&self) -> SortSpec {
         self.merge.spec.clone()

@@ -12,11 +12,11 @@
 use std::sync::Arc;
 
 use ovc_bench::workload::{table, TableSpec};
-use ovc_core::{BatchStream, Stats};
+use ovc_core::{BatchStream, ExecError, Stats};
 use ovc_exec::{Aggregate, GroupAggregate};
 use ovc_storage::{LsmConfig, LsmForest};
 
-fn main() {
+fn main() -> Result<(), ExecError> {
     let batches: usize = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
@@ -68,7 +68,7 @@ fn main() {
         GroupAggregate::new(scan, 2, vec![Aggregate::Count], 1024, Arc::clone(&stats));
     let mut groups = 0usize;
     let mut max_count = 0u64;
-    while let Some(batch) = grouped.next_batch() {
+    while let Some(batch) = grouped.next_batch()? {
         groups += batch.len();
         for (row, _) in batch.iter() {
             max_count = max_count.max(row[2]);
@@ -99,4 +99,5 @@ fn main() {
         "post-compaction scan: {} column comparisons (codes come from storage)",
         delta.col_value_cmps
     );
+    Ok(())
 }

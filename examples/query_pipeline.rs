@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use ovc_bench::workload::{table, TableSpec};
 use ovc_core::batch::{assert_batches_exact_spec, VecBatchStream};
-use ovc_core::{BatchStream, FlatRows, Row, SortSpec, Stats, Value};
+use ovc_core::{BatchStream, ExecError, FlatRows, Row, SortSpec, Stats, Value};
 use ovc_exec::exchange::by_cols_hash;
 use ovc_exec::{route_batches, Aggregate, BatchFilter, GroupAggregate, JoinType, MergeJoin};
 use ovc_sort::{merge_batch_streams, Run, SortOutput};
@@ -31,7 +31,7 @@ use ovc_storage::RleColumnStore;
 /// Rows per batch between operators (the engine's default).
 const BATCH: usize = 1024;
 
-fn main() {
+fn main() -> Result<(), ExecError> {
     let n: usize = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
@@ -83,7 +83,7 @@ fn main() {
     route_batches(joined, 4, by_cols_hash(vec![0], 4), BATCH, |p, batch| {
         parts[p].push(batch);
         true
-    });
+    })?;
     let after_split = stats.snapshot().since(&mark);
 
     // 5. Per-partition grouping on (region); tier rides along as Min
@@ -102,9 +102,10 @@ fn main() {
         .collect();
 
     // 6. Order-preserving merge back to one sorted result stream.
-    let merged = merge_batch_streams(grouped_parts, &SortSpec::asc(1), &stats);
+    let merged = merge_batch_streams(grouped_parts, &SortSpec::asc(1), &stats)?;
     let mut merged = SortOutput::Merge(merged).batches(BATCH);
-    let batches: Vec<FlatRows> = std::iter::from_fn(|| merged.next_batch()).collect();
+    let batches: Vec<FlatRows> =
+        std::iter::from_fn(|| merged.next_batch().transpose()).collect::<Result<_, _>>()?;
     let total = stats.snapshot().since(&mark);
 
     assert_batches_exact_spec(&batches, &SortSpec::asc(1));
@@ -136,4 +137,5 @@ fn main() {
     );
     println!("\nevery operator consumed its input's codes and produced exact codes");
     println!("for the next one — verified by the end-to-end exactness check.");
+    Ok(())
 }

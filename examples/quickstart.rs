@@ -8,11 +8,11 @@
 
 use ovc_core::derive::derive_codes;
 use ovc_core::desc::{derive_desc_code, DescOvc};
-use ovc_core::{table1, BatchStream, Row, Stats, Value};
+use ovc_core::{table1, BatchStream, ExecError, Row, Stats, Value};
 use ovc_exec::{Aggregate, BatchDedup, BatchFilter, GroupAggregate};
 use ovc_sort::Run;
 
-fn main() {
+fn main() -> Result<(), ExecError> {
     println!("=== Table 1: offset-value codes in a sorted stream ===\n");
     let rows = table1::rows();
     let asc = derive_codes(&rows, table1::ARITY);
@@ -54,7 +54,7 @@ fn main() {
         |row: &[Value]| keep.contains(&row),
         Stats::new_shared(),
     );
-    while let Some(batch) = filtered.next_batch() {
+    while let Some(batch) = filtered.next_batch()? {
         for (row, code) in batch.iter() {
             println!(
                 "{:<16} asc-code {:>4}  (offset {})",
@@ -67,9 +67,10 @@ fn main() {
 
     println!("\n=== Duplicate removal by code inspection ===\n");
     let mut distinct = BatchDedup::new(Run::from_sorted_rows(rows.clone(), 4).batches(4));
-    let distinct_rows: usize = std::iter::from_fn(|| distinct.next_batch())
-        .map(|b| b.len())
-        .sum();
+    let mut distinct_rows = 0;
+    while let Some(batch) = distinct.next_batch()? {
+        distinct_rows += batch.len();
+    }
     println!(
         "{} rows in, {} rows out — the duplicate (5,9,2,7) was found by the\nsingle integer test `offset == arity`, no column comparisons.",
         rows.len(),
@@ -81,7 +82,7 @@ fn main() {
     // coded run cut every 4 rows (a group may straddle the seam).
     let input = Run::from_sorted_rows(rows, 4).batches(4);
     let mut groups = GroupAggregate::new(input, 2, vec![Aggregate::Count], 4, Stats::new_shared());
-    while let Some(batch) = groups.next_batch() {
+    while let Some(batch) = groups.next_batch()? {
         for (row, code) in batch.iter() {
             println!(
                 "group {:?} -> count {}  (output code offset {})",
@@ -93,4 +94,5 @@ fn main() {
     }
     println!("\nGroup boundaries were detected by `offset < 2` on input codes —");
     println!("the mechanism Figure 4 of the paper benchmarks.");
+    Ok(())
 }

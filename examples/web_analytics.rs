@@ -16,14 +16,14 @@ use std::time::Instant;
 
 use ovc_baseline::GroupFullCompare;
 use ovc_bench::workload::grouped_sorted_table;
-use ovc_core::{BatchStream, Stats, VecStream};
+use ovc_core::{BatchStream, ExecError, Stats, VecStream};
 use ovc_exec::{Aggregate, BatchDedup, GroupCountDistinct};
 use ovc_sort::Run;
 
 /// The engine's default batch size.
 const BATCH: usize = 1024;
 
-fn main() {
+fn main() -> Result<(), ExecError> {
     let rows_n: usize = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
@@ -62,9 +62,10 @@ fn main() {
             vec![Aggregate::Count],
             Arc::clone(&stats_full),
         );
-        let groups_full: usize = std::iter::from_fn(|| grouped.next_batch())
-            .map(|b| b.len())
-            .sum();
+        let mut groups_full = 0;
+        while let Some(batch) = grouped.next_batch()? {
+            groups_full += batch.len();
+        }
         let t_full = start.elapsed();
 
         assert_eq!(groups_ovc, groups_full);
@@ -81,4 +82,5 @@ fn main() {
     }
     println!("\"testing the offset against the count of grouping columns is much");
     println!("faster than full comparisons of multiple key columns\" — Section 6");
+    Ok(())
 }

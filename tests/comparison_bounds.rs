@@ -134,7 +134,7 @@ fn merge_join_column_comparisons_bounded() {
             1024,
             Arc::clone(&stats),
         );
-        while join.next_batch().is_some() {}
+        while join.next_batch().unwrap().is_some() {}
         assert!(
             stats.col_value_cmps() <= (2 * n * k) as u64,
             "join at N={n}: {} > 2N*K",

@@ -163,7 +163,7 @@ fn digest<'a>(rows: impl Iterator<Item = (&'a [u64], u64)>) -> (usize, u64) {
 
 fn drain(mut stream: impl BatchStream) -> (usize, u64) {
     let mut batches: Vec<FlatRows> = Vec::new();
-    while let Some(b) = stream.next_batch() {
+    while let Some(b) = stream.next_batch().unwrap() {
         batches.push(b);
     }
     digest(

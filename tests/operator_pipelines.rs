@@ -143,7 +143,8 @@ fn exchange_round_trip_with_partitionwise_grouping() {
     route_batches(input, 4, by_cols_hash(vec![0], 4), BATCH, |p, batch| {
         parts[p].push(batch);
         true
-    });
+    })
+    .unwrap();
 
     // Hash partitioning on the leading key column keeps whole groups in
     // one partition, so partition-wise grouping is correct.
@@ -156,12 +157,12 @@ fn exchange_round_trip_with_partitionwise_grouping() {
             BATCH,
             Arc::clone(&stats),
         );
-        let batches: Vec<FlatRows> = std::iter::from_fn(|| grouped.next_batch()).collect();
+        let batches: Vec<FlatRows> = std::iter::from_fn(|| grouped.next_batch().unwrap()).collect();
         let pairs = collect_batch_pairs(VecBatchStream::new(batches.clone(), spec.clone()));
         assert_codes_exact(&pairs, 2);
         grouped_parts.push(Box::new(VecBatchStream::new(batches, spec.clone())));
     }
-    let merged = merge_batch_streams(grouped_parts, &spec, &stats);
+    let merged = merge_batch_streams(grouped_parts, &spec, &stats).unwrap();
     let pairs = collect_pairs(merged);
     assert_codes_exact(&pairs, 2);
     let total: u64 = pairs.iter().map(|(r, _)| r.cols()[2]).sum();

@@ -99,7 +99,7 @@ fn table3_full_reproduction() {
         8,
         ovc_core::Stats::new_shared(),
     );
-    let out: Vec<(Vec<u64>, u64)> = std::iter::from_fn(|| semi.next_batch())
+    let out: Vec<(Vec<u64>, u64)> = std::iter::from_fn(|| semi.next_batch().unwrap())
         .flat_map(|b| b.to_ovc_rows())
         .map(|r| (r.row.cols().to_vec(), r.code.paper_decimal()))
         .collect();
@@ -176,7 +176,7 @@ fn duplicate_and_boundary_detection_by_offset() {
         8,
         ovc_core::Stats::new_shared(),
     );
-    let out = groups.next_batch().expect("three groups");
+    let out = groups.next_batch().unwrap().expect("three groups");
     let counts: Vec<u64> = out.iter().map(|(row, _)| row[2]).collect();
     assert_eq!(counts, vec![2, 1, 4]);
     assert_eq!(out.code(0), Ovc::new(0, 5, 2));

@@ -24,7 +24,7 @@ fn batches(rows: &[Row], key_len: usize) -> FlatBatches {
 /// Drain a serial batch kernel into the boxed coded rows the parallel
 /// outputs below are compared with.
 fn drain(mut kernel: impl BatchStream) -> Vec<OvcRow> {
-    std::iter::from_fn(|| kernel.next_batch())
+    std::iter::from_fn(|| kernel.next_batch().unwrap())
         .flat_map(|b| b.to_ovc_rows())
         .collect()
 }
@@ -109,7 +109,8 @@ proptest! {
             assert!(!b.is_empty() && b.len() <= batch, "batch of {} rows", b.len());
             split[p].push(b);
             true
-        });
+        })
+        .unwrap();
         for (p, batches) in split.iter().enumerate() {
             let pairs = collect_batch_pairs(VecBatchStream::new(batches.clone(), spec.clone()));
             let expect: Vec<&Row> = rows.iter().filter(|r| route(r.cols()) == p).collect();
@@ -123,7 +124,7 @@ proptest! {
             .into_iter()
             .map(|b| Box::new(VecBatchStream::new(b, spec.clone())) as Box<dyn BatchStream + Send>)
             .collect();
-        let merged = merge_batch_streams(streams, &spec, &Stats::new_shared()).into_run();
+        let merged = merge_batch_streams(streams, &spec, &Stats::new_shared()).unwrap().into_run();
         prop_assert_eq!(merged.flat(), input.flat());
     }
 

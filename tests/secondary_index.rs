@@ -167,7 +167,7 @@ fn fetch_after_intersection() {
         BATCH,
         Arc::clone(&stats),
     );
-    let rids = std::iter::from_fn(|| inter.next_batch()).flat_map(|b| b.to_ovc_rows());
+    let rids = std::iter::from_fn(|| inter.next_batch().unwrap()).flat_map(|b| b.to_ovc_rows());
     let rows: Vec<&Row> = SecondaryIndex::fetch(&t, rids).collect();
     assert!(rows.iter().all(|r| r.cols()[0] == 6 && r.cols()[1] == 6));
 }
