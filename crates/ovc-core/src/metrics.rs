@@ -7,11 +7,11 @@
 //! pipeline in aggregate; this module adds the per-node view:
 //!
 //! * [`ProfileNode`] — a live, thread-safe accumulator tree mirroring a
-//!   physical plan's shape.  The executor's operator-boundary adapter
-//!   (in `ovc-plan`) stamps wall time, row and batch counts, and
-//!   [`StatsSnapshot`] deltas into their node; worker threads report
-//!   through the node's embedded [`Stats`] so per-thread counters
-//!   land on the operator that spawned them.
+//!   physical plan's shape.  Each node owns one counter block
+//!   ([`ProfileNode::stats`]): the executor hands it to every kernel,
+//!   sort, spill device and merge it builds for that node, on whatever
+//!   thread they run, and its operator-boundary adapter (in `ovc-plan`)
+//!   stamps wall time, row and batch counts into the node.
 //! * [`ChannelGauge`] / [`ExchangeGauges`] — per-partition counters for
 //!   the threaded exchange: how long producers blocked sending, how long
 //!   consumers blocked receiving, and the peak queue occupancy of each
@@ -21,13 +21,16 @@
 //!   run, ready for rendering or serialization.
 //!
 //! **Accounting convention (the Postgres `EXPLAIN ANALYZE` convention):**
-//! every per-node figure — wall time and counter deltas alike — is
-//! *inclusive* of the node's subtree, because a streaming operator's
-//! `next()` necessarily contains its children's work.  Subtract children
-//! to recover self time.  **No-perturbation rule:** profiling observes
-//! rows and codes, never alters them; profiled and unprofiled execution
-//! produce byte-identical output and identical [`crate::Stats`] totals
-//! (held to that by `tests/profile_properties.rs`).
+//! every per-node figure is *inclusive* of the node's subtree.  A count
+//! belongs to the node whose code made it; inclusive is the subtree sum
+//! ([`ProfileNode::snapshot`] adds the children's inclusive counters to
+//! the node's own block), so it holds across threads too.  Wall time is
+//! measured around the node's calls, which contain its children's work.
+//! Subtract children to recover self figures.  **No-perturbation
+//! rule:** profiling observes rows and codes, never alters them;
+//! profiled and unprofiled execution produce byte-identical output and
+//! identical [`crate::Stats`] totals (held to that by
+//! `tests/profile_properties.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -50,8 +53,8 @@ pub struct OpMetrics {
     /// Wall time spent producing this operator's output, inclusive of
     /// its subtree.
     pub wall: Duration,
-    /// Counter deltas (column comparisons, code comparisons, spill
-    /// volume, …) attributed to this subtree.
+    /// Counters (column comparisons, code comparisons, spill volume, …)
+    /// of this subtree: the node's own plus its children's.
     pub stats: StatsSnapshot,
 }
 
@@ -82,7 +85,7 @@ pub struct ProfileNode {
     rows_out: AtomicU64,
     batches: AtomicU64,
     wall_ns: AtomicU64,
-    stats: Stats,
+    stats: Arc<Stats>,
     gauges: Option<ExchangeGauges>,
     /// Child nodes, in the plan node's child order.
     pub children: Vec<Arc<ProfileNode>>,
@@ -101,7 +104,7 @@ impl ProfileNode {
             rows_out: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             wall_ns: AtomicU64::new(0),
-            stats: Stats::default(),
+            stats: Stats::new_shared(),
             gauges: None,
             children,
         }
@@ -142,14 +145,20 @@ impl ProfileNode {
             .fetch_add(d.as_nanos() as u64, Ordering::Relaxed);
     }
 
-    /// Fold a counter delta into this node (any thread may call this —
-    /// per-thread workers report their [`StatsSnapshot`]s here).
-    pub fn absorb_stats(&self, delta: &StatsSnapshot) {
-        self.stats.absorb(delta);
+    /// The node's own counter block: everything the operator's code
+    /// counts, on any thread, goes here (and nothing its children count).
+    pub fn stats(&self) -> &Arc<Stats> {
+        &self.stats
     }
 
-    /// Freeze this node (and its subtree) into a [`PlanProfile`].
+    /// Freeze this node (and its subtree) into a [`PlanProfile`]; its
+    /// counters are its own block plus its children's inclusive ones.
     pub fn snapshot(&self) -> PlanProfile {
+        let children: Vec<PlanProfile> = self.children.iter().map(|c| c.snapshot()).collect();
+        let mut stats = self.stats.snapshot();
+        for c in &children {
+            stats.add(&c.metrics.stats);
+        }
         PlanProfile {
             name: self.name.clone(),
             detail: self.detail.clone(),
@@ -157,14 +166,14 @@ impl ProfileNode {
                 rows_out: self.rows_out.load(Ordering::Relaxed),
                 batches: self.batches.load(Ordering::Relaxed),
                 wall: Duration::from_nanos(self.wall_ns.load(Ordering::Relaxed)),
-                stats: self.stats.snapshot(),
+                stats,
             },
             gauges: self
                 .gauges
                 .as_ref()
                 .map(|g| g.snapshot())
                 .unwrap_or_default(),
-            children: self.children.iter().map(|c| c.snapshot()).collect(),
+            children,
         }
     }
 }
@@ -374,12 +383,8 @@ mod tests {
         node.add_rows_out(7);
         node.add_wall(Duration::from_millis(3));
         node.add_wall(Duration::from_millis(2));
-        let delta = StatsSnapshot {
-            col_value_cmps: 4,
-            ovc_cmps: 9,
-            ..StatsSnapshot::default()
-        };
-        node.absorb_stats(&delta);
+        node.stats().count_col_cmps(4);
+        node.stats().count_ovc_cmps(9);
 
         let p = node.snapshot();
         assert_eq!(p.name, "SortOvc");
@@ -403,10 +408,7 @@ mod tests {
                 let n = Arc::clone(&node);
                 std::thread::spawn(move || {
                     n.add_rows_out(5);
-                    n.absorb_stats(&StatsSnapshot {
-                        ovc_cmps: 2,
-                        ..StatsSnapshot::default()
-                    });
+                    n.stats().count_ovc_cmps(2);
                 })
             })
             .collect();
@@ -416,6 +418,25 @@ mod tests {
         let p = node.snapshot();
         assert_eq!(p.metrics.rows_out, 20);
         assert_eq!(p.metrics.code_resolved_cmps(), 8);
+    }
+
+    #[test]
+    fn inclusive_counters_are_own_block_plus_children() {
+        let child = Arc::new(ProfileNode::new("ScanCoded", " t1", vec![]));
+        child.stats().count_col_cmps(3);
+        child.stats().count_spill(2, 16);
+        let node = Arc::new(ProfileNode::new("Filter", "", vec![Arc::clone(&child)]));
+        node.stats().count_ovc_cmps(5);
+        node.stats().count_col_cmps(1);
+
+        let p = node.snapshot();
+        let mut expect = node.stats().snapshot();
+        expect.add(&child.stats().snapshot());
+        assert_eq!(p.metrics.stats, expect);
+        assert_eq!(p.metrics.col_cmps(), 4);
+        assert_eq!(p.metrics.code_resolved_cmps(), 5);
+        assert_eq!(p.metrics.stats.rows_spilled, 2);
+        assert_eq!(p.children[0].metrics.stats, child.stats().snapshot());
     }
 
     #[test]

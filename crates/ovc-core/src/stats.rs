@@ -17,42 +17,36 @@ use std::sync::Arc;
 /// `Stats` is `Send + Sync` and a whole pipeline — plan handle, operator
 /// stack, output stream — can move to a connection-handler thread and
 /// execute there (the `ovc-server` deployment shape).  Parallel
-/// components (the threaded exchange, parallel run generation) still
-/// have two merge paths:
-///
-/// * **per-thread `Stats`** — each worker creates its own `Stats`, and the
-///   coordinator merges [`StatsSnapshot`]s with [`Stats::absorb`] after
-///   joining (zero contention; the default choice);
-/// * **shared `Arc<Stats>`** — one accumulator shared across workers
-///   when they must publish counters while still running.
-///
-/// Both merge paths preserve the accounting exactly — every worker's
-/// counts land in the coordinator's totals, nothing lost or
-/// double-counted.  Relaxed ordering is sufficient: counters are
-/// statistics, not synchronization.
+/// components (the threaded exchange, parallel run generation) hand
+/// their workers the one `Arc<Stats>` they count into, so every worker's
+/// counts land in it, nothing lost or double-counted, with no per-thread
+/// copy to merge.  [`Stats::absorb`] folds a [`StatsSnapshot`] in where
+/// counts were gathered elsewhere (a profile's inclusive counters, a
+/// server's per-query totals).  Relaxed ordering is sufficient:
+/// counters are statistics, not synchronization.
 ///
 /// Each add here is a `lock`-prefixed instruction, dearer than the code
 /// comparison it counts, so the hot loops do not count on this handle
 /// per comparison.  A batch kernel counts into a local tally (a
 /// [`Tally`], or a plain integer for a one-test-per-row loop) and
 /// publishes it with one batch add ([`Stats::count_ovc_cmps`],
-/// [`Stats::count_col_cmps`]) per `next_batch`, before the call returns.
-/// A profiler that diffs snapshots around the call therefore still sees
-/// every comparison the call made.
+/// [`Stats::count_col_cmps`]) per `next_batch`, before the call returns,
+/// so a consumer that stops pulling leaves no count unpublished, and
+/// threads sharing one `Stats` touch its atomics once per batch.
 ///
 /// ```
 /// use std::sync::Arc;
 /// use ovc_core::Stats;
 ///
-/// // Shared path: a worker publishes into the coordinator's handle.
+/// // A worker publishes into the coordinator's handle.
 /// let shared = Stats::new_shared();
 /// let worker = Arc::clone(&shared);
 /// std::thread::spawn(move || worker.count_col_cmps(3)).join().unwrap();
 ///
-/// // Per-thread path: a worker's own counters, merged by snapshot.
-/// let local = Stats::default();
-/// local.count_ovc_cmp();
-/// shared.absorb(&local.snapshot());
+/// // Counts gathered elsewhere fold in by snapshot.
+/// let elsewhere = Stats::default();
+/// elsewhere.count_ovc_cmp();
+/// shared.absorb(&elsewhere.snapshot());
 ///
 /// assert_eq!(shared.col_value_cmps(), 3);
 /// assert_eq!(shared.ovc_cmps(), 1);
@@ -233,8 +227,8 @@ impl<C: CmpCounter + ?Sized> CmpCounter for Arc<C> {
 /// code comparisons per row, and a relaxed atomic add on the shared
 /// [`Stats`] is a `lock`-prefixed instruction each.  The loop counts here
 /// instead and [`Tally::flush`]es at its batch or run boundary — inside
-/// the `next_batch` that made the comparisons — so the totals and the
-/// per-batch profiles stay exact.
+/// the `next_batch` that made the comparisons — so the totals stay
+/// exact.
 ///
 /// A tournament does not even count per match: a build plays `cap − 1`
 /// matches and a leaf-to-root pass `log2(cap)`, known before either
@@ -348,8 +342,8 @@ impl StatsSnapshot {
     }
 
     /// Accumulate another snapshot into this one field-wise (the owned
-    /// counterpart of [`Stats::absorb`], used by profiling adapters that
-    /// collect deltas locally before publishing them).
+    /// counterpart of [`Stats::absorb`], used to sum a profile subtree's
+    /// counters).
     pub fn add(&mut self, d: &StatsSnapshot) {
         self.col_value_cmps += d.col_value_cmps;
         self.ovc_cmps += d.ovc_cmps;
@@ -456,7 +450,7 @@ mod tests {
         assert_eq!(snap.ovc_cmps, 4);
         assert_eq!(snap.rows_spilled, 4);
         assert_eq!(snap.bytes_spilled, 32);
-        // Per-thread merge path: fold into a pipeline-local Stats.
+        // Fold the snapshot into another Stats.
         let local = Stats::default();
         local.absorb(&snap);
         assert_eq!(local.col_value_cmps(), 40);

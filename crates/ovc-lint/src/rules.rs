@@ -569,15 +569,15 @@ fn rule_contained_spawn(
         // (the spawn line and the next five; real wrappers set up
         // locals before `contain`) — and contain-at-join — the
         // enclosing fn maps panic payloads to typed errors when it
-        // joins (`join_all` / `error_from_panic`).
+        // joins (`join_all`).
         let contained = (i..lines.len().min(i + 6)).any(|j| lines[j].code.contains("contain("))
             || spans
                 .iter()
                 .filter(|s| s.start <= i && i <= s.end)
                 .any(|s| {
-                    lines[s.start..=s.end].iter().any(|l| {
-                        l.code.contains("join_all(") || l.code.contains("error_from_panic(")
-                    })
+                    lines[s.start..=s.end]
+                        .iter()
+                        .any(|l| l.code.contains("join_all("))
                 });
         if !contained {
             out.push(Finding {

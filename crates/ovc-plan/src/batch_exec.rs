@@ -57,12 +57,14 @@
 //! item, and [`run`] returns it once every thread of the plan has
 //! joined.
 //!
-//! Worker threads account into per-thread [`Stats`] merged through one
-//! shared [`Stats`]; totals land in the caller's `stats` when the plan's
-//! thread scope ends.  Under profiling, each worker also attributes its
-//! counters to its operator's [`ProfileNode`] directly, so *that node's*
-//! figures are exact while ancestors' inclusive figures cover only
-//! calling-thread work (the plan-wide totals agree either way).
+//! Counting needs no per-thread merge: every kernel, sort, spill device
+//! and merge counts into the one [`Stats`] block it is handed, on
+//! whatever thread it runs.  Unprofiled, that is the caller's `stats`.
+//! Profiled, it is the block of the plan node whose code counts
+//! ([`ProfileNode::stats`]), so a node's inclusive counters are the sum
+//! over its subtree's blocks, across threads; [`run`] folds the root's
+//! inclusive counters into the caller's `stats` once the plan's threads
+//! have joined.
 //!
 //! [`OvcAccumulator`]: ovc_core::theorem::OvcAccumulator
 //! [`DEFAULT_CHANNEL_CAPACITY`]: ovc_exec::DEFAULT_CHANNEL_CAPACITY
@@ -77,8 +79,7 @@ use ovc_core::ctx::{self, ExecError, QueryCtx};
 use ovc_core::fault;
 use ovc_core::metrics::{ChannelGauge, ExchangeGauges, ProfileNode};
 use ovc_core::{
-    BatchStream, CodedBatch, FlatBatches, FlatRows, Ovc, Row, RowBatches, SortSpec, Stats,
-    StatsSnapshot, Value,
+    BatchStream, CodedBatch, FlatBatches, FlatRows, Ovc, Row, RowBatches, SortSpec, Stats, Value,
 };
 use ovc_exec::exchange::by_cols_hash;
 use ovc_exec::{
@@ -106,7 +107,9 @@ type PartStream = Box<dyn BatchStream + Send>;
 ///
 /// Roots come back materialized (the pipeline's threads are joined
 /// before returning): one stream via [`Output::root`], partitions as
-/// coded batches.
+/// coded batches.  A profiled run counts into the profile tree's node
+/// blocks and folds the root's inclusive counters into `stats` after
+/// every thread has joined, failed runs included.
 pub(crate) fn run(
     plan: &PhysicalPlan,
     catalog: &Catalog,
@@ -117,7 +120,6 @@ pub(crate) fn run(
 ) -> Result<Output, ExecError> {
     let batch = options.batch_size.unwrap_or(DEFAULT_BATCH_ROWS);
     assert!(batch > 0, "batch size must be positive");
-    let shared = Stats::new_shared();
     let out = std::thread::scope(|scope| {
         let cx = BCx {
             catalog,
@@ -125,7 +127,6 @@ pub(crate) fn run(
             batch,
             ctx: qctx.cloned(),
             scope,
-            shared: Arc::clone(&shared),
         };
         match cx.run(plan, stats, prof, None)? {
             BOut::Batches(b) => Ok(Output::root(drain(b)?, plan.props.coded)),
@@ -144,8 +145,9 @@ pub(crate) fn run(
             }
         }
     });
-    // Fold every worker thread's counters into the caller's totals.
-    stats.absorb(&shared.snapshot());
+    if let Some(root) = prof {
+        stats.absorb(&root.snapshot().metrics.stats);
+    }
     out
 }
 
@@ -242,6 +244,7 @@ fn gauge_for(gauges: Option<&ExchangeGauges>, p: usize) -> Option<Arc<ChannelGau
 /// Lowering context: one per [`run`] call, cloned into every
 /// producer/worker thread it spawns (all threads live inside one
 /// [`std::thread::scope`], so plan and catalog borrows cross freely).
+#[derive(Clone)]
 struct BCx<'scope, 'env> {
     catalog: &'env Catalog,
     options: &'env ExecOptions,
@@ -252,22 +255,6 @@ struct BCx<'scope, 'env> {
     /// operator boundary and thread loop; spills charge its budget.
     ctx: Option<QueryCtx>,
     scope: &'scope Scope<'scope, 'env>,
-    /// Meeting point for worker-thread counters; absorbed into the
-    /// caller's [`Stats`] after the scope joins.
-    shared: Arc<Stats>,
-}
-
-impl Clone for BCx<'_, '_> {
-    fn clone(&self) -> Self {
-        BCx {
-            catalog: self.catalog,
-            options: self.options,
-            batch: self.batch,
-            ctx: self.ctx.clone(),
-            scope: self.scope,
-            shared: Arc::clone(&self.shared),
-        }
-    }
 }
 
 impl<'env> BCx<'_, 'env> {
@@ -293,15 +280,19 @@ impl<'env> BCx<'_, 'env> {
 
     /// Lower one plan node and put the operator boundary around it.
     ///
-    /// When profiled, a node has two windows, disjoint in time: the
-    /// *eager* window times [`BCx::lower`] on the calling thread
-    /// (materializing sorts, spawning exchanges, …), and batch outputs
-    /// are then metered per `next_batch` by the [`Boundary`]; a node's
-    /// total is eager work + streamed work, inclusive of its subtree.
-    /// Thread-spawning arms attribute their workers' counters to the
-    /// node from the worker side.  Under a context the boundary is also
-    /// a cancellation point, once after lowering and once per batch.
-    /// With neither, nothing is wrapped and no clock is read.
+    /// The node's counter block is chosen here, once: a profiled node
+    /// counts into its own [`ProfileNode::stats`], an unprofiled run into
+    /// the `stats` it was handed, and [`BCx::lower`] passes that block to
+    /// everything it builds for the node (its children choose their own).
+    /// When profiled, a node's wall time has two windows, disjoint in
+    /// time: the *eager* window times [`BCx::lower`] on the calling
+    /// thread (materializing sorts, spawning exchanges, …), and batch
+    /// outputs are then metered per `next_batch` by the [`Boundary`];
+    /// both include the subtree's calls.  Thread-spawning arms count
+    /// their workers' rows and batches from the worker side.  Under a
+    /// context the boundary is also a cancellation point, once after
+    /// lowering and once per batch.  With neither, nothing is wrapped
+    /// and no clock is read.
     ///
     /// `gather` carries the consuming exchange's channel gauges down one
     /// edge: an `Exchange` to single hands its own gauges to its child so
@@ -314,11 +305,11 @@ impl<'env> BCx<'_, 'env> {
         prof: Option<&Arc<ProfileNode>>,
         gather: Option<&ExchangeGauges>,
     ) -> Result<BOut, ExecError> {
-        let window = prof.map(|node| (node, stats.snapshot(), Instant::now()));
+        let stats = prof.map_or(stats, |node| node.stats());
+        let window = prof.map(|node| (node, Instant::now()));
         let out = self.lower(plan, stats, prof, gather)?;
-        if let Some((node, before, start)) = window {
+        if let Some((node, start)) = window {
             node.add_wall(start.elapsed());
-            node.absorb_stats(&stats.snapshot().since(&before));
         }
         self.check()?;
         Ok(match out {
@@ -328,11 +319,9 @@ impl<'env> BCx<'_, 'env> {
                     ctx: self.ctx.clone(),
                     meter: prof.map(|node| Meter {
                         node: Arc::clone(node),
-                        stats: Arc::clone(stats),
                         rows: 0,
                         batches: 0,
                         wall: Duration::ZERO,
-                        delta: StatsSnapshot::default(),
                     }),
                 }))
             }
@@ -470,16 +459,17 @@ impl<'env> BCx<'_, 'env> {
                     self.partitioned(
                         parts.into_iter().map(|p| vec![p]).collect(),
                         pspec.prefix(group_len),
+                        stats,
                         prof,
                         gather,
-                        move |mut streams, local| {
+                        move |mut streams, stats| {
                             let s = streams.pop().expect("one stream per group worker");
                             Box::new(GroupAggregate::new(
                                 s,
                                 group_len,
                                 aggs.clone(),
                                 batch,
-                                local,
+                                stats,
                             ))
                         },
                     )
@@ -513,13 +503,14 @@ impl<'env> BCx<'_, 'env> {
                         self.partitioned(
                             lp.into_iter().zip(rp).map(|(l, r)| vec![l, r]).collect(),
                             out_spec,
+                            stats,
                             prof,
                             gather,
-                            move |mut streams, local| {
+                            move |mut streams, stats| {
                                 let r = streams.pop().expect("right input");
                                 let l = streams.pop().expect("left input");
                                 Box::new(MergeJoin::new(
-                                    l, r, join_len, join_type, lw, rw, batch, local,
+                                    l, r, join_len, join_type, lw, rw, batch, stats,
                                 ))
                             },
                         )
@@ -561,12 +552,13 @@ impl<'env> BCx<'_, 'env> {
                         self.partitioned(
                             lp.into_iter().zip(rp).map(|(l, r)| vec![l, r]).collect(),
                             lspec.with_normalized(false),
+                            stats,
                             prof,
                             gather,
-                            move |mut streams, local| {
+                            move |mut streams, stats| {
                                 let r = streams.pop().expect("right input");
                                 let l = streams.pop().expect("left input");
-                                Box::new(SetOperation::new(l, r, op, batch, local))
+                                Box::new(SetOperation::new(l, r, op, batch, stats))
                             },
                         )
                     }
@@ -608,16 +600,16 @@ impl<'env> BCx<'_, 'env> {
                     let src_plan: &'env PhysicalPlan = input;
                     let src_prof = child(prof, 0).cloned();
                     let node = prof.cloned();
+                    let stats = Arc::clone(stats);
                     let cols = cols.clone();
                     self.scope.spawn(move || {
                         let mut rows = 0u64;
                         let mut nbatches = 0u64;
-                        let local = Stats::new_shared();
                         let result = ctx::contain(|| {
                             fault::maybe_panic();
                             // Under a context the child is boundary-wrapped:
                             // draining it checks the context once per batch.
-                            let src = cx.run(src_plan, &local, src_prof.as_ref(), None)?;
+                            let src = cx.run(src_plan, &stats, src_prof.as_ref(), None)?;
                             let route = by_cols_hash(cols, parts);
                             route_batches(src.into_batches(), parts, route, b, |p, fb| {
                                 let n = fb.len() as u64;
@@ -642,13 +634,10 @@ impl<'env> BCx<'_, 'env> {
                             }
                         }
                         drop(txs);
-                        let snap = local.snapshot();
                         if let Some(n) = &node {
                             n.add_rows_out(rows);
                             n.add_batches(nbatches);
-                            n.absorb_stats(&snap);
                         }
-                        cx.shared.absorb(&snap);
                     });
                     BOut::Parts(streams, spec)
                 }
@@ -674,8 +663,9 @@ impl<'env> BCx<'_, 'env> {
     }
 
     /// One worker thread per partition: `build` assembles the batch
-    /// kernel over that partition's input stream(s) on the worker, whose
-    /// output batches go down a bounded channel (in-flight row
+    /// kernel over that partition's input stream(s) on the worker,
+    /// counting into `stats`, and its output batches go down a bounded
+    /// channel (in-flight row
     /// budget ≈ [`DEFAULT_CHANNEL_CAPACITY`], message capacity scaled by
     /// the batch size).  `gather` gauges, when present, meter the send
     /// side here and the receive side at the consuming merge.
@@ -683,6 +673,7 @@ impl<'env> BCx<'_, 'env> {
         &self,
         inputs: Vec<Vec<PartStream>>,
         out_spec: SortSpec,
+        stats: &Arc<Stats>,
         prof: Option<&Arc<ProfileNode>>,
         gather: Option<&ExchangeGauges>,
         build: F,
@@ -699,15 +690,15 @@ impl<'env> BCx<'_, 'env> {
             let recv_gauge = gauge_for(gather, p);
             let build = Arc::clone(&build);
             let node = prof.cloned();
+            let stats = Arc::clone(stats);
             let cx = self.clone();
             let label = out_spec.clone();
             self.scope.spawn(move || {
                 let mut rows = 0u64;
                 let mut nbatches = 0u64;
-                let local = Stats::new_shared();
                 let result = ctx::contain(|| {
                     fault::maybe_panic();
-                    let mut out = build(streams, Arc::clone(&local));
+                    let mut out = build(streams, stats);
                     debug_assert_eq!(out.sort_spec(), label, "kernel and channel labels differ");
                     while let Some(fb) = out.next_batch()? {
                         cx.check()?;
@@ -737,13 +728,10 @@ impl<'env> BCx<'_, 'env> {
                     // its input) reaches the consumer as that error.
                     let _ = tx.send(Err(err));
                 }
-                let snap = local.snapshot();
                 if let Some(n) = &node {
                     n.add_rows_out(rows);
                     n.add_batches(nbatches);
-                    n.absorb_stats(&snap);
                 }
-                cx.shared.absorb(&snap);
             });
             outs.push(Box::new(BatchChannelStream::new(
                 rx,
@@ -762,9 +750,10 @@ impl<'env> BCx<'_, 'env> {
 /// Under a context each `next_batch` is a cancellation point (and a
 /// [`fault::FaultPoint::SlowConsumer`] probe, so tests can cross a
 /// deadline mid-plan deterministically).  Under profiling the call is
-/// timed and the calling thread's [`Stats`] delta across it attributed
-/// to the node ([`Meter`]).  Rows and codes pass through untouched and
-/// the shared [`Stats`] is only *read*, so neither perturbs the output.
+/// timed and its rows and batches counted ([`Meter`]); counters need no
+/// metering, since the node's code counts into the node's own block.
+/// Rows and codes pass through untouched, so neither perturbs the
+/// output.
 struct Boundary {
     inner: Box<dyn BatchStream>,
     ctx: Option<QueryCtx>,
@@ -774,15 +763,13 @@ struct Boundary {
 /// One operator's streamed-window tallies: accumulated in plain fields
 /// and flushed to the node's atomics on drop — one flush per stream,
 /// covering early termination (`TopK` abandoning its input) as well as
-/// full drains.  Nested boundaries nest their windows, which is exactly
-/// the inclusive accounting convention of `EXPLAIN ANALYZE`.
+/// full drains.  Nested boundaries nest their windows, so wall time is
+/// inclusive of the subtree, as `EXPLAIN ANALYZE` reports it.
 struct Meter {
     node: Arc<ProfileNode>,
-    stats: Arc<Stats>,
     rows: u64,
     batches: u64,
     wall: Duration,
-    delta: StatsSnapshot,
 }
 
 impl BatchStream for Boundary {
@@ -794,11 +781,9 @@ impl BatchStream for Boundary {
         let Some(m) = &mut self.meter else {
             return self.inner.next_batch();
         };
-        let before = m.stats.snapshot();
         let start = Instant::now();
         let item = self.inner.next_batch();
         m.wall += start.elapsed();
-        m.delta.add(&m.stats.snapshot().since(&before));
         if let Ok(Some(b)) = &item {
             m.rows += b.len() as u64;
             m.batches += 1;
@@ -815,7 +800,6 @@ impl Drop for Meter {
         self.node.add_rows_out(self.rows);
         self.node.add_batches(self.batches);
         self.node.add_wall(self.wall);
-        self.node.absorb_stats(&self.delta);
     }
 }
 

@@ -152,9 +152,10 @@ pub fn execute_ctx(
 }
 
 /// As [`execute`], but with per-operator profiling: every lowered
-/// operator reports rows, batches, wall time, and counter deltas into a
-/// [`ProfileNode`] tree mirroring the plan's shape, and threaded
-/// exchanges report per-channel wait/occupancy gauges.
+/// operator reports rows, batches and wall time into a [`ProfileNode`]
+/// tree mirroring the plan's shape and counts into its node's own
+/// [`Stats`] block, and threaded exchanges report per-channel
+/// wait/occupancy gauges.
 ///
 /// The output is materialized when this returns, so
 /// [`ProfileNode::snapshot`] is immediately meaningful.  Profiling only

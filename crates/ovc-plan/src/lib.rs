@@ -30,7 +30,7 @@
 //!   [`ovc_core::OvcStream`] for ordered plans;
 //! * [`profile`] — `EXPLAIN ANALYZE`: [`exec::execute_profiled`] meters
 //!   every lowered operator into an [`ovc_core::metrics::ProfileNode`]
-//!   tree (rows, wall time, comparison deltas, exchange channel gauges)
+//!   tree (rows, wall time, comparison counts, exchange channel gauges)
 //!   and [`physical::PhysicalPlan::explain_analyze`] renders estimates
 //!   beside measurements;
 //! * [`figure5`] — the paper's Figure 5 experiment: both plans derived

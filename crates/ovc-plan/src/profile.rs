@@ -5,10 +5,11 @@
 //! (children in plan child order, so profile and plan walk in lockstep);
 //! [`PhysOp::Exchange`] nodes get per-partition [`ChannelGauge`]s sized
 //! from the plan's partitioning.  The executor
-//! ([`crate::exec::execute_profiled`]) fills the tree in through the one
-//! operator-boundary adapter of its lowering — per node, an eager window
-//! around lowering plus a streamed window over every `next_batch`,
-//! disjoint in time and both inclusive of the subtree (DESIGN.md §11);
+//! ([`crate::exec::execute_profiled`]) fills the tree in: each node's
+//! code counts into the node's own [`Stats`] block, on whatever thread
+//! it runs, and the one operator-boundary adapter of the lowering times
+//! the node — an eager window around lowering plus a streamed window
+//! over every `next_batch`, disjoint in time (DESIGN.md §11);
 //! [`PhysicalPlan::explain_analyze`] runs the plan to completion and
 //! renders each operator as
 //!
@@ -18,7 +19,9 @@
 //!
 //! — the estimate the planner priced next to what the run actually did,
 //! the Postgres `EXPLAIN ANALYZE` shape.  All measured figures are
-//! inclusive of the subtree (see [`ovc_core::metrics`]); `col cmps` are
+//! inclusive of the subtree: a count belongs to the node whose code
+//! made it, and inclusive is the subtree sum (see
+//! [`ovc_core::metrics`]); `col cmps` are
 //! column-value comparisons (the expensive kind the paper eliminates)
 //! and `code cmps` are comparisons resolved by offset-value-code
 //! inspection alone.

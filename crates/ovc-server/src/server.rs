@@ -30,7 +30,7 @@ use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 use ovc_core::ctx::ExecError;
-use ovc_core::{QueryCtx, Stats, StatsSnapshot};
+use ovc_core::{QueryCtx, Stats};
 use ovc_json::{write_str, Json};
 use ovc_plan::{
     execute_ctx, execute_ctx_profiled, Catalog, ExecOptions, Output, Planner, PlannerConfig,
@@ -605,7 +605,6 @@ fn stream_query(
     qctx: &QueryCtx,
 ) -> std::io::Result<Option<ExecError>> {
     let stats = Stats::new_shared();
-    let before = stats.snapshot();
     let width = physical.props.width;
     let key_len = physical.props.order.len();
     let mut cw = ChunkedWriter::start(
@@ -627,7 +626,7 @@ fn stream_query(
         Err(err) => {
             // Keep the accounting of the failed attempt — the engine
             // counters reflect work actually performed.
-            state.metrics.absorb_query(&stats.snapshot().since(&before));
+            state.metrics.absorb_query(&stats.snapshot());
             cw.chunk(wire::typed_error_frame(err.reason(), &err.to_string()).as_bytes())?;
             cw.finish()?;
             return Ok(Some(err));
@@ -668,7 +667,7 @@ fn stream_query(
         }
     } as u64;
 
-    let delta = stats.snapshot().since(&before);
+    let delta = stats.snapshot();
     state.metrics.absorb_query(&delta);
     ServerMetrics::add(&state.metrics.rows_streamed_total, total_rows);
     ServerMetrics::add(&state.metrics.batches_streamed_total, seq);
@@ -680,10 +679,4 @@ fn stream_query(
     cw.chunk(wire::trailer_frame(total_rows, seq, &delta, analyze_text.as_deref()).as_bytes())?;
     cw.finish()?;
     Ok(None)
-}
-
-/// The deltas of one query, for tests that want to compare a served
-/// query's accounting to a direct library run.
-pub fn snapshot_delta(stats: &Arc<Stats>, before: &StatsSnapshot) -> StatsSnapshot {
-    stats.snapshot().since(before)
 }

@@ -9,9 +9,9 @@
 //! 1. copy the input once into one resident flat buffer and give each
 //!    worker a contiguous row range of it;
 //! 2. each worker generates sorted, exactly-coded runs with the OVC
-//!    tree-of-losers straight over its range (its own per-thread
-//!    [`Stats`], merged into the caller's by snapshot afterwards — see
-//!    `ovc_core::stats`);
+//!    tree-of-losers straight over its range, counting into the caller's
+//!    [`Stats`] (the tournament's tally publishes once per run, so the
+//!    workers touch the shared counters once per run);
 //! 3. the caller's thread merges all runs with the existing bounded-fan-in
 //!    coded merge.
 //!
@@ -46,11 +46,10 @@ use crate::runs::Run;
 /// Generate initial runs with `threads` workers over contiguous row
 /// ranges of one resident flat buffer — `threads` (at most one per row)
 /// slices of `⌈rows / threads⌉` rows.  Each worker respects the
-/// per-worker `memory_rows` budget and counts into its own [`Stats`]:
-/// `Arc<Stats>` never crosses the thread boundary, only the snapshot
-/// does, merged into `stats` once every worker has joined
-/// ([`ctx::join_all`]).  The first worker panic is then returned as
-/// [`ExecError::WorkerPanic`].  One thread sorts on the caller's.
+/// per-worker `memory_rows` budget, counts into `stats` and returns its
+/// runs; once every worker has joined ([`ctx::join_all`]), the first
+/// worker panic is returned as [`ExecError::WorkerPanic`].  One thread
+/// sorts on the caller's.
 fn parallel_runs(
     (rows, width, values): (usize, usize, Vec<u64>),
     spec: &SortSpec,
@@ -74,20 +73,14 @@ fn parallel_runs(
             .map(|start| {
                 scope.spawn(move || {
                     fault::maybe_panic();
-                    let local = Stats::new_shared();
                     let range = start..(start + len).min(rows);
-                    let runs = sort_windows(values, width, range, memory_rows, spec, &local);
-                    Ok((runs, local.snapshot()))
+                    Ok(sort_windows(values, width, range, memory_rows, spec, stats))
                 })
             })
             .collect();
         ctx::join_all(workers)
     });
-    let mut runs = Vec::new();
-    for (worker_runs, snapshot) in results {
-        stats.absorb(&snapshot);
-        runs.extend(worker_runs);
-    }
+    let runs = results.into_iter().flatten().collect();
     failure.map_or(Ok(runs), Err)
 }
 
@@ -236,8 +229,8 @@ mod tests {
 
     #[test]
     fn parallel_sort_counts_worker_comparisons() {
-        // Per-thread Stats snapshots must land in the caller's counters;
-        // the N×K bound holds regardless of the thread count.
+        // Every worker's counts land in the caller's counters; the N×K
+        // bound holds regardless of the thread count.
         let rows = random_rows(2000, 2, 5, 2);
         let stats = Stats::new_shared();
         let _ = parallel_sort(rows, 2, 4, 128, 128, &stats).count();

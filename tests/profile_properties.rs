@@ -122,14 +122,10 @@ fn figure5_sort_plan_profiles_without_perturbation() {
     }
 }
 
-/// The ISSUE 6 acceptance criterion, part 2: a planned dop=4 exchange
-/// join — batches crossing every exchange channel — profiles without
-/// perturbation, every Exchange node carries channel gauges, the gauges
-/// account for every row that crossed, and queue depth is metered in
-/// messages (batches), not rows.
-#[test]
-fn planned_dop4_exchange_join_profiles_with_gauges() {
-    const BATCH: usize = 8;
+/// A sort-based inner join of two unsorted tables, planned at dop 4 with
+/// `batch`-row exchange edges: two splitting exchanges feed a partitioned
+/// merge join whose workers a gathering exchange merges.
+fn dop4_exchange_join(batch: usize) -> (Catalog, ovc_plan::PhysicalPlan) {
     let mut rng = StdRng::seed_from_u64(0xD0B4);
     let mut catalog = Catalog::new();
     catalog.register("l", Table::unsorted(random_rows(&mut rng, 400, 25)));
@@ -141,8 +137,20 @@ fn planned_dop4_exchange_join_profiles_with_gauges() {
         .with_preference(Preference::ForceSortBased)
         .with_dop(4)
         .with_parallel_threshold(1)
-        .with_batch_size(BATCH);
+        .with_batch_size(batch);
     let plan = Planner::new(&catalog, cfg).plan(&q).expect("plans");
+    (catalog, plan)
+}
+
+/// The ISSUE 6 acceptance criterion, part 2: a planned dop=4 exchange
+/// join — batches crossing every exchange channel — profiles without
+/// perturbation, every Exchange node carries channel gauges, the gauges
+/// account for every row that crossed, and queue depth is metered in
+/// messages (batches), not rows.
+#[test]
+fn planned_dop4_exchange_join_profiles_with_gauges() {
+    const BATCH: usize = 8;
+    let (catalog, plan) = dop4_exchange_join(BATCH);
     assert_eq!(plan.count_op("Exchange"), 3, "two splits + one gather");
 
     let options = ExecOptions {
@@ -308,7 +316,8 @@ fn sorted_pipeline() -> (Catalog, LogicalPlan) {
 
 /// Run `plan` profiled at `batch` rows per batch; return each node's
 /// (name, col cmps, code cmps), preorder, after checking that the root's
-/// counters are the query's `Stats` totals.
+/// counters are the query's `Stats` totals and that every node's
+/// counters cover its children's.
 fn profiled_counts(
     plan: &ovc_plan::PhysicalPlan,
     catalog: &Catalog,
@@ -330,6 +339,26 @@ fn profiled_counts(
         (stats.col_value_cmps(), stats.ovc_cmps()),
         "batch {batch}: the root holds every counted comparison"
     );
+    assert_eq!(profile.metrics.stats, stats.snapshot(), "batch {batch}");
+    for n in profile.nodes() {
+        let mut children = ovc_core::StatsSnapshot::default();
+        for c in &n.children {
+            children.add(&c.metrics.stats);
+        }
+        let (own, sum) = (n.metrics.stats, children);
+        assert!(
+            own.col_value_cmps >= sum.col_value_cmps
+                && own.ovc_cmps >= sum.ovc_cmps
+                && own.row_cmps >= sum.row_cmps
+                && own.rows_spilled >= sum.rows_spilled
+                && own.bytes_spilled >= sum.bytes_spilled
+                && own.rows_read_back >= sum.rows_read_back
+                && own.bytes_read_back >= sum.bytes_read_back,
+            "batch {batch}: `{}{}` ({own:?}) does not cover its children ({sum:?})",
+            n.name,
+            n.detail
+        );
+    }
     profile
         .nodes()
         .into_iter()
@@ -343,8 +372,8 @@ fn profiled_counts(
         .collect()
 }
 
-/// Kernels count comparisons locally and publish them inside
-/// `next_batch` (DESIGN.md §11): each node's inclusive counters are then
+/// A count belongs to the node whose code made it and inclusive is the
+/// subtree sum (DESIGN.md §11): each node's inclusive counters are then
 /// the same whatever the batch size, and the root's are the totals.
 #[test]
 fn per_node_counts_do_not_depend_on_batch_size() {
@@ -368,7 +397,7 @@ fn per_node_counts_do_not_depend_on_batch_size() {
 
 /// The totals check under early termination: a `TopK` whose k is
 /// smaller than one batch stops pulling, and what the kernels below it
-/// counted is still all in the root's window.
+/// counted is still all in the root's subtree sum.
 #[test]
 fn early_stop_keeps_root_counts_equal_to_totals() {
     let (catalog, q) = sorted_pipeline();
@@ -380,4 +409,25 @@ fn early_stop_keeps_root_counts_equal_to_totals() {
         let counts = profiled_counts(&plan, &catalog, batch);
         assert!(counts[0].2 > 0, "batch {batch}: {counts:?}");
     }
+}
+
+/// Worker threads count into the blocks of the nodes whose code they
+/// run, so a dop-4 plan's root holds the query's totals at every batch
+/// size (`profiled_counts` checks it, and that each node covers its
+/// children), and the partitioned join and the gather report the same
+/// figures whatever the batch size.
+#[test]
+fn dop4_exchange_join_root_counts_equal_totals() {
+    let (catalog, plan) = dop4_exchange_join(8);
+    let reference = profiled_counts(&plan, &catalog, 8);
+    assert!(reference[0].2 > 0, "the plan counted: {reference:?}");
+    let join = reference
+        .iter()
+        .find(|(name, ..)| name.starts_with("MergeJoinOvc"))
+        .expect("a merge join in the plan");
+    assert!(
+        join.2 > 0,
+        "the partitioned join's workers counted: {join:?}"
+    );
+    assert_eq!(profiled_counts(&plan, &catalog, 1024), reference);
 }
