@@ -156,7 +156,8 @@ pub fn external_sort_plain(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ovc_sort::{external_sort_collect, SortConfig};
+    use ovc_core::SortSpec;
+    use ovc_sort::{external_sort_spec_to_run, MemoryRunStorage, SortConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -165,6 +166,15 @@ mod tests {
         (0..n)
             .map(|_| Row::new((0..k).map(|_| rng.gen_range(0..domain)).collect()))
             .collect()
+    }
+
+    /// The OVC sorter over `rows` (ascending on `k` columns, spills
+    /// in memory).
+    fn ovc_sort(rows: Vec<Row>, k: usize, memory_rows: usize, stats: &Arc<Stats>) -> Vec<Row> {
+        let mut storage = MemoryRunStorage::new(Arc::clone(stats));
+        let cfg = SortConfig::new(k, memory_rows);
+        let run = external_sort_spec_to_run(rows, cfg, &SortSpec::asc(k), &mut storage, stats);
+        run.iter().map(|(cols, _)| Row::from_slice(cols)).collect()
     }
 
     #[test]
@@ -184,10 +194,7 @@ mod tests {
         let s1 = Stats::new_shared();
         let s2 = Stats::new_shared();
         let plain = external_sort_plain(rows.clone(), 2, 50, 128, &s1);
-        let ovc: Vec<Row> = external_sort_collect(rows, SortConfig::new(2, 50), &s2)
-            .into_iter()
-            .map(|r| r.row)
-            .collect();
+        let ovc = ovc_sort(rows, 2, 50, &s2);
         // Key order must agree (payload ties may differ in order).
         let keys = |v: &[Row]| -> Vec<Vec<u64>> { v.iter().map(|r| r.key(2).to_vec()).collect() };
         assert_eq!(keys(&plain), keys(&ovc));
@@ -200,7 +207,7 @@ mod tests {
         let s_plain = Stats::new_shared();
         let s_ovc = Stats::new_shared();
         let _ = external_sort_plain(rows.clone(), 4, 256, 64, &s_plain);
-        let _ = external_sort_collect(rows, SortConfig::new(4, 256), &s_ovc);
+        let _ = ovc_sort(rows, 4, 256, &s_ovc);
         assert!(
             s_ovc.col_value_cmps() * 2 < s_plain.col_value_cmps(),
             "ovc {} vs plain {}",

@@ -15,11 +15,11 @@ use std::sync::Arc;
 use ovc_baseline::{external_sort_plain, GroupFullCompare};
 use ovc_bench::count_rows;
 use ovc_bench::workload::{grouped_sorted_table, intersect_tables, table, TableSpec};
-use ovc_core::Stats;
+use ovc_core::{SortSpec, Stats};
 use ovc_exec::{Aggregate, BatchDedup, GroupAggregate, JoinType, MergeJoin};
 use ovc_plan::figure5::{catalog_unsorted, run_intersect};
 use ovc_plan::{PlannerConfig, Preference};
-use ovc_sort::{external_sort_collect, sort_rows_ovc, Run, SortConfig};
+use ovc_sort::{external_sort_spec_to_run, sort_rows_ovc, MemoryRunStorage, Run, SortConfig};
 
 /// The engine's default batch size.
 const BATCH: usize = 1024;
@@ -75,7 +75,9 @@ fn render() -> Result<String, std::fmt::Error> {
         seed: 2,
     });
     let s = Stats::new_shared();
-    let _ = external_sort_collect(rows.clone(), SortConfig::new(4, 40_000), &s);
+    let mut storage = MemoryRunStorage::new(s.clone());
+    let cfg = SortConfig::new(4, 40_000);
+    let _ = external_sort_spec_to_run(rows.clone(), cfg, &SortSpec::asc(4), &mut storage, &s);
     writeln!(
         out,
         "{:<28} col-cmps {:>12}  code-cmps {:>12}",

@@ -18,11 +18,11 @@
 //! requires **no code repair at all** (codes are a function of the row
 //! sequence, which batching does not change — [`FlatRows::slice`]), and
 //! concatenating batches back ([`FlatRows::extend_from`]) is equally
-//! free.  Repair is only
-//! needed when a batch is *lifted out* of its stream and treated as a
-//! standalone sorted unit — [`repair_head`] re-bases its first code to
-//! "−∞", and every later code stays exact because it never looks past
-//! the batch's own previous row.
+//! free.  Repair is only needed when a batch is *lifted out* of its
+//! stream and treated as a standalone sorted unit: its first code is
+//! re-based to "−∞" (the exchange does so with
+//! [`crate::theorem::OvcAccumulator`]), and every later code stays exact
+//! because it never looks past the batch's own previous row.
 //!
 //! Validation mirrors the row-stream helpers:
 //! [`find_code_violation_batches`] / [`assert_batches_exact_spec`] audit
@@ -212,22 +212,6 @@ pub fn assert_batches_exact_spec(batches: &[FlatRows], spec: &SortSpec) {
     }
 }
 
-/// Promote a mid-stream batch to a standalone sorted unit: re-base its
-/// first code to "−∞" under `spec`.
-///
-/// This is the whole batch-seam repair rule: a batch cut from a coded
-/// stream is internally exact from its second row on (those codes never
-/// look past the batch's own previous row), and only the head code
-/// references the previous batch's last row.  After `repair_head` the
-/// batch satisfies the standalone contract checked by
-/// [`crate::CodedBatch::from_flat`].  No-op on empty batches.
-pub fn repair_head(flat: &mut FlatRows, spec: &SortSpec) {
-    if !flat.is_empty() {
-        let code = spec.initial_code(&flat.row(0)[..spec.len()]);
-        flat.set_code(0, code);
-    }
-}
-
 /// Drain a batch stream into `(Row, Ovc)` pairs (test convenience).
 /// Panics with the error's message if the stream fails.
 pub fn collect_batch_pairs<B: BatchStream>(mut stream: B) -> Vec<(Row, crate::Ovc)> {
@@ -303,19 +287,10 @@ mod tests {
     fn seam_validation_catches_a_bad_head_code() {
         let mut batches = drain(cut(table1_stream(), 3));
         // Corrupt the second batch's head: pretend it starts a stream.
-        repair_head(&mut batches[1], &SortSpec::asc(4));
+        let head = SortSpec::asc(4).initial_code(&batches[1].row(0)[..4]);
+        batches[1].set_code(0, head);
         let i = find_code_violation_batches(&batches, &SortSpec::asc(4));
         assert_eq!(i, Some(3), "the repaired head no longer matches the seam");
-    }
-
-    #[test]
-    fn repair_head_makes_a_mid_stream_batch_standalone() {
-        let mut stream = cut(table1_stream(), 3);
-        let _ = stream.next_batch();
-        let mut mid = stream.next_batch().unwrap().expect("second batch");
-        repair_head(&mut mid, &SortSpec::asc(4));
-        // The standalone contract (first code relative to −∞) now holds.
-        let _ = crate::CodedBatch::from_flat(mid, SortSpec::asc(4));
     }
 
     #[test]

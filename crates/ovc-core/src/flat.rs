@@ -24,8 +24,8 @@ use crate::stream::OvcRow;
 /// `i`'s columns at `values[i * width .. (i + 1) * width]`, code `i` in
 /// `codes[i]`.
 ///
-/// The container itself carries no ordering contract; wrappers ([`Run`] in
-/// `ovc-sort`, [`crate::CodedBatch`]) pair it with a
+/// The container itself carries no ordering contract; the coded run
+/// ([`Run`] in `ovc-sort`) and the batch streams pair it with a
 /// [`crate::SortSpec`] and enforce the coded-stream invariant.
 ///
 /// [`Run`]: https://docs.rs/ovc-sort
@@ -133,9 +133,8 @@ impl FlatRows {
         self.codes[i]
     }
 
-    /// Overwrite the code of row `i` (the batch-seam head repair:
-    /// promoting a mid-stream batch to standalone re-bases code 0 —
-    /// [`crate::batch::repair_head`]).
+    /// Overwrite the code of row `i` (e.g. clamping a code to a shorter
+    /// key prefix).
     #[inline]
     pub fn set_code(&mut self, i: usize, code: Ovc) {
         self.codes[i] = code;

@@ -27,9 +27,10 @@
 //! * [`spec`] — [`spec::SortSpec`]: the first-class ordering contract
 //!   (per-column directions plus an optional normalized-key flag) that
 //!   streams carry and planners match on;
-//! * [`stream`] — the [`stream::OvcStream`] contract operators compose on,
-//!   plus the [`stream::CodedBatch`] / [`stream::SendOvcStream`] adapters
-//!   that let coded streams cross thread boundaries;
+//! * [`stream`] — the row-at-a-time [`stream::OvcStream`] contract of the
+//!   library's edge and the test oracles (the engine hands coded rows
+//!   over as [`batch::BatchStream`] batches; its one materialized coded
+//!   run is `ovc_sort::Run`);
 //! * [`batch`] — the [`batch::BatchStream`] contract for morsel-style
 //!   batch-at-a-time pipelines: fixed-size [`flat::FlatRows`] batches
 //!   whose codes stay exact across batch seams (cut with
@@ -91,4 +92,4 @@ pub use ovc::Ovc;
 pub use row::{Row, SortKey, Value};
 pub use spec::{Direction, SortSpec};
 pub use stats::{CmpCounter, CostWeights, Stats, StatsSnapshot, Tally};
-pub use stream::{CodedBatch, OvcRow, OvcStream, SendOvcStream, VecStream};
+pub use stream::{OvcRow, OvcStream, VecStream};

@@ -151,17 +151,6 @@ impl Stats {
         self.bytes_read_back.load(Ordering::Relaxed)
     }
 
-    /// Reset all counters to zero.
-    pub fn reset(&self) {
-        self.col_value_cmps.store(0, Ordering::Relaxed);
-        self.ovc_cmps.store(0, Ordering::Relaxed);
-        self.row_cmps.store(0, Ordering::Relaxed);
-        self.rows_spilled.store(0, Ordering::Relaxed);
-        self.bytes_spilled.store(0, Ordering::Relaxed);
-        self.rows_read_back.store(0, Ordering::Relaxed);
-        self.bytes_read_back.store(0, Ordering::Relaxed);
-    }
-
     /// Capture the current counter values.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
@@ -386,15 +375,6 @@ mod tests {
         assert_eq!(s.bytes_spilled(), 80);
         assert_eq!(s.rows_read_back(), 10);
         assert_eq!(s.bytes_read_back(), 80);
-    }
-
-    #[test]
-    fn reset_zeroes_everything() {
-        let s = Stats::default();
-        s.count_col_cmps(7);
-        s.count_spill(1, 8);
-        s.reset();
-        assert_eq!(s.snapshot(), StatsSnapshot::default());
     }
 
     #[test]

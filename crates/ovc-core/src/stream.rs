@@ -10,7 +10,6 @@
 //! re-comparing rows.
 
 use crate::derive::{derive_codes, derive_codes_spec};
-use crate::flat::FlatRows;
 use crate::ovc::Ovc;
 use crate::row::Row;
 use crate::spec::SortSpec;
@@ -163,158 +162,6 @@ impl OvcStream for VecStream {
     }
 }
 
-/// A coded stream that may cross a thread boundary.
-///
-/// This is a pure marker: any [`OvcStream`] whose row source is `Send`
-/// (which includes [`VecStream`] and [`CodedBatch`] cursors) already
-/// satisfies it via the blanket impl.
-/// The exactness contract travels with the stream — codes are a function
-/// of the row sequence alone, so moving a stream between threads cannot
-/// invalidate them.
-pub trait SendOvcStream: OvcStream + Send {}
-
-impl<S: OvcStream + Send> SendOvcStream for S {}
-
-/// An owned, sendable batch of coded rows — the hand-off unit between
-/// pipeline threads, and the shape of an executor's materialized output.
-///
-/// Where a single-threaded pipeline passes an [`OvcStream`] by value, a
-/// `CodedBatch` can move across a thread or channel and resume streaming
-/// on the other side with [`CodedBatch::into_stream`]; the executor's
-/// drained partitions and root come back as one.  The batch carries the
-/// same contract as the stream it came from: rows sorted on the leading
-/// `key_len` columns, every code exact relative to its predecessor.  Rows
-/// live in one flat contiguous buffer ([`FlatRows`]); [`OvcRow`]s are
-/// boxed only on the way out.
-#[derive(Clone, Debug)]
-pub struct CodedBatch {
-    flat: FlatRows,
-    spec: SortSpec,
-}
-
-impl CodedBatch {
-    /// Materialize a coded stream into a sendable batch, carrying the
-    /// stream's ordering contract along.  Requires the stream's rows to
-    /// share one width (operator outputs are homogeneous).
-    pub fn from_stream<S: OvcStream>(stream: S) -> Self {
-        let spec = stream.sort_spec();
-        CodedBatch {
-            flat: FlatRows::from_ovc_rows(stream.collect(), spec.len()),
-            spec,
-        }
-    }
-
-    /// Wrap already-coded rows.  Debug builds verify the contract.
-    pub fn from_coded(rows: Vec<OvcRow>, key_len: usize) -> Self {
-        Self::from_coded_spec(rows, SortSpec::asc(key_len))
-    }
-
-    /// Wrap rows coded under an explicit [`SortSpec`].  Debug builds
-    /// verify the spec's stream contract.
-    pub fn from_coded_spec(rows: Vec<OvcRow>, spec: SortSpec) -> Self {
-        Self::from_flat(FlatRows::from_ovc_rows(rows, spec.len()), spec)
-    }
-
-    /// Wrap a flat buffer coded under `spec`.  Debug builds verify the
-    /// spec's stream contract in place.
-    pub fn from_flat(flat: FlatRows, spec: SortSpec) -> Self {
-        #[cfg(debug_assertions)]
-        {
-            if let Some(i) = crate::derive::find_code_violation_slices(flat.iter(), &spec) {
-                panic!("CodedBatch::from_flat: code violation at row {i} under {spec}");
-            }
-        }
-        CodedBatch { flat, spec }
-    }
-
-    /// Derive codes for sorted rows and wrap them.  Panics if unsorted.
-    pub fn from_sorted_rows(rows: Vec<Row>, key_len: usize) -> Self {
-        Self::from_stream(VecStream::from_sorted_rows(rows, key_len))
-    }
-
-    /// Resume streaming (typically on a different thread than the one
-    /// that materialized the batch): each [`OvcRow`] materializes lazily,
-    /// straight from the contiguous buffer.
-    pub fn into_stream(self) -> CodedBatchIter {
-        CodedBatchIter {
-            flat: self.flat,
-            pos: 0,
-            spec: self.spec,
-        }
-    }
-
-    /// Consume into boxed coded rows (one allocation per row).
-    pub fn into_rows(self) -> Vec<OvcRow> {
-        self.flat.to_ovc_rows()
-    }
-
-    /// Consume into the flat buffer.
-    pub fn into_flat(self) -> FlatRows {
-        self.flat
-    }
-
-    /// Materialize the coded rows without consuming the batch.
-    pub fn to_ovc_rows(&self) -> Vec<OvcRow> {
-        self.flat.to_ovc_rows()
-    }
-
-    /// Number of rows in the batch.
-    pub fn len(&self) -> usize {
-        self.flat.len()
-    }
-
-    /// Is the batch empty?
-    pub fn is_empty(&self) -> bool {
-        self.flat.is_empty()
-    }
-
-    /// Sort-key arity of the batch's codes.
-    pub fn key_len(&self) -> usize {
-        self.spec.len()
-    }
-
-    /// The ordering contract the batch's rows and codes follow.
-    pub fn sort_spec(&self) -> &SortSpec {
-        &self.spec
-    }
-}
-
-/// The stream a [`CodedBatch`] reopens into: rows materialize lazily
-/// from the contiguous buffer.
-pub struct CodedBatchIter {
-    flat: FlatRows,
-    pos: usize,
-    spec: SortSpec,
-}
-
-impl Iterator for CodedBatchIter {
-    type Item = OvcRow;
-    fn next(&mut self) -> Option<OvcRow> {
-        if self.pos >= self.flat.len() {
-            return None;
-        }
-        let r = OvcRow::new(
-            Row::from_slice(self.flat.row(self.pos)),
-            self.flat.code(self.pos),
-        );
-        self.pos += 1;
-        Some(r)
-    }
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.flat.len() - self.pos;
-        (left, Some(left))
-    }
-}
-
-impl OvcStream for CodedBatchIter {
-    fn key_len(&self) -> usize {
-        self.spec.len()
-    }
-    fn sort_spec(&self) -> SortSpec {
-        self.spec.clone()
-    }
-}
-
 /// Drain a stream into `(Row, Ovc)` pairs (test/bench convenience).
 pub fn collect_pairs<S: OvcStream>(stream: S) -> Vec<(Row, Ovc)> {
     stream.map(|r| (r.row, r.code)).collect()
@@ -370,26 +217,6 @@ mod tests {
     }
 
     #[test]
-    fn coded_batch_round_trips_across_a_thread() {
-        fn assert_send_stream<S: crate::stream::SendOvcStream>(_: &S) {}
-
-        let batch = CodedBatch::from_stream(VecStream::from_sorted_rows(crate::table1::rows(), 4));
-        assert_eq!(batch.len(), 7);
-        assert!(!batch.is_empty());
-        assert_eq!(batch.key_len(), 4);
-        // The batch (and the stream it reopens) may cross threads.
-        let reopened = std::thread::spawn(move || {
-            let stream = batch.into_stream();
-            assert_send_stream(&stream);
-            collect_pairs(stream)
-        })
-        .join()
-        .unwrap();
-        let codes: Vec<Ovc> = reopened.iter().map(|(_, c)| *c).collect();
-        assert_eq!(codes, crate::table1::asc_codes());
-    }
-
-    #[test]
     fn spec_streams_carry_their_ordering_contract() {
         use crate::spec::{Direction, SortSpec};
         let spec = SortSpec::with_dirs(&[Direction::Desc, Direction::Asc]);
@@ -400,11 +227,7 @@ mod tests {
         let stream = VecStream::from_sorted_rows_spec(rows, spec.clone());
         assert_eq!(stream.key_len(), 2);
         assert_eq!(stream.sort_spec(), spec);
-        let batch = CodedBatch::from_stream(stream);
-        assert_eq!(batch.sort_spec(), &spec);
-        let reopened = batch.into_stream();
-        assert_eq!(reopened.sort_spec(), spec);
-        let pairs = collect_pairs(reopened);
+        let pairs = collect_pairs(stream);
         crate::derive::assert_codes_exact_spec(&pairs, &spec);
         // The default contract on plain streams is ascending.
         let plain = VecStream::from_sorted_rows(crate::table1::rows(), 4);
@@ -417,37 +240,5 @@ mod tests {
         use crate::spec::SortSpec;
         let rows = vec![Row::new(vec![1]), Row::new(vec![2])];
         let _ = VecStream::from_sorted_rows_spec(rows, SortSpec::desc(1));
-    }
-
-    #[test]
-    fn coded_batch_from_coded_and_rows_accessors() {
-        let batch = CodedBatch::from_sorted_rows(crate::table1::rows(), 4);
-        let again = CodedBatch::from_coded(batch.to_ovc_rows(), 4);
-        assert_eq!(again.into_rows().len(), 7);
-    }
-
-    #[test]
-    fn flat_batch_round_trips_and_matches_boxed() {
-        let boxed: Vec<OvcRow> = VecStream::from_sorted_rows(crate::table1::rows(), 4).collect();
-        let batch = CodedBatch::from_coded(boxed.clone(), 4);
-        assert_eq!(batch.len(), boxed.len());
-        assert_eq!(batch.to_ovc_rows(), boxed);
-        // Built from rows or from the flat buffer itself, the batch holds
-        // the same buffer and reopens into the same stream.
-        let flat = FlatRows::from_ovc_rows(boxed, 4);
-        let direct = CodedBatch::from_flat(flat.clone(), SortSpec::asc(4));
-        assert_eq!(batch.clone().into_flat(), flat);
-        assert_eq!(
-            collect_pairs(direct.into_stream()),
-            collect_pairs(batch.into_stream())
-        );
-    }
-
-    #[test]
-    fn empty_flat_batch() {
-        let flat = CodedBatch::from_stream(VecStream::from_sorted_rows(vec![], 2));
-        assert!(flat.is_empty());
-        assert_eq!(flat.clone().into_flat(), FlatRows::new(2));
-        assert_eq!(flat.into_stream().count(), 0);
     }
 }

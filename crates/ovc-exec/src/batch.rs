@@ -5,8 +5,9 @@
 //! [`crate::filter`], [`crate::project`] and [`crate::dedup`] — consumes
 //! and produces [`BatchStream`] batches whose codes stay exact *across
 //! batch seams* (DESIGN.md §12): batch `k+1`'s first code is relative to
-//! batch `k`'s last row, so no repair happens at a seam — only at a
-//! standalone lift ([`ovc_core::batch::repair_head`]).
+//! batch `k`'s last row, so no repair happens at a seam — only where
+//! the split exchange lifts rows into a standalone partition, whose
+//! head code its [`OvcAccumulator`] re-bases.
 //!
 //! The exchange's splitting side is [`route_batches`]; its channels carry
 //! `Result<FlatRows, ExecError>` items, received as a

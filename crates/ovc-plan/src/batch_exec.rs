@@ -78,9 +78,7 @@ use ovc_core::batch::{assert_batches_exact_spec, VecBatchStream};
 use ovc_core::ctx::{self, ExecError, QueryCtx};
 use ovc_core::fault;
 use ovc_core::metrics::{ChannelGauge, ExchangeGauges, ProfileNode};
-use ovc_core::{
-    BatchStream, CodedBatch, FlatBatches, FlatRows, Ovc, Row, RowBatches, SortSpec, Stats, Value,
-};
+use ovc_core::{BatchStream, FlatBatches, FlatRows, Ovc, Row, RowBatches, SortSpec, Stats, Value};
 use ovc_exec::exchange::by_cols_hash;
 use ovc_exec::{
     route_batches, BatchChannelStream, BatchClampKey, BatchDedup, BatchFilter, BatchProject,
@@ -107,7 +105,7 @@ type PartStream = Box<dyn BatchStream + Send>;
 ///
 /// Roots come back materialized (the pipeline's threads are joined
 /// before returning): one stream via [`Output::root`], partitions as
-/// coded batches.  A profiled run counts into the profile tree's node
+/// coded runs.  A profiled run counts into the profile tree's node
 /// blocks and folds the root's inclusive counters into `stats` after
 /// every thread has joined, failed runs included.
 pub(crate) fn run(
@@ -132,7 +130,7 @@ pub(crate) fn run(
             BOut::Batches(b) => Ok(Output::root(drain(b)?, plan.props.coded)),
             BOut::Parts(parts, _) => {
                 // Drain every partition stream to a standalone coded
-                // batch.  Concurrent drains keep upstream workers busy;
+                // run.  Concurrent drains keep upstream workers busy;
                 // each partition chain is fed by its own thread, so
                 // join order cannot deadlock.  Every peer joins before
                 // the first error is returned.
@@ -140,8 +138,8 @@ pub(crate) fn run(
                     .into_iter()
                     .map(|s| scope.spawn(move || drain(s)))
                     .collect();
-                let (batches, failure) = ctx::join_all(handles);
-                failure.map_or(Ok(Output::Partitions(batches)), Err)
+                let (runs, failure) = ctx::join_all(handles);
+                failure.map_or(Ok(Output::Partitions(runs)), Err)
             }
         }
     });
@@ -165,8 +163,8 @@ enum BOut {
 }
 
 /// Concatenate a coded batch stream (the root's, or one standalone-coded
-/// partition's) into one flat buffer under the stream's spec.
-fn drain(mut stream: impl BatchStream) -> Result<CodedBatch, ExecError> {
+/// partition's) into one flat run under the stream's spec.
+fn drain(mut stream: impl BatchStream) -> Result<Run, ExecError> {
     let spec = stream.sort_spec();
     let mut all = stream
         .next_batch()?
@@ -174,7 +172,7 @@ fn drain(mut stream: impl BatchStream) -> Result<CodedBatch, ExecError> {
     while let Some(batch) = stream.next_batch()? {
         all.extend_from(&batch);
     }
-    Ok(CodedBatch::from_flat(all, spec))
+    Ok(Run::from_flat(all, spec))
 }
 
 /// The one place the executor boxes rows: the `ovc-baseline` hash

@@ -208,7 +208,7 @@ pub fn reverse(rows: f64) -> Cost {
     streaming(rows)
 }
 
-/// Parallel OVC sort (`ovc_sort::parallel::parallel_sort`): run
+/// Parallel OVC sort (`ovc_sort::parallel_sort_batches`): run
 /// generation on `dop` worker slices, then the same in-memory
 /// bounded-fan-in cascade the serial estimate already counts.
 /// Comparison terms carry over unchanged (same per-run budget, same
@@ -233,8 +233,8 @@ pub fn sort_ovc_parallel(
     }
 }
 
-/// Parallel in-sort duplicate removal
-/// (`ovc_sort::parallel::parallel_sort_distinct`): as
+/// Parallel in-sort duplicate removal (`ovc_sort::parallel_sort_batches`
+/// with `distinct`): as
 /// [`sort_ovc_parallel`], with the dedup folded into run generation and
 /// every merge level.  Spill-free for the same reason.
 pub fn in_sort_distinct_parallel(

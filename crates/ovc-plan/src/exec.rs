@@ -25,7 +25,8 @@ use std::sync::Arc;
 
 use ovc_core::ctx::{self, ExecError, QueryCtx};
 use ovc_core::metrics::ProfileNode;
-use ovc_core::{CodedBatch, OvcRow, Row, Stats};
+use ovc_core::{OvcRow, Row, Stats};
+use ovc_sort::Run;
 
 use crate::batch_exec::run;
 use crate::catalog::Catalog;
@@ -54,41 +55,41 @@ pub struct ExecOptions {
     pub batch_size: Option<usize>,
 }
 
-/// What a plan produced: a coded sorted stream, bare rows (a plan whose
-/// properties promise no codes), or — for a plan cut off below its
-/// gathering exchange — hash partitions of a coded stream.
+/// What a plan produced, materialized flat as coded [`Run`]s (the
+/// root's batches concatenated into one contiguous buffer): a coded
+/// sorted stream, bare rows (a plan whose properties promise no codes),
+/// or — for a plan cut off below its gathering exchange — hash
+/// partitions of a coded stream.  Rows are boxed only by
+/// [`Output::into_coded`] / [`Output::into_rows`].
 pub enum Output {
-    /// Sorted stream carrying exact offset-value codes, materialized
-    /// flat: the root's batches concatenated into one contiguous buffer
-    /// ([`CodedBatch::into_flat`]).  Rows are boxed only by
-    /// [`Output::into_coded`] / [`Output::into_rows`].
-    Stream(CodedBatch),
+    /// Sorted stream carrying exact offset-value codes.
+    Stream(Run),
     /// Rows of a plan whose properties promise no codes, in arbitrary
-    /// order.
-    Rows(Vec<Row>),
-    /// Hash-partitioned coded batches (between a splitting
-    /// [`crate::physical::PhysOp::Exchange`] and the gathering one); each batch is sorted
-    /// and exactly coded on its own.
-    Partitions(Vec<CodedBatch>),
+    /// order; the run's codes carry no promise.
+    Rows(Run),
+    /// Hash-partitioned coded runs (between a splitting
+    /// [`crate::physical::PhysOp::Exchange`] and the gathering one); each
+    /// run is sorted and exactly coded on its own.
+    Partitions(Vec<Run>),
 }
 
 impl Output {
-    /// A single-stream root: flat when the plan promises codes, else its
-    /// rows, boxed here at the edge.
-    pub(crate) fn root(flat: CodedBatch, coded: bool) -> Output {
-        let out = Output::Stream(flat);
+    /// A single-stream root: a coded stream when the plan promises codes,
+    /// else bare rows.
+    pub(crate) fn root(run: Run, coded: bool) -> Output {
         if coded {
-            out
+            Output::Stream(run)
         } else {
-            Output::Rows(out.into_rows())
+            Output::Rows(run)
         }
     }
 
     /// Materialize as rows, dropping codes if present.
     pub fn into_rows(self) -> Vec<Row> {
         match self {
-            Output::Stream(s) => s.into_rows().into_iter().map(|r| r.row).collect(),
-            Output::Rows(rows) => rows,
+            Output::Stream(run) | Output::Rows(run) => {
+                run.iter().map(|(cols, _)| Row::from_slice(cols)).collect()
+            }
             Output::Partitions(_) => {
                 panic!("plan output is partitioned; gather it with an Exchange to single")
             }
@@ -99,7 +100,7 @@ impl Output {
     /// (callers decide via the plan's properties, not by trial).
     pub fn into_coded(self) -> Vec<OvcRow> {
         match self {
-            Output::Stream(s) => s.into_rows(),
+            Output::Stream(run) => run.into_rows(),
             Output::Rows(_) => panic!("plan output is unordered; no codes to collect"),
             Output::Partitions(_) => {
                 panic!("plan output is partitioned; gather it with an Exchange to single")
@@ -113,7 +114,7 @@ impl Output {
 /// Coded roots come back as a coded stream that is already
 /// materialized, flat (the pipeline's threads are joined before
 /// returning), roots whose properties promise no codes as rows,
-/// partitioned roots as coded batches.
+/// partitioned roots as coded runs.
 ///
 /// Panics if the plan references tables missing from `catalog` or if its
 /// structure violates operator contracts — both are planner bugs, not

@@ -154,8 +154,8 @@ pub enum PhysOp {
         /// Merge fan-in.
         fan_in: usize,
         /// Run-generation worker threads: 1 = the serial external sort,
-        /// more lowers onto `ovc_sort::parallel::parallel_sort`
-        /// (ascending-prefix specs only).
+        /// more lowers onto `ovc_sort::parallel_sort_batches`
+        /// (not for normalized-key specs).
         dop: usize,
     },
     /// **Elided sort**: the input already carries the required ordering
@@ -190,7 +190,7 @@ pub enum PhysOp {
         /// Merge fan-in.
         fan_in: usize,
         /// Run-generation worker threads (1 = serial; > 1 lowers onto
-        /// `ovc_sort::parallel::parallel_sort_distinct`).
+        /// `ovc_sort::parallel_sort_batches` with `distinct`).
         dop: usize,
     },
     /// Streaming duplicate removal by code inspection (input must be

@@ -921,8 +921,8 @@ impl<'a> Planner<'a> {
         let key_len = spec.len();
         // The degree-of-parallelism directive: a sort big enough to clear
         // the threshold is stamped with the config's dop and lowers onto
-        // ovc_sort::parallel's sliced run generation — direction-aware
-        // since `parallel_sort_spec`, so mixed asc/desc prefixes qualify
+        // ovc_sort::parallel's sliced run generation — direction-aware,
+        // so mixed asc/desc prefixes qualify
         // too; only normalized-key sorts still run serial.  Rows and
         // codes are identical either way; the estimate switches to the
         // parallel cost functions because the parallel lowering keeps

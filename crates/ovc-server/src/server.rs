@@ -635,29 +635,11 @@ fn stream_query(
 
     // Frames are cut every `batch_rows` rows by range over the
     // materialized result — whatever batches the executor produced it in
-    // — and encoded from the slices the rows already live in.
-    let batch_rows = state.config.batch_rows.max(1);
-    let mut seq = 0u64;
-    let total_rows = match output {
-        Output::Stream(s) => {
-            let flat = s.into_flat();
-            for at in (0..flat.len()).step_by(batch_rows) {
-                let end = (at + batch_rows).min(flat.len());
-                let rows = (at..end).map(|i| flat.row(i));
-                let frame = wire::batch_frame(seq, rows, Some(&flat.codes()[at..end]));
-                cw.chunk(frame.as_bytes())?;
-                seq += 1;
-            }
-            flat.len()
-        }
-        Output::Rows(rows) => {
-            for chunk in rows.chunks(batch_rows) {
-                let frame = wire::batch_frame(seq, chunk.iter().map(|r| r.cols()), None);
-                cw.chunk(frame.as_bytes())?;
-                seq += 1;
-            }
-            rows.len()
-        }
+    // — and encoded from the slices the rows already live in.  Only a
+    // coded stream sends its codes.
+    let (run, coded) = match output {
+        Output::Stream(run) => (run, true),
+        Output::Rows(run) => (run, false),
         Output::Partitions(_) => {
             // The planner always gathers to a single stream at the root;
             // reaching this is a planner bug, reported on the stream.
@@ -665,7 +647,18 @@ fn stream_query(
             cw.finish()?;
             return Ok(None);
         }
-    } as u64;
+    };
+    let flat = run.flat();
+    let batch_rows = state.config.batch_rows.max(1);
+    let mut seq = 0u64;
+    for at in (0..flat.len()).step_by(batch_rows) {
+        let end = (at + batch_rows).min(flat.len());
+        let rows = (at..end).map(|i| flat.row(i));
+        let codes = coded.then(|| &flat.codes()[at..end]);
+        cw.chunk(wire::batch_frame(seq, rows, codes).as_bytes())?;
+        seq += 1;
+    }
+    let total_rows = flat.len() as u64;
 
     let delta = stats.snapshot();
     state.metrics.absorb_query(&delta);

@@ -340,8 +340,8 @@ pub fn header_frame(request_id: &str, mode: &str, width: usize, key_len: usize) 
 /// One `batch` frame: parallel `rows` / `codes` arrays (codes omitted
 /// for unordered outputs), `seq` numbering batches from 0.  Rows and
 /// codes are encoded straight from the slices they already live in — a
-/// range of the result's flat buffer, or the columns of materialized
-/// rows — so a frame costs its own string and nothing per row.
+/// range of the result's flat buffer — so a frame costs its own string
+/// and nothing per row.
 pub fn batch_frame<'a>(
     seq: u64,
     rows: impl Iterator<Item = &'a [u64]>,

@@ -12,7 +12,12 @@
 //!    until at most `fan_in` runs remain;
 //! 3. hands the final merge (or the single in-memory run) over as
 //!    [`SortOutput`]: flat batches for a pipeline
-//!    ([`SortOutput::batches`]), or a coded [`OvcStream`] of boxed rows.
+//!    ([`SortOutput::batches`]), or one flat [`Run`]
+//!    ([`external_sort_spec_to_run`]).
+//!
+//! Sorts take batches: [`try_sort_batches`] is the one serial sort, and
+//! boxed rows reach it cut into batches at the library's edge
+//! ([`RowBatches`]).
 //!
 //! Spill volume is accounted in [`Stats`]; the Figure 6 experiment's
 //! "sort-based plan spills each input row only once" claim is asserted on
@@ -21,11 +26,11 @@
 use std::sync::Arc;
 
 use ovc_core::fault::{self, FaultPoint};
-use ovc_core::{BatchStream, ExecError, OvcRow, OvcStream, Row, RowBatches, SortSpec, Stats};
+use ovc_core::{BatchStream, ExecError, Row, RowBatches, SortSpec, Stats};
 
 use crate::merge::merge_runs_spec;
 use crate::run_gen::{generate_runs_from, RunGenStrategy};
-use crate::runs::{Run, RunCursor};
+use crate::runs::Run;
 use crate::tree::FlatMerge;
 
 /// Configuration of an external sort.
@@ -126,8 +131,8 @@ impl RunStorage for MemoryRunStorage {
 
 /// The coded output of an external sort.
 pub enum SortOutput {
-    /// The input fit in memory: a single run streams out directly.
-    Memory(RunCursor),
+    /// The input fit in memory: a single resident run.
+    Memory(Run),
     /// Final merge over the last `<= fan_in` spilled runs — flat runs
     /// merged in place, rows copied out only as they stream out.
     Merge(FlatMerge),
@@ -142,12 +147,11 @@ impl SortOutput {
     /// Hand the sorted rows to a batch pipeline: flat batches of at most
     /// `batch_size` rows, codes exact across the seams — slices of the
     /// resident run, or buffers the final merge fills winner by winner.
-    /// No row is boxed.  Panics if `batch_size` is zero or rows were
-    /// already taken through the [`Iterator`] impl.
+    /// No row is boxed.  Panics if `batch_size` is zero.
     pub fn batches(self, batch_size: usize) -> Box<dyn BatchStream + Send> {
         assert!(batch_size > 0, "batch size must be positive");
         match self {
-            SortOutput::Memory(c) => Box::new(c.into_run().batches(batch_size)),
+            SortOutput::Memory(run) => Box::new(run.batches(batch_size)),
             SortOutput::Merge(m) => Box::new(m.batches(batch_size, false)),
             SortOutput::MergeDistinct(m) => Box::new(m.batches(batch_size, true)),
         }
@@ -164,7 +168,7 @@ impl SortOutput {
     ) -> SortOutput {
         if runs.len() <= 1 {
             let run = runs.pop().unwrap_or_else(|| Run::empty_spec(spec.clone()));
-            return SortOutput::Memory(run.cursor());
+            return SortOutput::Memory(run);
         }
         let merge = merge_runs_spec(runs, spec, stats);
         if distinct {
@@ -173,89 +177,6 @@ impl SortOutput {
             SortOutput::Merge(merge)
         }
     }
-}
-
-impl Iterator for SortOutput {
-    type Item = OvcRow;
-    fn next(&mut self) -> Option<OvcRow> {
-        match self {
-            SortOutput::Memory(c) => c.next(),
-            SortOutput::Merge(t) => t.next(),
-            SortOutput::MergeDistinct(t) => t.find(|r| !r.code.is_duplicate()),
-        }
-    }
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            SortOutput::Memory(c) => c.size_hint(),
-            SortOutput::Merge(t) => t.size_hint(),
-            SortOutput::MergeDistinct(t) => (0, t.size_hint().1),
-        }
-    }
-}
-
-impl OvcStream for SortOutput {
-    fn key_len(&self) -> usize {
-        self.sort_spec().len()
-    }
-    fn sort_spec(&self) -> SortSpec {
-        match self {
-            SortOutput::Memory(c) => c.sort_spec(),
-            SortOutput::Merge(t) | SortOutput::MergeDistinct(t) => t.sort_spec(),
-        }
-    }
-}
-
-/// Externally sort `input`, producing a coded stream.
-///
-/// If the input fits the memory budget the sort never spills; otherwise
-/// initial runs spill once and intermediate merge steps (only needed when
-/// the run count exceeds the fan-in) spill again, exactly like the
-/// textbook merge sort the paper builds on.  Panics with the error's
-/// message if the spill device fails ([`try_external_sort_spec`]
-/// returns it instead).
-pub fn external_sort<I, S>(
-    input: I,
-    config: SortConfig,
-    storage: &mut S,
-    stats: &Arc<Stats>,
-) -> SortOutput
-where
-    I: IntoIterator<Item = Row>,
-    S: RunStorage,
-{
-    let spec = SortSpec::asc(config.key_len);
-    try_external_sort_spec(input, config, &spec, storage, stats)
-        .unwrap_or_else(|err| panic!("{err}"))
-}
-
-/// Convenience: sort and collect (tests, small inputs).
-pub fn external_sort_collect<I>(input: I, config: SortConfig, stats: &Arc<Stats>) -> Vec<OvcRow>
-where
-    I: IntoIterator<Item = Row>,
-{
-    let mut storage = MemoryRunStorage::new(Arc::clone(stats));
-    external_sort(input, config, &mut storage, stats).collect()
-}
-
-/// Direction-aware [`external_sort`]: the same run-generation / spill /
-/// bounded-fan-in merge cascade under an arbitrary leading-prefix
-/// [`SortSpec`] (mixed ascending/descending directions, optional
-/// normalized-key run generation), returning a spill-device failure as
-/// a typed [`ExecError`] — the row-input adapter of [`try_sort_batches`].
-/// `config.key_len` is ignored in favour of `spec.len()`.
-pub fn try_external_sort_spec<I, S>(
-    input: I,
-    config: SortConfig,
-    spec: &SortSpec,
-    storage: &mut S,
-    stats: &Arc<Stats>,
-) -> Result<SortOutput, ExecError>
-where
-    I: IntoIterator<Item = Row>,
-    S: RunStorage,
-{
-    let input = RowBatches::new(input, config.memory_rows);
-    try_sort_batches(input, config, spec, false, storage, stats)
 }
 
 /// The one external sort, over flat batches each copied once into run
@@ -315,12 +236,11 @@ where
     Ok(SortOutput::finish(final_runs, spec, distinct, stats))
 }
 
-/// Externally sort `input` all the way into a single **flat** run — the
-/// allocation-free variant of [`try_external_sort_spec`] for consumers
-/// that keep working on the contiguous layout (the `bench/` harness,
-/// storage loads).  The final merge gathers straight into one flat
-/// buffer instead of streaming boxed [`OvcRow`]s.  Panics with the
-/// error's message if the spill device fails.
+/// Externally sort boxed rows all the way into a single **flat** run:
+/// the rows enter [`try_sort_batches`] cut into `config.memory_rows`-row
+/// batches, and the final merge gathers straight into one flat buffer.
+/// This is the row-input entry point of the `bench/` harness.  Panics
+/// with the error's message if the spill device fails.
 pub fn external_sort_spec_to_run<I, S>(
     input: I,
     config: SortConfig,
@@ -332,35 +252,21 @@ where
     I: IntoIterator<Item = Row>,
     S: RunStorage,
 {
-    let sorted = try_external_sort_spec(input, config, spec, storage, stats);
+    let input = RowBatches::new(input, config.memory_rows);
+    let sorted = try_sort_batches(input, config, spec, false, storage, stats);
     match sorted.unwrap_or_else(|err| panic!("{err}")) {
-        SortOutput::Memory(cursor) => cursor.into_run(),
+        SortOutput::Memory(run) => run,
         SortOutput::Merge(merge) => merge.into_run(),
         SortOutput::MergeDistinct(merge) => merge.into_run_distinct(),
     }
 }
 
-/// Convenience: spec-aware sort and collect.
-pub fn external_sort_spec_collect<I>(
-    input: I,
-    config: SortConfig,
-    spec: &SortSpec,
-    stats: &Arc<Stats>,
-) -> Vec<OvcRow>
-where
-    I: IntoIterator<Item = Row>,
-{
-    let mut storage = MemoryRunStorage::new(Arc::clone(stats));
-    try_external_sort_spec(input, config, spec, &mut storage, stats)
-        .unwrap_or_else(|err| panic!("{err}"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ovc_core::batch::collect_batch_pairs;
     use ovc_core::derive::assert_codes_exact;
-    use ovc_core::Ovc;
+    use ovc_core::{FlatRows, Ovc};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -371,12 +277,26 @@ mod tests {
             .collect()
     }
 
-    fn check_sorted(out: &[OvcRow], input: &[Row], key_len: usize) {
-        let pairs: Vec<(Row, Ovc)> = out.iter().map(|r| (r.row.clone(), r.code)).collect();
-        assert_codes_exact(&pairs, key_len);
+    /// Sort boxed rows as the executor does: `memory_rows`-row input
+    /// batches into [`try_sort_batches`], the output drained batch by
+    /// batch.
+    fn sort_pairs(
+        rows: Vec<Row>,
+        cfg: SortConfig,
+        spec: &SortSpec,
+        stats: &Arc<Stats>,
+    ) -> Vec<(Row, Ovc)> {
+        let mut storage = MemoryRunStorage::new(Arc::clone(stats));
+        let input = RowBatches::new(rows, cfg.memory_rows);
+        let out = try_sort_batches(input, cfg, spec, false, &mut storage, stats).unwrap();
+        collect_batch_pairs(out.batches(1024))
+    }
+
+    fn check_sorted(pairs: &[(Row, Ovc)], input: &[Row], key_len: usize) {
+        assert_codes_exact(pairs, key_len);
         let mut expect = input.to_vec();
         expect.sort();
-        let mut got: Vec<Row> = pairs.into_iter().map(|(r, _)| r).collect();
+        let mut got: Vec<Row> = pairs.iter().map(|(r, _)| r.clone()).collect();
         got.sort();
         assert_eq!(got, expect);
     }
@@ -385,7 +305,12 @@ mod tests {
     fn in_memory_input_never_spills() {
         let rows = random_rows(100, 2, 10, 1);
         let stats = Stats::new_shared();
-        let out = external_sort_collect(rows.clone(), SortConfig::new(2, 1000), &stats);
+        let out = sort_pairs(
+            rows.clone(),
+            SortConfig::new(2, 1000),
+            &SortSpec::asc(2),
+            &stats,
+        );
         check_sorted(&out, &rows, 2);
         assert_eq!(stats.rows_spilled(), 0);
     }
@@ -394,7 +319,12 @@ mod tests {
     fn spilling_input_spills_each_row_once_with_wide_fan_in() {
         let rows = random_rows(1000, 2, 10, 2);
         let stats = Stats::new_shared();
-        let out = external_sort_collect(rows.clone(), SortConfig::new(2, 100), &stats);
+        let out = sort_pairs(
+            rows.clone(),
+            SortConfig::new(2, 100),
+            &SortSpec::asc(2),
+            &stats,
+        );
         check_sorted(&out, &rows, 2);
         // 10 runs, fan-in 128: one spill level only.
         assert_eq!(stats.rows_spilled(), 1000);
@@ -406,7 +336,7 @@ mod tests {
         let rows = random_rows(1000, 2, 10, 3);
         let stats = Stats::new_shared();
         let cfg = SortConfig::new(2, 50).with_fan_in(4); // 20 runs, fan-in 4
-        let out = external_sort_collect(rows.clone(), cfg, &stats);
+        let out = sort_pairs(rows.clone(), cfg, &SortSpec::asc(2), &stats);
         check_sorted(&out, &rows, 2);
         assert!(
             stats.rows_spilled() > 1000,
@@ -424,7 +354,7 @@ mod tests {
         ] {
             let stats = Stats::new_shared();
             let cfg = SortConfig::new(3, 64).with_strategy(strategy);
-            let out = external_sort_collect(rows.clone(), cfg, &stats);
+            let out = sort_pairs(rows.clone(), cfg, &SortSpec::asc(3), &stats);
             check_sorted(&out, &rows, 3);
         }
     }
@@ -432,14 +362,14 @@ mod tests {
     #[test]
     fn empty_input() {
         let stats = Stats::new_shared();
-        let out = external_sort_collect(Vec::<Row>::new(), SortConfig::new(1, 10), &stats);
+        let out = sort_pairs(vec![], SortConfig::new(1, 10), &SortSpec::asc(1), &stats);
         assert!(out.is_empty());
     }
 
     #[test]
     fn spec_sort_matches_reference_order_for_mixed_directions() {
         use ovc_core::derive::assert_codes_exact_spec;
-        use ovc_core::{Direction, SortSpec};
+        use ovc_core::Direction;
         let rows = random_rows(600, 2, 9, 11);
         let spec = SortSpec::with_dirs(&[Direction::Desc, Direction::Asc]);
         for (label, spec) in [
@@ -448,53 +378,76 @@ mod tests {
         ] {
             let stats = Stats::new_shared();
             let cfg = SortConfig::new(2, 64).with_fan_in(4);
-            let out = external_sort_spec_collect(rows.clone(), cfg, &spec, &stats);
-            let pairs: Vec<(Row, Ovc)> = out.iter().map(|r| (r.row.clone(), r.code)).collect();
+            let pairs = sort_pairs(rows.clone(), cfg, &spec, &stats);
             assert_codes_exact_spec(&pairs, &spec);
             let mut expect = rows.clone();
             expect.sort_by(|a, b| spec.cmp_keys(a.key(2), b.key(2)));
-            let got: Vec<Row> = out.into_iter().map(|r| r.row).collect();
+            let got: Vec<Row> = pairs.into_iter().map(|(r, _)| r).collect();
             assert_eq!(got, expect, "{label}");
         }
     }
 
+    /// The sort's two consumers see one output: the flat run of
+    /// [`external_sort_spec_to_run`] (the benchmark's path) and the
+    /// drained [`SortOutput::batches`] of [`try_sort_batches`] (the
+    /// executor's) carry the same rows, codes and counters, for a
+    /// resident sort (run slices) and a spilled one (merge-filled
+    /// buffers) alike.
     #[test]
-    fn spec_sort_on_ascending_spec_equals_plain_sort() {
-        use ovc_core::SortSpec;
-        let rows = random_rows(400, 2, 6, 12);
-        let stats_a = Stats::new_shared();
-        let stats_b = Stats::new_shared();
-        let cfg = SortConfig::new(2, 50).with_fan_in(4);
-        let plain = external_sort_collect(rows.clone(), cfg, &stats_a);
-        let spec = external_sort_spec_collect(rows, cfg, &SortSpec::asc(2), &stats_b);
-        assert_eq!(plain, spec, "rows and codes byte-identical");
-        assert_eq!(stats_a.rows_spilled(), stats_b.rows_spilled());
-    }
-
-    /// The batch hand-over and the row iterator are two views of one
-    /// output: same rows, codes and counters, for a resident sort (run
-    /// slices) and a spilled one (merge-filled buffers) alike.
-    #[test]
-    fn batches_equal_the_row_stream_for_resident_and_spilled_sorts() {
-        use ovc_core::FlatRows;
+    fn the_flat_run_equals_the_drained_batches_for_resident_and_spilled_sorts() {
         let rows = random_rows(700, 2, 9, 13);
+        let spec = SortSpec::asc(2);
         for memory_rows in [1000usize, 64] {
             let cfg = SortConfig::new(2, memory_rows).with_fan_in(4);
-            let row_stats = Stats::new_shared();
-            let expect =
-                FlatRows::from_ovc_rows(external_sort_collect(rows.clone(), cfg, &row_stats), 2);
+            let run_stats = Stats::new_shared();
+            let mut storage = MemoryRunStorage::new(Arc::clone(&run_stats));
+            let run = external_sort_spec_to_run(rows.clone(), cfg, &spec, &mut storage, &run_stats);
+            let expect = run.into_flat();
             for batch in [1usize, 7, 700, 5000] {
                 let stats = Stats::new_shared();
                 let mut storage = MemoryRunStorage::new(Arc::clone(&stats));
-                let mut out = external_sort(rows.clone(), cfg, &mut storage, &stats).batches(batch);
-                assert_eq!(out.sort_spec(), SortSpec::asc(2));
+                let input = RowBatches::new(rows.clone(), memory_rows);
+                let sorted = try_sort_batches(input, cfg, &spec, false, &mut storage, &stats);
+                let mut out = sorted.unwrap().batches(batch);
+                assert_eq!(out.sort_spec(), spec);
                 let mut got = FlatRows::new(2);
                 while let Some(b) = out.next_batch().unwrap() {
                     assert!(!b.is_empty() && b.len() <= batch);
                     got.extend_from(&b);
                 }
                 assert_eq!(got, expect, "memory={memory_rows} batch={batch}");
-                assert_eq!(stats.snapshot(), row_stats.snapshot());
+                assert_eq!(stats.snapshot(), run_stats.snapshot());
+            }
+        }
+    }
+
+    /// One coded run type, and sorts that take batches: the sorts' code
+    /// names nothing of the row-stream world, so no row cursor or
+    /// row-iterator sort can grow back beside the batch ones.  Boxed
+    /// `Row` input stays allowed: it is the library's edge.
+    #[test]
+    fn the_sorts_name_no_row_stream_type() {
+        let banned = [
+            "OvcRow",
+            "OvcStream",
+            "VecStream",
+            "RunCursor",
+            "CodedBatch",
+        ];
+        for (file, source) in [
+            ("external.rs", include_str!("external.rs")),
+            ("parallel.rs", include_str!("parallel.rs")),
+            ("merge.rs", include_str!("merge.rs")),
+            ("run_gen.rs", include_str!("run_gen.rs")),
+        ] {
+            let (code, _) = source
+                .split_once("#[cfg(test)]")
+                .expect("the test module follows the code");
+            for word in code.split(|c: char| !(c.is_alphanumeric() || c == '_')) {
+                assert!(
+                    !banned.contains(&word),
+                    "{file} names `{word}` outside its tests"
+                );
             }
         }
     }
@@ -522,10 +475,11 @@ mod tests {
     fn broken_storage_surfaces_typed_error() {
         let rows = random_rows(500, 2, 10, 21);
         let stats = Stats::new_shared();
-        let err = try_external_sort_spec(
-            rows,
+        let err = try_sort_batches(
+            RowBatches::new(rows, 50),
             SortConfig::new(2, 50),
             &SortSpec::asc(2),
+            false,
             &mut BrokenStorage,
             &stats,
         )
@@ -559,7 +513,6 @@ mod tests {
     /// (1 used to loop forever, 0 panicked in `chunks`).
     #[test]
     fn struct_literal_fan_in_below_two_merges_like_fan_in_two() {
-        use ovc_core::FlatRows;
         let rows = random_rows(600, 2, 9, 24);
         let sort = |cfg: SortConfig| {
             let stats = Stats::new_shared();
@@ -567,8 +520,7 @@ mod tests {
             let input = RowBatches::new(rows.clone(), 64);
             let out = try_sort_batches(input, cfg, &SortSpec::asc(2), false, &mut storage, &stats)
                 .expect("in-memory spill");
-            let got = FlatRows::from_ovc_rows(out.collect(), 2);
-            (got, stats.snapshot())
+            (collect_batch_pairs(out.batches(1024)), stats.snapshot())
         };
         let expect = sort(SortConfig::new(2, 50).with_fan_in(2));
         assert!(expect.1.rows_spilled > 600, "a multi-level merge");
@@ -586,16 +538,10 @@ mod tests {
         let rows = random_rows(2000, 2, 1000, 5);
         let s_pq = Stats::new_shared();
         let s_rs = Stats::new_shared();
-        let mut st_pq = MemoryRunStorage::new(Arc::clone(&s_pq));
-        let mut st_rs = MemoryRunStorage::new(Arc::clone(&s_rs));
-        let _ = external_sort(rows.clone(), SortConfig::new(2, 100), &mut st_pq, &s_pq).count();
-        let _ = external_sort(
-            rows,
-            SortConfig::new(2, 100).with_strategy(RunGenStrategy::ReplacementSelection),
-            &mut st_rs,
-            &s_rs,
-        )
-        .count();
+        let spec = SortSpec::asc(2);
+        let _ = sort_pairs(rows.clone(), SortConfig::new(2, 100), &spec, &s_pq);
+        let rs = SortConfig::new(2, 100).with_strategy(RunGenStrategy::ReplacementSelection);
+        let _ = sort_pairs(rows, rs, &spec, &s_rs);
         // Same spilled row count (one pass), but replacement selection
         // produced fewer, longer runs.  We can't observe run counts through
         // the public API here, so assert the weaker, always-true property:

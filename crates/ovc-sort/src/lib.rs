@@ -20,15 +20,24 @@
 //! * [`segmented`] — segmented sorting (Section 4.3), finding segment
 //!   boundaries by code inspection alone.
 //!
+//! One coded run type, [`Run`], and sorts that take batches: the
+//! executor calls [`try_sort_batches`] and [`parallel_sort_batches`] and
+//! drains [`SortOutput::batches`]; boxed rows enter at the edge cut into
+//! batches ([`ovc_core::RowBatches`]), as [`external_sort_spec_to_run`]
+//! does for them.
+//!
 //! ```
-//! use ovc_core::{Row, Stats};
-//! use ovc_sort::external::{external_sort_collect, SortConfig};
+//! use std::sync::Arc;
+//! use ovc_core::{Row, SortSpec, Stats};
+//! use ovc_sort::{external_sort_spec_to_run, MemoryRunStorage, SortConfig};
 //!
 //! let rows = vec![Row::new(vec![3, 1]), Row::new(vec![1, 2]), Row::new(vec![2, 0])];
 //! let stats = Stats::new_shared();
-//! let sorted = external_sort_collect(rows, SortConfig::new(2, 1024), &stats);
-//! assert_eq!(sorted[0].row.cols()[0], 1);
-//! assert_eq!(sorted.len(), 3);
+//! let mut storage = MemoryRunStorage::new(Arc::clone(&stats));
+//! let config = SortConfig::new(2, 1024);
+//! let run = external_sort_spec_to_run(rows, config, &SortSpec::asc(2), &mut storage, &stats);
+//! assert_eq!(run.row(0), &[1, 2]);
+//! assert_eq!(run.len(), 3);
 //! ```
 
 #![warn(missing_docs)]
@@ -44,18 +53,13 @@ pub mod segmented;
 pub mod tree;
 
 pub use external::{
-    external_sort, external_sort_collect, external_sort_spec_collect, external_sort_spec_to_run,
-    try_external_sort_spec, try_sort_batches, MemoryRunStorage, RunStorage, SortConfig, SortOutput,
+    external_sort_spec_to_run, try_sort_batches, MemoryRunStorage, RunStorage, SortConfig,
+    SortOutput,
 };
 pub use merge::{merge_batch_streams, merge_runs_spec, merge_runs_to_run_spec};
-pub use parallel::{
-    parallel_sort, parallel_sort_batches, parallel_sort_distinct, parallel_sort_spec,
-};
-pub use run_gen::{
-    generate_runs, generate_runs_spec, sort_rows_ovc, sort_rows_ovc_spec, sort_rows_quicksort_spec,
-    RunGenStrategy,
-};
-pub use runs::{Run, RunCursor};
+pub use parallel::parallel_sort_batches;
+pub use run_gen::{generate_runs_spec, sort_rows_ovc, RunGenStrategy};
+pub use runs::Run;
 pub use segmented::SegmentedSort;
 pub use tree::FlatMerge;
 

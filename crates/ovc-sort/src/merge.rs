@@ -240,7 +240,6 @@ mod tests {
     /// gives no upper bound; a run merge's hint stays exact.
     #[test]
     fn size_hint_upper_bound_covers_the_rows_yielded() {
-        use crate::SortOutput;
         let spec = SortSpec::asc(1);
         let run = Run::from_sorted_rows((0..10u64).map(|v| Row::new(vec![v])).collect(), 1);
         let stats = Stats::new_shared();
@@ -263,7 +262,6 @@ mod tests {
             }
         };
         check(Box::new(over_stream()), false);
-        check(Box::new(SortOutput::Merge(over_stream())), false);
         check(
             Box::new(merge_runs_spec(vec![run.clone()], &spec, &stats)),
             true,

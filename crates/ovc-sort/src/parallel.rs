@@ -36,7 +36,7 @@ use std::thread;
 
 use ovc_core::ctx::{self, ExecError};
 use ovc_core::fault;
-use ovc_core::{BatchStream, Row, RowBatches, SortSpec, Stats};
+use ovc_core::{BatchStream, SortSpec, Stats};
 
 use crate::external::SortOutput;
 use crate::merge::merge_runs_to_run_spec;
@@ -138,71 +138,13 @@ pub fn parallel_sort_batches<B: BatchStream>(
     Ok(SortOutput::finish(runs, spec, distinct, stats))
 }
 
-/// Sort rows with `threads` parallel run-generation workers, streaming the
-/// final bounded-fan-in coded merge.  Output rows and codes are identical
-/// to [`crate::external::external_sort`] over the same input.  Panics
-/// with the error's message if a worker panics.
-pub fn parallel_sort(
-    rows: Vec<Row>,
-    key_len: usize,
-    threads: usize,
-    memory_rows: usize,
-    fan_in: usize,
-    stats: &Arc<Stats>,
-) -> SortOutput {
-    parallel_sort_spec(
-        rows,
-        &SortSpec::asc(key_len),
-        threads,
-        memory_rows,
-        fan_in,
-        stats,
-    )
-}
-
-/// [`parallel_sort`] under an arbitrary leading-prefix [`SortSpec`] —
-/// mixed ascending/descending directions, normalized keys.  Output rows
-/// and codes are identical to [`crate::try_external_sort_spec`] over the
-/// same input.
-pub fn parallel_sort_spec(
-    rows: Vec<Row>,
-    spec: &SortSpec,
-    threads: usize,
-    memory_rows: usize,
-    fan_in: usize,
-    stats: &Arc<Stats>,
-) -> SortOutput {
-    let input = RowBatches::new(rows, usize::MAX);
-    parallel_sort_batches(input, spec, false, threads, memory_rows, fan_in, stats)
-        .unwrap_or_else(|err| panic!("{err}"))
-}
-
-/// [`parallel_sort`] with duplicate removal folded in (see
-/// [`parallel_sort_batches`]).  Rows and codes match the serial
-/// in-sort distinct ([`crate::try_sort_batches`] with `distinct`) byte
-/// for byte.
-pub fn parallel_sort_distinct(
-    rows: Vec<Row>,
-    key_len: usize,
-    threads: usize,
-    memory_rows: usize,
-    fan_in: usize,
-    stats: &Arc<Stats>,
-) -> SortOutput {
-    let input = RowBatches::new(rows, usize::MAX);
-    let spec = SortSpec::asc(key_len);
-    parallel_sort_batches(input, &spec, true, threads, memory_rows, fan_in, stats)
-        .unwrap_or_else(|err| panic!("{err}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::external::external_sort_collect;
-    use crate::external_sort_spec_collect;
-    use crate::SortConfig;
+    use crate::{try_sort_batches, MemoryRunStorage, SortConfig};
+    use ovc_core::batch::collect_batch_pairs;
     use ovc_core::derive::assert_codes_exact;
-    use ovc_core::{Ovc, OvcRow, Row};
+    use ovc_core::{Ovc, Row, RowBatches};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -213,17 +155,40 @@ mod tests {
             .collect()
     }
 
+    /// [`parallel_sort_batches`] over `rows` in one input batch, drained.
+    fn par_pairs(
+        rows: &[Row],
+        spec: &SortSpec,
+        distinct: bool,
+        (threads, memory_rows, fan_in): (usize, usize, usize),
+        stats: &Arc<Stats>,
+    ) -> Vec<(Row, Ovc)> {
+        let input = RowBatches::new(rows.to_vec(), usize::MAX);
+        let out = parallel_sort_batches(input, spec, distinct, threads, memory_rows, fan_in, stats);
+        collect_batch_pairs(out.unwrap().batches(1024))
+    }
+
+    /// The serial sort of `rows` ([`try_sort_batches`] over
+    /// `memory_rows`-row input batches), drained.
+    fn serial_pairs(rows: &[Row], spec: &SortSpec, memory_rows: usize) -> Vec<(Row, Ovc)> {
+        let stats = Stats::new_shared();
+        let mut storage = MemoryRunStorage::new(Arc::clone(&stats));
+        let input = RowBatches::new(rows.to_vec(), memory_rows);
+        let cfg = SortConfig::new(spec.len(), memory_rows);
+        let out = try_sort_batches(input, cfg, spec, false, &mut storage, &stats);
+        collect_batch_pairs(out.unwrap().batches(1024))
+    }
+
     #[test]
     fn parallel_sort_matches_serial_rows_and_codes() {
         let rows = random_rows(5000, 3, 12, 1);
+        let spec = SortSpec::asc(3);
         for threads in [1usize, 2, 3, 4, 8] {
             let s_par = Stats::new_shared();
-            let s_ser = Stats::new_shared();
-            let par = parallel_sort(rows.clone(), 3, threads, 256, 128, &s_par).collect::<Vec<_>>();
-            let ser = external_sort_collect(rows.clone(), SortConfig::new(3, 256), &s_ser);
+            let par = par_pairs(&rows, &spec, false, (threads, 256, 128), &s_par);
+            let ser = serial_pairs(&rows, &spec, 256);
             assert_eq!(par, ser, "threads={threads}");
-            let pairs: Vec<(Row, Ovc)> = par.into_iter().map(|r| (r.row, r.code)).collect();
-            assert_codes_exact(&pairs, 3);
+            assert_codes_exact(&par, 3);
         }
     }
 
@@ -233,7 +198,7 @@ mod tests {
         // bound holds regardless of the thread count.
         let rows = random_rows(2000, 2, 5, 2);
         let stats = Stats::new_shared();
-        let _ = parallel_sort(rows, 2, 4, 128, 128, &stats).count();
+        let _ = par_pairs(&rows, &SortSpec::asc(2), false, (4, 128, 128), &stats);
         assert!(stats.col_value_cmps() > 0, "worker counters merged");
         assert!(
             stats.col_value_cmps() <= 2000 * 2,
@@ -250,15 +215,15 @@ mod tests {
         expect.dedup();
         for threads in [2usize, 4] {
             let stats = Stats::new_shared();
-            let out: Vec<OvcRow> =
-                parallel_sort_distinct(rows.clone(), 2, threads, 128, 8, &stats).collect();
-            let got: Vec<Row> = out.iter().map(|r| r.row.clone()).collect();
+            let spec = SortSpec::asc(2);
+            let pairs = par_pairs(&rows, &spec, true, (threads, 128, 8), &stats);
+            let got: Vec<Row> = pairs.iter().map(|(r, _)| r.clone()).collect();
             assert_eq!(got, expect, "threads={threads}");
-            let pairs: Vec<(Row, Ovc)> = out.into_iter().map(|r| (r.row, r.code)).collect();
             assert_codes_exact(&pairs, 2);
-            // The batch hand-over drops the same duplicates in the merge.
-            let mut batches =
-                parallel_sort_distinct(rows.clone(), 2, threads, 128, 8, &stats).batches(100);
+            // Smaller batches drop the same duplicates in the merge.
+            let input = RowBatches::new(rows.clone(), usize::MAX);
+            let sorted = parallel_sort_batches(input, &spec, true, threads, 128, 8, &stats);
+            let mut batches = sorted.unwrap().batches(100);
             let mut flat = Vec::new();
             while let Some(b) = batches.next_batch().unwrap() {
                 flat.extend(b.iter().map(|(cols, code)| (Row::from_slice(cols), code)));
@@ -271,8 +236,9 @@ mod tests {
     fn narrow_fan_in_cascades_without_spilling() {
         let rows = random_rows(3000, 2, 10, 4);
         let stats = Stats::new_shared();
-        let out: Vec<OvcRow> = parallel_sort(rows.clone(), 2, 4, 64, 3, &stats).collect();
-        let ser = external_sort_collect(rows, SortConfig::new(2, 64), &Stats::new_shared());
+        let spec = SortSpec::asc(2);
+        let out = par_pairs(&rows, &spec, false, (4, 64, 3), &stats);
+        let ser = serial_pairs(&rows, &spec, 64);
         assert_eq!(out, ser);
         // Parallel run generation keeps everything resident.
         assert_eq!(stats.rows_spilled(), 0);
@@ -288,19 +254,12 @@ mod tests {
 
         let rows = random_rows(4000, 3, 9, 6);
         let spec = SortSpec::with_dirs(&[Direction::Asc, Direction::Desc, Direction::Asc]);
-        let ser = external_sort_spec_collect(
-            rows.clone(),
-            SortConfig::new(3, 256),
-            &spec,
-            &Stats::new_shared(),
-        );
+        let ser = serial_pairs(&rows, &spec, 256);
         for threads in [1usize, 2, 4, 8] {
             let stats = Stats::new_shared();
-            let par: Vec<OvcRow> =
-                parallel_sort_spec(rows.clone(), &spec, threads, 256, 8, &stats).collect();
+            let par = par_pairs(&rows, &spec, false, (threads, 256, 8), &stats);
             assert_eq!(par, ser, "threads={threads}");
-            let pairs: Vec<(Row, Ovc)> = par.into_iter().map(|r| (r.row, r.code)).collect();
-            assert_codes_exact_spec(&pairs, &spec);
+            assert_codes_exact_spec(&par, &spec);
             assert!(stats.col_value_cmps() > 0, "worker counters merged");
         }
     }
@@ -309,26 +268,23 @@ mod tests {
     fn parallel_sort_spec_descending_only() {
         let rows = random_rows(1500, 2, 6, 7);
         let spec = SortSpec::desc(2);
-        let ser = external_sort_spec_collect(
-            rows.clone(),
-            SortConfig::new(2, 128),
-            &spec,
-            &Stats::new_shared(),
-        );
-        let par: Vec<OvcRow> =
-            parallel_sort_spec(rows, &spec, 4, 128, 8, &Stats::new_shared()).collect();
+        let ser = serial_pairs(&rows, &spec, 128);
+        let par = par_pairs(&rows, &spec, false, (4, 128, 8), &Stats::new_shared());
         assert_eq!(par, ser);
     }
 
     #[test]
     fn degenerate_inputs() {
         let stats = Stats::new_shared();
-        assert_eq!(parallel_sort(vec![], 2, 8, 16, 128, &stats).count(), 0);
-        let one = parallel_sort(vec![Row::new(vec![7, 7])], 2, 8, 16, 128, &stats);
-        assert_eq!(one.count(), 1);
+        let sort = |rows: &[Row], threads| {
+            par_pairs(rows, &SortSpec::asc(2), false, (threads, 16, 128), &stats)
+        };
+        assert_eq!(sort(&[], 8).len(), 0);
+        let one = sort(&[Row::new(vec![7, 7])], 8);
+        assert_eq!(one.len(), 1);
         // More threads than rows clamps to one row per worker.
         let few = random_rows(3, 2, 4, 5);
-        let out = parallel_sort(few, 2, 64, 16, 128, &stats);
-        assert_eq!(out.count(), 3);
+        let out = sort(&few, 64);
+        assert_eq!(out.len(), 3);
     }
 }

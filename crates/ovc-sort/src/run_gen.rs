@@ -130,17 +130,8 @@ pub(crate) fn sort_windows(
 /// Sort rows into one run using a tree-of-losers priority queue over
 /// single-row inputs.  Codes are a by-product of the tournament.
 pub fn sort_rows_ovc(rows: Vec<Row>, key_len: usize, stats: &Arc<Stats>) -> Run {
-    sort_rows_ovc_spec(rows, &SortSpec::asc(key_len), stats)
-}
-
-/// Direction-aware [`sort_rows_ovc`]: a tree-of-losers over single-row
-/// inputs under an arbitrary leading-prefix [`SortSpec`].  When the spec
-/// requests normalized-key encoding the rows are instead ordered by
-/// comparing order-preserving byte strings (the IBM CFC regime — one
-/// normalization pass charged as `N × K` column accesses, then pure byte
-/// comparisons) and codes are derived in a linear pass.
-pub fn sort_rows_ovc_spec(rows: Vec<Row>, spec: &SortSpec, stats: &Arc<Stats>) -> Run {
-    sort_rows(rows, spec, RunGenStrategy::OvcPriorityQueue, stats)
+    let spec = SortSpec::asc(key_len);
+    sort_rows(rows, &spec, RunGenStrategy::OvcPriorityQueue, stats)
 }
 
 /// All of `rows` as one run: a single unbounded workspace.
@@ -263,13 +254,6 @@ fn sort_flat_normalized(
     gather_with_codes(&idx, width, values, spec, stats)
 }
 
-/// Sort rows with stable full-key comparisons under the spec over an
-/// index permutation, then derive codes in a linear pass while gathering
-/// the sorted flat output.  The conventional method the paper improves on.
-pub fn sort_rows_quicksort_spec(rows: Vec<Row>, spec: &SortSpec, stats: &Arc<Stats>) -> Run {
-    sort_rows(rows, spec, RunGenStrategy::Quicksort, stats)
-}
-
 /// Gather rows of a flat buffer in `idx` order into a new run, deriving
 /// each code against the previous gathered row (first row relative to
 /// "−∞").
@@ -310,23 +294,10 @@ pub enum RunGenStrategy {
     ReplacementSelection,
 }
 
-/// Generate initial runs from an arbitrary input, each holding at most
-/// `memory_rows` rows (replacement selection produces longer runs from the
-/// same memory budget).
-pub fn generate_runs<I>(
-    input: I,
-    key_len: usize,
-    memory_rows: usize,
-    strategy: RunGenStrategy,
-    stats: &Arc<Stats>,
-) -> Vec<Run>
-where
-    I: IntoIterator<Item = Row>,
-{
-    generate_runs_spec(input, &SortSpec::asc(key_len), memory_rows, strategy, stats)
-}
-
-/// Direction-aware [`generate_runs`]: initial runs ordered under `spec`.
+/// Generate initial runs ordered under `spec` from boxed rows, each
+/// holding at most `memory_rows` rows (replacement selection produces
+/// longer runs from the same memory budget).  The rows enter run
+/// generation cut into `memory_rows`-row batches.
 ///
 /// Replacement selection is an ascending-prefix-only strategy (its heap
 /// logic has not been spec-plumbed); requesting it with any other spec
@@ -437,7 +408,7 @@ mod tests {
         let rows = random_rows(150, 2, 8, 2);
         let stats = Stats::new_shared();
         let a = sort_rows_ovc(rows.clone(), 2, &stats);
-        let b = sort_rows_quicksort_spec(rows, &SortSpec::asc(2), &stats);
+        let b = sort_rows(rows, &SortSpec::asc(2), RunGenStrategy::Quicksort, &stats);
         // Byte-identical rows and codes, since both are determined by the
         // data alone.
         assert_eq!(a.flat(), b.flat());
@@ -447,7 +418,8 @@ mod tests {
     fn generate_runs_respects_memory() {
         let rows = random_rows(105, 2, 4, 3);
         let stats = Stats::new_shared();
-        let runs = generate_runs(rows, 2, 25, RunGenStrategy::OvcPriorityQueue, &stats);
+        let spec = SortSpec::asc(2);
+        let runs = generate_runs_spec(rows, &spec, 25, RunGenStrategy::OvcPriorityQueue, &stats);
         assert_eq!(runs.len(), 5); // 4 full + 1 partial
         assert_eq!(runs.iter().map(Run::len).sum::<usize>(), 105);
         assert!(runs[..4].iter().all(|r| r.len() == 25));
@@ -461,9 +433,9 @@ mod tests {
     fn workspace_cuts_the_same_runs_at_every_input_batch_size() {
         let rows = random_rows(105, 2, 4, 3);
         let expect_stats = Stats::new_shared();
-        let expect: Vec<FlatRows> = generate_runs(
+        let expect: Vec<FlatRows> = generate_runs_spec(
             rows.clone(),
-            2,
+            &SortSpec::asc(2),
             25,
             RunGenStrategy::Quicksort,
             &expect_stats,
@@ -491,7 +463,8 @@ mod tests {
     #[test]
     fn empty_input_yields_no_runs() {
         let stats = Stats::new_shared();
-        let runs = generate_runs(Vec::<Row>::new(), 2, 10, RunGenStrategy::Quicksort, &stats);
+        let spec = SortSpec::asc(2);
+        let runs = generate_runs_spec(vec![], &spec, 10, RunGenStrategy::Quicksort, &stats);
         assert!(runs.is_empty());
         assert!(sort_rows_ovc(vec![], 2, &stats).is_empty());
     }
@@ -521,7 +494,7 @@ mod tests {
         let s_ovc = Stats::new_shared();
         let s_qs = Stats::new_shared();
         let _ = sort_rows_ovc(rows.clone(), 4, &s_ovc);
-        let _ = sort_rows_quicksort_spec(rows, &SortSpec::asc(4), &s_qs);
+        let _ = sort_rows(rows, &SortSpec::asc(4), RunGenStrategy::Quicksort, &s_qs);
         assert!(
             s_ovc.col_value_cmps() < s_qs.col_value_cmps() / 2,
             "ovc {} vs quicksort {}",

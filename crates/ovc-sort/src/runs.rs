@@ -13,11 +13,15 @@
 //! in parallel vectors — instead of a `Vec` of boxed rows.  Merging reads
 //! each run sequentially in place and copies winner rows slice-to-slice;
 //! a batch pipeline takes the run as slices ([`Run::batches`]), and
-//! [`OvcRow`]s are materialized only for row-at-a-time callers
-//! ([`RunCursor`]).
+//! [`OvcRow`]s are materialized only at the library's edge
+//! ([`Run::into_rows`]).
+//!
+//! `Run` is the one materialized coded run of the workspace: a sort's
+//! resident output, a spilled run, a merge level, and the executor's
+//! drained root and partitions (`ovc_plan::Output`) are all `Run`s.
 
 use ovc_core::derive::{derive_codes, derive_codes_spec};
-use ovc_core::{FlatBatches, FlatRows, Ovc, OvcRow, OvcStream, Row, SortSpec};
+use ovc_core::{FlatBatches, FlatRows, Ovc, OvcRow, Row, SortSpec};
 
 /// A sorted, coded, in-memory run in flat columnar layout.
 #[derive(Clone, Debug)]
@@ -149,15 +153,6 @@ impl Run {
         self.flat.to_ovc_rows()
     }
 
-    /// A consuming cursor for merging.
-    pub fn cursor(self) -> RunCursor {
-        RunCursor {
-            flat: self.flat,
-            pos: 0,
-            spec: self.spec,
-        }
-    }
-
     /// Consume the run as a [`ovc_core::BatchStream`] of `batch_size`-row
     /// [`FlatRows`] chunks — the batch-pipeline entry point for sorted
     /// data.  Cutting a coded run at any point needs no code repair
@@ -195,56 +190,6 @@ fn flatten(rows: Vec<Row>, codes: Vec<Ovc>, fallback_width: usize) -> FlatRows {
         flat.push(row.cols(), code);
     }
     flat
-}
-
-/// Consuming cursor over a run's coded rows, materializing each
-/// [`OvcRow`] from the flat buffer as it streams out.
-pub struct RunCursor {
-    flat: FlatRows,
-    pos: usize,
-    spec: SortSpec,
-}
-
-impl RunCursor {
-    /// Rewrap an **unconsumed** cursor as its run (flat, zero-copy).
-    /// Panics if rows have already streamed out — the remainder of a
-    /// partially-consumed cursor is not a valid coded run on its own
-    /// (its first code is relative to a row that is gone).
-    pub(crate) fn into_run(self) -> Run {
-        assert_eq!(self.pos, 0, "cannot rewrap a partially-consumed cursor");
-        Run {
-            flat: self.flat,
-            spec: self.spec,
-        }
-    }
-}
-
-impl Iterator for RunCursor {
-    type Item = OvcRow;
-    fn next(&mut self) -> Option<OvcRow> {
-        if self.pos >= self.flat.len() {
-            return None;
-        }
-        let r = OvcRow::new(
-            Row::from_slice(self.flat.row(self.pos)),
-            self.flat.code(self.pos),
-        );
-        self.pos += 1;
-        Some(r)
-    }
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.flat.len() - self.pos;
-        (left, Some(left))
-    }
-}
-
-impl OvcStream for RunCursor {
-    fn key_len(&self) -> usize {
-        self.spec.len()
-    }
-    fn sort_spec(&self) -> SortSpec {
-        self.spec.clone()
-    }
 }
 
 #[cfg(test)]
@@ -289,13 +234,6 @@ mod tests {
             .next_batch()
             .unwrap()
             .is_none());
-    }
-
-    #[test]
-    fn cursor_yields_all_rows() {
-        let run = Run::from_sorted_rows(ovc_core::table1::rows(), 4);
-        let n = run.len();
-        assert_eq!(run.cursor().count(), n);
     }
 
     #[test]

@@ -117,7 +117,7 @@ impl RleColumnStore {
             store: self,
             row: 0,
             cursors: vec![
-                RunCursor {
+                KeyRunPos {
                     run: 0,
                     remaining: 0
                 };
@@ -128,7 +128,7 @@ impl RleColumnStore {
 }
 
 #[derive(Clone, Copy)]
-struct RunCursor {
+struct KeyRunPos {
     run: usize,
     /// Rows left in the current run (0 = a new run starts at this row).
     remaining: u32,
@@ -138,7 +138,7 @@ struct RunCursor {
 pub struct RleScan<'a> {
     store: &'a RleColumnStore,
     row: usize,
-    cursors: Vec<RunCursor>,
+    cursors: Vec<KeyRunPos>,
 }
 
 impl Iterator for RleScan<'_> {

@@ -146,8 +146,9 @@ impl Drop for FileRunStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ovc_core::{Direction, Row, SortSpec};
-    use ovc_sort::{external_sort, try_external_sort_spec, MemoryRunStorage, SortConfig};
+    use ovc_core::batch::collect_batch_pairs;
+    use ovc_core::{BatchStream, Direction, Row, RowBatches, SortSpec};
+    use ovc_sort::{external_sort_spec_to_run, try_sort_batches, MemoryRunStorage, SortConfig};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -189,10 +190,10 @@ mod tests {
         let rows = random_rows(600, 9);
         let stats = Stats::new_shared();
         let mut storage = EncodedRunStorage::new(Arc::clone(&stats));
-        let out: Vec<_> =
-            external_sort(rows, SortConfig::new(2, 64), &mut storage, &stats).collect();
+        let cfg = SortConfig::new(2, 64);
+        let out = external_sort_spec_to_run(rows, cfg, &SortSpec::asc(2), &mut storage, &stats);
         assert_eq!(out.len(), 600);
-        let pairs: Vec<_> = out.into_iter().map(|r| (r.row, r.code)).collect();
+        let pairs: Vec<_> = out.iter().map(|(r, c)| (Row::from_slice(r), c)).collect();
         ovc_core::derive::assert_codes_exact(&pairs, 2);
         assert_eq!(stats.rows_spilled(), 600, "one spill pass");
     }
@@ -318,15 +319,15 @@ mod tests {
         let rows = random_rows(400, 11);
         let stats = Stats::new_shared();
         let mut storage = FileRunStorage::new(Arc::clone(&stats)).expect("tempdir");
-        let out: Vec<_> =
-            external_sort(rows, SortConfig::new(2, 50), &mut storage, &stats).collect();
+        let cfg = SortConfig::new(2, 50);
+        let out = external_sort_spec_to_run(rows, cfg, &SortSpec::asc(2), &mut storage, &stats);
         assert_eq!(out.len(), 400);
-        let pairs: Vec<_> = out.into_iter().map(|r| (r.row, r.code)).collect();
+        let pairs: Vec<_> = out.iter().map(|(r, c)| (Row::from_slice(r), c)).collect();
         ovc_core::derive::assert_codes_exact(&pairs, 2);
     }
 
-    /// `try_external_sort_spec` in 50-row runs through `storage`: the
-    /// output's rows and codes, after checking it is labelled `spec`.
+    /// `try_sort_batches` in 50-row runs through `storage`: the output's
+    /// rows and codes, after checking it is labelled `spec`.
     fn sort_through<S: RunStorage>(
         rows: &[Row],
         spec: &SortSpec,
@@ -334,9 +335,11 @@ mod tests {
         stats: &Arc<Stats>,
     ) -> Vec<(Row, ovc_core::Ovc)> {
         let cfg = SortConfig::new(2, 50);
-        let out = try_external_sort_spec(rows.to_vec(), cfg, spec, storage, stats).expect("sort");
-        assert_eq!(ovc_core::OvcStream::sort_spec(&out), *spec);
-        out.map(|r| (r.row, r.code)).collect()
+        let input = RowBatches::new(rows.to_vec(), cfg.memory_rows);
+        let out = try_sort_batches(input, cfg, spec, false, storage, stats).expect("sort");
+        let out = out.batches(64);
+        assert_eq!(out.sort_spec(), *spec);
+        collect_batch_pairs(out)
     }
 
     /// A run reads back under the spec it was sorted by: descending,

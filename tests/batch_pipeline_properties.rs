@@ -159,7 +159,7 @@ fn run(
         batch_size: batch,
     };
     let pairs = match execute(plan, catalog, &stats, &options) {
-        Output::Stream(s) => s.into_stream().map(|r| (r.row, r.code)).collect(),
+        Output::Stream(run) => run.iter().map(|(r, c)| (Row::from_slice(r), c)).collect(),
         other => panic!(
             "harness plans have ordered roots; got {}",
             match other {

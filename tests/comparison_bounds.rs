@@ -9,7 +9,10 @@ use std::sync::Arc;
 
 use ovc_core::{BatchStream, Row, SortSpec, Stats};
 use ovc_exec::{JoinType, MergeJoin};
-use ovc_sort::{external_sort_collect, sort_rows_ovc, FlatMerge, Run, RunGenStrategy, SortConfig};
+use ovc_sort::{
+    external_sort_spec_to_run, generate_runs_spec, sort_rows_ovc, FlatMerge, MemoryRunStorage, Run,
+    RunGenStrategy, SortConfig,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,7 +43,14 @@ fn full_external_sort_within_levels_times_n_k() {
     let k = 3;
     let stats = Stats::new_shared();
     let cfg = SortConfig::new(k, 250).with_fan_in(4);
-    let _ = external_sort_collect(rows(n, k, 4, 10), cfg, &stats);
+    let mut storage = MemoryRunStorage::new(Arc::clone(&stats));
+    let _ = external_sort_spec_to_run(
+        rows(n, k, 4, 10),
+        cfg,
+        &SortSpec::asc(k),
+        &mut storage,
+        &stats,
+    );
     let levels = 3u64; // run gen + two merge levels
     assert!(
         stats.col_value_cmps() <= levels * (n * k) as u64,
@@ -199,14 +209,15 @@ fn generate_runs_strategies_comparison_ordering() {
         let data = rows(n, k, 3, 17);
         let s_pq = Stats::new_shared();
         let s_qs = Stats::new_shared();
-        let _ = ovc_sort::generate_runs(
+        let spec = SortSpec::asc(k);
+        let _ = generate_runs_spec(
             data.clone(),
-            k,
+            &spec,
             256,
             RunGenStrategy::OvcPriorityQueue,
             &s_pq,
         );
-        let _ = ovc_sort::generate_runs(data, k, 256, RunGenStrategy::Quicksort, &s_qs);
+        let _ = generate_runs_spec(data, &spec, 256, RunGenStrategy::Quicksort, &s_qs);
         assert!(s_pq.col_value_cmps() < s_qs.col_value_cmps());
     }
 }

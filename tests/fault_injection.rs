@@ -18,14 +18,15 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
+use ovc_repro::core::batch::collect_batch_pairs;
 use ovc_repro::core::ctx::ExecError;
 use ovc_repro::core::fault::{self, FaultConfig, FaultPoint};
-use ovc_repro::core::{QueryCtx, Row, SortSpec, Stats};
+use ovc_repro::core::{QueryCtx, Row, RowBatches, SortSpec, Stats};
 use ovc_repro::plan::{
     execute, execute_ctx, execute_ctx_profiled, execute_profiled, Aggregate, Catalog, ExecOptions,
     JoinType, LogicalPlan, Planner, PlannerConfig, Preference, SetOp, Table,
 };
-use ovc_repro::sort::{try_external_sort_spec, MemoryRunStorage, SortConfig};
+use ovc_repro::sort::{try_sort_batches, MemoryRunStorage, RunStorage, SortConfig, SortOutput};
 use ovc_repro::storage::FileRunStorage;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -238,9 +239,8 @@ fn injected_spill_write_fault_is_typed_and_retry_is_byte_identical() {
     let reference: Vec<_> = {
         let stats = Stats::new_shared();
         let mut storage = MemoryRunStorage::new(Arc::clone(&stats));
-        try_external_sort_spec(rows.clone(), cfg, &spec, &mut storage, &stats)
-            .expect("clean sort")
-            .collect()
+        let sorted = sort_rows(rows.clone(), cfg, &spec, &mut storage, &stats);
+        collect_batch_pairs(sorted.expect("clean sort").batches(64))
     };
 
     // The bare sort surfaces the injected write failure as a typed
@@ -248,7 +248,7 @@ fn injected_spill_write_fault_is_typed_and_retry_is_byte_identical() {
     let _guard = fault::install(FaultConfig::new(seed).once(FaultPoint::SpillWrite));
     let stats = Stats::new_shared();
     let mut storage = MemoryRunStorage::new(Arc::clone(&stats));
-    let err = try_external_sort_spec(rows.clone(), cfg, &spec, &mut storage, &stats)
+    let err = sort_rows(rows.clone(), cfg, &spec, &mut storage, &stats)
         .map(|_| ())
         .expect_err("injected write fault must surface");
     assert_eq!(err.reason(), "spill_io");
@@ -256,10 +256,25 @@ fn injected_spill_write_fault_is_typed_and_retry_is_byte_identical() {
     // The executor's retry (DESIGN.md §14) sorts the input again from
     // source, resident, on the same device: rows AND codes match, since
     // codes are a function of the output sequence alone.
-    let out: Vec<_> = try_external_sort_spec(rows, resident(cfg), &spec, &mut storage, &stats)
-        .expect("the resident retry touches no device")
-        .collect();
+    let sorted = sort_rows(rows, resident(cfg), &spec, &mut storage, &stats);
+    let out = collect_batch_pairs(
+        sorted
+            .expect("the resident retry touches no device")
+            .batches(64),
+    );
     assert_eq!(out, reference, "retried output must be byte-identical");
+}
+
+/// The serial sort over `rows` cut into `cfg.memory_rows`-row batches.
+fn sort_rows(
+    rows: Vec<Row>,
+    cfg: SortConfig,
+    spec: &SortSpec,
+    storage: &mut impl RunStorage,
+    stats: &Arc<Stats>,
+) -> Result<SortOutput, ExecError> {
+    let input = RowBatches::new(rows, cfg.memory_rows);
+    try_sort_batches(input, cfg, spec, false, storage, stats)
 }
 
 /// `cfg` with one unbounded run: a sort that never spills.
@@ -281,9 +296,8 @@ fn injected_spill_corruption_is_detected_and_recovered() {
     let reference: Vec<_> = {
         let stats = Stats::new_shared();
         let mut storage = MemoryRunStorage::new(Arc::clone(&stats));
-        try_external_sort_spec(rows.clone(), cfg, &spec, &mut storage, &stats)
-            .expect("clean sort")
-            .collect()
+        let sorted = sort_rows(rows.clone(), cfg, &spec, &mut storage, &stats);
+        collect_batch_pairs(sorted.expect("clean sort").batches(64))
     };
 
     // A flipped byte in a spill frame comes back as a typed corruption
@@ -291,15 +305,18 @@ fn injected_spill_corruption_is_detected_and_recovered() {
     let _guard = fault::install(FaultConfig::new(seed).once(FaultPoint::SpillCorrupt));
     let stats = Stats::new_shared();
     let mut storage = FileRunStorage::new(Arc::clone(&stats)).expect("tempdir");
-    let err = try_external_sort_spec(rows.clone(), cfg, &spec, &mut storage, &stats)
+    let err = sort_rows(rows.clone(), cfg, &spec, &mut storage, &stats)
         .map(|_| ())
         .expect_err("corrupted frame must fail the read-back");
     assert_eq!(err.reason(), "spill_corruption");
 
     // Recovered as the executor recovers: from source, resident.
-    let out: Vec<_> = try_external_sort_spec(rows, resident(cfg), &spec, &mut storage, &stats)
-        .expect("the resident retry touches no device")
-        .collect();
+    let sorted = sort_rows(rows, resident(cfg), &spec, &mut storage, &stats);
+    let out = collect_batch_pairs(
+        sorted
+            .expect("the resident retry touches no device")
+            .batches(64),
+    );
     assert_eq!(out, reference);
 }
 

@@ -8,11 +8,12 @@
 
 use std::sync::Arc;
 
+use ovc_core::batch::collect_batch_pairs;
 use ovc_core::derive::{assert_codes_exact_spec, derive_codes_spec};
-use ovc_core::{Direction, Ovc, OvcRow, Row, SortSpec, Stats};
+use ovc_core::{Direction, Ovc, OvcRow, Row, RowBatches, SortSpec, Stats};
 use ovc_sort::{
-    external_sort_spec_collect, external_sort_spec_to_run, merge_runs_to_run_spec,
-    sort_rows_ovc_spec, sort_rows_quicksort_spec, MemoryRunStorage, SortConfig,
+    external_sort_spec_to_run, generate_runs_spec, merge_runs_to_run_spec, try_sort_batches,
+    MemoryRunStorage, Run, RunGenStrategy, SortConfig,
 };
 use ovc_storage::{decode_run, encode_run, EncodedRunStorage};
 use proptest::prelude::*;
@@ -38,6 +39,14 @@ fn reference_sorted(rows: &[Row], spec: &SortSpec) -> Vec<(Row, Ovc)> {
     sorted.into_iter().zip(codes).collect()
 }
 
+/// All of `rows` as one run under `strategy`: run generation with one
+/// unbounded workspace.
+fn one_run(rows: &[Row], spec: &SortSpec, strategy: RunGenStrategy, stats: &Arc<Stats>) -> Run {
+    generate_runs_spec(rows.to_vec(), spec, usize::MAX, strategy, stats)
+        .pop()
+        .unwrap_or_else(|| Run::empty_spec(spec.clone()))
+}
+
 fn rows_strategy() -> impl Strategy<Value = Vec<Row>> {
     // 3 key columns over a small domain (plenty of duplicates and shared
     // prefixes) plus one payload column.
@@ -55,8 +64,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The external sort over flat runs is byte-identical (rows + codes)
-    /// to the boxed-row reference under every spec family, both as a
-    /// materialized stream and as a flat run.
+    /// to the boxed-row reference under every spec family, both as
+    /// drained batches and as a flat run.
     #[test]
     fn flat_sort_is_byte_identical_to_boxed_reference(
         rows in rows_strategy(),
@@ -68,8 +77,10 @@ proptest! {
 
             let stats = Stats::new_shared();
             let cfg = SortConfig::new(3, memory).with_fan_in(fan_in);
-            let out = external_sort_spec_collect(rows.clone(), cfg, &spec, &stats);
-            let got: Vec<(Row, Ovc)> = out.into_iter().map(|r| (r.row, r.code)).collect();
+            let mut storage = MemoryRunStorage::new(Arc::clone(&stats));
+            let input = RowBatches::new(rows.clone(), memory);
+            let out = try_sort_batches(input, cfg, &spec, false, &mut storage, &stats);
+            let got = collect_batch_pairs(out.unwrap().batches(64));
             prop_assert_eq!(&got, &expect, "stream path under {}", label);
 
             let mut storage = MemoryRunStorage::new(Arc::clone(&stats));
@@ -91,11 +102,11 @@ proptest! {
     ) {
         for (label, spec) in specs() {
             let stats = Stats::new_shared();
-            let pq = sort_rows_ovc_spec(a.clone(), &spec, &stats);
-            let qs = sort_rows_quicksort_spec(a.clone(), &spec, &stats);
+            let pq = one_run(&a, &spec, RunGenStrategy::OvcPriorityQueue, &stats);
+            let qs = one_run(&a, &spec, RunGenStrategy::Quicksort, &stats);
             prop_assert_eq!(pq.flat(), qs.flat(), "strategies under {}", label);
 
-            let run_b = sort_rows_ovc_spec(b.clone(), &spec, &stats);
+            let run_b = one_run(&b, &spec, RunGenStrategy::OvcPriorityQueue, &stats);
             let merged = merge_runs_to_run_spec(vec![pq, run_b], &spec, &stats);
             let mut both = a.clone();
             both.extend(b.iter().cloned());
@@ -113,7 +124,7 @@ proptest! {
         use ovc_sort::RunStorage;
         for (label, spec) in specs() {
             let stats = Stats::new_shared();
-            let run = sort_rows_ovc_spec(rows.clone(), &spec, &stats);
+            let run = one_run(&rows, &spec, RunGenStrategy::OvcPriorityQueue, &stats);
 
             let back = decode_run(&encode_run(&run)).expect("clean frame decodes");
             prop_assert_eq!(back.flat(), run.flat(), "codec under {}", label);
@@ -129,20 +140,23 @@ proptest! {
     }
 }
 
-/// Boxed materialization points (cursor, `into_rows`, a reopened
-/// `CodedBatch`) agree with the flat storage they read from.
+/// Boxed materialization points (`into_rows`, drained batches, and
+/// rows flattened back into a run) agree with the flat storage they
+/// read from.
 #[test]
 fn materialization_boundaries_agree() {
     let rows: Vec<Row> = (0..200).map(|i| Row::new(vec![i % 7, i % 3, i])).collect();
     let stats = Stats::new_shared();
-    let run = sort_rows_ovc_spec(rows, &SortSpec::asc(2), &stats);
+    let spec = SortSpec::asc(2);
+    let run = one_run(&rows, &spec, RunGenStrategy::OvcPriorityQueue, &stats);
 
-    let via_cursor: Vec<OvcRow> = run.clone().cursor().collect();
     let via_rows = run.clone().into_rows();
-    assert_eq!(via_cursor, via_rows);
+    let via_batches: Vec<OvcRow> = collect_batch_pairs(run.clone().batches(7))
+        .into_iter()
+        .map(|(row, code)| OvcRow::new(row, code))
+        .collect();
+    assert_eq!(via_batches, via_rows);
 
-    let batch = ovc_core::CodedBatch::from_flat(run.flat().clone(), run.sort_spec().clone());
-    assert_eq!(batch.clone().into_flat(), *run.flat());
-    let via_batch: Vec<OvcRow> = batch.into_stream().collect();
-    assert_eq!(via_batch, via_rows);
+    let again = Run::from_coded_spec(via_rows, spec);
+    assert_eq!(again.flat(), run.flat());
 }

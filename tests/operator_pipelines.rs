@@ -10,7 +10,8 @@ use ovc_core::batch::{collect_batch_pairs, VecBatchStream};
 use ovc_core::derive::assert_codes_exact;
 use ovc_core::stream::collect_pairs;
 use ovc_core::{
-    BatchStream, FlatBatches, FlatRows, OvcRow, OvcStream, Row, SortSpec, Stats, Value, VecStream,
+    BatchStream, FlatBatches, FlatRows, OvcRow, OvcStream, Row, RowBatches, SortSpec, Stats, Value,
+    VecStream,
 };
 use ovc_exec::exchange::by_cols_hash;
 use ovc_exec::nlj::BTreeInner;
@@ -18,7 +19,7 @@ use ovc_exec::{
     route_batches, Aggregate, BatchDedup, BatchFilter, BatchProject, GroupAggregate, HashJoinOp,
     HashTable, JoinType, LookupJoin, MergeJoin, SetOp, SetOperation,
 };
-use ovc_sort::{external_sort, merge_batch_streams, MemoryRunStorage, Run, SortConfig};
+use ovc_sort::{merge_batch_streams, try_sort_batches, MemoryRunStorage, Run, SortConfig};
 use ovc_storage::{BTree, LsmConfig, LsmForest, RleColumnStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -93,8 +94,14 @@ fn sort_join_group_pipeline() {
     let stats = Stats::new_shared();
     let mut st1 = MemoryRunStorage::new(Arc::clone(&stats));
     let mut st2 = MemoryRunStorage::new(Arc::clone(&stats));
-    let s1 = external_sort(t1, SortConfig::new(2, 200), &mut st1, &stats).batches(BATCH);
-    let s2 = external_sort(t2, SortConfig::new(2, 200), &mut st2, &stats).batches(BATCH);
+    let (cfg, spec) = (SortConfig::new(2, 200), SortSpec::asc(2));
+    let sort = |rows: Vec<Row>, storage: &mut MemoryRunStorage| {
+        let input = RowBatches::new(rows, cfg.memory_rows);
+        let sorted = try_sort_batches(input, cfg, &spec, false, storage, &stats);
+        sorted.unwrap().batches(BATCH)
+    };
+    let s1 = sort(t1, &mut st1);
+    let s2 = sort(t2, &mut st2);
     let join = MergeJoin::new(s1, s2, 2, JoinType::Inner, 3, 3, BATCH, Arc::clone(&stats));
     let grouped = GroupAggregate::new(join, 1, vec![Aggregate::Count], BATCH, Arc::clone(&stats));
     let pairs = collect_batch_pairs(grouped);

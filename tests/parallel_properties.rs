@@ -5,14 +5,16 @@
 
 use ovc_core::batch::{collect_batch_pairs, VecBatchStream};
 use ovc_core::derive::{assert_codes_exact, assert_codes_exact_spec};
-use ovc_core::{BatchStream, Direction, FlatBatches, FlatRows, Ovc, OvcRow, Row, SortSpec, Stats};
+use ovc_core::{
+    BatchStream, Direction, FlatBatches, FlatRows, Ovc, OvcRow, Row, RowBatches, SortSpec, Stats,
+};
 use ovc_exec::exchange::by_cols_hash;
 use ovc_exec::route_batches;
 use ovc_plan::exec::{execute, ExecOptions};
 use ovc_plan::{figure5, PlannerConfig, Preference};
-use ovc_sort::external::external_sort_collect;
-use ovc_sort::parallel::{parallel_sort, parallel_sort_distinct};
-use ovc_sort::{merge_batch_streams, Run, SortConfig};
+use ovc_sort::{
+    merge_batch_streams, parallel_sort_batches, try_sort_batches, MemoryRunStorage, Run, SortConfig,
+};
 use proptest::prelude::*;
 
 /// Sorted rows as the serial batch kernels take them: one coded run, cut
@@ -44,15 +46,17 @@ proptest! {
     /// Parallel sort ≡ serial sort, rows and codes, threads ∈ {1, 2, 4, 8}.
     #[test]
     fn parallel_sort_equals_serial(rows in rows_strategy(2, 400), mem in 16usize..96) {
-        let serial = external_sort_collect(
-            rows.clone(),
-            SortConfig::new(2, mem),
-            &Stats::new_shared(),
-        );
+        let spec = SortSpec::asc(2);
+        let stats = Stats::new_shared();
+        let mut storage = MemoryRunStorage::new(stats.clone());
+        let input = RowBatches::new(rows.clone(), mem);
+        let sorted = try_sort_batches(input, SortConfig::new(2, mem), &spec, false, &mut storage, &stats);
+        let serial = drain(sorted.unwrap().batches(64));
         for threads in [1usize, 2, 4, 8] {
             let stats = Stats::new_shared();
-            let par: Vec<OvcRow> =
-                parallel_sort(rows.clone(), 2, threads, mem, 64, &stats).collect();
+            let input = RowBatches::new(rows.clone(), usize::MAX);
+            let sorted = parallel_sort_batches(input, &spec, false, threads, mem, 64, &stats);
+            let par: Vec<OvcRow> = drain(sorted.unwrap().batches(64));
             prop_assert_eq!(&par, &serial, "threads={}", threads);
             let pairs: Vec<(Row, Ovc)> = par.into_iter().map(|r| (r.row, r.code)).collect();
             exact(&pairs, 2);
@@ -66,9 +70,10 @@ proptest! {
         expect.sort();
         expect.dedup();
         for threads in [2usize, 4] {
-            let out: Vec<OvcRow> =
-                parallel_sort_distinct(rows.clone(), 2, threads, 32, 8, &Stats::new_shared())
-                    .collect();
+            let input = RowBatches::new(rows.clone(), usize::MAX);
+            let stats = Stats::new_shared();
+            let sorted = parallel_sort_batches(input, &SortSpec::asc(2), true, threads, 32, 8, &stats);
+            let out: Vec<OvcRow> = drain(sorted.unwrap().batches(64));
             let got: Vec<Row> = out.iter().map(|r| r.row.clone()).collect();
             prop_assert_eq!(&got, &expect, "threads={}", threads);
             let pairs: Vec<(Row, Ovc)> = out.into_iter().map(|r| (r.row, r.code)).collect();

@@ -5,12 +5,14 @@
 
 use std::sync::Arc;
 
+use ovc_core::batch::collect_batch_pairs;
 use ovc_core::derive::find_code_violation;
-use ovc_core::{Ovc, Row, Stats};
-use ovc_sort::external_sort_collect;
+use ovc_core::{Ovc, Row, RowBatches, SortSpec, Stats};
 use ovc_sort::replacement::generate_runs_replacement;
 use ovc_sort::segmented::SegmentedSort;
-use ovc_sort::{RunGenStrategy, SortConfig};
+use ovc_sort::{
+    external_sort_spec_to_run, try_sort_batches, MemoryRunStorage, RunGenStrategy, SortConfig,
+};
 use proptest::prelude::*;
 
 fn rows_strategy() -> impl Strategy<Value = Vec<Row>> {
@@ -34,15 +36,17 @@ proptest! {
     ) {
         let stats = Stats::new_shared();
         let cfg = SortConfig::new(3, memory).with_fan_in(fan_in).with_strategy(strat);
-        let out = external_sort_collect(rows.clone(), cfg, &stats);
+        let mut storage = MemoryRunStorage::new(Arc::clone(&stats));
+        let input = RowBatches::new(rows.clone(), memory);
+        let out = try_sort_batches(input, cfg, &SortSpec::asc(3), false, &mut storage, &stats);
+        let pairs = collect_batch_pairs(out.unwrap().batches(64));
         // Same keys as std sort.
         let mut expect = rows.clone();
         expect.sort();
-        let got_keys: Vec<&[u64]> = out.iter().map(|r| r.row.key(3)).collect();
+        let got_keys: Vec<&[u64]> = pairs.iter().map(|(r, _)| r.key(3)).collect();
         let expect_keys: Vec<&[u64]> = expect.iter().map(|r| r.key(3)).collect();
         prop_assert_eq!(got_keys, expect_keys);
         // Exact codes.
-        let pairs: Vec<(Row, Ovc)> = out.into_iter().map(|r| (r.row, r.code)).collect();
         prop_assert_eq!(find_code_violation(&pairs, 3), None);
     }
 
@@ -54,7 +58,8 @@ proptest! {
         let n = rows.len() as u64;
         let stats = Stats::new_shared();
         let cfg = SortConfig::new(3, memory).with_fan_in(1024);
-        let _ = external_sort_collect(rows, cfg, &stats);
+        let mut storage = MemoryRunStorage::new(Arc::clone(&stats));
+        let _ = external_sort_spec_to_run(rows, cfg, &SortSpec::asc(3), &mut storage, &stats);
         // Run generation <= N*K, one merge level <= N*K.
         prop_assert!(stats.col_value_cmps() <= 2 * n * 3,
             "col cmps {} exceed 2*N*K {}", stats.col_value_cmps(), 2 * n * 3);

@@ -6,10 +6,10 @@
 
 use std::sync::Arc;
 
-use ovc_core::{Row, Stats};
+use ovc_core::{Row, SortSpec, Stats};
 use ovc_plan::figure5::{catalog_unsorted, run_intersect};
 use ovc_plan::{Catalog, PlannerConfig, Preference};
-use ovc_sort::{external_sort, RunStorage, SortConfig};
+use ovc_sort::{external_sort_spec_to_run, RunStorage, SortConfig};
 use ovc_storage::EncodedRunStorage;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -43,7 +43,8 @@ fn sort_spill_conservation() {
     let rows = table(3000, 500, 1);
     let stats = Stats::new_shared();
     let mut storage = EncodedRunStorage::new(Arc::clone(&stats));
-    let out: usize = external_sort(rows, SortConfig::new(1, 200), &mut storage, &stats).count();
+    let cfg = SortConfig::new(1, 200);
+    let out = external_sort_spec_to_run(rows, cfg, &SortSpec::asc(1), &mut storage, &stats).len();
     assert_eq!(out, 3000);
     assert_eq!(stats.rows_spilled(), stats.rows_read_back());
     assert_eq!(stats.bytes_spilled(), stats.bytes_read_back());
@@ -67,7 +68,8 @@ fn prefix_truncation_shrinks_spill_bytes() {
         .collect();
     let stats = Stats::new_shared();
     let mut storage = EncodedRunStorage::new(Arc::clone(&stats));
-    let _ = external_sort(rows, SortConfig::new(4, 500), &mut storage, &stats).count();
+    let cfg = SortConfig::new(4, 500);
+    let _ = external_sort_spec_to_run(rows, cfg, &SortSpec::asc(4), &mut storage, &stats);
     let flat = stats.rows_spilled() * 5 * 8; // 4 cols + code per row
     assert!(
         stats.bytes_spilled() * 2 < flat,
