@@ -152,7 +152,7 @@ fn render() -> Result<String, std::fmt::Error> {
     let ls = Run::from_sorted_rows(l, 2).batches(BATCH);
     let rs = Run::from_sorted_rows(r, 2).batches(BATCH);
     let join = MergeJoin::new(ls, rs, 2, JoinType::Inner, 3, 3, BATCH, Arc::clone(&s));
-    let n_out = count_rows(BatchDedup::new(join));
+    let n_out = count_rows(BatchDedup::new(join, Arc::clone(&s)));
     writeln!(
         out,
         "join+dedup output rows {n_out}; col-cmps {} (bound 2*N*K = {})",

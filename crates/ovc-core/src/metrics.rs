@@ -41,8 +41,8 @@ use crate::stats::{Stats, StatsSnapshot};
 /// Frozen per-operator measurements from one profiled run.
 ///
 /// All figures are inclusive of the operator's subtree (see the module
-/// docs); `rows_in` is therefore *not* stored — compute it as the sum of
-/// the children's `rows_out` ([`PlanProfile::rows_in`]).
+/// docs); rows in are therefore *not* stored — they are the sum of the
+/// children's `rows_out`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OpMetrics {
     /// Rows this operator emitted.
@@ -315,12 +315,6 @@ pub struct PlanProfile {
 }
 
 impl PlanProfile {
-    /// Rows flowing *into* this operator: the sum of its children's
-    /// output rows (0 for leaves — scans read storage, not a child).
-    pub fn rows_in(&self) -> u64 {
-        self.children.iter().map(|c| c.metrics.rows_out).sum()
-    }
-
     /// All nodes of the profile, preorder (matches
     /// `PhysicalPlan::nodes()` order for the mirrored plan).
     pub fn nodes(&self) -> Vec<&PlanProfile> {
@@ -392,7 +386,6 @@ mod tests {
         assert_eq!(p.metrics.wall, Duration::from_millis(5));
         assert_eq!(p.metrics.col_cmps(), 4);
         assert_eq!(p.metrics.code_resolved_cmps(), 9);
-        assert_eq!(p.rows_in(), 10, "rows in = children's rows out");
         assert_eq!(p.nodes().len(), 2);
         assert_eq!(p.find("ScanCoded").unwrap().metrics.rows_out, 10);
         let text = p.render();

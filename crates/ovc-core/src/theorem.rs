@@ -71,19 +71,6 @@ impl OvcAccumulator {
         self.pending = Ovc::EARLY_FENCE;
         out
     }
-
-    /// The pending combined code without emitting (used by operators that
-    /// need to peek, e.g. grouping carrying the first-row code forward).
-    #[inline]
-    pub fn pending(&self) -> Ovc {
-        self.pending
-    }
-
-    /// Discard pending state (e.g. at a segment boundary).
-    #[inline]
-    pub fn reset(&mut self) {
-        self.pending = Ovc::EARLY_FENCE;
-    }
 }
 
 /// Clamp a code's offset to a shorter key prefix of `new_arity` columns
@@ -203,9 +190,8 @@ mod tests {
         let c = Ovc::new(1, 9, 4);
         assert_eq!(acc.emit(c), c, "empty accumulator is the identity");
         acc.absorb(Ovc::new(0, 3, 4));
-        acc.reset();
-        assert_eq!(acc.emit(c), c, "reset discards pending codes");
-        assert_eq!(acc.pending(), Ovc::EARLY_FENCE);
+        assert_eq!(acc.emit(c), Ovc::new(0, 3, 4), "the absorbed code wins");
+        assert_eq!(acc.emit(c), c, "emit resets the pending code");
     }
 
     #[test]

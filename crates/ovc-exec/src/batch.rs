@@ -280,7 +280,10 @@ mod tests {
             let rows = sorted_rows(400, 14, 2, 3); // tiny domain: mostly duplicates
             let mut expect = rows.clone();
             expect.dedup();
-            let pairs = collect_batch_pairs(BatchDedup::new(batched(rows, 2, batch_size)));
+            let pairs = collect_batch_pairs(BatchDedup::new(
+                batched(rows, 2, batch_size),
+                Stats::new_shared(),
+            ));
             assert_eq!(rows_of(&pairs), expect, "batch={batch_size}");
             assert_codes_exact_spec(&pairs, &SortSpec::asc(2));
         }
@@ -385,14 +388,16 @@ mod tests {
         }
     }
 
-    /// One exchange: the batch exchange's code names nothing of the row
-    /// world, so no row-at-a-time shuffle can grow back beside it.
+    /// One exchange and one grouping kernel: the batch exchange's code
+    /// and `group.rs` name nothing of the row world, so no row-at-a-time
+    /// shuffle or grouping can grow back beside them.
     #[test]
     fn the_batch_exchange_names_no_row_type() {
         let banned = ["OvcRow", "OvcStream", "VecStream", "Row"];
         for (file, source) in [
             ("batch.rs", include_str!("batch.rs")),
             ("exchange.rs", include_str!("exchange.rs")),
+            ("group.rs", include_str!("group.rs")),
         ] {
             let (code, _) = source
                 .split_once("#[cfg(test)]")

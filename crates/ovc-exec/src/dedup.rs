@@ -7,7 +7,8 @@
 //! row has an offset equal to the arity."
 //!
 //! Detection is a single integer test per row — `offset == arity` is the
-//! duplicate code, the smallest valid code — with no column comparisons.
+//! duplicate code, the smallest valid code — with no column comparisons,
+//! counted as one code comparison per input row.
 //! Retaining the survivors' codes is correct because a duplicate shares
 //! its entire key with its predecessor: the code of the next distinct row
 //! relative to the duplicate equals its code relative to the first copy.
@@ -15,26 +16,34 @@
 //! The "single copy with counter" of Section 4.7 is a
 //! [`crate::group::GroupAggregate`] over the whole row with a `Count`.
 
-use ovc_core::{BatchStream, ExecError, FlatRows, SortSpec};
+use std::sync::Arc;
+
+use ovc_core::{BatchStream, ExecError, FlatRows, SortSpec, Stats};
 
 /// Duplicate removal over the full sort key, batch at a time.  A
 /// duplicate-coded first row of a batch is relative to the previous
 /// batch's last row, so per-batch filtering is exact across seams:
 /// survivors keep their input codes.
+///
+/// The per-row duplicate test is one code comparison, counted into
+/// `stats` in the units `ovc_plan::cost::streaming` estimates, as one
+/// add per input batch inside the `next_batch` that reads it.
 pub struct BatchDedup<B> {
     input: B,
+    stats: Arc<Stats>,
 }
 
 impl<B: BatchStream> BatchDedup<B> {
     /// Remove rows whose key equals the previous row's key.
-    pub fn new(input: B) -> Self {
-        BatchDedup { input }
+    pub fn new(input: B, stats: Arc<Stats>) -> Self {
+        BatchDedup { input, stats }
     }
 }
 
 impl<B: BatchStream> BatchStream for BatchDedup<B> {
     fn next_batch(&mut self) -> Result<Option<FlatRows>, ExecError> {
         while let Some(batch) = self.input.next_batch()? {
+            self.stats.count_ovc_cmps(batch.len() as u64);
             if batch.codes().iter().all(|c| !c.is_duplicate()) {
                 return Ok(Some(batch)); // duplicate-free: no copy needed
             }
@@ -55,7 +64,7 @@ mod tests {
     use super::*;
     use ovc_core::batch::collect_batch_pairs;
     use ovc_core::derive::assert_codes_exact;
-    use ovc_core::{FlatBatches, Row, Stats};
+    use ovc_core::{FlatBatches, Row};
     use ovc_sort::Run;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -67,9 +76,12 @@ mod tests {
 
     #[test]
     fn removes_the_table1_duplicate() {
-        let dedup = BatchDedup::new(batches(ovc_core::table1::rows(), 4));
+        let stats = Stats::new_shared();
+        let dedup = BatchDedup::new(batches(ovc_core::table1::rows(), 4), Arc::clone(&stats));
         let pairs = collect_batch_pairs(dedup);
         assert_eq!(pairs.len(), 6, "one duplicate row suppressed");
+        // One counted code test per input row, no column comparison.
+        assert_eq!((stats.ovc_cmps(), stats.col_value_cmps()), (7, 0));
         assert_codes_exact(&pairs, 4);
         assert!(pairs.iter().all(|(_, c)| !c.is_duplicate()));
         // Survivors keep their input codes.
@@ -86,7 +98,7 @@ mod tests {
         rows.sort();
         let mut expect = rows.clone();
         expect.dedup();
-        let pairs = collect_batch_pairs(BatchDedup::new(batches(rows, 2)));
+        let pairs = collect_batch_pairs(BatchDedup::new(batches(rows, 2), Stats::new_shared()));
         assert_codes_exact(&pairs, 2);
         let got: Vec<Row> = pairs.into_iter().map(|(r, _)| r).collect();
         assert_eq!(got, expect);
@@ -117,23 +129,26 @@ mod tests {
     #[test]
     fn dedup_without_duplicates_is_identity() {
         let rows: Vec<Row> = (0..20).map(|i| Row::new(vec![i])).collect();
-        let got: Vec<Row> = collect_batch_pairs(BatchDedup::new(batches(rows.clone(), 1)))
-            .into_iter()
-            .map(|(r, _)| r)
-            .collect();
+        let got: Vec<Row> = collect_batch_pairs(BatchDedup::new(
+            batches(rows.clone(), 1),
+            Stats::new_shared(),
+        ))
+        .into_iter()
+        .map(|(r, _)| r)
+        .collect();
         assert_eq!(got, rows);
     }
 
     #[test]
     fn dedup_all_equal() {
         let rows = vec![Row::new(vec![9, 9]); 10];
-        let pairs = collect_batch_pairs(BatchDedup::new(batches(rows, 2)));
+        let pairs = collect_batch_pairs(BatchDedup::new(batches(rows, 2), Stats::new_shared()));
         assert_eq!(pairs.len(), 1);
     }
 
     #[test]
     fn empty_input() {
-        let mut dedup = BatchDedup::new(batches(vec![], 2));
+        let mut dedup = BatchDedup::new(batches(vec![], 2), Stats::new_shared());
         assert!(dedup.next_batch().unwrap().is_none());
         let aggs = vec![crate::Aggregate::Count];
         let mut counted =

@@ -9,24 +9,28 @@
 //!
 //! Group-boundary detection is one integer comparison per row against a
 //! precomputed code threshold — the exact mechanism Figure 4 benchmarks
-//! against "full comparisons of multiple key columns".  The operators
-//! count those tests in a local variable and publish the count into the
-//! query's `Stats` before each call returns, so counting stays cheaper
-//! than the test it counts.
+//! against "full comparisons of multiple key columns".  The operator
+//! counts those tests in a local variable and publishes the count into
+//! the query's `Stats` before each call returns, so counting stays
+//! cheaper than the test it counts.
+//!
+//! Two more of the paper's operators are this one in another plan.
+//! Section 3's `count (distinct …) group by …` is duplicate removal
+//! ([`crate::dedup`]) under a `GroupAggregate` with `Count`; §4.6's
+//! pivot is a `GroupAggregate` with one [`Aggregate::SumWhere`] per
+//! output bucket.
 
 use std::sync::Arc;
 
 use ovc_core::theorem::clamp_to_prefix;
-use ovc_core::{
-    BatchStream, ExecError, FlatRows, Ovc, OvcRow, OvcStream, Row, SortSpec, Stats, Value,
-};
+use ovc_core::{BatchStream, ExecError, FlatRows, Ovc, SortSpec, Stats, Value};
 
 /// An aggregate function over a group of rows.
 ///
-/// Accumulators are uniformly **wrapping**: `Count` and `Sum` wrap on
-/// `u64` overflow instead of panicking in debug builds, so an aggregate
-/// over adversarial data behaves the same in every build profile.
-/// `Min`/`Max`/`First`/`Last` cannot overflow.
+/// Accumulators are uniformly **wrapping**: `Count`, `Sum` and
+/// `SumWhere` wrap on `u64` overflow instead of panicking in debug
+/// builds, so an aggregate over adversarial data behaves the same in
+/// every build profile.  `Min`/`Max`/`First`/`Last` cannot overflow.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Aggregate {
     /// Number of rows in the group.
@@ -41,6 +45,18 @@ pub enum Aggregate {
     First(usize),
     /// The column value of the group's last row.
     Last(usize),
+    /// Sum of column `col` over the group's rows whose column `when`
+    /// equals `equals`, 0 if there are none.  A pivot (§4.6: "pivoting
+    /// is like grouping and aggregation") is a group-by with one of
+    /// these per output bucket.
+    SumWhere {
+        /// The summed column.
+        col: usize,
+        /// The column that selects the rows.
+        when: usize,
+        /// The value `when` must hold for a row to be summed.
+        equals: Value,
+    },
 }
 
 impl Aggregate {
@@ -53,6 +69,13 @@ impl Aggregate {
             | Aggregate::Max(c)
             | Aggregate::First(c)
             | Aggregate::Last(c) => row[c],
+            Aggregate::SumWhere { col, when, equals } => {
+                if row[when] == equals {
+                    row[col]
+                } else {
+                    0
+                }
+            }
         }
     }
 
@@ -66,6 +89,7 @@ impl Aggregate {
             Aggregate::Max(c) => acc.max(row[c]),
             Aggregate::First(_) => acc,
             Aggregate::Last(c) => row[c],
+            Aggregate::SumWhere { .. } => acc.wrapping_add(self.init(row)),
         }
     }
 
@@ -80,11 +104,25 @@ impl Aggregate {
     /// the earlier slice as `a`.
     pub fn merge(&self, a: Value, b: Value) -> Value {
         match *self {
-            Aggregate::Count | Aggregate::Sum(_) => a.wrapping_add(b),
+            Aggregate::Count | Aggregate::Sum(_) | Aggregate::SumWhere { .. } => a.wrapping_add(b),
             Aggregate::Min(_) => a.min(b),
             Aggregate::Max(_) => a.max(b),
             Aggregate::First(_) => a,
             Aggregate::Last(_) => b,
+        }
+    }
+
+    /// The highest input column this aggregate reads, `None` for
+    /// `Count`: a planner checks it against the input's width.
+    pub fn max_col(&self) -> Option<usize> {
+        match *self {
+            Aggregate::Count => None,
+            Aggregate::Sum(c)
+            | Aggregate::Min(c)
+            | Aggregate::Max(c)
+            | Aggregate::First(c)
+            | Aggregate::Last(c) => Some(c),
+            Aggregate::SumWhere { col, when, .. } => Some(col.max(when)),
         }
     }
 }
@@ -211,102 +249,13 @@ impl<B: BatchStream> BatchStream for GroupAggregate<B> {
     }
 }
 
-/// The paper's motivating two-step query (Section 3): "in a query like
-/// `select …, count (distinct …) group by …`, the sort can detect
-/// duplicate rows by offsets equal to the column count and, after the
-/// sort, in-stream aggregation can detect group boundaries by offsets
-/// smaller than the grouping key."
-///
-/// Input: sorted on `(group key ++ distinct columns)` = the full sort key.
-/// Output: group key plus the count of distinct full keys per group —
-/// both tests are single integer comparisons against code thresholds.
-pub struct GroupCountDistinct<S> {
-    input: S,
-    in_key_len: usize,
-    group_len: usize,
-    pending: Option<(Row, Ovc, u64)>,
-    stats: Arc<Stats>,
-}
-
-impl<S: OvcStream> GroupCountDistinct<S> {
-    /// Build the operator; the distinct columns are the sort-key suffix
-    /// past `group_len`.
-    pub fn new(input: S, group_len: usize, stats: Arc<Stats>) -> Self {
-        let in_key_len = input.key_len();
-        assert!(group_len <= in_key_len);
-        GroupCountDistinct {
-            input,
-            in_key_len,
-            group_len,
-            pending: None,
-            stats,
-        }
-    }
-
-    fn finish(&self, (row, code, distinct): (Row, Ovc, u64)) -> OvcRow {
-        let mut cols = Vec::with_capacity(self.group_len + 1);
-        cols.extend_from_slice(row.key(self.group_len));
-        cols.push(distinct);
-        OvcRow::new(
-            Row::new(cols),
-            clamp_to_prefix(code, self.in_key_len, self.group_len),
-        )
-    }
-}
-
-impl<S: OvcStream> Iterator for GroupCountDistinct<S> {
-    type Item = OvcRow;
-    fn next(&mut self) -> Option<OvcRow> {
-        // Code tests made in this call, published before every return.
-        let mut tested = 0u64;
-        loop {
-            match self.input.next() {
-                None => {
-                    self.stats.count_ovc_cmps(tested);
-                    return self.pending.take().map(|g| self.finish(g));
-                }
-                Some(OvcRow { row, code }) => {
-                    // Two integer tests per row (duplicate, group
-                    // boundary), zero column comparisons.
-                    tested += 2;
-                    let is_duplicate = code.is_duplicate();
-                    let same_group =
-                        code.is_valid() && code.offset(self.in_key_len) >= self.group_len;
-                    match (&mut self.pending, same_group) {
-                        (Some((_, _, distinct)), true) => {
-                            if !is_duplicate {
-                                *distinct += 1;
-                            }
-                        }
-                        (pending @ None, _) => {
-                            *pending = Some((row, code, 1));
-                        }
-                        (pending @ Some(_), false) => {
-                            let done = pending.replace((row, code, 1)).expect("pending group");
-                            self.stats.count_ovc_cmps(tested);
-                            return Some(self.finish(done));
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl<S: OvcStream> OvcStream for GroupCountDistinct<S> {
-    fn key_len(&self) -> usize {
-        self.group_len
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testkit;
     use ovc_core::batch::{assert_batches_exact_spec, collect_batch_pairs};
     use ovc_core::derive::assert_codes_exact;
-    use ovc_core::stream::collect_pairs;
-    use ovc_core::{Direction, FlatBatches, StatsSnapshot, VecStream};
+    use ovc_core::{Direction, FlatBatches, Row, StatsSnapshot};
 
     /// `rows` (sorted ascending on `key_len` columns), coded, in batches
     /// of 3.
@@ -436,32 +385,31 @@ mod tests {
         assert!(group.next_batch().unwrap().is_none());
     }
 
+    /// Section 3's `select g, count(distinct d) … group by g`, over
+    /// input sorted on (g, d): duplicate removal, then a count per group.
+    fn count_distinct(rows: &[Row], stats: &Arc<Stats>) -> Vec<(Row, Ovc)> {
+        let distinct = crate::BatchDedup::new(batches(rows, 2), Arc::clone(stats));
+        let counted =
+            GroupAggregate::new(distinct, 1, vec![Aggregate::Count], 2, Arc::clone(stats));
+        collect_batch_pairs(counted)
+    }
+
     #[test]
     fn count_distinct_group_by() {
-        // select g, count(distinct d) from t group by g — over key (g, d).
-        let rows = vec![
-            Row::new(vec![1, 5]),
-            Row::new(vec![1, 5]), // duplicate
-            Row::new(vec![1, 7]),
-            Row::new(vec![2, 5]),
-            Row::new(vec![2, 5]), // duplicate
-            Row::new(vec![2, 5]), // duplicate
-            Row::new(vec![3, 1]),
-        ];
-        let n_rows = rows.len() as u64;
-        let input = VecStream::from_sorted_rows(rows, 2);
-        // The handle is *attached to the operator*: the zero below pins
-        // the operator's own accounting, not an unused counter.
+        let rows = [[1, 5], [1, 5], [1, 7], [2, 5], [2, 5], [2, 5], [3, 1]]
+            .map(|r| Row::new(r.to_vec()))
+            .to_vec();
         let stats = Stats::new_shared();
-        let out: Vec<(u64, u64)> = GroupCountDistinct::new(input, 1, Arc::clone(&stats))
-            .map(|r| (r.row.cols()[0], r.row.cols()[1]))
+        let out: Vec<(u64, u64)> = count_distinct(&rows, &stats)
+            .iter()
+            .map(|(r, _)| (r.cols()[0], r.cols()[1]))
             .collect();
         assert_eq!(out, vec![(1, 2), (2, 1), (3, 1)]);
         assert_eq!(stats.col_value_cmps(), 0);
-        // Liveness: the duplicate and boundary tests were counted (two
-        // integer comparisons per input row), so the zero above is a
+        // Liveness: one duplicate test per input row and one boundary
+        // test per distinct row were counted, so the zero above is a
         // measurement, not a vacuous assert on a dangling handle.
-        assert_eq!(stats.ovc_cmps(), 2 * n_rows);
+        assert_eq!(stats.ovc_cmps(), 7 + 4);
     }
 
     #[test]
@@ -475,8 +423,7 @@ mod tests {
         for r in &rows {
             expect.entry(r.cols()[0]).or_default().insert(r.cols()[1]);
         }
-        let input = VecStream::from_sorted_rows(rows, 2);
-        let pairs = collect_pairs(GroupCountDistinct::new(input, 1, Stats::new_shared()));
+        let pairs = count_distinct(&rows, &Stats::new_shared());
         assert_codes_exact(&pairs, 1);
         let got: Vec<(u64, u64)> = pairs
             .iter()
@@ -491,11 +438,7 @@ mod tests {
 
     #[test]
     fn count_distinct_empty_input() {
-        let input = VecStream::from_sorted_rows(vec![], 2);
-        assert_eq!(
-            GroupCountDistinct::new(input, 1, Stats::new_shared()).count(),
-            0
-        );
+        assert!(count_distinct(&[], &Stats::new_shared()).is_empty());
     }
 
     #[test]
@@ -527,6 +470,13 @@ mod tests {
             1,
             "Sum wraps identically"
         );
+        let pivot = Aggregate::SumWhere {
+            col: 1,
+            when: 0,
+            equals: 7,
+        };
+        assert_eq!(pivot.fold(u64::MAX, &[7, 2]), 1, "SumWhere wraps too");
+        assert_eq!(pivot.fold(5, &[8, 2]), 5, "a row failing `when` adds 0");
         assert_eq!(Aggregate::Count.merge(u64::MAX, 2), 1, "merge wraps too");
     }
 
@@ -535,7 +485,8 @@ mod tests {
         // fold(whole group) == merge(fold(front), fold(back)) for every
         // aggregate (First/Last trust the orientation; here the front
         // slice is passed first).
-        let rows = [[1u64, 10], [1, 30], [1, 20], [1, 5]];
+        // Column 2 is the conditional sum's selector.
+        let rows = [[1u64, 10, 1], [1, 30, 0], [1, 20, 1], [1, 5, 1]];
         for agg in [
             Aggregate::Count,
             Aggregate::Sum(1),
@@ -543,6 +494,11 @@ mod tests {
             Aggregate::Max(1),
             Aggregate::First(1),
             Aggregate::Last(1),
+            Aggregate::SumWhere {
+                col: 1,
+                when: 2,
+                equals: 1,
+            },
         ] {
             let fold_all = rows[1..]
                 .iter()

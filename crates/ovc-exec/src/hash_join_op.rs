@@ -53,11 +53,6 @@ impl HashTable {
     fn probe(&self, key: &[Value]) -> Option<&Vec<Row>> {
         self.map.get(key)
     }
-
-    /// Number of distinct build keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
-    }
 }
 
 /// Order-preserving hash join: sorted coded probe input, in-memory build
@@ -250,7 +245,6 @@ mod tests {
     #[test]
     fn empty_build_table() {
         let build = HashTable::build_with_width(vec![], 1, 2);
-        assert_eq!(build.distinct_keys(), 0);
         let probe = probe_stream(vec![vec![1, 1]], 2);
         let pairs = collect_pairs(HashJoinOp::new(probe, build, JoinType::LeftOuter));
         assert_eq!(pairs.len(), 1);

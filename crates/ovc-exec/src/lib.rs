@@ -11,8 +11,9 @@
 //! * [`dedup`] — duplicate removal by code inspection (§4.4), a batch
 //!   kernel;
 //! * [`group`] — in-stream grouping/aggregation, Figure 4's operator
-//!   (§4.5): a batch kernel, plus the row-at-a-time count-distinct form;
-//! * [`pivot`] — pivoting as grouping (§4.6);
+//!   (§4.5), a batch kernel; Section 3's count-distinct (dedup under a
+//!   `Count`) and §4.6's pivot (one [`Aggregate::SumWhere`] per bucket)
+//!   are plans over it;
 //! * [`merge_join`] — inner/semi/anti/outer merge joins whose merge logic
 //!   is a two-leaf tree-of-losers playing the sort tournament's own match
 //!   (§4.7), a batch kernel;
@@ -28,8 +29,8 @@
 //!   partitioner.
 //!
 //! Every operator upholds the coded-stream contract — batch-at-a-time
-//! ([`ovc_core::batch::BatchStream`], seams included) or, for the §4.5
-//! count-distinct, §4.6, §4.8, §4.9 and window operators, row-at-a-time
+//! ([`ovc_core::batch::BatchStream`], seams included) or, for the §4.8,
+//! §4.9 and window operators, row-at-a-time
 //! ([`ovc_core::stream::OvcStream`]): output codes are exact, so
 //! operators compose into arbitrarily deep pipelines carrying codes end
 //! to end.  Each of §4.1, §4.2 and §4.4 has one implementation, a batch
@@ -49,7 +50,6 @@ pub mod group;
 pub mod hash_join_op;
 pub mod merge_join;
 pub mod nlj;
-pub mod pivot;
 pub mod project;
 pub mod set_ops;
 pub mod window;
@@ -57,11 +57,10 @@ pub mod window;
 pub use batch::{route_batches, BatchChannelStream, BatchTake, DEFAULT_CHANNEL_CAPACITY};
 pub use dedup::BatchDedup;
 pub use filter::BatchFilter;
-pub use group::{Aggregate, GroupAggregate, GroupCountDistinct};
+pub use group::{Aggregate, GroupAggregate};
 pub use hash_join_op::{HashJoinOp, HashTable};
 pub use merge_join::{JoinType, MergeJoin, NULL_VALUE};
 pub use nlj::{BTreeInner, InnerSource, LookupJoin, PredicateInner};
-pub use pivot::{Pivot, PivotSpec};
 pub use project::{BatchClampKey, BatchProject};
 pub use set_ops::{SetOp, SetOperation};
 pub use window::{Window, WindowFunc};

@@ -320,9 +320,6 @@ impl<S: OvcStream, I: InnerSource> OvcStream for LookupJoin<S, I> {
     }
 }
 
-/// Convenience: the [`ovc_core::Value`] alias serves predicate closures.
-pub type PredicateFn = fn(&Row, &Row) -> bool;
-
 #[cfg(test)]
 mod tests {
     use super::*;

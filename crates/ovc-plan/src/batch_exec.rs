@@ -423,7 +423,7 @@ impl<'env> BCx<'_, 'env> {
             }
             PhysOp::DedupCodes { input } => {
                 let stream = self.run(input, stats, child(prof, 0), None)?.into_batches();
-                BOut::Batches(Box::new(BatchDedup::new(stream)))
+                BOut::Batches(Box::new(BatchDedup::new(stream, Arc::clone(stats))))
             }
             PhysOp::HashDistinct { input, memory_rows } => {
                 let rows = baseline_rows(self.run(input, stats, child(prof, 0), None)?)?;

@@ -113,12 +113,6 @@ impl Table {
         FlatBatches::new(Arc::clone(&self.flat), self.spec.clone(), batch)
     }
 
-    /// The Section 4.11 coded scan: the one scan of a sorted table;
-    /// `None` for a heap table.
-    pub fn scan_coded(&self, batch: usize) -> Option<FlatBatches<Arc<FlatRows>>> {
-        self.coded().map(|_| self.scan(batch))
-    }
-
     /// Number of columns per row.
     pub fn width(&self) -> usize {
         self.flat.width()
@@ -175,11 +169,6 @@ impl Catalog {
     /// Look a table up by name.
     pub fn get(&self, name: &str) -> Option<&Table> {
         self.tables.get(name)
-    }
-
-    /// Names of all registered tables.
-    pub fn table_names(&self) -> impl Iterator<Item = &str> {
-        self.tables.keys().map(String::as_str)
     }
 }
 
@@ -260,7 +249,7 @@ mod tests {
             assert_eq!(t.to_rows(), rows);
             let stored = t.coded().expect("sorted table is coded");
             for batch in [1, 7, rows.len().max(1), rows.len() + 5] {
-                let mut scan = t.scan_coded(batch).expect("sorted table scans coded");
+                let mut scan = t.scan(batch);
                 assert_eq!(scan.sort_spec(), spec);
                 let mut batches = Vec::new();
                 while let Some(b) = scan.next_batch().unwrap() {
@@ -275,9 +264,7 @@ mod tests {
                 assert_eq!(codes, stored.codes(), "batch={batch} under {spec}");
             }
         }
-        assert!(Table::unsorted(vec![Row::new(vec![1])])
-            .scan_coded(8)
-            .is_none());
+        assert!(Table::unsorted(vec![Row::new(vec![1])]).coded().is_none());
     }
 
     #[test]
@@ -293,7 +280,6 @@ mod tests {
         cat.register("t", Table::unsorted(vec![Row::new(vec![1])]));
         assert!(cat.get("t").is_some());
         assert!(cat.get("missing").is_none());
-        assert_eq!(cat.table_names().collect::<Vec<_>>(), vec!["t"]);
     }
 
     #[test]

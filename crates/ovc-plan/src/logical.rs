@@ -72,6 +72,20 @@ impl Predicate {
         }
     }
 
+    /// The highest column the predicate reads: a planner checks it
+    /// against the input's width.
+    pub(crate) fn max_col(&self) -> usize {
+        match self {
+            Predicate::ColEq(c, _)
+            | Predicate::ColNe(c, _)
+            | Predicate::ColLt(c, _)
+            | Predicate::ColLe(c, _)
+            | Predicate::ColGt(c, _)
+            | Predicate::ColGe(c, _) => *c,
+            Predicate::And(a, b) | Predicate::Or(a, b) => a.max_col().max(b.max_col()),
+        }
+    }
+
     /// Conjunction convenience.
     pub fn and(self, other: Predicate) -> Predicate {
         Predicate::And(Box::new(self), Box::new(other))

@@ -217,6 +217,12 @@ impl<'a> Planner<'a> {
             Logical::Scan { table } => self.plan_scan(table),
             Logical::Filter { input, pred } => {
                 let child = self.alts(input)?;
+                let ((width, ..), col) = (child_shape(&child), pred.max_col());
+                if col >= width {
+                    return Err(PlanError::Schema(format!(
+                        "predicate [{pred}] reads column {col} of a {width}-column input"
+                    )));
+                }
                 let mk = |input: PhysicalPlan| {
                     let sel = pred.selectivity();
                     let props = PhysicalProps {
@@ -473,6 +479,13 @@ impl<'a> Planner<'a> {
             return Err(PlanError::Schema(format!(
                 "group key of {group_len} columns exceeds input width {width}"
             )));
+        }
+        for agg in aggs {
+            if let Some(bad) = agg.max_col().filter(|&c| c >= width) {
+                return Err(PlanError::Schema(format!(
+                    "aggregate {agg:?} reads column {bad} of a {width}-column input"
+                )));
+            }
         }
         // Grouping exploits sorted coded input (Figure 4's operator); the
         // repository's hash side has no grouping aggregation, and the
@@ -1032,7 +1045,7 @@ mod tests {
     use super::*;
     use crate::catalog::Table;
     use crate::exec::{execute, ExecOptions, Output};
-    use crate::logical::Predicate;
+    use crate::logical::{Aggregate, Predicate};
     use ovc_core::derive::{assert_codes_exact_spec, derive_codes_spec};
     use ovc_core::{Direction, Ovc, Row, Stats};
 
@@ -1103,6 +1116,58 @@ mod tests {
             .plan(&LogicalPlan::scan("t").project(vec![5]))
             .unwrap_err();
         assert!(matches!(err, PlanError::Schema(_)), "{err}");
+    }
+
+    /// Out-of-range aggregate and predicate columns are schema errors
+    /// at planning, not index panics in the kernels.
+    #[test]
+    fn aggregate_and_predicate_columns_out_of_range_are_schema_errors() {
+        let cat = catalog_with(vec![vec![1, 2]], 2);
+        let planner = Planner::new(&cat, PlannerConfig::default());
+        let bad = [
+            LogicalPlan::scan("t").group_by(1, vec![Aggregate::Sum(2)]),
+            LogicalPlan::scan("t").group_by(1, vec![Aggregate::Count, Aggregate::Max(99)]),
+            LogicalPlan::scan("t").group_by(
+                1,
+                vec![Aggregate::SumWhere {
+                    col: 1,
+                    when: 2,
+                    equals: 0,
+                }],
+            ),
+            LogicalPlan::scan("t").group_by(
+                1,
+                vec![Aggregate::SumWhere {
+                    col: 2,
+                    when: 1,
+                    equals: 0,
+                }],
+            ),
+            LogicalPlan::scan("t").filter(Predicate::ColLt(99, 5)),
+            LogicalPlan::scan("t").filter(Predicate::ColEq(0, 1).or(Predicate::ColGt(2, 0))),
+            // The width checked is the filter's input, not the table's.
+            LogicalPlan::scan("t")
+                .project(vec![0])
+                .filter(Predicate::ColEq(1, 2)),
+        ];
+        for q in &bad {
+            let err = planner.plan(q).unwrap_err();
+            assert!(matches!(err, PlanError::Schema(_)), "{err} for\n{q}");
+        }
+        let good = [
+            LogicalPlan::scan("t").group_by(
+                1,
+                vec![Aggregate::SumWhere {
+                    col: 1,
+                    when: 1,
+                    equals: 2,
+                }],
+            ),
+            LogicalPlan::scan("t").filter(Predicate::ColEq(1, 2)),
+        ];
+        for q in &good {
+            planner.plan(q).expect("in-range columns plan");
+        }
     }
 
     /// Filters compose with every downstream shape without losing the

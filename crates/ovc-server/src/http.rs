@@ -238,11 +238,6 @@ impl<W: Write> ChunkedWriter<W> {
         self.w.flush()
     }
 
-    /// Body bytes written so far (excluding chunk framing).
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes
-    }
-
     /// Terminate the chunked body.
     pub fn finish(mut self) -> std::io::Result<u64> {
         self.w.write_all(b"0\r\n\r\n")?;
@@ -391,7 +386,6 @@ mod tests {
             ChunkedWriter::start(&mut buf, 200, "OK", "application/x-ndjson", &[]).unwrap();
         cw.chunk(b"{\"a\":1}\n").unwrap();
         cw.chunk(b"{\"b\":2}\n").unwrap();
-        assert_eq!(cw.bytes_written(), 16);
         let total = cw.finish().unwrap();
         assert_eq!(total, 16);
         let text = String::from_utf8(buf).unwrap();

@@ -33,11 +33,6 @@ impl EncodedRunStorage {
             stats,
         }
     }
-
-    /// Total encoded bytes currently held.
-    pub fn resident_bytes(&self) -> usize {
-        self.blobs.iter().flatten().map(|(b, _)| b.len()).sum()
-    }
 }
 
 impl RunStorage for EncodedRunStorage {
@@ -176,7 +171,6 @@ mod tests {
         let run = Run::from_sorted_rows(ovc_core::table1::rows(), 4);
         let h = storage.write_run(run.clone()).expect("write");
         assert_eq!(storage.stored_runs(), 1);
-        assert!(storage.resident_bytes() > 0);
         let back = storage.read_run(h).expect("read");
         assert_eq!(back.flat(), run.flat());
         assert_eq!(storage.stored_runs(), 0);

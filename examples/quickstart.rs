@@ -66,7 +66,10 @@ fn main() -> Result<(), ExecError> {
     }
 
     println!("\n=== Duplicate removal by code inspection ===\n");
-    let mut distinct = BatchDedup::new(Run::from_sorted_rows(rows.clone(), 4).batches(4));
+    let mut distinct = BatchDedup::new(
+        Run::from_sorted_rows(rows.clone(), 4).batches(4),
+        Stats::new_shared(),
+    );
     let mut distinct_rows = 0;
     while let Some(batch) = distinct.next_batch()? {
         distinct_rows += batch.len();

@@ -16,8 +16,8 @@ use std::time::Instant;
 
 use ovc_baseline::GroupFullCompare;
 use ovc_bench::workload::grouped_sorted_table;
-use ovc_core::{BatchStream, ExecError, Stats, VecStream};
-use ovc_exec::{Aggregate, BatchDedup, GroupCountDistinct};
+use ovc_core::{BatchStream, ExecError, Stats};
+use ovc_exec::{Aggregate, BatchDedup, GroupAggregate};
 use ovc_sort::Run;
 
 /// The engine's default batch size.
@@ -39,33 +39,38 @@ fn main() -> Result<(), ExecError> {
         println!("--- rows per group: {ratio} ---");
 
         // Step 1 (shared): the input is sorted on all key columns; the
-        // codes from that sort drive everything downstream.
-        let input = VecStream::from_sorted_rows(rows.clone(), key_cols);
+        // codes from that sort drive everything downstream, and both
+        // sides read the same batches.
+        let run = Run::from_sorted_rows(rows, key_cols);
 
-        // Step 2, OVC version: count(distinct) via `offset == arity` and
-        // group boundaries via `offset < group_len` — integer tests only,
-        // in one operator (GroupCountDistinct).
+        // Step 2, OVC version: count(distinct) via `offset == arity`
+        // (duplicate removal) and group boundaries via `offset <
+        // group_len` (grouping with a count) — integer tests only.
+        let input = run.clone().batches(BATCH);
         let stats_ovc = Stats::new_shared();
         let start = Instant::now();
-        let grouped = GroupCountDistinct::new(input, group_len, Arc::clone(&stats_ovc));
-        let groups_ovc: usize = grouped.count();
+        let mut grouped = GroupAggregate::new(
+            BatchDedup::new(input, Arc::clone(&stats_ovc)),
+            group_len,
+            vec![Aggregate::Count],
+            BATCH,
+            Arc::clone(&stats_ovc),
+        );
+        let groups_ovc = count_rows(&mut grouped)?;
         let t_ovc = start.elapsed();
 
         // Baseline: full comparisons of the grouping columns per row.
-        let input = Run::from_sorted_rows(rows, key_cols).batches(BATCH);
+        let input = run.batches(BATCH);
         let stats_full = Stats::new_shared();
         let start = Instant::now();
         // Dedup kept identical (`offset == arity`); the boundary test differs.
         let mut grouped = GroupFullCompare::new(
-            BatchDedup::new(input),
+            BatchDedup::new(input, Arc::clone(&stats_full)),
             group_len,
             vec![Aggregate::Count],
             Arc::clone(&stats_full),
         );
-        let mut groups_full = 0;
-        while let Some(batch) = grouped.next_batch()? {
-            groups_full += batch.len();
-        }
+        let groups_full = count_rows(&mut grouped)?;
         let t_full = start.elapsed();
 
         assert_eq!(groups_ovc, groups_full);
@@ -83,4 +88,13 @@ fn main() -> Result<(), ExecError> {
     println!("\"testing the offset against the count of grouping columns is much");
     println!("faster than full comparisons of multiple key columns\" — Section 6");
     Ok(())
+}
+
+/// Drain `stream`, returning how many rows it produced.
+fn count_rows(stream: &mut impl BatchStream) -> Result<usize, ExecError> {
+    let mut n = 0;
+    while let Some(batch) = stream.next_batch()? {
+        n += batch.len();
+    }
+    Ok(n)
 }

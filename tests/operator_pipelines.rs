@@ -127,7 +127,7 @@ fn lsm_scan_join_pipeline() {
     let dim = BTree::bulk_load(dim_rows, 2, 8, 4);
 
     let scan = forest.scan().into_run().batches(BATCH);
-    let dedup = rows(BatchDedup::new(scan));
+    let dedup = rows(BatchDedup::new(scan, Arc::clone(&stats)));
     let inner = BTreeInner::new(&dim, 1, 2, Arc::clone(&stats));
     let join = LookupJoin::new(dedup, inner, JoinType::LeftSemi);
     let pairs = collect_pairs(join);
@@ -189,7 +189,7 @@ fn hash_join_project_setop_pipeline() {
     let join = HashJoinOp::new(probe, table, JoinType::Inner);
     // Project down to the first key column only.
     let projected = BatchProject::new(batches(join), 1, vec![0]);
-    let left = BatchDedup::new(projected);
+    let left = BatchDedup::new(projected, Arc::clone(&stats));
 
     let right = VecStream::from_unsorted_rows((0..6u64).map(|k| Row::new(vec![k])).collect(), 1);
     let setop = SetOperation::new(
@@ -234,7 +234,7 @@ fn deep_pipeline_comparison_budget() {
         BATCH,
         Arc::clone(&stats),
     );
-    let dedup = BatchDedup::new(join);
+    let dedup = BatchDedup::new(join, Arc::clone(&stats));
     let grouped = GroupAggregate::new(dedup, 1, vec![Aggregate::Count], BATCH, Arc::clone(&stats));
     let pairs = collect_batch_pairs(grouped);
     assert_codes_exact(&pairs, 1);

@@ -4,7 +4,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ovc_core::derive::{assert_codes_exact_spec, derive_codes_spec};
+use ovc_core::derive::{assert_codes_exact, assert_codes_exact_spec, derive_codes_spec};
 use ovc_core::{Direction, Ovc, OvcRow, Row, SortSpec, Stats};
 use ovc_plan::exec::{execute, ExecOptions};
 use ovc_plan::{
@@ -421,4 +421,165 @@ fn forced_hash_join_with_a_hot_key_beyond_memory() {
     assert_eq!(multiset(hash_rows), multiset(expect.clone()));
     let (_, sort_rows) = exec_with(&q, &catalog, Preference::ForceSortBased, true);
     assert_eq!(multiset(sort_rows), multiset(expect));
+}
+
+/// Plan and run `q`, a grouping on one column, at `dop` over a catalog
+/// of sorted tables and check what the paper promises of a grouping over
+/// its own sort order: no sort in the plan, no column comparison in the
+/// run, and exact codes on the group key.  Returns the output rows'
+/// columns.
+fn grouped_without_sorts(q: &LogicalPlan, catalog: &Catalog, dop: usize) -> Vec<Vec<u64>> {
+    let cfg = PlannerConfig::default()
+        .with_dop(dop)
+        .with_parallel_threshold(1)
+        .with_batch_size(7);
+    let plan = Planner::new(catalog, cfg).plan(q).expect("plans");
+    assert_eq!(
+        plan.count_op("SortOvc"),
+        0,
+        "dop {dop}:\n{}",
+        plan.explain()
+    );
+    assert_eq!(plan.count_op("InSortDistinct"), 0, "{}", plan.explain());
+    let stats = Stats::new_shared();
+    let out = execute(
+        &plan,
+        catalog,
+        &stats,
+        &ExecOptions {
+            verify_trusted: true,
+            ..Default::default()
+        },
+    )
+    .into_coded();
+    assert_eq!(stats.col_value_cmps(), 0, "dop {dop}:\n{}", plan.explain());
+    // The code tests were counted on this handle, so the zero above is
+    // a measurement.
+    assert!(out.is_empty() || stats.ovc_cmps() > 0);
+    let pairs: Vec<(Row, Ovc)> = out.into_iter().map(|r| (r.row, r.code)).collect();
+    assert_codes_exact(&pairs, 1);
+    pairs.into_iter().map(|(r, _)| r.cols().to_vec()).collect()
+}
+
+/// Section 3's count-distinct, `select c0, count(distinct c1) group by
+/// c0`, is the plan project → distinct → group-by with a count.  Over a
+/// table stored sorted on all its columns, the dedup and the grouping
+/// both run on the scan's codes: every sort is elided, at dop 1 and 4.
+#[test]
+fn planned_count_distinct_runs_on_the_scan_codes() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let mut rng = StdRng::seed_from_u64(0xC0DE);
+    let mut rows: Vec<Row> = (0..2000)
+        .map(|_| {
+            Row::new(
+                (0..4)
+                    .map(|c| rng.gen_range(0..[12, 9, 4, 50][c]))
+                    .collect(),
+            )
+        })
+        .collect();
+    rows.sort();
+    let mut oracle: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
+    for r in &rows {
+        oracle.entry(r.cols()[0]).or_default().insert(r.cols()[1]);
+    }
+    let expect: Vec<Vec<u64>> = oracle
+        .into_iter()
+        .map(|(g, d)| vec![g, d.len() as u64])
+        .collect();
+    let count_distinct = |table: &str| {
+        LogicalPlan::scan(table)
+            .project(vec![0, 1])
+            .distinct()
+            .group_by(1, vec![Aggregate::Count])
+    };
+    let mut catalog = Catalog::new();
+    catalog.register("t", Table::sorted(rows, 4));
+    catalog.register("empty", Table::sorted(vec![], 4));
+    for dop in [1, 4] {
+        let got = grouped_without_sorts(&count_distinct("t"), &catalog, dop);
+        assert_eq!(got, expect, "dop {dop}");
+        let got = grouped_without_sorts(&count_distinct("empty"), &catalog, dop);
+        assert!(got.is_empty(), "dop {dop}");
+    }
+}
+
+/// One pivot bucket: the sum of column 2 over the rows whose column 1
+/// equals `equals`.
+fn bucket(equals: u64) -> Aggregate {
+    Aggregate::SumWhere {
+        col: 2,
+        when: 1,
+        equals,
+    }
+}
+
+/// §4.6: "pivoting is like grouping and aggregation", so a pivot is a
+/// group-by with one conditional sum per bucket.  The paper's (year,
+/// month, sales) → (year, monthly sales) example, then a seeded table
+/// against a `BTreeMap` oracle; the group-by keeps the output codes of
+/// each group's first row, with no sort at dop 1 and 4.
+#[test]
+fn planned_pivot_is_a_group_by() {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    let sales = [
+        [2021, 1, 100],
+        [2021, 1, 50],
+        [2021, 3, 70],
+        [2022, 2, 10],
+        [2022, 3, 20],
+    ];
+    let mut rng = StdRng::seed_from_u64(0x9107);
+    let mut seeded: Vec<Row> = (0..1500)
+        .map(|_| {
+            Row::new(vec![
+                rng.gen_range(0..40u64),
+                rng.gen_range(0..14u64),
+                rng.gen_range(0..1000u64),
+            ])
+        })
+        .collect();
+    seeded.sort();
+    // Months 1..=12; month 0 and 13 fall outside every bucket.
+    let months: Vec<u64> = (1..=12).collect();
+    let mut oracle: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
+    for r in &seeded {
+        let [year, month, amount] = [r.cols()[0], r.cols()[1], r.cols()[2]];
+        let sums = oracle.entry(year).or_insert_with(|| vec![0; months.len()]);
+        if let Some(i) = months.iter().position(|&m| m == month) {
+            sums[i] += amount;
+        }
+    }
+    let expect: Vec<Vec<u64>> = oracle
+        .into_iter()
+        .map(|(year, sums)| [vec![year], sums].concat())
+        .collect();
+
+    let mut catalog = Catalog::new();
+    let rows = |rs: &[[u64; 3]]| rs.iter().map(|r| Row::new(r.to_vec())).collect();
+    catalog.register("sales", Table::sorted(rows(&sales), 2));
+    catalog.register("seeded", Table::sorted(seeded, 2));
+    catalog.register("outside", Table::sorted(rows(&[[1, 99, 5]]), 2));
+    catalog.register("empty", Table::sorted(vec![], 3));
+    let pivot = |table: &str, buckets: &[u64]| {
+        LogicalPlan::scan(table).group_by(1, buckets.iter().map(|&m| bucket(m)).collect())
+    };
+    for dop in [1, 4] {
+        let got = grouped_without_sorts(&pivot("sales", &[1, 2, 3]), &catalog, dop);
+        assert_eq!(got, [[2021, 150, 0, 70], [2022, 0, 10, 20]], "dop {dop}");
+        let got = grouped_without_sorts(&pivot("seeded", &months), &catalog, dop);
+        assert_eq!(got, expect, "dop {dop}");
+        // A group whose values fall outside every bucket still yields
+        // its row, all zeros.
+        let got = grouped_without_sorts(&pivot("outside", &[1, 2]), &catalog, dop);
+        assert_eq!(got, [[1, 0, 0]], "dop {dop}");
+        for buckets in [&[][..], &[1, 2, 3]] {
+            let got = grouped_without_sorts(&pivot("empty", buckets), &catalog, dop);
+            assert!(got.is_empty(), "dop {dop}");
+        }
+    }
 }

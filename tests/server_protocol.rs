@@ -727,3 +727,36 @@ fn ragged_rows_and_overlong_keys_are_a_400_not_a_crash() {
     handle.shutdown();
     runner.join().expect("runner").expect("run");
 }
+
+/// A `group_by` aggregate or a `filter` predicate that reads past the
+/// input's width is a planner schema error, answered with a 400 and a
+/// reason before any kernel runs — not a worker panic inside a 200.
+#[test]
+fn out_of_range_aggregate_and_predicate_columns_are_a_400() {
+    let _gate = gate_read();
+    let server = Server::bind(ServerConfig::default(), catalog(100)).expect("bind");
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let runner = std::thread::spawn(move || server.run());
+
+    // `t1` has two columns.
+    let mut client = Client::connect(addr).expect("connect");
+    for body in [
+        r#"{"plan": {"group_by": {"input": {"scan": "t1"}, "group_len": 1, "aggs": [{"sum": 99}]}}}"#,
+        r#"{"plan": {"group_by": {"input": {"scan": "t1"}, "group_len": 1, "aggs": ["count", {"max": 2}]}}}"#,
+        r#"{"plan": {"filter": {"input": {"scan": "t1"}, "pred": {"lt": [99, 5]}}}}"#,
+    ] {
+        let resp = client
+            .request("POST", "/query", &[], body)
+            .unwrap_or_else(|err| panic!("{body}: no response ({err})"));
+        assert_eq!(resp.status, 400, "{body}: {}", resp.body);
+        assert!(resp.body.contains("schema error"), "{body}: {}", resp.body);
+    }
+    let r = client
+        .query(r#"{"plan": {"group_by": {"input": {"scan": "t1"}, "group_len": 1, "aggs": [{"sum": 1}]}}}"#)
+        .expect("in-range columns still answer");
+    assert!(!r.rows.is_empty());
+
+    handle.shutdown();
+    runner.join().expect("runner").expect("run");
+}
