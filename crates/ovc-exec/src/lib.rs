@@ -65,6 +65,71 @@ pub use project::{BatchClampKey, BatchProject};
 pub use set_ops::{SetOp, SetOperation};
 pub use window::{Window, WindowFunc};
 
+/// §4.6's pivot on the operator: a [`GroupAggregate`] on the group key
+/// with one [`Aggregate::SumWhere`] per bucket (the planned form is
+/// checked in `tests/planner_properties.rs`).
+#[cfg(test)]
+mod pivot {
+    mod tests {
+        use crate::{Aggregate, GroupAggregate};
+        use ovc_core::batch::collect_batch_pairs;
+        use ovc_core::derive::assert_codes_exact;
+        use ovc_core::{Ovc, Row, Stats};
+        use ovc_sort::Run;
+
+        /// Group `rows` (sorted on two key columns) on column 0, summing
+        /// column `value_col` where column 1 equals each bucket.
+        fn pivot(rows: Vec<Row>, value_col: usize, buckets: &[u64]) -> Vec<(Row, Ovc)> {
+            let input = Run::from_sorted_rows(rows, 2).batches(3);
+            let aggregates = buckets
+                .iter()
+                .map(|&b| Aggregate::SumWhere {
+                    col: value_col,
+                    when: 1,
+                    equals: b,
+                })
+                .collect();
+            collect_batch_pairs(GroupAggregate::new(
+                input,
+                1,
+                aggregates,
+                2,
+                Stats::new_shared(),
+            ))
+        }
+
+        /// The paper's own example: (year, month, sales) pivoted to
+        /// (year, monthly sales columns).
+        #[test]
+        fn year_month_sales() {
+            let rows = vec![
+                Row::new(vec![2021, 1, 100]),
+                Row::new(vec![2021, 1, 50]),
+                Row::new(vec![2021, 3, 70]),
+                Row::new(vec![2022, 2, 10]),
+                Row::new(vec![2022, 3, 20]),
+            ];
+            let pairs = pivot(rows, 2, &[1, 2, 3]);
+            let got: Vec<Vec<u64>> = pairs.iter().map(|(r, _)| r.cols().to_vec()).collect();
+            assert_eq!(got, vec![vec![2021, 150, 0, 70], vec![2022, 0, 10, 20]]);
+            assert_codes_exact(&pairs, 1);
+        }
+
+        #[test]
+        fn values_outside_buckets_are_dropped() {
+            let pairs = pivot(vec![Row::new(vec![1, 99, 5])], 2, &[1, 2]);
+            let out: Vec<Row> = pairs.into_iter().map(|(r, _)| r).collect();
+            assert_eq!(out, vec![Row::new(vec![1, 0, 0])]);
+        }
+
+        #[test]
+        fn empty_input() {
+            assert!(pivot(vec![], 1, &[]).is_empty());
+            assert!(pivot(vec![], 2, &[1, 2, 3]).is_empty());
+        }
+    }
+}
+
 #[cfg(test)]
 /// Shared fixtures of the batch kernels' unit tests: seeded inputs cut
 /// into batch streams, and the row/code digest the
