@@ -7,8 +7,9 @@
 //!
 //! * [`Json`] — a value type with insertion-ordered objects, accessors,
 //!   and the two-space pretty layout of [`Json::to_pretty`];
-//! * [`write_str`] — the one string escaper (the server's compact frames
-//!   call it directly);
+//! * [`write_str`] — the one string escaper, and [`write_u64`] — the
+//!   one integer writer (the server's compact frames call both
+//!   directly);
 //! * [`Json::parse`] — the one parser.  It copies each run of plain
 //!   string bytes as one slice, so its time is linear in the input, and
 //!   it refuses nesting deeper than [`MAX_DEPTH`], so a hostile document
@@ -185,12 +186,53 @@ pub fn write_str(out: &mut String, s: &str) {
 }
 
 /// Integral values below 9e15 print without a fraction (`3`, not
-/// `3.0`); everything else uses `f64`'s shortest round-trip form.
+/// `3.0`) through [`write_u64`]; everything else uses `f64`'s shortest
+/// round-trip form.
 fn write_num(out: &mut String, n: f64) {
     if n.fract() == 0.0 && n.abs() < 9.0e15 {
-        let _ = write!(out, "{}", n as i64);
+        let i = n as i64;
+        if i < 0 {
+            out.push('-');
+        }
+        write_u64(out, i.unsigned_abs());
     } else {
         let _ = write!(out, "{n}");
+    }
+}
+
+/// `"00"` through `"99"`: the two decimal digits of every `0..100`.
+const DIGIT_PAIRS: &str = "\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Append `v` to `out` in decimal — the workspace's one integer writer
+/// (JSON numbers, and the server's row values and codes).  It allocates
+/// nothing beyond `out`'s own growth: the value is split into base-100
+/// digits on the stack, and each goes out as a two-byte slice of a pair
+/// table.
+#[inline]
+pub fn write_u64(out: &mut String, mut v: u64) {
+    // u64::MAX has 20 digits: a leading one or two, then at most nine
+    // pairs.
+    let mut pairs = [0u8; 10];
+    let mut n = 0;
+    while v >= 100 {
+        pairs[n] = (v % 100) as u8;
+        v /= 100;
+        n += 1;
+    }
+    let lead = v as usize;
+    if lead >= 10 {
+        out.push_str(&DIGIT_PAIRS[2 * lead..2 * lead + 2]);
+    } else {
+        out.push(char::from(b'0' + lead as u8));
+    }
+    for &p in pairs[..n].iter().rev() {
+        let p = 2 * p as usize;
+        out.push_str(&DIGIT_PAIRS[p..p + 2]);
     }
 }
 
@@ -388,6 +430,49 @@ mod tests {
         r#"{"frame":"batch","seq":0,"rows":[["1","2"],["3","4"]],"codes":["4611686018427400000","4611686018427387904"]}"#,
         r#"{"frame":"trailer","status":"ok","rows":2,"batches":1,"stats":{"col_value_cmps":3,"ovc_cmps":1},"analyze":"Scan t\n  rows out=2"}"#,
     ];
+
+    /// `write_num`'s integral branch prints what `i64`'s `Display`
+    /// printed before it went through [`write_u64`]: zero, negatives and
+    /// both edges of the integral range are unchanged.
+    #[test]
+    fn integral_numbers_print_as_before() {
+        for (n, want) in [
+            (0.0, "0"),
+            (-0.0, "0"),
+            (7.0, "7"),
+            (-1.0, "-1"),
+            (-42.0, "-42"),
+            (100.0, "100"),
+            (-1234567.0, "-1234567"),
+            (8_999_999_999_999_999.0, "8999999999999999"),
+            (-8_999_999_999_999_999.0, "-8999999999999999"),
+        ] {
+            let mut out = String::new();
+            write_num(&mut out, n);
+            assert_eq!(out, want, "{n}");
+            assert_eq!(out, format!("{}", n as i64), "{n}");
+        }
+    }
+
+    /// The pair-table writer agrees with `Display` at every digit-count
+    /// boundary and on a seeded sweep, and appends without clearing.
+    #[test]
+    fn write_u64_matches_display() {
+        let mut edges = vec![0, u64::MAX, (1 << 53) + 1, (1 << 62) | 12345];
+        let mut p = 1u64;
+        for _ in 0..19 {
+            edges.extend([p - 1, p, p + 1]);
+            p *= 10;
+        }
+        edges.extend([p - 1, p, p + 1]);
+        let mut rng = StdRng::seed_from_u64(0x0DEC);
+        edges.extend((0..10_000).map(|_| rng.gen::<u64>() >> rng.gen_range(0..64u32)));
+        for v in edges {
+            let mut out = String::from("x");
+            write_u64(&mut out, v);
+            assert_eq!(out, format!("x{v}"));
+        }
+    }
 
     #[test]
     fn pretty_layout_is_pinned() {

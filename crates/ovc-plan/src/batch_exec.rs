@@ -42,8 +42,10 @@
 //! gathers fill output batches straight from their merges, and only the
 //! exchange edges (where partitions *are* lifted out of their stream)
 //! repair codes.  Only the helper feeding the `ovc-baseline` hash
-//! operators boxes rows here; the root's batches are concatenated into
-//! one flat buffer, boxed at the edge ([`Output`]) if at all.
+//! operators boxes rows here.  The root's batches leave through the
+//! caller's sink as the plan produces them: the library entry points
+//! concatenate them into an [`Output`] (boxed at that edge if at all),
+//! and the server encodes each into its response frames.
 //!
 //! Under a [`QueryCtx`] every operator boundary and every partition
 //! worker checks the context once per batch (an exchange producer
@@ -66,6 +68,7 @@
 //! inclusive counters into the caller's `stats` once the plan's threads
 //! have joined.
 //!
+//! [`Output`]: crate::exec::Output
 //! [`OvcAccumulator`]: ovc_core::theorem::OvcAccumulator
 //! [`DEFAULT_CHANNEL_CAPACITY`]: ovc_exec::DEFAULT_CHANNEL_CAPACITY
 
@@ -90,7 +93,7 @@ use ovc_sort::{
 };
 
 use crate::catalog::Catalog;
-use crate::exec::{ExecOptions, Output, DEFAULT_BATCH_ROWS};
+use crate::exec::{ExecOptions, DEFAULT_BATCH_ROWS};
 use crate::physical::{Partitioning, PhysOp, PhysicalPlan};
 
 /// A partition's batch stream as it crosses threads.
@@ -103,11 +106,15 @@ type PartStream = Box<dyn BatchStream + Send>;
 /// worker thread's panic as [`ExecError::WorkerPanic`]); only a panic
 /// on the calling thread unwinds out of here.
 ///
-/// Roots come back materialized (the pipeline's threads are joined
-/// before returning): one stream via [`Output::root`], partitions as
-/// coded runs.  A profiled run counts into the profile tree's node
-/// blocks and folds the root's inclusive counters into `stats` after
-/// every thread has joined, failed runs included.
+/// A single-stream root is pulled on the calling thread, inside the
+/// plan's thread scope, and each of its batches is handed to `sink` as
+/// it is produced — nothing is concatenated here.  An `Err` from `sink`
+/// stops the plan: the root stream is dropped (so upstream workers see
+/// their channels close) and the error is returned.  A partitioned root
+/// is drained to coded runs instead.  Either way every thread of the
+/// plan has joined when this returns.  A profiled run counts into the
+/// profile tree's node blocks and folds the root's inclusive counters
+/// into `stats` after every thread has joined, failed runs included.
 pub(crate) fn run(
     plan: &PhysicalPlan,
     catalog: &Catalog,
@@ -115,7 +122,8 @@ pub(crate) fn run(
     options: &ExecOptions,
     qctx: Option<&QueryCtx>,
     prof: Option<&Arc<ProfileNode>>,
-) -> Result<Output, ExecError> {
+    sink: &mut dyn FnMut(FlatRows) -> Result<(), ExecError>,
+) -> Result<Root, ExecError> {
     let batch = options.batch_size.unwrap_or(DEFAULT_BATCH_ROWS);
     assert!(batch > 0, "batch size must be positive");
     let out = std::thread::scope(|scope| {
@@ -127,7 +135,13 @@ pub(crate) fn run(
             scope,
         };
         match cx.run(plan, stats, prof, None)? {
-            BOut::Batches(b) => Ok(Output::root(drain(b)?, plan.props.coded)),
+            BOut::Batches(mut root) => {
+                let spec = root.sort_spec();
+                while let Some(batch) = root.next_batch()? {
+                    sink(batch)?;
+                }
+                Ok(Root::Stream(spec))
+            }
             BOut::Parts(parts, _) => {
                 // Drain every partition stream to a standalone coded
                 // run.  Concurrent drains keep upstream workers busy;
@@ -139,7 +153,7 @@ pub(crate) fn run(
                     .map(|s| scope.spawn(move || drain(s)))
                     .collect();
                 let (runs, failure) = ctx::join_all(handles);
-                failure.map_or(Ok(Output::Partitions(runs)), Err)
+                failure.map_or(Ok(Root::Partitions(runs)), Err)
             }
         }
     });
@@ -149,9 +163,37 @@ pub(crate) fn run(
     out
 }
 
-/// What a (sub)plan produced while lowering: the analogue of [`Output`]
-/// with streams delivered batch-at-a-time and partitions delivered as
-/// *live* per-partition batch streams instead of materialized batches.
+/// How [`run`]'s root came out: a single stream under this spec, whose
+/// batches went to the sink, or hash partitions as coded runs.
+pub(crate) enum Root {
+    Stream(SortSpec),
+    Partitions(Vec<Run>),
+}
+
+/// Concatenates batches into one flat buffer: what the library entry
+/// points hand [`run`] as the sink, and what [`drain`] fills.
+#[derive(Default)]
+pub(crate) struct Collect(Option<FlatRows>);
+
+impl Collect {
+    pub(crate) fn push(&mut self, batch: FlatRows) {
+        match &mut self.0 {
+            None => self.0 = Some(batch),
+            Some(all) => all.extend_from(&batch),
+        }
+    }
+
+    /// The collected rows as one run under `spec` (an empty run of
+    /// `spec.len()` columns when no batch came).
+    pub(crate) fn into_run(self, spec: SortSpec) -> Run {
+        Run::from_flat(self.0.unwrap_or_else(|| FlatRows::new(spec.len())), spec)
+    }
+}
+
+/// What a (sub)plan produced while lowering: the analogue of
+/// [`crate::exec::Output`] with streams delivered batch-at-a-time and
+/// partitions delivered as *live* per-partition batch streams instead of
+/// materialized batches.
 enum BOut {
     /// Batch stream carrying exact offset-value codes under its spec —
     /// the empty spec for an unordered stream.
@@ -162,17 +204,15 @@ enum BOut {
     Parts(Vec<PartStream>, SortSpec),
 }
 
-/// Concatenate a coded batch stream (the root's, or one standalone-coded
-/// partition's) into one flat run under the stream's spec.
+/// Concatenate a coded batch stream (a standalone-coded partition's, or
+/// `Reverse`'s input) into one flat run under the stream's spec.
 fn drain(mut stream: impl BatchStream) -> Result<Run, ExecError> {
     let spec = stream.sort_spec();
-    let mut all = stream
-        .next_batch()?
-        .unwrap_or_else(|| FlatRows::new(spec.len()));
+    let mut all = Collect::default();
     while let Some(batch) = stream.next_batch()? {
-        all.extend_from(&batch);
+        all.push(batch);
     }
-    Ok(Run::from_flat(all, spec))
+    Ok(all.into_run(spec))
 }
 
 /// The one place the executor boxes rows: the `ovc-baseline` hash

@@ -15,7 +15,7 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use ovc_core::derive::{derive_codes_spec, is_sorted_spec};
-use ovc_core::{BatchStream, FlatBatches, FlatRows, Row, RowBatches, SortSpec};
+use ovc_core::{FlatBatches, FlatRows, Ovc, Row, SortSpec};
 
 /// A base table plus the cheap exact statistics the cost model feeds on.
 #[derive(Clone, Debug)]
@@ -30,15 +30,11 @@ pub struct Table {
 
 impl Table {
     /// Register an unsorted heap table.  Panics on rows of unequal width.
+    /// The width is read off the rows, so an empty table gets width 1;
+    /// [`Table::with_width`] states it instead.
     pub fn unsorted(rows: Vec<Row>) -> Table {
-        let distinct_rows = count_distinct(&rows);
-        // Boxed rows cannot fail: `ok()` drops no error.
-        let flat = RowBatches::new(rows, usize::MAX)
-            .next_batch()
-            .ok()
-            .flatten()
-            .unwrap_or_else(|| FlatRows::new(1));
-        Table::new(flat, SortSpec::none(), distinct_rows)
+        let width = rows.first().map_or(1, Row::width);
+        Table::with_width(width, rows, SortSpec::none())
     }
 
     /// Register a table stored sorted ascending on its first
@@ -48,27 +44,49 @@ impl Table {
     }
 
     /// Register a table stored ordered under an explicit [`SortSpec`]
-    /// (mixed ascending/descending directions supported).
+    /// (mixed ascending/descending directions supported).  The width is
+    /// read off the rows (an empty table gets the key's length, at
+    /// least 1); [`Table::with_width`] states it instead.
     ///
     /// Codes are derived here, once — scans replay them without any
     /// column comparison (Section 4.11: data access is a source of codes
     /// as important as sorting).  Panics if the rows violate the spec.
     pub fn sorted_by(rows: Vec<Row>, spec: SortSpec) -> Table {
+        let width = rows.first().map_or(spec.len().max(1), Row::width);
+        Table::with_width(width, rows, spec)
+    }
+
+    /// Register a table of `width` columns stored ordered under `spec`
+    /// — [`SortSpec::none`] for a heap table.  Every other constructor
+    /// reads the width off the first row; this one is how an empty table
+    /// keeps the width its queries expect.  Panics if a row has another
+    /// width, if the key is longer than the rows, or if the rows violate
+    /// the spec.
+    pub fn with_width(width: usize, rows: Vec<Row>, spec: SortSpec) -> Table {
         assert!(
             spec.is_prefix(),
             "stored orderings must be leading-column prefixes, got {spec}"
+        );
+        assert!(spec.len() <= width, "sort key cannot exceed the row width");
+        assert!(
+            rows.iter().all(|r| r.width() == width),
+            "every row of a table must have its {width} columns"
         );
         assert!(
             is_sorted_spec(&rows, &spec),
             "Table::sorted_by requires rows ordered under {spec}"
         );
-        let width = rows.first().map(Row::width).unwrap_or(spec.len().max(1));
-        assert!(spec.len() <= width, "sort key cannot exceed the row width");
         let distinct_rows = count_distinct(&rows);
-        let codes = derive_codes_spec(&rows, &spec);
         let mut flat = FlatRows::with_capacity(width, rows.len());
-        for (row, code) in rows.iter().zip(codes) {
-            flat.push(row.cols(), code);
+        if spec.is_empty() {
+            // A heap table's codes are all the duplicate code.
+            for row in &rows {
+                flat.push(row.cols(), Ovc::duplicate());
+            }
+        } else {
+            for (row, code) in rows.iter().zip(derive_codes_spec(&rows, &spec)) {
+                flat.push(row.cols(), code);
+            }
         }
         Table::new(flat, spec, distinct_rows)
     }

@@ -1,15 +1,23 @@
 //! Running physical plans: the executor's options, its output shape,
-//! and its four entry points.
+//! and its five entry points.
 //!
 //! There is one executor.  [`execute`], [`execute_ctx`],
-//! [`execute_profiled`] and [`execute_ctx_profiled`] are thin wrappers
-//! over the single batch-at-a-time lowering in `batch_exec`: plans become
-//! [`ovc_core::BatchStream`] pipelines over `ovc-exec`/`ovc-sort`
-//! operators fed by flat scans (unordered = coded under the empty spec),
-//! and **exchange sandwiches** run on real threads with flat batches
-//! crossing their channels.  The boundary between the two shapes (stream
-//! / partitions) is explicit in the plan, so the executor never guesses;
-//! rows are boxed only at the edge ([`Output`]).
+//! [`execute_profiled`], [`execute_ctx_profiled`] and [`execute_into`]
+//! are thin wrappers over the single batch-at-a-time lowering in
+//! `batch_exec`: plans become [`ovc_core::BatchStream`] pipelines over
+//! `ovc-exec`/`ovc-sort` operators fed by flat scans (unordered = coded
+//! under the empty spec), and **exchange sandwiches** run on real
+//! threads with flat batches crossing their channels.  The boundary
+//! between the two shapes (stream / partitions) is explicit in the plan,
+//! so the executor never guesses.
+//!
+//! The root's batches leave through one path: the lowering hands each
+//! to a sink as it is produced, on the calling thread, while the plan's
+//! threads still run.  [`execute_into`] is that sink made public — the
+//! server encodes response frames in it, so a result is never
+//! materialized there.  The other four entry points collect through the
+//! same sink into an [`Output`], the one place a whole result is held;
+//! rows are boxed only at that edge.
 //!
 //! [`ExecOptions::verify_trusted`] turns every [`PhysOp::TrustSorted`]
 //! marker — an *elided sort* — into a checked assertion: the stream the
@@ -25,12 +33,12 @@ use std::sync::Arc;
 
 use ovc_core::ctx::{self, ExecError, QueryCtx};
 use ovc_core::metrics::ProfileNode;
-use ovc_core::{OvcRow, Row, Stats};
+use ovc_core::{FlatRows, OvcRow, Row, Stats};
 use ovc_sort::Run;
 
-use crate::batch_exec::run;
+use crate::batch_exec::{run, Collect, Root};
 use crate::catalog::Catalog;
-use crate::physical::PhysicalPlan;
+use crate::physical::{Partitioning, PhysicalPlan};
 
 /// Rows per [`ovc_core::FlatRows`] batch when
 /// [`ExecOptions::batch_size`] is `None` — the one engine default, and
@@ -55,8 +63,9 @@ pub struct ExecOptions {
     pub batch_size: Option<usize>,
 }
 
-/// What a plan produced, materialized flat as coded [`Run`]s (the
-/// root's batches concatenated into one contiguous buffer): a coded
+/// What a plan produced, materialized flat as coded [`Run`]s for a
+/// library caller (the root's batches concatenated into one contiguous
+/// buffer — [`execute_into`] hands them over instead): a coded
 /// sorted stream, bare rows (a plan whose properties promise no codes),
 /// or — for a plan cut off below its gathering exchange — hash
 /// partitions of a coded stream.  Rows are boxed only by
@@ -111,8 +120,8 @@ impl Output {
 
 /// Run a physical plan against a catalog, accounting into `stats`.
 ///
-/// Coded roots come back as a coded stream that is already
-/// materialized, flat (the pipeline's threads are joined before
+/// Coded roots come back as a coded stream collected flat from the
+/// root's batches (the pipeline's threads are joined before
 /// returning), roots whose properties promise no codes as rows,
 /// partitioned roots as coded runs.
 ///
@@ -127,7 +136,7 @@ pub fn execute(
     stats: &Arc<Stats>,
     options: &ExecOptions,
 ) -> Output {
-    run(plan, catalog, stats, options, None, None).unwrap_or_else(|err| panic!("{err}"))
+    collect(plan, catalog, stats, options, None, None).unwrap_or_else(|err| panic!("{err}"))
 }
 
 /// As [`execute`], but fault-tolerant: run the plan under a
@@ -149,7 +158,7 @@ pub fn execute_ctx(
     qctx: &QueryCtx,
 ) -> Result<Output, ExecError> {
     qctx.check()?;
-    ctx::contain(|| run(plan, catalog, stats, options, Some(qctx), None))?
+    ctx::contain(|| collect(plan, catalog, stats, options, Some(qctx), None))?
 }
 
 /// As [`execute`], but with per-operator profiling: every lowered
@@ -158,8 +167,8 @@ pub fn execute_ctx(
 /// [`Stats`] block, and threaded exchanges report per-channel
 /// wait/occupancy gauges.
 ///
-/// The output is materialized when this returns, so
-/// [`ProfileNode::snapshot`] is immediately meaningful.  Profiling only
+/// The output is collected and every thread joined when this returns,
+/// so [`ProfileNode::snapshot`] is immediately meaningful.  Profiling only
 /// observes: rows, codes, and the [`Stats`] totals are identical to an
 /// unprofiled [`execute`] of the same plan.
 pub fn execute_profiled(
@@ -169,7 +178,7 @@ pub fn execute_profiled(
     options: &ExecOptions,
 ) -> (Output, Arc<ProfileNode>) {
     let root = crate::profile::build_profile(plan);
-    let out = run(plan, catalog, stats, options, None, Some(&root));
+    let out = collect(plan, catalog, stats, options, None, Some(&root));
     (out.unwrap_or_else(|err| panic!("{err}")), root)
 }
 
@@ -183,8 +192,59 @@ pub fn execute_ctx_profiled(
 ) -> Result<(Output, Arc<ProfileNode>), ExecError> {
     qctx.check()?;
     let root = crate::profile::build_profile(plan);
-    let out = ctx::contain(|| run(plan, catalog, stats, options, Some(qctx), Some(&root)))??;
+    let out = ctx::contain(|| collect(plan, catalog, stats, options, Some(qctx), Some(&root)))??;
     Ok((out, root))
+}
+
+/// As [`execute_ctx`] — or, given a profile tree from
+/// [`crate::build_profile`], as [`execute_ctx_profiled`] — but nothing
+/// is collected: each of the root's batches goes to `sink` as the plan
+/// produces it, on the calling thread, while the plan's other threads
+/// still run.  The batches are the ones [`execute_ctx`] would
+/// concatenate, in order.
+///
+/// An `Err` from `sink` stops the plan and comes back as this call's
+/// error; so does a failure of the plan after some batches were handed
+/// over.  Either way every thread of the plan has joined when this
+/// returns, and the [`Stats`] (and profile) hold the work done.
+///
+/// Panics if the plan's root is partitioned (gather it with an
+/// `Exchange` to single first).
+pub fn execute_into(
+    plan: &PhysicalPlan,
+    catalog: &Catalog,
+    stats: &Arc<Stats>,
+    options: &ExecOptions,
+    qctx: &QueryCtx,
+    prof: Option<&Arc<ProfileNode>>,
+    sink: &mut dyn FnMut(FlatRows) -> Result<(), ExecError>,
+) -> Result<(), ExecError> {
+    assert!(
+        plan.props.partitioning == Partitioning::Single,
+        "plan output is partitioned; gather it with an Exchange to single"
+    );
+    qctx.check()?;
+    ctx::contain(|| run(plan, catalog, stats, options, Some(qctx), prof, sink))?.map(|_| ())
+}
+
+/// Run `plan` and collect its root through [`run`]'s sink.
+fn collect(
+    plan: &PhysicalPlan,
+    catalog: &Catalog,
+    stats: &Arc<Stats>,
+    options: &ExecOptions,
+    qctx: Option<&QueryCtx>,
+    prof: Option<&Arc<ProfileNode>>,
+) -> Result<Output, ExecError> {
+    let mut all = Collect::default();
+    let root = run(plan, catalog, stats, options, qctx, prof, &mut |batch| {
+        all.push(batch);
+        Ok(())
+    })?;
+    Ok(match root {
+        Root::Stream(spec) => Output::root(all.into_run(spec), plan.props.coded),
+        Root::Partitions(runs) => Output::Partitions(runs),
+    })
 }
 
 #[cfg(test)]
@@ -229,5 +289,66 @@ mod tests {
         let (small_rows, small_stats, small_batches) = run(Some(100));
         assert_eq!(small_batches, n.div_ceil(100) as u64);
         assert_eq!((small_rows, small_stats), (rows, stats));
+    }
+
+    /// `execute_into` hands over, batch by batch, exactly the rows and
+    /// codes `execute` collects; a sink that fails stops a dop-2 plan
+    /// with the sink's own error, after the batches it accepted.
+    #[test]
+    fn execute_into_streams_what_execute_collects() {
+        let rows: Vec<Row> = (0..5000u64)
+            .map(|k| Row::new(vec![k % 97, k % 13, k]))
+            .collect();
+        let mut catalog = Catalog::new();
+        catalog.register("t", Table::unsorted(rows));
+        let config = PlannerConfig::default()
+            .with_dop(2)
+            .with_parallel_threshold(64)
+            .with_batch_size(100);
+        let plan = Planner::new(&catalog, config)
+            .plan(&LogicalPlan::scan("t").sort(2))
+            .expect("plans");
+        let options = ExecOptions {
+            batch_size: Some(100),
+            ..ExecOptions::default()
+        };
+        let pairs = |out: Vec<OvcRow>| -> Vec<(Vec<u64>, u64)> {
+            out.into_iter()
+                .map(|r| (r.row.cols().to_vec(), r.code.raw()))
+                .collect()
+        };
+        let want = pairs(execute(&plan, &catalog, &Stats::new_shared(), &options).into_coded());
+
+        let qctx = QueryCtx::build(None, None);
+        let mut got = Vec::new();
+        let into = |sink: &mut dyn FnMut(FlatRows) -> Result<(), ExecError>| {
+            execute_into(
+                &plan,
+                &catalog,
+                &Stats::new_shared(),
+                &options,
+                &qctx,
+                None,
+                sink,
+            )
+        };
+        into(&mut |batch| {
+            got.extend(batch.iter().map(|(cols, code)| (cols.to_vec(), code.raw())));
+            Ok(())
+        })
+        .expect("runs");
+        assert_eq!(got, want);
+
+        let mut accepted = 0;
+        let err = into(&mut |_| {
+            accepted += 1;
+            if accepted == 2 {
+                Err(ExecError::Cancelled)
+            } else {
+                Ok(())
+            }
+        })
+        .expect_err("the sink's error stops the plan");
+        assert_eq!((err, accepted), (ExecError::Cancelled, 2));
     }
 }

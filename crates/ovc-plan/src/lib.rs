@@ -76,8 +76,8 @@ pub mod profile;
 pub use catalog::{Catalog, Table};
 pub use cost::Cost;
 pub use exec::{
-    execute, execute_ctx, execute_ctx_profiled, execute_profiled, ExecOptions, Output,
-    DEFAULT_BATCH_ROWS,
+    execute, execute_ctx, execute_ctx_profiled, execute_into, execute_profiled, ExecOptions,
+    Output, DEFAULT_BATCH_ROWS,
 };
 pub use logical::{Aggregate, JoinType, LogicalPlan, Predicate, SetOp};
 pub use physical::{Partitioning, PhysOp, PhysicalPlan, PhysicalProps};

@@ -23,17 +23,17 @@
 //! batch.  [`Server::run`] returns after every session thread has been
 //! joined.
 
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{IpAddr, Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
 use ovc_core::ctx::ExecError;
-use ovc_core::{QueryCtx, Stats};
+use ovc_core::{FlatRows, Ovc, QueryCtx, Stats};
 use ovc_json::{write_str, Json};
 use ovc_plan::{
-    execute_ctx, execute_ctx_profiled, Catalog, ExecOptions, Output, Planner, PlannerConfig,
+    build_profile, execute_into, Catalog, ExecOptions, Partitioning, Planner, PlannerConfig,
 };
 
 use crate::http::{read_request, write_response, ChunkedWriter, ParseError, Request};
@@ -263,6 +263,7 @@ fn session_loop(state: &ServerState, stream: TcpStream) {
         Ok(s) => s,
         Err(_) => return,
     });
+    let mut buffers = SessionBuffers::default();
     loop {
         // Wait for the next request in short slices so the shutdown flag
         // is observed promptly — but never abandon a request mid-parse.
@@ -309,7 +310,7 @@ fn session_loop(state: &ServerState, stream: TcpStream) {
             }
         };
         let close_after = request.wants_close() || state.is_shutting_down();
-        let ok = handle_request(state, &stream, &request, peer_ip, close_after);
+        let ok = handle_request(state, &stream, &request, peer_ip, close_after, &mut buffers);
         if !ok || close_after {
             return;
         }
@@ -324,6 +325,7 @@ fn handle_request(
     request: &Request,
     peer_ip: IpAddr,
     close_after: bool,
+    buffers: &mut SessionBuffers,
 ) -> bool {
     ServerMetrics::inc(&state.metrics.requests_total);
     let request_id = request
@@ -392,7 +394,9 @@ fn handle_request(
     }
 
     match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/query") => handle_query(state, writer, request, &request_id, conn_header),
+        ("POST", "/query") => {
+            handle_query(state, writer, request, &request_id, conn_header, buffers)
+        }
         ("POST", "/tables") => {
             let outcome = parse_body(&request.body).and_then(|doc| {
                 let name = doc
@@ -454,6 +458,7 @@ fn handle_query(
     request: &Request,
     request_id: &str,
     conn_header: &str,
+    buffers: &mut SessionBuffers,
 ) -> bool {
     let base_headers = [("x-request-id", request_id), ("connection", conn_header)];
     let bad_request = |writer: &mut BufWriter<&TcpStream>, msg: &str| {
@@ -554,6 +559,7 @@ fn handle_query(
         &catalog,
         &options,
         &qctx,
+        buffers,
     );
     state.in_flight_queries.fetch_sub(1, Ordering::SeqCst);
     // Every streamed query lands in exactly one counter: completed,
@@ -588,10 +594,14 @@ fn handle_query(
 
 /// Execute and stream one query: header frame, row batches, trailer.
 ///
-/// The header goes out **before** execution starts, so when the
-/// executor fails the typed [`ExecError`] is delivered as an `error`
-/// frame on the already-open stream (`Ok(Some(err))`); `Err` is a
-/// transport failure (the client disconnected mid-stream).
+/// The header goes out **before** execution starts, and each batch
+/// frame as soon as its rows exist: the executor hands the root's
+/// batches to [`Frames`] on this thread while the plan runs, so no
+/// result is materialized here.  When the executor fails — before the
+/// first batch frame or after it — the typed [`ExecError`] is delivered
+/// as an `error` frame on the already-open stream (`Ok(Some(err))`) and
+/// a partly built frame is dropped; `Err` is a transport failure (the
+/// client disconnected mid-stream), which stops the plan.
 #[allow(clippy::too_many_arguments)]
 fn stream_query(
     state: &ServerState,
@@ -603,73 +613,159 @@ fn stream_query(
     catalog: &Catalog,
     options: &ExecOptions,
     qctx: &QueryCtx,
+    buffers: &mut SessionBuffers,
 ) -> std::io::Result<Option<ExecError>> {
     let stats = Stats::new_shared();
     let width = physical.props.width;
     let key_len = physical.props.order.len();
-    let mut cw = ChunkedWriter::start(
+    let cw = ChunkedWriter::start(
         &mut *writer,
         200,
         "OK",
         "application/x-ndjson",
         base_headers,
     )?;
-    cw.chunk(wire::header_frame(request_id, mode, width, key_len).as_bytes())?;
-
-    let executed = if mode == "analyze" {
-        execute_ctx_profiled(physical, catalog, &stats, options, qctx).map(|(o, r)| (o, Some(r)))
-    } else {
-        execute_ctx(physical, catalog, &stats, options, qctx).map(|o| (o, None))
+    let mut frames = Frames {
+        cw,
+        frame: &mut buffers.frame,
+        codes: &mut buffers.codes,
+        metrics: &state.metrics,
+        coded: physical.props.coded,
+        batch_rows: state.config.batch_rows.max(1),
+        open: 0,
+        seq: 0,
+        rows: 0,
     };
-    let (output, profile) = match executed {
-        Ok(v) => v,
-        Err(err) => {
-            // Keep the accounting of the failed attempt — the engine
-            // counters reflect work actually performed.
-            state.metrics.absorb_query(&stats.snapshot());
-            cw.chunk(wire::typed_error_frame(err.reason(), &err.to_string()).as_bytes())?;
-            cw.finish()?;
-            return Ok(Some(err));
-        }
-    };
-
-    // Frames are cut every `batch_rows` rows by range over the
-    // materialized result — whatever batches the executor produced it in
-    // — and encoded from the slices the rows already live in.  Only a
-    // coded stream sends its codes.
-    let (run, coded) = match output {
-        Output::Stream(run) => (run, true),
-        Output::Rows(run) => (run, false),
-        Output::Partitions(_) => {
-            // The planner always gathers to a single stream at the root;
-            // reaching this is a planner bug, reported on the stream.
-            cw.chunk(wire::error_frame("plan root is partitioned").as_bytes())?;
-            cw.finish()?;
-            return Ok(None);
-        }
-    };
-    let flat = run.flat();
-    let batch_rows = state.config.batch_rows.max(1);
-    let mut seq = 0u64;
-    for at in (0..flat.len()).step_by(batch_rows) {
-        let end = (at + batch_rows).min(flat.len());
-        let rows = (at..end).map(|i| flat.row(i));
-        let codes = coded.then(|| &flat.codes()[at..end]);
-        cw.chunk(wire::batch_frame(seq, rows, codes).as_bytes())?;
-        seq += 1;
+    frames.send(|f| wire::header_frame(f, request_id, mode, width, key_len))?;
+    if physical.props.partitioning != Partitioning::Single {
+        // The planner always gathers to a single stream at the root;
+        // reaching this is a planner bug, reported on the stream.
+        frames.send(|f| wire::error_frame(f, "plan root is partitioned"))?;
+        frames.cw.finish()?;
+        return Ok(None);
     }
-    let total_rows = flat.len() as u64;
 
+    let profile = (mode == "analyze").then(|| build_profile(physical));
+    let mut transport = None;
+    let executed = execute_into(
+        physical,
+        catalog,
+        &stats,
+        options,
+        qctx,
+        profile.as_ref(),
+        &mut |batch| {
+            frames.push(&batch).map_err(|err| {
+                // The client is gone: stop every thread of the plan at
+                // its next check, not only the root's pull.
+                qctx.cancel();
+                transport = Some(err);
+                ExecError::Cancelled
+            })
+        },
+    );
+    // Keep the accounting of a failed attempt too — the engine counters
+    // reflect work actually performed.
     let delta = stats.snapshot();
     state.metrics.absorb_query(&delta);
-    ServerMetrics::add(&state.metrics.rows_streamed_total, total_rows);
-    ServerMetrics::add(&state.metrics.batches_streamed_total, seq);
+    if let Some(err) = transport {
+        return Err(err);
+    }
+    if let Err(err) = executed {
+        frames.send(|f| wire::typed_error_frame(f, err.reason(), &err.to_string()))?;
+        frames.cw.finish()?;
+        return Ok(Some(err));
+    }
+    // The last frame may be short.
+    frames.emit()?;
     let analyze_text = profile.map(|root| {
         let snapshot = root.snapshot();
         state.metrics.absorb_gauges(&snapshot);
         ovc_plan::render_analyze(physical, &snapshot)
     });
-    cw.chunk(wire::trailer_frame(total_rows, seq, &delta, analyze_text.as_deref()).as_bytes())?;
-    cw.finish()?;
+    let (rows, batches) = (frames.rows, frames.seq);
+    frames.send(|f| wire::trailer_frame(f, rows, batches, &delta, analyze_text.as_deref()))?;
+    frames.cw.finish()?;
     Ok(None)
+}
+
+/// What a session reuses across its requests: the buffer every
+/// response frame is encoded into, and the codes of the batch frame
+/// being cut.  Once both have grown to the largest frame, streaming a
+/// result allocates nothing per frame.
+#[derive(Default)]
+struct SessionBuffers {
+    frame: String,
+    codes: Vec<Ovc>,
+}
+
+/// One streaming response's frames: cuts a `batch` frame every
+/// `batch_rows` rows of the result — wherever the executor's batches
+/// begin and end — and sends each as one chunk.  A frame under
+/// construction lives in `frame` (its rows) and `codes` (their codes,
+/// which follow all rows in the frame), so it carries across root
+/// batches.
+struct Frames<'a, W: Write> {
+    cw: ChunkedWriter<W>,
+    frame: &'a mut String,
+    codes: &'a mut Vec<Ovc>,
+    metrics: &'a ServerMetrics,
+    /// Does the output carry codes?  Only a coded stream sends them.
+    coded: bool,
+    batch_rows: usize,
+    /// Rows in the open frame (0: no frame is open).
+    open: usize,
+    /// Batch frames sent (the next frame's `seq`).
+    seq: u64,
+    /// Rows sent in batch frames.
+    rows: u64,
+}
+
+impl<W: Write> Frames<'_, W> {
+    /// Encode one non-batch frame into the buffer and send it.
+    fn send(&mut self, write: impl FnOnce(&mut String)) -> std::io::Result<()> {
+        self.frame.clear();
+        write(self.frame);
+        self.cw.chunk(self.frame.as_bytes())
+    }
+
+    /// Append a root batch's rows to the open frame, sending every frame
+    /// that fills.
+    fn push(&mut self, batch: &FlatRows) -> std::io::Result<()> {
+        let mut at = 0;
+        while at < batch.len() {
+            if self.open == 0 {
+                // Nothing of a frame a failure abandoned carries over.
+                self.frame.clear();
+                self.codes.clear();
+                wire::batch_frame_open(self.frame, self.seq);
+            }
+            let end = batch.len().min(at + self.batch_rows - self.open);
+            wire::batch_frame_rows(self.frame, (at..end).map(|i| batch.row(i)));
+            if self.coded {
+                self.codes.extend_from_slice(&batch.codes()[at..end]);
+            }
+            self.open += end - at;
+            at = end;
+            if self.open == self.batch_rows {
+                self.emit()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Close and send the open frame, if there is one.
+    fn emit(&mut self) -> std::io::Result<()> {
+        if self.open == 0 {
+            return Ok(());
+        }
+        wire::batch_frame_close(self.frame, self.coded.then_some(&self.codes[..]));
+        self.cw.chunk(self.frame.as_bytes())?;
+        ServerMetrics::add(&self.metrics.rows_streamed_total, self.open as u64);
+        ServerMetrics::inc(&self.metrics.batches_streamed_total);
+        self.rows += self.open as u64;
+        self.seq += 1;
+        self.open = 0;
+        Ok(())
+    }
 }

@@ -4,21 +4,31 @@
 //! Requests carry a [`LogicalPlan`] as nested single-key objects (the
 //! builder API, spelled in JSON — see [`parse_plan`]); responses stream
 //! frames of three kinds: one `header`, zero or more `batch` frames of
-//! ~[`crate::ServerConfig::batch_rows`] rows each, and one `trailer`.
+//! [`crate::ServerConfig::batch_rows`] rows each (the last may be
+//! short), and one `trailer` — or an `error` frame in its place.
+//!
+//! Every frame writer *appends* to a caller's `String` and allocates
+//! nothing else: the server encodes each frame into one buffer its
+//! session owns and reuses across requests, so once that buffer has
+//! grown to the largest frame, encoding allocates nothing at all
+//! (`tests/frame_allocations.rs` counts).  A `batch` frame can be built
+//! in pieces ([`batch_frame_open`], [`batch_frame_rows`],
+//! [`batch_frame_close`]) because its rows arrive in the executor's
+//! batches, which need not line up with the frames.
 //!
 //! ## Why codes travel as strings
 //!
 //! Offset-value codes are `u64` values with bit 62 set (the *valid* tag),
 //! so every code exceeds 2^62 — far past the 2^53 range where an `f64`
 //! (and therefore a JSON number in every mainstream parser) is exact.
-//! Frames emit codes and row values through [`u64s_json`], which prints
-//! them as decimal **strings**; clients parse them back with integer
+//! Frames print codes and row values as decimal **strings** with
+//! [`ovc_json::write_u64`]; clients parse them back with integer
 //! parsers and lose nothing.  Inbound numeric literals (predicates, table
 //! rows) pass through `f64` and are exact only up to 2^53, which the
 //! protocol documents as its input domain.
 
 use ovc_core::{Direction, Ovc, Row, SortSpec, StatsSnapshot, Value};
-use ovc_json::{write_str, Json};
+use ovc_json::{write_str, write_u64, Json};
 use ovc_plan::{Aggregate, JoinType, LogicalPlan, Predicate, SetOp, Table};
 
 /// A request-side failure: the payload could not be understood.  Maps to
@@ -255,7 +265,9 @@ pub fn parse_plan(j: &Json) -> Result<LogicalPlan, WireError> {
 /// Parse a table registration body:
 /// `{"rows": [[...], ...]}` plus optional `"sorted_key": n` or
 /// `"dirs": [...]` declaring a stored ordering (codes are derived at
-/// registration, per Section 4.11).
+/// registration, per Section 4.11), and optional `"width": n` — required
+/// when `rows` is empty (an empty table cannot show its width), checked
+/// against every row otherwise.
 pub fn parse_table(j: &Json) -> Result<Table, WireError> {
     let Some(arr) = get(j, "rows", "table")?.as_arr() else {
         return err("table rows: expected an array of arrays");
@@ -271,27 +283,32 @@ pub fn parse_table(j: &Json) -> Result<Table, WireError> {
             .collect::<Result<Vec<_>, _>>()?;
         rows.push(Row::new(vals));
     }
-    let width = rows.first().map_or(0, Row::width);
-    if rows.iter().any(|r| r.width() != width) {
-        return err("table rows: every row must have the same number of values");
+    let width = match (j.get("width"), rows.first()) {
+        (Some(w), _) => match as_usize(w, "table width")? {
+            0 => return err("table width: a table has at least one column"),
+            w => w,
+        },
+        (None, Some(first)) => first.width(),
+        (None, None) => return err("table: \"width\" is required when \"rows\" is empty"),
+    };
+    if let Some(r) = rows.iter().find(|r| r.width() != width) {
+        return err(format!(
+            "table rows: every row must have {width} values, one has {}",
+            r.width()
+        ));
     }
     let spec = if j.get("sorted_key").is_some() || j.get("dirs").is_some() {
-        Some(parse_sort_spec(&rename_sorted_key(j))?)
+        parse_sort_spec(&rename_sorted_key(j))?
     } else {
-        None
+        SortSpec::none()
     };
-    match spec {
-        None => Ok(Table::unsorted(rows)),
-        Some(spec) if !rows.is_empty() && spec.len() > width => {
-            err("table rows: the sort key is longer than the rows")
-        }
-        Some(spec) => {
-            if !ovc_core::derive::is_sorted_spec(&rows, &spec) {
-                return err(format!("table rows are not ordered under {spec}"));
-            }
-            Ok(Table::sorted_by(rows, spec))
-        }
+    if spec.len() > width {
+        return err("table rows: the sort key is longer than the rows");
     }
+    if !ovc_core::derive::is_sorted_spec(&rows, &spec) {
+        return err(format!("table rows are not ordered under {spec}"));
+    }
+    Ok(Table::with_width(width, rows, spec))
 }
 
 /// `parse_sort_spec` reads `key_len`; table registration spells the same
@@ -314,104 +331,133 @@ fn rename_sorted_key(j: &Json) -> Json {
 /// Append `values` as a JSON array of decimal **strings** — the exact
 /// u64 emission path (see the module docs on why plain numbers lose
 /// bits above 2^53).
-pub fn u64s_json(out: &mut String, values: impl Iterator<Item = u64>) {
+fn u64s(out: &mut String, values: impl Iterator<Item = u64>) {
     out.push('[');
     for (i, v) in values.enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push('"');
-        out.push_str(&v.to_string());
+        write_u64(out, v);
         out.push('"');
     }
     out.push(']');
 }
 
-/// The `header` frame opening every streaming response.
-pub fn header_frame(request_id: &str, mode: &str, width: usize, key_len: usize) -> String {
-    let mut f = String::from("{\"frame\":\"header\",\"request_id\":");
-    write_str(&mut f, request_id);
-    f.push_str(&format!(
-        ",\"mode\":\"{mode}\",\"width\":{width},\"key_len\":{key_len}}}\n"
-    ));
-    f
+/// Append the `header` frame opening every streaming response.
+pub fn header_frame(out: &mut String, request_id: &str, mode: &str, width: usize, key_len: usize) {
+    out.push_str("{\"frame\":\"header\",\"request_id\":");
+    write_str(out, request_id);
+    out.push_str(",\"mode\":\"");
+    out.push_str(mode);
+    out.push_str("\",\"width\":");
+    write_u64(out, width as u64);
+    out.push_str(",\"key_len\":");
+    write_u64(out, key_len as u64);
+    out.push_str("}\n");
 }
 
-/// One `batch` frame: parallel `rows` / `codes` arrays (codes omitted
-/// for unordered outputs), `seq` numbering batches from 0.  Rows and
-/// codes are encoded straight from the slices they already live in — a
-/// range of the result's flat buffer — so a frame costs its own string
-/// and nothing per row.
+/// Append one `batch` frame: parallel `rows` / `codes` arrays (codes
+/// omitted for unordered outputs), `seq` numbering batches from 0.
+/// [`batch_frame_open`], [`batch_frame_rows`] and [`batch_frame_close`]
+/// in one call.
 pub fn batch_frame<'a>(
+    out: &mut String,
     seq: u64,
     rows: impl Iterator<Item = &'a [u64]>,
     codes: Option<&[Ovc]>,
-) -> String {
-    let mut f = format!("{{\"frame\":\"batch\",\"seq\":{seq},\"rows\":[");
-    for (i, r) in rows.enumerate() {
-        if i > 0 {
-            f.push(',');
-        }
-        u64s_json(&mut f, r.iter().copied());
-    }
-    f.push(']');
-    if let Some(codes) = codes {
-        f.push_str(",\"codes\":");
-        u64s_json(&mut f, codes.iter().map(|c| c.raw()));
-    }
-    f.push_str("}\n");
-    f
+) {
+    batch_frame_open(out, seq);
+    batch_frame_rows(out, rows);
+    batch_frame_close(out, codes);
 }
 
-/// The `trailer` frame closing every streaming response: total rows and
-/// batches, the query's own [`StatsSnapshot`] deltas, and (in analyze
-/// mode) the rendered profile.
+/// Append the start of a `batch` frame, up to its first row.  Rows
+/// follow through [`batch_frame_rows`], in as many calls as the rows
+/// take to arrive; [`batch_frame_close`] ends the frame.
+pub fn batch_frame_open(out: &mut String, seq: u64) {
+    out.push_str("{\"frame\":\"batch\",\"seq\":");
+    write_u64(out, seq);
+    out.push_str(",\"rows\":[");
+}
+
+/// Append rows to the open `batch` frame at the end of `out`, encoded
+/// straight from the slices they live in.
+pub fn batch_frame_rows<'a>(out: &mut String, rows: impl Iterator<Item = &'a [u64]>) {
+    // An open frame ends in `[` until its first row is in.
+    let mut first = out.ends_with('[');
+    for r in rows {
+        if !first {
+            out.push(',');
+        }
+        first = false;
+        u64s(out, r.iter().copied());
+    }
+}
+
+/// Close the open `batch` frame at the end of `out`, with the codes of
+/// its rows for an ordered output.
+pub fn batch_frame_close(out: &mut String, codes: Option<&[Ovc]>) {
+    out.push(']');
+    if let Some(codes) = codes {
+        out.push_str(",\"codes\":");
+        u64s(out, codes.iter().map(|c| c.raw()));
+    }
+    out.push_str("}\n");
+}
+
+/// Append the `trailer` frame closing every streaming response: total
+/// rows and batches, the query's own [`StatsSnapshot`] deltas, and (in
+/// analyze mode) the rendered profile.
 pub fn trailer_frame(
+    out: &mut String,
     rows: u64,
     batches: u64,
     stats: &StatsSnapshot,
     analyze: Option<&str>,
-) -> String {
-    let mut f = format!(
-        "{{\"frame\":\"trailer\",\"status\":\"ok\",\"rows\":{rows},\"batches\":{batches},\
-         \"stats\":{{\"col_value_cmps\":{},\"ovc_cmps\":{},\"row_cmps\":{},\
-         \"rows_spilled\":{},\"rows_read_back\":{}}}",
-        stats.col_value_cmps,
-        stats.ovc_cmps,
-        stats.row_cmps,
-        stats.rows_spilled,
-        stats.rows_read_back
-    );
-    if let Some(text) = analyze {
-        f.push_str(",\"analyze\":");
-        write_str(&mut f, text);
+) {
+    out.push_str("{\"frame\":\"trailer\",\"status\":\"ok\",\"rows\":");
+    write_u64(out, rows);
+    out.push_str(",\"batches\":");
+    write_u64(out, batches);
+    for (key, v) in [
+        (",\"stats\":{\"col_value_cmps\":", stats.col_value_cmps),
+        (",\"ovc_cmps\":", stats.ovc_cmps),
+        (",\"row_cmps\":", stats.row_cmps),
+        (",\"rows_spilled\":", stats.rows_spilled),
+        (",\"rows_read_back\":", stats.rows_read_back),
+    ] {
+        out.push_str(key);
+        write_u64(out, v);
     }
-    f.push_str("}\n");
-    f
+    out.push('}');
+    if let Some(text) = analyze {
+        out.push_str(",\"analyze\":");
+        write_str(out, text);
+    }
+    out.push_str("}\n");
 }
 
-/// An `error` frame, for failures after the header has already gone out
-/// (mid-stream the status line is spent; the frame is the only channel
-/// left).
-pub fn error_frame(message: &str) -> String {
-    let mut f = String::from("{\"frame\":\"error\",\"status\":\"error\",\"message\":");
-    write_str(&mut f, message);
-    f.push_str("}\n");
-    f
+/// Append an `error` frame, for failures after the header has already
+/// gone out (mid-stream the status line is spent; the frame is the only
+/// channel left).
+pub fn error_frame(out: &mut String, message: &str) {
+    out.push_str("{\"frame\":\"error\",\"status\":\"error\",\"message\":");
+    write_str(out, message);
+    out.push_str("}\n");
 }
 
-/// An `error` frame with a machine-readable failure `reason` —
+/// Append an `error` frame with a machine-readable failure `reason` —
 /// [`ovc_core::ctx::ExecError::reason`]: `"cancelled"`, `"timeout"`,
 /// `"spill_io"`, `"spill_corruption"`, `"spill_budget"`, or
 /// `"worker_panic"` — so clients can branch on the fault class without
 /// parsing the human-readable message.
-pub fn typed_error_frame(reason: &str, message: &str) -> String {
-    let mut f = String::from("{\"frame\":\"error\",\"status\":\"error\",\"reason\":");
-    write_str(&mut f, reason);
-    f.push_str(",\"message\":");
-    write_str(&mut f, message);
-    f.push_str("}\n");
-    f
+pub fn typed_error_frame(out: &mut String, reason: &str, message: &str) {
+    out.push_str("{\"frame\":\"error\",\"status\":\"error\",\"reason\":");
+    write_str(out, reason);
+    out.push_str(",\"message\":");
+    write_str(out, message);
+    out.push_str("}\n");
 }
 
 /// A complete (non-streaming) JSON error body for pre-header failures.
@@ -509,12 +555,47 @@ mod tests {
         assert!(e.0.contains("not ordered"), "{e}");
     }
 
+    /// An empty table keeps the width it is given; without one it is
+    /// refused, and a given width is checked against every row.
+    #[test]
+    fn table_width_is_stated_for_empty_tables_and_checked_otherwise() {
+        let t = parse_table(&parse(r#"{"rows": [], "width": 3}"#)).unwrap();
+        assert_eq!((t.width(), t.len(), t.sorted_key()), (3, 0, 0));
+        let t = parse_table(&parse(r#"{"rows": [], "width": 2, "sorted_key": 2}"#)).unwrap();
+        assert_eq!((t.width(), t.sorted_key()), (2, 2));
+        let t = parse_table(&parse(r#"{"rows": [[1,2]], "width": 2}"#)).unwrap();
+        assert_eq!((t.width(), t.len()), (2, 1));
+        for (src, needle) in [
+            (r#"{"rows": []}"#, "\"width\" is required"),
+            (r#"{"rows": [], "width": 0}"#, "at least one column"),
+            (
+                r#"{"rows": [], "width": 1, "sorted_key": 2}"#,
+                "longer than the rows",
+            ),
+            (
+                r#"{"rows": [[1,2],[3,4]], "width": 3}"#,
+                "must have 3 values",
+            ),
+            (r#"{"rows": [[1,2],[3]]}"#, "must have 2 values, one has 1"),
+            (r#"{"rows": [[1,2]], "width": 1.5}"#, "not an exact"),
+        ] {
+            let e = parse_table(&parse(src)).unwrap_err();
+            assert!(e.0.contains(needle), "{src} -> {e}");
+        }
+    }
+
     #[test]
     fn codes_above_2_53_survive_the_wire() {
         // A real valid-tagged code: bit 62 set, low bits distinguishable.
         let code: u64 = (1 << 62) | 12345;
         let rows = [[1u64, 2]];
-        let frame = batch_frame(0, rows.iter().map(|r| &r[..]), Some(&[Ovc::from_raw(code)]));
+        let mut frame = String::new();
+        batch_frame(
+            &mut frame,
+            0,
+            rows.iter().map(|r| &r[..]),
+            Some(&[Ovc::from_raw(code)]),
+        );
         // The decimal digits appear verbatim inside a JSON string.
         assert!(frame.contains(&format!("\"{code}\"")), "{frame}");
         let doc = Json::parse(&frame).unwrap();
@@ -523,23 +604,95 @@ mod tests {
         assert_eq!(back, code);
     }
 
+    /// The exact bytes of every frame kind for a fixed 3-row batch, as
+    /// the `format!` / `to_string` writers these replaced produced them:
+    /// values at the digit-count edges (0, 9, 10, 99, 100), past 2^53
+    /// and at `u64::MAX`, codes above 2^62, an escaped request id and
+    /// analyze text.  A change of one byte here is a change of protocol.
+    #[test]
+    fn frame_bytes_are_pinned() {
+        let rows: [[u64; 3]; 3] = [[0, 9, 10], [99, 100, (1 << 53) + 1], [u64::MAX, 1, 1 << 62]];
+        let codes = [
+            Ovc::from_raw((1 << 62) | 123),
+            Ovc::from_raw((1 << 62) | (1 << 61) | 99),
+            Ovc::from_raw(u64::MAX >> 1),
+        ];
+        let stats = StatsSnapshot {
+            col_value_cmps: 12,
+            ovc_cmps: 3,
+            row_cmps: 0,
+            rows_spilled: 100,
+            bytes_spilled: 7,
+            rows_read_back: 99,
+            bytes_read_back: 8,
+        };
+        let rows_of = || rows.iter().map(|r| &r[..]);
+        // One buffer for every frame, as a session reuses it.
+        let mut buf = String::new();
+        let mut check = |write: &dyn Fn(&mut String), want: &str| {
+            buf.clear();
+            write(&mut buf);
+            assert_eq!(buf, want);
+        };
+        check(
+            &|f| header_frame(f, "req-\"7\"", "rows", 3, 2),
+            "{\"frame\":\"header\",\"request_id\":\"req-\\\"7\\\"\",\"mode\":\"rows\",\"width\":3,\"key_len\":2}\n",
+        );
+        check(&|f| batch_frame(f, 4, rows_of(), Some(&codes)), "{\"frame\":\"batch\",\"seq\":4,\"rows\":[[\"0\",\"9\",\"10\"],[\"99\",\"100\",\"9007199254740993\"],[\"18446744073709551615\",\"1\",\"4611686018427387904\"]],\"codes\":[\"4611686018427388027\",\"6917529027641081955\",\"9223372036854775807\"]}\n");
+        check(&|f| batch_frame(f, 0, rows_of(), None), "{\"frame\":\"batch\",\"seq\":0,\"rows\":[[\"0\",\"9\",\"10\"],[\"99\",\"100\",\"9007199254740993\"],[\"18446744073709551615\",\"1\",\"4611686018427387904\"]]}\n");
+        // Built in pieces, rows arriving one at a time, a frame is the
+        // same bytes.
+        check(
+            &|f| {
+                batch_frame_open(f, 4);
+                for r in rows_of() {
+                    batch_frame_rows(f, std::iter::once(r));
+                }
+                batch_frame_close(f, Some(&codes));
+            },
+            "{\"frame\":\"batch\",\"seq\":4,\"rows\":[[\"0\",\"9\",\"10\"],[\"99\",\"100\",\"9007199254740993\"],[\"18446744073709551615\",\"1\",\"4611686018427387904\"]],\"codes\":[\"4611686018427388027\",\"6917529027641081955\",\"9223372036854775807\"]}\n",
+        );
+        check(&|f| trailer_frame(f, 3, 1, &stats, None), "{\"frame\":\"trailer\",\"status\":\"ok\",\"rows\":3,\"batches\":1,\"stats\":{\"col_value_cmps\":12,\"ovc_cmps\":3,\"row_cmps\":0,\"rows_spilled\":100,\"rows_read_back\":99}}\n");
+        check(
+            &|f| {
+                let analyze = Some("Scan t\n  rows=3 \"q\"");
+                trailer_frame(f, 0, 0, &StatsSnapshot::default(), analyze)
+            },
+            "{\"frame\":\"trailer\",\"status\":\"ok\",\"rows\":0,\"batches\":0,\"stats\":{\"col_value_cmps\":0,\"ovc_cmps\":0,\"row_cmps\":0,\"rows_spilled\":0,\"rows_read_back\":0},\"analyze\":\"Scan t\\n  rows=3 \\\"q\\\"\"}\n",
+        );
+        check(
+            &|f| error_frame(f, "plan root is partitioned"),
+            "{\"frame\":\"error\",\"status\":\"error\",\"message\":\"plan root is partitioned\"}\n",
+        );
+        check(
+            &|f| typed_error_frame(f, "timeout", "deadline exceeded after 5ms"),
+            "{\"frame\":\"error\",\"status\":\"error\",\"reason\":\"timeout\",\"message\":\"deadline exceeded after 5ms\"}\n",
+        );
+    }
+
     #[test]
     fn frames_are_parseable_json_lines() {
-        let h = header_frame("req-1", "rows", 2, 2);
+        let frame = |write: &dyn Fn(&mut String)| {
+            let mut f = String::new();
+            write(&mut f);
+            f
+        };
+        let h = frame(&|f| header_frame(f, "req-1", "rows", 2, 2));
         assert_eq!(
             Json::parse(&h).unwrap().get("frame").unwrap().as_str(),
             Some("header")
         );
-        let t = trailer_frame(10, 1, &StatsSnapshot::default(), Some("line1\nline2"));
+        let t =
+            frame(&|f| trailer_frame(f, 10, 1, &StatsSnapshot::default(), Some("line1\nline2")));
         let doc = Json::parse(&t).unwrap();
         assert_eq!(doc.get("status").unwrap().as_str(), Some("ok"));
         assert_eq!(doc.get("analyze").unwrap().as_str(), Some("line1\nline2"));
-        let e = error_frame("bad \"quote\"");
+        let e = frame(&|f| error_frame(f, "bad \"quote\""));
         assert_eq!(
             Json::parse(&e).unwrap().get("message").unwrap().as_str(),
             Some("bad \"quote\"")
         );
-        let e = typed_error_frame("timeout", "deadline exceeded after 5ms");
+        let e = frame(&|f| typed_error_frame(f, "timeout", "deadline exceeded after 5ms"));
         let doc = Json::parse(&e).unwrap();
         assert_eq!(doc.get("frame").unwrap().as_str(), Some("error"));
         assert_eq!(doc.get("reason").unwrap().as_str(), Some("timeout"));

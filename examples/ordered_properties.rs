@@ -17,15 +17,24 @@ use ovc_repro::core::{Direction, OvcRow, Row, SortSpec, Stats};
 use ovc_repro::plan::exec::{execute, ExecOptions};
 use ovc_repro::plan::{Catalog, JoinType, LogicalPlan, Planner, PlannerConfig, Preference, Table};
 
+/// Columns per generated row.
+const WIDTH: usize = 2;
+
 fn rows(n: usize, domain: u64, seed: u64) -> Vec<Row> {
     use ovc_repro::bench::workload::{table, TableSpec};
     table(TableSpec {
         rows: n,
-        key_cols: 2,
+        key_cols: WIDTH,
         payload_cols: 0,
         distinct_per_col: domain,
         seed,
     })
+}
+
+/// A heap table of the generated rows, its width stated so that `0`
+/// rows still make a two-column table.
+fn heap(rows: Vec<Row>) -> Table {
+    Table::with_width(WIDTH, rows, SortSpec::none())
 }
 
 fn main() {
@@ -36,7 +45,7 @@ fn main() {
 
     // --- 1. Mixed-direction sort --------------------------------------
     let mut catalog = Catalog::new();
-    catalog.register("t", Table::unsorted(rows(n, 1000, 42)));
+    catalog.register("t", heap(rows(n, 1000, 42)));
     let spec = SortSpec::with_dirs(&[Direction::Asc, Direction::Desc]);
     let q = LogicalPlan::scan("t").sort_by(spec);
     let plan = Planner::new(
@@ -75,8 +84,8 @@ fn main() {
     );
 
     // --- 3. Exchange-parallel merge join ------------------------------
-    catalog.register("l", Table::unsorted(rows(n, (n / 4).max(2) as u64, 44)));
-    catalog.register("r", Table::unsorted(rows(n, (n / 4).max(2) as u64, 45)));
+    catalog.register("l", heap(rows(n, (n / 4).max(2) as u64, 44)));
+    catalog.register("r", heap(rows(n, (n / 4).max(2) as u64, 45)));
     let q = LogicalPlan::scan("l").join(LogicalPlan::scan("r"), 1, JoinType::Inner);
     let base = PlannerConfig::default()
         .with_memory_rows(n / 10 + 1)

@@ -85,7 +85,15 @@ fn library_run(
     cat: &Catalog,
     query: &LogicalPlan,
 ) -> (Vec<Vec<u64>>, Vec<u64>, BTreeMap<String, u64>) {
-    let config = planner_config();
+    library_run_with(cat, query, planner_config())
+}
+
+/// [`library_run`] under another planner configuration.
+fn library_run_with(
+    cat: &Catalog,
+    query: &LogicalPlan,
+    config: PlannerConfig,
+) -> (Vec<Vec<u64>>, Vec<u64>, BTreeMap<String, u64>) {
     let plan = Planner::new(cat, config).plan(query).expect("query plans");
     let stats = Stats::new_shared();
     let options = ExecOptions {
@@ -756,6 +764,221 @@ fn out_of_range_aggregate_and_predicate_columns_are_a_400() {
         .query(r#"{"plan": {"group_by": {"input": {"scan": "t1"}, "group_len": 1, "aggs": [{"sum": 1}]}}}"#)
         .expect("in-range columns still answer");
     assert!(!r.rows.is_empty());
+
+    handle.shutdown();
+    runner.join().expect("runner").expect("run");
+}
+
+/// The frames of a raw response body, one parsed document per line.
+fn frames_of(body: &str) -> Vec<ovc_json::Json> {
+    body.lines()
+        .filter(|l| !l.is_empty())
+        .map(|l| ovc_json::Json::parse(l).expect("every frame is a JSON line"))
+        .collect()
+}
+
+fn frame_kind(frame: &ovc_json::Json) -> &str {
+    frame
+        .get("frame")
+        .and_then(ovc_json::Json::as_str)
+        .unwrap_or("")
+}
+
+/// Batch frames leave while the plan still runs, so a deadline can
+/// expire after some have gone out.  The response is still whole: the
+/// header, batch frames that are each complete and a prefix of the
+/// result, then the typed `timeout` error frame — never a success
+/// trailer — and the connection serves the next request.
+#[test]
+fn a_deadline_after_the_first_frame_ends_the_body_with_a_timeout_frame() {
+    // Exclusive: the fault registry is process-global.
+    let fault_gate = match FAULT_GATE.write() {
+        Ok(g) => g,
+        Err(p) => p.into_inner(),
+    };
+    use ovc_repro::core::fault::{self, FaultConfig, FaultPoint};
+
+    let cat = catalog(4_000);
+    let (rows, codes, _) = library_run(&cat, &LogicalPlan::scan("t1"));
+    let server = Server::bind(
+        ServerConfig {
+            // 250 executor batches of 16 rows, each held up >= 1 ms at
+            // the operator boundary: the plan runs >= 250 ms, past the
+            // 100 ms deadline, while its first batch is out in ~1 ms.
+            planner: PlannerConfig::default().with_batch_size(16),
+            batch_rows: 16,
+            ..ServerConfig::default()
+        },
+        cat,
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let runner = std::thread::spawn(move || server.run());
+
+    let mut client = Client::connect(addr).expect("connect");
+    let response = {
+        let _slow = fault::install(FaultConfig::new(0x51_0E).always(FaultPoint::SlowConsumer));
+        client
+            .request(
+                "POST",
+                "/query",
+                &[("x-query-timeout-ms", "100")],
+                r#"{"plan": {"scan": "t1"}}"#,
+            )
+            .expect("a whole response")
+    };
+    assert_eq!(response.status, 200);
+    let frames = frames_of(&response.body);
+    let kinds: Vec<&str> = frames.iter().map(frame_kind).collect();
+    assert_eq!(kinds.first(), Some(&"header"), "{kinds:?}");
+    assert_eq!(kinds.last(), Some(&"error"), "{kinds:?}");
+    assert!(!kinds.contains(&"trailer"), "no success trailer: {kinds:?}");
+    let batches = &frames[1..frames.len() - 1];
+    assert!(
+        !batches.is_empty(),
+        "a batch frame left before the deadline"
+    );
+    assert!(
+        batches.iter().all(|f| frame_kind(f) == "batch"),
+        "{kinds:?}"
+    );
+    let last = frames.last().expect("error frame");
+    assert_eq!(
+        last.get("reason").and_then(ovc_json::Json::as_str),
+        Some("timeout"),
+        "{last:?}"
+    );
+
+    // Every frame that went out is whole and is the next slice of the
+    // result, codes included.
+    let u64s = |j: &ovc_json::Json| -> Vec<u64> {
+        j.as_arr()
+            .expect("array")
+            .iter()
+            .map(|v| v.as_str().expect("decimal string").parse().expect("u64"))
+            .collect()
+    };
+    let (mut got_rows, mut got_codes) = (Vec::new(), Vec::new());
+    for (seq, f) in batches.iter().enumerate() {
+        assert_eq!(
+            f.get("seq").and_then(ovc_json::Json::as_num),
+            Some(seq as f64)
+        );
+        let frame_rows = f
+            .get("rows")
+            .and_then(ovc_json::Json::as_arr)
+            .expect("rows");
+        assert_eq!(frame_rows.len(), 16, "frame {seq} is whole");
+        got_rows.extend(frame_rows.iter().map(u64s));
+        got_codes.extend(u64s(f.get("codes").expect("codes")));
+    }
+    assert_eq!(got_rows, rows[..got_rows.len()], "rows are a prefix");
+    assert_eq!(got_codes, codes[..got_codes.len()], "codes are a prefix");
+
+    // The session survived the error frame.
+    assert_eq!(
+        client
+            .health()
+            .expect("health after the error frame")
+            .get("status"),
+        Some(&ovc_json::Json::Str("ok".into()))
+    );
+    handle.shutdown();
+    runner.join().expect("runner").expect("run");
+    drop(fault_gate);
+}
+
+/// A client that reads the header and the first batch frame of a dop-2
+/// query and then hangs up: the server's next write fails, which stops
+/// the plan; the session ends with every thread of the query joined,
+/// and the server goes on answering — `/health`, and the next query
+/// byte-identically to the library.
+#[test]
+fn a_client_gone_after_the_first_frame_stops_the_plan() {
+    use std::io::{BufRead, BufReader, Write};
+    let _gate = gate_read();
+    let config = planner_config().with_dop(2);
+    let mut cat = catalog(1_000);
+    let (g_rows, g_codes, g_stats) = library_run_with(&cat, &group_query(), config);
+    // A response far larger than any socket buffer (~10 MB), so the
+    // server is still writing when the client leaves.
+    let mut rng = StdRng::seed_from_u64(0xD0_9E);
+    let big: Vec<Row> = (0..200_000)
+        .map(|_| Row::new((0..3).map(|_| rng.gen_range(0..1_000_000u64)).collect()))
+        .collect();
+    cat.register("big", Table::unsorted(big));
+    let server = Server::bind(
+        ServerConfig {
+            planner: config,
+            ..ServerConfig::default()
+        },
+        cat,
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    let handle = server.handle();
+    let state = std::sync::Arc::clone(handle.state());
+    let runner = std::thread::spawn(move || server.run());
+
+    {
+        let mut raw = std::net::TcpStream::connect(addr).expect("tcp connect");
+        let body = r#"{"plan": {"sort": {"input": {"scan": "big"}, "key_len": 3}}}"#;
+        write!(
+            raw,
+            "POST /query HTTP/1.1\r\ncontent-length: {}\r\n\r\n{}",
+            body.len(),
+            body
+        )
+        .expect("send request");
+        let mut reader = BufReader::new(&raw);
+        let mut seen = Vec::new();
+        while !seen
+            .iter()
+            .any(|l: &String| l.contains(r#""frame":"batch""#))
+        {
+            let mut line = String::new();
+            assert!(
+                reader.read_line(&mut line).expect("read") > 0,
+                "stream ended early"
+            );
+            seen.push(line);
+        }
+        assert!(seen.iter().any(|l| l.contains(r#""frame":"header""#)));
+        // Dropped here: the rest of the response is never read.
+    }
+
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while state.in_flight_queries.load(Ordering::SeqCst) != 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the abandoned query never finished"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let mut client = Client::connect(addr).expect("connect");
+    let metrics = client.metrics().expect("metrics");
+    assert!(
+        metrics.contains("\novc_queries_cancelled_total 1\n"),
+        "the failed write cancelled the query:\n{metrics}"
+    );
+    // The abandoned session ends: only this client's remains.
+    loop {
+        let health = client.health().expect("health");
+        let sessions = health
+            .get("active_sessions")
+            .and_then(ovc_json::Json::as_num);
+        if sessions == Some(1.0) {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the abandoned session never ended: {sessions:?}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let r = client.query(GROUP_WIRE).expect("the next query");
+    assert_served_matches(&r, &g_rows, &g_codes, &g_stats, "after a hang-up");
 
     handle.shutdown();
     runner.join().expect("runner").expect("run");
