@@ -51,10 +51,10 @@
 //! worker checks the context once per batch (an exchange producer
 //! checks through the boundary of the child it drains), sort spills run
 //! through [`CtxStorage`] (budget + cancellation at run boundaries), and
-//! a spill-device fault in a serial sort (distinct or not) is recovered
-//! by re-lowering the sort's input subtree — the plan is borrowed and
-//! the table is the retained source — and sorting resident (DESIGN.md
-//! §14).  Every failure is an [`ExecError`] value: lowering and every
+//! a spill-device fault in a sort (distinct or not, at any dop) is
+//! recovered by re-lowering the sort's input subtree — the plan is
+//! borrowed and the table is the retained source — and sorting resident
+//! (DESIGN.md §14).  Every failure is an [`ExecError`] value: lowering and every
 //! `next_batch` return it, an exchange channel carries it as its last
 //! item, and [`run`] returns it once every thread of the plan has
 //! joined.
@@ -88,8 +88,8 @@ use ovc_exec::{
     BatchTake, GroupAggregate, MergeJoin, SetOperation, DEFAULT_CHANNEL_CAPACITY,
 };
 use ovc_sort::{
-    merge_batch_streams, parallel_sort_batches, try_sort_batches, MemoryRunStorage, Run,
-    RunStorage, SortConfig, SortOutput,
+    merge_batch_streams, try_sort_batches, MemoryRunStorage, Run, RunStorage, SortConfig,
+    SortOutput,
 };
 
 use crate::catalog::Catalog;
@@ -405,13 +405,11 @@ impl<'env> BCx<'_, 'env> {
                     self.run(input, stats, child(prof, 0), None)
                         .map(BOut::into_batches)
                 };
-                let sorted = if *dop > 1 {
-                    debug_assert!(spec.is_prefix() && !spec.normalized());
-                    let (mem, fan) = (*memory_rows, *fan_in);
-                    parallel_sort_batches(lower_input()?, spec, distinct, *dop, mem, fan, stats)?
-                } else {
-                    let cfg = SortConfig::new(spec.len(), *memory_rows).with_fan_in(*fan_in);
-                    let mut storage = self.spill_device(stats);
+                let cfg = SortConfig::new(spec.len(), *memory_rows)
+                    .with_fan_in(*fan_in)
+                    .with_threads(*dop);
+                let mut storage = self.spill_device(stats);
+                let sorted =
                     try_sort_batches(lower_input()?, cfg, spec, distinct, &mut storage, stats)
                         .or_else(|err| {
                             if !err.is_spill_fault() {
@@ -431,8 +429,7 @@ impl<'env> BCx<'_, 'env> {
                             };
                             let input = lower_input()?;
                             try_sort_batches(input, resident, spec, distinct, &mut storage, stats)
-                        })?
-                };
+                        })?;
                 BOut::Batches(sorted.batches(self.batch))
             }
             PhysOp::TrustSorted { input, spec } => {

@@ -79,7 +79,8 @@ fn sort_spill_passes(rows: f64, memory_rows: usize, fan_in: usize) -> f64 {
 ///
 /// Column comparisons are bounded by `N × K` with no `log N` factor (the
 /// Section 3 claim); the `log` factor lands on the cheap code
-/// comparisons inside the tree-of-losers.
+/// comparisons inside the tree-of-losers.  The estimate holds at any dop:
+/// a parallel sort cuts the same runs and spills the same rows.
 pub fn sort_ovc(rows: f64, key_len: usize, memory_rows: usize, fan_in: usize) -> Cost {
     let passes = sort_spill_passes(rows, memory_rows, fan_in);
     Cost {
@@ -186,10 +187,10 @@ pub fn streaming(rows: f64) -> Cost {
 /// message one channel crossing.
 ///
 /// This prices the explicit exchange nodes plans place around merge
-/// joins, groupings and set operations.  The parallel sorts run no
-/// exchange, so [`sort_ovc_parallel`] / [`in_sort_distinct_parallel`]
-/// deliberately do **not** include this term: estimates describe the
-/// chosen lowering.
+/// joins, groupings and set operations.  A parallel sort runs no
+/// exchange (its threads share one run-generation workspace), so
+/// [`sort_ovc`] / [`in_sort_distinct`] price it at any dop and this term
+/// is not added: estimates describe the chosen lowering.
 pub fn exchange(rows: f64, parts: usize, batch: usize) -> Cost {
     if parts <= 1 {
         return Cost::zero();
@@ -206,51 +207,6 @@ pub fn exchange(rows: f64, parts: usize, batch: usize) -> Cost {
 /// spill.  Always cheaper than the sort it replaces.
 pub fn reverse(rows: f64) -> Cost {
     streaming(rows)
-}
-
-/// Parallel OVC sort (`ovc_sort::parallel_sort_batches`): run
-/// generation on `dop` worker slices, then the same in-memory
-/// bounded-fan-in cascade the serial estimate already counts.
-/// Comparison terms carry over unchanged (same per-run budget, same
-/// `N × K` bound, same merge levels — the lowering runs no exchange,
-/// so none is charged); but the parallel lowering keeps every run
-/// resident, so — unlike [`sort_ovc`] — **nothing spills**, and the
-/// estimate must say so or `Preference::Auto` would reject spill-free
-/// parallel sort plans on phantom I/O.  `_dop` stays in the signature
-/// for when parallel spilling (ROADMAP) makes cost dop-sensitive.
-pub fn sort_ovc_parallel(
-    rows: f64,
-    key_len: usize,
-    memory_rows: usize,
-    fan_in: usize,
-    _dop: usize,
-) -> Cost {
-    let serial = sort_ovc(rows, key_len, memory_rows, fan_in);
-    Cost {
-        spill_rows: 0.0,
-        read_rows: 0.0,
-        ..serial
-    }
-}
-
-/// Parallel in-sort duplicate removal (`ovc_sort::parallel_sort_batches`
-/// with `distinct`): as
-/// [`sort_ovc_parallel`], with the dedup folded into run generation and
-/// every merge level.  Spill-free for the same reason.
-pub fn in_sort_distinct_parallel(
-    rows: f64,
-    distinct: f64,
-    key_len: usize,
-    memory_rows: usize,
-    fan_in: usize,
-    _dop: usize,
-) -> Cost {
-    let serial = in_sort_distinct(rows, distinct, key_len, memory_rows, fan_in);
-    Cost {
-        spill_rows: 0.0,
-        read_rows: 0.0,
-        ..serial
-    }
 }
 
 #[cfg(test)]
@@ -344,29 +300,6 @@ mod tests {
         // The overhead stays a sliver of the sort it parallelizes.
         let sort = sort_ovc(10_000.0, 2, 1000, 64);
         assert!(c.total(&W) < sort.total(&W) / 4.0);
-    }
-
-    #[test]
-    fn parallel_sorts_are_priced_spill_free() {
-        // The parallel lowerings keep runs resident: the estimate must
-        // drop the serial spill term (or Auto would reject parallel sort
-        // plans on I/O they never perform) while keeping comparisons.
-        let serial = sort_ovc(50_000.0, 2, 1000, 64);
-        let parallel = sort_ovc_parallel(50_000.0, 2, 1000, 64, 4);
-        assert!(serial.spill_rows > 0.0);
-        assert_eq!(parallel.spill_rows, 0.0);
-        assert_eq!(parallel.read_rows, 0.0);
-        assert_eq!(parallel.col_cmps, serial.col_cmps);
-        // No exchange runs in the parallel sort lowering, so none is
-        // charged: comparison estimates carry over verbatim.
-        assert_eq!(parallel.ovc_cmps, serial.ovc_cmps);
-        // Spill-free parallel sort prices below the spilling serial one.
-        assert!(parallel.total(&W) < serial.total(&W));
-
-        let d_serial = in_sort_distinct(50_000.0, 40_000.0, 1, 1000, 64);
-        let d_parallel = in_sort_distinct_parallel(50_000.0, 40_000.0, 1, 1000, 64, 4);
-        assert!(d_serial.spill_rows > 0.0);
-        assert_eq!(d_parallel.spill_rows, 0.0);
     }
 
     #[test]

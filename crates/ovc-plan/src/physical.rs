@@ -153,9 +153,9 @@ pub enum PhysOp {
         memory_rows: usize,
         /// Merge fan-in.
         fan_in: usize,
-        /// Run-generation worker threads: 1 = the serial external sort,
-        /// more lowers onto `ovc_sort::parallel_sort_batches`
-        /// (not for normalized-key specs).
+        /// Threads sorting each run-generation workspace
+        /// (`ovc_sort::SortConfig::threads`); rows, codes and spills are
+        /// the same at any value.
         dop: usize,
     },
     /// **Elided sort**: the input already carries the required ordering
@@ -189,8 +189,8 @@ pub enum PhysOp {
         memory_rows: usize,
         /// Merge fan-in.
         fan_in: usize,
-        /// Run-generation worker threads (1 = serial; > 1 lowers onto
-        /// `ovc_sort::parallel_sort_batches` with `distinct`).
+        /// Threads sorting each run-generation workspace, as for
+        /// [`PhysOp::SortOvc`].
         dop: usize,
     },
     /// Streaming duplicate removal by code inspection (input must be

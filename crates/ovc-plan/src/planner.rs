@@ -67,8 +67,8 @@ pub struct PlannerConfig {
     pub weights: CostWeights,
     /// Degree of parallelism available (1 = serial).  Sorts over at
     /// least [`PlannerConfig::parallel_threshold_rows`] estimated rows
-    /// are stamped with this dop and lower onto `ovc_sort::parallel`'s
-    /// sliced run generation; merge joins whose combined input clears
+    /// are stamped with this dop and sort each run-generation workspace
+    /// on that many threads; merge joins whose combined input clears
     /// the same threshold are bracketed with explicit
     /// [`PhysOp::Exchange`] nodes and run one worker per hash partition.
     pub dop: usize,
@@ -929,82 +929,56 @@ impl<'a> Planner<'a> {
             }
         }
         let input = child_clone_best(child, w).expect("alternatives exist");
-        let mem = self.config.memory_rows;
-        let fan = self.config.fan_in;
+        let (memory_rows, fan_in) = (self.config.memory_rows, self.config.fan_in);
         let key_len = spec.len();
         // The degree-of-parallelism directive: a sort big enough to clear
-        // the threshold is stamped with the config's dop and lowers onto
-        // ovc_sort::parallel's sliced run generation — direction-aware,
-        // so mixed asc/desc prefixes qualify
-        // too; only normalized-key sorts still run serial.  Rows and
-        // codes are identical either way; the estimate switches to the
-        // parallel cost functions because the parallel lowering keeps
-        // its runs resident (no spill — like every storage device in
-        // this repository, "spilling" is accounting over in-memory
-        // buffers, so residency changes the counters, not the RSS).
+        // the threshold is stamped with the config's dop and sorts each
+        // run-generation workspace on that many threads.  Rows, codes
+        // and spills are the same at any dop, so one cost function
+        // prices the sort whatever its dop.
         let dop = if self.config.dop > 1
             && rows >= self.config.parallel_threshold_rows as f64
             && spec.is_prefix()
-            && !spec.normalized()
         {
             self.config.dop
         } else {
             1
         };
-        let plan = if distinct {
-            let local = if dop > 1 {
-                cost::in_sort_distinct_parallel(rows, distinct_rows, key_len, mem, fan, dop)
-            } else {
-                cost::in_sort_distinct(rows, distinct_rows, key_len, mem, fan)
-            };
-            let props = PhysicalProps {
-                width,
-                order: spec.clone(),
-                coded: true,
-                partitioning: Partitioning::Single,
-                rows: distinct_rows,
-                distinct_rows,
-                dop: dop.max(input.props.dop),
-            };
-            PhysicalPlan {
-                cost: input.cost.plus(&local),
-                props,
-                op: PhysOp::InSortDistinct {
-                    input: Box::new(input),
-                    spec: spec.clone(),
-                    memory_rows: mem,
-                    fan_in: fan,
-                    dop,
-                },
+        let (local, out_rows) = if distinct {
+            let local = cost::in_sort_distinct(rows, distinct_rows, key_len, memory_rows, fan_in);
+            (local, distinct_rows)
+        } else {
+            (cost::sort_ovc(rows, key_len, memory_rows, fan_in), rows)
+        };
+        let props = PhysicalProps {
+            width,
+            order: spec.clone(),
+            coded: true,
+            partitioning: Partitioning::Single,
+            rows: out_rows,
+            distinct_rows,
+            dop: dop.max(input.props.dop),
+        };
+        let cost = input.cost.plus(&local);
+        let (input, spec) = (Box::new(input), spec.clone());
+        let op = if distinct {
+            PhysOp::InSortDistinct {
+                input,
+                spec,
+                memory_rows,
+                fan_in,
+                dop,
             }
         } else {
-            let local = if dop > 1 {
-                cost::sort_ovc_parallel(rows, key_len, mem, fan, dop)
-            } else {
-                cost::sort_ovc(rows, key_len, mem, fan)
-            };
-            let props = PhysicalProps {
-                width,
-                order: spec.clone(),
-                coded: true,
-                partitioning: Partitioning::Single,
-                rows,
-                distinct_rows,
-                dop: dop.max(input.props.dop),
-            };
-            PhysicalPlan {
-                cost: input.cost.plus(&local),
-                props,
-                op: PhysOp::SortOvc {
-                    input: Box::new(input),
-                    spec: spec.clone(),
-                    memory_rows: mem,
-                    fan_in: fan,
-                    dop,
-                },
+            PhysOp::SortOvc {
+                input,
+                spec,
+                memory_rows,
+                fan_in,
+                dop,
             }
         };
-        Ok(Ensured::Sorted(plan))
+        Ok(Ensured::Sorted(PhysicalPlan { cost, props, op }))
     }
 }
 

@@ -6,7 +6,8 @@
 //!
 //! 1. generates initial runs within a row-count memory budget (strategy
 //!    selectable: OVC priority queue, quicksort baseline, or replacement
-//!    selection);
+//!    selection), sorting each workspace on [`SortConfig::threads`]
+//!    threads;
 //! 2. if more than one run exists, spills runs to a [`RunStorage`] and
 //!    merges with bounded fan-in, spilling intermediate merge results,
 //!    until at most `fan_in` runs remain;
@@ -15,9 +16,11 @@
 //!    ([`SortOutput::batches`]), or one flat [`Run`]
 //!    ([`external_sort_spec_to_run`]).
 //!
-//! Sorts take batches: [`try_sort_batches`] is the one serial sort, and
-//! boxed rows reach it cut into batches at the library's edge
-//! ([`RowBatches`]).
+//! Sorts take batches: [`try_sort_batches`] is the one sort, serial or
+//! parallel, and boxed rows reach it cut into batches at the library's
+//! edge ([`RowBatches`]).  The thread count changes nothing but the wall
+//! time and the run-generation merge's comparisons: rows, codes, run
+//! boundaries and every spill counter are those of one thread.
 //!
 //! Spill volume is accounted in [`Stats`]; the Figure 6 experiment's
 //! "sort-based plan spills each input row only once" claim is asserted on
@@ -45,6 +48,9 @@ pub struct SortConfig {
     pub fan_in: usize,
     /// Run-generation strategy.
     pub strategy: RunGenStrategy,
+    /// Threads sorting each run-generation workspace (1 = the caller's
+    /// only; replacement selection requires 1).
+    pub threads: usize,
 }
 
 impl SortConfig {
@@ -55,6 +61,7 @@ impl SortConfig {
             memory_rows,
             fan_in: 128,
             strategy: RunGenStrategy::OvcPriorityQueue,
+            threads: 1,
         }
     }
 
@@ -67,6 +74,12 @@ impl SortConfig {
     /// Override the run-generation strategy.
     pub fn with_strategy(mut self, strategy: RunGenStrategy) -> Self {
         self.strategy = strategy;
+        self
+    }
+
+    /// Sort each run-generation workspace on `threads` threads.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
         self
     }
 }
@@ -181,9 +194,11 @@ impl SortOutput {
 
 /// The one external sort, over flat batches each copied once into run
 /// generation's workspace (`config.key_len` is ignored in favour of
-/// `spec.len()`).  With `distinct` it is Figure 5's in-sort duplicate
-/// removal: runs, merge levels and the final merge drop duplicate-coded
-/// rows — by code inspection alone — before anything spills twice.
+/// `spec.len()`), each workspace sorted on `config.threads` threads.
+/// With `distinct` it is Figure 5's in-sort duplicate removal: runs,
+/// merge levels and the final merge drop duplicate-coded rows — by code
+/// inspection alone — before anything spills twice.  An input error, a
+/// run-generation worker's panic or a spill-device error is returned.
 pub fn try_sort_batches<B, S>(
     input: B,
     config: SortConfig,
@@ -196,10 +211,7 @@ where
     B: BatchStream,
     S: RunStorage,
 {
-    let mut runs = generate_runs_from(input, spec, config.memory_rows, config.strategy, stats)?;
-    if distinct {
-        runs = runs.into_iter().map(Run::into_distinct).collect();
-    }
+    let runs = generate_runs_from(input, spec, &config, distinct, stats)?;
     if runs.len() <= 1 {
         return Ok(SortOutput::finish(runs, spec, distinct, stats));
     }
@@ -266,7 +278,7 @@ mod tests {
     use super::*;
     use ovc_core::batch::collect_batch_pairs;
     use ovc_core::derive::assert_codes_exact;
-    use ovc_core::{FlatRows, Ovc};
+    use ovc_core::{FlatRows, Ovc, StatsSnapshot};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -292,6 +304,43 @@ mod tests {
         collect_batch_pairs(out.batches(1024))
     }
 
+    /// Sort `rows` under `cfg` at threads 1, 2, 4 and 8: rows, codes and
+    /// every spill counter are those of one thread, and the slice merges
+    /// at most double the column comparisons.  Returns the pairs and the
+    /// one-thread counters.
+    fn sort_at_every_thread_count(
+        rows: &[Row],
+        cfg: SortConfig,
+        spec: &SortSpec,
+        distinct: bool,
+    ) -> (Vec<(Row, Ovc)>, StatsSnapshot) {
+        let sort = |threads: usize| {
+            let stats = Stats::new_shared();
+            let mut storage = MemoryRunStorage::new(Arc::clone(&stats));
+            let input = RowBatches::new(rows.to_vec(), cfg.memory_rows);
+            let cfg = cfg.with_threads(threads);
+            let out = try_sort_batches(input, cfg, spec, distinct, &mut storage, &stats);
+            (
+                collect_batch_pairs(out.unwrap().batches(1024)),
+                stats.snapshot(),
+            )
+        };
+        let (expect, one) = sort(1);
+        for threads in [2, 4, 8] {
+            let (pairs, got) = sort(threads);
+            assert_eq!(pairs, expect, "threads={threads}");
+            let spills = |s: &StatsSnapshot| (s.rows_spilled, s.bytes_spilled, s.rows_read_back);
+            assert_eq!(spills(&got), spills(&one), "threads={threads}");
+            assert!(
+                got.col_value_cmps <= 2 * one.col_value_cmps,
+                "threads={threads}: {} column comparisons against {}",
+                got.col_value_cmps,
+                one.col_value_cmps
+            );
+        }
+        (expect, one)
+    }
+
     fn check_sorted(pairs: &[(Row, Ovc)], input: &[Row], key_len: usize) {
         assert_codes_exact(pairs, key_len);
         let mut expect = input.to_vec();
@@ -304,44 +353,68 @@ mod tests {
     #[test]
     fn in_memory_input_never_spills() {
         let rows = random_rows(100, 2, 10, 1);
-        let stats = Stats::new_shared();
-        let out = sort_pairs(
-            rows.clone(),
-            SortConfig::new(2, 1000),
-            &SortSpec::asc(2),
-            &stats,
-        );
+        let cfg = SortConfig::new(2, 1000);
+        let (out, stats) = sort_at_every_thread_count(&rows, cfg, &SortSpec::asc(2), false);
         check_sorted(&out, &rows, 2);
-        assert_eq!(stats.rows_spilled(), 0);
+        assert_eq!(stats.rows_spilled, 0);
     }
 
     #[test]
     fn spilling_input_spills_each_row_once_with_wide_fan_in() {
         let rows = random_rows(1000, 2, 10, 2);
-        let stats = Stats::new_shared();
-        let out = sort_pairs(
-            rows.clone(),
-            SortConfig::new(2, 100),
-            &SortSpec::asc(2),
-            &stats,
-        );
+        let cfg = SortConfig::new(2, 100);
+        let (out, stats) = sort_at_every_thread_count(&rows, cfg, &SortSpec::asc(2), false);
         check_sorted(&out, &rows, 2);
         // 10 runs, fan-in 128: one spill level only.
-        assert_eq!(stats.rows_spilled(), 1000);
-        assert_eq!(stats.rows_read_back(), 1000);
+        assert_eq!(stats.rows_spilled, 1000);
+        assert_eq!(stats.rows_read_back, 1000);
+        assert!(stats.col_value_cmps > 0);
     }
 
+    /// 47 runs at fan-in 3: three merge levels, each re-spilling, at
+    /// every thread count.
     #[test]
     fn narrow_fan_in_forces_multi_level_merge() {
-        let rows = random_rows(1000, 2, 10, 3);
-        let stats = Stats::new_shared();
-        let cfg = SortConfig::new(2, 50).with_fan_in(4); // 20 runs, fan-in 4
-        let out = sort_pairs(rows.clone(), cfg, &SortSpec::asc(2), &stats);
+        let rows = random_rows(3000, 2, 10, 3);
+        let cfg = SortConfig::new(2, 64).with_fan_in(3);
+        let (out, stats) = sort_at_every_thread_count(&rows, cfg, &SortSpec::asc(2), false);
         check_sorted(&out, &rows, 2);
         assert!(
-            stats.rows_spilled() > 1000,
-            "intermediate merges must re-spill"
+            stats.rows_spilled > 3 * 3000,
+            "intermediate merges must re-spill: {}",
+            stats.rows_spilled
         );
+        assert_eq!(stats.rows_read_back, stats.rows_spilled);
+    }
+
+    /// In-sort duplicate removal at every thread count: the sorted,
+    /// deduplicated input with exact codes, whatever the output batch
+    /// size.
+    #[test]
+    fn distinct_sort_drops_every_duplicate_at_every_thread_count() {
+        let rows = random_rows(4000, 2, 9, 3);
+        let mut expect = rows.clone();
+        expect.sort();
+        expect.dedup();
+        let spec = SortSpec::asc(2);
+        let cfg = SortConfig::new(2, 128).with_fan_in(8);
+        let (pairs, _) = sort_at_every_thread_count(&rows, cfg, &spec, true);
+        let got: Vec<Row> = pairs.iter().map(|(r, _)| r.clone()).collect();
+        assert_eq!(got, expect);
+        assert_codes_exact(&pairs, 2);
+        // Smaller output batches drop the same duplicates in the merge.
+        let stats = Stats::new_shared();
+        let mut storage = MemoryRunStorage::new(Arc::clone(&stats));
+        let input = RowBatches::new(rows, 128);
+        let sorted = try_sort_batches(
+            input,
+            cfg.with_threads(4),
+            &spec,
+            true,
+            &mut storage,
+            &stats,
+        );
+        assert_eq!(collect_batch_pairs(sorted.unwrap().batches(100)), pairs);
     }
 
     #[test]
@@ -361,9 +434,16 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let stats = Stats::new_shared();
-        let out = sort_pairs(vec![], SortConfig::new(1, 10), &SortSpec::asc(1), &stats);
-        assert!(out.is_empty());
+        let sort = |rows: &[Row], threads| {
+            let cfg = SortConfig::new(2, 16).with_threads(threads);
+            sort_pairs(rows.to_vec(), cfg, &SortSpec::asc(2), &Stats::new_shared())
+        };
+        assert!(sort(&[], 1).is_empty());
+        assert!(sort(&[], 8).is_empty());
+        assert_eq!(sort(&[Row::new(vec![7, 7])], 8).len(), 1);
+        // More threads than rows: one row per slice.
+        let few = random_rows(3, 2, 4, 5);
+        assert_eq!(sort(&few, 64), sort(&few, 1));
     }
 
     #[test]
@@ -375,15 +455,93 @@ mod tests {
         for (label, spec) in [
             ("plain", spec.clone()),
             ("normalized", spec.with_normalized(true)),
+            ("descending", SortSpec::desc(2)),
         ] {
-            let stats = Stats::new_shared();
             let cfg = SortConfig::new(2, 64).with_fan_in(4);
-            let pairs = sort_pairs(rows.clone(), cfg, &spec, &stats);
+            let (pairs, _) = sort_at_every_thread_count(&rows, cfg, &spec, false);
             assert_codes_exact_spec(&pairs, &spec);
             let mut expect = rows.clone();
             expect.sort_by(|a, b| spec.cmp_keys(a.key(2), b.key(2)));
             let got: Vec<Row> = pairs.into_iter().map(|(r, _)| r).collect();
             assert_eq!(got, expect, "{label}");
+        }
+    }
+
+    /// The one sort against the reference, on inputs drawn from
+    /// `RANDOM_SEED`: rows, an ascending, descending or mixed spec (plain
+    /// or normalized), the memory budget, the fan-in (resident, one-level
+    /// and multi-level sorts), the strategy, the thread count and
+    /// `distinct`.  The output must be the stable std sort of the input
+    /// (deduplicated on the key when `distinct`) with exact codes, its
+    /// spill counters those of one thread and its column comparisons at
+    /// most double them.  A failure prints the seed.
+    #[test]
+    fn one_sort_matches_the_reference() {
+        use ovc_core::derive::assert_codes_exact_spec;
+        use ovc_core::Direction;
+        let seed = std::env::var("RANDOM_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(52);
+        let mut rng = StdRng::seed_from_u64(seed);
+        for case in 0..150 {
+            let k = rng.gen_range(1..=3usize);
+            let distinct = rng.gen_bool(0.3);
+            let width = k + usize::from(!distinct && rng.gen_bool(0.5));
+            let dirs: Vec<Direction> = (0..k)
+                .map(|_| {
+                    if rng.gen_bool(0.5) {
+                        Direction::Asc
+                    } else {
+                        Direction::Desc
+                    }
+                })
+                .collect();
+            let spec = SortSpec::with_dirs(&dirs).with_normalized(rng.gen_bool(0.3));
+            let n = rng.gen_range(0..700);
+            let rows = random_rows(n, width, rng.gen_range(1..12), rng.gen());
+            let strategy = if rng.gen_bool(0.5) {
+                RunGenStrategy::OvcPriorityQueue
+            } else {
+                RunGenStrategy::Quicksort
+            };
+            let cfg = SortConfig::new(k, rng.gen_range(1..200))
+                .with_fan_in(rng.gen_range(2..10))
+                .with_strategy(strategy);
+            let (threads, batch) = (rng.gen_range(1..=8), rng.gen_range(1..300));
+            let sort = |threads| {
+                let stats = Stats::new_shared();
+                let mut storage = MemoryRunStorage::new(Arc::clone(&stats));
+                let input = RowBatches::new(rows.clone(), batch);
+                let cfg = cfg.with_threads(threads);
+                let out = try_sort_batches(input, cfg, &spec, distinct, &mut storage, &stats);
+                (
+                    collect_batch_pairs(out.unwrap().batches(64)),
+                    stats.snapshot(),
+                )
+            };
+            let label = format!(
+                "seed {seed} case {case}: {n} rows, {spec}, {cfg:?}, {threads} threads, \
+                 distinct {distinct}"
+            );
+            let (pairs, stats) = sort(threads);
+            let mut expect = rows.clone();
+            expect.sort_by(|a, b| spec.cmp_keys(a.key(k), b.key(k)));
+            if distinct {
+                expect.dedup_by(|a, b| a.key(k) == b.key(k));
+            }
+            let got: Vec<Row> = pairs.iter().map(|(r, _)| r.clone()).collect();
+            assert_eq!(got, expect, "{label}");
+            assert_codes_exact_spec(&pairs, &spec);
+            let (_, one) = sort(1);
+            let spills = |s: &StatsSnapshot| (s.rows_spilled, s.bytes_spilled, s.rows_read_back);
+            assert_eq!(spills(&stats), spills(&one), "{label}");
+            assert!(
+                stats.col_value_cmps <= 2 * one.col_value_cmps,
+                "{label}: {} column comparisons against {}",
+                stats.col_value_cmps,
+                one.col_value_cmps
+            );
         }
     }
 
@@ -436,7 +594,6 @@ mod tests {
         ];
         for (file, source) in [
             ("external.rs", include_str!("external.rs")),
-            ("parallel.rs", include_str!("parallel.rs")),
             ("merge.rs", include_str!("merge.rs")),
             ("run_gen.rs", include_str!("run_gen.rs")),
         ] {

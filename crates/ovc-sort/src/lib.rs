@@ -9,20 +9,20 @@
 //! * [`runs`] — sorted coded runs in flat columnar layout (in-memory
 //!   prefix-truncation equivalent);
 //! * [`run_gen`] — run generation by priority queue (OVC-native) or
-//!   quicksort (baseline);
+//!   quicksort (baseline), each workspace sorted on one thread or as
+//!   contiguous slices on several, merged back into the same run;
 //! * [`replacement`] — replacement selection for longer runs;
 //! * [`merge`] — multi-way merging that consumes *and produces* codes;
 //! * [`external`] — the external merge sort modeled on F1's sort operator,
-//!   with spill accounting;
-//! * [`parallel`] — parallel run generation (one sorter thread per row
-//!   range of one flat buffer) feeding the same bounded-fan-in coded merge, with
-//!   byte-identical output rows and codes;
+//!   with spill accounting: the one sort, whatever its thread count
+//!   ([`SortConfig::with_threads`]), with byte-identical rows, codes and
+//!   spill counters at every thread count;
 //! * [`segmented`] — segmented sorting (Section 4.3), finding segment
 //!   boundaries by code inspection alone.
 //!
 //! One coded run type, [`Run`], and sorts that take batches: the
-//! executor calls [`try_sort_batches`] and [`parallel_sort_batches`] and
-//! drains [`SortOutput::batches`]; boxed rows enter at the edge cut into
+//! executor calls [`try_sort_batches`] and drains
+//! [`SortOutput::batches`]; boxed rows enter at the edge cut into
 //! batches ([`ovc_core::RowBatches`]), as [`external_sort_spec_to_run`]
 //! does for them.
 //!
@@ -45,7 +45,6 @@
 
 pub mod external;
 pub mod merge;
-pub mod parallel;
 pub mod replacement;
 pub mod run_gen;
 pub mod runs;
@@ -57,7 +56,6 @@ pub use external::{
     SortOutput,
 };
 pub use merge::{merge_batch_streams, merge_runs_spec, merge_runs_to_run_spec};
-pub use parallel::parallel_sort_batches;
 pub use run_gen::{generate_runs_spec, sort_rows_ovc, RunGenStrategy};
 pub use runs::Run;
 pub use segmented::SegmentedSort;

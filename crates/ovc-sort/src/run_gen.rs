@@ -18,14 +18,20 @@
 //! permutes indices or tournament entries over that buffer, and the
 //! winner sequence is gathered straight into the output run's flat
 //! storage.  No boxed row is moved, allocated, or dropped anywhere in the
-//! hot loop.
+//! hot loop.  With several threads ([`SortConfig::threads`]) a full
+//! workspace is sorted as contiguous slices and merged back into the run
+//! one thread would produce.
 
-use std::ops::Range;
 use std::sync::Arc;
+use std::thread;
 
 use ovc_core::compare::{compare_keys_counted, derive_code, derive_code_spec};
+use ovc_core::ctx;
+use ovc_core::fault;
 use ovc_core::{BatchStream, ExecError, FlatRows, Ovc, Row, RowBatches, SortSpec, Stats, Tally};
 
+use crate::external::SortConfig;
+use crate::merge::merge_runs_spec;
 use crate::replacement::generate_runs_replacement;
 use crate::runs::Run;
 use crate::tree::{loser_tree, play_entries, Entry, FENCE_ENTRY};
@@ -41,10 +47,16 @@ struct Workspace {
 
 impl Workspace {
     /// Take in `batch`, handing the workspace to `full` each time it holds
-    /// `cap` rows and emptying it after (its buffer is kept).  Every row
-    /// is copied once: a batch that fits an empty workspace whose buffer
-    /// is no larger than the batch's becomes the workspace, uncopied.
-    fn absorb(&mut self, batch: FlatRows, cap: usize, full: &mut impl FnMut(&Workspace)) {
+    /// `cap` rows and emptying it after (its buffer is kept); an error
+    /// from `full` is returned.  Every row is copied once: a batch that
+    /// fits an empty workspace whose buffer is no larger than the batch's
+    /// becomes the workspace, uncopied.
+    fn absorb(
+        &mut self,
+        batch: FlatRows,
+        cap: usize,
+        full: &mut impl FnMut(&Workspace) -> Result<(), ExecError>,
+    ) -> Result<(), ExecError> {
         let n = batch.len();
         let (width, mut values, _) = batch.into_parts();
         let fixed = *self.width.get_or_insert(width);
@@ -56,12 +68,12 @@ impl Workspace {
         }
         loop {
             if self.rows == cap {
-                full(self);
+                full(self)?;
                 self.values.clear();
                 self.rows = 0;
             }
             if at == n {
-                return;
+                return Ok(());
             }
             let take = (cap - self.rows).min(n - at);
             self.values
@@ -70,16 +82,6 @@ impl Workspace {
             at += take;
         }
     }
-}
-
-/// Copy a whole stream into one resident flat buffer, returning `(row
-/// count, width, values)` — the input the parallel sorters slice.
-pub(crate) fn resident(mut input: impl BatchStream) -> Result<(usize, usize, Vec<u64>), ExecError> {
-    let mut ws = Workspace::default();
-    while let Some(batch) = input.next_batch()? {
-        ws.absorb(batch, usize::MAX, &mut |_| {});
-    }
-    Ok((ws.rows, ws.width.unwrap_or(0), ws.values))
 }
 
 /// Sort one flat buffer into a run under the requested strategy.
@@ -104,27 +106,61 @@ fn sort_flat(
     }
 }
 
-/// Sort rows `range` of a resident flat buffer into OVC runs of at most
-/// `memory_rows` rows each, in place: a parallel worker's share.
-pub(crate) fn sort_windows(
-    values: &[u64],
-    width: usize,
-    range: Range<usize>,
-    memory_rows: usize,
+/// Sort one full workspace into a run under `config.strategy`, dropping
+/// duplicate-coded rows when `distinct`.  With `config.threads > 1` the
+/// workspace is cut into that many contiguous slices (at most one per
+/// row), sorted (and deduplicated) on scoped threads — the caller's
+/// thread takes the first — and merged in memory.  The tournaments and
+/// the merge both break ties by input position, so the run is row for
+/// row and code for code the one a single thread sorts; only the merge's
+/// comparisons are added.  Once every worker has joined
+/// ([`ctx::join_all`]), the first worker panic is returned as
+/// [`ExecError::WorkerPanic`].
+fn sort_workspace(
+    ws: &Workspace,
     spec: &SortSpec,
+    config: &SortConfig,
+    distinct: bool,
     stats: &Arc<Stats>,
-) -> Vec<Run> {
-    assert!(memory_rows > 0, "memory budget must hold at least one row");
-    range
-        .clone()
-        .step_by(memory_rows)
-        .map(|start| {
-            let end = (start + memory_rows).min(range.end);
-            let window = &values[start * width..end * width];
-            let strategy = RunGenStrategy::OvcPriorityQueue;
-            sort_flat(end - start, width, window, spec, strategy, stats)
-        })
-        .collect()
+) -> Result<Run, ExecError> {
+    let (n, width, threads) = (ws.rows, ws.width.unwrap_or(0), config.threads);
+    let sort = |start: usize, end: usize| {
+        let values = &ws.values[start * width..end * width];
+        let run = sort_flat(end - start, width, values, spec, config.strategy, stats);
+        if distinct {
+            run.into_distinct()
+        } else {
+            run
+        }
+    };
+    if threads.clamp(1, n.max(1)) == 1 {
+        return Ok(sort(0, n));
+    }
+    let len = n.div_ceil(threads.min(n));
+    let sort = &sort;
+    let (runs, failure) = thread::scope(|scope| {
+        let workers: Vec<_> = (len..n)
+            .step_by(len)
+            .map(|start| {
+                scope.spawn(move || {
+                    fault::maybe_panic();
+                    Ok(sort(start, (start + len).min(n)))
+                })
+            })
+            .collect();
+        let first = sort(0, len);
+        let (rest, failure) = ctx::join_all(workers);
+        (std::iter::once(first).chain(rest).collect(), failure)
+    });
+    if let Some(err) = failure {
+        return Err(err);
+    }
+    let merge = merge_runs_spec(runs, spec, stats);
+    Ok(if distinct {
+        merge.into_run_distinct()
+    } else {
+        merge.into_run()
+    })
 }
 
 /// Sort rows into one run using a tree-of-losers priority queue over
@@ -313,20 +349,25 @@ where
     I: IntoIterator<Item = Row>,
 {
     let input = RowBatches::new(input, memory_rows);
-    generate_runs_from(input, spec, memory_rows, strategy, stats)
+    let config = SortConfig::new(spec.len(), memory_rows).with_strategy(strategy);
+    generate_runs_from(input, spec, &config, false, stats)
         .unwrap_or_else(|err| unreachable!("boxed rows cannot fail: {err}"))
 }
 
 /// Run generation's one core: copy `input` into a flat workspace of at
-/// most `memory_rows` rows and sort each full workspace into a run.
-/// An input error ends run generation and is returned.
+/// most `config.memory_rows` rows and sort each full workspace into a
+/// run under `config.strategy`, on `config.threads` threads
+/// ([`sort_workspace`]; the run boundaries do not depend on it),
+/// dropping duplicate-coded rows from every run when `distinct`.  An
+/// input error or a worker panic ends run generation and is returned.
 pub(crate) fn generate_runs_from(
     mut input: impl BatchStream,
     spec: &SortSpec,
-    memory_rows: usize,
-    strategy: RunGenStrategy,
+    config: &SortConfig,
+    distinct: bool,
     stats: &Arc<Stats>,
 ) -> Result<Vec<Run>, ExecError> {
+    let (memory_rows, strategy) = (config.memory_rows, config.strategy);
     assert!(memory_rows > 0, "memory budget must hold at least one row");
     assert!(
         spec.is_prefix(),
@@ -336,6 +377,10 @@ pub(crate) fn generate_runs_from(
         assert!(
             spec.is_asc_prefix() && !spec.normalized(),
             "replacement selection supports ascending-prefix specs only"
+        );
+        assert!(
+            config.threads <= 1,
+            "replacement selection runs on one thread"
         );
         // Replacement selection still works on boxed rows; an input
         // error ends the row supply and is returned after it.
@@ -347,20 +392,23 @@ pub(crate) fn generate_runs_from(
                 .map(|(r, _)| Row::from_slice(r))
                 .collect::<Vec<_>>()
         });
-        let runs = generate_runs_replacement(rows, spec.len(), memory_rows, stats);
+        let mut runs = generate_runs_replacement(rows, spec.len(), memory_rows, stats);
+        if distinct {
+            runs = runs.into_iter().map(Run::into_distinct).collect();
+        }
         return failed.map(|()| runs);
     }
     let mut runs = Vec::new();
     let mut sort = |ws: &Workspace| {
-        let width = ws.width.unwrap_or(0);
-        runs.push(sort_flat(ws.rows, width, &ws.values, spec, strategy, stats));
+        runs.push(sort_workspace(ws, spec, config, distinct, stats)?);
+        Ok(())
     };
     let mut ws = Workspace::default();
     while let Some(batch) = input.next_batch()? {
-        ws.absorb(batch, memory_rows, &mut sort);
+        ws.absorb(batch, memory_rows, &mut sort)?;
     }
     if ws.rows > 0 {
-        sort(&ws);
+        sort(&ws)?;
     }
     Ok(runs)
 }
@@ -446,14 +494,9 @@ mod tests {
         for batch in [1, 7, 25, 30, 200] {
             let stats = Stats::new_shared();
             let input = RowBatches::new(rows.clone(), batch);
-            let runs = generate_runs_from(
-                input,
-                &SortSpec::asc(2),
-                25,
-                RunGenStrategy::Quicksort,
-                &stats,
-            )
-            .unwrap();
+            let config = SortConfig::new(2, 25).with_strategy(RunGenStrategy::Quicksort);
+            let runs =
+                generate_runs_from(input, &SortSpec::asc(2), &config, false, &stats).unwrap();
             let got: Vec<FlatRows> = runs.iter().map(|run| run.flat().clone()).collect();
             assert_eq!(got, expect, "batch={batch}");
             assert_eq!(stats.snapshot(), expect_stats.snapshot(), "batch={batch}");

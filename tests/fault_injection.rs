@@ -370,6 +370,85 @@ fn plan_level_spill_fault_recovers_to_identical_output() {
     }
 }
 
+/// A heap sort stamped dop 4 that spills: 2 000 rows through a 64-row
+/// budget at fan-in 4, each workspace sorted on four threads.
+fn parallel_spilling_sort_config() -> PlannerConfig {
+    spilling_sort_config()
+        .with_dop(4)
+        .with_parallel_threshold(512)
+}
+
+/// A parallel sort is the one external sort: it spills exactly as the
+/// serial one does, recovers from spill-device faults byte-identically,
+/// is refused by a small spill budget, and turns a run-generation
+/// worker's panic into a typed error.
+#[test]
+fn parallel_sort_spills_and_recovers_like_the_serial_one() {
+    let _l = locked();
+    let seed = suite_seed();
+    let cat = catalog(1_000, seed ^ 6);
+    let query = LogicalPlan::scan("heap").sort(3);
+    let config = parallel_spilling_sort_config();
+    let plan = Planner::new(&cat, config).plan(&query).expect("plans");
+    let sort = plan.nodes().into_iter().find(|n| n.op_name() == "SortOvc");
+    assert_eq!(sort.expect("a sort").props.dop, 4, "{plan}");
+    let (rows, codes, clean) = run_plain(&cat, &query, config);
+    assert!(clean.rows_spilled > 0, "the dop-4 sort must spill");
+    let (s_rows, s_codes, serial) = run_plain(&cat, &query, spilling_sort_config());
+    assert_eq!((&rows, &codes), (&s_rows, &s_codes));
+    assert_eq!(
+        (
+            clean.rows_spilled,
+            clean.bytes_spilled,
+            clean.rows_read_back
+        ),
+        (
+            serial.rows_spilled,
+            serial.bytes_spilled,
+            serial.rows_read_back
+        )
+    );
+
+    for point in [FaultPoint::SpillWrite, FaultPoint::SpillRead] {
+        let _guard = fault::install(FaultConfig::new(seed).once(point));
+        let (f_rows, f_codes, _) = run_ctx(&cat, &query, config, &QueryCtx::new())
+            .unwrap_or_else(|err| panic!("{point:?} must be recovered, got {err}"));
+        assert_eq!(f_rows, rows, "{point:?}: recovered rows differ");
+        assert_eq!(f_codes, codes, "{point:?}: recovered codes differ");
+    }
+
+    // The planned sort spills in memory, so a corrupted frame needs the
+    // file device: the bare four-thread sort detects it on read-back and
+    // the executor's resident retry is byte-identical.
+    {
+        let rows = random_rows(700, seed ^ 7);
+        let (spec, cfg) = (SortSpec::asc(2), SortConfig::new(2, 64).with_fan_in(4));
+        let stats = Stats::new_shared();
+        let mut storage = MemoryRunStorage::new(Arc::clone(&stats));
+        let sorted = sort_rows(rows.clone(), cfg, &spec, &mut storage, &stats);
+        let reference = collect_batch_pairs(sorted.expect("clean sort").batches(64));
+        let _guard = fault::install(FaultConfig::new(seed).once(FaultPoint::SpillCorrupt));
+        let cfg = cfg.with_threads(4);
+        let mut storage = FileRunStorage::new(Arc::clone(&stats)).expect("tempdir");
+        let err = sort_rows(rows.clone(), cfg, &spec, &mut storage, &stats)
+            .map(|_| ())
+            .expect_err("corrupted frame must fail the read-back");
+        assert_eq!(err.reason(), "spill_corruption");
+        let sorted = sort_rows(rows, resident(cfg), &spec, &mut storage, &stats);
+        let out = collect_batch_pairs(sorted.expect("resident retry").batches(64));
+        assert_eq!(out, reference);
+    }
+
+    let starved = QueryCtx::build(None, Some(1));
+    let err = run_ctx(&cat, &query, config, &starved).expect_err("starved spill budget");
+    assert_eq!(err.reason(), "spill_budget");
+
+    let _guard = fault::install(FaultConfig::new(seed).always(FaultPoint::WorkerPanic));
+    let err = run_ctx(&cat, &query, config, &QueryCtx::new())
+        .expect_err("every run-generation worker panics");
+    assert_eq!(err.reason(), "worker_panic", "got {err}");
+}
+
 #[test]
 fn worker_panic_is_contained_as_typed_error_without_deadlock() {
     let _l = locked();

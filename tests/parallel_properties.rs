@@ -7,14 +7,13 @@ use ovc_core::batch::{collect_batch_pairs, VecBatchStream};
 use ovc_core::derive::{assert_codes_exact, assert_codes_exact_spec};
 use ovc_core::{
     BatchStream, Direction, FlatBatches, FlatRows, Ovc, OvcRow, Row, RowBatches, SortSpec, Stats,
+    StatsSnapshot,
 };
 use ovc_exec::exchange::by_cols_hash;
 use ovc_exec::route_batches;
 use ovc_plan::exec::{execute, ExecOptions};
 use ovc_plan::{figure5, PlannerConfig, Preference};
-use ovc_sort::{
-    merge_batch_streams, parallel_sort_batches, try_sort_batches, MemoryRunStorage, Run, SortConfig,
-};
+use ovc_sort::{merge_batch_streams, try_sort_batches, MemoryRunStorage, Run, SortConfig};
 use proptest::prelude::*;
 
 /// Sorted rows as the serial batch kernels take them: one coded run, cut
@@ -40,44 +39,67 @@ fn exact(pairs: &[(Row, Ovc)], key_len: usize) {
     assert_codes_exact(pairs, key_len);
 }
 
+/// [`try_sort_batches`] of `rows` (cut into `cfg.memory_rows`-row
+/// batches) on an in-memory spill device, drained, with its counters.
+fn sort(
+    rows: &[Row],
+    cfg: SortConfig,
+    spec: &SortSpec,
+    distinct: bool,
+) -> (Vec<(Row, Ovc)>, StatsSnapshot) {
+    let stats = Stats::new_shared();
+    let mut storage = MemoryRunStorage::new(stats.clone());
+    let input = RowBatches::new(rows.to_vec(), cfg.memory_rows);
+    let sorted = try_sort_batches(input, cfg, spec, distinct, &mut storage, &stats);
+    (
+        collect_batch_pairs(sorted.unwrap().batches(64)),
+        stats.snapshot(),
+    )
+}
+
+/// The spill counters: rows and bytes spilled, rows read back.
+fn spills(s: &StatsSnapshot) -> (u64, u64, u64) {
+    (s.rows_spilled, s.bytes_spilled, s.rows_read_back)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Parallel sort ≡ serial sort, rows and codes, threads ∈ {1, 2, 4, 8}.
+    /// The sort at threads ∈ {2, 4, 8} ≡ the sort at one thread: rows,
+    /// codes and every spill counter, resident, one-level and
+    /// multi-level (fan-in 3 or 64 over 16..96-row runs).
     #[test]
-    fn parallel_sort_equals_serial(rows in rows_strategy(2, 400), mem in 16usize..96) {
+    fn parallel_sort_equals_serial(
+        rows in rows_strategy(2, 400),
+        mem in 16usize..96,
+        fan_sel in 0usize..2,
+    ) {
         let spec = SortSpec::asc(2);
-        let stats = Stats::new_shared();
-        let mut storage = MemoryRunStorage::new(stats.clone());
-        let input = RowBatches::new(rows.clone(), mem);
-        let sorted = try_sort_batches(input, SortConfig::new(2, mem), &spec, false, &mut storage, &stats);
-        let serial = drain(sorted.unwrap().batches(64));
-        for threads in [1usize, 2, 4, 8] {
-            let stats = Stats::new_shared();
-            let input = RowBatches::new(rows.clone(), usize::MAX);
-            let sorted = parallel_sort_batches(input, &spec, false, threads, mem, 64, &stats);
-            let par: Vec<OvcRow> = drain(sorted.unwrap().batches(64));
+        let cfg = SortConfig::new(2, mem).with_fan_in([3, 64][fan_sel]);
+        let (serial, one) = sort(&rows, cfg, &spec, false);
+        for threads in [2usize, 4, 8] {
+            let (par, stats) = sort(&rows, cfg.with_threads(threads), &spec, false);
             prop_assert_eq!(&par, &serial, "threads={}", threads);
-            let pairs: Vec<(Row, Ovc)> = par.into_iter().map(|r| (r.row, r.code)).collect();
-            exact(&pairs, 2);
+            prop_assert_eq!(spills(&stats), spills(&one), "threads={}", threads);
+            exact(&par, 2);
         }
     }
 
-    /// Parallel in-sort distinct ≡ sorted-dedup reference, with codes.
+    /// In-sort distinct at threads ∈ {2, 4} ≡ the sorted-dedup
+    /// reference, with codes, and spills as at one thread.
     #[test]
     fn parallel_distinct_equals_serial(rows in rows_strategy(2, 400)) {
         let mut expect = rows.clone();
         expect.sort();
         expect.dedup();
+        let cfg = SortConfig::new(2, 32).with_fan_in(8);
+        let (_, one) = sort(&rows, cfg, &SortSpec::asc(2), true);
         for threads in [2usize, 4] {
-            let input = RowBatches::new(rows.clone(), usize::MAX);
-            let stats = Stats::new_shared();
-            let sorted = parallel_sort_batches(input, &SortSpec::asc(2), true, threads, 32, 8, &stats);
-            let out: Vec<OvcRow> = drain(sorted.unwrap().batches(64));
-            let got: Vec<Row> = out.iter().map(|r| r.row.clone()).collect();
+            let (out, stats) = sort(&rows, cfg.with_threads(threads), &SortSpec::asc(2), true);
+            let got: Vec<Row> = out.iter().map(|(r, _)| r.clone()).collect();
             prop_assert_eq!(&got, &expect, "threads={}", threads);
-            let pairs: Vec<(Row, Ovc)> = out.into_iter().map(|r| (r.row, r.code)).collect();
-            exact(&pairs, 2);
+            prop_assert_eq!(spills(&stats), spills(&one), "threads={}", threads);
+            exact(&out, 2);
         }
     }
 

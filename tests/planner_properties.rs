@@ -156,12 +156,14 @@ proptest! {
     /// directions (normalized-key encoding included) produces rows
     /// byte-identical to the `ovc-baseline` full-compare sort under the
     /// same spec, and codes byte-identical to the reference derivation
-    /// over those rows.
+    /// over those rows — serial, and at dop 4 with every workspace
+    /// sorted on four threads.
     #[test]
     fn mixed_direction_sort_plan_matches_baseline_full_compare_sort(
         rows in rows_strategy(2, 300),
         dir_sel in 0usize..4,
         norm_sel in 0usize..2,
+        dop_sel in 0usize..2,
     ) {
         let normalized = norm_sel == 1;
         let dirs = [
@@ -174,9 +176,15 @@ proptest! {
         let mut catalog = Catalog::new();
         catalog.register("t", Table::unsorted(rows.clone()));
         let q = LogicalPlan::scan("t").sort_by(spec.clone());
-        let cfg = PlannerConfig::default().with_memory_rows(48).with_fan_in(4);
+        let dop = [1, 4][dop_sel];
+        let cfg = PlannerConfig::default()
+            .with_memory_rows(48)
+            .with_fan_in(4)
+            .with_dop(dop)
+            .with_parallel_threshold(0);
         let plan = Planner::new(&catalog, cfg).plan(&q).expect("plans");
         prop_assert_eq!(&plan.props.order, &spec, "{}", plan.explain());
+        prop_assert_eq!(plan.props.dop, dop, "{}", plan.explain());
         let stats = Stats::new_shared();
         let out: Vec<OvcRow> =
             execute(&plan, &catalog, &stats, &ExecOptions { verify_trusted: true, ..Default::default() }).into_coded();
