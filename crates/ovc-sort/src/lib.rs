@@ -83,3 +83,140 @@ impl<B: ovc_core::BatchStream> ovc_core::BatchStream for FailAfter<B> {
         self.inner.sort_spec()
     }
 }
+
+/// The parallel sort's tests, kept since its own module was folded into
+/// [`external`]: each runs [`try_sort_batches`] with
+/// [`SortConfig::with_threads`] against the one-thread sort.
+#[cfg(test)]
+mod parallel {
+    mod tests {
+        use crate::{try_sort_batches, MemoryRunStorage, SortConfig};
+        use ovc_core::batch::collect_batch_pairs;
+        use ovc_core::derive::assert_codes_exact;
+        use ovc_core::{Ovc, Row, RowBatches, SortSpec, Stats};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::sync::Arc;
+
+        fn random_rows(n: usize, k: usize, domain: u64, seed: u64) -> Vec<Row> {
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..n)
+                .map(|_| Row::new((0..k).map(|_| rng.gen_range(0..domain)).collect()))
+                .collect()
+        }
+
+        /// The sort of `rows` (one input batch) on `threads` threads,
+        /// drained.
+        fn par_pairs(
+            rows: &[Row],
+            spec: &SortSpec,
+            (threads, memory_rows, fan_in): (usize, usize, usize),
+            stats: &Arc<Stats>,
+        ) -> Vec<(Row, Ovc)> {
+            let mut storage = MemoryRunStorage::new(Arc::clone(stats));
+            let input = RowBatches::new(rows.to_vec(), usize::MAX);
+            let cfg = SortConfig::new(spec.len(), memory_rows)
+                .with_fan_in(fan_in)
+                .with_threads(threads);
+            let out = try_sort_batches(input, cfg, spec, false, &mut storage, stats);
+            collect_batch_pairs(out.unwrap().batches(1024))
+        }
+
+        /// The one-thread sort of `rows` (`memory_rows`-row input
+        /// batches), drained.
+        fn serial_pairs(rows: &[Row], spec: &SortSpec, memory_rows: usize) -> Vec<(Row, Ovc)> {
+            let stats = Stats::new_shared();
+            let mut storage = MemoryRunStorage::new(Arc::clone(&stats));
+            let input = RowBatches::new(rows.to_vec(), memory_rows);
+            let cfg = SortConfig::new(spec.len(), memory_rows);
+            let out = try_sort_batches(input, cfg, spec, false, &mut storage, &stats);
+            collect_batch_pairs(out.unwrap().batches(1024))
+        }
+
+        #[test]
+        fn parallel_sort_matches_serial_rows_and_codes() {
+            let rows = random_rows(5000, 3, 12, 1);
+            let spec = SortSpec::asc(3);
+            for threads in [1usize, 2, 3, 4, 8] {
+                let s_par = Stats::new_shared();
+                let par = par_pairs(&rows, &spec, (threads, 256, 128), &s_par);
+                let ser = serial_pairs(&rows, &spec, 256);
+                assert_eq!(par, ser, "threads={threads}");
+                assert_codes_exact(&par, 3);
+            }
+        }
+
+        #[test]
+        fn parallel_sort_counts_worker_comparisons() {
+            // Every worker's counts land in the caller's counters; the N×K
+            // bound holds regardless of the thread count.
+            let rows = random_rows(2000, 2, 5, 2);
+            let stats = Stats::new_shared();
+            let _ = par_pairs(&rows, &SortSpec::asc(2), (4, 128, 128), &stats);
+            assert!(stats.col_value_cmps() > 0, "worker counters merged");
+            assert!(
+                stats.col_value_cmps() <= 2000 * 2,
+                "N*K bound: {}",
+                stats.col_value_cmps()
+            );
+        }
+
+        #[test]
+        fn narrow_fan_in_cascades_without_spilling() {
+            // The fan-in bounds the merges of spilled runs, not the
+            // in-memory merge of one workspace's slices: an input that
+            // fits its workspace stays resident at four threads and a
+            // fan-in of three.
+            let rows = random_rows(3000, 2, 10, 4);
+            let stats = Stats::new_shared();
+            let spec = SortSpec::asc(2);
+            let out = par_pairs(&rows, &spec, (4, 4096, 3), &stats);
+            let ser = serial_pairs(&rows, &spec, 64);
+            assert_eq!(out, ser);
+            assert_eq!(stats.rows_spilled(), 0);
+        }
+
+        #[test]
+        fn parallel_sort_spec_matches_serial_on_mixed_directions() {
+            // A mixed asc/desc spec at every thread count must match the
+            // one-thread spec sort row for row and code for code.
+            use ovc_core::derive::assert_codes_exact_spec;
+            use ovc_core::spec::Direction;
+
+            let rows = random_rows(4000, 3, 9, 6);
+            let spec = SortSpec::with_dirs(&[Direction::Asc, Direction::Desc, Direction::Asc]);
+            let ser = serial_pairs(&rows, &spec, 256);
+            for threads in [1usize, 2, 4, 8] {
+                let stats = Stats::new_shared();
+                let par = par_pairs(&rows, &spec, (threads, 256, 8), &stats);
+                assert_eq!(par, ser, "threads={threads}");
+                assert_codes_exact_spec(&par, &spec);
+                assert!(stats.col_value_cmps() > 0, "worker counters merged");
+            }
+        }
+
+        #[test]
+        fn parallel_sort_spec_descending_only() {
+            let rows = random_rows(1500, 2, 6, 7);
+            let spec = SortSpec::desc(2);
+            let ser = serial_pairs(&rows, &spec, 128);
+            let par = par_pairs(&rows, &spec, (4, 128, 8), &Stats::new_shared());
+            assert_eq!(par, ser);
+        }
+
+        #[test]
+        fn degenerate_inputs() {
+            let stats = Stats::new_shared();
+            let sort = |rows: &[Row], threads| {
+                par_pairs(rows, &SortSpec::asc(2), (threads, 16, 128), &stats)
+            };
+            assert_eq!(sort(&[], 8).len(), 0);
+            let one = sort(&[Row::new(vec![7, 7])], 8);
+            assert_eq!(one.len(), 1);
+            // More threads than rows clamps to one row per worker.
+            let few = random_rows(3, 2, 4, 5);
+            let out = sort(&few, 64);
+            assert_eq!(out.len(), 3);
+        }
+    }
+}
